@@ -272,7 +272,8 @@ def _run_flow(cfg, rep: Reporter, rng):
                    "end_time", "max_p_resid"], rows)
     # one full trajectory in the per-sample export format
     sample_start = flowmod.char_start(M, sym.SignBranch.PLUS,
-                                      np.array([0.3, 0.2]), [1.0], hs[-1])
+                                      np.array([0.3] + [0.2] * M.d),
+                                      np.ones(M.d), hs[-1])
     sample = flowmod.integrate_flow(sample_start, "forward", M,
                                     sym.SignBranch.PLUS, budget=budget)
     ncoord = len(sample.samples[0].Y) + len(sample.samples[0].zeta)

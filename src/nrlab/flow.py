@@ -30,14 +30,16 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ChartUnavailable, OutOfChart, StepFailure
+from .errors import ChartUnavailable, DegenerateMetric, StepFailure
 from .geometry import BdfValues, ChartCoords, ChartId, ChartTag, PhasePoint, chi_cutoff
 from .symbols import (
     MetricParams,
     RadialPoint,
     Side,
     SignBranch,
-    natural_symbol_value,
+    ball_from_base,
+    eval_metric,
+    natural_symbol_value,  # noqa: F401  kept by name: perfbench's tracer test rebinds it
 )
 
 __all__ = [
@@ -87,99 +89,33 @@ class TangentVector:
 # ---------------------------------------------------------------------------
 
 
-def ball_from_base(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return z / math.sqrt(1.0 + float(z @ z))
-
-
-def base_from_ball(Y) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    r2 = float(Y @ Y)
-    if r2 >= 1.0:
-        raise OutOfChart("|Y| >= 1 corresponds to spacetime infinity")
-    return Y / math.sqrt(1.0 - r2)
-
-
-def _quadform_ball(M: MetricParams, Y, h: float) -> np.ndarray:
-    """Natural-units inverse metric as a function of the compactified base.
-
-    Assembled from the profiles' ball forms, so it is smooth across the
-    boundary sphere (where every coefficient vanishes).
-    """
-    d = M.d
-    if h == 0.0 or M.is_flat:
-        G = np.eye(d + 1)
-        G[0, 0] = -1.0
-        return G
-    c = 1.0 / h
-    if d == 1:
-        g00 = -c * c + M.alpha.eval_ball(Y)
-        g01 = M.w[0].eval_ball(Y) / c
-        g11 = 1.0 + M.hjk[0][0].eval_ball(Y) / c**2
-        det = g00 * g11 - g01 * g01
-        return np.array([[c * c * g11, -c * g01], [-c * g01, g00]]) / det
-    g = np.zeros((d + 1, d + 1))
-    g[0, 0] = -c * c + M.alpha.eval_ball(Y)
-    for j in range(d):
-        wj = M.w[j].eval_ball(Y) / c
-        g[0, j + 1] = wj
-        g[j + 1, 0] = wj
-    for j in range(d):
-        for k in range(d):
-            g[j + 1, k + 1] = (1.0 if j == k else 0.0) + M.hjk[j][k].eval_ball(Y) / c**2
-    ginv = np.linalg.inv(g)
-    S = np.ones(d + 1)
-    S[0] = c
-    return ginv * np.outer(S, S)
-
-
-def _p_nat_ball(M, Y, zeta_nat, h, b) -> float:
-    G = _quadform_ball(M, Y, h)
-    return float(-(zeta_nat @ G @ zeta_nat) + 2.0 * b.sign * zeta_nat[0])
+def _v_of_G(G, zeta_nat, h, b) -> np.ndarray:
+    Gz = G @ zeta_nat
+    out = -Gz
+    out[0] = h * (b.sign - Gz[0])
+    return out
 
 
 def _v_natural(M, Y, zeta_nat, h, b) -> np.ndarray:
     """V = (1/2)(h dp/dtau_nat, dp/dxi_nat); free case (h(tau_nat +/- 1), -xi_nat)."""
-    G = _quadform_ball(M, Y, h)
-    Gz = G @ zeta_nat
-    out = np.empty_like(zeta_nat)
-    out[0] = h * (b.sign - Gz[0])
-    out[1:] = -Gz[1:]
-    return out
+    return _v_of_G(eval_metric(M, Y, h).G, zeta_nat, h, b)
 
 
-def _drift_natural(M, Y, zeta_nat, h, b) -> np.ndarray:
-    """Frequency components of the rescaled field (zero for the free metric).
+def _natural_field(M, Y, zeta_nat, h, b):
+    """(V, frequency drift) of the rescaled field; the drift is zero for the
+    free metric.
 
     tau_nat' = -(h/2) D_t p,  xi_nat' = -(1/2) D_x p, with D the
-    rho_bf-compensated spacetime derivative.  The compensated derivative of
-    the natural-units inverse metric is assembled analytically from the
-    profiles' ball-form gradients (D G = -c^-2 G (D g-block) G), which stays
-    smooth up to the boundary sphere where it vanishes with the profiles.
+    rho_bf-compensated spacetime derivative of G taken from the metric
+    kernel, which stays smooth up to the boundary sphere where it vanishes
+    with the profiles.
     """
-    n = zeta_nat.size
     if M.is_flat or h == 0.0:
-        return np.zeros(n)
-    d = M.d
-    c = 1.0 / h
-    G = _quadform_ball(M, Y, h)
-    # compensated gradients of the metric-perturbation block, per direction l
-    dblock = np.zeros((n, d + 1, d + 1))
-    ga = M.alpha.comp_grad_ball(Y)
-    dblock[:, 0, 0] = ga
-    for j in range(d):
-        gw = M.w[j].comp_grad_ball(Y)
-        dblock[:, 0, j + 1] = gw
-        dblock[:, j + 1, 0] = gw
-    for j in range(d):
-        for k in range(d):
-            dblock[:, j + 1, k + 1] = M.hjk[j][k].comp_grad_ball(Y)
-    out = np.empty(n)
-    for l in range(n):
-        dG = -(h * h) * G @ dblock[l] @ G
-        out[l] = 0.5 * float(zeta_nat @ dG @ zeta_nat)   # = -(1/2) D_l p
+        return _v_natural(M, Y, zeta_nat, h, b), np.zeros(zeta_nat.size)
+    mv = eval_metric(M, Y, h, grad=True)
+    out = 0.5 * (mv.dG @ zeta_nat) @ zeta_nat        # = -(1/2) D_l p
     out[0] *= h
-    return out
+    return _v_of_G(mv.G, zeta_nat, h, b), out
 
 
 def _nu_parabolic(tau, xi) -> float:
@@ -301,8 +237,7 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
         h = co[-1]
         Y = ball_from_base(z)
         bracket = math.sqrt(1.0 + float(z @ z))
-        V = _v_natural(M, Y, zeta_nat, h, b)
-        drift = _drift_natural(M, Y, zeta_nat, h, b)
+        V, drift = _natural_field(M, Y, zeta_nat, h, b)
         comps = np.concatenate((bracket * V, drift, [0.0]))
         return TangentVector(cc.chart, comps)
 
@@ -325,8 +260,7 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
         else:
             Ydir = np.concatenate(([that], xhat)) * sigma
             Y = Ydir / np.linalg.norm(Ydir)
-        V = _v_natural(M, Y, zeta_nat, h, b)
-        drift = _drift_natural(M, Y, zeta_nat, h, b)
+        V, drift = _natural_field(M, Y, zeta_nat, h, b)
         absYj0 = abs(Y[1 + j0])
         # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
         # ball field this multiplies everything shown below by |Y_j0|
@@ -405,8 +339,7 @@ def _state_rhs(mode, M, b, h, sign):
         Y = y[:n]
         zeta = y[n:]
         if mode == "natural":
-            V = _v_natural(M, Y, zeta, h, b)
-            drift = _drift_natural(M, Y, zeta, h, b)
+            V, drift = _natural_field(M, Y, zeta, h, b)
         else:
             V = _v_parabolic(zeta[0], zeta[1:], b)
             drift = np.zeros(n)
@@ -451,8 +384,9 @@ def _profile_scalar_fns(p):
 def _natural_rhs_d1(M: MetricParams, b: SignBranch, h: float, sign: float):
     """Scalarized natural-mode field for d = 1 perturbed metrics.
 
-    Identical mathematics to the generic path (ball-form inverse metric,
-    analytic compensated drift), hand-expanded for speed in the 2 x 2 case.
+    Identical mathematics to the kernel-backed ``_state_rhs`` (ball-form
+    inverse metric, analytic compensated drift), hand-expanded for speed in
+    the 2 x 2 case; a test pins the two together.
     """
     c = 1.0 / h
     c2 = c * c
@@ -525,11 +459,13 @@ def _natural_rhs_d1(M: MetricParams, b: SignBranch, h: float, sign: float):
     return rhs
 
 
-def _p_residual(mode, M, b, h, Y, zeta) -> float:
+def _p_residuals(mode, M, b, h, Y, zeta) -> np.ndarray:
+    """Symbol residuals p / (1 + |zeta|^2) at the rows of Y and zeta, (k, 1+d)."""
     if mode == "natural":
-        return _p_nat_ball(M, Y, zeta, h, b) / (1.0 + float(zeta @ zeta))
-    tau, xi = zeta[0], zeta[1:]
-    return (-float(xi @ xi) + 2.0 * b.sign * tau) / (1.0 + float(zeta @ zeta))
+        quad = np.einsum("ka,kab,kb->k", zeta, eval_metric(M, Y, h).G, zeta)
+    else:
+        quad = np.sum(zeta[:, 1:] ** 2, axis=1)
+    return (2.0 * b.sign * zeta[:, 0] - quad) / (1.0 + np.sum(zeta * zeta, axis=1))
 
 
 def natural_start(Y, zeta_nat, h) -> dict:
@@ -548,15 +484,15 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     """Natural-mode start on the characteristic sheet of the given metric.
 
     For a perturbed metric at an interior base point the sheet time
-    frequency is root-solved, so the start satisfies |p| <= 1e-6 as the
-    integration contract expects.
+    frequency is the closed-form root of the symbol's quadratic in tau_nat,
+    so the start satisfies |p| <= 1e-6 as the integration contract expects.
     """
     Y = np.asarray(Y, dtype=float)
     xi_nat = np.atleast_1d(np.asarray(xi_nat, dtype=float))
     if M.is_flat or h == 0.0 or float(Y @ Y) >= 1.0:
         tau = _sheet_tau(xi_nat, h, "natural", b)
     else:
-        tau = _sheet_tau_nat_perturbed(M, base_from_ball(Y), xi_nat, h, b)
+        tau = _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b)
     return natural_start(Y, np.concatenate(([tau], xi_nat)), h)
 
 
@@ -599,6 +535,8 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
         else:
             raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
 
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
     mode, h = start["mode"], start["h"]
     sign = +1.0 if direction == "forward" else -1.0
     n = start["Y"].size
@@ -625,8 +563,8 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
         def leave(lam, Y):
             return 2.0 - float(Y @ Y)
 
-        def unpack(col):
-            return col, zeta0
+        def unpack(cols):
+            return cols.T, np.tile(zeta0, (cols.shape[1], 1))
     else:
         if M.d == 1:
             rhs = _natural_rhs_d1(M, b, h, sign)
@@ -645,8 +583,8 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
         def leave(lam, y):
             return ZETA_MAX - float(np.linalg.norm(y[n:]))
 
-        def unpack(col):
-            return col[:n], col[n:]
+        def unpack(cols):
+            return cols[:n].T, cols[n:].T
 
     for ev in (ev_fut, ev_past):
         ev.terminal = True
@@ -656,14 +594,12 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
     # a start at an exact fixed point stays put: classify by the nearer set
     f0 = rhs(0.0, y0)
     if np.linalg.norm(f0) <= FIXED_POINT_NORM:
-        Y0, z0 = unpack(y0)
+        Y0, z0 = unpack(y0[:, None])
         term = (Termination.REACHED_FUTURE
                 if ev_fut(0.0, y0) <= ev_past(0.0, y0)
                 else Termination.REACHED_PAST)
-        resid = _p_residual(mode, M, b, h, Y0, z0)
-        return Trajectory(mode, h, b,
-                          [FlowSample(0.0, Y0.copy(), np.asarray(z0).copy(), resid)],
-                          [], term)
+        resid = float(_p_residuals(mode, M, b, h, Y0, z0)[0])
+        return Trajectory(mode, h, b, [FlowSample(0.0, Y0[0], z0[0], resid)], [], term)
 
     sol = solve_ivp(rhs, (0.0, budget), y0, method="RK45", rtol=rtol,
                     atol=1.0e-12, events=[ev_fut, ev_past, leave])
@@ -697,10 +633,10 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
     idx = list(range(0, len(ts), stride))
     if idx[-1] != len(ts) - 1:
         idx.append(len(ts) - 1)
-    for i in idx:
-        Y, zeta = unpack(ys[:, i])
-        resid = _p_residual(mode, M, b, h, Y, zeta)
-        samples.append(FlowSample(float(ts[i]), Y.copy(), np.asarray(zeta).copy(), resid))
+    Ys, zetas = unpack(ys[:, idx])
+    resids = _p_residuals(mode, M, b, h, Ys, zetas)
+    for i, Y, zeta, resid in zip(idx, Ys, zetas, resids):
+        samples.append(FlowSample(float(ts[i]), Y, zeta, float(resid)))
         dom = int(np.argmax(np.abs(Y)))
         if prev_dom is not None and dom != prev_dom:
             switches.append((float(ts[i]), f"dominant axis {prev_dom} -> {dom}"))
@@ -723,24 +659,26 @@ class QdfReport:
     cubic_bound: float
 
 
-def _sheet_tau_nat_perturbed(M, z, xi_nat, h, b) -> float:
-    """Solve the rescaled symbol = 0 for tau_nat near the free sheet value."""
+def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b) -> float:
+    """Sheet time frequency over xi_nat at the ball point Y.
+
+    The rescaled symbol vanishes where
+    G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0; of its two roots
+    (taken in the cancellation-free form) the one nearest the free sheet is
+    returned.  A negative discriminant raises DegenerateMetric.
+    """
     tau0 = _sheet_tau(xi_nat, h, "natural", b)
     if M.is_flat or h == 0.0:
         return tau0
-    tau = tau0
-    for _ in range(50):
-        zn = np.concatenate(([tau], xi_nat))
-        f = natural_symbol_value(M, z, zn, h, b)
-        e = 1.0e-7
-        fp = natural_symbol_value(M, z, np.concatenate(([tau + e], xi_nat)), h, b)
-        fm = natural_symbol_value(M, z, np.concatenate(([tau - e], xi_nat)), h, b)
-        df = (fp - fm) / (2.0 * e)
-        step = f / df
-        tau -= step
-        if abs(step) < 1.0e-14:
-            break
-    return tau
+    G = eval_metric(M, Y, h).G
+    A = G[0, 0]
+    B = float(G[0, 1:] @ xi_nat) - b.sign
+    C = float(xi_nat @ G[1:, 1:] @ xi_nat)
+    disc = B * B - A * C
+    if disc < 0.0:
+        raise DegenerateMetric(f"no real sheet frequency: discriminant {disc:.3e}")
+    q = -(B + math.copysign(math.sqrt(disc), B))
+    return min((C / q, q / A), key=lambda tau: abs(tau - tau0))
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
@@ -772,8 +710,8 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
             tau = center.tau_nat
             for _ in range(3):
                 cc = _chart_coords(center, s, w, rho, tau)
-                z = _chart_base(cc, b)
-                tau = _sheet_tau_nat_perturbed(M, z, center.xi_nat, center.h, b)
+                Y = ball_from_base(_chart_base(cc, b))
+                tau = _sheet_tau_nat_perturbed(M, Y, center.xi_nat, center.h, b)
             cc = _chart_coords(center, s, w, rho, tau)
         else:
             tau = _sheet_tau_nat_perturbed(
@@ -879,11 +817,10 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
     h = rp.h
     omega = rp.direction
     if probe_offset == 0.0:
-        V = _v_natural(M, omega, zeta, h, b)
+        V, drift = _natural_field(M, omega, zeta, h, b)
         rate_bf = -float(omega @ V)
         if M.is_flat or h == 0.0:
             return s_const * rate_bf
-        drift = _drift_natural(M, omega, zeta, h, b)
         # frequency-only factors: d/dl log rho(zeta(l)); vanishes at bf since
         # the drift does, but keep the general expression
         eps = FD_STEP

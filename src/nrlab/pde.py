@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridMismatch, ResampleOverflow, StepFailure
 from .quantize import BoxGrid, GridField
-from .symbols import MetricParams, SignBranch, aleph_field
+from .symbols import MetricParams, SignBranch, aleph, eval_metric
 
 __all__ = [
     "KGState",
@@ -190,7 +190,7 @@ class SchrCoefficients:
             if aleph_values is not None:
                 alephf = aleph_values
             else:
-                alephf = lambda t, *mesh: aleph_field(M, spacetime(t, *mesh))
+                alephf = lambda t, *mesh: aleph(M, spacetime(t, *mesh))
         else:
             alephf = None
         return cls(M.d, B=tuple(liftB(j) for j in range(M.d)), W=Wf,
@@ -203,10 +203,6 @@ class SchrCoefficients:
 
     def drift(self, t, mesh) -> list:
         return [np.asarray(Bj(t, *mesh), dtype=float) for Bj in self.B]
-
-    @property
-    def is_free(self) -> bool:
-        return False  # conservative; the solver checks field norms instead
 
 
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
@@ -418,36 +414,6 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
 # ---------------------------------------------------------------------------
 
 
-def _batched_inverse_metric(M: MetricParams, z: np.ndarray, c: float):
-    d = M.d
-    g = np.zeros(z.shape[:-1] + (d + 1, d + 1))
-    g[..., 0, 0] = -c * c + M.alpha(z)
-    for j in range(d):
-        wj = M.w[j](z) / c
-        g[..., 0, j + 1] = wj
-        g[..., j + 1, 0] = wj
-    for j in range(d):
-        for k in range(d):
-            g[..., j + 1, k + 1] = (1.0 if j == k else 0.0) + M.hjk[j][k](z) / c**2
-    ginv = np.linalg.inv(g)
-    det = np.linalg.det(g)
-    return g, ginv, det
-
-
-def _batched_metric_grad(M: MetricParams, z: np.ndarray, c: float):
-    d = M.d
-    out = np.zeros(z.shape[:-1] + (d + 1, d + 1, d + 1))
-    out[..., 0, 0, :] = M.alpha.grad(z)
-    for j in range(d):
-        gw = M.w[j].grad(z) / c
-        out[..., 0, j + 1, :] = gw
-        out[..., j + 1, 0, :] = gw
-    for j in range(d):
-        for k in range(d):
-            out[..., j + 1, k + 1, :] = M.hjk[j][k].grad(z) / c**2
-    return out
-
-
 class ConjugatedOperator:
     """Grid action of the conjugated operator and its Euclidean adjoint.
 
@@ -466,14 +432,18 @@ class ConjugatedOperator:
         self.branch = branch
         mesh = grid.mesh()
         z = np.stack(mesh, axis=-1)
-        g, ginv, det = _batched_inverse_metric(M, z, c)
-        dg = _batched_metric_grad(M, z, c)
+        bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
+        mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
+        g, ginv = mv.g, mv.ginv
         n = M.d + 1
-        # d(g^-1) = -g^-1 (dg) g^-1 ; d log sqrt|g| = tr(g^-1 dg)/2
-        dginv = -np.einsum("...ab,...bcl,...cd->...adl", ginv, dg, ginv)
-        dlog = 0.5 * np.einsum("...ab,...bal->...l", ginv, dg)
+        # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
+        # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
+        unscale = np.ones(n)
+        unscale[0] = 1.0 / c
+        dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
+        dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
         self.g2 = ginv                                  # second-order coefficients
-        self.c1 = np.einsum("...iji->...j", dginv) + np.einsum(
+        self.c1 = np.einsum("...iij->...j", dginv) + np.einsum(
             "...ij,...i->...j", ginv, dlog
         )                                               # d'Alembertian first-order
         s = branch.sign

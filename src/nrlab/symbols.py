@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChartUnavailable, DegenerateMetric, ExtrapolationUnstable
+from .errors import ChartUnavailable, DegenerateMetric
 from .geometry import ChartCoords, ChartTag, PhasePoint
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "Side",
     "CharClass",
     "RadialPoint",
+    "MetricValues",
+    "eval_metric",
     "metric_matrix",
     "inverse_metric",
     "c_min_preflight",
@@ -107,20 +110,20 @@ class ClassicalSymbolProfile:
             abs(c) + abs(s) for _, c, s in self.waves
         )
 
-    def _angular(self, y: np.ndarray):
+    def _angular(self, y: np.ndarray, grad: bool = False):
+        """g(y) and, with ``grad``, its tangential gradient (I - y y^T) grad g."""
         g = np.full(y.shape[:-1], self.constant, dtype=float)
-        for kappa, c, s in self.waves:
-            phase = y @ np.asarray(kappa, dtype=float)
-            g = g + c * np.cos(phase) + s * np.sin(phase)
-        return g
-
-    def _angular_grad(self, y: np.ndarray):
-        out = np.zeros_like(y)
+        gy = np.zeros_like(y) if grad else None
         for kappa, c, s in self.waves:
             kappa = np.asarray(kappa, dtype=float)
             phase = y @ kappa
-            out = out + (-c * np.sin(phase) + s * np.cos(phase))[..., None] * kappa
-        return out
+            cos, sin = np.cos(phase), np.sin(phase)
+            g = g + c * cos + s * sin
+            if grad:
+                gy = gy + (-c * sin + s * cos)[..., None] * kappa
+        if not grad:
+            return g, None
+        return g, gy - (gy * y).sum(axis=-1)[..., None] * y
 
     def __call__(self, z) -> np.ndarray | float:
         """Evaluate at spacetime points z of shape (..., 1+d)."""
@@ -131,7 +134,7 @@ class ClassicalSymbolProfile:
         n2 = np.sum(z * z, axis=-1)
         bracket = np.sqrt(1.0 + n2)
         y = z / bracket[..., None]
-        val = self.amplitude * bracket**self.order * self._angular(y)
+        val = self.amplitude * bracket**self.order * self._angular(y)[0]
         return val if val.ndim else float(val)
 
     def grad(self, z) -> np.ndarray:
@@ -142,10 +145,8 @@ class ClassicalSymbolProfile:
         n2 = np.sum(z * z, axis=-1)
         bracket = np.sqrt(1.0 + n2)
         y = z / bracket[..., None]
-        g = self._angular(y)
-        gy = self._angular_grad(y)
         # d y_j / d z_i = (delta_ij - y_i y_j) / <z>
-        proj = gy - np.sum(gy * y, axis=-1)[..., None] * y
+        g, proj = self._angular(y, grad=True)
         radial = self.order * bracket ** (self.order - 2.0)
         return self.amplitude * (
             radial[..., None] * z * g[..., None]
@@ -154,31 +155,34 @@ class ClassicalSymbolProfile:
 
     # -- compactified-base (ball) forms: Y = z/<z>, rho_bf = sqrt(1-|Y|^2) --
 
+    def ball_forms(self, Y, grad: bool = False):
+        """(value, compensated gradient) at compactified base points Y.
+
+        The value A rho_bf^{|r|} g(Y) and the compensated gradient
+        rho_bf^{-1} d f / d z_i = A rho_bf^{|r|} [ r Y_i g(Y) + (tangential
+        grad g)_i ] are smooth up to the boundary sphere |Y| = 1, where both
+        vanish like rho_bf^{|r|}.  The gradient is None unless asked for.
+        """
+        Y = np.asarray(Y, dtype=float)
+        w = self.amplitude * np.maximum(1.0 - (Y * Y).sum(axis=-1), 0.0) ** (
+            -self.order / 2.0)
+        g, proj = self._angular(Y, grad)
+        if not grad:
+            return w * g, None
+        return w * g, w[..., None] * (self.order * Y * g[..., None] + proj)
+
     def eval_ball(self, Y) -> float:
         """Value at the compactified base point Y (smooth up to |Y| = 1)."""
-        Y = np.asarray(Y, dtype=float)
         if self.amplitude == 0.0:
-            return np.zeros(Y.shape[:-1]) if Y.ndim > 1 else 0.0
-        rho2 = np.clip(1.0 - np.sum(Y * Y, axis=-1), 0.0, None)
-        val = self.amplitude * rho2 ** (-self.order / 2.0) * self._angular(Y)
+            return np.zeros(np.shape(Y)[:-1]) if np.ndim(Y) > 1 else 0.0
+        val = self.ball_forms(Y)[0]
         return val if np.ndim(val) else float(val)
 
     def comp_grad_ball(self, Y) -> np.ndarray:
-        """Compensated gradient rho_bf^{-1} d f / d z_i expressed on the ball.
-
-        Equals amplitude * rho_bf^{|r|} [ r Y_i g(Y) + (tangential grad g)_i ],
-        which is smooth and vanishes at the boundary sphere like rho_bf^{|r|}.
-        """
-        Y = np.asarray(Y, dtype=float)
+        """Compensated gradient rho_bf^{-1} d f / d z_i expressed on the ball."""
         if self.amplitude == 0.0:
-            return np.zeros_like(Y)
-        rho2 = np.clip(1.0 - np.sum(Y * Y, axis=-1), 0.0, None)
-        g = self._angular(Y)
-        gy = self._angular_grad(Y)
-        proj = gy - np.sum(gy * Y, axis=-1)[..., None] * Y
-        return self.amplitude * rho2[..., None] ** (-self.order / 2.0) * (
-            self.order * Y * g[..., None] + proj
-        )
+            return np.zeros_like(np.asarray(Y, dtype=float))
+        return self.ball_forms(Y, grad=True)[1]
 
 
 @dataclass(frozen=True)
@@ -273,123 +277,128 @@ class MetricParams:
         return max(amps)
 
 
+class MetricValues(NamedTuple):
+    """The metric family evaluated at a batch of points.
+
+    ``g`` and ``ginv`` are in light-speed units (at h = 0 they hold their
+    c -> infinity limits diag(-inf, I) and diag(0, I)); ``G = S g^-1 S``
+    with S = diag(c, 1, ..., 1) is the natural-units inverse metric;
+    ``dG[..., l, :, :]`` is its compensated derivative rho_bf^-1 dG/dz_l
+    (``None`` unless asked for).
+    """
+
+    g: np.ndarray
+    ginv: np.ndarray
+    G: np.ndarray
+    dG: np.ndarray | None
+
+
+def eval_metric(M: MetricParams, Y, h: float, grad: bool = False) -> MetricValues:
+    """Evaluate the metric family at compactified base points Y = z/<z>.
+
+    Y has shape (..., 1+d) and may reach the boundary sphere |Y| = 1; the
+    light speed is c = 1/h.  In natural units the metric is
+    S^-1 g S^-1 = eta + h^2 P with P = [[alpha, w], [w, hjk]], so
+    G = (eta + h^2 P)^-1 and D G = -h^2 G (D P) G, with the profiles taken
+    in their ball forms.  Spacetime callers pass Y = z/<z> and divide dG by
+    <z> to get dG/dz.  Raises DegenerateMetric when |det g| falls below
+    1e-12 of the Minkowski reference value c^2 at any point.
+    """
+    Y = np.asarray(Y, dtype=float)
+    d = M.d
+    shape = Y.shape[:-1] + (d + 1,) * 2
+    dshape = Y.shape[:-1] + (d + 1,) * 3           # (..., l, a, b)
+    gm = np.zeros(shape)                            # S^-1 g S^-1
+    gm += np.eye(d + 1)
+    gm[..., 0, 0] = -1.0
+    s = np.ones(d + 1)
+    s[0] = h
+    scale = s[:, None] * s                          # S^-1 (.) S^-1, entrywise
+    if h == 0.0 or M.is_flat:
+        G = gm.copy()
+        dG = np.zeros(dshape) if grad else None
+    else:
+        profiles = [(0, 0, M.alpha)]
+        profiles += [(0, j + 1, M.w[j]) for j in range(d)]
+        profiles += [(j + 1, k + 1, M.hjk[j][k]) for j in range(d) for k in range(j, d)]
+        h2 = h * h
+        DP = np.zeros(dshape) if grad else None
+        for a, b, prof in profiles:
+            if prof.is_zero:
+                continue
+            val, dval = prof.ball_forms(Y, grad)
+            gm[..., a, b] += h2 * val
+            if a != b:
+                gm[..., b, a] += h2 * val
+            if grad:
+                DP[..., :, a, b] = DP[..., :, b, a] = dval
+        det = np.linalg.det(gm)
+        if (np.abs(det) < 1.0e-12).any():
+            raise DegenerateMetric(
+                f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h={h}")
+        G = np.linalg.inv(gm)
+        dG = -h2 * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
+    if h > 0.0:
+        with np.errstate(divide="ignore", over="ignore"):   # h^2 may underflow
+            g = gm / scale
+    else:
+        g = gm.copy()
+        g[..., 0, 0] = -math.inf
+    return MetricValues(g, G * scale, G, dG)
+
+
+def ball_from_base(z) -> np.ndarray:
+    """Compactified base points Y = z/<z> of spacetime points z, (..., 1+d)."""
+    z = np.asarray(z, dtype=float)
+    return z / np.sqrt(1.0 + (z * z).sum(axis=-1))[..., None]
+
+
 def metric_matrix(M: MetricParams, z, c: float) -> np.ndarray:
     """The (1+d) x (1+d) metric matrix at spacetime point z for light speed c."""
-    z = np.asarray(z, dtype=float)
-    d = M.d
-    g = np.zeros((d + 1, d + 1))
-    g[0, 0] = -c * c + M.alpha(z)
-    for j in range(d):
-        wj = M.w[j](z) / c
-        g[0, j + 1] = wj
-        g[j + 1, 0] = wj
-    for j in range(d):
-        for k in range(d):
-            g[j + 1, k + 1] = (1.0 if j == k else 0.0) + M.hjk[j][k](z) / c**2
-    return g
-
-
-def metric_matrix_grad(M: MetricParams, z, c: float) -> np.ndarray:
-    """Spacetime gradient of the metric matrix: shape (1+d, 1+d, 1+d)."""
-    z = np.asarray(z, dtype=float)
-    d = M.d
-    out = np.zeros((d + 1, d + 1, d + 1))
-    out[0, 0] = M.alpha.grad(z)
-    for j in range(d):
-        gw = M.w[j].grad(z) / c
-        out[0, j + 1] = gw
-        out[j + 1, 0] = gw
-    for j in range(d):
-        for k in range(d):
-            out[j + 1, k + 1] = M.hjk[j][k].grad(z) / c**2
-    return out
+    return eval_metric(M, ball_from_base(z), 1.0 / c).g
 
 
 def inverse_metric(M: MetricParams, z, c: float) -> np.ndarray:
-    """Numerically exact inverse metric matrix.
+    """Inverse metric matrix at spacetime point z for light speed c.
 
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
     reference value c^2.
     """
-    g = metric_matrix(M, z, c)
-    det = np.linalg.det(g)
-    if abs(det) < 1e-12 * c * c:
-        raise DegenerateMetric(f"|det g| = {abs(det):.3e} below floor at z={z}")
-    return np.linalg.inv(g)
+    return eval_metric(M, ball_from_base(z), 1.0 / c).ginv
 
 
 def c_min_preflight(M: MetricParams, sample_radius: float = 50.0, n: int = 200,
                     seed: int = 0) -> float:
     """Smallest dyadic c at which the metric is nondegenerate on a sample.
 
-    Reports the first c in 2, 4, 8, ... for which inverse_metric succeeds on
-    a fixed random spacetime sample.  Non-trapping is not certified.
+    Reports the first c in 2, 4, 8, ... for which the metric passes the
+    determinant floor on a fixed random spacetime sample.  Non-trapping is
+    not certified.
     """
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-sample_radius, sample_radius, size=(n, M.d + 1))
+    Y = ball_from_base(rng.uniform(-sample_radius, sample_radius, size=(n, M.d + 1)))
     c = 2.0
     while c <= 2.0**20:
         try:
-            for z in pts:
-                inverse_metric(M, z, c)
+            eval_metric(M, Y, 1.0 / c)
             return c
         except DegenerateMetric:
             c *= 2.0
     raise DegenerateMetric("metric degenerate on sample for all tested c")
 
 
-def aleph(M: MetricParams, z, c_ladder=(1.0e3, 2.0e3, 4.0e3), rtol: float = 1.0e-6) -> float:
-    """Asymptotic-mass coefficient: the c^-4 dt^2 coefficient of the metric
-    correction to the d'Alembertian, lim c^4 (g^00 + c^-2).
+def aleph(M: MetricParams, z):
+    """Asymptotic-mass coefficient lim c^4 (g^00 + c^-2) at spacetime points
+    of shape (..., 1+d): the c^-4 dt^2 coefficient of the metric correction
+    to the d'Alembertian.
 
-    Computed by Richardson extrapolation in c^-2 over the given ladder, with
-    a consistency check between the two successive extrapolants.
+    The Schur complement gives g^00 = -c^-2 (1 + alpha c^-2 + O(c^-4)), so
+    the limit is exactly -alpha(z).
     """
-    if M.is_flat:
-        return 0.0
-    vals = []
-    for c in c_ladder:
-        ginv = inverse_metric(M, z, c)
-        vals.append(c**4 * (ginv[0, 0] + c**-2))
-    # f(c) = aleph + a c^-2 + O(c^-4) on a dyadic ladder
-    r12 = (4.0 * vals[1] - vals[0]) / 3.0
-    r23 = (4.0 * vals[2] - vals[1]) / 3.0
-    if abs(r12 - r23) > rtol * (1.0 + abs(r23)):
-        raise ExtrapolationUnstable(
-            f"aleph extrapolants disagree: {r12!r} vs {r23!r}"
-        )
-    return float(r23)
+    return -M.alpha(z)
 
 
-def aleph_field(M: MetricParams, z_points, c_ladder=(1.0e3, 2.0e3, 4.0e3),
-                rtol: float = 1.0e-6) -> np.ndarray:
-    """Vectorized asymptotic-mass coefficient over points of shape (..., 1+d).
-
-    Same extrapolation as :func:`aleph`, with batched matrix inverses.
-    """
-    z_points = np.asarray(z_points, dtype=float)
-    if M.is_flat:
-        return np.zeros(z_points.shape[:-1])
-    d = M.d
-    vals = []
-    for c in c_ladder:
-        g = np.zeros(z_points.shape[:-1] + (d + 1, d + 1))
-        g[..., 0, 0] = -c * c + M.alpha(z_points)
-        for j in range(d):
-            wj = M.w[j](z_points) / c
-            g[..., 0, j + 1] = wj
-            g[..., j + 1, 0] = wj
-        for j in range(d):
-            for k in range(d):
-                g[..., j + 1, k + 1] = (1.0 if j == k else 0.0) + M.hjk[j][k](z_points) / c**2
-        ginv = np.linalg.inv(g)
-        vals.append(c**4 * (ginv[..., 0, 0] + c**-2))
-    r12 = (4.0 * vals[1] - vals[0]) / 3.0
-    r23 = (4.0 * vals[2] - vals[1]) / 3.0
-    dev = np.max(np.abs(r12 - r23) / (1.0 + np.abs(r23)))
-    if dev > rtol:
-        raise ExtrapolationUnstable(f"aleph field extrapolants deviate by {dev:.2e}")
-    return r23
+aleph_field = aleph
 
 
 def natural_quadform(M: MetricParams, z, h: float) -> np.ndarray:
@@ -399,16 +408,7 @@ def natural_quadform(M: MetricParams, z, h: float) -> np.ndarray:
     diag(-1, I) exactly for every admissible metric (all corrections carry
     positive powers of 1/c), which realizes p = p0 on the h = 0 faces.
     """
-    d = M.d
-    if h == 0.0 or M.is_flat:
-        G = np.eye(d + 1)
-        G[0, 0] = -1.0
-        return G
-    c = 1.0 / h
-    ginv = inverse_metric(M, z, c)
-    S = np.ones(d + 1)
-    S[0] = c
-    return ginv * np.outer(S, S)
+    return eval_metric(M, ball_from_base(z), h).G
 
 
 def natural_symbol_value(M: MetricParams, z, zeta_nat, h: float, b: SignBranch) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nrlab.symbols import ClassicalSymbolProfile, MetricParams, OperatorCoefficient
 
@@ -27,3 +28,26 @@ def bandlimited_gaussian(grid, K, width=4.0, k0=1.0):
     ch = np.fft.fftn(vals)
     ch[np.abs(grid.axis_freqs(0)) > K] = 0.0
     return np.fft.ifftn(ch)
+
+
+@st.composite
+def perturbed_metrics(draw, d, amp=0.2):
+    """Metrics of dimension d with every second-order coefficient perturbed.
+
+    With amp <= 0.2 and |cos|, |sin| <= 0.5 each entry of the perturbation
+    block is at most 0.4 in size, so for h <= 0.5 the natural-units metric
+    stays within 0.4 of Minkowski.
+    """
+
+    def profile():
+        kappa = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(d + 1))
+        return ClassicalSymbolProfile(
+            amplitude=draw(st.floats(-amp, amp)),
+            order=draw(st.sampled_from([-1, -2])),
+            waves=((kappa, draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),),
+        )
+
+    upper = {(j, k): profile() for j in range(d) for k in range(j, d)}
+    hjk = tuple(tuple(upper[min(j, k), max(j, k)] for k in range(d)) for j in range(d))
+    return MetricParams(d=d, alpha=profile(), w=tuple(profile() for _ in range(d)),
+                        hjk=hjk)

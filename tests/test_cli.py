@@ -136,3 +136,15 @@ class TestSerialization:
         lines = (tmp_path / "flow" / "trajectory_sample.csv").read_text().splitlines()
         assert lines[1].startswith("param_time,chart_tag,coord_0")
         assert len(lines) > 4
+
+    def test_flow_perturbed_d2(self, tmp_path):
+        cfg = {"schema_version": 1, "command": "flow", "seed": 3,
+               "out": str(tmp_path / "flow2"),
+               "metric": {"d": 2, "alpha": {"amplitude": 0.2, "waves": [
+                   {"kappa": [0.7, 1.3, -0.5], "cos": 0.4, "sin": 0.2}]}},
+               "params": {"n_per_case": 1, "h_list": [0.0, 0.2]}}
+        assert run(cfg) == 0
+        summary = json.loads((tmp_path / "flow2" / "summary.json").read_text())
+        assert summary["pass"] is True
+        lines = (tmp_path / "flow2" / "trajectory_sample.csv").read_text().splitlines()
+        assert lines[1].endswith("coord_5,p_residual")

@@ -4,17 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nrlab.errors import ChartUnavailable
+from conftest import perturbed_metrics
+from nrlab.errors import ChartUnavailable, DegenerateMetric
 from nrlab.geometry import ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     ClassicalSymbolProfile,
     MetricParams,
     Side,
     SignBranch,
+    eval_metric,
     radial_point,
 )
 from nrlab.flow import (
+    _natural_rhs_d1,
+    _sheet_tau,
+    _sheet_tau_nat_perturbed,
+    _state_rhs,
     Termination,
     char_start,
     ham_field,
@@ -113,12 +120,68 @@ class TestIntegrateFlow:
         assert integrate_flow(st, "forward", free_metric, PL).termination \
             is Termination.REACHED_FUTURE
 
+    def test_unknown_direction_rejected(self, free_metric):
+        st = char_start(free_metric, PL, [0.2, 0.2], [1.0], 0.1)
+        with pytest.raises(ValueError):
+            integrate_flow(st, "sideways", free_metric, PL)
+
     def test_csv_rows(self, free_metric):
         st = char_start(free_metric, PL, [0.2, 0.2], [1.0], 0.1)
         tr = integrate_flow(st, "forward", free_metric, PL)
         rows = list(tr.csv_rows())
         assert len(rows) == len(tr.samples)
         assert rows[0][1] == "nat_ball"
+
+
+class TestKernelPaths:
+    def test_scalar_d1_rhs_matches_kernel_rhs(self, wavy_metric):
+        # the hand-expanded d = 1 field is the one kept copy of the metric
+        # maths outside the kernel; pin it to the kernel-backed field
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            Y = rng.normal(size=2)
+            Y *= rng.uniform(0.0, 0.999) / np.linalg.norm(Y)
+            y = np.concatenate((Y, rng.uniform(-2.0, 2.0, size=2)))
+            h = rng.uniform(1.0e-3, 0.5)
+            for b in (PL, MI):
+                for sign in (1.0, -1.0):
+                    fast = _natural_rhs_d1(wavy_metric, b, h, sign)(0.0, y)
+                    ref = _state_rhs("natural", wavy_metric, b, h, sign)(0.0, y)
+                    assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+class TestSheetRoot:
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), h=st.floats(0.01, 0.5),
+           branch=st.sampled_from([PL, MI]))
+    @settings(max_examples=80, deadline=None)
+    def test_root_is_on_the_sheet(self, data, d, h, branch):
+        M = data.draw(perturbed_metrics(d))
+        Y = np.array(data.draw(st.lists(st.floats(-0.49, 0.49),
+                                        min_size=d + 1, max_size=d + 1)))
+        xi = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+        tau = _sheet_tau_nat_perturbed(M, Y, xi, h, branch)
+        zeta = np.concatenate(([tau], xi))
+        G = eval_metric(M, Y, h).G
+        assert abs(-(zeta @ G @ zeta) + 2.0 * branch.sign * tau) <= 1e-12
+        assert abs(tau - _sheet_tau(xi, h, "natural", branch)) < 1.0
+
+    @given(d=st.sampled_from([1, 2, 3]), h=st.floats(0.0, 0.5),
+           branch=st.sampled_from([PL, MI]), xi=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_flat_metric_gives_free_sheet(self, d, h, branch, xi):
+        xi_nat = np.full(d, xi)
+        tau = _sheet_tau_nat_perturbed(MetricParams.free(d), np.zeros(d + 1),
+                                       xi_nat, h, branch)
+        assert tau == _sheet_tau(xi_nat, h, "natural", branch)
+
+    @given(xi=st.floats(1.1, 3.0), branch=st.sampled_from([PL, MI]))
+    @settings(max_examples=20, deadline=None)
+    def test_negative_discriminant_raises(self, xi, branch):
+        # alpha = 8 at h = 0.5 flips the sign of G00: G = I at the origin, and
+        # tau^2 - 2 b tau + xi^2 = 0 has no real root for |xi| > 1
+        M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=8.0))
+        with pytest.raises(DegenerateMetric):
+            _sheet_tau_nat_perturbed(M, np.zeros(2), np.array([xi]), 0.5, branch)
 
 
 class TestSourceSinkEnsemble:

@@ -14,8 +14,11 @@ from nrlab.symbols import (
     MetricParams,
     OperatorCoefficient,
     SignBranch,
+    inverse_metric,
+    metric_matrix,
 )
 from nrlab.pde import (
+    ConjugatedOperator,
     KGState,
     SchrCoefficients,
     SchrState,
@@ -201,6 +204,31 @@ class TestSymmetryDefect:
         # the first-order part cancels; only div B / 2 at order -2 remains
         assert rep.max_abs["r_x1"] <= 1e-6
         assert rep.fitted_orders["r_0"] <= -1.9
+
+
+class TestConjugatedOperator:
+    def test_divergence_terms_match_finite_differences(self, wavy_metric):
+        # first-order part of the d'Alembertian:
+        # c1_j = d_i g^{ij} + g^{ij} d_i log sqrt|det g|
+        grid = BoxGrid.regular(20.0, 16, 2)
+        c = 3.0
+        op = ConjugatedOperator(wavy_metric, c, grid, MI)
+        z = np.stack(grid.mesh(), axis=-1)
+        eps = 1.0e-5
+        for idx in [(3, 5), (8, 8), (12, 2)]:
+            d_ginv, d_log = [], []
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = eps
+                zp, zm = z[idx] + e, z[idx] - e
+                d_ginv.append((inverse_metric(wavy_metric, zp, c)
+                               - inverse_metric(wavy_metric, zm, c)) / (2.0 * eps))
+                d_log.append(0.25 * (np.log(abs(np.linalg.det(metric_matrix(wavy_metric, zp, c))))
+                                     - np.log(abs(np.linalg.det(metric_matrix(wavy_metric, zm, c)))))
+                             / eps)
+            expected = sum(d_ginv[i][i] for i in range(2)) + inverse_metric(
+                wavy_metric, z[idx], c) @ np.array(d_log)
+            assert np.max(np.abs(op.c1[idx] - expected)) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import perturbed_metrics
 from nrlab.errors import DegenerateMetric
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
@@ -18,6 +19,7 @@ from nrlab.symbols import (
     aleph,
     aleph_field,
     char_membership,
+    eval_metric,
     eval_p,
     inverse_metric,
     metric_matrix,
@@ -126,6 +128,45 @@ class TestAleph:
         vals = aleph_field(wavy_metric, pts)
         for z, v in zip(pts, vals):
             assert abs(aleph(wavy_metric, z) - v) < 1e-9
+
+
+class TestClosedForms:
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_aleph_is_minus_alpha(self, data, d):
+        # oracle: c^4 (g^00 + c^-2) = -alpha + O(c^-2), here at c = 1e3
+        M = data.draw(perturbed_metrics(d, amp=1.0))
+        pts = np.array(data.draw(st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=d + 1, max_size=d + 1),
+            min_size=1, max_size=4)))
+        c = 1.0e3
+        vals = aleph(M, pts)
+        assert vals.shape == pts.shape[:-1]
+        for z, v in zip(pts, vals):
+            oracle = c**4 * (inverse_metric(M, z, c)[0, 0] + c**-2)
+            assert abs(v - oracle) <= 1e-5
+            assert abs(aleph(M, z) - v) <= 1e-14
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+           h=st.floats(0.05, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_metric_gradient_matches_central_differences(self, data, d, h):
+        M = data.draw(perturbed_metrics(d))
+        z = np.array(data.draw(st.lists(
+            st.lists(st.floats(-3.0, 3.0), min_size=d + 1, max_size=d + 1),
+            min_size=1, max_size=4)))
+        bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
+        mv = eval_metric(M, z / bracket[:, None], h, grad=True)
+        assert np.allclose(mv.g @ mv.ginv, np.eye(d + 1), atol=1e-12)
+        eps = 1.0e-5
+        for l in range(d + 1):
+            e = np.zeros(d + 1)
+            e[l] = eps
+            Gp = natural_quadform(M, z + e, h)
+            Gm = natural_quadform(M, z - e, h)
+            fd = (Gp - Gm) / (2.0 * eps)
+            exact = mv.dG[:, l] / bracket[:, None, None]
+            assert np.max(np.abs(exact - fd)) <= 1e-8
 
 
 class TestPrincipalSymbol:
