@@ -247,8 +247,7 @@ def _run_flow(cfg, rep: Reporter, rng):
     hs = par.get("h_list", [0.0, 0.1, 0.5])
     budget = par.get("budget", 50.0)
     delta = tol.get("delta", 1.0e-3)
-    rows = []
-    total = correct = 0
+    cases, labels = [], []
     for branch in (sym.SignBranch.PLUS, sym.SignBranch.MINUS):
         for h in hs:
             for i in range(n):
@@ -257,30 +256,32 @@ def _run_flow(cfg, rep: Reporter, rng):
                 Y *= rng.uniform(0.1, 0.8) / np.linalg.norm(Y)
                 start = flowmod.char_start(M, branch, Y, xi, h)
                 for direction in ("forward", "backward"):
-                    traj = flowmod.integrate_flow(
-                        start, direction, M, branch, budget=budget, delta=delta
-                    )
-                    want = _expected_terminus(branch, direction)
-                    ok = traj.termination is want
-                    total += 1
-                    correct += ok
-                    rows.append((f"{branch.name}:{h}:{i}", branch.name, h,
-                                 direction, traj.termination.value,
-                                 float(traj.times[-1]), traj.max_p_resid))
-    rep.write_csv("trajectories.csv",
-                  ["case", "branch", "h", "direction", "termination",
-                   "end_time", "max_p_resid"], rows)
-    # one full trajectory in the per-sample export format
+                    cases.append((start, direction, branch))
+                    labels.append((f"{branch.name}:{h}:{i}", branch.name, h, direction))
+    # one full trajectory in the per-sample export format rides in the batch
     sample_start = flowmod.char_start(M, sym.SignBranch.PLUS,
                                       np.array([0.3] + [0.2] * M.d),
                                       np.ones(M.d), hs[-1])
-    sample = flowmod.integrate_flow(sample_start, "forward", M,
-                                    sym.SignBranch.PLUS, budget=budget)
-    ncoord = len(sample.samples[0].Y) + len(sample.samples[0].zeta)
+    cases.append((sample_start, "forward", sym.SignBranch.PLUS))
+    trajs = flowmod.integrate_flows(cases, M, budget=budget, delta=delta)
+    sample = trajs[-1]
+    rows, correct = [], 0
+    for (_, direction, branch), label, traj in zip(cases, labels, trajs):  # not the sample
+        correct += traj.termination is _expected_terminus(branch, direction)
+        rows.append((*label, traj.termination.value, float(traj.times[-1]),
+                     traj.max_p_resid))
+    rep.write_csv("trajectories.csv",
+                  ["case", "branch", "h", "direction", "termination",
+                   "end_time", "max_p_resid"], rows)
+    ncoord = sample.states.shape[1]
     rep.write_csv("trajectory_sample.csv",
                   ["param_time", "chart_tag"]
                   + [f"coord_{i}" for i in range(ncoord)] + ["p_residual"],
                   list(sample.csv_rows()))
+    rep.summary["solver"] = {k: sum(getattr(t, k) for t in trajs)
+                             for k in ("rhs_evals", "steps", "rejected")}
+    rep.summary["solver"]["closed_form_rows"] = sum(t.rhs_evals == 0 for t in trajs)
+    total = len(rows)
     frac = correct / total
     rep.summary["fraction_correct"] = frac
     rep.check("source_to_sink", frac >= tol.get("required_fraction", 1.0),
@@ -333,8 +334,8 @@ def _run_radial(cfg, rep: Reporter, rng):
         rp = sym.radial_point(xi, h, side, branch)
         pp = geometry.PhasePoint(0.0, np.zeros(M.d), rp.tau_nat, rp.xi_nat, h)
         member = sym.char_membership(pp, sym.MetricParams.free(M.d), branch)
-        V = flowmod._v_natural(sym.MetricParams.free(M.d), rp.direction,
-                               rp.zeta_nat, h, branch)
+        V = flowmod._natural_field(sym.MetricParams.free(M.d), rp.direction,
+                                   rp.zeta_nat, h, branch.sign)[0]
         fieldnorm = float(np.linalg.norm(V - rp.direction * (rp.direction @ V)))
         good = member is sym.CharClass.SIGMA and fieldnorm <= tol.get("field", 1e-10)
         ok_all = ok_all and good

@@ -28,14 +28,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import brentq
 
 from .errors import ChartUnavailable, DegenerateMetric, StepFailure
 from .geometry import BdfValues, ChartCoords, ChartId, ChartTag, PhasePoint, chi_cutoff
 from .symbols import (
     MetricParams,
     RadialPoint,
-    Side,
     SignBranch,
     ball_from_base,
     eval_metric,
@@ -50,6 +50,7 @@ __all__ = [
     "ham_field",
     "to_radial_chart",
     "integrate_flow",
+    "integrate_flows",
     "natural_start",
     "parabolic_start",
     "char_start",
@@ -62,6 +63,11 @@ __all__ = [
 FD_STEP = 1.0e-5     # finite-difference step (of chart scale), 4th order
 ZETA_MAX = 50.0      # leave-domain bound on frequency magnitude
 FIXED_POINT_NORM = 1.0e-10
+CLOSED_FORM_SAMPLES = 100   # points saved along a closed-form flow line
+# scipy.integrate.RK45's absolute tolerance and step-size rules
+ATOL = 1.0e-12
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+EPS = np.finfo(float).eps
 
 
 class Termination(Enum):
@@ -89,89 +95,43 @@ class TangentVector:
 # ---------------------------------------------------------------------------
 
 
-def _v_of_G(G, zeta_nat, h, b) -> np.ndarray:
-    Gz = G @ zeta_nat
-    out = -Gz
-    out[0] = h * (b.sign - Gz[0])
-    return out
+def _natural_field(M, Y, zeta_nat, h, bsign):
+    """(V, frequency drift) of the rescaled field at Y and zeta_nat of shape
+    (..., 1+d); h and the branch sign bsign are scalars or arrays over the
+    leading axes.
 
-
-def _v_natural(M, Y, zeta_nat, h, b) -> np.ndarray:
-    """V = (1/2)(h dp/dtau_nat, dp/dxi_nat); free case (h(tau_nat +/- 1), -xi_nat)."""
-    return _v_of_G(eval_metric(M, Y, h).G, zeta_nat, h, b)
-
-
-def _natural_field(M, Y, zeta_nat, h, b):
-    """(V, frequency drift) of the rescaled field; the drift is zero for the
-    free metric.
-
+    V = (1/2)(h dp/dtau_nat, dp/dxi_nat), for the free metric
+    (h(tau_nat +/- 1), -xi_nat), where the drift is zero;
     tau_nat' = -(h/2) D_t p,  xi_nat' = -(1/2) D_x p, with D the
     rho_bf-compensated spacetime derivative of G taken from the metric
     kernel, which stays smooth up to the boundary sphere where it vanishes
     with the profiles.
     """
-    if M.is_flat or h == 0.0:
-        return _v_natural(M, Y, zeta_nat, h, b), np.zeros(zeta_nat.size)
     mv = eval_metric(M, Y, h, grad=True)
-    out = 0.5 * (mv.dG @ zeta_nat) @ zeta_nat        # = -(1/2) D_l p
-    out[0] *= h
-    return _v_of_G(mv.G, zeta_nat, h, b), out
+    V = -(mv.G @ zeta_nat[..., None])[..., 0]
+    V[..., 0] = h * (bsign + V[..., 0])
+    drift = 0.5 * np.einsum("...lab,...a,...b->...l", mv.dG, zeta_nat, zeta_nat)
+    drift[..., 0] *= h                               # = -(1/2) D_l p, h-scaled in time
+    return V, drift
 
 
-def _nu_parabolic(tau, xi) -> float:
-    """Local natural-face bdf at the parabolic face: (1+tau^2+|xi|^4)^(-1/4)."""
-    return (1.0 + tau**2 + float(np.sum(np.asarray(xi) ** 4))) ** -0.25
+def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
+    """Field velocity V of the frozen-frequency flows, shape (..., 1+d).
 
-
-def _v_parabolic(tau, xi, b) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    return _nu_parabolic(tau, xi) * np.concatenate(([float(b.sign)], -xi))
-
-
-def radial_direction(zeta, h, mode, b: SignBranch, side: Side) -> np.ndarray:
-    """Unit base direction of the radial set at the given frequencies."""
-    zeta = np.asarray(zeta, dtype=float)
-    if mode == "natural":
-        xi_nat = zeta[1:]
-        root = math.sqrt(1.0 + float(xi_nat @ xi_nat))
-        W = np.concatenate(([h * root], -b.sign * xi_nat))
-    else:
-        W = np.concatenate(([1.0], -b.sign * zeta[1:]))
-    n = np.linalg.norm(W)
-    if n == 0.0:
-        out = np.zeros(zeta.size)
-        out[0] = side.sign
-        return out
-    return side.sign * W / n
-
-
-def _fixed_direction(zeta, h, mode, b: SignBranch, side: Side) -> np.ndarray:
-    """Fixed direction of the boundary flow at the given frequencies.
-
-    Equals the radial direction on the characteristic sheet but uses the
-    actual frequency values (V = (h(tau_nat + b), -xi_nat) at the natural
-    scale), so slightly off-sheet states still terminate at the point the
-    flow actually converges to.
+    (h (tau_nat + b), -xi_nat) in natural mode (G = eta), and
+    nu (b, -xi) on the parabolic face, with nu = (1+tau^2+|xi|^4)^(-1/4) the
+    local natural-face bdf there.  b V/|V| is the future fixed direction.
     """
     zeta = np.asarray(zeta, dtype=float)
-    if mode == "natural":
-        V = np.concatenate(([h * (zeta[0] + b.sign)], -zeta[1:]))
-    else:
-        V = np.concatenate(([float(b.sign)], -zeta[1:]))
-    n = np.linalg.norm(V)
-    if n == 0.0:
-        out = np.zeros(zeta.size)
-        out[0] = side.sign
-        return out
-    return side.sign * b.sign * V / n
+    V = -zeta
+    V[..., 0] = np.where(parabolic, bsign, h * (zeta[..., 0] + bsign))
+    nu = (1.0 + zeta[..., 0] ** 2 + np.sum(zeta[..., 1:] ** 4, axis=-1)) ** -0.25
+    return V * np.where(parabolic, nu, 1.0)[..., None]
 
 
-def _sheet_tau(zeta_sp, h, mode, b: SignBranch) -> float:
-    """Characteristic-sheet time frequency over given space frequencies."""
-    zeta_sp = np.asarray(zeta_sp, dtype=float)
-    if mode == "natural":
-        return b.sign * (math.sqrt(1.0 + float(zeta_sp @ zeta_sp)) - 1.0)
-    return b.sign * float(zeta_sp @ zeta_sp) / 2.0
+def _sheet_tau(xi_nat, b: SignBranch) -> float:
+    """Free characteristic-sheet natural time frequency over xi_nat."""
+    return b.sign * (math.sqrt(1.0 + float(np.dot(xi_nat, xi_nat))) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +154,9 @@ def to_radial_chart(rp, M: MetricParams | None = None, offsets=None) -> ChartCoo
     sigma = int(np.sign(rp.direction[1 + j0]))
     if sigma == 0:
         raise ChartUnavailable("degenerate dominant direction")
-    d = rp.d
-    s = 0.0
-    w = np.zeros(d - 1)
-    rho = 0.0
-    if offsets is not None:
-        s = float(offsets[0])
-        w = np.asarray(offsets[1 : d], dtype=float)
-        rho = float(offsets[d])
-    coords = np.concatenate(([s], w, [rho], [rp.tau_nat], rp.xi_nat, [rp.h]))
-    bdf = BdfValues(rho_df=1.0, rho_bf=rho, rho_nf=rp.h, rho_pf=1.0)
+    off = np.zeros(rp.d + 1) if offsets is None else np.asarray(offsets, float)[: rp.d + 1]
+    coords = np.concatenate((off, [rp.tau_nat], rp.xi_nat, [rp.h]))
+    bdf = BdfValues(rho_df=1.0, rho_bf=float(off[-1]), rho_nf=rp.h, rho_pf=1.0)
     return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=j0 + 1, sign=sigma), coords, bdf)
 
 
@@ -218,6 +171,24 @@ def _radial_chart_to_state(cc: ChartCoords):
     xi_nat = co[d + 2 : 2 * d + 2]
     h = co[-1]
     return s, w, rho, tau_nat, xi_nat, h, cc.chart.k - 1, cc.chart.sign
+
+
+def _radial_chart_ball(cc: ChartCoords, b: SignBranch):
+    """Ball point of a RADIAL_NAT chart point, with its (t, x) / x_j0.
+
+    Returns (Y, that, xhat): the base point is z = sigma (that, xhat) / rho_bf,
+    so Y = z/<z> = v / sqrt(rho_bf^2 + |v|^2) with v = sigma (that, xhat),
+    which at rho_bf = 0 is the rho_bf -> 0+ limit v/|v| on the boundary
+    sphere.
+    """
+    s, w, rho, tau_nat, xi_nat, h, j0, sigma = _radial_chart_to_state(cc)
+    others = [j for j in range(xi_nat.size) if j != j0]
+    xhat = np.empty(xi_nat.size)
+    xhat[j0] = 1.0
+    xhat[others] = w + xi_nat[others] / xi_nat[j0]
+    that = s - h * (tau_nat + b.sign) / xi_nat[j0]
+    v = sigma * np.concatenate(([that], xhat))
+    return v / math.sqrt(rho * rho + float(v @ v)), that, xhat
 
 
 def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
@@ -237,7 +208,7 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
         h = co[-1]
         Y = ball_from_base(z)
         bracket = math.sqrt(1.0 + float(z @ z))
-        V, drift = _natural_field(M, Y, zeta_nat, h, b)
+        V, drift = _natural_field(M, Y, zeta_nat, h, b.sign)
         comps = np.concatenate((bracket * V, drift, [0.0]))
         return TangentVector(cc.chart, comps)
 
@@ -247,20 +218,9 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
         if xi_nat[j0] == 0.0:
             raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
         zeta_nat = np.concatenate(([tau_nat], xi_nat))
-        # reconstruct the base point; at rho_bf = 0 work directly on the sphere
         others = [j for j in range(d) if j != j0]
-        xhat = np.empty(d)         # x_j / x_j0
-        xhat[j0] = 1.0
-        xhat[others] = w + xi_nat[others] / xi_nat[j0]
-        that = s - h * (tau_nat + b.sign) / xi_nat[j0]   # t / x_j0
-        if rho > 0.0:
-            xj0 = sigma / rho
-            z = np.concatenate(([that * xj0], xhat * xj0))
-            Y = ball_from_base(z)
-        else:
-            Ydir = np.concatenate(([that], xhat)) * sigma
-            Y = Ydir / np.linalg.norm(Ydir)
-        V, drift = _natural_field(M, Y, zeta_nat, h, b)
+        Y, that, xhat = _radial_chart_ball(cc, b)
+        V, drift = _natural_field(M, Y, zeta_nat, h, b.sign)
         absYj0 = abs(Y[1 + j0])
         # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
         # ball field this multiplies everything shown below by |Y_j0|
@@ -283,13 +243,11 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
     if tag is ChartTag.PF_STANDARD:
         d = (co.size - 3) // 2
         z = co[: 1 + d]
-        tau = co[1 + d]
-        xi = co[2 + d : 2 + 2 * d]
         h = co[-1]
         if h != 0.0:
             raise ChartUnavailable("pf-chart field is the h = 0 limit")
         bracket = math.sqrt(1.0 + float(z @ z))
-        V = _v_parabolic(tau, xi, b)
+        V = _free_velocity(co[1 + d : 2 + 2 * d], 0.0, b.sign, parabolic=True)
         comps = np.concatenate((bracket * V, np.zeros(d + 1), [0.0]))
         return TangentVector(cc.chart, comps)
 
@@ -302,170 +260,63 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
 
 
 @dataclass
-class FlowSample:
-    lam: float
-    Y: np.ndarray
-    zeta: np.ndarray
-    p_resid: float
-
-
-@dataclass
 class Trajectory:
+    """One flow line: sample times, states (Y, zeta) of shape (k, 2(1+d))
+    and symbol residuals.  rhs_evals, steps and rejected count the
+    integrator's work; a closed-form flow carries 0."""
+
     mode: str                  # "natural" | "parabolic"
     h: float
     branch: SignBranch
-    samples: list
+    times: np.ndarray
+    states: np.ndarray
+    p_resid: np.ndarray
     chart_switches: list
     termination: Termination
-
-    @property
-    def times(self):
-        return np.array([s.lam for s in self.samples])
+    rhs_evals: int = 0
+    steps: int = 0
+    rejected: int = 0
 
     @property
     def max_p_resid(self) -> float:
-        return max((abs(s.p_resid) for s in self.samples), default=0.0)
+        return float(np.max(np.abs(self.p_resid)))
 
     def csv_rows(self):
         """Rows (param_time, chart_tag, coord_0..coord_k, p_residual)."""
         tag = "nat_ball" if self.mode == "natural" else "pf_ball"
-        for s in self.samples:
-            yield (s.lam, tag, *s.Y.tolist(), *s.zeta.tolist(), s.p_resid)
+        for t, y, r in zip(self.times.tolist(), self.states.tolist(), self.p_resid.tolist()):
+            yield (t, tag, *y, r)
+
+
+def _natural_flow(M, y, h, bsign, sign) -> np.ndarray:
+    """Natural-mode field at states y = (Y, zeta_nat) of shape (..., 2(1+d));
+    h, bsign and the time direction sign are scalars or per-state arrays."""
+    n = y.shape[-1] // 2
+    Y = y[..., :n]
+    V, drift = _natural_field(M, Y, y[..., n:], h, bsign)
+    Ydot = V - Y * np.sum(Y * V, axis=-1, keepdims=True)
+    return np.asarray(sign)[..., None] * np.concatenate((Ydot, drift), axis=-1)
 
 
 def _state_rhs(mode, M, b, h, sign):
+    """The field of one flow as a scalar rhs(lam, y)."""
+
     def rhs(lam, y):
-        n = y.size // 2
-        Y = y[:n]
-        zeta = y[n:]
         if mode == "natural":
-            V, drift = _natural_field(M, Y, zeta, h, b)
-        else:
-            V = _v_parabolic(zeta[0], zeta[1:], b)
-            drift = np.zeros(n)
-        Ydot = V - Y * float(Y @ V)
-        return sign * np.concatenate((Ydot, drift))
+            return _natural_flow(M, y, h, b.sign, sign)
+        n = y.size // 2
+        V = _free_velocity(y[n:], 0.0, b.sign, parabolic=True)
+        return sign * np.concatenate((V - y[:n] * float(y[:n] @ V), np.zeros(n)))
 
     return rhs
 
 
-def _frozen_frequency_rhs(V, sign):
-    """Y-only field for flows with conserved frequencies (free metric or pf)."""
-
-    def rhs(lam, Y):
-        return sign * (V - Y * float(Y @ V))
-
-    return rhs
-
-
-def _profile_scalar_fns(p):
-    """(value, d/dY0, d/dY1) of a profile's angular part as plain-math closures."""
-    const = p.constant
-    waves = [(tuple(float(k) for k in kappa), float(cc), float(ss))
-             for kappa, cc, ss in p.waves]
-
-    def ang(Y0, Y1):
-        g = const
-        g0 = 0.0
-        g1 = 0.0
-        for (k0, k1), cc, ss in waves:
-            ph = k0 * Y0 + k1 * Y1
-            cph = math.cos(ph)
-            sph = math.sin(ph)
-            g += cc * cph + ss * sph
-            dg = -cc * sph + ss * cph
-            g0 += dg * k0
-            g1 += dg * k1
-        return g, g0, g1
-
-    return float(p.amplitude), int(p.order), ang
-
-
-def _natural_rhs_d1(M: MetricParams, b: SignBranch, h: float, sign: float):
-    """Scalarized natural-mode field for d = 1 perturbed metrics.
-
-    Identical mathematics to the kernel-backed ``_state_rhs`` (ball-form
-    inverse metric, analytic compensated drift), hand-expanded for speed in
-    the 2 x 2 case; a test pins the two together.
-    """
-    c = 1.0 / h
-    c2 = c * c
-    bs = float(b.sign)
-    Aa, ra, ang_a = _profile_scalar_fns(M.alpha)
-    Aw, rw, ang_w = _profile_scalar_fns(M.w[0])
-    Ah, rh, ang_h = _profile_scalar_fns(M.hjk[0][0])
-
-    def rhs(lam, y):
-        Y0, Y1, tn, xn = y
-        rho2 = 1.0 - Y0 * Y0 - Y1 * Y1
-        if rho2 < 0.0:
-            rho2 = 0.0
-        # profile values and compensated gradients:
-        #   f = A rho^{|r|} g(Y),  Df_i = A rho^{|r|} (r Y_i g + proj_i)
-        vals = []
-        grads = []
-        for A, r, ang in ((Aa, ra, ang_a), (Aw, rw, ang_w), (Ah, rh, ang_h)):
-            if A == 0.0:
-                vals.append(0.0)
-                grads.append((0.0, 0.0))
-                continue
-            g, g0, g1 = ang(Y0, Y1)
-            dot = g0 * Y0 + g1 * Y1
-            p0 = g0 - dot * Y0
-            p1 = g1 - dot * Y1
-            w = A * rho2 ** (-r / 2.0)
-            vals.append(w * g)
-            grads.append((w * (r * Y0 * g + p0), w * (r * Y1 * g + p1)))
-        al, wv, hv = vals
-        # 2x2 inverse metric in natural units
-        g00 = -c2 + al
-        g01 = wv / c
-        g11 = 1.0 + hv / c2
-        det = g00 * g11 - g01 * g01
-        G00 = c2 * g11 / det
-        G01 = -c * g01 / det
-        G11 = g00 / det
-        Gz0 = G00 * tn + G01 * xn
-        Gz1 = G01 * tn + G11 * xn
-        V0 = h * (bs - Gz0)
-        V1 = -Gz1
-        dotYV = Y0 * V0 + Y1 * V1
-        out0 = V0 - Y0 * dotYV
-        out1 = V1 - Y1 * dotYV
-        # drift: out_l = 0.5 zeta (dG_l) zeta with dG_l = -h^2 G P_l G
-        h2 = h * h
-        dtau = 0.0
-        dxi = 0.0
-        for l in range(2):
-            pa = grads[0][l]
-            pw = grads[1][l]
-            ph_ = grads[2][l]
-            a0 = G00 * pa + G01 * pw
-            a1 = G00 * pw + G01 * ph_
-            b0 = G01 * pa + G11 * pw
-            b1 = G01 * pw + G11 * ph_
-            q00 = a0 * G00 + a1 * G01
-            q01 = a0 * G01 + a1 * G11
-            q10 = b0 * G00 + b1 * G01
-            q11 = b0 * G01 + b1 * G11
-            quad = tn * (q00 * tn + q01 * xn) + xn * (q10 * tn + q11 * xn)
-            val = -0.5 * h2 * quad
-            if l == 0:
-                dtau = val * h
-            else:
-                dxi = val
-        return sign * np.array([out0, out1, dtau, dxi])
-
-    return rhs
-
-
-def _p_residuals(mode, M, b, h, Y, zeta) -> np.ndarray:
-    """Symbol residuals p / (1 + |zeta|^2) at the rows of Y and zeta, (k, 1+d)."""
-    if mode == "natural":
-        quad = np.einsum("ka,kab,kb->k", zeta, eval_metric(M, Y, h).G, zeta)
-    else:
-        quad = np.sum(zeta[:, 1:] ** 2, axis=1)
-    return (2.0 * b.sign * zeta[:, 0] - quad) / (1.0 + np.sum(zeta * zeta, axis=1))
+def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
+    """Symbol residuals p / (1 + |zeta|^2) at the rows of Y and zeta, (k, 1+d),
+    each row with its own h, branch sign and mode."""
+    quad = np.where(parabolic, np.sum(zeta[:, 1:] ** 2, axis=1),
+                    np.einsum("ka,kab,kb->k", zeta, eval_metric(M, Y, h).G, zeta))
+    return (2.0 * bsign * zeta[:, 0] - quad) / (1.0 + np.sum(zeta * zeta, axis=1))
 
 
 def natural_start(Y, zeta_nat, h) -> dict:
@@ -490,10 +341,270 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     Y = np.asarray(Y, dtype=float)
     xi_nat = np.atleast_1d(np.asarray(xi_nat, dtype=float))
     if M.is_flat or h == 0.0 or float(Y @ Y) >= 1.0:
-        tau = _sheet_tau(xi_nat, h, "natural", b)
+        tau = _sheet_tau(xi_nat, b)
     else:
         tau = _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b)
     return natural_start(Y, np.concatenate(([tau], xi_nat)), h)
+
+
+def _as_start(start, b: SignBranch) -> dict:
+    """The start dict of a start dict, PhasePoint or RADIAL_NAT/PF_STANDARD chart point."""
+    if isinstance(start, PhasePoint):
+        return natural_start(ball_from_base(start.z), start.zeta_nat, start.h)
+    if not isinstance(start, ChartCoords):
+        return start
+    co = start.coords
+    d = (co.size - 3) // 2
+    if start.chart.tag is ChartTag.RADIAL_NAT:
+        return natural_start(_radial_chart_ball(start, b)[0], co[d + 1 : 2 * d + 2], co[-1])
+    if start.chart.tag is ChartTag.PF_STANDARD:
+        return parabolic_start(ball_from_base(co[: 1 + d]), co[1 + d], co[2 + d : 2 + 2 * d])
+    raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
+
+
+def _future_direction(zeta, h, bsign, parabolic=False) -> np.ndarray:
+    """Fixed direction b V/|V| of the boundary flow on the future side, for
+    the free velocity V at the actual frequencies, or the pole where V = 0;
+    the past one is its negative.  On the sheet it is the radial direction,
+    and slightly off-sheet states still end where they converge."""
+    V = np.asarray(bsign)[..., None] * _free_velocity(zeta, h, bsign, parabolic)
+    norm = np.linalg.norm(V, axis=-1, keepdims=True)
+    pole = np.zeros_like(V)
+    pole[..., 0] = 1.0
+    return np.where(norm > 0.0, V / np.where(norm > 0.0, norm, 1.0), pole)
+
+
+def _event_values(y, h, bsign, parabolic, delta) -> np.ndarray:
+    """Termination events at states y = (Y, zeta), (..., 3): the distances to
+    the future and past delta-balls, which end a flow falling through 0, and
+    ZETA_MAX - |zeta|, which ends it crossing 0 either way."""
+    n = y.shape[-1] // 2
+    Y, zeta = y[..., :n], y[..., n:]
+    om = _future_direction(zeta, h, bsign, parabolic)
+    return np.stack((np.linalg.norm(Y - om, axis=-1) - delta,
+                     np.linalg.norm(Y + om, axis=-1) - delta,
+                     ZETA_MAX - np.linalg.norm(zeta, axis=-1)), axis=-1)
+
+
+# termination by code: an event's index, or 3 when the budget ran out
+_TERMS = (Termination.REACHED_FUTURE, Termination.REACHED_PAST,
+          Termination.LEFT_DOMAIN, Termination.TIME_BUDGET)
+
+
+def _end_code(g) -> np.ndarray:
+    """Termination at the end of the budget, from the event values g there:
+    inside a delta-ball counts as reaching it (an approach that started
+    inside one never crosses into it)."""
+    return np.where(g[..., 0] <= 0.0, 0, np.where(g[..., 1] <= 0.0, 1, 3))
+
+
+def _closed_form_flows(Y0, V, sign, delta):
+    """Frozen-frequency flows Ydot = sign (V - Y (Y.V)) in closed form.
+
+    With u = sign V/|V|, a0 = Y0.u and s = |V| lam + atanh(a0), Y.u = tanh(s)
+    and the part of Y perpendicular to u scales by cosh(atanh a0)/cosh(s).
+    With X = e^{2s} and P = |Y0_perp| cosh(atanh a0), at most 1 in the ball,
+    |Y - u|^2 = 4 (1 + P^2 X)/(1 + X)^2 only falls and |Y + u| only grows;
+    the entry into the delta-ball about u is the positive root of
+    delta^2 X^2 + (2 delta^2 - 4 P^2) X + delta^2 - 4 = 0.
+    Returns (entry time, path), path mapping times (N, k) to Y (N, k, 1+d).
+    """
+    speed = np.linalg.norm(V, axis=1)
+    u = sign[:, None] * V / speed[:, None]
+    a0 = np.sum(Y0 * u, axis=1)
+    perp = Y0 - a0[:, None] * u
+    p2 = np.sum(perp * perp, axis=1)
+    q = np.maximum(1.0 - np.sum(Y0 * Y0, axis=1), 0.0) + p2     # 1 - a0^2
+    s0 = np.sign(a0) * 0.5 * np.log((1.0 + np.abs(a0)) ** 2 / q)  # atanh(a0)
+    d2 = delta * delta
+    B = 2.0 * d2 - 4.0 * p2 / q
+    root = np.sqrt(B * B - 4.0 * d2 * (d2 - 4.0))
+    X = np.where(B < 0.0, (root - B) / (2.0 * d2), 2.0 * (4.0 - d2) / (B + root))
+
+    def path(lam):
+        s = s0[:, None] + speed[:, None] * lam
+        a, b = np.abs(s0)[:, None], np.abs(s)                  # cosh(s0)/cosh(s):
+        ratio = np.exp(a - b) * (1.0 + np.exp(-2.0 * a)) / (1.0 + np.exp(-2.0 * b))
+        return np.tanh(s)[..., None] * u[:, None, :] + ratio[..., None] * perp[:, None, :]
+
+    return (0.5 * np.log(X) - s0) / speed, path
+
+
+def _rms(x) -> np.ndarray:
+    return np.sqrt(np.mean(x * x, axis=-1))
+
+
+def _first_event(K, lam_old, lam_new, y_old, fired, h, bsign, delta):
+    """Earliest root of one row's fired events on its RK45 dense output over
+    [lam_old, lam_new], by brentq as solve_ivp does: (lam, y, event)."""
+    step = lam_new - lam_old
+    Q = K.T @ RK45.P
+
+    def y_at(lam):
+        return y_old + step * (Q @ np.cumprod(np.full(4, (lam - lam_old) / step)))
+
+    def root(e):
+        return brentq(lambda lam: _event_values(y_at(lam), h, bsign, False, delta)[e],
+                      lam_old, lam_new, xtol=4.0 * EPS, rtol=4.0 * EPS)
+
+    lam, e = min((root(e), e) for e in np.flatnonzero(fired))
+    return lam, y_at(lam), e
+
+
+def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
+    """Natural-mode flows of a perturbed metric (h > 0), advanced together by
+    Dormand-Prince RK45 (Hairer-Norsett-Wanner II.4-II.6).
+
+    Each row follows scipy.integrate.RK45's step control on its own: its
+    initial-step rule, RMS error norm against ATOL + rtol max(|y|, |y_new|),
+    safety 0.9, step factors in [0.2, 10] and no growth right after a
+    rejected step.  A row whose events (g: their current values) change sign
+    in an accepted step is root-solved on its dense output and leaves.
+    Returns (times and states of the start and every accepted step, code,
+    (rhs evaluations, steps, rejected steps)) per row.
+    """
+    def fun(rows, y):
+        return _natural_flow(M, y, h[rows], bsign[rows], sign[rows])
+
+    N = y0.shape[0]
+    t, y, f = np.zeros(N), y0.copy(), fun(slice(None), y0)
+    stats = np.zeros((N, 3), dtype=int) + [1, 0, 0]
+    code = np.where(g[:, 0] <= g[:, 1], 0, 1)
+    history = [(np.arange(N), t.copy(), y0)]
+    active = np.linalg.norm(f, axis=1) > FIXED_POINT_NORM
+    live = np.flatnonzero(active)
+    scale = ATOL + np.abs(y0[live]) * rtol
+    d0, d1 = _rms(y0[live] / scale), _rms(f[live] / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), budget)
+    d2 = _rms((fun(live, y0[live] + h0[:, None] * f[live]) - f[live]) / scale) / h0
+    stats[live, 0] += 1
+    h_abs = np.zeros(N)
+    h_abs[live] = np.minimum(np.minimum(100.0 * h0, budget), np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** 0.2))
+    retry = np.zeros(N, dtype=bool)
+    while live.size:
+        tl, yl, again = t[live], y[live], retry[live]
+        min_step = 10.0 * np.abs(np.nextafter(tl, np.inf) - tl)
+        if np.any(again & (h_abs[live] < min_step)):
+            raise StepFailure("required step size is less than spacing between numbers")
+        t_new = np.minimum(tl + np.where(again, h_abs[live], np.maximum(h_abs[live], min_step)),
+                           budget)
+        step = (t_new - tl)[:, None]
+        K = np.empty((7,) + yl.shape)
+        K[0] = f[live]
+        for s in range(1, 6):
+            K[s] = fun(live, yl + step * np.tensordot(RK45.A[s, :s], K[:s], 1))
+        y_new = yl + step * np.tensordot(RK45.B, K[:6], 1)
+        K[6] = fun(live, y_new)
+        err = _rms(np.tensordot(RK45.E, K, 1) * step
+                   / (ATOL + np.maximum(np.abs(yl), np.abs(y_new)) * rtol))
+        with np.errstate(divide="ignore"):
+            factor = SAFETY * err ** -0.2
+        ok = err < 1.0
+        grow = np.minimum(MAX_FACTOR, factor)
+        h_abs[live] = step[:, 0] * np.where(ok, np.where(again, np.minimum(1.0, grow), grow),
+                                            np.maximum(MIN_FACTOR, factor))
+        retry[live] = ~ok
+        stats[live] += np.stack((np.full(live.size, 6), ok, ~ok), axis=1)
+        rows, acc = live[ok], np.flatnonzero(ok)
+        t[rows], y[rows], f[rows] = t_new[ok], y_new[ok], K[6][ok]
+        g_new = _event_values(y[rows], h[rows], bsign[rows], False, delta)
+        fired = (g[rows] >= 0.0) & (g_new <= 0.0)
+        fired[:, 2] |= (g[rows, 2] <= 0.0) & (g_new[:, 2] >= 0.0)
+        g[rows] = g_new
+        hit, out = fired.any(axis=1), t[rows] >= budget
+        code[rows[out]] = _end_code(g_new[out])
+        for j in np.flatnonzero(hit):
+            i, r = acc[j], rows[j]
+            t[r], y[r], code[r] = _first_event(K[:, i], tl[i], t_new[i], yl[i], fired[j],
+                                               h[r], bsign[r], delta)
+        history.append((rows, t[rows], y[rows]))
+        active[rows[hit | out]] = False
+        live = np.flatnonzero(active)
+    which = np.concatenate([r for r, _, _ in history])
+    order = np.argsort(which, kind="stable")
+    lams = np.concatenate([t for _, t, _ in history])[order]
+    ys = np.concatenate([y for _, _, y in history])[order]
+    ends = np.searchsorted(which[order], np.arange(N + 1))
+    return [(lams[a:b], ys[a:b]) for a, b in zip(ends[:-1], ends[1:])], code, stats
+
+
+def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 1.0e-9,
+                    delta: float = 1.0e-3, max_samples: int = 2000) -> list[Trajectory]:
+    """Integrate a batch of flows, each until a radial set (or the budget) is hit.
+
+    ``cases`` is a sequence of (start, direction, branch), with ``start`` and
+    ``direction`` as for integrate_flow; one Trajectory per case comes back,
+    in order, and none depends on the other cases.  Flows with conserved
+    frequencies (the parabolic face, the free metric, h = 0) are solved in
+    closed form; the others advance together by one vectorised RK45.
+    """
+    for _, direction, _ in cases:
+        if direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
+    if not cases:
+        return []
+    starts = [_as_start(start, b) for start, _, b in cases]
+    y0 = np.array([np.concatenate((st["Y"], st["zeta"])) for st in starts])
+    n = y0.shape[1] // 2
+    if np.any(np.sum(y0[:, :n] ** 2, axis=1) > 1.0 + 1e-12):
+        raise ValueError("flow starts must lie in the closed ball |Y| <= 1")
+    h = np.array([st["h"] for st in starts])
+    parabolic = np.array([st["mode"] == "parabolic" for st in starts])
+    bsign = np.array([float(b.sign) for _, _, b in cases])
+    sign = np.array([1.0 if direction == "forward" else -1.0 for _, direction, _ in cases])
+    g0 = _event_values(y0, h, bsign, parabolic, delta)
+    # a start at a fixed point stays put: classify it by the nearer set
+    code = np.where(g0[:, 0] <= g0[:, 1], 0, 1)
+    stats = np.zeros((len(cases), 3), dtype=int)
+    paths = [(np.zeros(1), y0[i : i + 1]) for i in range(len(cases))]
+
+    # frequencies are conserved on the parabolic face and for the free metric
+    frozen = parabolic | (h == 0.0) | M.is_flat
+    rows = np.flatnonzero(frozen)
+    Y0 = y0[rows, :n]
+    V = _free_velocity(y0[rows, n:], h[rows], bsign[rows], parabolic[rows])
+    moving = np.linalg.norm(V - Y0 * np.sum(Y0 * V, axis=1, keepdims=True), axis=1) \
+        > FIXED_POINT_NORM
+    rows = rows[moving]
+    if rows.size:
+        t_hit, path = _closed_form_flows(Y0[moving], V[moving], sign[rows], delta)
+        hit = (t_hit > 0.0) & (t_hit <= budget)
+        lam = np.where(hit, t_hit, budget)[:, None] * np.linspace(
+            0.0, 1.0, max(2, min(max_samples, CLOSED_FORM_SAMPLES)))
+        ys = np.concatenate((path(lam), np.broadcast_to(y0[rows, None, n:], lam.shape + (n,))),
+                            axis=2)
+        ys[:, 0] = y0[rows]
+        g_end = _event_values(ys[:, -1], h[rows], bsign[rows], parabolic[rows], delta)
+        code[rows] = np.where(hit, np.where(sign[rows] * bsign[rows] > 0.0, 0, 1),
+                              _end_code(g_end))
+        for r, lam_r, y_r in zip(rows, lam, ys):
+            paths[r] = (lam_r, y_r)
+    rows = np.flatnonzero(~frozen)
+    if rows.size:
+        moved, code[rows], stats[rows] = _dopri_flows(
+            M, y0[rows], h[rows], bsign[rows], sign[rows], g0[rows], budget, rtol, delta)
+        for r, p in zip(rows, moved):
+            paths[r] = p
+
+    # keep every max_samples-th point of each path and its end; the
+    # residuals of all kept points come from one kernel call
+    picks = [np.unique(np.append(np.arange(0, lam.size, max(1, lam.size // max_samples)),
+                                 lam.size - 1)) for lam, _ in paths]
+    counts = [idx.size for idx in picks]
+    owner = np.repeat(np.arange(len(cases)), counts)
+    ys = np.concatenate([y[idx] for (_, y), idx in zip(paths, picks)])
+    resid = _p_residuals(M, ys[:, :n], ys[:, n:], h[owner], bsign[owner], parabolic[owner])
+    out = []
+    for i, ((lam, _), idx, lo) in enumerate(zip(paths, picks, np.cumsum([0] + counts))):
+        lam, y, res = lam[idx], ys[lo : lo + idx.size], resid[lo : lo + idx.size]
+        dom = np.argmax(np.abs(y[:, :n]), axis=1)
+        switches = [(float(lam[k]), f"dominant axis {dom[k - 1]} -> {dom[k]}")
+                    for k in np.flatnonzero(dom[1:] != dom[:-1]) + 1]
+        out.append(Trajectory(starts[i]["mode"], starts[i]["h"], cases[i][2], lam, y, res,
+                              switches, _TERMS[code[i]], *map(int, stats[i])))
+    return out
 
 
 def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
@@ -505,143 +616,35 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
     RADIAL_NAT/PF_STANDARD ChartCoords.  ``direction`` is "forward" or
     "backward".  Termination: REACHED_FUTURE / REACHED_PAST on entering the
     delta-ball of the future/past radial set, TIME_BUDGET, or LEFT_DOMAIN.
-    Raises StepFailure on integrator failure.
+    Raises StepFailure on integrator failure.  One case of integrate_flows.
     """
-    if isinstance(start, PhasePoint):
-        start = natural_start(ball_from_base(start.z), start.zeta_nat, start.h)
-    elif isinstance(start, ChartCoords):
-        if start.chart.tag is ChartTag.RADIAL_NAT:
-            tv_state = _radial_chart_to_state(start)
-            s0, w0, rho0, tn, xn, h0 = tv_state[:6]
-            j0, sigma = tv_state[6], tv_state[7]
-            d = xn.size
-            others = [j for j in range(d) if j != j0]
-            xhat = np.empty(d)
-            xhat[j0] = 1.0
-            xhat[others] = w0 + xn[others] / xn[j0]
-            that = s0 - h0 * (tn + b.sign) / xn[j0]
-            if rho0 > 0.0:
-                z = np.concatenate(([that], xhat)) * (sigma / rho0)
-                Y = ball_from_base(z)
-            else:
-                Ydir = np.concatenate(([that], xhat)) * sigma
-                Y = Ydir / np.linalg.norm(Ydir)
-            start = natural_start(Y, np.concatenate(([tn], xn)), h0)
-        elif start.chart.tag is ChartTag.PF_STANDARD:
-            co = start.coords
-            d = (co.size - 3) // 2
-            start = parabolic_start(ball_from_base(co[: 1 + d]), co[1 + d],
-                                    co[2 + d : 2 + 2 * d])
-        else:
-            raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
+    return integrate_flows([(start, direction, b)], M, budget, rtol, delta, max_samples)[0]
 
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
-    mode, h = start["mode"], start["h"]
-    sign = +1.0 if direction == "forward" else -1.0
-    n = start["Y"].size
-    zeta0 = start["zeta"]
-    # frequencies are conserved on the parabolic face and for the free metric
-    frozen = mode == "parabolic" or M.is_flat or h == 0.0
 
-    if frozen:
-        if mode == "natural":
-            V = _v_natural(M, start["Y"], zeta0, h, b)
-        else:
-            V = _v_parabolic(zeta0[0], zeta0[1:], b)
-        rhs = _frozen_frequency_rhs(V, sign)
-        y0 = start["Y"].copy()
-        om_fut = _fixed_direction(zeta0, h, mode, b, Side.FUTURE)
-        om_past = _fixed_direction(zeta0, h, mode, b, Side.PAST)
+def _reference_flow(start, direction, M: MetricParams, b: SignBranch,
+                    budget: float = 50.0, rtol: float = 1.0e-9, delta: float = 1.0e-3):
+    """One flow by scipy's solve_ivp over the scalar field and no closed
+    form: the tests' oracle for integrate_flows.  Returns (termination, end
+    time, rhs evaluations)."""
+    st = _as_start(start, b)
+    rhs = _state_rhs(st["mode"], M, b, st["h"], 1.0 if direction == "forward" else -1.0)
+    y0 = np.concatenate((st["Y"], st["zeta"]))
 
-        def ev_fut(lam, Y):
-            return float(np.sqrt(np.sum((Y - om_fut) ** 2))) - delta
+    def values(y):
+        return _event_values(y, st["h"], b.sign, st["mode"] == "parabolic", delta)
 
-        def ev_past(lam, Y):
-            return float(np.sqrt(np.sum((Y - om_past) ** 2))) - delta
-
-        def leave(lam, Y):
-            return 2.0 - float(Y @ Y)
-
-        def unpack(cols):
-            return cols.T, np.tile(zeta0, (cols.shape[1], 1))
-    else:
-        if M.d == 1:
-            rhs = _natural_rhs_d1(M, b, h, sign)
-        else:
-            rhs = _state_rhs(mode, M, b, h, sign)
-        y0 = np.concatenate((start["Y"], zeta0))
-
-        def ev_fut(lam, y):
-            omega = _fixed_direction(y[n:], h, mode, b, Side.FUTURE)
-            return float(np.sqrt(np.sum((y[:n] - omega) ** 2))) - delta
-
-        def ev_past(lam, y):
-            omega = _fixed_direction(y[n:], h, mode, b, Side.PAST)
-            return float(np.sqrt(np.sum((y[:n] - omega) ** 2))) - delta
-
-        def leave(lam, y):
-            return ZETA_MAX - float(np.linalg.norm(y[n:]))
-
-        def unpack(cols):
-            return cols[:n].T, cols[n:].T
-
-    for ev in (ev_fut, ev_past):
-        ev.terminal = True
-        ev.direction = -1.0
-    leave.terminal = True
-
-    # a start at an exact fixed point stays put: classify by the nearer set
-    f0 = rhs(0.0, y0)
-    if np.linalg.norm(f0) <= FIXED_POINT_NORM:
-        Y0, z0 = unpack(y0[:, None])
-        term = (Termination.REACHED_FUTURE
-                if ev_fut(0.0, y0) <= ev_past(0.0, y0)
-                else Termination.REACHED_PAST)
-        resid = float(_p_residuals(mode, M, b, h, Y0, z0)[0])
-        return Trajectory(mode, h, b, [FlowSample(0.0, Y0[0], z0[0], resid)], [], term)
-
-    sol = solve_ivp(rhs, (0.0, budget), y0, method="RK45", rtol=rtol,
-                    atol=1.0e-12, events=[ev_fut, ev_past, leave])
+    events = [lambda lam, y, e=e: values(y)[e] for e in range(3)]
+    for e, event in enumerate(events):
+        event.terminal, event.direction = True, (-1.0 if e < 2 else 0.0)
+    g = values(y0)
+    if np.linalg.norm(rhs(0.0, y0)) <= FIXED_POINT_NORM:
+        return _TERMS[0 if g[0] <= g[1] else 1], 0.0, 1
+    sol = solve_ivp(rhs, (0.0, budget), y0, rtol=rtol, atol=ATOL, events=events)
     if sol.status == -1:
         raise StepFailure(sol.message)
-
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            term = Termination.REACHED_FUTURE
-        elif len(sol.t_events[1]):
-            term = Termination.REACHED_PAST
-        else:
-            term = Termination.LEFT_DOMAIN
-    else:
-        # budget expired; an approach that started inside the delta-ball never
-        # produces a downward crossing, so classify the final state directly
-        yend = sol.y[:, -1]
-        if ev_fut(sol.t[-1], yend) <= 0.0:
-            term = Termination.REACHED_FUTURE
-        elif ev_past(sol.t[-1], yend) <= 0.0:
-            term = Termination.REACHED_PAST
-        else:
-            term = Termination.TIME_BUDGET
-
-    ts = sol.t
-    ys = sol.y
-    stride = max(1, len(ts) // max_samples)
-    samples = []
-    switches = []
-    prev_dom = None
-    idx = list(range(0, len(ts), stride))
-    if idx[-1] != len(ts) - 1:
-        idx.append(len(ts) - 1)
-    Ys, zetas = unpack(ys[:, idx])
-    resids = _p_residuals(mode, M, b, h, Ys, zetas)
-    for i, Y, zeta, resid in zip(idx, Ys, zetas, resids):
-        samples.append(FlowSample(float(ts[i]), Y, zeta, float(resid)))
-        dom = int(np.argmax(np.abs(Y)))
-        if prev_dom is not None and dom != prev_dom:
-            switches.append((float(ts[i]), f"dominant axis {prev_dom} -> {dom}"))
-        prev_dom = dom
-    return Trajectory(mode, h, b, samples, switches, term)
+    code = next(e for e in range(3) if len(sol.t_events[e])) if sol.status == 1 \
+        else int(_end_code(values(sol.y[:, -1])))
+    return _TERMS[code], float(sol.t[-1]), sol.nfev
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +670,7 @@ def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b) -> float:
     (taken in the cancellation-free form) the one nearest the free sheet is
     returned.  A negative discriminant raises DegenerateMetric.
     """
-    tau0 = _sheet_tau(xi_nat, h, "natural", b)
+    tau0 = _sheet_tau(xi_nat, b)
     if M.is_flat or h == 0.0:
         return tau0
     G = eval_metric(M, Y, h).G
@@ -679,6 +682,24 @@ def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b) -> float:
         raise DegenerateMetric(f"no real sheet frequency: discriminant {disc:.3e}")
     q = -(B + math.copysign(math.sqrt(disc), B))
     return min((C / q, q / A), key=lambda tau: abs(tau - tau0))
+
+
+def _sheet_chart_point(cc0: ChartCoords, offsets, M, b) -> ChartCoords:
+    """The RADIAL_NAT chart point cc0 of a radial-set point moved to
+    (s, w, rho_bf) = offsets, with xi_nat kept and tau_nat moved onto the
+    sheet over the new base point.
+
+    The base point depends (weakly) on tau_nat through s, so the root is
+    iterated; on the boundary sphere rho_bf = 0, where the profiles vanish,
+    and for a flat metric the root does not depend on the base point.
+    """
+    d = (cc0.coords.size - 3) // 2
+    co = np.concatenate((offsets[: d + 1], cc0.coords[d + 1 :]))
+    bdf = BdfValues(rho_df=1.0, rho_bf=co[d], rho_nf=co[-1], rho_pf=1.0)
+    for _ in range(3 if co[d] > 0.0 and not M.is_flat else 1):
+        Y = _radial_chart_ball(ChartCoords(cc0.chart, co, bdf), b)[0]
+        co[d + 1] = _sheet_tau_nat_perturbed(M, Y, co[d + 2 : 2 * d + 2], co[-1], b)
+    return ChartCoords(cc0.chart, co, bdf)
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
@@ -695,8 +716,6 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
     if radius == 0.0 or nsamples == 0:
         return QdfReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cc0 = to_radial_chart(center)  # raises ChartUnavailable when xi_nat = 0
-    j0 = cc0.chart.k - 1
-    sigma = cc0.chart.sign
     varsigma = center.side.sign
     d = center.d
     rng = np.random.default_rng(seed)
@@ -704,43 +723,13 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 
     def h_rho_at(offsets):
         s, w, rho = offsets[0], offsets[1 : d], offsets[d]
-        # frequencies: keep xi_nat, move tau_nat back onto the sheet
-        if rho > 0.0 and not M.is_flat:
-            # the base point depends (weakly) on tau_nat through s; iterate once
-            tau = center.tau_nat
-            for _ in range(3):
-                cc = _chart_coords(center, s, w, rho, tau)
-                Y = ball_from_base(_chart_base(cc, b))
-                tau = _sheet_tau_nat_perturbed(M, Y, center.xi_nat, center.h, b)
-            cc = _chart_coords(center, s, w, rho, tau)
-        else:
-            tau = _sheet_tau_nat_perturbed(
-                M, np.zeros(d + 1), center.xi_nat, center.h, b
-            )
-            cc = _chart_coords(center, s, w, rho, tau)
-        tv = ham_field(cc, M, b)
+        tv = ham_field(_sheet_chart_point(cc0, offsets, M, b), M, b)
         sdot = tv.components[0]
         wdot = tv.components[1 : d]
         rhodot = tv.components[d]
         varrho = s**2 + float(w @ w) + upsilon * rho**2
         hrho = 2.0 * s * sdot + 2.0 * float(w @ wdot) + 2.0 * upsilon * rho * rhodot
         return varrho, hrho
-
-    def _chart_coords(rp, s, w, rho, tau_nat):
-        coords = np.concatenate(([s], w, [rho], [tau_nat], rp.xi_nat, [rp.h]))
-        bdf = BdfValues(rho_df=1.0, rho_bf=rho, rho_nf=rp.h, rho_pf=1.0)
-        return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=j0 + 1, sign=sigma), coords, bdf)
-
-    def _chart_base(cc, b):
-        s, w, rho, tau_nat, xi_nat, h, jj, sg = _radial_chart_to_state(cc)
-        others = [j for j in range(d) if j != jj]
-        xhat = np.empty(d)
-        xhat[jj] = 1.0
-        xhat[others] = w + xi_nat[others] / xi_nat[jj]
-        that = s - h * (tau_nat + b.sign) / xi_nat[jj]
-        if rho > 0.0:
-            return np.concatenate(([that], xhat)) * (sg / rho)
-        return np.zeros(d + 1)
 
     def draw(scale, m):
         pts = rng.normal(size=(m, d + 1))
@@ -817,7 +806,7 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
     h = rp.h
     omega = rp.direction
     if probe_offset == 0.0:
-        V, drift = _natural_field(M, omega, zeta, h, b)
+        V, drift = _natural_field(M, omega, zeta, h, b.sign)
         rate_bf = -float(omega @ V)
         if M.is_flat or h == 0.0:
             return s_const * rate_bf
@@ -885,21 +874,14 @@ def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
     if mode is None:
         mode = "parabolic" if (rp.h == 0.0 and not rp.xi_nat.any()) else "natural"
     if zeta is None:
-        if mode == "natural":
-            zeta = rp.zeta_nat
-        else:
-            zeta = np.zeros(rp.d + 1)
-            zeta[0] = _sheet_tau(np.zeros(rp.d), 0.0, "parabolic", b)
+        zeta = rp.zeta_nat if mode == "natural" else np.zeros(rp.d + 1)
     zeta = np.asarray(zeta, float)
-    omega = radial_direction(zeta, rp.h, mode, b, rp.side)
+    omega = rp.side.sign * _future_direction(zeta, rp.h, b.sign, mode == "parabolic")
     n = omega.size
+    rhs = _state_rhs(mode, M, b, rp.h, 1.0)
 
     def f(Y):
-        if mode == "natural":
-            V = _v_natural(M, Y, zeta, rp.h, b)
-        else:
-            V = _v_parabolic(zeta[0], zeta[1:], b)
-        return V - Y * float(Y @ V)
+        return rhs(0.0, np.concatenate((Y, zeta)))[:n]
 
     J = np.zeros((n, n))
     for j in range(n):

@@ -116,7 +116,7 @@ class ClassicalSymbolProfile:
         gy = np.zeros_like(y) if grad else None
         for kappa, c, s in self.waves:
             kappa = np.asarray(kappa, dtype=float)
-            phase = y @ kappa
+            phase = (y * kappa).sum(axis=-1)   # per point, unlike a BLAS gemv
             cos, sin = np.cos(phase), np.sin(phase)
             g = g + c * cos + s * sin
             if grad:
@@ -293,57 +293,57 @@ class MetricValues(NamedTuple):
     dG: np.ndarray | None
 
 
-def eval_metric(M: MetricParams, Y, h: float, grad: bool = False) -> MetricValues:
+def eval_metric(M: MetricParams, Y, h, grad: bool = False) -> MetricValues:
     """Evaluate the metric family at compactified base points Y = z/<z>.
 
     Y has shape (..., 1+d) and may reach the boundary sphere |Y| = 1; the
-    light speed is c = 1/h.  In natural units the metric is
-    S^-1 g S^-1 = eta + h^2 P with P = [[alpha, w], [w, hjk]], so
-    G = (eta + h^2 P)^-1 and D G = -h^2 G (D P) G, with the profiles taken
-    in their ball forms.  Spacetime callers pass Y = z/<z> and divide dG by
-    <z> to get dG/dz.  Raises DegenerateMetric when |det g| falls below
-    1e-12 of the Minkowski reference value c^2 at any point.
+    light speed is c = 1/h, with h a scalar or an array broadcast against
+    Y.shape[:-1] (h is a phase-space coordinate, so each point may carry its
+    own).  In natural units the metric is S^-1 g S^-1 = eta + h^2 P with
+    P = [[alpha, w], [w, hjk]], so G = (eta + h^2 P)^-1 and
+    D G = -h^2 G (D P) G, with the profiles taken in their ball forms.
+    Spacetime callers pass Y = z/<z> and divide dG by <z> to get dG/dz.
+    Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
+    reference value c^2 at any point.
     """
     Y = np.asarray(Y, dtype=float)
+    h = np.asarray(h, dtype=float)
     d = M.d
-    shape = Y.shape[:-1] + (d + 1,) * 2
-    dshape = Y.shape[:-1] + (d + 1,) * 3           # (..., l, a, b)
-    gm = np.zeros(shape)                            # S^-1 g S^-1
-    gm += np.eye(d + 1)
-    gm[..., 0, 0] = -1.0
-    s = np.ones(d + 1)
-    s[0] = h
-    scale = s[:, None] * s                          # S^-1 (.) S^-1, entrywise
-    if h == 0.0 or M.is_flat:
-        G = gm.copy()
-        dG = np.zeros(dshape) if grad else None
-    else:
-        profiles = [(0, 0, M.alpha)]
-        profiles += [(0, j + 1, M.w[j]) for j in range(d)]
-        profiles += [(j + 1, k + 1, M.hjk[j][k]) for j in range(d) for k in range(j, d)]
-        h2 = h * h
-        DP = np.zeros(dshape) if grad else None
-        for a, b, prof in profiles:
-            if prof.is_zero:
-                continue
+    n = d + 1
+    P = np.zeros(Y.shape[:-1] + (n, n))
+    DP = np.zeros(Y.shape[:-1] + (n, n, n)) if grad else None    # (..., l, a, b)
+    profiles = [(0, 0, M.alpha)]
+    profiles += [(0, j + 1, M.w[j]) for j in range(d)]
+    profiles += [(j + 1, k + 1, M.hjk[j][k]) for j in range(d) for k in range(j, d)]
+    for a, b, prof in profiles:
+        if not prof.is_zero:
             val, dval = prof.ball_forms(Y, grad)
-            gm[..., a, b] += h2 * val
-            if a != b:
-                gm[..., b, a] += h2 * val
+            P[..., a, b] = P[..., b, a] = val
             if grad:
                 DP[..., :, a, b] = DP[..., :, b, a] = dval
+    h2 = (h * h)[..., None, None]
+    eta = np.eye(n)
+    eta[0, 0] = -1.0
+    gm = eta + h2 * P                               # S^-1 g S^-1
+    if M.is_flat:
+        G = gm
+        dG = DP
+    else:
         det = np.linalg.det(gm)
         if (np.abs(det) < 1.0e-12).any():
             raise DegenerateMetric(
-                f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h={h}")
+                f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h <= {np.max(h)}")
         G = np.linalg.inv(gm)
-        dG = -h2 * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
-    if h > 0.0:
-        with np.errstate(divide="ignore", over="ignore"):   # h^2 may underflow
-            g = gm / scale
-    else:
-        g = gm.copy()
-        g[..., 0, 0] = -math.inf
+        dG = -h2[..., None] * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
+    s = np.ones(h.shape + (n,))
+    s[..., 0] = h
+    scale = s[..., :, None] * s[..., None, :]       # S^-1 (.) S^-1, entrywise
+    # h^2 may underflow; at h = 0 the time row holds its c -> infinity limits
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = gm / scale
+    if h.ndim or h == 0.0:                          # 0/0 is g_0j's limit 0 at h = 0
+        at_zero = np.broadcast_to(h == 0.0, Y.shape[:-1])
+        g[at_zero, 0, 1:] = g[at_zero, 1:, 0] = 0.0
     return MetricValues(g, G * scale, G, dG)
 
 
@@ -428,7 +428,8 @@ def eval_p(p, M: MetricParams, b: SignBranch) -> float:
     if isinstance(p, ChartCoords):
         return rescaled_symbol(p, M, b)
     if p.h > 0.0:
-        return natural_symbol_value(M, p.z, p.zeta_nat, p.h, b) / p.h**2
+        # divide twice: h^2 underflows to 0 for h below about 1e-162
+        return natural_symbol_value(M, p.z, p.zeta_nat, p.h, b) / p.h / p.h
     # h = 0: only the rescaled symbol extends; use the natural-face chart form
     return natural_symbol_value(M, p.z, p.zeta_nat, 0.0, b)
 

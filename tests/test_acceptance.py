@@ -77,8 +77,7 @@ def test_01_characteristic_set_exactness():
 
 def _flow_ensemble(M, n_per_case, rng, h_list=(0.0, 0.1, 0.5), budget=50.0,
                    rtol=1.0e-9):
-    total = correct = 0
-    worst_resid = 0.0
+    cases, wants = [], []
     for branch in (PL, MI):
         for h in h_list:
             for i in range(n_per_case):
@@ -99,12 +98,11 @@ def _flow_ensemble(M, n_per_case, rng, h_list=(0.0, 0.1, 0.5), budget=50.0,
                 want_bwd = (fl.Termination.REACHED_PAST if branch is PL
                             else fl.Termination.REACHED_FUTURE)
                 for direction, want in (("forward", want_fwd), ("backward", want_bwd)):
-                    tr = fl.integrate_flow(start, direction, M, branch,
-                                           budget=budget, rtol=rtol)
-                    total += 1
-                    correct += tr.termination is want
-                    worst_resid = max(worst_resid, tr.max_p_resid)
-    return total, correct, worst_resid
+                    cases.append((start, direction, branch))
+                    wants.append(want)
+    trajs = fl.integrate_flows(cases, M, budget=budget, rtol=rtol)
+    correct = sum(tr.termination is want for tr, want in zip(trajs, wants))
+    return len(trajs), correct, max(tr.max_p_resid for tr in trajs)
 
 
 def test_02_source_to_sink_flow():

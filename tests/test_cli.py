@@ -137,6 +137,20 @@ class TestSerialization:
         assert lines[1].startswith("param_time,chart_tag,coord_0")
         assert len(lines) > 4
 
+    def test_flow_solver_statistics(self, tmp_path):
+        cfg = {"schema_version": 1, "command": "flow", "seed": 5,
+               "out": str(tmp_path / "flow"),
+               "metric": {"d": 1, "alpha": {"amplitude": 0.2, "waves": [
+                   {"kappa": [0.7, 1.3], "cos": 0.4, "sin": 0.2}]}},
+               "params": {"n_per_case": 2, "h_list": [0.0, 0.3]}}
+        assert run(cfg) == 0
+        solver = json.loads((tmp_path / "flow" / "summary.json").read_text())["solver"]
+        # the 8 rows at h = 0 are closed-form; the 8 at h = 0.3 and the
+        # sample each cost f(y0), an initial-step trial and 6 per attempt
+        assert solver["closed_form_rows"] == 8
+        assert solver["steps"] > 0
+        assert solver["rhs_evals"] == 2 * 9 + 6 * (solver["steps"] + solver["rejected"])
+
     def test_flow_perturbed_d2(self, tmp_path):
         cfg = {"schema_version": 1, "command": "flow", "seed": 3,
                "out": str(tmp_path / "flow2"),

@@ -18,14 +18,16 @@ from nrlab.symbols import (
     radial_point,
 )
 from nrlab.flow import (
-    _natural_rhs_d1,
+    _radial_chart_ball,
+    _reference_flow,
+    _sheet_chart_point,
     _sheet_tau,
     _sheet_tau_nat_perturbed,
-    _state_rhs,
     Termination,
     char_start,
     ham_field,
     integrate_flow,
+    integrate_flows,
     natural_degeneracy,
     natural_start,
     parabolic_start,
@@ -125,29 +127,118 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(st, "sideways", free_metric, PL)
 
+    def test_start_outside_the_ball_rejected(self, free_metric):
+        # the closed form and the oracle disagree there: no such flow exists
+        st = natural_start([1.2, 0.9], [0.5, 1.0], 0.3)
+        with pytest.raises(ValueError):
+            integrate_flow(st, "forward", free_metric, PL)
+
     def test_csv_rows(self, free_metric):
         st = char_start(free_metric, PL, [0.2, 0.2], [1.0], 0.1)
         tr = integrate_flow(st, "forward", free_metric, PL)
         rows = list(tr.csv_rows())
-        assert len(rows) == len(tr.samples)
+        assert len(rows) == tr.times.size
         assert rows[0][1] == "nat_ball"
 
 
-class TestKernelPaths:
-    def test_scalar_d1_rhs_matches_kernel_rhs(self, wavy_metric):
-        # the hand-expanded d = 1 field is the one kept copy of the metric
-        # maths outside the kernel; pin it to the kernel-backed field
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            Y = rng.normal(size=2)
-            Y *= rng.uniform(0.0, 0.999) / np.linalg.norm(Y)
-            y = np.concatenate((Y, rng.uniform(-2.0, 2.0, size=2)))
-            h = rng.uniform(1.0e-3, 0.5)
-            for b in (PL, MI):
-                for sign in (1.0, -1.0):
-                    fast = _natural_rhs_d1(wavy_metric, b, h, sign)(0.0, y)
-                    ref = _state_rhs("natural", wavy_metric, b, h, sign)(0.0, y)
-                    assert np.max(np.abs(fast - ref)) <= 1e-12
+def _d2_metric():
+    wave = lambda k0, k1, k2, c, sn: (((k0, k1, k2), c, sn),)  # noqa: E731
+    P = ClassicalSymbolProfile
+    h12 = P(amplitude=0.06, waves=wave(0.2, -0.5, 0.9, 0.3, 0.1))
+    return MetricParams(
+        d=2,
+        alpha=P(amplitude=0.15, waves=wave(0.7, 1.3, -0.5, 0.4, 0.2)),
+        w=(P(amplitude=0.1, waves=wave(1.1, -0.4, 0.3, 0.3, 0.0)),
+           P(amplitude=-0.08, order=-2, waves=wave(-0.6, 0.8, 0.5, 0.0, 0.4))),
+        hjk=((P(amplitude=0.12, waves=wave(0.3, 0.9, -0.2, 0.0, 0.5)), h12),
+             (h12, P(amplitude=-0.1, waves=wave(0.5, 0.1, 0.7, 0.2, 0.2)))),
+    )
+
+
+def _mixed_cases(M, rng, n):
+    """Mixed h, branch and direction in one batch, plus a start at a fixed
+    point and one inside the future delta-ball."""
+    d = M.d
+    cases = []
+    for i in range(n):
+        branch = (PL, MI)[i % 2]
+        h = (0.0, 0.1, 0.3, 0.5)[i % 4]
+        Y = rng.normal(size=d + 1)
+        Y *= rng.uniform(0.1, 0.8) / np.linalg.norm(Y)
+        xi = rng.uniform(0.3, 2.0, d) * rng.choice([-1, 1], d)
+        cases.append((char_start(M, branch, Y, xi, h), ("forward", "backward")[i // 2 % 2],
+                      branch))
+    cases.append((parabolic_start(np.full(d + 1, 0.2), 0.5 * d, np.ones(d)), "backward", PL))
+    rp = radial_point(np.full(d, 0.8), 0.3, Side.FUTURE, PL)
+    cases.append((to_radial_chart(rp), "forward", PL))       # fixed point at rho_bf = 0
+    inside = natural_start((1.0 - 5.0e-4) * rp.direction, rp.zeta_nat, rp.h)
+    cases += [(inside, "forward", PL), (inside, "backward", PL)]
+    return cases
+
+
+class TestBatchedFlows:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_scalar_oracle(self, d, wavy_metric):
+        M = wavy_metric if d == 1 else _d2_metric()
+        cases = _mixed_cases(M, np.random.default_rng(20 + d), 16)
+        trajs = integrate_flows(cases, M)
+        for (start, direction, branch), tr in zip(cases, trajs):
+            term, t_end, nfev = _reference_flow(start, direction, M, branch)
+            assert tr.termination is term
+            assert abs(tr.times[-1] - t_end) <= 1e-6 * t_end
+            if tr.rhs_evals:                # scipy's step control, step for step
+                assert tr.rhs_evals == nfev
+        # all but the two starts inside the ball (free-sheet frequencies) are
+        # on the characteristic set
+        assert max(tr.max_p_resid for tr in trajs[:-2]) <= 1e-6
+        assert trajs[-3].times[-1] == 0.0                   # the fixed point
+        assert trajs[-2].termination is Termination.REACHED_FUTURE
+        assert trajs[-2].times[-1] == 50.0                  # stays inside its ball
+
+    def test_row_does_not_depend_on_batch_mates(self, wavy_metric):
+        cases = _mixed_cases(wavy_metric, np.random.default_rng(5), 12)
+        batch = integrate_flows(cases, wavy_metric)
+        mates = integrate_flows(cases[::-1] + cases[:3], wavy_metric)[::-1][3:]
+        for case, tr, other in zip(cases, batch, mates):
+            alone = integrate_flow(*case[:2], wavy_metric, case[2])
+            for tt in (alone, other):
+                assert tt.termination is tr.termination
+                assert (tt.rhs_evals, tt.steps, tt.rejected) == \
+                    (tr.rhs_evals, tr.steps, tr.rejected)
+                for a, b in ((tt.times, tr.times), (tt.states, tr.states),
+                             (tt.p_resid, tr.p_resid)):
+                    assert a.shape == b.shape
+                    assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_solver_statistics(self, free_metric, wavy_metric):
+        st = char_start(wavy_metric, PL, [0.2, 0.3], [0.8], 0.3)
+        for M, closed in ((free_metric, True), (wavy_metric, False)):
+            tr = integrate_flow(st, "forward", M, PL, max_samples=10**6)
+            if closed:
+                assert (tr.rhs_evals, tr.steps, tr.rejected) == (0, 0, 0)
+            else:
+                # scipy's count: f(y0), one trial for the initial step, then
+                # six evaluations per attempted step
+                assert tr.steps == tr.times.size - 1 > 0
+                assert tr.rhs_evals == 2 + 6 * (tr.steps + tr.rejected)
+
+    @given(Y=st.lists(st.floats(-0.65, 0.65), min_size=2, max_size=2),
+           xi=st.floats(0.2, 2.5), h=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           branch=st.sampled_from([PL, MI]), forward=st.booleans(),
+           parabolic=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_closed_form_entry_time(self, Y, xi, h, branch, forward, parabolic):
+        M = MetricParams.free(1)
+        if parabolic:
+            start = parabolic_start(Y, branch.sign * xi * xi / 2.0, [xi])
+        else:
+            start = char_start(M, branch, Y, [xi], h)
+        direction = "forward" if forward else "backward"
+        tr = integrate_flow(start, direction, M, branch)
+        term, t_end, _ = _reference_flow(start, direction, M, branch, rtol=1e-12)
+        assert tr.rhs_evals == 0
+        assert tr.termination is term
+        assert abs(tr.times[-1] - t_end) <= 1e-8 * t_end
 
 
 class TestSheetRoot:
@@ -163,7 +254,7 @@ class TestSheetRoot:
         zeta = np.concatenate(([tau], xi))
         G = eval_metric(M, Y, h).G
         assert abs(-(zeta @ G @ zeta) + 2.0 * branch.sign * tau) <= 1e-12
-        assert abs(tau - _sheet_tau(xi, h, "natural", branch)) < 1.0
+        assert abs(tau - _sheet_tau(xi, branch)) < 1.0
 
     @given(d=st.sampled_from([1, 2, 3]), h=st.floats(0.0, 0.5),
            branch=st.sampled_from([PL, MI]), xi=st.floats(-3.0, 3.0))
@@ -172,7 +263,7 @@ class TestSheetRoot:
         xi_nat = np.full(d, xi)
         tau = _sheet_tau_nat_perturbed(MetricParams.free(d), np.zeros(d + 1),
                                        xi_nat, h, branch)
-        assert tau == _sheet_tau(xi_nat, h, "natural", branch)
+        assert tau == _sheet_tau(xi_nat, branch)
 
     @given(xi=st.floats(1.1, 3.0), branch=st.sampled_from([PL, MI]))
     @settings(max_examples=20, deadline=None)
@@ -188,6 +279,7 @@ class TestSourceSinkEnsemble:
     def test_small_ensemble_with_perturbation(self, wavy_metric, free_metric):
         rng = np.random.default_rng(7)
         for M in (free_metric, wavy_metric):
+            cases = []
             for i in range(24):
                 branch = PL if i % 2 else MI
                 h = [0.0, 0.1, 0.5][i % 3]
@@ -195,17 +287,36 @@ class TestSourceSinkEnsemble:
                 Y = rng.normal(size=2)
                 Y *= rng.uniform(0.1, 0.8) / np.linalg.norm(Y)
                 st = char_start(M, branch, Y, xi, h)
-                fwd = integrate_flow(st, "forward", M, branch).termination
-                bwd = integrate_flow(st, "backward", M, branch).termination
-                if branch is PL:
-                    assert fwd is Termination.REACHED_FUTURE
-                    assert bwd is Termination.REACHED_PAST
-                else:
-                    assert fwd is Termination.REACHED_PAST
-                    assert bwd is Termination.REACHED_FUTURE
+                cases += [(st, "forward", branch), (st, "backward", branch)]
+            trajs = integrate_flows(cases, M)
+            for (_, direction, branch), tr in zip(cases, trajs):
+                sink = Termination.REACHED_FUTURE if branch is PL else Termination.REACHED_PAST
+                source = Termination.REACHED_PAST if branch is PL else Termination.REACHED_FUTURE
+                assert tr.termination is (sink if direction == "forward" else source)
 
 
 class TestQdfProbe:
+    def test_radial_chart_ball_at_rho_zero_is_the_limit(self):
+        rp = radial_point([1.3], 0.3, Side.PAST, MI)
+        for b in (PL, MI):
+            at_zero = _radial_chart_ball(to_radial_chart(rp, offsets=[0.2, 0.0]), b)[0]
+            near = _radial_chart_ball(to_radial_chart(rp, offsets=[0.2, 1e-9]), b)[0]
+            assert abs(np.linalg.norm(at_zero) - 1.0) <= 1e-15
+            assert np.max(np.abs(at_zero - near)) <= 1e-8
+
+    def test_sheet_root_on_the_boundary_sphere(self, wavy_metric):
+        # at rho_bf = 0 the sheet root is taken at the boundary-sphere point,
+        # so it is the rho_bf -> 0+ limit of the roots over interior points
+        rp = radial_point([0.9], 0.4, Side.FUTURE, PL)
+        cc0 = to_radial_chart(rp)
+        at_zero = _sheet_chart_point(cc0, np.array([0.05, 0.0]), wavy_metric, PL)
+        near = _sheet_chart_point(cc0, np.array([0.05, 1e-9]), wavy_metric, PL)
+        assert abs(at_zero.coords[2] - near.coords[2]) <= 1e-8
+        Y = _radial_chart_ball(at_zero, PL)[0]
+        zeta = at_zero.coords[2:4]
+        G = eval_metric(wavy_metric, Y, rp.h).G
+        assert abs(-(zeta @ G @ zeta) + 2.0 * zeta[0]) <= 1e-12
+
     def test_free_exact(self, free_metric):
         rp = radial_point([1.0], 0.2, Side.PAST, PL)
         q = qdf_probe(rp, 0.1, 100, free_metric, PL)

@@ -169,10 +169,35 @@ class TestClosedForms:
             assert np.max(np.abs(exact - fd)) <= 1e-8
 
 
+class TestPointwiseH:
+    @given(data=st.data(), d=st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_array_h_matches_scalar_calls(self, data, d):
+        # h is a phase-space coordinate: each point may carry its own
+        M = data.draw(perturbed_metrics(d))
+        Y = np.array(data.draw(st.lists(
+            st.lists(st.floats(-0.6, 0.6), min_size=d + 1, max_size=d + 1),
+            min_size=1, max_size=5)))
+        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-200, 0.1, 0.5]),
+                                        min_size=len(Y), max_size=len(Y))))
+        batch = eval_metric(M, Y, h, grad=True)
+        for k in range(len(Y)):
+            one = eval_metric(M, Y[k], h[k], grad=True)
+            for got, want in zip(batch, one):
+                np.testing.assert_allclose(got[k], want, rtol=1e-14, atol=1e-15)
+
+
 class TestPrincipalSymbol:
     def test_free_interior_zero_frequency(self, free_metric):
         p = PhasePoint(0.0, [0.0], 0.0, [0.0], 1.0)
         assert eval_p(p, free_metric, PL) == 0.0
+
+    def test_tiny_h_does_not_divide_by_an_underflowed_h_squared(self, free_metric):
+        # h^2 underflows to 0 below h ~ 1e-162; p = h^-2 (natural symbol)
+        off_sheet = PhasePoint(0.0, [0.0], 0.5, [1.0], 1e-200)
+        assert eval_p(off_sheet, free_metric, PL) == math.inf
+        zero_section = PhasePoint(0.0, [0.0], 0.0, [0.0], 1e-200)
+        assert eval_p(zero_section, free_metric, PL) == 0.0
 
     def test_free_df_chart_on_cone(self, free_metric):
         # rho_df = 0, |xi_hat| = 1 on the Sigma branch
