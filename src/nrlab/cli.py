@@ -7,13 +7,12 @@ rejected), writes CSV tables plus a summary.json into the output directory,
 prints one PASS/FAIL line against the config's tolerance block, and exits
 0 on pass, 1 on assertion failure (artifacts still written), 2 on an
 invalid config.  All randomness flows from a single 64-bit seed, so a fixed
-config gives byte-identical CSV output apart from the timestamp header.
+config gives byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import sys
@@ -94,7 +93,6 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
         "metric": _METRIC_SCHEMA,
-        "grids": {"type": "object"},
         "tolerances": {"type": "object"},
         "params": {"type": "object"},
     },
@@ -209,7 +207,6 @@ class Reporter:
     def write_csv(self, name: str, header, rows):
         path = self.outdir / name
         with open(path, "w", newline="") as fh:
-            fh.write(f"# generated {datetime.datetime.now().isoformat()}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 cells = []

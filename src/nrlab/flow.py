@@ -139,7 +139,7 @@ def _sheet_tau(xi_nat, b: SignBranch) -> float:
 # ---------------------------------------------------------------------------
 
 
-def to_radial_chart(rp, M: MetricParams | None = None, offsets=None) -> ChartCoords:
+def to_radial_chart(rp, offsets=None) -> ChartCoords:
     """Radial-set adapted chart (s, w, rho_bf) over the natural frequencies.
 
     The dominant spatial axis is the largest |xi_nat| component; the chart

@@ -14,6 +14,9 @@ section rho_nf = h and the l-order is the plain h^{-l} of the natural-scale
 norm; on the parabolic region it is the anisotropic weight
 (1+tau^2+|xi|^4)^{l/4}, which is what keeps the uniform-inverse ratio
 experiment stable in c.  The q_+/- orders are literal h^{-q} prefactors.
+
+The ratio experiment applies the Klein-Gordon operator P through
+``pde.ConjugatedOperator`` without a branch, built once per c.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, SpectrumOverflow
+from .pde import ConjugatedOperator
 from .quantize import BoxGrid, GridField
 from .symbols import MetricParams
 
@@ -35,7 +39,6 @@ __all__ = [
     "natural_norm",
     "split_energy",
     "calctwo_norm",
-    "apply_kg",
     "uniform_ratio_experiment",
     "RatioTable",
     "gaussian_family",
@@ -244,38 +247,6 @@ def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
 
 
 # ---------------------------------------------------------------------------
-# direct grid application of the Klein-Gordon operator
-# ---------------------------------------------------------------------------
-
-
-def apply_kg(u: GridField, c: float, metric: MetricParams | None = None) -> GridField:
-    """P u for P = box - c^2 plus the sampled lower-order coefficient terms.
-
-    The second-order part is the exact free multiplier tau^2/c^2 - |xi|^2 - c^2;
-    lower-order terms i beta c^-2 d_t + i B . grad + W are applied with
-    pointwise coefficients and spectral derivatives.
-    """
-    g = u.grid
-    km = g.freq_mesh()
-    mult = km[0] ** 2 / c**2 - sum(k * k for k in km[1:]) - c * c
-    spec = np.fft.fftn(u.values)
-    out = np.fft.ifftn(mult * spec)
-    if metric is not None:
-        mesh = g.mesh()
-        z = np.stack(mesh, axis=-1)
-        if not metric.W.is_zero:
-            out = out + metric.W(z, c) * u.values
-        if not metric.beta.is_zero:
-            dt = np.fft.ifftn(1j * km[0] * spec)
-            out = out + 1j * metric.beta(z, c) / c**2 * dt
-        for j, Bj in enumerate(metric.B):
-            if not Bj.is_zero:
-                dj = np.fft.ifftn(1j * km[1 + j] * spec)
-                out = out + 1j * Bj(z, c) * dj
-    return GridField(g, out)
-
-
-# ---------------------------------------------------------------------------
 # manufactured family and the uniform-ratio experiment
 # ---------------------------------------------------------------------------
 
@@ -324,10 +295,11 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
                              n_base: int = 4, seed: int = 0) -> RatioTable:
     """Ratio proxy for the uniform inverse bound.
 
-    For each c and family member u, applies P on the grid and reports
-    calctwo(u; m, s, l) / calctwo(Pu; m-1, s+1, l-1), the per-c family
-    maximum, the max/min spread of those maxima across the c-ladder, and
-    each member's largest-c/smallest-c ratio drift.
+    For each c and family member u, applies P (``pde.ConjugatedOperator``
+    without a branch, for ``metric`` or the free metric) on the grid and
+    reports calctwo(u; m, s, l) / calctwo(Pu; m-1, s+1, l-1), the per-c
+    family maximum, the max/min spread of those maxima across the c-ladder,
+    and each member's largest-c/smallest-c ratio drift.
     """
     if grid is None:
         grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (4096, 64))
@@ -338,6 +310,7 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
         raise SpectrumOverflow(
             f"c^2 = {cmax**2} too close to the time Nyquist frequency {nyq:.0f}"
         )
+    M = metric if metric is not None else MetricParams.free(grid.ndim - 1)
     members = gaussian_family(grid, n_base=n_base, seed=seed)
     t = grid.mesh()[0]
     den_orders = orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0)
@@ -347,6 +320,7 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     for c in cs:
         h = 1.0 / c
         carrier = np.exp(1j * c * c * t)
+        P = ConjugatedOperator(M, c, grid, None)
         best = 0.0
         for mid, kind, base in members:
             if kind == "plus":
@@ -356,7 +330,7 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
             else:
                 vals = base
             u = GridField(grid, vals)
-            Pu = apply_kg(u, c, metric)
+            Pu = GridField(grid, P.apply(vals))
             den = calctwo_norm(Pu, h, den_orders)
             if den < 1.0e-12:
                 raise DegenerateFamily(f"member {mid} has |Pu| below floor")

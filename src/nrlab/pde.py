@@ -410,75 +410,102 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
 
 
 # ---------------------------------------------------------------------------
-# symmetry defect
+# grid Klein-Gordon operator and symmetry defect
 # ---------------------------------------------------------------------------
 
 
 class ConjugatedOperator:
-    """Grid action of the conjugated operator and its Euclidean adjoint.
+    """Grid action of the Klein-Gordon operator and its Euclidean adjoint.
 
-    Assembled exactly from the metric: second-order part g^{ij} D_i D_j, the
-    first-order divergence terms of the d'Alembertian, the conjugation terms
-    +/- 2i c^2 (g^{00} d_t + g^{j0} d_j) and -c^4 g^{00} - c^2, and the
-    lower-order coefficients.  All derivatives are spectral on the periodic
-    spacetime grid; probes must be interior-supported.
+    P = box_g - c^2 + i beta c^-2 d_t + i B . grad + W, with
+    box_g u = g^{ij} d_i d_j u + c1_j d_j u and c1 the first-order divergence
+    terms of the d'Alembertian.  ``branch=None`` gives P itself; a branch of
+    sign s gives e^{-isc^2 t} P e^{isc^2 t}, in which d_t acts as
+    d_t + isc^2: that adds 2isc^2 g^{0j} d_j, isc^2 c1_0, -s beta and
+    -c^4 g^{00} - c^2 = -aleph_c (the finite-c asymptotic-mass coefficient).
+
+    The free-metric part, with symbol (tau + sc^2)^2/c^2 - |xi|^2 - c^2
+    (s = 0 unconjugated), is one exact Fourier multiplier; the metric's
+    remainder and the lower-order coefficients act pointwise on spectral
+    derivatives, and a term whose coefficient vanishes identically is not
+    built.  Derivatives are spectral on the periodic spacetime grid; probes
+    must be interior-supported.
     """
 
     def __init__(self, M: MetricParams, c: float, grid: BoxGrid,
-                 branch: SignBranch):
+                 branch: SignBranch | None):
         if grid.ndim != M.d + 1:
             raise GridMismatch("operator grid must be a spacetime grid")
-        self.grid = grid
-        self.branch = branch
-        mesh = grid.mesh()
-        z = np.stack(mesh, axis=-1)
-        bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
-        mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
-        g, ginv = mv.g, mv.ginv
-        n = M.d + 1
-        # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
-        # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
-        unscale = np.ones(n)
-        unscale[0] = 1.0 / c
-        dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
-        dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
-        self.g2 = ginv                                  # second-order coefficients
-        self.c1 = np.einsum("...iij->...j", dginv) + np.einsum(
-            "...ij,...i->...j", ginv, dlog
-        )                                               # d'Alembertian first-order
-        s = branch.sign
-        self.conj1 = 2j * s * c**2 * ginv[..., 0, :]    # conjugation first-order
-        aleph_c = c**4 * (ginv[..., 0, 0] + c**-2)
-        beta = M.beta(z, c)
-        self.zer = -aleph_c - s * beta + M.W(z, c)
-        self.low1 = np.zeros(z.shape[:-1] + (n,), dtype=complex)
-        self.low1[..., 0] = 1j * beta / c**2
-        for j in range(M.d):
-            self.low1[..., 1 + j] = 1j * M.B[j](z, c)
-        self.kmesh = grid.freq_mesh()
+        n = grid.ndim
+        s = 0 if branch is None else branch.sign
+        k = self.k = np.ix_(*[grid.axis_freqs(i) for i in range(n)])
+        # (tau + sc^2)^2/c^2 - c^2 expanded, so a branch's c^2 terms cancel
+        # exactly; kept as time and space parts, summed on the grid per apply
+        self.mult_t = k[0] ** 2 / c**2 + 2 * s * k[0] + (s * s - 1) * c * c
+        self.mult_x = -sum(kj * kj for kj in k[1:])
+        self.terms = {}    # sorted derivative indices -> coefficient field
+        self.c1 = np.zeros(n)                           # d'Alembertian first-order
+        if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
+            return
+        z = np.stack(grid.mesh(), axis=-1)
+        if not M.is_flat:
+            bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
+            mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
+            g, ginv = mv.g, mv.ginv
+            # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
+            # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
+            unscale = np.ones(n)
+            unscale[0] = 1.0 / c
+            dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
+            dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
+            self.c1 = np.einsum("...iij->...j", dginv) + np.einsum(
+                "...ij,...i->...j", ginv, dlog)
+            free = np.eye(n)                            # the free metric's g^-1
+            free[0, 0] = -1.0 / c**2
+            rem = ginv - free
+            for i in range(n):
+                self._add((i,), self.c1[..., i])
+                for j in range(i, n):
+                    self._add((i, j), (1.0 if i == j else 2.0) * rem[..., i, j])
+                if s:
+                    self._add((i,), 2j * s * c * c * rem[..., 0, i])
+            if s:
+                self._add((), 1j * s * c * c * self.c1[..., 0] - c**4 * rem[..., 0, 0])
+        if not M.beta.is_zero:
+            beta = M.beta(z, c)
+            self._add((0,), 1j * beta / c**2)
+            if s:
+                self._add((), -s * beta)
+        for j, Bj in enumerate(M.B):
+            if not Bj.is_zero:
+                self._add((1 + j,), 1j * Bj(z, c))
+        if not M.W.is_zero:
+            self._add((), M.W(z, c))
 
-    def _d(self, f, i):
-        return np.fft.ifftn(1j * self.kmesh[i] * np.fft.fftn(f))
+    def _add(self, key, coef):
+        self.terms[key] = self.terms.get(key, 0.0) + coef
+
+    def _symbol(self, key):
+        """Spectral symbol prod_a (i k_a) of the derivative d_key."""
+        sym = 1.0
+        for a in key:
+            sym = sym * (1j * self.k[a])
+        return sym
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        n = self.grid.ndim
-        du = [self._d(u, i) for i in range(n)]
-        out = (self.zer + 0j) * u
-        for i in range(n):
-            out += (self.conj1[..., i] + self.low1[..., i] + self.c1[..., i]) * du[i]
-            for j in range(n):
-                out += self.g2[..., i, j] * self._d(du[i], j)
+        spec = np.fft.fftn(u)
+        out = np.fft.ifftn((self.mult_t + self.mult_x) * spec)
+        for key, coef in self.terms.items():
+            out += coef * (np.fft.ifftn(self._symbol(key) * spec) if key else u)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        """Euclidean L^2 adjoint: (a d^gamma)* = (-d)^gamma (conj(a) .)."""
-        n = self.grid.ndim
-        out = np.conj(self.zer + 0j) * u
-        for i in range(n):
-            coef = np.conj(self.conj1[..., i] + self.low1[..., i] + self.c1[..., i])
-            out -= self._d(coef * u, i)
-            for j in range(n):
-                out += self._d(self._d(np.conj(self.g2[..., i, j]) * u, j), i)
+        """Euclidean L^2 adjoint: (a d^gamma)* = (-d)^gamma (conj(a) .), and a
+        multiplier's adjoint is its conjugate."""
+        out = np.fft.ifftn(np.conj(self.mult_t + self.mult_x) * np.fft.fftn(u))
+        for key, coef in self.terms.items():
+            v = np.conj(coef) * u
+            out += np.fft.ifftn(np.conj(self._symbol(key)) * np.fft.fftn(v)) if key else v
         return out
 
     def symmetry_defect_apply(self, u: np.ndarray) -> np.ndarray:

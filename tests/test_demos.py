@@ -5,13 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_hamiltonian_flow_demo():
-    # drives single-case integrate_flow end to end
+# each takes about a second; demo_uniform_norms is left out because its
+# full four-c ladder on the 4096 x 64 grid takes about 15 s
+@pytest.mark.parametrize("name", [
+    "hamiltonian_flow",         # single-case integrate_flow end to end
+    "nonrelativistic_limit",    # symmetry_defect through ConjugatedOperator
+    "mass_and_scattering",
+    "star_product",
+    "phase_space_charts",
+])
+def test_demo_runs(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "demo_hamiltonian_flow.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"demo_{name}.py")],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -7,10 +7,10 @@ import pytest
 
 from nrlab.errors import DegenerateFamily
 from nrlab.quantize import BoxGrid, GridField
-from nrlab.symbols import ClassicalSymbolProfile, MetricParams, OperatorCoefficient
+from nrlab.pde import ConjugatedOperator
+from nrlab.symbols import MetricParams
 from nrlab.norms import (
     OrderProfile,
-    apply_kg,
     calctwo_norm,
     default_chi,
     natural_norm,
@@ -177,32 +177,6 @@ class TestCalctwoNorm:
         assert abs(math.log(ratio) - math.log(R)) <= 0.1 * math.log(R)
 
 
-class TestApplyKG:
-    def test_free_multiplier_on_mode(self, stg):
-        t, x = stg.mesh()
-        km = stg.freq_mesh()
-        # pick exact grid frequencies
-        tau0 = km[0][3, 0]
-        xi0 = km[1][0, 2]
-        u = GridField(stg, np.exp(1j * (tau0 * t + xi0 * x)))
-        c = 4.0
-        out = apply_kg(u, c)
-        expect = (tau0**2 / c**2 - xi0**2 - c**2) * u.values
-        assert np.max(np.abs(out.values - expect)) <= 1e-9 * c * c
-
-    def test_lower_order_terms(self, stg, bump):
-        M = MetricParams(
-            d=1,
-            W=OperatorCoefficient(real=ClassicalSymbolProfile(amplitude=0.3)),
-        )
-        u = GridField(stg, bump)
-        out = apply_kg(u, 4.0, M)
-        free = apply_kg(u, 4.0)
-        t, x = stg.mesh()
-        w = 0.3 / np.sqrt(1.0 + t**2 + x**2)
-        assert np.max(np.abs(out.values - free.values - w * bump)) <= 1e-10
-
-
 class TestUniformRatio:
     def test_windowed_solution_member(self):
         # an exact free solution windowed in time: P u supported at the window
@@ -216,7 +190,8 @@ class TestUniformRatio:
             om = c * math.sqrt(c * c + 1.0)
             u_exact = np.exp(1j * (-om * t + x))
             u = GridField(grid, window * u_exact)
-            Pu = apply_kg(u, c)
+            Pu = GridField(grid, ConjugatedOperator(MetricParams.free(1), c, grid,
+                                                    None).apply(u.values))
             # forcing lives where the window varies
             core = np.abs(t) < 0.1
             assert np.max(np.abs(Pu.values[core])) <= 1e-5 * np.max(np.abs(Pu.values))
@@ -230,7 +205,8 @@ class TestUniformRatio:
         u = GridField(grid, np.zeros(grid.shape))
         orders = fwd_profile(m=1.0, ell=1.0)
         with pytest.raises(DegenerateFamily):
-            Pu = apply_kg(u, 4.0)
+            Pu = GridField(grid, ConjugatedOperator(MetricParams.free(1), 4.0, grid,
+                                                    None).apply(u.values))
             if calctwo_norm(Pu, 0.25, orders.shifted(dm=-1, ds=1, dl=-1)) < 1e-12:
                 raise DegenerateFamily("zero member")
 
@@ -240,6 +216,15 @@ class TestUniformRatio:
         tab = uniform_ratio_experiment([4.0, 8.0], orders, grid=grid, n_base=2)
         assert tab.spread <= 3.0
         assert max(tab.member_drift.values()) <= 1.5
+
+    def test_metric_changes_rows(self, wavy_metric):
+        orders = fwd_profile(m=1.0, ell=1.0)
+        grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (256, 32))
+        free = uniform_ratio_experiment([4.0], orders, grid=grid, n_base=1)
+        pert = uniform_ratio_experiment([4.0], orders, grid=grid, metric=wavy_metric,
+                                        n_base=1)
+        dens = np.array([[row[3] for row in tab.rows] for tab in (free, pert)])
+        assert np.all(np.abs(dens[1] - dens[0]) >= 1e-4 * dens[0])
 
 
 class TestLadderGuards:

@@ -230,6 +230,68 @@ class TestConjugatedOperator:
                 wavy_metric, z[idx], c) @ np.array(d_log)
             assert np.max(np.abs(op.c1[idx] - expected)) <= 1e-9
 
+    def test_free_multiplier_on_mode(self):
+        stg = BoxGrid((8 * math.pi, 8 * math.pi), (256, 64))
+        t, x = stg.mesh()
+        km = stg.freq_mesh()
+        # pick exact grid frequencies
+        tau0 = km[0][3, 0]
+        xi0 = km[1][0, 2]
+        u = np.exp(1j * (tau0 * t + xi0 * x))
+        c = 4.0
+        for branch in (None, PL, MI):
+            # e^{-isc^2 t} P e^{isc^2 t} moves the mode's time frequency by s c^2
+            s = 0 if branch is None else branch.sign
+            out = ConjugatedOperator(MetricParams.free(1), c, stg, branch).apply(u)
+            expect = ((tau0 + s * c * c) ** 2 / c**2 - xi0**2 - c**2) * u
+            assert np.max(np.abs(out - expect)) <= 1e-9 * c * c
+
+    def test_lower_order_terms(self):
+        stg = BoxGrid((8 * math.pi, 8 * math.pi), (256, 64))
+        t, x = stg.mesh()
+        bump = np.exp(-((t / 3.0) ** 2) - (x / 1.5) ** 2)
+        M = MetricParams(
+            d=1,
+            W=OperatorCoefficient(real=ClassicalSymbolProfile(amplitude=0.3)),
+        )
+        out = ConjugatedOperator(M, 4.0, stg, None).apply(bump)
+        free = ConjugatedOperator(MetricParams.free(1), 4.0, stg, None).apply(bump)
+        w = 0.3 / np.sqrt(1.0 + t**2 + x**2)
+        assert np.max(np.abs(out - free - w * bump)) <= 1e-10
+
+    def test_perturbed_metric_changes_pu(self, wavy_metric, stgrid):
+        # P v = g^{ij} d_i d_j v + c1_j d_j v - c^2 v with the Gaussian's exact
+        # derivatives; the metric moves P v by about 4e-4 of its size here
+        c = 3.0
+        mesh = stgrid.mesh()
+        z = np.stack(mesh, axis=-1)
+        v = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 8.0)
+        op = ConjugatedOperator(wavy_metric, c, stgrid, None)
+        ginv = inverse_metric(wavy_metric, z, c)
+        expect = -c * c * v
+        for i in range(2):
+            expect = expect - op.c1[..., i] * z[..., i] / 4.0 * v
+            for j in range(2):
+                d2 = (z[..., i] * z[..., j] / 16.0 - (i == j) / 4.0) * v
+                expect = expect + ginv[..., i, j] * d2
+        out = op.apply(v)
+        free = ConjugatedOperator(MetricParams.free(1), c, stgrid, None).apply(v)
+        assert np.max(np.abs(out - expect)) <= 1e-10 * np.max(np.abs(expect))
+        assert np.max(np.abs(out - free)) >= 1e-4 * np.max(np.abs(free))
+
+    @pytest.mark.parametrize("branch", [PL, MI], ids=["plus", "minus"])
+    def test_demodulated_operator_is_the_conjugated_one(self, wavy_metric, stgrid, branch):
+        # e^{-isc^2 t} P (e^{isc^2 t} v), including the divergence term
+        # c1_0 (d_t + isc^2) v that conjugation makes of c1_0 d_t
+        c = 3.0
+        t, x = stgrid.mesh()
+        v = np.exp(-(t**2 + x**2) / 8.0)
+        carrier = np.exp(1j * branch.sign * c * c * t)
+        P = ConjugatedOperator(wavy_metric, c, stgrid, None)
+        demod = np.conj(carrier) * P.apply(carrier * v)
+        conj = ConjugatedOperator(wavy_metric, c, stgrid, branch).apply(v)
+        assert np.max(np.abs(demod - conj)) <= 1e-10 * np.max(np.abs(conj))
+
 
 @pytest.fixture(scope="module")
 def runs():
