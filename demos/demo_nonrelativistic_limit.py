@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from nrlab.experiments import bandlimited_gaussian
 from nrlab.quantize import BoxGrid
 from nrlab.symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph
 from nrlab.pde import (
@@ -19,16 +20,8 @@ from nrlab.pde import (
 MI = SignBranch.MINUS
 
 
-def bandlimited(grid, K, width=4.0, k0=1.0):
-    xx = grid.axis_points(0)
-    vals = np.exp(-((xx / width) ** 2)) * np.exp(1j * k0 * xx)
-    ch = np.fft.fftn(vals)
-    ch[np.abs(grid.axis_freqs(0)) > K] = 0.0
-    return np.fft.ifftn(ch)
-
-
 g = BoxGrid.regular(40 * math.pi, 256, 1)
-psi = bandlimited(g, 2.0)
+psi = bandlimited_gaussian(g, 2.0)
 times = np.linspace(0.0, 1.0, 9)
 
 print("=" * 70)
@@ -59,7 +52,7 @@ print("Gravity as a potential: a lapse perturbation alpha feeds the")
 print("asymptotic-mass coefficient into the Schrodinger normal operator")
 print("=" * 70)
 g2 = BoxGrid.regular(40 * math.pi, 128, 1)
-psi2 = bandlimited(g2, 2.0)
+psi2 = bandlimited_gaussian(g2, 2.0)
 M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
 print(f"  asymptotic mass at the origin: {aleph(M, [0.0, 0.0]):+.6f} "
       f"(= -alpha(0))")

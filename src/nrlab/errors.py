@@ -51,3 +51,7 @@ class DegenerateFamily(NrlabError):
 
 class ConfigInvalid(NrlabError):
     """Experiment configuration failed schema validation."""
+
+
+class InvalidInput(NrlabError, ValueError):
+    """A grid, symbol, metric or order profile was built from invalid values."""

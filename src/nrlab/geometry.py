@@ -112,14 +112,6 @@ class BdfValues:
     rho_nf: float
     rho_pf: float
 
-    def as_dict(self):
-        return {
-            "rho_df": self.rho_df,
-            "rho_bf": self.rho_bf,
-            "rho_nf": self.rho_nf,
-            "rho_pf": self.rho_pf,
-        }
-
 
 class ChartTag(Enum):
     NAT_INTERIOR = "nat_interior"

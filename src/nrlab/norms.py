@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFamily, SpectrumOverflow
+from .errors import DegenerateFamily, InvalidInput, SpectrumOverflow
 from .pde import ConjugatedOperator
 from .quantize import BoxGrid, GridField
 from .symbols import MetricParams
@@ -93,9 +93,9 @@ class OrderProfile:
         inc = self.s_future > self.s_past
         dec = self.s_future < self.s_past
         if dec and not (self.s_past > -0.5 > self.s_future):
-            raise ValueError("non-increasing profile must cross the -1/2 threshold")
+            raise InvalidInput("non-increasing profile must cross the -1/2 threshold")
         if inc and not (self.s_future > -0.5 > self.s_past):
-            raise ValueError("non-decreasing profile must cross the -1/2 threshold")
+            raise InvalidInput("non-decreasing profile must cross the -1/2 threshold")
 
     def s_bar(self, sigma):
         t = smooth_step((np.asarray(sigma, float) + 0.9) / 1.8)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExtrapolationUnstable, GridMismatch, SpectrumOverflow
+from .errors import ExtrapolationUnstable, GridMismatch, InvalidInput, SpectrumOverflow
 
 __all__ = [
     "BoxGrid",
@@ -55,7 +55,7 @@ class BoxGrid:
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         for n in self.ns:
             if n & (n - 1):
-                raise ValueError("grid sizes must be powers of two")
+                raise InvalidInput("grid sizes must be powers of two")
 
     @classmethod
     def regular(cls, side: float, n: int, ndim: int = 1) -> "BoxGrid":

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChartUnavailable, DegenerateMetric
+from .errors import ChartUnavailable, DegenerateMetric, InvalidInput
 from .geometry import ChartCoords, ChartTag, PhasePoint
 
 __all__ = [
@@ -94,7 +94,7 @@ class ClassicalSymbolProfile:
 
     def __post_init__(self):
         if self.order > -1:
-            raise ValueError("classical profiles here must decay: order <= -1")
+            raise InvalidInput("classical profiles here must decay: order <= -1")
 
     @classmethod
     def zero(cls) -> "ClassicalSymbolProfile":
@@ -103,12 +103,6 @@ class ClassicalSymbolProfile:
     @property
     def is_zero(self) -> bool:
         return self.amplitude == 0.0
-
-    def coefficient_norm(self) -> float:
-        """Bound on |g| from the declared coefficients."""
-        return abs(self.constant) + sum(
-            abs(c) + abs(s) for _, c, s in self.waves
-        )
 
     def _angular(self, y: np.ndarray, grad: bool = False):
         """g(y) and, with ``grad``, its tangential gradient (I - y y^T) grad g."""
@@ -199,7 +193,7 @@ class OperatorCoefficient:
 
     def __post_init__(self):
         if not self.imag.is_zero and self.imag.order > -2:
-            raise ValueError("imaginary parts must decay at least like <z>^-2")
+            raise InvalidInput("imaginary parts must decay at least like <z>^-2")
 
     @classmethod
     def zero(cls) -> "OperatorCoefficient":
@@ -236,7 +230,7 @@ class MetricParams:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
-            raise ValueError("d must be 1, 2, or 3")
+            raise InvalidInput("d must be 1, 2, or 3")
         if not self.w:
             object.__setattr__(self, "w", _zero_profiles(self.d))
         if not self.hjk:
@@ -248,14 +242,14 @@ class MetricParams:
                 self, "B", tuple(OperatorCoefficient.zero() for _ in range(self.d))
             )
         if len(self.w) != self.d or len(self.B) != self.d or len(self.hjk) != self.d:
-            raise ValueError("coefficient tuples must have length d")
+            raise InvalidInput("coefficient tuples must have length d")
         for j in range(self.d):
             for k in range(j):
                 if self.hjk[j][k] != self.hjk[k][j]:
-                    raise ValueError("hjk must be symmetric")
+                    raise InvalidInput("hjk must be symmetric")
         for Bj in self.B:
             if not Bj.imag.is_zero and not Bj.imag_c_decay:
-                raise ValueError("Im B must vanish in the c -> infinity limit")
+                raise InvalidInput("Im B must vanish in the c -> infinity limit")
 
     @classmethod
     def free(cls, d: int = 1) -> "MetricParams":
@@ -269,12 +263,6 @@ class MetricParams:
             and all(p.is_zero for p in self.w)
             and all(p.is_zero for row in self.hjk for p in row)
         )
-
-    def perturbation_amplitude(self) -> float:
-        amps = [abs(self.alpha.amplitude) * self.alpha.coefficient_norm()]
-        amps += [abs(p.amplitude) * p.coefficient_norm() for p in self.w]
-        amps += [abs(p.amplitude) * p.coefficient_norm() for row in self.hjk for p in row]
-        return max(amps)
 
 
 class MetricValues(NamedTuple):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -19,15 +18,6 @@ def wavy_metric():
         w=(ClassicalSymbolProfile(amplitude=0.08, waves=(((1.1, -0.4), 0.3, 0.0),)),),
         hjk=((ClassicalSymbolProfile(amplitude=0.12, waves=(((0.3, 0.9), 0.0, 0.5),)),),),
     )
-
-
-def bandlimited_gaussian(grid, K, width=4.0, k0=1.0):
-    """Spatially localized field with spectrum hard-truncated to |xi| <= K."""
-    x = grid.axis_points(0)
-    vals = np.exp(-((x / width) ** 2)) * np.exp(1j * k0 * x)
-    ch = np.fft.fftn(vals)
-    ch[np.abs(grid.axis_freqs(0)) > K] = 0.0
-    return np.fft.ifftn(ch)
 
 
 @st.composite

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from nrlab.cli import load_config, main, metric_from_json, run
-from nrlab.errors import ConfigInvalid
+import jsonschema
+
+from nrlab.cli import COMMANDS, CONFIG_SCHEMA, load_config, main, metric_from_json, run
+from nrlab.errors import ConfigInvalid, InvalidInput, NrlabError
 
 
 def write(path, obj):
@@ -46,6 +48,48 @@ class TestConfigValidation:
                      "metric": {"d": 1, "alpha": {"order": 3}}})
         rc = main(["qdf", "--config", cfg])
         assert rc == 2
+
+    def test_schema_is_valid_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("command,block", [
+        ("qdf", {"metric": {"d": 1, "w": [{}, {}]}}),
+        ("star", {"params": {"n_grid": 100}}),
+        ("uniform-ratio", {"params": {"s_past": 0.0, "s_future": 0.1}}),
+    ])
+    def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
+        cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, NrlabError)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("block", [{"params": {"n_grdi": 64}},
+                                       {"tolerances": {"gian": 0.8}}])
+    def test_typo_exits_2_before_running(self, tmp_path, command, block):
+        cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["charset", "radial", "star", "quantize",
+                                         "pde-compare", "mass", "scatter", "norms",
+                                         "degeneracy", "b-order"])
+    def test_metric_block_rejected_where_unused(self, tmp_path, command):
+        cfg = write(tmp_path / "c.json",
+                    {"schema_version": 1, "command": command,
+                     "metric": {"d": 1, "alpha": {"amplitude": 0.2}}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params", [{"n_grid": 256.0}, {"n_grid": "256"},
+                                        {"n_grid": True}])
+    def test_mistyped_param_rejected(self, params):
+        with pytest.raises(ConfigInvalid):
+            run({"schema_version": 1, "command": "star", "params": params})
+
+    def test_int_accepted_for_float(self, tmp_path):
+        cfg = {"schema_version": 1, "command": "charset", "params": {"n_samples": 20},
+               "tolerances": {"symbol": 1}}
+        assert run(cfg, out=str(tmp_path / "charset")) == 0
 
     def test_metric_from_json(self):
         M = metric_from_json({
@@ -97,6 +141,16 @@ class TestRunCommands:
         rows_a = (tmp_path / "a" / "char_samples.csv").read_text().splitlines()
         rows_b = (tmp_path / "b" / "char_samples.csv").read_text().splitlines()
         assert rows_a[1:] != rows_b[1:]
+
+    def test_radial_dimension_param(self, tmp_path):
+        tables = {}
+        for d in (1, 2):
+            cfg = {"schema_version": 1, "command": "radial",
+                   "params": {"d": d, "n_samples": 20}}
+            assert run(cfg, out=str(tmp_path / f"d{d}")) == 0
+            tables[d] = (tmp_path / f"d{d}" / "radial.csv").read_text().splitlines()
+        # a d = 2 sample draws two frequencies, so the seeded rows differ
+        assert len(tables[2]) == 21 and tables[1][1:] != tables[2][1:]
 
     def test_console_entry_point(self, tmp_path):
         cfg = write(tmp_path / "c.json",

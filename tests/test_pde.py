@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bandlimited_gaussian
+from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import ResampleOverflow, StepFailure
 from nrlab.quantize import BoxGrid
 from nrlab.symbols import (
