@@ -24,6 +24,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from numpy.random import default_rng  # every run seeds one; loaded with the CLI, not lazily
 
 from . import experiments
 from . import symbols as sym
@@ -300,7 +301,7 @@ def _bind_config(config: dict):
     kwargs = _bind(fn, config.get("params", {}), "params")
     inputs = inspect.signature(fn).parameters
     seed = config.get("seed", 0)
-    supplied = {"rng": np.random.default_rng(seed), "seed": seed}
+    supplied = {"rng": default_rng(seed), "seed": seed}
     kwargs.update((n, supplied[n]) for n in inputs if n in supplied)
     # a keyword without a default is a tolerance the computation reads
     kwargs.update((n, tol[n]) for n, p in inputs.items()

@@ -54,4 +54,4 @@ class ConfigInvalid(NrlabError):
 
 
 class InvalidInput(NrlabError, ValueError):
-    """A grid, symbol, metric or order profile was built from invalid values."""
+    """A grid, symbol, metric, order profile or experiment was given invalid values."""

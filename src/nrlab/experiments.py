@@ -21,6 +21,7 @@ from . import norms as nm
 from . import pde
 from . import quantize as qz
 from . import symbols as sym
+from .errors import InvalidInput
 from .geometry import ChartId, ChartTag, ParabolicRay, PhasePoint, b_order_fit
 from .symbols import MetricParams, Side, SignBranch
 
@@ -51,6 +52,8 @@ def flow(rng, metric: MetricParams = MetricParams.free(1), *, n_per_case=25,
     """Seeded characteristic starts flow from source to sink in both directions.
     Every fourth h = 0 start lies on the parabolic face; one more forward
     trajectory is exported sample by sample and left out of the counts."""
+    if n_per_case < 1 or not h_list:
+        raise InvalidInput("flow needs n_per_case >= 1 and a non-empty h_list")
     d = metric.d
     cases, labels = [], []
     for branch in (PL, MI):
@@ -231,6 +234,8 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
                 n_grid=256) -> Result:
     """Klein-Gordon envelopes against Schrodinger over a c-ladder; ``ratios``
     are the successive error ratios (4 at second order for a doubling ladder)."""
+    if len(c_list) < 2:
+        raise InvalidInput("pde-compare needs at least two c values to form a ratio")
     g = qz.BoxGrid.regular(box, n_grid, 1)
     psi = bandlimited_gaussian(g, band_limit)
     times = np.linspace(0.0, T, 9)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import ChartUnavailable, DegenerateMetric, StepFailure
 from .geometry import BdfValues, ChartCoords, ChartId, ChartTag, PhasePoint, chi_cutoff
@@ -68,6 +66,28 @@ CLOSED_FORM_SAMPLES = 100   # points saved along a closed-form flow line
 ATOL = 1.0e-12
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 EPS = np.finfo(float).eps
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
+# quartic dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6),
+# as scipy.integrate.RK45 writes them: stage matrix A, 5th-order weights B,
+# error weights E over the seven stages (the last is f at the new point) and
+# the dense-output matrix P.
+DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
 class Termination(Enum):
@@ -434,21 +454,64 @@ def _rms(x) -> np.ndarray:
     return np.sqrt(np.mean(x * x, axis=-1))
 
 
-def _first_event(K, lam_old, lam_new, y_old, fired, h, bsign, delta):
-    """Earliest root of one row's fired events on its RK45 dense output over
-    [lam_old, lam_new], by brentq as solve_ivp does: (lam, y, event)."""
-    step = lam_new - lam_old
-    Q = K.T @ RK45.P
+def _bracket_roots(f, a, b):
+    """Roots of f on the brackets [a, b] by the Anderson-Bjorck variant of
+    regula falsi, bisecting when a bracket has not halved in five steps, and
+    stopped by brentq's rule for xtol = rtol = 4 eps: |b - a| <= 4 eps (1 + |x|)
+    or f(x) = 0.
 
-    def y_at(lam):
-        return y_old + step * (Q @ np.cumprod(np.full(4, (lam - lam_old) / step)))
+    f(k, x) returns the values at points x of the brackets k (an index
+    array); each bracket's iterates depend only on its own values.  Returns
+    the end of each final bracket with the smaller |f|.
+    """
+    n = a.size
+    fab = f(np.tile(np.arange(n), 2), np.concatenate((a, b)))
+    k, fa, fb = np.arange(n), fab[:n], fab[n:]
+    widths = np.full((5, n), np.inf)             # bracket widths one to five steps back
+    roots = np.empty(n)
+    while True:
+        width = np.abs(b - a)
+        done = (fa == 0.0) | (fb == 0.0) | (width <= 4.0 * EPS * (1.0 + np.abs(b)))
+        if done.any():
+            roots[k[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
+            if done.all():
+                return roots
+            k, a, b, fa, fb, width, widths = (v[..., ~done] for v in
+                                              (k, a, b, fa, fb, width, widths))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - fb * (b - a) / (fb - fa)
+        bisect = ~((x - a) * (x - b) < 0.0) | (width > 0.5 * widths[-1])
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = f(k, x)
+        flip = np.sign(fx) != np.sign(fb)          # the root lies between x and b
+        scale = 1.0 - fx / fb                      # shrinks f at a kept end a
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(scale > 0.0, scale, 0.5) * fa)
+        b, fb = x, fx
+        widths = np.concatenate((width[None], widths[:-1]))
 
-    def root(e):
-        return brentq(lambda lam: _event_values(y_at(lam), h, bsign, False, delta)[e],
-                      lam_old, lam_new, xtol=4.0 * EPS, rtol=4.0 * EPS)
 
-    lam, e = min((root(e), e) for e in np.flatnonzero(fired))
-    return lam, y_at(lam), e
+def _first_events(K, lam_old, lam_new, y_old, fired, h, bsign, delta):
+    """Earliest root of each row's fired events on its RK45 dense output over
+    [lam_old, lam_new], all (row, event) pairs solved together by
+    _bracket_roots: (lam, y, event) per row, K of shape (7, rows, 2(1+d))."""
+    row, event = np.nonzero(fired)
+    lo, step, y0, h, bsign = lam_old[row], (lam_new - lam_old)[row], y_old[row], h[row], bsign[row]
+    # y(lo + theta step) = y0 + sum_j C_j theta^(j+1), C = step K^T P, per pair
+    C = np.einsum("srn,sj->jrn", K, DP_P)[:, row] * step[:, None]
+
+    def y_at(k, lam):
+        theta = ((lam - lo[k]) / step[k])[:, None]
+        c = C[:, k]
+        return y0[k] + theta * (c[0] + theta * (c[1] + theta * (c[2] + theta * c[3])))
+
+    def g(k, lam):
+        values = _event_values(y_at(k, lam), h[k], bsign[k], False, delta)
+        return values[np.arange(k.size), event[k]]
+
+    lam = _bracket_roots(g, lo, lam_new[row])
+    order = np.lexsort((event, lam, row))           # by row, then time, then event
+    first = order[np.concatenate(([True], np.diff(row[order]) != 0))]
+    return lam[first], y_at(first, lam[first]), event[first]
 
 
 def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
@@ -458,8 +521,8 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     Each row follows scipy.integrate.RK45's step control on its own: its
     initial-step rule, RMS error norm against ATOL + rtol max(|y|, |y_new|),
     safety 0.9, step factors in [0.2, 10] and no growth right after a
-    rejected step.  A row whose events (g: their current values) change sign
-    in an accepted step is root-solved on its dense output and leaves.
+    rejected step.  The rows whose events (g: their current values) change
+    sign in an accepted step are root-solved on their dense output and leave.
     Returns (times and states of the start and every accepted step, code,
     (rhs evaluations, steps, rejected steps)) per row.
     """
@@ -494,10 +557,10 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
         K = np.empty((7,) + yl.shape)
         K[0] = f[live]
         for s in range(1, 6):
-            K[s] = fun(live, yl + step * np.tensordot(RK45.A[s, :s], K[:s], 1))
-        y_new = yl + step * np.tensordot(RK45.B, K[:6], 1)
+            K[s] = fun(live, yl + step * np.tensordot(DP_A[s, :s], K[:s], 1))
+        y_new = yl + step * np.tensordot(DP_B, K[:6], 1)
         K[6] = fun(live, y_new)
-        err = _rms(np.tensordot(RK45.E, K, 1) * step
+        err = _rms(np.tensordot(DP_E, K, 1) * step
                    / (ATOL + np.maximum(np.abs(yl), np.abs(y_new)) * rtol))
         with np.errstate(divide="ignore"):
             factor = SAFETY * err ** -0.2
@@ -515,10 +578,10 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
         g[rows] = g_new
         hit, out = fired.any(axis=1), t[rows] >= budget
         code[rows[out]] = _end_code(g_new[out])
-        for j in np.flatnonzero(hit):
-            i, r = acc[j], rows[j]
-            t[r], y[r], code[r] = _first_event(K[:, i], tl[i], t_new[i], yl[i], fired[j],
-                                               h[r], bsign[r], delta)
+        if hit.any():
+            i, r = acc[hit], rows[hit]
+            t[r], y[r], code[r] = _first_events(K[:, i], tl[i], t_new[i], yl[i], fired[hit],
+                                                h[r], bsign[r], delta)
         history.append((rows, t[rows], y[rows]))
         active[rows[hit | out]] = False
         live = np.flatnonzero(active)
@@ -590,8 +653,8 @@ def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 
 
     # keep every max_samples-th point of each path and its end; the
     # residuals of all kept points come from one kernel call
-    picks = [np.unique(np.append(np.arange(0, lam.size, max(1, lam.size // max_samples)),
-                                 lam.size - 1)) for lam, _ in paths]
+    picks = [np.append(np.arange(0, lam.size - 1, max(1, lam.size // max_samples)),
+                       lam.size - 1) for lam, _ in paths]
     counts = [idx.size for idx in picks]
     owner = np.repeat(np.arange(len(cases)), counts)
     ys = np.concatenate([y[idx] for (_, y), idx in zip(paths, picks)])
@@ -619,6 +682,14 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
     Raises StepFailure on integrator failure.  One case of integrate_flows.
     """
     return integrate_flows([(start, direction, b)], M, budget, rtol, delta, max_samples)[0]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when called: scipy serves only the
+    test oracle below, so importing nrlab does not load it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _reference_flow(start, direction, M: MetricParams, b: SignBranch,

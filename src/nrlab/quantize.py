@@ -16,10 +16,8 @@ of the box so periodization error is part of the measured residuals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +33,6 @@ __all__ = [
     "poisson",
     "conjugate_translate",
     "normal_symbol",
-    "save_binary",
-    "load_binary",
 ]
 
 SMOOTHNESS_TOP_THIRD = 1.0e-8   # spectral-decay preflight threshold
@@ -557,62 +553,3 @@ def normal_symbol(family, taper: int = 2, rtol: float = 1.0e-6) -> GridSymbol:
         )
     vals = r2 if taper >= 2 else r1
     return GridSymbol(a0.zgrid, a0.zetagrid, vals, a0.orders)
-
-
-# ---------------------------------------------------------------------------
-# binary import/export: row-major little-endian 8-byte floats + JSON sidecar
-# ---------------------------------------------------------------------------
-
-
-def save_binary(obj, path_prefix) -> tuple[Path, Path]:
-    """Write a field or symbol as <prefix>.bin + <prefix>.json.
-
-    The .bin holds the row-major complex samples as interleaved little-endian
-    float64 (re, im) pairs; the sidecar records shape, box sides, and orders.
-    """
-    prefix = Path(path_prefix)
-    if isinstance(obj, GridField):
-        meta = {
-            "kind": "field",
-            "shape": list(obj.values.shape),
-            "sides": list(obj.grid.sides),
-            "byte_order": "little",
-            "dtype": "float64 interleaved re/im",
-        }
-        data = obj.values
-    elif isinstance(obj, GridSymbol):
-        meta = {
-            "kind": "symbol",
-            "shape": list(obj.values.shape),
-            "z_sides": list(obj.zgrid.sides),
-            "zeta_sides": list(obj.zetagrid.sides),
-            "z_ns": list(obj.zgrid.ns),
-            "zeta_ns": list(obj.zetagrid.ns),
-            "orders": list(obj.orders),
-            "byte_order": "little",
-            "dtype": "float64 interleaved re/im",
-        }
-        data = obj.values
-    else:
-        raise TypeError("save_binary expects a GridField or GridSymbol")
-    flat = np.empty(data.size * 2, dtype="<f8")
-    flat[0::2] = data.real.ravel()
-    flat[1::2] = data.imag.ravel()
-    bin_path = prefix.with_suffix(".bin")
-    json_path = prefix.with_suffix(".json")
-    flat.tofile(bin_path)
-    json_path.write_text(json.dumps(meta, indent=1))
-    return bin_path, json_path
-
-
-def load_binary(path_prefix):
-    prefix = Path(path_prefix)
-    meta = json.loads(prefix.with_suffix(".json").read_text())
-    flat = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
-    vals = (flat[0::2] + 1j * flat[1::2]).reshape(meta["shape"])
-    if meta["kind"] == "field":
-        grid = BoxGrid(tuple(meta["sides"]), tuple(meta["shape"]))
-        return GridField(grid, vals)
-    zgrid = BoxGrid(tuple(meta["z_sides"]), tuple(meta["z_ns"]))
-    zetagrid = BoxGrid(tuple(meta["zeta_sides"]), tuple(meta["zeta_ns"]))
-    return GridSymbol(zgrid, zetagrid, vals, tuple(meta["orders"]))

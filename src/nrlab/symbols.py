@@ -39,7 +39,6 @@ __all__ = [
     "eval_metric",
     "metric_matrix",
     "inverse_metric",
-    "c_min_preflight",
     "aleph",
     "natural_quadform",
     "natural_symbol_value",
@@ -353,26 +352,6 @@ def inverse_metric(M: MetricParams, z, c: float) -> np.ndarray:
     reference value c^2.
     """
     return eval_metric(M, ball_from_base(z), 1.0 / c).ginv
-
-
-def c_min_preflight(M: MetricParams, sample_radius: float = 50.0, n: int = 200,
-                    seed: int = 0) -> float:
-    """Smallest dyadic c at which the metric is nondegenerate on a sample.
-
-    Reports the first c in 2, 4, 8, ... for which the metric passes the
-    determinant floor on a fixed random spacetime sample.  Non-trapping is
-    not certified.
-    """
-    rng = np.random.default_rng(seed)
-    Y = ball_from_base(rng.uniform(-sample_radius, sample_radius, size=(n, M.d + 1)))
-    c = 2.0
-    while c <= 2.0**20:
-        try:
-            eval_metric(M, Y, 1.0 / c)
-            return c
-        except DegenerateMetric:
-            c *= 2.0
-    raise DegenerateMetric("metric degenerate on sample for all tested c")
 
 
 def aleph(M: MetricParams, z):

@@ -56,6 +56,11 @@ class TestConfigValidation:
         ("qdf", {"metric": {"d": 1, "w": [{}, {}]}}),
         ("star", {"params": {"n_grid": 100}}),
         ("uniform-ratio", {"params": {"s_past": 0.0, "s_future": 0.1}}),
+        # an empty ensemble or a one-rung c-ladder leaves its check nothing
+        # to compare: not a crash, and not a PASS
+        ("flow", {"params": {"n_per_case": 0}}),
+        ("flow", {"params": {"h_list": []}}),
+        ("pde-compare", {"params": {"c_list": [8.0]}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
@@ -161,6 +166,30 @@ class TestRunCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS degeneracy" in proc.stdout
+
+    def test_cold_flow_run_loads_no_scipy(self, tmp_path):
+        # a perturbed metric at h > 0 sends every row through the Dormand-Prince
+        # integrator, so each one ends on an event root of its dense output
+        cfg = write(tmp_path / "c.json",
+                    {"schema_version": 1, "command": "flow", "seed": 2,
+                     "out": str(tmp_path / "flow"),
+                     "metric": {"d": 1, "alpha": {"amplitude": 0.2, "waves": [
+                         {"kappa": [0.7, 1.3], "cos": 0.4, "sin": 0.2}]}},
+                     "params": {"n_per_case": 2, "h_list": [0.3]}})
+        script = ("import sys\n"
+                  "import nrlab.cli\n"
+                  "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print('import', loaded())\n"
+                  f"code = nrlab.cli.main(['flow', '--config', {cfg!r}])\n"
+                  "print('run', loaded(), code)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "import []"
+        assert proc.stdout.splitlines()[-1] == "run [] 0"
+        summary = json.loads((tmp_path / "flow" / "summary.json").read_text())
+        assert summary["solver"]["closed_form_rows"] == 0
+        assert summary["fraction_correct"] == 1.0
 
 
 class TestSerialization:

@@ -18,6 +18,13 @@ from nrlab.symbols import (
     radial_point,
 )
 from nrlab.flow import (
+    DP_A,
+    DP_B,
+    DP_E,
+    DP_P,
+    EPS,
+    _bracket_roots,
+    _first_events,
     _radial_chart_ball,
     _reference_flow,
     _sheet_chart_point,
@@ -239,6 +246,67 @@ class TestBatchedFlows:
         assert tr.rhs_evals == 0
         assert tr.termination is term
         assert abs(tr.times[-1] - t_end) <= 1e-8 * t_end
+
+
+class TestDormandPrince:
+    def test_tableau_is_scipys(self):
+        pytest.importorskip("scipy")
+        from scipy.integrate import RK45
+        for ours, theirs in ((DP_A, RK45.A), (DP_B, RK45.B), (DP_E, RK45.E), (DP_P, RK45.P)):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()          # bit for bit
+
+    @given(data=st.data(), n=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_roots_match_brentq(self, data, n):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        # k (x - r) (c0 + c1 (x - m)^2 + c2 (x - m)^4): one simple root r in
+        # [a, b], with curvature enough to stall plain regula falsi
+        r, m = (np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+                for _ in range(2))
+        left, right = (np.array(data.draw(st.lists(st.floats(1e-6, 20.0),
+                                                   min_size=n, max_size=n))) for _ in range(2))
+        c = np.array(data.draw(st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 100.0),
+                                                  st.floats(0.0, 100.0)),
+                                        min_size=n, max_size=n)))
+        k = np.array(data.draw(st.lists(st.sampled_from([-3.0, 1.0]), min_size=n, max_size=n)))
+
+        def f(i, x):
+            u = (x - m[i]) ** 2
+            return k[i] * (x - r[i]) * (c[i, 0] + u * (c[i, 1] + u * c[i, 2]))
+
+        a, b = r - left, r + right
+        roots = _bracket_roots(f, a, b)
+        for i in range(n):
+            want = brentq(lambda x: f(np.array([i]), np.array([x]))[0], a[i], b[i],
+                          xtol=4.0 * EPS, rtol=4.0 * EPS)
+            assert abs(roots[i] - want) <= 4.0 * EPS * (1.0 + abs(want))
+            # a bracket's iterates do not depend on the others
+            alone = _bracket_roots(lambda j, x: f(j + i, x), a[i : i + 1], b[i : i + 1])
+            assert alone[0] == roots[i]
+
+    def test_first_event_is_the_earliest(self):
+        # equal stage slopes make the dense output a straight line: Y enters
+        # the future delta-ball (event 0) at lam 0.5, and |zeta| passes
+        # ZETA_MAX (event 2) earlier in row 0 and later in row 1; zeta moves
+        # along V, so the future direction stays fixed
+        om = np.array([30.0, 39.5]) / math.hypot(30.0, 39.5)
+        ends = []
+        for s0, s1 in ((1.0, 1.1), (0.98, 1.03)):
+            ends.append([np.concatenate(((1.0 - 0.002 * (1.0 - t)) * om,
+                                         [30.0 * s - 1.0, -39.5 * s]))
+                         for t, s in ((0.0, s0), (1.0, s1))])
+        y_old, y_new = np.array(ends).transpose(1, 0, 2)
+        K = np.broadcast_to(y_new - y_old, (7,) + y_old.shape)
+        lam0, lam1, h, bsign = np.zeros(2), np.ones(2), np.ones(2), np.ones(2)
+        lam, y, event = _first_events(K, lam0, lam1, y_old, np.array([[1, 0, 1]] * 2, bool),
+                                      h, bsign, 1.0e-3)
+        single = [_first_events(K, lam0, lam1, y_old, np.array([[e == 0, 0, e == 2]] * 2, bool),
+                                h, bsign, 1.0e-3)[0] for e in (0, 2)]
+        assert abs(single[0][0] - 0.5) < 1e-12 and abs(single[0][1] - 0.5) < 1e-12
+        assert single[1][0] < 0.5 < single[1][1] < 1.0
+        assert list(event) == [2, 0]
+        assert np.array_equal(lam, np.minimum(*single))
 
 
 class TestSheetRoot:

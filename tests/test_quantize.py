@@ -12,11 +12,9 @@ from nrlab.quantize import (
     GridSymbol,
     conjugate_translate,
     frequency_grid,
-    load_binary,
     normal_symbol,
     op_apply,
     poisson,
-    save_binary,
     star_truncated,
 )
 
@@ -321,23 +319,6 @@ class TestNormalSymbol:
                for h in (0.2, 0.1, 0.05)}
         with pytest.raises(ExtrapolationUnstable):
             normal_symbol(fam)
-
-
-class TestBinaryRoundTrip:
-    def test_field(self, tmp_path, setup1d):
-        zg, qg, u = setup1d
-        save_binary(u, tmp_path / "f")
-        v = load_binary(tmp_path / "f")
-        assert np.array_equal(u.values, v.values)
-        assert v.grid == u.grid
-
-    def test_symbol(self, tmp_path, setup1d):
-        zg, qg, _ = setup1d
-        a, _ = smooth_symbols(zg, qg)
-        save_binary(a, tmp_path / "s")
-        b = load_binary(tmp_path / "s")
-        assert np.array_equal(a.values, b.values)
-        assert b.orders == a.orders
 
 
 class TestOrdersFit:

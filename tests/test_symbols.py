@@ -292,15 +292,3 @@ class TestRadialPoints:
         rp = radial_point([xi], h, side, branch)
         p = PhasePoint(0.0, [0.0], rp.tau_nat, rp.xi_nat, h)
         assert char_membership(p, MetricParams.free(1), branch) is CharClass.SIGMA
-
-
-class TestPreflight:
-    def test_c_min_reported(self):
-        M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=3.0))
-        from nrlab.symbols import c_min_preflight
-        cmin = c_min_preflight(M)
-        assert cmin >= 2.0
-        # metric nondegenerate at the reported c on a fresh sample
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            inverse_metric(M, rng.uniform(-50, 50, size=2), cmin)
