@@ -1,7 +1,7 @@
 """Two-sheet Sobolev norms and the uniform-invertibility proxy: the ratio
 |u| / |P u| in the shifted norms stays bounded along the c-ladder.
 
-Run:  python3 demos/demo_uniform_norms.py   (about half a minute)
+Run:  python3 demos/demo_uniform_norms.py   (a few seconds)
 """
 
 import math

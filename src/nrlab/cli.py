@@ -316,7 +316,7 @@ def _bind_config(config: dict):
 def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
     """Execute one experiment config; returns the process exit code.
 
-    A config that does not bind raises before any output is written.
+    A config that does not bind or that the experiment rejects writes nothing.
     """
     command = config["command"]
     if seed is not None:
@@ -324,10 +324,10 @@ def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
     if out is not None:
         config = {**config, "out": out}
     fn, kwargs, check, tol = _bind_config(config)
+    result = fn(**kwargs)
     rep = Reporter(Path(config.get("out", f"nrlab_out/{command}")))
     rep.summary["command"] = command
     rep.summary["seed"] = config.get("seed", 0)
-    result = fn(**kwargs)
     for name, (header, rows) in result.tables.items():
         rep.write_csv(name, header, rows)
     check(result.values, rep, **tol)

@@ -66,6 +66,8 @@ class TestConfigValidation:
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, NrlabError)
+        # the experiment raised before anything was written
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("block", [{"params": {"n_grdi": 64}},

@@ -10,14 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# each takes about a second; demo_uniform_norms is left out because its
-# full four-c ladder on the 4096 x 64 grid takes about 15 s
+# each takes about a second, uniform_norms about two
 @pytest.mark.parametrize("name", [
     "hamiltonian_flow",         # single-case integrate_flow end to end
     "nonrelativistic_limit",    # symmetry_defect through ConjugatedOperator
     "mass_and_scattering",
     "star_product",
     "phase_space_charts",
+    "uniform_norms",            # the four-c ratio ladder on the 4096 x 64 grid
 ])
 def test_demo_runs(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrlab.errors import DegenerateFamily
 from nrlab.quantize import BoxGrid, GridField
@@ -15,6 +16,7 @@ from nrlab.norms import (
     default_chi,
     natural_norm,
     sc_norm,
+    smooth_step,
     split_energy,
     steep_chi,
     uniform_ratio_experiment,
@@ -31,6 +33,19 @@ def stg():
 def bump(stg):
     t, x = stg.mesh()
     return np.exp(-((t / 3.0) ** 2) - (x / 1.5) ** 2)
+
+
+def test_smooth_step_piecewise():
+    def step(v):
+        if v <= 0.0 or v >= 1.0:
+            return float(v >= 1.0)
+        a, b = math.exp(-1.0 / v), math.exp(-1.0 / (1.0 - v))
+        return a / (a + b)
+
+    x = [-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-16, 1.0, 4.0]
+    got = smooth_step(np.array(x))
+    assert all(abs(g - step(v)) <= 1e-15 for g, v in zip(got, x))
+    assert got[2] == got[3] == 0.0 and got[-2] == 1.0
 
 
 class TestScNorm:
@@ -175,6 +190,59 @@ class TestCalctwoNorm:
         ratio = calctwo_norm(u, h, up) / calctwo_norm(u, h, base)
         # log-norm shift = const * log R within 10%
         assert abs(math.log(ratio) - math.log(R)) <= 0.1 * math.log(R)
+
+
+def _calctwo_reference(u, h, orders, chi_profile=None):
+    """The two-sheet norm as first written: full meshes, a split by forward and
+    inverse FFT, each envelope's multiplier applied by FFT and inverse FFT, then
+    the L^2 sum."""
+    g = u.grid
+    km = g.freq_mesh()
+    mesh = g.mesh()
+    chi = chi_profile or default_chi
+    tau_nat = h**2 * km[0]
+    xi_nat2 = h**2 * sum(k * k for k in km[1:])
+    mult_plus = chi(tau_nat / np.sqrt(1.0 + xi_nat2))
+    plus_part = np.fft.ifftn(mult_plus * np.fft.fftn(u.values))
+    minus_part = u.values - plus_part
+    carrier = np.exp(1j * mesh[0] / h**2)
+    u_minus, u_plus = carrier * minus_part, np.conj(carrier) * plus_part
+    bracket = np.sqrt(1.0 + sum(m_ * m_ for m_ in mesh))
+    w = bracket ** orders.s_bar(mesh[0] / bracket)
+    mult_df = (1.0 + h**2 * sum(k * k for k in km[1:]) + h**4 * km[0] ** 2) ** (
+        orders.m / 2.0
+    )
+    tau = km[0]
+    xi2 = sum(k * k for k in km[1:])
+    xi4 = sum(k**4 for k in km[1:])
+    zn = np.sqrt(h**4 * tau**2 + h**2 * xi2)
+    rho_nf = h + (1.0 - smooth_step(zn - 1.0)) * (1.0 + tau**2 + xi4) ** -0.25
+    mult = mult_df * rho_nf ** (-orders.ell)
+    total = 0.0
+    for q, env in ((orders.q_plus, u_plus), (orders.q_minus, u_minus)):
+        vals = np.fft.ifftn(mult * np.fft.fftn(w * env))
+        total += h**-q * float(np.sqrt(np.sum(np.abs(vals) ** 2) * g.dvol))
+    return total
+
+
+class TestCalctwoOracle:
+    @given(data=st.data(), ndim=st.sampled_from([2, 3]), h=st.floats(0.05, 1.0),
+           m=st.floats(-2.0, 2.0), ell=st.floats(-2.0, 2.0),
+           q_minus=st.floats(-1.0, 1.0), q_plus=st.floats(-1.0, 1.0),
+           s_past=st.floats(-2.0, 2.0), s_future=st.floats(-2.0, 2.0),
+           chi=st.sampled_from([default_chi, steep_chi]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_mesh_reference(self, data, ndim, h, m, ell, q_minus, q_plus,
+                                         s_past, s_future, chi, seed):
+        ns = tuple(data.draw(st.sampled_from([8, 16, 32])) for _ in range(ndim))
+        sides = tuple(data.draw(st.floats(1.0, 30.0)) for _ in range(ndim))
+        grid = BoxGrid(sides, ns)
+        rng = np.random.default_rng(seed)
+        u = GridField(grid, rng.standard_normal(ns) + 1j * rng.standard_normal(ns))
+        orders = OrderProfile(m, ell, q_minus, q_plus, s_past, s_future,
+                              check_threshold=False)
+        ref = _calctwo_reference(u, h, orders, chi)
+        assert abs(calctwo_norm(u, h, orders, chi) - ref) <= 1e-12 * ref
 
 
 class TestUniformRatio:
