@@ -180,7 +180,6 @@ class Reporter:
 
 def _check_flow(v, rep, *, required_fraction=1.0, p_resid=1.0e-6, delta=1.0e-3):
     # delta, the radius of the radial-set balls, is read by the experiment
-    rep.summary["solver"] = v["solver"]
     rep.summary["fraction_correct"] = v["fraction_correct"]
     rep.check("source_to_sink", v["fraction_correct"] >= required_fraction,
               f"{v['correct']}/{v['total']}")
@@ -328,6 +327,8 @@ def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
     rep = Reporter(Path(config.get("out", f"nrlab_out/{command}")))
     rep.summary["command"] = command
     rep.summary["seed"] = config.get("seed", 0)
+    if "solver" in result.values:
+        rep.summary["solver"] = result.values["solver"]
     for name, (header, rows) in result.tables.items():
         rep.write_csv(name, header, rows)
     check(result.values, rep, **tol)

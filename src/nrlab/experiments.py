@@ -1,6 +1,7 @@
 """The lab's experiments, one function per ``nrlab`` command.
 
-Each returns a ``Result``: its CSV tables and named values.  Keyword-only
+Each returns a ``Result``: its CSV tables and named values (a ``solver``
+value, the solver's statistics, goes into ``summary.json``).  Keyword-only
 parameters are the command's ``params`` with their defaults; the leading
 ones come from the rest of the config: ``rng`` (seeded from ``seed``),
 ``seed`` and ``metric``.  A keyword-only parameter without a default (the
@@ -239,14 +240,16 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
     g = qz.BoxGrid.regular(box, n_grid, 1)
     psi = bandlimited_gaussian(g, band_limit)
     times = np.linspace(0.0, T, 9)
-    errs = {}
+    errs, steps = {}, 0
     for c in c_list:
         kgs = pde.kg_free_solve(pde.kg_branch_data(g, psi, c, MI), times)
         ss = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.02)
         errs[c] = pde.conjugate_compare(kgs, ss, MI, c).sup_error
+        steps += ss[-1].steps
     ratios = [errs[c_list[i]] / errs[c_list[i + 1]] for i in range(len(c_list) - 1)]
     return Result({"compare.csv": (["c", "sup_error"], [(c, errs[c]) for c in c_list])},
-                  {"errors": errs, "ratios": ratios})
+                  {"errors": errs, "ratios": ratios,
+                   "solver": {"schrodinger_steps": steps}})
 
 
 def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
@@ -260,12 +263,15 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     tr = pde.mass_bound_check(run, C_claim)
     return Result({"mass.csv": (["t", "M", "dM", "bound_rhs"],
                                 list(zip(tr.times, tr.M, tr.dM_numeric, tr.bound_rhs)))},
-                  {"bound_ok": tr.ok, "first_violation": tr.first_violation})
+                  {"bound_ok": tr.ok, "first_violation": tr.first_violation,
+                   "solver": {"schrodinger_steps": run[-1].steps}})
 
 
 def scatter(*, box=280.0, n_grid=2048, T_list=(4.0, 8.0, 16.0)) -> Result:
     """Scattering profiles: the mass identity and the Cauchy decay in T of
     the profile differences between -2T and -T."""
+    if len(set(T_list)) < 2 or min(T_list) <= 0.0:
+        raise InvalidInput("scatter needs two distinct T > 0 to fit a decay exponent in T")
     g = qz.BoxGrid.regular(box, n_grid, 1)
     x = g.axis_points(0)
     psi = np.exp(-(x**2) / 8.0)
@@ -286,7 +292,8 @@ def scatter(*, box=280.0, n_grid=2048, T_list=(4.0, 8.0, 16.0)) -> Result:
         rows.append((-T, float("nan"), diffs[-1]))
     slope = float(np.polyfit(np.log(T_list), np.log(diffs), 1)[0])
     return Result({"scatter.csv": (["t", "mass_or_nan", "value"], rows)},
-                  {"identity_error": id_err, "decay_exponent": slope})
+                  {"identity_error": id_err, "decay_exponent": slope,
+                   "solver": {"schrodinger_steps": run[-1].steps}})
 
 
 def norms() -> Result:

@@ -11,8 +11,11 @@ solves -2i dv/dt + Lap v = 0.  The dispersion gap
 is the source of the second-order non-relativistic convergence rate.
 
 The Schrodinger solver handles the full normal operator
--(+/-) 2i d_t + Lap + (+/- beta + i B . grad + W) - aleph with a Strang
-split step (spectrally exact kinetic part).  For metrics whose only
+-(+/-) 2i d_t + Lap + (+/- beta + i B . grad + W) - aleph by Strang
+splitting with the state kept in Fourier space: between two pointwise
+C-steps the exact kinetic half steps fuse into one multiplier, so a step
+costs two FFTs, and a run with no coefficient is the exact free propagator,
+one multiplier per output time.  For metrics whose only
 perturbation is the lapse coefficient, ``kg_envelope_solve`` evolves the
 *exact* conjugated second-order envelope equation, so the effective
 potential produced by the asymptotic mass can be switched on and off on the
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, ResampleOverflow, StepFailure
+from .errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from .quantize import BoxGrid, GridField
 from .symbols import MetricParams, SignBranch, aleph, eval_metric
 
@@ -74,6 +77,11 @@ class KGState:
 def _xi2(grid: BoxGrid) -> np.ndarray:
     mesh = grid.freq_mesh()
     return sum(m * m for m in mesh)
+
+
+def _spacetime(t: float, mesh) -> np.ndarray:
+    """Points (t, x) on a spatial mesh, with the coordinate index last."""
+    return np.stack(np.broadcast_arrays(t, *mesh), axis=-1)
 
 
 def kg_free_solve(data: KGState, times) -> list:
@@ -135,9 +143,13 @@ def envelope(state: KGState, branch: SignBranch) -> np.ndarray:
 
 @dataclass
 class SchrState:
+    """Envelope v on a spatial grid at time t; ``steps`` counts the Strang
+    steps taken since the solver's input state (0 on the exact free path)."""
+
     grid: BoxGrid
     v: np.ndarray
     t: float
+    steps: int = 0
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=complex)
@@ -151,17 +163,14 @@ class SchrCoefficients:
 
     ``B`` is a tuple of real drift coefficients, ``W``/``beta`` the zeroth
     order terms, ``aleph`` the asymptotic-mass potential; each maps
-    (t, x-meshes...) to an array on the spatial grid.  The branch-dependent
-    potential is V = W +/- beta - aleph.
+    (t, x-meshes...) to an array on the spatial grid, and one not given is
+    stored as None.  The branch-dependent potential is V = W +/- beta - aleph.
     """
 
     def __init__(self, d: int, B=None, W=None, beta=None, aleph=None):
         self.d = d
-        zero = lambda t, *mesh: np.zeros(np.broadcast(*mesh).shape)
-        self.B = tuple(B) if B is not None else tuple(zero for _ in range(d))
-        self.W = W if W is not None else zero
-        self.beta = beta if beta is not None else zero
-        self.aleph = aleph if aleph is not None else zero
+        self.B = tuple(B) if B is not None else None
+        self.W, self.beta, self.aleph = W, beta, aleph
 
     @classmethod
     def free(cls, d: int) -> "SchrCoefficients":
@@ -171,38 +180,39 @@ class SchrCoefficients:
     def from_metric(cls, M: MetricParams, include_aleph: bool = True,
                     aleph_values=None) -> "SchrCoefficients":
         """Coefficients at c = infinity: B_j = Re B_j, W, beta, and the
-        asymptotic-mass potential (dropable for the differential test)."""
+        asymptotic-mass potential (dropable for the differential test); a
+        coefficient the metric leaves zero is absent."""
 
-        def spacetime(t, *mesh):
-            shape = np.broadcast(*mesh).shape
-            z = np.empty(shape + (M.d + 1,))
-            z[..., 0] = t
-            for j, m in enumerate(mesh):
-                z[..., j + 1] = m
-            return z
+        def lift(coef):
+            if coef.is_zero:
+                return None
+            return lambda t, *mesh: coef(_spacetime(t, mesh), math.inf)
 
-        def liftB(j):
-            return lambda t, *mesh: np.real(M.B[j](spacetime(t, *mesh), math.inf))
-
-        Wf = lambda t, *mesh: M.W(spacetime(t, *mesh), math.inf)
-        betaf = lambda t, *mesh: M.beta(spacetime(t, *mesh), math.inf)
+        B = None
+        if not all(Bj.is_zero for Bj in M.B):
+            B = tuple(lambda t, *mesh, Bj=Bj: np.real(Bj(_spacetime(t, mesh), math.inf))
+                      for Bj in M.B)
+        alephf = None
         if include_aleph and not M.is_flat:
-            if aleph_values is not None:
-                alephf = aleph_values
-            else:
-                alephf = lambda t, *mesh: aleph(M, spacetime(t, *mesh))
-        else:
-            alephf = None
-        return cls(M.d, B=tuple(liftB(j) for j in range(M.d)), W=Wf,
-                   beta=betaf, aleph=alephf)
+            alephf = aleph_values if aleph_values is not None else (
+                lambda t, *mesh: aleph(M, _spacetime(t, mesh)))
+        return cls(M.d, B=B, W=lift(M.W), beta=lift(M.beta), aleph=alephf)
 
-    def potential(self, t, mesh, branch: SignBranch) -> np.ndarray:
-        return (np.asarray(self.W(t, *mesh), dtype=complex)
-                + branch.sign * np.asarray(self.beta(t, *mesh), dtype=complex)
-                - np.asarray(self.aleph(t, *mesh), dtype=complex))
+    @property
+    def is_free(self) -> bool:
+        return all(f is None for f in (self.B, self.W, self.beta, self.aleph))
 
-    def drift(self, t, mesh) -> list:
-        return [np.asarray(Bj(t, *mesh), dtype=float) for Bj in self.B]
+    def potential(self, t, mesh, branch: SignBranch) -> np.ndarray | None:
+        """V at time t, or None when none of W, beta, aleph is given."""
+        terms = [sign * np.asarray(f(t, *mesh), dtype=complex) for sign, f in
+                 ((1.0, self.W), (branch.sign, self.beta), (-1.0, self.aleph))
+                 if f is not None]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    def drift(self, t, mesh) -> list | None:
+        """B_j at time t, or None when B is not given."""
+        if self.B is not None:
+            return [np.asarray(Bj(t, *mesh), dtype=float) for Bj in self.B]
 
 
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
@@ -211,72 +221,69 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     """Strang split-step solution of the normal operator equation.
 
     -(+/-)2i d_t v + Lap v + (+/- beta + i B . grad + W - aleph) v = 0, i.e.
-    d_t v = s (i/2)(Lap + i B . grad + V) v with s = -branch sign.  The
-    kinetic half steps are exact Fourier multipliers; the potential step is
-    an exact pointwise exponential; the drift step is a midpoint step with
-    spectral gradients (free case exact, perturbed case second order).
+    d_t v = s (i/2)(Lap + i B . grad + V) v with s = -branch sign.  An output
+    interval of span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and
+    > 0, else InvalidInput).  The state stays in Fourier space: the exact
+    kinetic half factor e^{-is|xi|^2 step/4} is applied at the interval's
+    ends and its square between steps, around each C-step (one ifftn, the
+    pointwise step, one fftn).  The C-step applies the potential's exact
+    exponential before and after a midpoint drift step with spectral
+    gradients (second order); StepFailure if dt exceeds min(dx)/max|B|.
+    With no coefficient the answer is exact, v^ e^{-is|xi|^2 T/2}, in 0 steps.
     """
+    if dt is None:
+        dt = 0.01
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInput(f"time step dt={dt} must be finite and > 0")
     grid = data.grid
-    coeffs = coeffs or SchrCoefficients.free(grid.ndim)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     s = -branch.sign
     xi2 = _xi2(grid)
+    vh = np.fft.fftn(data.v)
+    if coeffs is None or coeffs.is_free:
+        return [SchrState(grid, np.fft.ifftn(vh * np.exp(-0.5j * s * xi2 * (t - data.t))),
+                          float(t)) for t in times]
     mesh = grid.mesh()
-    kvecs = [grid.axis_freqs(i) for i in range(grid.ndim)]
     kmesh = grid.freq_mesh()
-
-    if dt is None:
-        dt = 0.01
     # drift CFL-type guard
-    B0 = coeffs.drift(data.t, mesh)
-    bmax = max((float(np.max(np.abs(b))) for b in B0), default=0.0)
-    if bmax > 0.0:
-        cfl = min(grid.spacings) / bmax
-        if dt > cfl:
-            raise StepFailure(f"drift step dt={dt} exceeds the stability bound {cfl:.3e}")
-
-    def kinetic_half(v, step):
-        return np.fft.ifftn(np.fft.fftn(v) * np.exp(-1j * s * xi2 * step / 4.0))
+    bmax = max((float(np.max(np.abs(b))) for b in coeffs.drift(data.t, mesh) or ()),
+               default=0.0)
+    if bmax > 0.0 and dt > min(grid.spacings) / bmax:
+        raise StepFailure(f"drift step dt={dt} exceeds the stability bound "
+                          f"{min(grid.spacings) / bmax:.3e}")
 
     def c_step(v, t_mid, step):
         V = coeffs.potential(t_mid, mesh, branch)
-        has_V = bool(np.any(V))
+        phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
+        v = phase * v
         Bs = coeffs.drift(t_mid, mesh)
-        has_B = any(np.any(b) for b in Bs)
-        if has_V:
-            v = np.exp(0.5j * s * V * step / 2.0) * v
-        if has_B:
+        if Bs is not None:
             def f(w):
-                out = np.zeros_like(w)
                 wh = np.fft.fftn(w)
-                for j in range(grid.ndim):
-                    gj = np.fft.ifftn(1j * kmesh[j] * wh)
-                    out += Bs[j] * gj
-                return -0.5 * s * out
+                return -0.5 * s * sum(b * np.fft.ifftn(1j * k * wh) for b, k in zip(Bs, kmesh))
             w1 = v + 0.5 * step * f(v)
             v = v + step * f(w1)
-        if has_V:
-            v = np.exp(0.5j * s * V * step / 2.0) * v
-        return v
+        return phase * v
 
     out = []
-    state_v = data.v.copy()
-    state_t = data.t
+    state_t, steps = data.t, 0
     for target in times:
         span = target - state_t
-        if abs(span) < 1e-15:
-            out.append(SchrState(grid, state_v.copy(), float(target)))
-            continue
-        nsteps = max(1, int(math.ceil(abs(span) / dt)))
-        step = span / nsteps
-        for _ in range(nsteps):
-            v = kinetic_half(state_v, step)
-            v = c_step(v, state_t + step / 2.0, step)
-            v = kinetic_half(v, step)
-            state_v = v
-            state_t += step
+        if abs(span) >= 1e-15:
+            nsteps = max(1, int(math.ceil(abs(span) / dt)))
+            step = span / nsteps
+            half = np.exp(-1j * s * xi2 * step / 4.0)
+            full = half * half
+            vh *= half
+            for k in range(nsteps):
+                if k:
+                    vh *= full
+                vh = np.fft.fftn(c_step(np.fft.ifftn(vh), state_t + step / 2.0, step))
+                state_t += step
+            vh *= half
+            steps += nsteps
         state_t = float(target)
-        out.append(SchrState(grid, state_v.copy(), state_t))
+        out.append(SchrState(grid, np.fft.ifftn(vh), state_t, steps))
     return out
 
 
@@ -314,11 +321,7 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
         dt = 0.5 / c**2
 
     def coeffs_at(t):
-        shape = np.broadcast(*mesh).shape if grid.ndim > 1 else mesh[0].shape
-        z = np.empty(shape + (M.d + 1,))
-        z[..., 0] = t
-        for j, m in enumerate(mesh):
-            z[..., j + 1] = m
+        z = _spacetime(t, mesh)
         al = M.alpha(z)
         ga = M.alpha.grad(z)
         alt = ga[..., 0]
@@ -392,21 +395,13 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
         raise GridMismatch("runs must share output times")
     ref = schr_run[0].norm()
     errs = []
-    ts = []
     for kg, sc in zip(kg_run, schr_run):
-        if isinstance(kg, KGState):
-            env = envelope(kg, branch)
-            tk = kg.t
-        else:
-            env = kg.v
-            tk = kg.t
-        if abs(tk - sc.t) > 1e-12 * (1 + abs(tk)):
+        if abs(kg.t - sc.t) > 1e-12 * (1 + abs(kg.t)):
             raise GridMismatch("mismatched output times")
-        diff = env - sc.v
-        errs.append(float(np.sqrt(np.sum(np.abs(diff) ** 2) * sc.grid.dvol)) / ref)
-        ts.append(tk)
+        env = envelope(kg, branch) if isinstance(kg, KGState) else kg.v
+        errs.append(SchrState(sc.grid, env - sc.v, kg.t).norm() / ref)
     errs = np.asarray(errs)
-    return CompareReport(np.asarray(ts), errs, float(errs.max()), ref)
+    return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -622,37 +617,34 @@ def mass_bound_check(states, C_claim: float, rtol: float = 1.0e-8) -> MassTrace:
     dM = np.gradient(Ms, ts)
     bound = C_claim * Ms / (1.0 + ts**2)
     slack = rtol * np.max(Ms)
-    ok = True
-    first = None
-    for i in range(1, len(ts) - 1):  # centered differences only in the interior
-        if abs(dM[i]) > bound[i] + slack:
-            ok = False
-            first = float(ts[i])
-            break
-    gron = True
+    # centered differences only in the interior
+    bad = np.flatnonzero(np.abs(dM[1:-1]) > bound[1:-1] + slack)
+    first = float(ts[1 + bad[0]]) if bad.size else None
     logM = np.log(Ms)
-    run_min = np.minimum.accumulate(logM)
-    if np.max(logM - run_min) > C_claim * math.pi + rtol:
-        gron = False
-    return MassTrace(ts, Ms, dM, bound, ok and gron, first, gron)
+    gron = not np.max(logM - np.minimum.accumulate(logM)) > C_claim * math.pi + rtol
+    return MassTrace(ts, Ms, dM, bound, first is None and gron, first, gron)
 
 
 def _trig_interp(grid: BoxGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary points (npts, ndim)."""
-    coeffs = np.fft.fftn(values) / values.size
-    npts = points.shape[0]
-    out = np.zeros(npts, dtype=complex)
-    freqs = [grid.axis_freqs(i) for i in range(grid.ndim)]
-    # accumulate axis phase matrices, then contract
-    phases = [np.exp(1j * np.outer(points[:, i] + grid.sides[i] / 2.0, freqs[i]))
-              for i in range(grid.ndim)]
-    if grid.ndim == 1:
-        return phases[0] @ coeffs
-    if grid.ndim == 2:
-        return np.einsum("pa,pb,ab->p", phases[0], phases[1], coeffs)
-    if grid.ndim == 3:
-        return np.einsum("pa,pb,pc,abc->p", phases[0], phases[1], phases[2], coeffs)
-    raise GridMismatch("trig interpolation supports up to 3 axes")
+    """Evaluate the trigonometric interpolant at arbitrary points (npts, ndim).
+
+    On an axis of side L and n points, mode m has k_m = dk m with dk = 2 pi/L.
+    Writing m + n/2 = B a + b with B a power of two near sqrt(n) factorises
+    the phase at q = x + L/2 as e^{iqk_m} = e^{iq dk (B a - n/2)} e^{iq dk b},
+    so an axis costs npts (n/B + B) exponentials instead of npts n.  The
+    axes are contracted last to first.
+    """
+    res = np.fft.fftshift(np.fft.fftn(values)) / values.size   # axis index m + n/2
+    for i in reversed(range(grid.ndim)):
+        L, n = grid.sides[i], grid.ns[i]
+        B = 1 << (n.bit_length() // 2)
+        q = (points[:, i] + L / 2.0) * (2.0 * np.pi / L)
+        outer = np.exp(1j * np.outer(q, B * np.arange(n // B) - n // 2))
+        inner = np.exp(1j * np.outer(q, np.arange(B)))
+        spec = "...ab,pa,pb->p..." if i == grid.ndim - 1 else "p...ab,pa,pb->p..."
+        res = np.einsum(spec, res.reshape(res.shape[:-1] + (n // B, B)), outer, inner,
+                        optimize=True)
+    return res
 
 
 def scattering_profile(state: SchrState, Xgrid: BoxGrid) -> GridField:

@@ -61,6 +61,12 @@ class TestConfigValidation:
         ("flow", {"params": {"n_per_case": 0}}),
         ("flow", {"params": {"h_list": []}}),
         ("pde-compare", {"params": {"c_list": [8.0]}}),
+        ("mass", {"params": {"dt": 0}}),
+        ("mass", {"params": {"dt": -0.5}}),
+        ("scatter", {"params": {"T_list": []}}),
+        ("scatter", {"params": {"T_list": [4.0]}}),
+        ("scatter", {"params": {"T_list": [4.0, 4.0]}}),
+        ("scatter", {"params": {"T_list": [-4.0, -8.0]}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
@@ -239,6 +245,16 @@ class TestSerialization:
         assert solver["closed_form_rows"] == 8
         assert solver["steps"] > 0
         assert solver["rhs_evals"] == 2 * 9 + 6 * (solver["steps"] + solver["rejected"])
+
+    @pytest.mark.parametrize("command,steps", [("mass", 160 * 13), ("scatter", 0),
+                                               ("pde-compare", 0)])
+    def test_schrodinger_step_count(self, tmp_path, command, steps):
+        # mass: 160 output intervals of 0.25 at dt 0.02 take 13 steps each;
+        # scatter and pde-compare evolve freely, which takes no steps
+        cfg = {"schema_version": 1, "command": command, "out": str(tmp_path / command)}
+        assert run(cfg) == 0
+        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        assert summary["solver"] == {"schrodinger_steps": steps}
 
     def test_flow_perturbed_d2(self, tmp_path):
         cfg = {"schema_version": 1, "command": "flow", "seed": 3,

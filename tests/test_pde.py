@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrlab.experiments import bandlimited_gaussian
-from nrlab.errors import ResampleOverflow, StepFailure
+from nrlab.errors import InvalidInput, ResampleOverflow, StepFailure
 from nrlab.quantize import BoxGrid
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -22,6 +23,7 @@ from nrlab.pde import (
     KGState,
     SchrCoefficients,
     SchrState,
+    _trig_interp,
     conjugate_compare,
     envelope,
     kg_branch_data,
@@ -109,6 +111,135 @@ class TestSchrodinger:
         psi = bandlimited_gaussian(sgrid, 2.0)
         with pytest.raises(StepFailure):
             schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [1.0], coeffs, dt=1.0)
+
+    def test_free_path_exact_off_the_step_grid(self, sgrid):
+        # 1.2345 is no multiple of dt; the free path takes no steps
+        k = sgrid.axis_freqs(0)
+        xi0 = k[np.argmin(np.abs(k - 1.3))]
+        psi = np.exp(1j * xi0 * sgrid.axis_points(0))
+        for branch in (PL, MI):
+            for coeffs in (None, SchrCoefficients.free(1)):
+                (out,) = schrodinger_solve(SchrState(sgrid, psi, 0.5), branch, [1.7345],
+                                           coeffs, dt=0.1)
+                expect = psi * np.exp(branch.sign * 0.5j * xi0**2 * 1.2345)
+                assert np.max(np.abs(out.v - expect)) <= 1e-12
+                assert out.steps == 0 and out.t == 1.7345
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, sgrid, dt):
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        for coeffs in (None, SchrCoefficients(1, W=lambda t, x: 0.1 + 0.0 * x)):
+            with pytest.raises(InvalidInput):
+                schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [1.0], coeffs, dt=dt)
+
+    def test_step_count(self, sgrid):
+        # ceil(0.25 / 0.02) = 13 steps per interval, none for a repeated time
+        coeffs = SchrCoefficients(1, W=lambda t, x: 0.1 / (1.0 + x * x))
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        run = schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.0, 0.25, 0.25, 0.0],
+                                coeffs, dt=0.02)
+        assert [state.steps for state in run] == [0, 13, 13, 26]
+
+
+def _strang_reference(data, branch, times, coeffs, dt):
+    """The four-FFT Strang loop: each step is a kinetic half step (an
+    fftn/ifftn pair), the C-step at the step's midpoint, and another kinetic
+    half step; an absent coefficient is a zero field."""
+    grid = data.grid
+    s = -branch.sign
+    xi2 = sum(k * k for k in grid.freq_mesh())
+    mesh, kmesh = grid.mesh(), grid.freq_mesh()
+    zero = lambda t, *m: np.zeros(grid.shape)
+    W, beta, aleph = (f or zero for f in (coeffs.W, coeffs.beta, coeffs.aleph))
+    B = coeffs.B or (zero,) * grid.ndim
+
+    def kinetic_half(v, step):
+        return np.fft.ifftn(np.fft.fftn(v) * np.exp(-1j * s * xi2 * step / 4.0))
+
+    def c_step(v, t_mid, step):
+        V = (np.asarray(W(t_mid, *mesh), dtype=complex)
+             + branch.sign * np.asarray(beta(t_mid, *mesh), dtype=complex)
+             - np.asarray(aleph(t_mid, *mesh), dtype=complex))
+        Bs = [np.asarray(Bj(t_mid, *mesh), dtype=float) for Bj in B]
+        v = np.exp(0.5j * s * V * step / 2.0) * v
+
+        def f(w):
+            out = np.zeros_like(w)
+            wh = np.fft.fftn(w)
+            for j in range(grid.ndim):
+                out += Bs[j] * np.fft.ifftn(1j * kmesh[j] * wh)
+            return -0.5 * s * out
+
+        w1 = v + 0.5 * step * f(v)
+        v = v + step * f(w1)
+        return np.exp(0.5j * s * V * step / 2.0) * v
+
+    out = []
+    state_v, state_t = data.v.copy(), data.t
+    for target in times:
+        span = target - state_t
+        if abs(span) >= 1e-15:
+            nsteps = max(1, int(math.ceil(abs(span) / dt)))
+            step = span / nsteps
+            for _ in range(nsteps):
+                v = kinetic_half(state_v, step)
+                v = c_step(v, state_t + step / 2.0, step)
+                state_v = kinetic_half(v, step)
+                state_t += step
+        state_t = float(target)
+        out.append(state_v.copy())
+    return out
+
+
+@st.composite
+def strang_cases(draw):
+    """A grid, smooth data, a nonempty set of (t, x)-dependent coefficients
+    with any drift well inside the CFL bound, output times and dt, at most
+    200 steps in all."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([32, 64] if d == 1 else [16, 32]))
+    grid = BoxGrid.regular(draw(st.floats(12.0, 30.0)), n, d)
+    mesh = grid.mesh()
+    r2 = sum(m * m for m in mesh)
+    v0 = np.exp(-r2 / draw(st.floats(4.0, 12.0))) * np.exp(1j * draw(st.floats(-1.0, 1.0))
+                                                           * mesh[0])
+    dt = draw(st.sampled_from([0.05, 0.07, 0.1, 0.17]))   # 9 / 0.05 = 180 steps at most
+    t0 = draw(st.floats(-2.0, 2.0))
+    times = draw(st.lists(st.sampled_from([-1.0, -0.37, 0.0, 0.25, 0.61, 1.0]),
+                          min_size=1, max_size=5))
+    times = [t0 + t for t in times]
+
+    def field(amp, omega, kappa, im=None):
+        def f(t, *m):
+            val = amp * (1.0 + 0.5 * np.cos(omega * t + kappa * m[0])) / (
+                1.0 + sum(x * x for x in m) / 9.0)
+            return val if im is None else val * (1.0 + 1j * im)
+        return f
+
+    present = draw(st.sets(st.sampled_from(["W", "beta", "aleph", "B"]), min_size=1))
+    amps = st.floats(-1.0, 1.0)
+    kw = {}
+    for name in sorted(present - {"B"}):
+        kw[name] = field(draw(amps), draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)),
+                         draw(st.floats(-0.3, 0.3)) if name == "W" else None)
+    if "B" in present:
+        bmax = 0.2 * min(grid.spacings) / dt   # |B| <= 1.5 bmax
+        kw["B"] = tuple(field(draw(st.floats(-bmax, bmax)), draw(st.floats(0.5, 3.0)),
+                              draw(st.floats(-1.0, 1.0))) for _ in range(d))
+    return grid, v0, t0, times, dt, SchrCoefficients(d, **kw)
+
+
+class TestStrangOracle:
+    @given(case=strang_cases(), branch=st.sampled_from([PL, MI]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_four_fft_loop(self, case, branch):
+        grid, v0, t0, times, dt, coeffs = case
+        data = SchrState(grid, v0, t0)
+        got = schrodinger_solve(data, branch, times, coeffs, dt=dt)
+        ref = _strang_reference(data, branch, times, coeffs, dt)
+        for state, want, t in zip(got, ref, times):
+            assert state.t == t
+            assert np.max(np.abs(state.v - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestNonRelativisticComparison:
@@ -363,6 +494,21 @@ class TestScattering:
         s = 1.0 + 1j * st.t / 4.0
         ref = s**-0.5 * np.exp(-(x**2) / (8.0 * s))
         assert np.max(np.abs(st.v - ref)) < 1e-7
+
+    @pytest.mark.parametrize("sides,shape", [((280.0,), (2048,)), ((30.0,), (64,)),
+                                             ((12.0, 20.0), (32, 16))])
+    def test_trig_interp_matches_direct_sum(self, sides, shape):
+        grid = BoxGrid(sides, shape)
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        pts = np.stack([rng.uniform(-L / 2, L / 2, 40) for L in sides], axis=-1)
+        coeffs = np.fft.fftn(vals) / vals.size
+        ks = np.meshgrid(*[grid.axis_freqs(i) for i in range(grid.ndim)], indexing="ij")
+        direct = np.array([np.sum(coeffs * np.exp(1j * sum(k * (x + L / 2)
+                                                          for k, x, L in zip(ks, p, sides))))
+                           for p in pts])
+        got = _trig_interp(grid, vals, pts)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_resample_overflow(self, run):
         huge = BoxGrid.regular(40.0, 64, 1)
