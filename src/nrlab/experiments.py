@@ -142,6 +142,9 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
         n_samples=60) -> Result:
     """Quadratic-defining-function probes at seeded radial points; ``iota_ref``
     is the free metric's exact attraction rate 2 max|xi_nat|."""
+    if n_centers < 1 or n_samples < 3 or not 0.0 < radius < math.inf:
+        raise InvalidInput("qdf needs n_centers >= 1, n_samples >= 3 (the fit has two "
+                           "coefficients) and a finite radius > 0")
     rows, iota_ref = [], []
     for i in range(n_centers):
         branch = rng.choice([PL, MI])
@@ -270,13 +273,16 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
 def scatter(*, box=280.0, n_grid=2048, T_list=(4.0, 8.0, 16.0)) -> Result:
     """Scattering profiles: the mass identity and the Cauchy decay in T of
     the profile differences between -2T and -T."""
-    if len(set(T_list)) < 2 or min(T_list) <= 0.0:
-        raise InvalidInput("scatter needs two distinct T > 0 to fit a decay exponent in T")
+    Xg = qz.BoxGrid.regular(8.0, 256, 1)
+    ts = np.asarray(T_list, dtype=float)
+    reach = 2.0 * np.max(ts, initial=0.0) * np.max(np.abs(Xg.axis_points(0)))
+    if len(set(T_list)) < 2 or not (np.all(ts >= 1.0) and reach <= box / 2.0):
+        raise InvalidInput("scatter needs two distinct T >= 1 with 2 max(T) |X| inside the box "
+                           "(the profile's range) to fit a decay exponent in T")
     g = qz.BoxGrid.regular(box, n_grid, 1)
     x = g.axis_points(0)
     psi = np.exp(-(x**2) / 8.0)
-    Xg = qz.BoxGrid.regular(8.0, 256, 1)
-    times = sorted({-t for t in T_list} | {-2 * T_list[-1]}, reverse=True)
+    times = sorted({-t for t in T_list} | {-2.0 * t for t in T_list}, reverse=True)
     run = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.05)
     profs, rows, id_err = {}, [], 0.0
     for st in run:

@@ -61,6 +61,7 @@ __all__ = [
 FD_STEP = 1.0e-5     # finite-difference step (of chart scale), 4th order
 ZETA_MAX = 50.0      # leave-domain bound on frequency magnitude
 FIXED_POINT_NORM = 1.0e-10
+SHEET_ROOT_TOL, SHEET_ROOT_PASSES = 1.0e-10, 8   # fixed-point rule of the sheet root
 CLOSED_FORM_SAMPLES = 100   # points saved along a closed-form flow line
 # scipy.integrate.RK45's absolute tolerance and step-size rules
 ATOL = 1.0e-12
@@ -115,10 +116,10 @@ class TangentVector:
 # ---------------------------------------------------------------------------
 
 
-def _natural_field(M, Y, zeta_nat, h, bsign):
+def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
     """(V, frequency drift) of the rescaled field at Y and zeta_nat of shape
-    (..., 1+d); h and the branch sign bsign are scalars or arrays over the
-    leading axes.
+    (..., 1+d); h, the branch sign bsign and rho2 = 1 - |Y|^2 (see
+    eval_metric) are scalars or arrays over the leading axes.
 
     V = (1/2)(h dp/dtau_nat, dp/dxi_nat), for the free metric
     (h(tau_nat +/- 1), -xi_nat), where the drift is zero;
@@ -127,7 +128,7 @@ def _natural_field(M, Y, zeta_nat, h, bsign):
     kernel, which stays smooth up to the boundary sphere where it vanishes
     with the profiles.
     """
-    mv = eval_metric(M, Y, h, grad=True)
+    mv = eval_metric(M, Y, h, grad=True, rho2=rho2)
     V = -(mv.G @ zeta_nat[..., None])[..., 0]
     V[..., 0] = h * (bsign + V[..., 0])
     drift = 0.5 * np.einsum("...lab,...a,...b->...l", mv.dG, zeta_nat, zeta_nat)
@@ -149,9 +150,9 @@ def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
     return V * np.where(parabolic, nu, 1.0)[..., None]
 
 
-def _sheet_tau(xi_nat, b: SignBranch) -> float:
-    """Free characteristic-sheet natural time frequency over xi_nat."""
-    return b.sign * (math.sqrt(1.0 + float(np.dot(xi_nat, xi_nat))) - 1.0)
+def _sheet_tau(xi_nat, b: SignBranch):
+    """Free characteristic-sheet natural time frequency over xi_nat, (..., d) -> (...)."""
+    return b.sign * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +181,49 @@ def to_radial_chart(rp, offsets=None) -> ChartCoords:
     return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=j0 + 1, sign=sigma), coords, bdf)
 
 
-def _radial_chart_to_state(cc: ChartCoords):
-    """Unpack a RADIAL_NAT chart point: (s, w, rho, tau_nat, xi_nat, h, j0, sigma)."""
-    co = cc.coords
-    d = (co.size - 3) // 2
-    s = co[0]
-    w = co[1 : d]
-    rho = co[d]
-    tau_nat = co[d + 1]
-    xi_nat = co[d + 2 : 2 * d + 2]
-    h = co[-1]
-    return s, w, rho, tau_nat, xi_nat, h, cc.chart.k - 1, cc.chart.sign
+def _radial_chart_ball(co, chart: ChartId, b: SignBranch):
+    """Ball points of RADIAL_NAT chart coordinates co of shape (..., 2d+3),
+    with their (t, x) / x_j0.
 
-
-def _radial_chart_ball(cc: ChartCoords, b: SignBranch):
-    """Ball point of a RADIAL_NAT chart point, with its (t, x) / x_j0.
-
-    Returns (Y, that, xhat): the base point is z = sigma (that, xhat) / rho_bf,
-    so Y = z/<z> = v / sqrt(rho_bf^2 + |v|^2) with v = sigma (that, xhat),
-    which at rho_bf = 0 is the rho_bf -> 0+ limit v/|v| on the boundary
-    sphere.
+    Returns (Y, that, xhat, 1 - |Y|^2): the base point is
+    z = sigma (that, xhat) / rho_bf, so Y = z/<z> = v / sqrt(rho_bf^2 + |v|^2)
+    with v = sigma (that, xhat), which at rho_bf = 0 is the rho_bf -> 0+
+    limit v/|v| on the boundary sphere; 1 - |Y|^2 = rho_bf^2 / (rho_bf^2 + |v|^2)
+    keeps its precision there, where 1 - |Y|^2 computed from Y does not.
     """
-    s, w, rho, tau_nat, xi_nat, h, j0, sigma = _radial_chart_to_state(cc)
-    others = [j for j in range(xi_nat.size) if j != j0]
-    xhat = np.empty(xi_nat.size)
-    xhat[j0] = 1.0
-    xhat[others] = w + xi_nat[others] / xi_nat[j0]
-    that = s - h * (tau_nat + b.sign) / xi_nat[j0]
-    v = sigma * np.concatenate(([that], xhat))
-    return v / math.sqrt(rho * rho + float(v @ v)), that, xhat
+    co = np.asarray(co, dtype=float)
+    d, j0 = (co.shape[-1] - 3) // 2, chart.k - 1
+    xi = co[..., d + 2 : 2 * d + 2]
+    xhat = np.insert(co[..., 1:d] + np.delete(xi, j0, -1) / xi[..., j0, None], j0, 1.0, axis=-1)
+    that = co[..., 0] - co[..., -1] * (co[..., d + 1] + b.sign) / xi[..., j0]
+    v = chart.sign * np.concatenate((that[..., None], xhat), axis=-1)
+    rho2, r2 = co[..., d] ** 2, co[..., d] ** 2 + np.sum(v * v, axis=-1)
+    return v / np.sqrt(r2)[..., None], that, xhat, rho2 / r2
+
+
+def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndarray:
+    """Rescaled field, (1/2) |x_j0| h H_p, at RADIAL_NAT chart coordinates
+    co = (s, w, rho_bf, tau_nat, xi_nat, h) of shape (..., 2d+3), in the same
+    components and shape: one metric evaluation serves every row.  Raises
+    ChartUnavailable where xi_nat[j0] = 0."""
+    d, j0, sigma = (co.shape[-1] - 3) // 2, chart.k - 1, chart.sign
+    rho, tau, h = co[..., d, None], co[..., d + 1, None], co[..., -1, None]
+    xi = co[..., d + 2 : 2 * d + 2]
+    xj = xi[..., j0, None]
+    if np.any(xj == 0.0):
+        raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
+    Y, that, xhat, rho2 = _radial_chart_ball(co, chart, b)
+    V, drift = _natural_field(M, Y, co[..., d + 1 : 2 * d + 2], co[..., -1], b.sign, rho2)
+    Vj = V[..., 1 + j0, None]
+    # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
+    # ball field this multiplies everything shown below by |Y_j0|
+    zdot = np.abs(Y[..., 1 + j0, None]) * drift                  # (tau_nat, xi_nat)'
+    xidot_j = zdot[..., 1 + j0, None]
+    tdot_hat = sigma * (V[..., :1] - that[..., None] * Vj)      # d/dl (t/x_j0)
+    xdot_hat = sigma * (V[..., 1:] - xhat * Vj)                 # d/dl (x/x_j0)
+    sdot = tdot_hat + h * (zdot[..., :1] / xj - (tau + b.sign) * xidot_j / xj**2)
+    wdot = np.delete(xdot_hat - zdot[..., 1:] / xj + xi * xidot_j / xj**2, j0, -1)
+    return np.concatenate((sdot, wdot, -sigma * rho * Vj, zdot, np.zeros_like(rho)), axis=-1)
 
 
 def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
@@ -233,32 +248,7 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
         return TangentVector(cc.chart, comps)
 
     if tag is ChartTag.RADIAL_NAT:
-        s, w, rho, tau_nat, xi_nat, h, j0, sigma = _radial_chart_to_state(cc)
-        d = xi_nat.size
-        if xi_nat[j0] == 0.0:
-            raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
-        zeta_nat = np.concatenate(([tau_nat], xi_nat))
-        others = [j for j in range(d) if j != j0]
-        Y, that, xhat = _radial_chart_ball(cc, b)
-        V, drift = _natural_field(M, Y, zeta_nat, h, b.sign)
-        absYj0 = abs(Y[1 + j0])
-        # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
-        # ball field this multiplies everything shown below by |Y_j0|
-        tdot_hat = sigma * (V[0] - that * V[1 + j0])          # d/dl (t/x_j0)
-        xdot_hat = sigma * (V[1:] - xhat * V[1 + j0])         # d/dl (x/x_j0)
-        rhodot = -sigma * rho * V[1 + j0]
-        taudot = absYj0 * drift[0]
-        xidot = absYj0 * drift[1:]
-        sdot = tdot_hat + h * (
-            taudot / xi_nat[j0] - (tau_nat + b.sign) * xidot[j0] / xi_nat[j0] ** 2
-        )
-        wdot = (
-            xdot_hat[others]
-            - xidot[others] / xi_nat[j0]
-            + xi_nat[others] * xidot[j0] / xi_nat[j0] ** 2
-        )
-        comps = np.concatenate(([sdot], wdot, [rhodot], [taudot], xidot, [0.0]))
-        return TangentVector(cc.chart, comps)
+        return TangentVector(cc.chart, _radial_field(co, cc.chart, M, b))
 
     if tag is ChartTag.PF_STANDARD:
         d = (co.size - 3) // 2
@@ -376,7 +366,8 @@ def _as_start(start, b: SignBranch) -> dict:
     co = start.coords
     d = (co.size - 3) // 2
     if start.chart.tag is ChartTag.RADIAL_NAT:
-        return natural_start(_radial_chart_ball(start, b)[0], co[d + 1 : 2 * d + 2], co[-1])
+        return natural_start(_radial_chart_ball(co, start.chart, b)[0], co[d + 1 : 2 * d + 2],
+                             co[-1])
     if start.chart.tag is ChartTag.PF_STANDARD:
         return parabolic_start(ball_from_base(co[: 1 + d]), co[1 + d], co[2 + d : 2 + 2 * d])
     raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
@@ -733,44 +724,54 @@ class QdfReport:
     cubic_bound: float
 
 
-def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b) -> float:
-    """Sheet time frequency over xi_nat at the ball point Y.
+def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b, rho2=None):
+    """Sheet time frequencies over xi_nat at the ball points Y, one per row.
 
-    The rescaled symbol vanishes where
-    G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0; of its two roots
-    (taken in the cancellation-free form) the one nearest the free sheet is
-    returned.  A negative discriminant raises DegenerateMetric.
+    Y has shape (..., 1+d), xi_nat (..., d), and h and rho2 = 1 - |Y|^2 (see
+    eval_metric) are scalars or arrays over the leading axes.  The rescaled
+    symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
+    of its two roots (taken in the cancellation-free form) each row gets the
+    one nearest the free sheet.  A negative discriminant in any row raises
+    DegenerateMetric.
     """
+    xi_nat = np.asarray(xi_nat, dtype=float)
     tau0 = _sheet_tau(xi_nat, b)
-    if M.is_flat or h == 0.0:
+    if M.is_flat or not np.any(h):
         return tau0
-    G = eval_metric(M, Y, h).G
-    A = G[0, 0]
-    B = float(G[0, 1:] @ xi_nat) - b.sign
-    C = float(xi_nat @ G[1:, 1:] @ xi_nat)
+    G = eval_metric(M, Y, h, rho2=rho2).G
+    A = G[..., 0, 0]
+    B = np.sum(G[..., 0, 1:] * xi_nat, axis=-1) - b.sign
+    C = np.einsum("...j,...jk,...k->...", xi_nat, G[..., 1:, 1:], xi_nat)
     disc = B * B - A * C
-    if disc < 0.0:
-        raise DegenerateMetric(f"no real sheet frequency: discriminant {disc:.3e}")
-    q = -(B + math.copysign(math.sqrt(disc), B))
-    return min((C / q, q / A), key=lambda tau: abs(tau - tau0))
+    if np.any(disc < 0.0):
+        raise DegenerateMetric(f"no real sheet frequency: discriminant {np.min(disc):.3e}")
+    q = -(B + np.copysign(np.sqrt(disc), B))
+    roots = C / q, q / A
+    return np.where(np.abs(roots[0] - tau0) <= np.abs(roots[1] - tau0), *roots)
 
 
-def _sheet_chart_point(cc0: ChartCoords, offsets, M, b) -> ChartCoords:
-    """The RADIAL_NAT chart point cc0 of a radial-set point moved to
-    (s, w, rho_bf) = offsets, with xi_nat kept and tau_nat moved onto the
-    sheet over the new base point.
+def _sheet_points(cc0: ChartCoords, offsets, M, b) -> np.ndarray:
+    """RADIAL_NAT coordinates (N, 2d+3) of the radial-set point cc0 moved to
+    the (s, w, rho_bf) rows of offsets (N, 1+d), xi_nat kept and tau_nat moved
+    onto the sheet over each new base point.
 
-    The base point depends (weakly) on tau_nat through s, so the root is
-    iterated; on the boundary sphere rho_bf = 0, where the profiles vanish,
-    and for a flat metric the root does not depend on the base point.
+    The base point depends (weakly) on tau_nat through s, so all rows' roots
+    are iterated together until none moves by more than SHEET_ROOT_TOL: two
+    or three passes for a perturbed metric, one for a flat metric, h = 0 or
+    the boundary sphere rho_bf = 0, where the profiles vanish.  With
+    1 - |Y|^2 carried exactly the roots' rounding floor is about 1e-14.
+    DegenerateMetric if SHEET_ROOT_PASSES do not settle.
     """
     d = (cc0.coords.size - 3) // 2
-    co = np.concatenate((offsets[: d + 1], cc0.coords[d + 1 :]))
-    bdf = BdfValues(rho_df=1.0, rho_bf=co[d], rho_nf=co[-1], rho_pf=1.0)
-    for _ in range(3 if co[d] > 0.0 and not M.is_flat else 1):
-        Y = _radial_chart_ball(ChartCoords(cc0.chart, co, bdf), b)[0]
-        co[d + 1] = _sheet_tau_nat_perturbed(M, Y, co[d + 2 : 2 * d + 2], co[-1], b)
-    return ChartCoords(cc0.chart, co, bdf)
+    co = np.concatenate((offsets, np.tile(cc0.coords[d + 1 :], (len(offsets), 1))), axis=1)
+    for _ in range(SHEET_ROOT_PASSES):
+        Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
+        tau = _sheet_tau_nat_perturbed(M, Y, co[:, d + 2 : 2 * d + 2], co[:, -1], b, rho2)
+        moved = np.max(np.abs(tau - co[:, d + 1]))
+        co[:, d + 1] = tau
+        if moved <= SHEET_ROOT_TOL:
+            return co
+    raise DegenerateMetric(f"sheet root still moves {moved:.1e} after {SHEET_ROOT_PASSES} passes")
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
@@ -783,24 +784,18 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
     varrho = s^2 + |w|^2 + upsilon rho_bf^2, and fits the decomposition
     into a linear-rate part (coefficient iota), a nonnegative remainder F
     of size O(varrho), and a cubically vanishing error E.
+
+    The max(8, nsamples // 8) inner samples (radius 1e-3 times smaller)
+    give iota; the nsamples main ones the fit.  Both sets form one batch of
+    rows: their sheet roots are solved together (_sheet_points) and the
+    field takes one metric evaluation (_radial_field).
     """
     if radius == 0.0 or nsamples == 0:
         return QdfReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cc0 = to_radial_chart(center)  # raises ChartUnavailable when xi_nat = 0
-    varsigma = center.side.sign
     d = center.d
     rng = np.random.default_rng(seed)
-    coef = -b.sign * varsigma  # the sign making H varrho = +coef^-1(iota varrho + ...)
-
-    def h_rho_at(offsets):
-        s, w, rho = offsets[0], offsets[1 : d], offsets[d]
-        tv = ham_field(_sheet_chart_point(cc0, offsets, M, b), M, b)
-        sdot = tv.components[0]
-        wdot = tv.components[1 : d]
-        rhodot = tv.components[d]
-        varrho = s**2 + float(w @ w) + upsilon * rho**2
-        hrho = 2.0 * s * sdot + 2.0 * float(w @ wdot) + 2.0 * upsilon * rho * rhodot
-        return varrho, hrho
+    coef = -b.sign * center.side.sign  # the sign making H varrho = +coef^-1(iota varrho + ...)
 
     def draw(scale, m):
         pts = rng.normal(size=(m, d + 1))
@@ -809,24 +804,17 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
         pts[:, d] = np.abs(pts[:, d]) / max(1.0, math.sqrt(upsilon))  # keep rho_bf >= 0, O(1/sqrt(upsilon))
         return pts
 
-    inner = draw(radius * 1.0e-3, max(8, nsamples // 8))
-    main = draw(radius, nsamples)
-
-    rates = []
-    for off in inner:
-        varrho, hrho = h_rho_at(off)
-        if varrho > 0.0:
-            rates.append(coef * hrho / varrho)
-    iota_est = float(np.mean(rates))
-
-    vr, rr = [], []
-    for off in main:
-        varrho, hrho = h_rho_at(off)
-        if varrho > 0.0:
-            vr.append(varrho)
-            rr.append(coef * hrho - iota_est * varrho)
-    vr = np.asarray(vr)
-    rr = np.asarray(rr)
+    n_inner = max(8, nsamples // 8)
+    off = np.concatenate((draw(radius * 1.0e-3, n_inner), draw(radius, nsamples)))
+    field = _radial_field(_sheet_points(cc0, off, M, b), cc0.chart, M, b)
+    weight = np.append(np.ones(d), upsilon)         # varrho = s^2 + |w|^2 + upsilon rho_bf^2
+    varrho = off**2 @ weight
+    hrho = 2.0 * (off * field[:, : d + 1]) @ weight
+    vi, hi = varrho[:n_inner], hrho[:n_inner]
+    iota_est = float(np.mean(coef * hi[vi > 0.0] / vi[vi > 0.0]))
+    keep = varrho[n_inner:] > 0.0
+    vr = varrho[n_inner:][keep]
+    rr = coef * hrho[n_inner:][keep] - iota_est * vr
     # residual model R = c1 varrho + c2 varrho^{3/2}.  A negative linear part
     # is absorbable into the rate (the decomposition's freedom): report
     # iota = inner rate + min(c1, 0) and the nonnegative surplus as F.
@@ -877,7 +865,7 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
     h = rp.h
     omega = rp.direction
     if probe_offset == 0.0:
-        V, drift = _natural_field(M, omega, zeta, h, b.sign)
+        V, drift = _natural_field(M, omega, zeta, h, b.sign, 0.0)   # on |Y| = 1
         rate_bf = -float(omega @ V)
         if M.is_flat or h == 0.0:
             return s_const * rate_bf

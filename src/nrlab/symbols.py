@@ -148,8 +148,9 @@ class ClassicalSymbolProfile:
 
     # -- compactified-base (ball) forms: Y = z/<z>, rho_bf = sqrt(1-|Y|^2) --
 
-    def ball_forms(self, Y, grad: bool = False):
-        """(value, compensated gradient) at compactified base points Y.
+    def ball_forms(self, Y, grad: bool = False, rho2=None):
+        """(value, compensated gradient) at compactified base points Y, with
+        rho_bf^2 = 1 - |Y|^2 taken from ``rho2`` when given.
 
         The value A rho_bf^{|r|} g(Y) and the compensated gradient
         rho_bf^{-1} d f / d z_i = A rho_bf^{|r|} [ r Y_i g(Y) + (tangential
@@ -157,8 +158,8 @@ class ClassicalSymbolProfile:
         vanish like rho_bf^{|r|}.  The gradient is None unless asked for.
         """
         Y = np.asarray(Y, dtype=float)
-        w = self.amplitude * np.maximum(1.0 - (Y * Y).sum(axis=-1), 0.0) ** (
-            -self.order / 2.0)
+        rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None else rho2
+        w = self.amplitude * np.maximum(rho2, 0.0) ** (-self.order / 2.0)
         g, proj = self._angular(Y, grad)
         if not grad:
             return w * g, None
@@ -280,7 +281,7 @@ class MetricValues(NamedTuple):
     dG: np.ndarray | None
 
 
-def eval_metric(M: MetricParams, Y, h, grad: bool = False) -> MetricValues:
+def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricValues:
     """Evaluate the metric family at compactified base points Y = z/<z>.
 
     Y has shape (..., 1+d) and may reach the boundary sphere |Y| = 1; the
@@ -290,6 +291,8 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False) -> MetricValues:
     P = [[alpha, w], [w, hjk]], so G = (eta + h^2 P)^-1 and
     D G = -h^2 G (D P) G, with the profiles taken in their ball forms.
     Spacetime callers pass Y = z/<z> and divide dG by <z> to get dG/dz.
+    Within ~1e-8 of the sphere Y cannot resolve 1 - |Y|^2 = rho_bf^2; a
+    caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]).
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
     reference value c^2 at any point.
     """
@@ -304,7 +307,7 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False) -> MetricValues:
     profiles += [(j + 1, k + 1, M.hjk[j][k]) for j in range(d) for k in range(j, d)]
     for a, b, prof in profiles:
         if not prof.is_zero:
-            val, dval = prof.ball_forms(Y, grad)
+            val, dval = prof.ball_forms(Y, grad, rho2)
             P[..., a, b] = P[..., b, a] = val
             if grad:
                 DP[..., :, a, b] = DP[..., :, b, a] = dval

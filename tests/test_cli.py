@@ -1,6 +1,7 @@
 """Batch front-end: config validation, artifacts, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import jsonschema
 
 from nrlab.cli import COMMANDS, CONFIG_SCHEMA, load_config, main, metric_from_json, run
 from nrlab.errors import ConfigInvalid, InvalidInput, NrlabError
+from nrlab.experiments import scatter
 
 
 def write(path, obj):
@@ -67,6 +69,17 @@ class TestConfigValidation:
         ("scatter", {"params": {"T_list": [4.0]}}),
         ("scatter", {"params": {"T_list": [4.0, 4.0]}}),
         ("scatter", {"params": {"T_list": [-4.0, -8.0]}}),
+        # profiles need |t| >= 1, and 2T |X| inside the box (here 8 T <= 140)
+        ("scatter", {"params": {"T_list": [0.5, 8.0]}}),
+        ("scatter", {"params": {"T_list": [4.0, 64.0]}}),
+        ("scatter", {"params": {"T_list": [4.0, 17.6]}}),
+        # no probe, an exact two-coefficient fit, or no radius: nothing to check
+        ("qdf", {"params": {"n_centers": 0}}),
+        ("qdf", {"params": {"n_samples": 0}}),
+        ("qdf", {"params": {"n_samples": 1}}),
+        ("qdf", {"params": {"n_samples": 2}}),
+        ("qdf", {"params": {"radius": 0.0}}),
+        ("qdf", {"params": {"radius": -0.05}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
@@ -74,6 +87,16 @@ class TestConfigValidation:
         assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, NrlabError)
         # the experiment raised before anything was written
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("T_list", [[4.0, 16.0], [16.0, 8.0, 4.0], [1.0, 17.5]])
+    def test_scatter_profiles_at_every_T_and_2T(self, T_list):
+        # each T's difference reads the profiles at -T and -2T, whatever the
+        # order of T_list; 8 * 17.5 = 140 is the box's half-width exactly
+        rows = scatter(T_list=T_list).tables["scatter.csv"][1]
+        times = {t for t, mass, _ in rows if not math.isnan(mass)}
+        assert times == {-t for t in T_list} | {-2.0 * t for t in T_list}
+        diffs = [value for t, mass, value in rows if math.isnan(mass)]
+        assert len(diffs) == len(T_list) and all(v > 0.0 for v in diffs)
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("block", [{"params": {"n_grdi": 64}},

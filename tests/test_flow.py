@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed_metrics
+from nrlab import experiments as ex
+from nrlab import flow
 from nrlab.errors import ChartUnavailable, DegenerateMetric
-from nrlab.geometry import ChartId, ChartTag, PhasePoint, to_chart
+from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     ClassicalSymbolProfile,
     MetricParams,
@@ -26,8 +28,9 @@ from nrlab.flow import (
     _bracket_roots,
     _first_events,
     _radial_chart_ball,
+    _radial_field,
     _reference_flow,
-    _sheet_chart_point,
+    _sheet_points,
     _sheet_tau,
     _sheet_tau_nat_perturbed,
     Termination,
@@ -43,6 +46,7 @@ from nrlab.flow import (
     to_radial_chart,
     weight_flow_rate,
 )
+from test_acceptance import pert_metric
 
 PL, MI = SignBranch.PLUS, SignBranch.MINUS
 
@@ -363,27 +367,153 @@ class TestSourceSinkEnsemble:
                 assert tr.termination is (sink if direction == "forward" else source)
 
 
+def _radial_field_reference(co, chart, M, b):
+    """The RADIAL_NAT field at one chart point, component by component over
+    Python lists and scalars: the oracle for the batched _radial_field."""
+    d = (co.size - 3) // 2
+    s, w, rho, tau, xi, h = co[0], co[1:d], co[d], co[d + 1], co[d + 2 : 2 * d + 2], co[-1]
+    j0, sigma = chart.k - 1, chart.sign
+    others = [j for j in range(d) if j != j0]
+    xhat = np.empty(d)
+    xhat[j0] = 1.0
+    xhat[others] = w + xi[others] / xi[j0]
+    that = s - h * (tau + b.sign) / xi[j0]
+    v = sigma * np.concatenate(([that], xhat))
+    r2 = rho * rho + float(v @ v)
+    V, drift = flow._natural_field(M, v / math.sqrt(r2), np.concatenate(([tau], xi)), h,
+                                   b.sign, rho * rho / r2)
+    absYj0 = abs(v[1 + j0]) / math.sqrt(r2)
+    taudot, xidot = absYj0 * drift[0], absYj0 * drift[1:]
+    sdot = sigma * (V[0] - that * V[1 + j0]) + h * (
+        taudot / xi[j0] - (tau + b.sign) * xidot[j0] / xi[j0] ** 2)
+    wdot = (sigma * (V[1:] - xhat * V[1 + j0])[others] - xidot[others] / xi[j0]
+            + xi[others] * xidot[j0] / xi[j0] ** 2)
+    return np.concatenate(([sdot], wdot, [-sigma * rho * V[1 + j0], taudot], xidot, [0.0]))
+
+
+def _fixed_pass_points(cc0, offsets, M, b, passes):
+    """_sheet_points with a fixed number of root passes and no stopping rule."""
+    d = (cc0.coords.size - 3) // 2
+    co = np.concatenate((offsets, np.tile(cc0.coords[d + 1 :], (len(offsets), 1))), axis=1)
+    for _ in range(passes):
+        Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
+        co[:, d + 1] = _sheet_tau_nat_perturbed(M, Y, co[:, d + 2 : 2 * d + 2], co[:, -1], b,
+                                                rho2)
+    return co
+
+
+def _acceptance_03_probes():
+    """ACCEPTANCE 03's perturbed probes (center, branch, seed), drawn from its
+    generator as test_03 draws them, after its free probes."""
+    rng = np.random.default_rng(303)
+    ex.qdf(rng, MetricParams.free(1), n_centers=10, radius=0.05, n_samples=80)
+    probes = []
+    for _ in range(100):
+        branch = rng.choice([PL, MI])
+        side = rng.choice([Side.PAST, Side.FUTURE])
+        xi = rng.uniform(0.4, 2.0, 1) * rng.choice([-1, 1], 1)
+        rp = radial_point(xi, rng.uniform(0.05, 0.5), side, branch)
+        probes.append((rp, branch, int(rng.integers(2**31))))
+    return probes
+
+
 class TestQdfProbe:
     def test_radial_chart_ball_at_rho_zero_is_the_limit(self):
         rp = radial_point([1.3], 0.3, Side.PAST, MI)
         for b in (PL, MI):
-            at_zero = _radial_chart_ball(to_radial_chart(rp, offsets=[0.2, 0.0]), b)[0]
-            near = _radial_chart_ball(to_radial_chart(rp, offsets=[0.2, 1e-9]), b)[0]
-            assert abs(np.linalg.norm(at_zero) - 1.0) <= 1e-15
+            cc = to_radial_chart(rp, offsets=[0.2, 0.0])
+            at_zero, _, _, rho2 = _radial_chart_ball(cc.coords, cc.chart, b)
+            cc = to_radial_chart(rp, offsets=[0.2, 1e-9])
+            near = _radial_chart_ball(cc.coords, cc.chart, b)[0]
+            assert abs(np.linalg.norm(at_zero) - 1.0) <= 1e-15 and rho2 == 0.0
             assert np.max(np.abs(at_zero - near)) <= 1e-8
+            # 1 - |Y|^2 is carried exactly; from Y it keeps only ~1e-16 absolute
+            cc = to_radial_chart(rp, offsets=[0.2, 0.3])
+            Y, _, _, rho2 = _radial_chart_ball(cc.coords, cc.chart, b)
+            assert abs(1.0 - Y @ Y - rho2) <= 1e-15
 
     def test_sheet_root_on_the_boundary_sphere(self, wavy_metric):
         # at rho_bf = 0 the sheet root is taken at the boundary-sphere point,
         # so it is the rho_bf -> 0+ limit of the roots over interior points
         rp = radial_point([0.9], 0.4, Side.FUTURE, PL)
         cc0 = to_radial_chart(rp)
-        at_zero = _sheet_chart_point(cc0, np.array([0.05, 0.0]), wavy_metric, PL)
-        near = _sheet_chart_point(cc0, np.array([0.05, 1e-9]), wavy_metric, PL)
-        assert abs(at_zero.coords[2] - near.coords[2]) <= 1e-8
-        Y = _radial_chart_ball(at_zero, PL)[0]
-        zeta = at_zero.coords[2:4]
+        at_zero, near = _sheet_points(cc0, np.array([[0.05, 0.0], [0.05, 1e-9]]),
+                                      wavy_metric, PL)
+        assert abs(at_zero[2] - near[2]) <= 1e-8
+        Y = _radial_chart_ball(at_zero, cc0.chart, PL)[0]
+        zeta = at_zero[2:4]
         G = eval_metric(wavy_metric, Y, rp.h).G
         assert abs(-(zeta @ G @ zeta) + 2.0 * zeta[0]) <= 1e-12
+
+    def test_unsettled_root_raises(self, monkeypatch, wavy_metric):
+        # a root that keeps moving by more than the tolerance gives no sheet point
+        passes = []
+
+        def jitter(*args):
+            passes.append(1)
+            return _sheet_tau_nat_perturbed(*args) + 1e-9 * (-1) ** len(passes)
+
+        monkeypatch.setattr(flow, "_sheet_tau_nat_perturbed", jitter)
+        rp = radial_point([0.9], 0.4, Side.FUTURE, PL)
+        with pytest.raises(DegenerateMetric):
+            _sheet_points(to_radial_chart(rp), np.array([[0.05, 0.01]]), wavy_metric, PL)
+        assert len(passes) == flow.SHEET_ROOT_PASSES
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), h=st.floats(0.05, 0.5),
+           branch=st.sampled_from([PL, MI]), side=st.sampled_from([Side.PAST, Side.FUTURE]))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_field_matches_per_point(self, data, d, h, branch, side):
+        M = data.draw(perturbed_metrics(d, amp=0.1))
+        xi = np.array(data.draw(st.lists(st.floats(0.3, 2.0), min_size=d, max_size=d)))
+        rp = radial_point(xi * np.where(np.arange(d) % 2, -1.0, 1.0), h, side, branch)
+        cc0 = to_radial_chart(rp)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        off = rng.uniform(-0.05, 0.05, (24, d + 1))
+        off[:, d] = np.abs(off[:, d]) * 10.0 ** rng.uniform(-9, 0, 24)
+        co = _sheet_points(cc0, off, M, branch)
+        field = _radial_field(co, cc0.chart, M, branch)
+        Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, branch)
+        G = eval_metric(M, Y, h, rho2=rho2).G
+        zeta = co[:, d + 1 : 2 * d + 2]
+        symbol = 2.0 * branch.sign * zeta[:, 0] - np.einsum("ka,kab,kb->k", zeta, G, zeta)
+        assert np.max(np.abs(symbol)) <= 1e-12
+        for k in range(len(co)):
+            one = ham_field(ChartCoords(cc0.chart, co[k], cc0.bdf), M, branch).components
+            ref = _radial_field_reference(co[k], cc0.chart, M, branch)
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(field[k] - one)) <= 1e-12 * scale
+            assert np.max(np.abs(field[k] - ref)) <= 1e-12 * scale
+
+    def test_stopping_rule_root_matches_eight_passes(self, monkeypatch):
+        calls = []
+
+        def spy(cc0, offsets, M, b):
+            co = _sheet_points(cc0, offsets, M, b)
+            calls.append(np.max(np.abs(co - _fixed_pass_points(cc0, offsets, M, b, 8))))
+            return co
+
+        probes = _acceptance_03_probes()
+        monkeypatch.setattr(flow, "_sheet_points", spy)
+        for rp, branch, seed in probes:
+            qdf_probe(rp, 0.05, 60, pert_metric(0.1), branch, seed=seed)
+        assert len(calls) == 100 and max(calls) <= 1e-10
+
+    @pytest.mark.parametrize("nsamples", [60, 600])
+    def test_metric_evaluations_per_probe(self, monkeypatch, nsamples):
+        # at most 3 sheet-root passes plus one field evaluation for the whole
+        # probe, however many samples it draws: no per-sample loop
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eval_metric(*args, **kwargs)
+
+        probes = _acceptance_03_probes()
+        monkeypatch.setattr(flow, "eval_metric", counting)
+        for rp, branch, seed in probes:
+            calls[0] = 0
+            qdf_probe(rp, 0.05, nsamples, pert_metric(0.1), branch, seed=seed)
+            assert 2 <= calls[0] <= 4
 
     def test_free_exact(self, free_metric):
         rp = radial_point([1.0], 0.2, Side.PAST, PL)
@@ -440,6 +570,16 @@ class TestWeightFlowRate:
         fd = weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), free_metric, PL,
                               probe_offset=1e-6)
         assert abs(fd - exact) < 1e-4
+
+    def test_perturbation_vanishes_on_the_boundary_sphere(self, wavy_metric, free_metric):
+        # radial points lie on |Y| = 1, where every profile vanishes, so the
+        # perturbed rate is the free one (1 - |omega|^2 is 0, not its rounding)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            rp = radial_point(rng.uniform(-2, 2, 1), rng.uniform(0.05, 0.5), Side.FUTURE, PL)
+            rates = [weight_flow_rate(rp, (1.0, 1.0, 1.0, 1.0), M, PL)
+                     for M in (wavy_metric, free_metric)]
+            assert abs(rates[0] - rates[1]) <= 1e-15
 
     def test_mixed_orders_free(self, free_metric):
         # frequency-only factors are flow-invariant for the free metric
