@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartUnavailable, DegenerateMetric, StepFailure
+from .errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
 from .geometry import BdfValues, ChartCoords, ChartId, ChartTag, PhasePoint, chi_cutoff
 from .symbols import (
     MetricParams,
@@ -929,7 +929,11 @@ def natural_degeneracy(p: PhasePoint, b: SignBranch | None = None) -> float:
 def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
                          mode: str | None = None, zeta=None) -> np.ndarray:
     """Eigenvalues of the base-direction linearization of the flow at a
-    radial-set point (FD Jacobian of the ball field in Y)."""
+    radial-set point (FD Jacobian of the ball field in Y).  Free metric only:
+    the difference crosses the boundary sphere, where a perturbation's order
+    -1 profile has a square-root kink that makes the Jacobian step-dependent."""
+    if not M.is_flat:
+        raise InvalidInput("radial_linearization needs the free metric")
     if mode is None:
         mode = "parabolic" if (rp.h == 0.0 and not rp.xi_nat.any()) else "natural"
     if zeta is None:

@@ -12,6 +12,13 @@ with exact monomial structure (polynomials in z and zeta) carry it along
 and differentiate exactly, which is what makes the polynomial star-product
 identities hold at round-off level.  Test objects are kept within a quarter
 of the box so periodization error is part of the measured residuals.
+
+Transforms: a spectral derivative is one fft (its power feeds the decay
+preflight, then it takes the ik factor in place) and one ifft.  The order-N
+star product takes each d^alpha once, so sampled factors cost
+4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1).  ``op_apply`` takes
+one fftn: with z_m = -L/2 + m L/n and zeta_k = 2 pi k / L the plane wave is
+the exact twiddle e^{i zeta_k (z_m + L/2)} = e^{2 pi i k m / n}.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
 
 SMOOTHNESS_TOP_THIRD = 1.0e-8   # spectral-decay preflight threshold
 MODE_ENERGY_FLOOR = 1.0e-30     # relative energy below which a mode is ignored
+MODE_BLOCK = 1 << 16            # grid points x modes in one op_apply block
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,10 @@ class BoxGrid:
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(float(L) for L in self.sides))
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        for n in self.ns:
-            if n & (n - 1):
-                raise InvalidInput("grid sizes must be powers of two")
+        if any(n < 1 or n & (n - 1) for n in self.ns):
+            raise InvalidInput(f"grid sizes must be powers of two >= 1, got {self.ns}")
+        if not all(math.isfinite(L) and L > 0.0 for L in self.sides):
+            raise InvalidInput(f"box sides must be finite and > 0, got {self.sides}")
 
     @classmethod
     def regular(cls, side: float, n: int, ndim: int = 1) -> "BoxGrid":
@@ -151,25 +160,30 @@ class GridField:
         return float(c[mask].sum()) < tol * total
 
 
-def _axis_smooth_enough(values: np.ndarray, axis: int) -> bool:
-    spec = np.abs(np.fft.fft(values, axis=axis)) ** 2
-    total = spec.sum()
-    if total == 0.0:
-        return True
-    n = values.shape[axis]
-    f = np.abs(np.fft.fftfreq(n))
-    sel = f > 1.0 / 3.0
-    idx = [slice(None)] * values.ndim
-    idx[axis] = sel
-    return spec[tuple(idx)].sum() < SMOOTHNESS_TOP_THIRD * total
+def _monomial(xs, exps, start):
+    """start * prod_i xs[i] ** exps[i], multiplied in axis order."""
+    return math.prod((x ** e for x, e in zip(xs, exps) if e), start=start)
 
 
-def _spectral_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
+                         name: str) -> np.ndarray:
+    """d/dx along ``axis``: one fft, the spectral-decay preflight on its
+    power, ik multiplied in place, one ifft."""
     n = values.shape[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    spec = np.fft.fft(values, axis=axis)
+    power = np.abs(spec) ** 2
+    total = power.sum()
+    top = [slice(None)] * values.ndim
+    top[axis] = np.abs(np.fft.fftfreq(n)) > 1.0 / 3.0
+    smooth = total == 0.0 or power[tuple(top)].sum() < SMOOTHNESS_TOP_THIRD * total
+    del power
+    if not smooth:
+        raise SpectrumOverflow(
+            f"symbol not smooth enough along {name} for a spectral derivative")
     shape = [1] * values.ndim
     shape[axis] = n
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    spec *= 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=spacing)).reshape(shape)
+    return np.fft.ifft(spec, axis=axis)
 
 
 @dataclass
@@ -231,37 +245,18 @@ class GridSymbol:
     # -- polynomial machinery ----------------------------------------------
 
     def _poly_sample(self) -> np.ndarray:
-        zm = self.zgrid.mesh()
-        qm = self.zetagrid.mesh()
+        zm, qm = self.zgrid.mesh(), self.zetagrid.mesh()
         Dz, Dq = self.zgrid.ndim, self.zetagrid.ndim
         out = np.zeros(self.zgrid.shape + self.zetagrid.shape, dtype=complex)
         for (az, aq), cf in self.poly.items():
-            term = np.ones(self.zgrid.shape)
-            for i, e in enumerate(az):
-                if e:
-                    term = term * zm[i] ** e
-            termq = np.ones(self.zetagrid.shape)
-            for i, e in enumerate(aq):
-                if e:
-                    termq = termq * qm[i] ** e
-            out += (cf * term[(Ellipsis,) + (None,) * Dq]
-                    * termq[(None,) * Dz + (Ellipsis,)])
+            out += (cf * _monomial(zm, az, np.ones(self.zgrid.shape))[(Ellipsis,) + (None,) * Dq]
+                    * _monomial(qm, aq, np.ones(self.zetagrid.shape))[(None,) * Dz + (Ellipsis,)])
         return out
 
     def poly_eval(self, z, zeta) -> complex:
-        z = np.atleast_1d(z)
-        zeta = np.atleast_1d(zeta)
-        out = 0.0 + 0.0j
-        for (az, aq), cf in self.poly.items():
-            term = cf
-            for i, e in enumerate(az):
-                if e:
-                    term = term * z[i] ** e
-            for i, e in enumerate(aq):
-                if e:
-                    term = term * zeta[i] ** e
-            out += term
-        return out
+        z, zeta = np.atleast_1d(z), np.atleast_1d(zeta)
+        return sum((_monomial(zeta, aq, _monomial(z, az, cf))
+                    for (az, aq), cf in self.poly.items()), 0.0 + 0.0j)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -277,30 +272,23 @@ class GridSymbol:
             out[key] = out.get(key, 0.0) + cf * e
         return out
 
-    def d_z(self, axis: int) -> "GridSymbol":
-        """Partial derivative in the base variable z_axis."""
+    def _derivative(self, kind: str, axis: int) -> "GridSymbol":
         if self.poly is not None:
             return GridSymbol.from_poly(self.zgrid, self.zetagrid,
-                                        self._poly_derivative("z", axis), self.orders)
-        if not _axis_smooth_enough(self.values, axis):
-            raise SpectrumOverflow(
-                f"symbol not smooth enough along z-axis {axis} for a spectral derivative"
-            )
-        vals = _spectral_derivative(self.values, axis, self.zgrid.spacings[axis])
+                                        self._poly_derivative(kind, axis), self.orders)
+        grid, ax = ((self.zgrid, axis) if kind == "z"
+                    else (self.zetagrid, self.zgrid.ndim + axis))
+        vals = _spectral_derivative(self.values, ax, grid.spacings[axis], f"{kind}-axis {axis}")
         return GridSymbol(self.zgrid, self.zetagrid, vals, self.orders)
 
+    def d_z(self, axis: int) -> "GridSymbol":
+        """Partial derivative in the base variable z_axis: exact for a poly
+        symbol, else spectral in two transforms (SpectrumOverflow if rough)."""
+        return self._derivative("z", axis)
+
     def d_zeta(self, axis: int) -> "GridSymbol":
-        """Partial derivative in the frequency variable zeta_axis."""
-        if self.poly is not None:
-            return GridSymbol.from_poly(self.zgrid, self.zetagrid,
-                                        self._poly_derivative("zeta", axis), self.orders)
-        ax = self.zgrid.ndim + axis
-        if not _axis_smooth_enough(self.values, ax):
-            raise SpectrumOverflow(
-                f"symbol not smooth enough along zeta-axis {axis} for a spectral derivative"
-            )
-        vals = _spectral_derivative(self.values, ax, self.zetagrid.spacings[axis])
-        return GridSymbol(self.zgrid, self.zetagrid, vals, self.orders)
+        """Partial derivative in the frequency variable zeta_axis (as ``d_z``)."""
+        return self._derivative("zeta", axis)
 
     # -- algebra -------------------------------------------------------------
 
@@ -362,18 +350,21 @@ class GridSymbol:
 # ---------------------------------------------------------------------------
 
 
-def _mode_index_on(zetagrid: BoxGrid, eta: np.ndarray):
-    """Index of a frequency vector on the symbol's zeta-grid, or None."""
-    idx = []
+def _mode_indices_on(zetagrid: BoxGrid, zeta: list, eta: list) -> tuple:
+    """Indices on the symbol's zeta-grid of the modes zeta, scaled to eta (one
+    array per axis); SpectrumOverflow names the first mode, in the order
+    given, that falls off the grid."""
+    idx, on = [], True
     for i, v in enumerate(eta):
-        pts0 = -zetagrid.sides[i] / 2.0
-        d = zetagrid.spacings[i]
-        j = round((v - pts0) / d)
-        if not (0 <= j < zetagrid.ns[i]):
-            return None
-        if abs(pts0 + j * d - v) > 1.0e-9 * max(1.0, abs(v)):
-            return None
-        idx.append(j)
+        pts0, d = -zetagrid.sides[i] / 2.0, zetagrid.spacings[i]
+        j = np.rint((v - pts0) / d)
+        on = on & (0 <= j) & (j < zetagrid.ns[i]) & (
+            np.abs(pts0 + j * d - v) <= 1.0e-9 * np.maximum(1.0, np.abs(v)))
+        idx.append(j.astype(np.intp))
+    if not np.all(on):
+        bad = int(np.argmin(on))
+        raise SpectrumOverflow(f"mode {np.array([v[bad] for v in zeta])} (scaled "
+                               f"{np.array([v[bad] for v in eta])}) outside the symbol frequency box")
     return tuple(idx)
 
 
@@ -385,63 +376,51 @@ def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
     natural frequencies and is evaluated at (h^2 tau, h xi_1, ...) for the
     DFT frequencies (tau, xi) of the base grid.  Raises SpectrumOverflow if
     an energetic mode of u falls outside the symbol's frequency box.
+
+    One fftn of u; each axis's plane wave e^{i zeta_k (z_m + L/2)} is the
+    exact twiddle e^{2 pi i k m / n}, read from a length-n table.  Energetic
+    modes go in blocks of at most MODE_BLOCK grid points x modes.
     """
     if u.grid != a.zgrid:
         raise GridMismatch("field and symbol base grids differ")
-    D = u.grid.ndim
+    D, ns = u.grid.ndim, u.grid.ns
     scales = np.ones(D)
     if natural:
-        if h is None or h <= 0:
-            raise ValueError("natural quantization requires h > 0")
+        if h is None or not h > 0:
+            raise InvalidInput("natural quantization requires h > 0")
         scales[0] = h * h
         scales[1:] = h
     coeffs = u.coefficients()
-    total = float(np.sum(np.abs(coeffs) ** 2))
+    power = np.abs(coeffs) ** 2
+    total = float(np.sum(power))
     out = np.zeros(u.grid.shape, dtype=complex)
     if total == 0.0:
         return GridField(u.grid, out)
-    mesh = u.grid.mesh()
-    freqs = [u.grid.axis_freqs(i) for i in range(D)]
-    for k in np.ndindex(*u.grid.shape):
-        c = coeffs[k]
-        if abs(c) ** 2 <= MODE_ENERGY_FLOOR * total:
-            continue
-        zeta = np.array([freqs[i][k[i]] for i in range(D)])
-        eta = scales * zeta
+    modes = np.nonzero(~(power <= MODE_ENERGY_FLOOR * total))   # C order
+    zeta = [u.grid.axis_freqs(i)[k] for i, k in enumerate(modes)]
+    eta = [s * z for s, z in zip(scales, zeta)]
+    if a.poly is None:
+        idx = _mode_indices_on(a.zetagrid, zeta, eta)
+    else:
+        mesh = u.grid.mesh()
+        zparts = [(_monomial(mesh, az, np.full(u.grid.shape, cf, dtype=complex))[..., None], aq)
+                  for (az, aq), cf in a.poly.items()]
+    tables = [np.exp(2j * np.pi * np.arange(n) / n) for n in ns]
+    block = max(1, MODE_BLOCK // out.size)
+    for first in range(0, len(modes[0]), block):
+        blk = slice(first, first + block)
         if a.poly is None:
-            sym_slice = _mode_index_on(a.zetagrid, eta)
-            if sym_slice is None:
-                raise SpectrumOverflow(
-                    f"mode {zeta} (scaled {eta}) outside the symbol frequency box"
-                )
-        # DFT coefficients refer to the basis exp(2 pi i j k / N); re-anchor the
-        # plane wave at the grid origin z = -L/2
-        phase = np.zeros(u.grid.shape)
-        for i in range(D):
-            phase = phase + zeta[i] * mesh[i]
-        origin = sum(zeta[i] * u.grid.sides[i] / 2.0 for i in range(D))
-        wave = np.exp(1j * (phase + origin))
-        if a.poly is not None:
-            amp = np.zeros(u.grid.shape, dtype=complex)
-            for (az, aq), cf in a.poly.items():
-                term = np.full(u.grid.shape, cf, dtype=complex)
-                for i, e in enumerate(az):
-                    if e:
-                        term = term * mesh[i] ** e
-                for i, e in enumerate(aq):
-                    if e:
-                        term = term * eta[i] ** e
-                amp += term
+            amp = a.values[(Ellipsis, *(j[blk] for j in idx))]
         else:
-            amp = a.values[(Ellipsis, *sym_slice)]
-        out += amp * (c * wave)
+            amp = np.zeros(u.grid.shape + (len(modes[0][blk]),), dtype=complex)
+            for zp, aq in zparts:
+                amp += _monomial([v[blk] for v in eta], aq, zp)
+        for i, n in enumerate(ns):
+            shape = [1] * D + [-1]
+            shape[i] = n
+            amp *= tables[i][np.outer(np.arange(n), modes[i][blk]) % n].reshape(shape)
+        out += amp @ coeffs[tuple(k[blk] for k in modes)]
     return GridField(u.grid, out)
-
-
-def _multi_indices(D, N):
-    for total in range(N + 1):
-        for alpha in _compositions(total, D):
-            yield alpha
 
 
 def _compositions(total, D):
@@ -453,29 +432,38 @@ def _compositions(total, D):
             yield (first,) + rest
 
 
+def _lower(alpha: tuple) -> tuple:
+    """(i, alpha - e_i) for the last axis i along which alpha differentiates."""
+    i = max(j for j, e in enumerate(alpha) if e)
+    return i, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+
 def star_truncated(a: GridSymbol, b: GridSymbol, N: int) -> GridSymbol:
     """Truncated composition symbol sum_{|alpha|<=N} (1/alpha!) d_zeta^alpha a  D_z^alpha b.
 
     N = 0 is the pointwise product; each additional term gains one order at
     the frequency, base, and natural faces.  Exact (as a polynomial) when
     both factors carry monomial structure.
+
+    Each d^alpha is one derivative of d^(alpha - e_i) (i its last axis), one
+    degree lower, which is all that is kept: sampled factors cost
+    4 (C(N + D, D) - 1) transforms, poly factors none.
     """
+    if not isinstance(N, (int, np.integer)) or N < 0:
+        raise InvalidInput(f"star product order must be an integer >= 0, got {N!r}")
     a._check_mate(b)
     D = a.zgrid.ndim
-    out = None
-    for alpha in _multi_indices(D, N):
-        da = a
-        db = b
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                da = da.d_zeta(i)
-                db = db.d_z(i)
-        fact = 1.0
-        for e in alpha:
-            fact *= math.factorial(e)
-        # D_z = -i d_z per derivative
-        term = da * db * ((-1j) ** sum(alpha) / fact)
-        out = term if out is None else out + term
+    out = a * b
+    das, dbs = {(0,) * D: a}, {(0,) * D: b}
+    for degree in range(1, N + 1):
+        steps = {alpha: _lower(alpha) for alpha in _compositions(degree, D)}
+        # rebinding das frees the a-side of the degree below before the b-side runs
+        das = {alpha: das[low].d_zeta(i) for alpha, (i, low) in steps.items()}
+        dbs = {alpha: dbs[low].d_z(i) for alpha, (i, low) in steps.items()}
+        for alpha in steps:
+            # D_z = -i d_z per derivative
+            fact = math.prod(math.factorial(e) for e in alpha)
+            out = out + das[alpha] * dbs[alpha] * ((-1j) ** degree / fact)
     return out
 
 
@@ -536,10 +524,10 @@ def normal_symbol(family, taper: int = 2, rtol: float = 1.0e-6) -> GridSymbol:
     """
     items = sorted(family.items(), key=lambda kv: -kv[0])
     if len(items) != 3:
-        raise ValueError("family must hold exactly three h values")
+        raise InvalidInput("family must hold exactly three h values")
     hs = [kv[0] for kv in items]
     if not (np.isclose(hs[0] / hs[1], 2.0) and np.isclose(hs[1] / hs[2], 2.0)):
-        raise ValueError("family h values must be h0, h0/2, h0/4")
+        raise InvalidInput("family h values must be h0, h0/2, h0/4")
     a0, a1, a2 = (kv[1] for kv in items)
     a0._check_mate(a1)
     a0._check_mate(a2)

@@ -80,6 +80,9 @@ class TestConfigValidation:
         ("qdf", {"params": {"n_samples": 2}}),
         ("qdf", {"params": {"radius": 0.0}}),
         ("qdf", {"params": {"radius": -0.05}}),
+        # an empty grid passes the power-of-two test, since 0 & -1 == 0
+        ("star", {"params": {"n_grid": 0}}),
+        ("quantize", {"params": {"n_grid": 0}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

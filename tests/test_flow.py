@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import perturbed_metrics
 from nrlab import experiments as ex
 from nrlab import flow
-from nrlab.errors import ChartUnavailable, DegenerateMetric
+from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -604,3 +604,13 @@ class TestDegeneracy:
         ev = radial_linearization(rp, free_metric, PL)
         assert np.min(np.abs(np.real(ev))) >= 0.5
         assert np.all(np.real(ev) < 0)  # sink at the future set, plus branch
+
+    def test_linearization_needs_the_free_metric(self, free_metric):
+        # the central difference crosses the boundary sphere, where an order -1
+        # profile has a square-root kink: at pert_metric(0.1) the second
+        # eigenvalue read -1.2862, -1.2776, -1.1891 at steps 1e-3, 1e-5, 1e-7
+        rp = radial_point([1.1], 0.45, Side.FUTURE, PL)
+        with pytest.raises(InvalidInput):
+            radial_linearization(rp, pert_metric(0.1), PL)
+        ev = np.sort(np.real(radial_linearization(rp, free_metric, PL)))
+        assert abs(ev[1] + 1.287449) < 1e-6

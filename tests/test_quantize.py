@@ -1,11 +1,13 @@
 """Left quantization, star products, Poisson brackets, normal symbols."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nrlab.errors import ExtrapolationUnstable, SpectrumOverflow
+from nrlab import quantize
+from nrlab.errors import ExtrapolationUnstable, InvalidInput, SpectrumOverflow
 from nrlab.quantize import (
     BoxGrid,
     GridField,
@@ -36,6 +38,81 @@ def smooth_symbols(zg, qg):
         zg, qg, lambda z, q: np.exp(-((z / 6.6) ** 2) - (q / 2.9) ** 2)
         * (1 + 0.2 * np.cos(z / 6.5) * np.sin(q / 4.8)))
     return a, b
+
+
+def trig_symbols(zg, qg):
+    """Two sampled symbols on a 2-D grid, each a product of harmonics 1 and 2:
+    up to harmonic 3 on axis 0 and 1 on axis 1, so on 16 x 8 points every
+    derivative passes the spectral preflight."""
+    def f(z0, z1, q0, q1, s):
+        w = [2 * np.pi * v / L for v, L in zip((z0, z1, q0, q1), zg.sides + qg.sides)]
+        return ((2.0 + np.cos(w[0] + s) * np.sin(w[3]) + 0.4 * np.sin(2 * w[2] - s))
+                * (1.5 + np.sin(w[1] - s) * np.cos(w[2] + s) + 0.3j * np.cos(2 * w[0])))
+    return (GridSymbol.from_function(zg, qg, lambda *v: f(*v, 0.3)),
+            GridSymbol.from_function(zg, qg, lambda *v: f(*v, -1.1)))
+
+
+def star_reference(a, b, N):
+    """sum_{|alpha| <= N} (1/alpha!) d_zeta^alpha a (-i d_z)^alpha b, with each
+    multi-index's derivatives taken afresh as explicit d_zeta/d_z chains."""
+    out = 0.0
+    for alpha in itertools.product(range(N + 1), repeat=a.zgrid.ndim):
+        if sum(alpha) > N:
+            continue
+        da, db = a, b
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                da, db = da.d_zeta(i), db.d_z(i)
+        fact = math.prod(math.factorial(e) for e in alpha)
+        out = out + da.values * db.values * ((-1j) ** sum(alpha) / fact)
+    return out
+
+
+def op_apply_reference(a, u, scales):
+    """Left quantization as a sum over the energetic modes of u, one plane wave
+    e^{i zeta (z + L/2)} each, the symbol read at the scaled frequency."""
+    coeffs = u.coefficients()
+    total = np.sum(np.abs(coeffs) ** 2)
+    mesh = u.grid.mesh()
+    freqs = [u.grid.axis_freqs(i) for i in range(u.grid.ndim)]
+    out = np.zeros(u.grid.shape, dtype=complex)
+    for k in np.ndindex(*u.grid.shape):
+        if abs(coeffs[k]) ** 2 <= 1e-30 * total:
+            continue
+        zeta = np.array([f[j] for f, j in zip(freqs, k)])
+        eta = np.asarray(scales) * zeta
+        if a.poly is None:
+            amp = a.values[(Ellipsis, *(int(round((e + s / 2) / d)) for e, s, d in
+                                        zip(eta, a.zetagrid.sides, a.zetagrid.spacings)))]
+        else:
+            amp = sum(cf * math.prod(m ** e for m, e in zip(mesh, az)) * math.prod(eta ** aq)
+                      for (az, aq), cf in a.poly.items())
+        phase = sum(z * (m + L / 2) for z, m, L in zip(zeta, mesh, u.grid.sides))
+        out += amp * coeffs[k] * np.exp(1j * phase)
+    return out
+
+
+def count_transforms(monkeypatch):
+    """Record every numpy.fft transform call made from here on."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *args, fn=fn, **kw: calls.append(fn) or fn(*args, **kw))
+    return calls
+
+
+class TestBoxGrid:
+    @pytest.mark.parametrize("sides,ns", [
+        ((1.0,), (0,)), ((1.0,), (-4,)), ((1.0,), (100,)), ((1.0, 1.0), (8, 0)),
+        ((0.0,), (8,)), ((-2.0,), (8,)), ((math.nan,), (8,)), ((math.inf,), (8,)),
+    ])
+    def test_rejects_an_empty_or_inverted_box(self, sides, ns):
+        with pytest.raises(InvalidInput):
+            BoxGrid(sides, ns)
+
+    def test_single_point_axis(self):
+        assert BoxGrid((2.0, 3.0), (1, 4)).shape == (1, 4)
 
 
 class TestOpApply:
@@ -75,6 +152,57 @@ class TestOpApply:
         sym = GridSymbol.from_function(zg, small, lambda z, q: 1.0 + 0 * z + 0 * q)
         with pytest.raises(SpectrumOverflow):
             op_apply(sym, u)
+
+    def test_first_out_of_box_mode_in_c_order(self):
+        zg = BoxGrid((2 * math.pi, 4 * math.pi), (8, 4))
+        qg = BoxGrid((3.0, 1.0), (8, 4))
+        u = GridField(zg, np.random.default_rng(4).normal(size=zg.shape))
+        with pytest.raises(SpectrumOverflow) as err:
+            op_apply(GridSymbol(zg, qg, np.ones(zg.shape + qg.shape)), u)
+        # off the box: zeta_0 = 1 (no grid point) and zeta_1 = 0.5 (past the top
+        # point 0.25); C order meets mode (0, 1) before mode (1, 0)
+        zeta = np.array([0.0, 0.5])
+        assert str(err.value) == f"mode {zeta} (scaled {zeta}) outside the symbol frequency box"
+
+    @pytest.mark.parametrize("natural", [False, True])
+    @pytest.mark.parametrize("kind", ["sampled", "poly"])
+    def test_two_axes_match_the_sum_over_modes(self, natural, kind):
+        h = 0.7
+        scales = (h * h, h) if natural else (1.0, 1.0)
+        zg = BoxGrid((2 * math.pi, 4 * math.pi), (16, 8))
+        qg = frequency_grid(zg, scales=scales)
+        rng = np.random.default_rng(11)
+        if kind == "sampled":
+            a = GridSymbol(zg, qg, rng.normal(size=zg.shape + qg.shape)
+                           + 1j * rng.normal(size=zg.shape + qg.shape))
+        else:
+            a = GridSymbol.from_poly(zg, qg, {((1, 0), (0, 1)): 0.7, ((0, 2), (2, 0)): -0.3j,
+                                              ((0, 0), (0, 0)): 1.0, ((1, 1), (1, 1)): 0.1})
+        t, x = zg.mesh()
+        smooth = np.exp(-(t**2) - (x / 2) ** 2 + 2j * x)
+        for values in (rng.normal(size=zg.shape) + 1j * rng.normal(size=zg.shape), smooth):
+            u = GridField(zg, values)
+            r = op_apply(a, u, h=h if natural else None, natural=natural)
+            ref = op_apply_reference(a, u, scales)
+            assert np.max(np.abs(r.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("block", [1, 768, 1 << 16])
+    def test_mode_blocks(self, setup1d, monkeypatch, block):
+        # 256 points and modes: one mode per block, three (the last block
+        # holds one), and all modes at once
+        zg, qg, _ = setup1d
+        monkeypatch.setattr(quantize, "MODE_BLOCK", block)
+        rng = np.random.default_rng(5)
+        u = GridField(zg, rng.normal(size=zg.shape) + 1j * rng.normal(size=zg.shape))
+        a, _ = smooth_symbols(zg, qg)
+        ref = op_apply_reference(a, u, (1.0,))
+        assert np.max(np.abs(op_apply(a, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("h", [None, 0.0, -0.5])
+    def test_natural_needs_positive_h(self, setup1d, h):
+        zg, qg, u = setup1d
+        with pytest.raises(InvalidInput):
+            op_apply(GridSymbol.constant(zg, qg), u, h=h, natural=True)
 
     def test_support_locality(self, setup1d):
         # Op(a)u vanishes where a = 0 on a z-neighborhood, for z-localized a
@@ -146,6 +274,48 @@ class TestStar:
             zg, qg, lambda z, q: np.sign(np.sin(z)) * np.exp(-q**2))
         with pytest.raises(SpectrumOverflow):
             rough.d_z(0)
+
+
+    def test_rejects_symbol_rough_in_zeta(self, setup1d):
+        zg, qg, _ = setup1d
+        rough = GridSymbol.from_function(
+            zg, qg, lambda z, q: np.exp(-((z / 4) ** 2)) * np.sign(np.sin(q)))
+        smooth, _ = smooth_symbols(zg, qg)
+        with pytest.raises(SpectrumOverflow, match="zeta-axis 0"):
+            rough.d_zeta(0)
+        with pytest.raises(SpectrumOverflow, match="zeta-axis 0"):
+            star_truncated(rough, smooth, 1)
+
+    @pytest.mark.parametrize("N", [-1, 1.5, "2", None])
+    def test_rejects_a_bad_order(self, setup1d, N):
+        zg, qg, _ = setup1d
+        a, b = smooth_symbols(zg, qg)
+        with pytest.raises(InvalidInput):
+            star_truncated(a, b, N)
+
+    @pytest.mark.parametrize("kinds", ["sampled", "poly-sampled", "sampled-poly", "poly"])
+    def test_two_axes_match_explicit_chains(self, kinds):
+        zg = BoxGrid((2 * math.pi, 4 * math.pi), (16, 8))
+        qg = frequency_grid(zg)
+        a, b = trig_symbols(zg, qg)
+        poly = GridSymbol.from_poly(zg, qg, {((0, 0), (2, 1)): 0.5, ((1, 0), (0, 1)): 1j,
+                                             ((0, 1), (1, 0)): -0.3, ((2, 1), (0, 0)): 0.2,
+                                             ((0, 0), (0, 0)): 1.0})
+        a = poly if kinds.startswith("poly") else a
+        b = poly if kinds.endswith("poly") else b
+        for N in range(4):
+            st = star_truncated(a, b, N)
+            ref = star_reference(a, b, N)
+            assert (st.poly is not None) == (kinds == "poly")
+            assert np.max(np.abs(st.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_each_derivative_once(self, setup1d, monkeypatch):
+        # order 3 needs d^1..d^3 of each factor, two transforms apiece
+        zg, qg, _ = setup1d
+        a, b = smooth_symbols(zg, qg)
+        calls = count_transforms(monkeypatch)
+        star_truncated(a, b, 3)
+        assert len(calls) <= 12
 
 
 class TestPoisson:
@@ -319,6 +489,14 @@ class TestNormalSymbol:
                for h in (0.2, 0.1, 0.05)}
         with pytest.raises(ExtrapolationUnstable):
             normal_symbol(fam)
+
+
+    @pytest.mark.parametrize("hs", [(0.2, 0.1), (0.2, 0.1, 0.04)])
+    def test_rejects_a_malformed_family(self, setup1d, hs):
+        zg, qg, _ = setup1d
+        a, _ = smooth_symbols(zg, qg)
+        with pytest.raises(InvalidInput):
+            normal_symbol({h: a for h in hs})
 
 
 class TestOrdersFit:
