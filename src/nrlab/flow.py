@@ -475,7 +475,8 @@ def _bracket_roots(f, a, b):
         x = np.where(bisect, 0.5 * (a + b), x)
         fx = f(k, x)
         flip = np.sign(fx) != np.sign(fb)          # the root lies between x and b
-        scale = 1.0 - fx / fb                      # shrinks f at a kept end a
+        with np.errstate(over="ignore"):           # fb tiny beside fx: -inf, so 1/2
+            scale = 1.0 - fx / fb                  # shrinks f at a kept end a
         a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(scale > 0.0, scale, 0.5) * fa)
         b, fb = x, fx
         widths = np.concatenate((width[None], widths[:-1]))

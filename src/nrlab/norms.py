@@ -83,14 +83,10 @@ class OrderProfile:
                                    # right-hand-side orders skip the check
 
     def __post_init__(self):
-        if not self.check_threshold:
-            return
-        inc = self.s_future > self.s_past
-        dec = self.s_future < self.s_past
-        if dec and not (self.s_past > -0.5 > self.s_future):
-            raise InvalidInput("non-increasing profile must cross the -1/2 threshold")
-        if inc and not (self.s_future > -0.5 > self.s_past):
-            raise InvalidInput("non-decreasing profile must cross the -1/2 threshold")
+        # a constant profile crosses nothing, so it fails the check
+        ends = (self.s_past, self.s_future)
+        if self.check_threshold and not min(ends) < -0.5 < max(ends):
+            raise InvalidInput(f"order profile {ends} must cross the -1/2 threshold")
 
     def s_bar(self, sigma):
         t = smooth_step((np.asarray(sigma, float) + 0.9) / 1.8)

@@ -75,8 +75,7 @@ class KGState:
 
 
 def _xi2(grid: BoxGrid) -> np.ndarray:
-    mesh = grid.freq_mesh()
-    return sum(m * m for m in mesh)
+    return sum(m * m for m in grid.freq_mesh())
 
 
 def _spacetime(t: float, mesh) -> np.ndarray:
@@ -225,14 +224,13 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     interval of span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and
     > 0, else InvalidInput).  The state stays in Fourier space: the exact
     kinetic half factor e^{-is|xi|^2 step/4} is applied at the interval's
-    ends and its square between steps, around each C-step (one ifftn, the
-    pointwise step, one fftn).  The C-step applies the potential's exact
-    exponential before and after a midpoint drift step with spectral
-    gradients (second order); StepFailure if dt exceeds min(dx)/max|B|.
+    ends and its square between steps, around each C-step (an inverse FFT,
+    the pointwise step, an FFT).  The C-step applies e^{isV step/4} before and
+    after a midpoint drift step with spectral gradients (second order), or
+    with no drift e^{isV step/2} once; StepFailure if dt > min(dx)/max|B|.
     With no coefficient the answer is exact, v^ e^{-is|xi|^2 T/2}, in 0 steps.
     """
-    if dt is None:
-        dt = 0.01
+    dt = 0.01 if dt is None else dt
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInput(f"time step dt={dt} must be finite and > 0")
     grid = data.grid
@@ -254,17 +252,19 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
 
     def c_step(v, t_mid, step):
         V = coeffs.potential(t_mid, mesh, branch)
-        phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
-        v = phase * v
         Bs = coeffs.drift(t_mid, mesh)
-        if Bs is not None:
-            def f(w):
-                wh = np.fft.fftn(w)
-                return -0.5 * s * sum(b * np.fft.ifftn(1j * k * wh) for b, k in zip(Bs, kmesh))
-            w1 = v + 0.5 * step * f(v)
-            v = v + step * f(w1)
-        return phase * v
+        if Bs is None:      # the two half factors meet: one multiply, in place
+            return np.multiply(v, np.exp(V * (0.5j * s * step)), out=v)
+        phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
 
+        def f(w):
+            wh = np.fft.fftn(w)
+            return -0.5 * s * sum(b * np.fft.ifftn(1j * k * wh) for b, k in zip(Bs, kmesh))
+        v = phase * v
+        return phase * (v + step * f(v + 0.5 * step * f(v)))
+
+    # on a 1-D grid fft is fftn bit for bit, without its per-axis bookkeeping
+    fwd, inv = (np.fft.fft, np.fft.ifft) if grid.ndim == 1 else (np.fft.fftn, np.fft.ifftn)
     out = []
     state_t, steps = data.t, 0
     for target in times:
@@ -278,7 +278,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
             for k in range(nsteps):
                 if k:
                     vh *= full
-                vh = np.fft.fftn(c_step(np.fft.ifftn(vh), state_t + step / 2.0, step))
+                vh = fwd(c_step(inv(vh), state_t + step / 2.0, step))
                 state_t += step
             vh *= half
             steps += nsteps

@@ -14,9 +14,9 @@ identities hold at round-off level.  Test objects are kept within a quarter
 of the box so periodization error is part of the measured residuals.
 
 Transforms: a spectral derivative is one fft (its power feeds the decay
-preflight, then it takes the ik factor in place) and one ifft.  The order-N
-star product takes each d^alpha once, so sampled factors cost
-4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1).  ``op_apply`` takes
+preflight, then it takes the ik factor in place) and one ifft.  The partial
+sums S_0..S_N of the star product take each d^alpha once, so sampled factors
+cost 4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1).  ``op_apply`` takes
 one fftn: with z_m = -L/2 + m L/n and zeta_k = 2 pi k / L the plane wave is
 the exact twiddle e^{i zeta_k (z_m + L/2)} = e^{2 pi i k m / n}.
 """
@@ -24,7 +24,9 @@ the exact twiddle e^{i zeta_k (z_m + L/2)} = e^{2 pi i k m / n}.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "GridSymbol",
     "frequency_grid",
     "op_apply",
+    "star_partial_sums",
     "star_truncated",
     "poisson",
     "conjugate_translate",
@@ -306,9 +309,8 @@ class GridSymbol:
                     for (az2, aq2), c2 in other.poly.items():
                         key = (tuple(np.add(az1, az2)), tuple(np.add(aq1, aq2)))
                         poly[key] = poly.get(key, 0.0) + c1 * c2
-            out = GridSymbol(self.zgrid, self.zetagrid, self.values * other.values,
-                             tuple(np.add(self.orders, other.orders)), poly)
-            return out
+            return GridSymbol(self.zgrid, self.zetagrid, self.values * other.values,
+                              tuple(np.add(self.orders, other.orders)), poly)
         return GridSymbol(self.zgrid, self.zetagrid, self.values * other,
                           self.orders,
                           None if self.poly is None else
@@ -423,48 +425,50 @@ def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
     return GridField(u.grid, out)
 
 
-def _compositions(total, D):
-    if D == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, D - 1):
-            yield (first,) + rest
-
-
 def _lower(alpha: tuple) -> tuple:
     """(i, alpha - e_i) for the last axis i along which alpha differentiates."""
     i = max(j for j, e in enumerate(alpha) if e)
     return i, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
 
 
-def star_truncated(a: GridSymbol, b: GridSymbol, N: int) -> GridSymbol:
-    """Truncated composition symbol sum_{|alpha|<=N} (1/alpha!) d_zeta^alpha a  D_z^alpha b.
+def star_partial_sums(a: GridSymbol, b: GridSymbol, N: int):
+    """S_0, ..., S_N, S_n = sum_{|alpha|<=n} (1/alpha!) d_zeta^alpha a  D_z^alpha b,
+    from one derivative chain; N and the grids are checked at the call.
 
-    N = 0 is the pointwise product; each additional term gains one order at
-    the frequency, base, and natural faces.  Exact (as a polynomial) when
-    both factors carry monomial structure.
-
-    Each d^alpha is one derivative of d^(alpha - e_i) (i its last axis), one
-    degree lower, which is all that is kept: sampled factors cost
-    4 (C(N + D, D) - 1) transforms, poly factors none.
+    S_0 is the pointwise product; each further term gains one order at the
+    frequency, base, and natural faces.  Poly factors give exact poly sums.
+    Each d^alpha is one derivative of d^(alpha - e_i) (i its last axis),
+    kept for one degree: sampled factors cost 4 (C(N + D, D) - 1)
+    transforms for all N + 1 sums, poly factors none.  A generator: a
+    caller that drops each sum holds one at a time.
     """
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise InvalidInput(f"star product order must be an integer >= 0, got {N!r}")
     a._check_mate(b)
-    D = a.zgrid.ndim
-    out = a * b
-    das, dbs = {(0,) * D: a}, {(0,) * D: b}
-    for degree in range(1, N + 1):
-        steps = {alpha: _lower(alpha) for alpha in _compositions(degree, D)}
-        # rebinding das frees the a-side of the degree below before the b-side runs
-        das = {alpha: das[low].d_zeta(i) for alpha, (i, low) in steps.items()}
-        dbs = {alpha: dbs[low].d_z(i) for alpha, (i, low) in steps.items()}
-        for alpha in steps:
-            # D_z = -i d_z per derivative
-            fact = math.prod(math.factorial(e) for e in alpha)
-            out = out + das[alpha] * dbs[alpha] * ((-1j) ** degree / fact)
-    return out
+
+    def sums():
+        D = a.zgrid.ndim
+        out = a * b
+        yield out
+        das, dbs = {(0,) * D: a}, {(0,) * D: b}
+        for degree in range(1, N + 1):
+            steps = {alpha: _lower(alpha) for alpha in product(range(degree + 1), repeat=D)
+                     if sum(alpha) == degree}     # |alpha| = degree, lexicographic
+            # rebinding das frees the a-side of the degree below before the b-side runs
+            das = {alpha: das[low].d_zeta(i) for alpha, (i, low) in steps.items()}
+            dbs = {alpha: dbs[low].d_z(i) for alpha, (i, low) in steps.items()}
+            for alpha in steps:
+                # D_z = -i d_z per derivative
+                fact = math.prod(math.factorial(e) for e in alpha)
+                out = out + das[alpha] * dbs[alpha] * ((-1j) ** degree / fact)
+            yield out
+
+    return sums()
+
+
+def star_truncated(a: GridSymbol, b: GridSymbol, N: int) -> GridSymbol:
+    """The truncated composition symbol S_N: the last of ``star_partial_sums``."""
+    return deque(star_partial_sums(a, b, N), maxlen=1).pop()
 
 
 def poisson(a: GridSymbol, b: GridSymbol) -> GridSymbol:

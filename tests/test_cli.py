@@ -58,6 +58,8 @@ class TestConfigValidation:
         ("qdf", {"metric": {"d": 1, "w": [{}, {}]}}),
         ("star", {"params": {"n_grid": 100}}),
         ("uniform-ratio", {"params": {"s_past": 0.0, "s_future": 0.1}}),
+        # a constant profile crosses no threshold
+        ("uniform-ratio", {"params": {"s_past": -0.4, "s_future": -0.4}}),
         # an empty ensemble or a one-rung c-ladder leaves its check nothing
         # to compare: not a crash, and not a PASS
         ("flow", {"params": {"n_per_case": 0}}),

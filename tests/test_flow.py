@@ -1,6 +1,7 @@
 """Hamiltonian flow: fields, trajectories, attraction probes, thresholds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ class TestDormandPrince:
             # a bracket's iterates do not depend on the others
             alone = _bracket_roots(lambda j, x: f(j + i, x), a[i : i + 1], b[i : i + 1])
             assert alone[0] == roots[i]
+
+    def test_bracket_roots_tiny_end_value_warns_nothing(self):
+        # fb = -1e-300 beside fx = 2.5e9 at the first midpoint: fx / fb
+        # overflows, the Anderson-Bjorck scale falls back to 1/2, and the
+        # root stays exact
+        def f(k, x):
+            return np.where(x < 1.0, 1.0e10 * (0.75 - x), -1.0e-300)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = _bracket_roots(f, np.array([0.0, 0.0]), np.array([1.0, 0.9]))
+        assert np.all(np.abs(roots - 0.75) <= 4.0 * EPS)
 
     def test_first_event_is_the_earliest(self):
         # equal stage slopes make the dense output a straight line: Y enters

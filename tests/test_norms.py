@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrlab.errors import DegenerateFamily
+from nrlab.errors import DegenerateFamily, InvalidInput
 from nrlab.quantize import BoxGrid, GridField
 from nrlab.pde import ConjugatedOperator
 from nrlab.symbols import MetricParams
@@ -132,6 +132,21 @@ class TestSplitEnergy:
 def fwd_profile(m=0.0, ell=0.0, qm=0.0, qp=0.0):
     return OrderProfile(m=m, ell=ell, q_minus=qm, q_plus=qp,
                         s_past=-0.4, s_future=-0.6)
+
+
+class TestOrderProfile:
+    @pytest.mark.parametrize("ends", [(-0.9, -0.9), (-0.5, -0.5), (-0.4, -0.4), (0.3, 0.3),
+                                      (-0.4, -0.45), (-0.6, -0.7), (-0.5, -0.6)])
+    def test_profiles_crossing_no_threshold_rejected(self, ends):
+        # a constant profile crosses nothing
+        with pytest.raises(InvalidInput):
+            OrderProfile(1.0, 1.0, 0.0, 0.0, *ends)
+        # right-hand-side orders skip the check
+        assert OrderProfile(1.0, 1.0, 0.0, 0.0, *ends, check_threshold=False).s_past == ends[0]
+
+    @pytest.mark.parametrize("ends", [(-0.4, -0.6), (-0.6, -0.4), (0.2, -2.0)])
+    def test_crossing_profiles_accepted(self, ends):
+        assert OrderProfile(1.0, 1.0, 0.0, 0.0, *ends).s_bar(-1.0) == ends[0]
 
 
 class TestCalctwoNorm:

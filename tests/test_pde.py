@@ -242,6 +242,29 @@ class TestStrangOracle:
             assert np.max(np.abs(state.v - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestConstantPotential:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("branch", [PL, MI])
+    def test_phase_times_free_propagation(self, d, branch):
+        # with no drift a constant V commutes with the kinetic term, so the
+        # split step is exact: v(T) = e^{isV(T - t0)/2} (free propagation)
+        grid = BoxGrid.regular(20.0, 64 if d == 1 else 32, d)
+        mesh = grid.mesh()
+        v0 = np.exp(-sum(m * m for m in mesh) / 6.0) * np.exp(0.7j * mesh[0])
+        W0, beta0, aleph0 = 0.3 - 0.05j, 0.4, -0.2
+        cases = [(SchrCoefficients(d, W=lambda t, *m: W0), W0),     # a 0-d field
+                 (SchrCoefficients(d, beta=lambda t, *m: beta0 + 0.0 * m[0],
+                                   aleph=lambda t, *m: aleph0 + 0.0 * m[0]),
+                  branch.sign * beta0 - aleph0)]
+        t0, times, s = 0.4, [0.4, 1.13, -0.6, 2.0], -branch.sign
+        free = schrodinger_solve(SchrState(grid, v0, t0), branch, times)
+        for coeffs, V in cases:
+            run = schrodinger_solve(SchrState(grid, v0, t0), branch, times, coeffs, dt=0.07)
+            for got, want in zip(run, free):
+                want = np.exp(0.5j * s * V * (want.t - t0)) * want.v
+                assert np.max(np.abs(got.v - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestNonRelativisticComparison:
     def test_second_order_ladder(self, sgrid):
         psi = bandlimited_gaussian(sgrid, 2.0)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from nrlab import experiments as ex
 from nrlab import quantize
-from nrlab.errors import ExtrapolationUnstable, InvalidInput, SpectrumOverflow
+from nrlab.errors import ExtrapolationUnstable, GridMismatch, InvalidInput, SpectrumOverflow
 from nrlab.quantize import (
     BoxGrid,
     GridField,
@@ -17,6 +18,7 @@ from nrlab.quantize import (
     normal_symbol,
     op_apply,
     poisson,
+    star_partial_sums,
     star_truncated,
 )
 
@@ -290,8 +292,23 @@ class TestStar:
     def test_rejects_a_bad_order(self, setup1d, N):
         zg, qg, _ = setup1d
         a, b = smooth_symbols(zg, qg)
-        with pytest.raises(InvalidInput):
-            star_truncated(a, b, N)
+        for star in (star_truncated, star_partial_sums):   # at the call, before any next()
+            with pytest.raises(InvalidInput):
+                star(a, b, N)
+
+    def test_partial_sums_reject_mismatched_grids_at_the_call(self, setup1d):
+        zg, qg, _ = setup1d
+        a, _ = smooth_symbols(zg, qg)
+        with pytest.raises(GridMismatch):
+            star_partial_sums(a, GridSymbol.constant(zg, frequency_grid(zg, n=128)), 1)
+
+    def test_partial_sums_one_axis(self, setup1d):
+        zg, qg, _ = setup1d
+        a, b = smooth_symbols(zg, qg)
+        sums = list(star_partial_sums(a, b, 3))
+        assert len(sums) == 4
+        for N, s in enumerate(sums):
+            assert np.array_equal(s.values, star_truncated(a, b, N).values)
 
     @pytest.mark.parametrize("kinds", ["sampled", "poly-sampled", "sampled-poly", "poly"])
     def test_two_axes_match_explicit_chains(self, kinds):
@@ -303,11 +320,15 @@ class TestStar:
                                              ((0, 0), (0, 0)): 1.0})
         a = poly if kinds.startswith("poly") else a
         b = poly if kinds.endswith("poly") else b
+        sums = list(star_partial_sums(a, b, 3))
+        assert len(sums) == 4
         for N in range(4):
             st = star_truncated(a, b, N)
             ref = star_reference(a, b, N)
             assert (st.poly is not None) == (kinds == "poly")
             assert np.max(np.abs(st.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # one pass gives every order, bit for bit
+            assert np.array_equal(sums[N].values, st.values) and sums[N].poly == st.poly
 
     def test_each_derivative_once(self, setup1d, monkeypatch):
         # order 3 needs d^1..d^3 of each factor, two transforms apiece
@@ -316,6 +337,13 @@ class TestStar:
         calls = count_transforms(monkeypatch)
         star_truncated(a, b, 3)
         assert len(calls) <= 12
+
+    def test_star_experiment_takes_one_derivative_chain(self, monkeypatch):
+        # all four partial sums from d^1..d^3 of each sampled factor, two
+        # transforms apiece; op_apply's fftn calls are not counted
+        calls = count_transforms(monkeypatch)
+        ex.star(n_grid=256)
+        assert sum(fn.__name__ in ("fft", "ifft") for fn in calls) == 12
 
 
 class TestPoisson:
