@@ -58,8 +58,6 @@ class TestConfigValidation:
         ("qdf", {"metric": {"d": 1, "w": [{}, {}]}}),
         ("star", {"params": {"n_grid": 100}}),
         ("uniform-ratio", {"params": {"s_past": 0.0, "s_future": 0.1}}),
-        # a constant profile crosses no threshold
-        ("uniform-ratio", {"params": {"s_past": -0.4, "s_future": -0.4}}),
         # an empty ensemble or a one-rung c-ladder leaves its check nothing
         # to compare: not a crash, and not a PASS
         ("flow", {"params": {"n_per_case": 0}}),
@@ -85,6 +83,8 @@ class TestConfigValidation:
         # an empty grid passes the power-of-two test, since 0 & -1 == 0
         ("star", {"params": {"n_grid": 0}}),
         ("quantize", {"params": {"n_grid": 0}}),
+        # a constant profile crosses no threshold
+        ("uniform-ratio", {"params": {"s_past": -0.4, "s_future": -0.4}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
