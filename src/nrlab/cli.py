@@ -10,8 +10,8 @@ the default's (an int passes for a float), or a ``metric`` block for a
 command that takes none exits 2 before anything runs, as does any other
 invalid config.  A run writes CSV tables plus a summary.json into the
 output directory, prints one PASS/FAIL line, and exits 0 on pass, 1 on a
-failed check (artifacts still written).  All randomness flows from a
-single 64-bit seed, so a fixed config gives byte-identical CSV output.
+failed check (artifacts still written), 3 on an unexpected exception.  All
+randomness flows from one 64-bit seed: a fixed config gives byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 from numpy.random import default_rng  # every run seeds one; loaded with the CLI, not lazily
 
@@ -36,74 +35,47 @@ COMMANDS = [
     "degeneracy", "b-order",
 ]
 
-def _closed(properties: dict, required=()) -> dict:
-    """Schema of an object with these properties and no others."""
-    return {"type": "object", "additionalProperties": False, "properties": properties,
-            "required": list(required)}
+# JSON objects bind key by key to these tables of defaults (see _bind): an empty list takes
+# any list, whose entries bind in turn, and 1.0 lets schema_version be 1 or 1.0, not true.
+_CONFIG = {"schema_version": 1.0, "command": "", "seed": 0, "out": "", "metric": {},
+           "tolerances": {}, "params": {}}
+_METRIC = {"d": 0, "alpha": {}, "w": [], "hjk": [], "beta": {}, "B": [], "W": {}}
+_COEFF = {"re": {}, "im": {}, "im_c_decay": False}
+_PROFILE = {"amplitude": 0.0, "order": -1, "constant": 1.0, "waves": []}
+_WAVE = {"kappa": [0.0], "cos": 0.0, "sin": 0.0}
 
 
-_NUMBER = {"type": "number"}
-_PROFILE_SCHEMA = _closed({
-    "amplitude": _NUMBER,
-    "order": {"type": "integer", "maximum": -1},
-    "constant": _NUMBER,
-    "waves": {"type": "array", "items": _closed(
-        {"kappa": {"type": "array", "items": _NUMBER}, "cos": _NUMBER, "sin": _NUMBER},
-        ["kappa"])},
-})
-_COEFF_SCHEMA = _closed({"re": _PROFILE_SCHEMA, "im": _PROFILE_SCHEMA,
-                         "im_c_decay": {"type": "boolean"}})
-_METRIC_SCHEMA = _closed({
-    "d": {"type": "integer", "minimum": 1, "maximum": 3},
-    "alpha": _PROFILE_SCHEMA,
-    "w": {"type": "array", "items": _PROFILE_SCHEMA},
-    "hjk": {"type": "array", "items": {"type": "array", "items": _PROFILE_SCHEMA}},
-    "beta": _COEFF_SCHEMA,
-    "B": {"type": "array", "items": _COEFF_SCHEMA},
-    "W": _COEFF_SCHEMA,
-}, ["d"])
-# params and tolerances bind to the command's signatures in run()
-CONFIG_SCHEMA = _closed({
-    "schema_version": {"const": 1},
-    "command": {"enum": COMMANDS},
-    "seed": {"type": "integer", "minimum": 0},
-    "out": {"type": "string"},
-    "metric": _METRIC_SCHEMA,
-    "tolerances": {"type": "object"},
-    "params": {"type": "object"},
-}, ["schema_version", "command"])
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+def _profile_from_json(p, block) -> sym.ClassicalSymbolProfile:
+    p = _bind(_PROFILE, p, block)
+    waves = [_bind(_WAVE, wv, f"{block}.waves", ["kappa"]) for wv in p.pop("waves")]
+    return sym.ClassicalSymbolProfile(
+        waves=tuple((tuple(wv["kappa"]), wv["cos"], wv["sin"]) for wv in waves), **p)
 
 
-def _profile_from_json(p) -> sym.ClassicalSymbolProfile:
-    if p is None:
-        return sym.ClassicalSymbolProfile.zero()
-    waves = tuple((tuple(wv["kappa"]), wv.get("cos", 0.0), wv.get("sin", 0.0))
-                  for wv in p.get("waves", []))
-    return sym.ClassicalSymbolProfile(amplitude=p.get("amplitude", 0.0),
-                                      order=p.get("order", -1),
-                                      constant=p.get("constant", 1.0), waves=waves)
+def _coeff_from_json(c, block) -> sym.OperatorCoefficient:
+    c = _bind(_COEFF, c, block)
+    return sym.OperatorCoefficient(_profile_from_json(c["re"], f"{block}.re"),
+                                   _profile_from_json(c["im"], f"{block}.im"), c["im_c_decay"])
 
 
-def _coeff_from_json(cjson) -> sym.OperatorCoefficient:
-    if cjson is None:
-        return sym.OperatorCoefficient.zero()
-    return sym.OperatorCoefficient(real=_profile_from_json(cjson.get("re")),
-                                   imag=_profile_from_json(cjson.get("im")),
-                                   imag_c_decay=cjson.get("im_c_decay", False))
+def _each(bind, items, block) -> tuple:
+    if type(items) is not list:
+        raise ConfigInvalid(f"{block} = {items!r} is not a list")
+    return tuple(bind(x, block) for x in items)
 
 
 def metric_from_json(mjson) -> sym.MetricParams:
-    """Build MetricParams from the documented JSON schema."""
+    """Build MetricParams from its JSON form, where ``re``/``im``/``im_c_decay`` bind to
+    ``real``/``imag``/``imag_c_decay`` and a wave to a (kappa, cos, sin) triple.  An unknown
+    or mistyped key, or no ``d`` or ``kappa``, raises ConfigInvalid; a value that
+    MetricParams rejects raises InvalidInput."""
+    m = _bind(_METRIC, mjson, "metric", ["d"])
     return sym.MetricParams(
-        d=mjson["d"],
-        alpha=_profile_from_json(mjson.get("alpha")),
-        w=tuple(_profile_from_json(p) for p in mjson.get("w", ())),
-        hjk=tuple(tuple(_profile_from_json(p) for p in row) for row in mjson.get("hjk", ())),
-        beta=_coeff_from_json(mjson.get("beta")),
-        B=tuple(_coeff_from_json(cj) for cj in mjson.get("B", ())),
-        W=_coeff_from_json(mjson.get("W")),
-    )
+        d=m["d"], alpha=_profile_from_json(m["alpha"], "metric.alpha"),
+        w=_each(_profile_from_json, m["w"], "metric.w"),
+        hjk=_each(lambda row, b: _each(_profile_from_json, row, b), m["hjk"], "metric.hjk"),
+        beta=_coeff_from_json(m["beta"], "metric.beta"),
+        B=_each(_coeff_from_json, m["B"], "metric.B"), W=_coeff_from_json(m["W"], "metric.W"))
 
 
 def _profile_to_json(p: sym.ClassicalSymbolProfile) -> dict:
@@ -117,7 +89,7 @@ def _coeff_to_json(c: sym.OperatorCoefficient) -> dict:
 
 
 def metric_to_json(M: sym.MetricParams) -> dict:
-    """Serialize MetricParams to the documented JSON schema."""
+    """Serialize MetricParams to the JSON form that metric_from_json reads."""
     return {"d": M.d, "alpha": _profile_to_json(M.alpha),
             "w": [_profile_to_json(p) for p in M.w],
             "hjk": [[_profile_to_json(p) for p in row] for row in M.hjk],
@@ -130,10 +102,19 @@ def load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigInvalid(f"config schema violation: {error.message}")
+    _check_config(cfg)
     return cfg
+
+
+def _check_config(cfg) -> None:
+    """Raise ConfigInvalid unless the top level of a config binds to _CONFIG."""
+    _bind(_CONFIG, cfg, "config", ["schema_version", "command"])
+    if cfg["schema_version"] != 1:
+        raise ConfigInvalid(f"schema_version must be 1, not {cfg['schema_version']!r}")
+    if cfg["command"] not in COMMANDS:
+        raise ConfigInvalid(f"unknown command {cfg['command']!r}; known: {COMMANDS}")
+    if cfg.get("seed", 0) < 0:
+        raise ConfigInvalid(f"seed must be >= 0, not {cfg['seed']}")
 
 
 class Reporter:
@@ -269,17 +250,26 @@ def _check_b_order(v, rep, *, exponent=0.05):
 def _same_kind(value, default) -> bool:
     """Whether a JSON value has the type of a default; an int passes for a float."""
     if isinstance(default, (list, tuple)):
-        return isinstance(value, list) and all(_same_kind(x, default[0]) for x in value)
+        return isinstance(value, list) and (not default or all(_same_kind(x, default[0])
+                                                               for x in value))
     if isinstance(default, float) and not isinstance(value, bool):
         return isinstance(value, (int, float))
     return type(value) is type(default)
 
 
-def _bind(fn, given: dict, block: str) -> dict:
-    """Keyword arguments for ``fn``: its keyword defaults overridden by
-    ``given``, where an unknown or mistyped key raises ConfigInvalid."""
-    defaults = {n: p.default for n, p in inspect.signature(fn).parameters.items()
-                if p.kind is p.KEYWORD_ONLY and p.default is not p.empty}
+def _keyword_defaults(fn) -> dict:
+    return {n: p.default for n, p in inspect.signature(fn).parameters.items()
+            if p.kind is p.KEYWORD_ONLY and p.default is not p.empty}
+
+
+def _bind(defaults: dict, given, block: str, required=()) -> dict:
+    """``defaults`` overridden by the JSON object ``given``, where an unknown,
+    mistyped or missing required key raises ConfigInvalid."""
+    if type(given) is not dict:
+        raise ConfigInvalid(f"{block} = {given!r} is not a JSON object")
+    for key in required:
+        if key not in given:
+            raise ConfigInvalid(f"{block} lacks the required key {key!r}")
     for key, value in given.items():
         if key not in defaults:
             raise ConfigInvalid(f"unknown {block} key {key!r}; known: {sorted(defaults)}")
@@ -293,11 +283,12 @@ def _bind_config(config: dict):
     """The experiment function, its arguments, the check and its tolerances
     of a config, bound before anything runs; raises ConfigInvalid or
     InvalidInput (for metric values) on a config that does not bind."""
+    _check_config(config)
     command = config["command"]
     fn = getattr(experiments, command.replace("-", "_"))
     check = globals()[f"_check_{fn.__name__}"]
-    tol = _bind(check, config.get("tolerances", {}), "tolerances")
-    kwargs = _bind(fn, config.get("params", {}), "params")
+    tol = _bind(_keyword_defaults(check), config.get("tolerances", {}), "tolerances")
+    kwargs = _bind(_keyword_defaults(fn), config.get("params", {}), "params")
     inputs = inspect.signature(fn).parameters
     seed = config.get("seed", 0)
     supplied = {"rng": default_rng(seed), "seed": seed}
@@ -317,12 +308,12 @@ def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
 
     A config that does not bind or that the experiment rejects writes nothing.
     """
-    command = config["command"]
     if seed is not None:
         config = {**config, "seed": int(seed)}
     if out is not None:
         config = {**config, "out": out}
     fn, kwargs, check, tol = _bind_config(config)
+    command = config["command"]
     result = fn(**kwargs)
     rep = Reporter(Path(config.get("out", f"nrlab_out/{command}")))
     rep.summary["command"] = command
@@ -349,9 +340,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if cfg["command"] != args.command:
-            raise ConfigInvalid(
-                f"config command {cfg['command']!r} does not match {args.command!r}"
-            )
+            raise ConfigInvalid(f"config command {cfg['command']!r} does not match "
+                                f"{args.command!r}")
         return run(cfg, out=args.out, seed=args.seed)
     except (ConfigInvalid, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -359,6 +349,9 @@ def main(argv=None) -> int:
     except NrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, not a verdict: keep exit 1 for a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

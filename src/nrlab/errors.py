@@ -50,7 +50,7 @@ class DegenerateFamily(NrlabError):
 
 
 class ConfigInvalid(NrlabError):
-    """Experiment configuration failed schema validation."""
+    """An experiment configuration does not bind: unknown, mistyped or missing keys."""
 
 
 class InvalidInput(NrlabError, ValueError):

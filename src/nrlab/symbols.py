@@ -241,8 +241,15 @@ class MetricParams:
             object.__setattr__(
                 self, "B", tuple(OperatorCoefficient.zero() for _ in range(self.d))
             )
-        if len(self.w) != self.d or len(self.B) != self.d or len(self.hjk) != self.d:
-            raise InvalidInput("coefficient tuples must have length d")
+        if any(len(t) != self.d for t in (self.w, self.B, self.hjk, *self.hjk)):
+            raise InvalidInput("coefficient tuples and hjk rows must have length d")
+        profiles = [self.alpha, *self.w, *(p for row in self.hjk for p in row),
+                    *(p for c in (self.beta, *self.B, self.W) for p in (c.real, c.imag))]
+        waves = [wave for p in profiles for wave in p.waves]
+        if any(np.shape(k) != (self.d + 1,) for k, _, _ in waves) or not np.isfinite(
+                [x for p in profiles for x in (p.amplitude, p.constant)]
+                + [x for k, c, s in waves for x in (*k, c, s)]).all():
+            raise InvalidInput(f"profiles must be finite, each kappa of length 1+d = {self.d + 1}")
         for j in range(self.d):
             for k in range(j):
                 if self.hjk[j][k] != self.hjk[k][j]:

@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-import jsonschema
-
-from nrlab.cli import COMMANDS, CONFIG_SCHEMA, load_config, main, metric_from_json, run
+from nrlab import experiments
+from nrlab.cli import COMMANDS, load_config, main, metric_from_json, run
 from nrlab.errors import ConfigInvalid, InvalidInput, NrlabError
 from nrlab.experiments import scatter
 
@@ -51,8 +50,72 @@ class TestConfigValidation:
         rc = main(["qdf", "--config", cfg])
         assert rc == 2
 
-    def test_schema_is_valid_2020_12(self):
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    @pytest.mark.parametrize("config", [
+        pytest.param({"schema_version": 1, "command": "qdf", "bogus": 1}, id="extra-key"),
+        pytest.param({"command": "qdf"}, id="no-schema-version"),
+        pytest.param({"schema_version": 1}, id="no-command"),
+        pytest.param({"schema_version": 2, "command": "qdf"}, id="schema-version-2"),
+        pytest.param({"schema_version": True, "command": "qdf"}, id="schema-version-true"),
+        pytest.param({"schema_version": 1, "command": "nonsense"}, id="unknown-command"),
+        pytest.param({"schema_version": 1, "command": "qdf", "seed": -1}, id="seed-negative"),
+        pytest.param({"schema_version": 1, "command": "qdf", "seed": True}, id="seed-true"),
+        pytest.param({"schema_version": 1, "command": "qdf", "seed": 1.0}, id="seed-float"),
+        pytest.param({"schema_version": 1, "command": "qdf", "out": 5}, id="out-number"),
+        pytest.param({"schema_version": 1, "command": "qdf", "params": []}, id="params-list"),
+        pytest.param({"schema_version": 1, "command": "qdf", "tolerances": []},
+                     id="tolerances-list"),
+        pytest.param([], id="top-level-list"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": []}, id="metric-list"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"d": 1.0}},
+                     id="d-float"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"d": 0}}, id="d-0"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"d": 4}}, id="d-4"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"alpha": {}}},
+                     id="no-d"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"amplitud": 0.1}}}, id="profile-key"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"order": 0}}}, id="order-0"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"order": -1.0}}}, id="order-float"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"amplitude": "0.1"}}}, id="amplitude-string"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"waves": [
+                          {"kappa": [0.7, 1.3], "cosine": 1}]}}}, id="wave-key"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"waves": [{"cos": 0.4}]}}}, id="no-kappa"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"waves": [{"kappa": [0.7, True]}]}}},
+                     id="kappa-bool"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "alpha": {"waves": {"kappa": [0.7, 1.3]}}}},
+                     id="waves-object"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "W": {"real": {"amplitude": 0.1}}}},
+                     id="coefficient-key"),
+        pytest.param({"schema_version": 1, "command": "qdf",
+                      "metric": {"d": 1, "B": [{"im_c_decay": 1}]}}, id="im-c-decay-number"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"d": 1, "hjk": [5]}},
+                     id="hjk-row-number"),
+        pytest.param({"schema_version": 1, "command": "qdf", "metric": {"d": 1, "w": {}}},
+                     id="w-object"),
+    ])
+    def test_config_shape_exits_2(self, tmp_path, config, capsys):
+        cfg = write(tmp_path / "c.json", config)
+        assert main(["qdf", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_version_one_point_zero_accepted(self, tmp_path):
+        cfg = write(tmp_path / "c.json", {"schema_version": 1.0, "command": "degeneracy"})
+        assert load_config(cfg)["schema_version"] == 1
+
+    def test_negative_seed_option_exits_2(self, tmp_path):
+        cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": "degeneracy"})
+        out = tmp_path / "out"
+        assert main(["degeneracy", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,block", [
         ("qdf", {"metric": {"d": 1, "w": [{}, {}]}}),
@@ -85,6 +148,11 @@ class TestConfigValidation:
         ("quantize", {"params": {"n_grid": 0}}),
         # a constant profile crosses no threshold
         ("uniform-ratio", {"params": {"s_past": -0.4, "s_future": -0.4}}),
+        # a kappa of other than 1+d entries, a short or long hjk row, a NaN
+        ("qdf", {"metric": {"d": 1, "alpha": {"amplitude": 0.1, "waves": [{"kappa": [0.7]}]}}}),
+        ("qdf", {"metric": {"d": 1, "alpha": {"amplitude": 0.1, "waves": [{"kappa": []}]}}}),
+        ("qdf", {"metric": {"d": 1, "hjk": [[{"amplitude": 0.1}, {"amplitude": 0.1}]]}}),
+        ("qdf", {"metric": {"d": 1, "alpha": {"amplitude": math.nan}}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})
@@ -193,6 +261,14 @@ class TestRunCommands:
         # a d = 2 sample draws two frequencies, so the seeded rows differ
         assert len(tables[2]) == 21 and tables[1][1:] != tables[2][1:]
 
+    def test_unexpected_exception_exits_3(self, tmp_path, monkeypatch, capsys):
+        def degeneracy():
+            raise RuntimeError("boom")
+        monkeypatch.setattr(experiments, "degeneracy", degeneracy)
+        cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": "degeneracy"})
+        assert main(["degeneracy", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
     def test_console_entry_point(self, tmp_path):
         cfg = write(tmp_path / "c.json",
                     {"schema_version": 1, "command": "degeneracy",
@@ -214,7 +290,8 @@ class TestRunCommands:
                      "params": {"n_per_case": 2, "h_list": [0.3]}})
         script = ("import sys\n"
                   "import nrlab.cli\n"
-                  "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "loaded = lambda: sorted(m for m in sys.modules\n"
+                  "                        if m.split('.')[0] in ('scipy', 'jsonschema'))\n"
                   "print('import', loaded())\n"
                   f"code = nrlab.cli.main(['flow', '--config', {cfg!r}])\n"
                   "print('run', loaded(), code)\n")

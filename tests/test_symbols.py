@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed_metrics
-from nrlab.errors import DegenerateMetric
+from nrlab.errors import DegenerateMetric, InvalidInput
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     CharClass,
@@ -70,6 +70,36 @@ class TestProfiles:
     def test_im_coefficient_order_enforced(self):
         with pytest.raises(ValueError):
             OperatorCoefficient(imag=ClassicalSymbolProfile(amplitude=0.1, order=-1))
+
+
+def _wave(kappa=(0.7, 1.3), cos=0.4, sin=0.2, amplitude=0.1, **profile):
+    return ClassicalSymbolProfile(amplitude=amplitude, waves=((kappa, cos, sin),), **profile)
+
+
+class TestMetricInputs:
+    @pytest.mark.parametrize("fields", [
+        # a kappa must have one entry per spacetime coordinate, 1+d
+        {"alpha": _wave(kappa=(0.7,))},
+        {"alpha": _wave(kappa=())},
+        {"w": (_wave(kappa=(0.7, 1.3, 0.2)),)},
+        {"B": (OperatorCoefficient(real=_wave(kappa=(0.7,))),)},
+        # an hjk row must have d entries
+        {"hjk": ((_wave(), _wave()),)},
+        {"alpha": _wave(amplitude=math.nan)},
+        {"alpha": _wave(constant=math.inf)},
+        {"alpha": _wave(cos=math.nan)},
+        {"alpha": _wave(sin=-math.inf)},
+        {"alpha": _wave(kappa=(0.7, math.nan))},
+        {"hjk": ((_wave(amplitude=math.inf),),)},
+        {"W": OperatorCoefficient(imag=_wave(order=-2, cos=math.nan))},
+    ])
+    def test_rejected(self, fields):
+        with pytest.raises(InvalidInput):
+            MetricParams(d=1, **fields)
+
+    def test_accepted(self):
+        assert MetricParams(d=1, alpha=_wave(), w=(_wave(),), hjk=((_wave(),),),
+                            W=OperatorCoefficient(imag=_wave(order=-2))).d == 1
 
 
 class TestInverseMetric:
