@@ -15,11 +15,9 @@ The Schrodinger solver handles the full normal operator
 splitting with the state kept in Fourier space: between two pointwise
 C-steps the exact kinetic half steps fuse into one multiplier, so a step
 costs two FFTs, and a run with no coefficient is the exact free propagator,
-one multiplier per output time.  For metrics whose only
-perturbation is the lapse coefficient, ``kg_envelope_solve`` evolves the
-*exact* conjugated second-order envelope equation, so the effective
-potential produced by the asymptotic mass can be switched on and off on the
-Schrodinger side and compared.
+one multiplier per output time.  ``kg_envelope_solve`` steps the exact
+conjugated Klein-Gordon equation with ``ConjugatedOperator``'s coefficients,
+for any metric; the Schrodinger side is compared with and without aleph.
 """
 
 from __future__ import annotations
@@ -288,90 +286,6 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
 
 
 # ---------------------------------------------------------------------------
-# lapse-perturbed Klein-Gordon, exact conjugated envelope form
-# ---------------------------------------------------------------------------
-
-
-def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
-                      times, grid: BoxGrid, dt: float | None = None) -> list:
-    """Evolve the exact conjugated envelope equation for a lapse-only metric.
-
-    The metric may perturb only the dt^2 coefficient (profile alpha); then
-    u = e^{+/- i c^2 t} v solves the variable-lapse Klein-Gordon equation
-    exactly iff
-
-        v_tt = (c^2 - alpha) [ -2ib(1 + aleph_c/c^2) v_t - aleph_c v
-               + b_t (v_t + i b c^2 v) + Lap v + b_x . grad v ]
-
-    with b the branch sign, aleph_c = c^2 alpha/(alpha - c^2) (the exact
-    finite-c asymptotic-mass coefficient), b_t = -alpha_t/(2(c^2-alpha)^2),
-    b_x = -grad alpha/(2(c^2-alpha)).  Integration is RK4 in time with
-    spectral space derivatives; the stiff branch limits dt to ~1/c^2.
-    """
-    if any(not p.is_zero for p in M.w) or any(
-        not p.is_zero for row in M.hjk for p in row
-    ):
-        raise ValueError("kg_envelope_solve supports lapse-only (alpha) metrics")
-    b = branch.sign
-    mesh = grid.mesh()
-    kmesh = grid.freq_mesh()
-    xi2 = _xi2(grid)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if dt is None:
-        dt = 0.5 / c**2
-
-    def coeffs_at(t):
-        z = _spacetime(t, mesh)
-        al = M.alpha(z)
-        ga = M.alpha.grad(z)
-        alt = ga[..., 0]
-        alx = [ga[..., 1 + j] for j in range(M.d)]
-        aleph_c = c**2 * al / (al - c**2)
-        bt = -alt / (2.0 * (c**2 - al) ** 2)
-        bx = [-g / (2.0 * (c**2 - al)) for g in alx]
-        return al, aleph_c, bt, bx
-
-    def rhs(t, v, vt):
-        al, aleph_c, bt, bx = coeffs_at(t)
-        vh = np.fft.fftn(v)
-        lap = np.fft.ifftn(-xi2 * vh)
-        grads = [np.fft.ifftn(1j * kmesh[j] * vh) for j in range(grid.ndim)]
-        acc = (-2j * b) * (1.0 + aleph_c / c**2) * vt - aleph_c * v + lap
-        acc = acc + bt * (vt + 1j * b * c**2 * v)
-        for j in range(grid.ndim):
-            acc = acc + bx[j] * grads[j]
-        return (c**2 - al) * acc
-
-    # slow-branch consistent initial time derivative: 2 i b v_t = Lap v - aleph v
-    al0, aleph0, _, _ = coeffs_at(float(times[0]) if len(times) else 0.0)
-    v = np.asarray(psi0, dtype=complex).copy()
-    vh = np.fft.fftn(v)
-    vt = (np.fft.ifftn(-xi2 * vh) - aleph0 * v) / (2j * b)
-
-    out = []
-    t = float(times[0]) if len(times) else 0.0
-    out.append(SchrState(grid, v.copy(), t))
-    for target in times[1:]:
-        span = float(target) - t
-        nsteps = max(1, int(math.ceil(abs(span) / dt)))
-        step = span / nsteps
-        for _ in range(nsteps):
-            k1v, k1a = vt, rhs(t, v, vt)
-            k2v = vt + 0.5 * step * k1a
-            k2a = rhs(t + 0.5 * step, v + 0.5 * step * k1v, k2v)
-            k3v = vt + 0.5 * step * k2a
-            k3a = rhs(t + 0.5 * step, v + 0.5 * step * k2v, k3v)
-            k4v = vt + step * k3a
-            k4a = rhs(t + step, v + step * k3v, k4v)
-            v = v + step / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            vt = vt + step / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            t += step
-        t = float(target)
-        out.append(SchrState(grid, v.copy(), t))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
 
@@ -405,8 +319,63 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
 
 
 # ---------------------------------------------------------------------------
-# grid Klein-Gordon operator and symmetry defect
+# grid Klein-Gordon operator, the envelope evolution, symmetry defect
 # ---------------------------------------------------------------------------
+
+
+def _symbol(k, key):
+    """Spectral symbol prod_a (i k_a) of the derivative d_key."""
+    sym = 1.0
+    for a in key:
+        sym = sym * (1j * k[a])
+    return sym
+
+
+def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
+    """(terms, c1): P's coefficient fields beyond its free multiplier, keyed by
+    sorted derivative indices (one vanishing identically is left out), and the
+    d'Alembertian's first-order c1, at spacetime coordinates zs = (t, x...),
+    arrays that broadcast; s is the conjugating branch sign (0: P itself)."""
+    n = len(zs)
+    terms, c1 = {}, np.zeros(n)
+
+    def add(key, coef):
+        terms[key] = terms.get(key, 0.0) + coef
+
+    if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
+        return terms, c1
+    z = _spacetime(zs[0], zs[1:])
+    if not M.is_flat:
+        bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
+        mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
+        g, ginv = mv.g, mv.ginv
+        # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
+        # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
+        unscale = np.ones(n)
+        unscale[0] = 1.0 / c
+        dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
+        dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
+        c1 = np.einsum("...iij->...j", dginv) + np.einsum("...ij,...i->...j", ginv, dlog)
+        rem = ginv - np.diag([-1.0 / c**2] + [1.0] * (n - 1))  # less the free g^-1
+        for i in range(n):
+            add((i,), c1[..., i])
+            for j in range(i, n):
+                add((i, j), (1.0 if i == j else 2.0) * rem[..., i, j])
+            if s:
+                add((i,), 2j * s * c * c * rem[..., 0, i])
+        if s:
+            add((), 1j * s * c * c * c1[..., 0] - c**4 * rem[..., 0, 0])
+    if not M.beta.is_zero:
+        beta = M.beta(z, c)
+        add((0,), 1j * beta / c**2)
+        if s:
+            add((), -s * beta)
+    for j, Bj in enumerate(M.B):
+        if not Bj.is_zero:
+            add((1 + j,), 1j * Bj(z, c))
+    if not M.W.is_zero:
+        add((), M.W(z, c))
+    return terms, c1
 
 
 class ConjugatedOperator:
@@ -438,60 +407,14 @@ class ConjugatedOperator:
         # exactly; kept as time and space parts, summed on the grid per apply
         self.mult_t = k[0] ** 2 / c**2 + 2 * s * k[0] + (s * s - 1) * c * c
         self.mult_x = -sum(kj * kj for kj in k[1:])
-        self.terms = {}    # sorted derivative indices -> coefficient field
-        self.c1 = np.zeros(n)                           # d'Alembertian first-order
-        if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
-            return
-        z = np.stack(grid.mesh(), axis=-1)
-        if not M.is_flat:
-            bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
-            mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
-            g, ginv = mv.g, mv.ginv
-            # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
-            # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
-            unscale = np.ones(n)
-            unscale[0] = 1.0 / c
-            dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
-            dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
-            self.c1 = np.einsum("...iij->...j", dginv) + np.einsum(
-                "...ij,...i->...j", ginv, dlog)
-            free = np.eye(n)                            # the free metric's g^-1
-            free[0, 0] = -1.0 / c**2
-            rem = ginv - free
-            for i in range(n):
-                self._add((i,), self.c1[..., i])
-                for j in range(i, n):
-                    self._add((i, j), (1.0 if i == j else 2.0) * rem[..., i, j])
-                if s:
-                    self._add((i,), 2j * s * c * c * rem[..., 0, i])
-            if s:
-                self._add((), 1j * s * c * c * self.c1[..., 0] - c**4 * rem[..., 0, 0])
-        if not M.beta.is_zero:
-            beta = M.beta(z, c)
-            self._add((0,), 1j * beta / c**2)
-            if s:
-                self._add((), -s * beta)
-        for j, Bj in enumerate(M.B):
-            if not Bj.is_zero:
-                self._add((1 + j,), 1j * Bj(z, c))
-        if not M.W.is_zero:
-            self._add((), M.W(z, c))
-
-    def _add(self, key, coef):
-        self.terms[key] = self.terms.get(key, 0.0) + coef
-
-    def _symbol(self, key):
-        """Spectral symbol prod_a (i k_a) of the derivative d_key."""
-        sym = 1.0
-        for a in key:
-            sym = sym * (1j * self.k[a])
-        return sym
+        self.terms, self.c1 = _operator_terms(     # open mesh: broadcast when used
+            M, c, np.ix_(*[grid.axis_points(i) for i in range(n)]), s)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         spec = np.fft.fftn(u)
         out = np.fft.ifftn((self.mult_t + self.mult_x) * spec)
         for key, coef in self.terms.items():
-            out += coef * (np.fft.ifftn(self._symbol(key) * spec) if key else u)
+            out += coef * (np.fft.ifftn(_symbol(self.k, key) * spec) if key else u)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
@@ -500,11 +423,66 @@ class ConjugatedOperator:
         out = np.fft.ifftn(np.conj(self.mult_t + self.mult_x) * np.fft.fftn(u))
         for key, coef in self.terms.items():
             v = np.conj(coef) * u
-            out += np.fft.ifftn(np.conj(self._symbol(key)) * np.fft.fftn(v)) if key else v
+            out += np.fft.ifftn(np.conj(_symbol(self.k, key)) * np.fft.fftn(v)) if key else v
         return out
 
     def symmetry_defect_apply(self, u: np.ndarray) -> np.ndarray:
         return (self.apply(u) - self.apply_adjoint(u)) / 2j
+
+
+def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
+                      times, grid: BoxGrid, dt: float | None = None) -> list:
+    """Evolve e^{-isc^2 t} P e^{isc^2 t} v = 0, s the branch sign, for any metric.
+
+    P is ``ConjugatedOperator``'s: its free part -c^-2 d_t^2 - 2is d_t + Lap and
+    its coefficient fields, built once per RK4 stage time.  The (0, 0) term is
+    solved for v_tt; a term led by a time index acts on v_t.  Derivatives in x
+    are spectral; dt: default 0.5/c^2, finite and > 0, else InvalidInput.  v_t
+    starts on the exact branch: v_t^ = is(omega - c^2) v^, less aleph v/(2is).
+    """
+    dt = 0.5 / c**2 if dt is None else dt
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInput(f"time step dt={dt} must be finite and > 0")
+    v = np.array(psi0, dtype=complex)
+    if v.shape != tuple(grid.shape):
+        raise GridMismatch(f"psi0 of shape {v.shape} is not on the grid {tuple(grid.shape)}")
+    s, n = branch.sign, grid.ndim + 1
+    mesh, xi2, k = grid.mesh(), _xi2(grid), (None, *grid.freq_mesh())  # k by spacetime axis
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    t = float(times[0]) if len(times) else 0.0
+    free = [((0, 0), -1.0 / c**2), ((0,), -2j * s)] + [((j, j), 1.0) for j in range(1, n)]
+
+    def terms_at(t):
+        terms = _operator_terms(M, c, [t, *mesh], s)[0]
+        for key, coef in free:
+            terms[key] = terms.get(key, 0.0) + coef
+        return terms.pop((0, 0)), terms
+
+    def f(a, terms, y):
+        """(v, v_t) -> (v_t, v_tt)."""
+        yh = np.fft.fftn(y, axes=range(1, n))
+        acc = 0.0
+        for key, coef in terms.items():
+            i = int(key[:1] == (0,))
+            acc = acc + coef * (np.fft.ifftn(_symbol(k, key[i:]) * yh[i]) if key[i:] else y[i])
+        return np.stack([y[1], -acc / a])
+
+    y = np.stack([v, np.fft.ifftn(1j * s * c * xi2 / (np.sqrt(c * c + xi2) + c) * np.fft.fftn(v))
+                  - aleph(M, _spacetime(t, mesh)) * v / (2j * s)])
+    co, out = terms_at(t), [SchrState(grid, v, t)]
+    for target in times[1:]:
+        nsteps = max(1, int(math.ceil(abs(target - t) / dt)))
+        step = (target - t) / nsteps
+        for _ in range(nsteps):
+            mid, end = terms_at(t + 0.5 * step), terms_at(t + step)
+            k1 = f(*co, y)
+            k2 = f(*mid, y + 0.5 * step * k1)
+            k3 = f(*mid, y + 0.5 * step * k2)
+            y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + f(*end, y + step * k3))
+            co, t = end, t + step
+        t = float(target)
+        out.append(SchrState(grid, y[0].copy(), t))
+    return out
 
 
 @dataclass

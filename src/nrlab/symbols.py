@@ -375,9 +375,6 @@ def aleph(M: MetricParams, z):
     return -M.alpha(z)
 
 
-aleph_field = aleph
-
-
 def natural_quadform(M: MetricParams, z, h: float) -> np.ndarray:
     """Inverse metric in natural frequency units: G = S g^-1 S, S = diag(c, 1..).
 

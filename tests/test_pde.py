@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrlab.experiments import bandlimited_gaussian
-from nrlab.errors import InvalidInput, ResampleOverflow, StepFailure
+from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from nrlab.quantize import BoxGrid
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -297,21 +297,79 @@ class TestNonRelativisticComparison:
         assert max(errs) == 0.0
 
 
+@pytest.fixture(scope="module")
+def lapse_case():
+    """ACCEPTANCE 6's lapse case: alpha amplitude 0.3, c = 8, 128 points, T = 1."""
+    grid = BoxGrid.regular(40 * math.pi, 128, 1)
+    psi = bandlimited_gaussian(grid, 2.0)
+    M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
+    times = np.linspace(0.0, 1.0, 9)
+    return grid, psi, M, times, kg_envelope_solve(psi, MI, M, 8.0, times, grid)
+
+
+def _lapse_reference(psi, branch, M, c, times, grid):
+    """RK4 (dt = 0.5/c^2) of the lapse metric's conjugated equation, derived
+    by hand for g = -(c^2 - alpha) dt^2 + dx^2:
+
+        v_tt = -2isc^2 v_t + c^2 alpha v
+               + (c^2 - alpha) [b_t (v_t + isc^2 v) + v_xx + b_x v_x],
+
+    b_t = -alpha_t/(2(c^2-alpha)^2), b_x = -alpha_x/(2(c^2-alpha)), from the
+    exact branch's v_t less aleph v/(2is) = -alpha v/(2is)."""
+    s, x, k = branch.sign, grid.axis_points(0), grid.axis_freqs(0)
+
+    def rhs(t, v, vt):
+        z = np.stack(np.broadcast_arrays(t, x), axis=-1)
+        al, dal = M.alpha(z), M.alpha.grad(z)
+        bt, bx = -dal[:, 0] / (2 * (c * c - al) ** 2), -dal[:, 1] / (2 * (c * c - al))
+        vh = np.fft.fft(v)
+        vxx, vx = np.fft.ifft(-k * k * vh), np.fft.ifft(1j * k * vh)
+        return (-2j * s * c * c * vt + c * c * al * v
+                + (c * c - al) * (bt * (vt + 1j * s * c * c * v) + vxx + bx * vx))
+
+    v = np.asarray(psi, dtype=complex)
+    z0 = np.stack(np.broadcast_arrays(times[0], x), axis=-1)
+    vt = (np.fft.ifft(1j * s * (c * np.sqrt(c * c + k * k) - c * c) * np.fft.fft(v))
+          + M.alpha(z0) * v / (2j * s))
+    t, out = times[0], [v]
+    for target in times[1:]:
+        n = max(1, math.ceil(abs(target - t) * 2 * c * c))
+        h = (target - t) / n
+        for _ in range(n):
+            k1v, k1a = vt, rhs(t, v, vt)
+            k2v, k2a = vt + h / 2 * k1a, rhs(t + h / 2, v + h / 2 * k1v, vt + h / 2 * k1a)
+            k3v, k3a = vt + h / 2 * k2a, rhs(t + h / 2, v + h / 2 * k2v, vt + h / 2 * k2a)
+            k4v, k4a = vt + h * k3a, rhs(t + h, v + h * k3v, vt + h * k3a)
+            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            vt = vt + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            t += h
+        t = target
+        out.append(v)
+    return out
+
+
+def _free_branch_error(c, f, branch, n, side):
+    """Sup error of the envelope solver against exact free Klein-Gordon over
+    t <= 0.25, for a Gaussian at xi0 = f c carried on one branch."""
+    grid = BoxGrid.regular(side, n, 1)
+    x = grid.axis_points(0)
+    psi = np.exp(-x * x / 4.0 + 1j * f * c * x)
+    times = np.linspace(0.0, 0.25, 3)
+    env = kg_envelope_solve(psi, branch, MetricParams.free(1), c, times, grid)
+    kgs = kg_free_solve(kg_branch_data(grid, psi, c, branch), times)
+    return max(np.max(np.abs(envelope(k, branch) - e.v)) for k, e in zip(kgs, env))
+
+
 class TestAlephCoupling:
-    def test_potential_needed_for_rate(self):
-        grid = BoxGrid.regular(40 * math.pi, 128, 1)
-        psi = bandlimited_gaussian(grid, 2.0)
-        M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
-        times = np.linspace(0.0, 1.0, 9)
-        c = 8.0
-        kg_env = kg_envelope_solve(psi, MI, M, c, times, grid)
+    def test_potential_needed_for_rate(self, lapse_case):
+        grid, psi, M, times, kg_env = lapse_case
         with_pot = schrodinger_solve(SchrState(grid, psi, 0.0), MI, times,
                                      SchrCoefficients.from_metric(M), dt=0.01)
         without = schrodinger_solve(SchrState(grid, psi, 0.0), MI, times,
                                     SchrCoefficients.from_metric(M, include_aleph=False),
                                     dt=0.01)
-        good = conjugate_compare(kg_env, with_pot, MI, c).sup_error
-        bad = conjugate_compare(kg_env, without, MI, c).sup_error
+        good = conjugate_compare(kg_env, with_pot, MI, 8.0).sup_error
+        bad = conjugate_compare(kg_env, without, MI, 8.0).sup_error
         assert bad >= 5.0 * good
 
     def test_envelope_solver_free_consistency(self):
@@ -320,14 +378,53 @@ class TestAlephCoupling:
         times = np.linspace(0.0, 1.0, 5)
         c = 8.0
         env = kg_envelope_solve(psi, MI, MetricParams.free(1), c, times, grid)
-        # matched data: u_t(0) consistent with the slow-branch envelope
-        k = grid.axis_freqs(0)
-        vt0 = np.fft.ifftn(-(k**2) * np.fft.fftn(psi)) / (2j * MI.sign)
-        u0 = KGState(grid, psi, vt0 + 1j * MI.sign * c**2 * psi, 0.0, c)
-        kgs = kg_free_solve(u0, times)
+        kgs = kg_free_solve(kg_branch_data(grid, psi, c, MI), times)
         worst = max(np.max(np.abs(envelope(s, MI) - e.v))
                     for s, e in zip(kgs, env))
-        assert worst < 1e-4
+        assert worst < 1e-8
+
+
+class TestEnvelopeSolver:
+    def test_lapse_matches_hand_derived_equation(self, lapse_case):
+        grid, psi, M, times, kg_env = lapse_case
+        ref = _lapse_reference(psi, MI, M, 8.0, times, grid)
+        assert max(np.max(np.abs(e.v - r)) for e, r in zip(kg_env, ref)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [4.0, 8.0, 16.0])
+    def test_free_branch_data_at_half_c(self, c):
+        # the Schrodinger relation for v_t is off by O(|xi|^4/c^2) here
+        assert _free_branch_error(c, 0.5, MI, 128, 10 * math.pi) <= 1e-5
+
+    @given(c=st.floats(4.0, 16.0), f=st.floats(0.0, 0.5),
+           branch=st.sampled_from([PL, MI]))
+    @settings(max_examples=15, deadline=None)
+    def test_free_branch_data_property(self, c, f, branch):
+        assert _free_branch_error(c, f, branch, 64, 5 * math.pi) <= 1e-5
+
+    def test_general_metric_error_falls_with_c(self):
+        grid = BoxGrid.regular(20 * math.pi, 64, 1)
+        psi = bandlimited_gaussian(grid, 2.0)
+        M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3),
+                         w=(ClassicalSymbolProfile(amplitude=0.2),),
+                         hjk=((ClassicalSymbolProfile(amplitude=0.1),),))
+        times = np.linspace(0.0, 0.25, 5)
+        schr = schrodinger_solve(SchrState(grid, psi, 0.0), MI, times,
+                                 SchrCoefficients.from_metric(M), dt=0.01)
+        e8, e16 = (conjugate_compare(kg_envelope_solve(psi, MI, M, c, times, grid),
+                                     schr, MI, c).sup_error for c in (8.0, 16.0))
+        assert e16 < e8
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_dt_is_invalid_input(self, dt):
+        grid = BoxGrid.regular(10.0, 16, 1)
+        with pytest.raises(InvalidInput):
+            kg_envelope_solve(np.ones(16), MI, MetricParams.free(1), 4.0, [0.0, 0.5],
+                              grid, dt=dt)
+
+    def test_data_off_the_grid_is_grid_mismatch(self):
+        grid = BoxGrid.regular(10.0, 16, 1)
+        with pytest.raises(GridMismatch):
+            kg_envelope_solve(np.ones(15), MI, MetricParams.free(1), 4.0, [0.0, 0.5], grid)
 
 
 @pytest.fixture(scope="module")

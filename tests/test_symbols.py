@@ -17,7 +17,6 @@ from nrlab.symbols import (
     Side,
     SignBranch,
     aleph,
-    aleph_field,
     char_membership,
     eval_metric,
     eval_p,
@@ -155,7 +154,7 @@ class TestAleph:
 
     def test_field_matches_pointwise(self, wavy_metric):
         pts = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 0.5]])
-        vals = aleph_field(wavy_metric, pts)
+        vals = aleph(wavy_metric, pts)
         for z, v in zip(pts, vals):
             assert abs(aleph(wavy_metric, z) - v) < 1e-9
 
