@@ -17,6 +17,7 @@ randomness flows from one 64-bit seed: a fixed config gives byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -326,17 +327,21 @@ def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
     return rep.finish(command)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:   # built on the first call and kept
     parser = argparse.ArgumentParser(
-        prog="nrlab", description="compactified phase-space laboratory experiments"
-    )
+        prog="nrlab", description="compactified phase-space laboratory experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if cfg["command"] != args.command:

@@ -12,11 +12,13 @@ multiplier (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} together with the natural-face
 weight rho_nf(h, zeta)^{-l}.  On spectrum away from the blown-up zero
 section rho_nf = h and the l-order is the plain h^{-l} of the natural-scale
 norm; on the parabolic region it is the anisotropic weight
-(1+tau^2+|xi|^4)^{l/4}, which is what keeps the uniform-inverse ratio
-experiment stable in c.  The q_+/- orders are literal h^{-q} prefactors.
+(1+tau^2+|xi|^4)^{l/4}.  That weight is not what keeps the ratio experiment
+stable in c: with l = 0 it passes the same gates.  The q_+/- orders are
+literal h^{-q} prefactors.
 
 The ratio experiment applies the Klein-Gordon operator P through
-``pde.ConjugatedOperator`` without a branch, built once per c.
+``pde.ConjugatedOperator`` without a branch, built once per c.  A member's
+spectrum is taken once for P and both norms: eight FFTs on the free metric.
 """
 
 from __future__ import annotations
@@ -136,20 +138,17 @@ def _natural_multiplier(grid: BoxGrid, h: float, m: float) -> np.ndarray:
 def _natural_face_bdf(grid: BoxGrid, h: float) -> np.ndarray:
     """Global natural-face bdf on the DFT frequencies:
     rho_nf = h + chi(zeta_nat) (1 + tau^2 + |xi|^4)^{-1/4}."""
-    k = _open_mesh(grid, freqs=True)
-    tau = k[0]
-    xi2 = sum(kj * kj for kj in k[1:])
-    xi4 = sum((kj * kj) ** 2 for kj in k[1:])
-    zn = np.sqrt(h**4 * tau**2 + h**2 * xi2)
+    tau, *xs = _open_mesh(grid, freqs=True)
+    zn = np.sqrt(h**4 * tau**2 + h**2 * sum(kj * kj for kj in xs))
     # radial cutoff: 1 for |zeta_nat| <= 1, 0 for >= 2
     chi = 1.0 - smooth_step(zn - 1.0)
-    return h + chi * (1.0 + tau**2 + xi4) ** -0.25
+    return h + chi * (1.0 + tau**2 + sum((kj * kj) ** 2 for kj in xs)) ** -0.25
 
 
-def _fourier_norm(values: np.ndarray, mult, dvol: float) -> float:
-    """|| F^-1[mult F[values]] ||_2 on the grid, by Parseval
-    sqrt(dvol / N) || mult F[values] ||_2."""
-    spec = np.fft.fftn(values)
+def _fourier_norm(buf: np.ndarray, mult, dvol: float) -> float:
+    """|| F^-1[mult F[buf]] ||_2 on the grid, by Parseval
+    sqrt(dvol / N) || mult F[buf] ||_2; the complex ``buf`` is transformed in place."""
+    spec = np.fft.fftn(buf, out=buf)
     spec *= mult
     parts = spec.view(float).ravel()   # real and imaginary parts, no copy
     return math.sqrt(dvol / spec.size * np.einsum("i,i->", parts, parts))
@@ -180,12 +179,12 @@ def _carrier(grid: BoxGrid, h: float) -> np.ndarray:
     return np.exp(1j * _open_mesh(grid)[0] / h**2)
 
 
-def _split(values: np.ndarray, q_plus: np.ndarray, carrier: np.ndarray) -> tuple:
-    """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field's values."""
-    spec = np.fft.fftn(values)
-    spec *= q_plus
-    plus = np.fft.ifftn(spec)
-    return np.conj(carrier) * plus, carrier * (values - plus)
+def _split(values: np.ndarray, spec: np.ndarray, q_plus, carrier) -> tuple:
+    """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field from its values
+    and its spectrum F[u], which is overwritten: one inverse FFT, in place."""
+    plus = np.fft.ifftn(np.multiply(spec, q_plus, out=spec), out=spec)
+    minus = values - plus
+    return np.multiply(plus, np.conj(carrier), out=plus), np.multiply(minus, carrier, out=minus)
 
 
 @dataclass
@@ -211,27 +210,27 @@ def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
     u_plus = e^{-ic^2 t} Q_+ u and u_minus = e^{+ic^2 t} Q_- u.
     """
     g = u.grid
-    plus, minus = _split(u.values, _split_multiplier(g, h, chi_profile), _carrier(g, h))
+    plus, minus = _split(u.values, np.fft.fftn(u.values), _split_multiplier(g, h, chi_profile),
+                         _carrier(g, h))
     return SplitPair(u_minus=GridField(g, minus), u_plus=GridField(g, plus), h=h)
 
 
-def _two_sheet_norm(grid: BoxGrid, h: float, orders: OrderProfile, chi_profile=None):
-    """The two-sheet norm on ``grid`` at scale h as a function of a field's values.
+def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=None):
+    """The two-sheet norm at scale h for each order tuple and its weight
+    <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier
+    and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
+    in place: the split's inverse and a Parseval forward per envelope."""
+    q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
+    rho_nf = _natural_face_bdf(grid, h)
 
-    Q_+, the carrier, rho_df^{-m} rho_nf^{-l} and <z>^{s_bar} are built once
-    here; a call takes four FFTs.
-    """
-    q_plus = _split_multiplier(grid, h, chi_profile)
-    carrier = _carrier(grid, h)
-    mult = _natural_multiplier(grid, h, orders.m) * _natural_face_bdf(grid, h) ** -orders.ell
-    weight = _weight_field(grid, orders)
+    def norm_for(orders, weight):
+        mult = _natural_multiplier(grid, h, orders.m) * rho_nf ** -orders.ell
+        return lambda values, spec: sum(
+            h**-q * _fourier_norm(np.multiply(env, weight, out=env), mult, grid.dvol)
+            for q, env in zip((orders.q_plus, orders.q_minus),
+                              _split(values, spec, q_plus, carrier)))
 
-    def norm(values: np.ndarray) -> float:
-        envs = _split(values, q_plus, carrier)
-        return sum(h**-q * _fourier_norm(weight * env, mult, grid.dvol)
-                   for q, env in zip((orders.q_plus, orders.q_minus), envs))
-
-    return norm
+    return [norm_for(o, w) for o, w in zip(orders_list, weights)]
 
 
 def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
@@ -242,7 +241,9 @@ def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
     || rho_df^{-m} rho_nf^{-l} F[ <z>^{s_bar(t/<z>)} v ] ||_2 with the global
     frequency-space bdfs, times the prefactor h^{-q_+/-}; the two terms add.
     """
-    return _two_sheet_norm(u.grid, h, orders, chi_profile)(u.values)
+    g = u.grid
+    norm, = _two_sheet_norms(g, h, [orders], [_weight_field(g, orders)], chi_profile)
+    return norm(u.values, np.fft.fftn(u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +262,20 @@ def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0,
     {"plain", "plus", "minus"}.
     """
     rng = np.random.default_rng(seed)
-    mesh = grid.mesh()
-    t = mesh[0]
+    t, *xs = _open_mesh(grid)   # open: a member is the only full-grid array
     members = []
     for j in range(n_base):
         t0 = rng.uniform(-0.4, 0.4)
-        x0 = [rng.uniform(-1.0, 1.0) for _ in mesh[1:]]
-        v = [rng.uniform(-vmax, vmax) for _ in mesh[1:]]
+        x0 = [rng.uniform(-1.0, 1.0) for _ in xs]
+        v = [rng.uniform(-vmax, vmax) for _ in xs]
         mu = rng.uniform(-1.0, 1.0)
         phase = mu * t
         r2 = ((t - t0) / sigma_t) ** 2
-        for i, m_ in enumerate(mesh[1:]):
-            phase = phase + v[i] * m_
-            r2 = r2 + ((m_ - x0[i]) / sigma_x) ** 2
+        for x, x0_i, v_i in zip(xs, x0, v):
+            phase = phase + v_i * x
+            r2 = r2 + ((x - x0_i) / sigma_x) ** 2
         base = np.exp(-r2) * np.exp(1j * phase)
-        for kind in ("plain", "plus", "minus"):
-            members.append((f"g{j}_{kind}", kind, base))
+        members += [(f"g{j}_{kind}", kind, base) for kind in ("plain", "plus", "minus")]
     return members
 
 
@@ -303,38 +302,30 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     if grid is None:
         grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (4096, 64))
     cs = sorted(float(c) for c in c_list)
-    cmax = max(cs)
     nyq = math.pi * grid.ns[0] / grid.sides[0]
-    if cmax**2 * 1.1 > nyq:
+    if max(cs) ** 2 * 1.1 > nyq:
         raise SpectrumOverflow(
-            f"c^2 = {cmax**2} too close to the time Nyquist frequency {nyq:.0f}"
-        )
+            f"c^2 = {max(cs) ** 2} too close to the time Nyquist frequency {nyq:.0f}")
     M = metric if metric is not None else MetricParams.free(grid.ndim - 1)
     members = gaussian_family(grid, n_base=n_base, seed=seed)
     t = _open_mesh(grid)[0]
-    den_orders = orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0)
+    both = (orders, orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0))   # numerator, denominator
+    weights = [_weight_field(grid, o) for o in both]
     rows = []
-    per_c = {}
-    ratios_by_member = {}
     for c in cs:
-        h = 1.0 / c
         carrier = np.exp(1j * c * c * t)
         carriers = {"plain": 1.0, "plus": carrier, "minus": np.conj(carrier)}
         P = ConjugatedOperator(M, c, grid, None)
-        num_norm = _two_sheet_norm(grid, h, orders)
-        den_norm = _two_sheet_norm(grid, h, den_orders)
-        best = 0.0
+        num_norm, den_norm = _two_sheet_norms(grid, 1.0 / c, both, weights)
         for mid, kind, base in members:
             vals = carriers[kind] * base
-            den = den_norm(P.apply(vals))
+            spec = np.fft.fftn(vals)
+            den = den_norm(*P.apply_with_spectrum(vals, spec))
             if den < 1.0e-12:
                 raise DegenerateFamily(f"member {mid} has |Pu| below floor")
-            num = num_norm(vals)
-            ratio = num / den
-            rows.append((c, mid, num, den, ratio))
-            ratios_by_member.setdefault(mid, {})[c] = ratio
-            best = max(best, ratio)
-        per_c[c] = best
-    spread = max(per_c.values()) / min(per_c.values())
-    drift = {mid: r[cs[-1]] / r[cs[0]] for mid, r in ratios_by_member.items()}
-    return RatioTable(rows, per_c, spread, drift)
+            num = num_norm(vals, spec)
+            rows.append((c, mid, num, den, num / den))
+    per_c = {c: max(row[4] for row in rows if row[0] == c) for c in cs}
+    first, last = ({row[1]: row[4] for row in rows if row[0] == c} for c in (cs[0], cs[-1]))
+    drift = {mid: last[mid] / first[mid] for mid in first}
+    return RatioTable(rows, per_c, max(per_c.values()) / min(per_c.values()), drift)

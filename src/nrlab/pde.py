@@ -201,10 +201,12 @@ class SchrCoefficients:
 
     def potential(self, t, mesh, branch: SignBranch) -> np.ndarray | None:
         """V at time t, or None when none of W, beta, aleph is given."""
-        terms = [sign * np.asarray(f(t, *mesh), dtype=complex) for sign, f in
-                 ((1.0, self.W), (branch.sign, self.beta), (-1.0, self.aleph))
-                 if f is not None]
-        return sum(terms[1:], terms[0]) if terms else None
+        V = None
+        for sign, f in ((1, self.W), (branch.sign, self.beta), (-1, self.aleph)):
+            if f is not None:
+                term = np.asarray(f(t, *mesh), dtype=complex)
+                V = (term if sign > 0 else -term) if V is None else V + sign * term
+        return V
 
     def drift(self, t, mesh) -> list | None:
         """B_j at time t, or None when B is not given."""
@@ -375,7 +377,7 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
             add((1 + j,), 1j * Bj(z, c))
     if not M.W.is_zero:
         add((), M.W(z, c))
-    return terms, c1
+    return {key: coef for key, coef in terms.items() if np.any(coef)}, c1
 
 
 class ConjugatedOperator:
@@ -410,12 +412,24 @@ class ConjugatedOperator:
         self.terms, self.c1 = _operator_terms(     # open mesh: broadcast when used
             M, c, np.ix_(*[grid.axis_points(i) for i in range(n)]), s)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        spec = np.fft.fftn(u)
-        out = np.fft.ifftn((self.mult_t + self.mult_x) * spec)
+    def apply(self, u: np.ndarray, spec=None) -> np.ndarray:
+        """P u; ``spec`` is F[u] when the caller has it, and is only read."""
+        spec = np.fft.fftn(u) if spec is None else spec
+        out = (self.mult_t + self.mult_x) * spec
+        np.fft.ifftn(out, out=out)
         for key, coef in self.terms.items():
-            out += coef * (np.fft.ifftn(_symbol(self.k, key) * spec) if key else u)
+            d = _symbol(self.k, key) * spec if key else None
+            out += coef * (np.fft.ifftn(d, out=d) if key else u)
         return out
+
+    def apply_with_spectrum(self, u: np.ndarray, spec: np.ndarray) -> tuple:
+        """(P u, F[P u]) from u and its spectrum, which is only read; with no
+        coefficient term P is its multiplier, so F[Pu] takes no transform."""
+        if self.terms:
+            out = self.apply(u, spec)
+            return out, np.fft.fftn(out)
+        pspec = (self.mult_t + self.mult_x) * spec
+        return np.fft.ifftn(pspec), pspec
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         """Euclidean L^2 adjoint: (a d^gamma)* = (-d)^gamma (conj(a) .), and a
@@ -518,28 +532,21 @@ def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
     bracket = np.sqrt(1.0 + r2)
 
     coeff = {}
-    names = ["r_t"] + [f"r_x{j}" for j in range(1, n)]
-    firsts = []
-    for i in range(n):
-        probe = mesh[i] * phi
-        Qp = op.symmetry_defect_apply(probe)
-        ri = np.zeros_like(Qphi)
+    for i, name in enumerate(["r_t"] + [f"r_x{j}" for j in range(1, n)]):
+        Qp = op.symmetry_defect_apply(mesh[i] * phi)
+        ri = coeff[name] = np.zeros_like(Qphi)
         ri[mask_fit] = (Qp[mask_fit] - mesh[i][mask_fit] * Qphi[mask_fit]) / phi[mask_fit]
-        coeff[names[i]] = ri
-        firsts.append(ri)
     dphi = [np.fft.ifftn(1j * grid.freq_mesh()[i] * np.fft.fftn(phi)) for i in range(n)]
-    r0 = np.zeros_like(Qphi)
     acc = Qphi.copy()
-    for i in range(n):
-        acc -= firsts[i] * dphi[i]
+    for ri, d in zip(coeff.values(), dphi):
+        acc -= ri * d
+    r0 = coeff["r_0"] = np.zeros_like(Qphi)
     r0[mask_fit] = acc[mask_fit] / phi[mask_fit]
-    coeff["r_0"] = r0
 
-    orders = {}
-    maxabs = {}
+    orders, maxabs = {}, {}
+    br = bracket[mask_fit]
     for name, f in coeff.items():
         mag = np.abs(f[mask_fit])
-        br = bracket[mask_fit]
         maxabs[name] = float(np.max(np.abs(f[mask]), initial=0.0))
         if mag.max(initial=0.0) < 1.0e-13:
             orders[name] = -np.inf
@@ -554,12 +561,8 @@ def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
                 ys.append(float(mag[sel].max()))
         xs, ys = np.asarray(xs), np.asarray(ys)
         keep = ys > 1.0e-14 * mag.max()
-        if keep.sum() < 3:
-            orders[name] = -np.inf
-        else:
-            orders[name] = float(
-                np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0]
-            )
+        orders[name] = (float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
+                        if keep.sum() >= 3 else -np.inf)
     return SymmetryDefectReport(coeff, orders, maxabs, mask, bracket)
 
 

@@ -171,7 +171,7 @@ def _monomial(xs, exps, start):
 def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
                          name: str) -> np.ndarray:
     """d/dx along ``axis``: one fft, the spectral-decay preflight on its
-    power, ik multiplied in place, one ifft."""
+    power, ik multiplied in place, one ifft, also in place."""
     n = values.shape[axis]
     spec = np.fft.fft(values, axis=axis)
     power = np.abs(spec) ** 2
@@ -186,7 +186,7 @@ def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
     shape = [1] * values.ndim
     shape[axis] = n
     spec *= 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=spacing)).reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
+    return np.fft.ifft(spec, axis=axis, out=spec)
 
 
 @dataclass

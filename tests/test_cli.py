@@ -279,6 +279,30 @@ class TestRunCommands:
         assert proc.returncode == 0
         assert "PASS degeneracy" in proc.stdout
 
+    def test_consecutive_calls_answer_as_fresh_ones(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once: a later call, with another command or a
+        # bad --seed, exits and prints as it would in a fresh process
+        monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its usage line to this
+        deg = write(tmp_path / "d.json", {"schema_version": 1, "command": "degeneracy"})
+        cs = write(tmp_path / "c.json", {"schema_version": 1, "command": "charset",
+                                         "params": {"n_samples": 20}})
+        argvs = [["degeneracy", "--config", deg, "--out", str(tmp_path / "deg")],
+                 ["charset", "--config", cs, "--seed", "x"],
+                 ["charset", "--config", cs, "--seed", "-1"],
+                 ["charset", "--config", cs, "--out", str(tmp_path / "cs")]]
+        here = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejects an argument
+                code = exc.code
+            here.append((code, *capsys.readouterr()))
+        fresh = [subprocess.run([sys.executable, "-m", "nrlab.cli", *argv],
+                                capture_output=True, text=True, timeout=120)
+                 for argv in argvs]
+        assert here == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in here] == [0, 2, 2, 0]
+
     def test_cold_flow_run_loads_no_scipy(self, tmp_path):
         # a perturbed metric at h > 0 sends every row through the Dormand-Prince
         # integrator, so each one ends on an event root of its dense output

@@ -1,6 +1,7 @@
 """Weighted norms, energy splitting, and the uniform-ratio experiment."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nrlab.norms import (
     OrderProfile,
     calctwo_norm,
     default_chi,
+    gaussian_family,
     natural_norm,
     sc_norm,
     smooth_step,
@@ -317,3 +319,64 @@ class TestLadderGuards:
         grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (256, 32))
         with pytest.raises(SpectrumOverflow):
             uniform_ratio_experiment([64.0], orders, grid=grid, n_base=1)
+
+
+class TestInPlaceSafety:
+    """The norms transform their own temporaries in place, never a caller's array."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_inputs_bit_identical(self, stg, bump, dtype):
+        vals = bump * np.exp(1j * 2.0 * stg.mesh()[0])
+        vals = np.real(vals) if dtype is float else vals
+        keep = vals.copy()
+        u = GridField(stg, vals)
+        orders = fwd_profile(m=1.0, ell=1.0)
+        natural_norm(u, 1.0, orders, 1.0, 0.5)
+        sc_norm(u, 1.0, 0.5)
+        calctwo_norm(u, 0.5, orders)
+        split_energy(u, 0.5)
+        assert vals.dtype == keep.dtype and vals.tobytes() == keep.tobytes()
+        assert u.values.tobytes() == keep.astype(complex).tobytes()
+
+
+def _counting_fft(monkeypatch):
+    counts = Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+class TestRatioPipeline:
+    grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (256, 32))
+
+    def test_free_member_costs_eight_transforms(self, monkeypatch):
+        counts = _counting_fft(monkeypatch)
+        tab = uniform_ratio_experiment([4.0], fwd_profile(m=1.0, ell=1.0), grid=self.grid,
+                                       n_base=1)
+        # one fftn of u; P's inverse; per norm the split's inverse and two
+        # Parseval forwards (F[Pu] is P's multiplier times F[u])
+        assert len(tab.rows) == 3
+        assert counts == Counter(fftn=5 * 3, ifftn=3 * 3)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "wavy"])
+    def test_rows_match_public_reference(self, perturbed, wavy_metric):
+        M = wavy_metric if perturbed else MetricParams.free(1)
+        orders, cs = fwd_profile(m=1.0, ell=1.0), [4.0, 8.0]
+        tab = uniform_ratio_experiment(cs, orders, grid=self.grid, metric=M, n_base=2, seed=5)
+        t = self.grid.mesh()[0]
+        want = []
+        for c in cs:
+            P = ConjugatedOperator(M, c, self.grid, None)
+            carrier = np.exp(1j * c * c * t)
+            for mid, kind, base in gaussian_family(self.grid, n_base=2, seed=5):
+                u = {"plain": 1.0, "plus": carrier, "minus": np.conj(carrier)}[kind] * base
+                num = calctwo_norm(GridField(self.grid, u), 1.0 / c, orders)
+                den = calctwo_norm(GridField(self.grid, P.apply(u)), 1.0 / c,
+                                   orders.shifted(dm=-1.0, ds=1.0, dl=-1.0))
+                want.append((c, mid, num, den, num / den))
+        assert [row[:2] for row in tab.rows] == [row[:2] for row in want]
+        np.testing.assert_allclose([row[2:] for row in tab.rows],
+                                   [row[2:] for row in want], rtol=1e-13, atol=0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from nrlab.quantize import BoxGrid
@@ -542,6 +543,94 @@ class TestConjugatedOperator:
         demod = np.conj(carrier) * P.apply(carrier * v)
         conj = ConjugatedOperator(wavy_metric, c, stgrid, branch).apply(v)
         assert np.max(np.abs(demod - conj)) <= 1e-10 * np.max(np.abs(conj))
+
+
+class TestOperatorInputs:
+    """apply/apply_adjoint transform their own temporaries, never the caller's."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "wavy"])
+    def test_inputs_bit_identical(self, stgrid, wavy_metric, dtype, perturbed):
+        t, x = stgrid.mesh()
+        u = np.exp(-(t**2 + x**2) / 8.0) * np.exp(1j * x)
+        u = np.real(u) if dtype is float else u
+        spec = np.fft.fftn(u)
+        keep, keep_spec = u.copy(), spec.copy()
+        P = ConjugatedOperator(wavy_metric if perturbed else MetricParams.free(1), 3.0,
+                               stgrid, None)
+        out = P.apply(u)
+        np.testing.assert_array_equal(P.apply(u, spec), out)
+        P.apply_adjoint(u)
+        Pu, Pspec = P.apply_with_spectrum(u, spec)
+        assert u.tobytes() == keep.tobytes() and spec.tobytes() == keep_spec.tobytes()
+        np.testing.assert_allclose(Pu, out, rtol=0.0, atol=1e-12 * np.max(np.abs(out)))
+        np.testing.assert_allclose(Pspec, np.fft.fftn(out), rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(Pspec)))
+
+
+class TestZeroCoefficientTerms:
+    """A coefficient that vanishes identically builds no term (lapse-only metric:
+    g^{01} and the spatial remainder are 0)."""
+
+    @staticmethod
+    def _with_zero_terms(monkeypatch):
+        # the terms as built before zero ones were left out
+        build = pde._operator_terms
+
+        def padded(M, c, zs, s):
+            terms, c1 = build(M, c, zs, s)
+            return {**terms, **{key: np.zeros(()) for key in ((0, 1), (1, 1))
+                                if key not in terms}}, c1
+        monkeypatch.setattr(pde, "_operator_terms", padded)
+
+    def test_lapse_operator(self, lapse_case, monkeypatch):
+        grid, psi, M, times, kg_env = lapse_case
+        stg = BoxGrid((2.0, 40 * math.pi), (16, 128))
+        t, x = stg.mesh()
+        u = np.exp(-t**2 - (x / 4.0) ** 2) * np.exp(1j * x)
+        ops = [ConjugatedOperator(M, 8.0, stg, branch) for branch in (None, MI)]
+        assert all((0, 1) not in P.terms and (1, 1) not in P.terms for P in ops)
+        self._with_zero_terms(monkeypatch)
+        for branch, P in zip((None, MI), ops):
+            ref = ConjugatedOperator(M, 8.0, stg, branch)
+            assert (0, 1) in ref.terms
+            for f in ("apply", "apply_adjoint"):
+                a, b = getattr(P, f)(u), getattr(ref, f)(u)
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_lapse_envelope(self, lapse_case, monkeypatch):
+        grid, psi, M, times, kg_env = lapse_case
+        t_terms = pde._operator_terms(M, 8.0, [0.3, grid.axis_points(0)], MI.sign)[0]
+        assert (0, 1) not in t_terms and (1, 1) not in t_terms
+        self._with_zero_terms(monkeypatch)
+        ref = kg_envelope_solve(psi, MI, M, 8.0, times, grid)
+        scale = max(np.max(np.abs(r.v)) for r in ref)
+        assert max(np.max(np.abs(e.v - r.v)) for e, r in zip(kg_env, ref)) <= 1e-14 * scale
+
+
+class TestPotential:
+    def test_lone_W_returned_exactly(self):
+        grid = BoxGrid.regular(10.0, 16, 1)
+        mesh = grid.mesh()
+        W = lambda t, x: 0.5 / (1.0 + t * t + x * x)   # real: V must still be complex
+        V = SchrCoefficients(1, W=W).potential(0.3, mesh, MI)
+        assert V.dtype == complex and np.array_equal(V, W(0.3, *mesh))
+        Wc = lambda t, x: 1j * W(t, x)
+        assert np.array_equal(SchrCoefficients(1, W=Wc).potential(0.3, mesh, PL), Wc(0.3, *mesh))
+
+    @pytest.mark.parametrize("branch", [PL, MI])
+    def test_sum_of_terms(self, branch):
+        grid = BoxGrid.regular(10.0, 16, 1)
+        mesh = grid.mesh()
+        W = lambda t, x: 0.5 / (1.0 + x * x)
+        beta = lambda t, x: 0.2 * np.cos(x) + 0.1j
+        al = lambda t, x: 0.3 * np.exp(-x * x)
+        co = SchrCoefficients(1, W=W, beta=beta, aleph=al)
+        want = W(0.0, *mesh) + branch.sign * beta(0.0, *mesh) - al(0.0, *mesh)
+        np.testing.assert_allclose(co.potential(0.0, mesh, branch), want, rtol=1e-15)
+        only_beta = SchrCoefficients(1, beta=beta).potential(0.0, mesh, branch)
+        assert np.array_equal(only_beta, branch.sign * beta(0.0, *mesh))
+        assert SchrCoefficients(1).potential(0.0, mesh, branch) is None
 
 
 @pytest.fixture(scope="module")

@@ -549,3 +549,20 @@ class TestGridFieldInvariants:
         rng = np.random.default_rng(1)
         noisy = GridField(zg, rng.normal(size=zg.shape))
         assert not noisy.band_limited()
+
+
+class TestDerivativeInputs:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_values_bit_identical(self, setup1d, dtype):
+        # the derivative's inverse transform runs in place on its own spectrum
+        zg, qg, _ = setup1d
+        z, q = np.meshgrid(zg.axis_points(0), qg.axis_points(0), indexing="ij")
+        vals = np.exp(-((z / 6.0) ** 2) - (q / 3.2) ** 2) * np.exp(0.5j * z)
+        vals = np.real(vals) if dtype is float else vals
+        keep = vals.copy()
+        a = GridSymbol(zg, qg, vals)
+        held = a.values.copy()
+        da, dq = a.d_z(0), a.d_zeta(0)
+        assert vals.tobytes() == keep.tobytes() and a.values.tobytes() == held.tobytes()
+        assert not np.shares_memory(da.values, a.values)
+        assert not np.shares_memory(dq.values, a.values)
