@@ -99,6 +99,8 @@ def flow(rng, metric: MetricParams = MetricParams.free(1), *, n_per_case=25,
 
 def charset(rng, *, n_samples=2000) -> Result:
     """The rescaled free symbol vanishes on both characteristic sheets."""
+    if n_samples < 2:
+        raise InvalidInput("charset needs n_samples >= 2, one sample per branch")
     M = MetricParams.free(1)
     worst = 0.0
     rows = []
@@ -118,6 +120,8 @@ def charset(rng, *, n_samples=2000) -> Result:
 
 def radial(rng, *, d=1, n_samples=200) -> Result:
     """Free radial points lie on the characteristic set, where the field is radial."""
+    if n_samples < 1:
+        raise InvalidInput("radial needs n_samples >= 1")
     M = MetricParams.free(d)
     rows, on_sigma, field_norm = [], [], []
     for _ in range(n_samples):
@@ -167,6 +171,8 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
 def alpha(rng, metric: MetricParams = MetricParams.free(1), *, n_samples=100) -> Result:
     """Weight flow rates at radial points: ``alpha`` and ``signed`` =
     -(+/-) varsigma alpha are (n_samples, 3), one column per ``ALPHA_S``."""
+    if n_samples < 1:
+        raise InvalidInput("alpha needs n_samples >= 1")
     rows = []
     for i in range(n_samples):
         branch = rng.choice([PL, MI])
@@ -321,6 +327,8 @@ def uniform_ratio(seed=0, metric: MetricParams | None = None, *, m=1.0, ell=1.0,
                   s_past=-0.4, s_future=-0.6, c_list=(4.0, 8.0, 16.0, 32.0),
                   n_base=4) -> Result:
     """The uniform-ratio proxy (``norms.uniform_ratio_experiment``) over a c-ladder."""
+    if len(set(c_list)) < 2:
+        raise InvalidInput("uniform-ratio needs two distinct c values to form a spread")
     orders = nm.OrderProfile(m=m, ell=ell, q_minus=0.0, q_plus=0.0,
                              s_past=s_past, s_future=s_future)
     tab = nm.uniform_ratio_experiment(c_list, orders, metric=metric, n_base=n_base,

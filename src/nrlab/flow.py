@@ -30,7 +30,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
-from .geometry import BdfValues, ChartCoords, ChartId, ChartTag, PhasePoint, chi_cutoff
+from .geometry import (
+    BdfValues,
+    ChartCoords,
+    ChartId,
+    ChartTag,
+    PhasePoint,
+    frequency_bdfs,
+    split_coords,
+)
 from .symbols import (
     MetricParams,
     RadialPoint,
@@ -191,13 +199,13 @@ def _radial_chart_ball(co, chart: ChartId, b: SignBranch):
     limit v/|v| on the boundary sphere; 1 - |Y|^2 = rho_bf^2 / (rho_bf^2 + |v|^2)
     keeps its precision there, where 1 - |Y|^2 computed from Y does not.
     """
-    co = np.asarray(co, dtype=float)
-    d, j0 = (co.shape[-1] - 3) // 2, chart.k - 1
-    xi = co[..., d + 2 : 2 * d + 2]
-    xhat = np.insert(co[..., 1:d] + np.delete(xi, j0, -1) / xi[..., j0, None], j0, 1.0, axis=-1)
-    that = co[..., 0] - co[..., -1] * (co[..., d + 1] + b.sign) / xi[..., j0]
+    off, tau, xi, h = split_coords(co)             # off = (s, w, rho_bf)
+    j0 = chart.k - 1
+    xhat = np.insert(off[..., 1:-1] + np.delete(xi, j0, -1) / xi[..., j0, None], j0, 1.0,
+                     axis=-1)
+    that = off[..., 0] - h * (tau + b.sign) / xi[..., j0]
     v = chart.sign * np.concatenate((that[..., None], xhat), axis=-1)
-    rho2, r2 = co[..., d] ** 2, co[..., d] ** 2 + np.sum(v * v, axis=-1)
+    rho2, r2 = off[..., -1] ** 2, off[..., -1] ** 2 + np.sum(v * v, axis=-1)
     return v / np.sqrt(r2)[..., None], that, xhat, rho2 / r2
 
 
@@ -206,14 +214,15 @@ def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndar
     co = (s, w, rho_bf, tau_nat, xi_nat, h) of shape (..., 2d+3), in the same
     components and shape: one metric evaluation serves every row.  Raises
     ChartUnavailable where xi_nat[j0] = 0."""
-    d, j0, sigma = (co.shape[-1] - 3) // 2, chart.k - 1, chart.sign
-    rho, tau, h = co[..., d, None], co[..., d + 1, None], co[..., -1, None]
-    xi = co[..., d + 2 : 2 * d + 2]
+    off, tau, xi, h = split_coords(co)
+    j0, sigma = chart.k - 1, chart.sign
     xj = xi[..., j0, None]
     if np.any(xj == 0.0):
         raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
     Y, that, xhat, rho2 = _radial_chart_ball(co, chart, b)
-    V, drift = _natural_field(M, Y, co[..., d + 1 : 2 * d + 2], co[..., -1], b.sign, rho2)
+    V, drift = _natural_field(M, Y, np.concatenate((tau[..., None], xi), axis=-1), h, b.sign,
+                              rho2)
+    rho, tau, h = off[..., -1, None], tau[..., None], h[..., None]
     Vj = V[..., 1 + j0, None]
     # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
     # ball field this multiplies everything shown below by |Y_j0|
@@ -235,31 +244,20 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
     rescale with the parabolic natural-face bdf).
     """
     tag = cc.chart.tag
-    co = cc.coords
-    if tag is ChartTag.NAT_INTERIOR:
-        d = (co.size - 3) // 2
-        z = co[: 1 + d]
-        zeta_nat = co[1 + d : 2 + 2 * d]
-        h = co[-1]
-        Y = ball_from_base(z)
-        bracket = math.sqrt(1.0 + float(z @ z))
-        V, drift = _natural_field(M, Y, zeta_nat, h, b.sign)
-        comps = np.concatenate((bracket * V, drift, [0.0]))
-        return TangentVector(cc.chart, comps)
-
     if tag is ChartTag.RADIAL_NAT:
-        return TangentVector(cc.chart, _radial_field(co, cc.chart, M, b))
+        return TangentVector(cc.chart, _radial_field(cc.coords, cc.chart, M, b))
+    z, tau, xi, h = split_coords(cc.coords)
+    bracket = math.sqrt(1.0 + float(z @ z))
+    zeta = np.concatenate(([tau], xi))
+    if tag is ChartTag.NAT_INTERIOR:
+        V, drift = _natural_field(M, ball_from_base(z), zeta, h, b.sign)
+        return TangentVector(cc.chart, np.concatenate((bracket * V, drift, [0.0])))
 
     if tag is ChartTag.PF_STANDARD:
-        d = (co.size - 3) // 2
-        z = co[: 1 + d]
-        h = co[-1]
         if h != 0.0:
             raise ChartUnavailable("pf-chart field is the h = 0 limit")
-        bracket = math.sqrt(1.0 + float(z @ z))
-        V = _free_velocity(co[1 + d : 2 + 2 * d], 0.0, b.sign, parabolic=True)
-        comps = np.concatenate((bracket * V, np.zeros(d + 1), [0.0]))
-        return TangentVector(cc.chart, comps)
+        V = _free_velocity(zeta, 0.0, b.sign, parabolic=True)
+        return TangentVector(cc.chart, np.concatenate((bracket * V, np.zeros(z.size), [0.0])))
 
     raise ChartUnavailable(f"ham_field not implemented for chart {tag}")
 
@@ -363,13 +361,12 @@ def _as_start(start, b: SignBranch) -> dict:
         return natural_start(ball_from_base(start.z), start.zeta_nat, start.h)
     if not isinstance(start, ChartCoords):
         return start
-    co = start.coords
-    d = (co.size - 3) // 2
+    z, tau, xi, h = split_coords(start.coords)
     if start.chart.tag is ChartTag.RADIAL_NAT:
-        return natural_start(_radial_chart_ball(co, start.chart, b)[0], co[d + 1 : 2 * d + 2],
-                             co[-1])
+        Y = _radial_chart_ball(start.coords, start.chart, b)[0]
+        return natural_start(Y, np.concatenate(([tau], xi)), h)
     if start.chart.tag is ChartTag.PF_STANDARD:
-        return parabolic_start(ball_from_base(co[: 1 + d]), co[1 + d], co[2 + d : 2 + 2 * d])
+        return parabolic_start(ball_from_base(z), tau, xi)
     raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
 
 
@@ -763,13 +760,14 @@ def _sheet_points(cc0: ChartCoords, offsets, M, b) -> np.ndarray:
     1 - |Y|^2 carried exactly the roots' rounding floor is about 1e-14.
     DegenerateMetric if SHEET_ROOT_PASSES do not settle.
     """
-    d = (cc0.coords.size - 3) // 2
-    co = np.concatenate((offsets, np.tile(cc0.coords[d + 1 :], (len(offsets), 1))), axis=1)
+    co = np.tile(cc0.coords, (len(offsets), 1))
+    off, tau, xi, h = split_coords(co)              # views: tau is moved in place
+    off[:] = offsets
     for _ in range(SHEET_ROOT_PASSES):
         Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
-        tau = _sheet_tau_nat_perturbed(M, Y, co[:, d + 2 : 2 * d + 2], co[:, -1], b, rho2)
-        moved = np.max(np.abs(tau - co[:, d + 1]))
-        co[:, d + 1] = tau
+        root = _sheet_tau_nat_perturbed(M, Y, xi, h, b, rho2)
+        moved = np.max(np.abs(root - tau))
+        tau[:] = root
         if moved <= SHEET_ROOT_TOL:
             return co
     raise DegenerateMetric(f"sheet root still moves {moved:.1e} after {SHEET_ROOT_PASSES} passes")
@@ -839,16 +837,17 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 # ---------------------------------------------------------------------------
 
 
-def _global_bdf_state(zeta_nat, h, Y) -> BdfValues:
-    zn = np.asarray(zeta_nat, float)
-    rho_df = 1.0 / math.sqrt(1.0 + float(zn @ zn))
-    rho_bf = math.sqrt(max(0.0, 1.0 - float(np.asarray(Y) @ np.asarray(Y))))
-    chi = chi_cutoff(zn)
-    quart = h**4 + zn[0] ** 2 + float(np.sum(zn[1:] ** 4))
-    a = quart**-0.25 if quart > 0 else math.inf
-    rho_nf = h * (1.0 + chi * a) if h > 0 else 0.0
-    rho_pf = (1.0 / (1.0 + chi * a)) if not math.isinf(a) else (0.0 if chi > 0 else 1.0)
-    return BdfValues(rho_df, rho_bf, rho_nf, rho_pf)
+def _log_weight(orders, zeta_nat, h, rho_bf) -> float:
+    """log of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q, with
+    the frequency bdfs of geometry.frequency_bdfs."""
+    m, s, ell, q = orders
+    rho_df, rho_nf, rho_pf = frequency_bdfs(zeta_nat, h)
+    out = m * math.log(rho_df) + s * math.log(max(rho_bf, 1e-300))
+    if ell:
+        out += ell * math.log(max(rho_nf, 1e-300))
+    if q:
+        out += q * math.log(max(rho_pf, 1e-300))
+    return out
 
 
 def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
@@ -861,7 +860,7 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
     ``probe_offset`` > 0 the rate is a 4th-order finite difference of
     log a along the integrated flow from a point displaced inward.
     """
-    m, s_const, ell, q = orders
+    s_const = orders[1]
     zeta = rp.zeta_nat
     h = rp.h
     omega = rp.direction
@@ -870,35 +869,18 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
         rate_bf = -float(omega @ V)
         if M.is_flat or h == 0.0:
             return s_const * rate_bf
-        # frequency-only factors: d/dl log rho(zeta(l)); vanishes at bf since
-        # the drift does, but keep the general expression
+        # frequency-only factors (rho_bf = 1 leaves out the spacetime one):
+        # d/dl log rho(zeta(l)); vanishes at bf since the drift does, but
+        # keep the general expression
         eps = FD_STEP
-        def logw(znv):
-            bdf = _global_bdf_state(znv, h, omega)
-            val = m * math.log(bdf.rho_df)
-            if ell:
-                val += ell * math.log(max(bdf.rho_nf, 1e-300))
-            if q:
-                val += q * math.log(max(bdf.rho_pf, 1e-300))
-            return val
-        base = logw(zeta)
-        shift = logw(zeta + eps * drift)
+        base = _log_weight(orders, zeta, h, 1.0)
+        shift = _log_weight(orders, zeta + eps * drift, h, 1.0)
         return s_const * rate_bf + (shift - base) / eps
     # displaced probe: 4th-order FD of log a along the flow
     Y0 = (1.0 - probe_offset) * omega
     y0 = np.concatenate((Y0, zeta))
     n = Y0.size
     rhs = _state_rhs("natural", M, b, h, +1.0)
-
-    def log_weight(y):
-        Y, zn = y[:n], y[n:]
-        bdf = _global_bdf_state(zn, h, Y)
-        out = m * math.log(bdf.rho_df) + s_const * math.log(max(bdf.rho_bf, 1e-300))
-        if ell:
-            out += ell * math.log(max(bdf.rho_nf, 1e-300))
-        if q:
-            out += q * math.log(max(bdf.rho_pf, 1e-300))
-        return out
 
     eps = 1.0e-4
 
@@ -914,7 +896,8 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
         y = y0.copy()
         for _ in range(abs(steps)):
             y = rk4(y, eps * (1 if steps > 0 else -1))
-        vals[steps] = log_weight(y)
+        rho_bf = math.sqrt(max(0.0, 1.0 - float(y[:n] @ y[:n])))
+        vals[steps] = _log_weight(orders, y[n:], h, rho_bf)
     return (vals[-2] - 8.0 * vals[-1] + 8.0 * vals[1] - vals[2]) / (12.0 * eps)
 
 

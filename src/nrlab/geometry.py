@@ -33,6 +33,9 @@ __all__ = [
     "ChartCoords",
     "chi_cutoff",
     "bdf_values",
+    "frequency_bdfs",
+    "split_coords",
+    "chart_frame",
     "to_chart",
     "from_chart",
     "parabolic_chart",
@@ -176,32 +179,29 @@ def chi_cutoff(zeta_nat) -> float:
     return float(up / (up + down))
 
 
-def bdf_values(p: PhasePoint) -> BdfValues:
-    """Global smooth boundary-defining functions at an interior point.
+def frequency_bdfs(zeta_nat, h: float) -> tuple[float, float, float]:
+    """Global (rho_df, rho_nf, rho_pf) at natural frequencies zeta_nat and h.
 
-    rho_bf = (1+t^2+|x|^2)^(-1/2), rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2),
-    rho_nf = h + chi(zeta_nat) (1+tau^2+|xi|^4)^(-1/4) written in the
-    h-stable equivalent form h (1 + chi * (h^4+tau_nat^2+|xi_nat|^4)^(-1/4)),
-    and rho_pf = h / rho_nf.  rho_nf * rho_pf = h exactly.
+    rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2), rho_nf = h + chi(zeta_nat)
+    (1+tau^2+|xi|^4)^(-1/4) written in the h-stable equivalent form
+    h (1 + chi * (h^4+tau_nat^2+|xi_nat|^4)^(-1/4)), and rho_pf = h / rho_nf.
+    rho_nf * rho_pf = h exactly.
     """
-    zn = p.zeta_nat
-    rho_bf = 1.0 / math.sqrt(1.0 + p.t**2 + float(p.x @ p.x))
+    zn = np.asarray(zeta_nat, dtype=float)
     rho_df = 1.0 / math.sqrt(1.0 + float(zn @ zn))
     chi = chi_cutoff(zn)
-    quart = p.h**4 + p.tau_nat**2 + float(np.sum(p.xi_nat**4))
-    if quart > 0.0:
-        a = quart**-0.25
-    else:
-        a = math.inf
-    if p.h > 0.0:
-        rho_nf = p.h * (1.0 + chi * a)
-    else:
-        rho_nf = 0.0
-    if math.isinf(a):
-        rho_pf = 0.0 if chi > 0.0 else 1.0
-    else:
-        rho_pf = 1.0 / (1.0 + chi * a)
-    return BdfValues(rho_df=rho_df, rho_bf=rho_bf, rho_nf=rho_nf, rho_pf=rho_pf)
+    quart = h**4 + zn[0] ** 2 + float(np.sum(zn[1:] ** 4))
+    a = quart**-0.25 if quart > 0.0 else math.inf
+    rho_nf = h * (1.0 + chi * a) if h > 0.0 else 0.0
+    rho_pf = (0.0 if chi > 0.0 else 1.0) if math.isinf(a) else 1.0 / (1.0 + chi * a)
+    return rho_df, rho_nf, rho_pf
+
+
+def bdf_values(p: PhasePoint) -> BdfValues:
+    """Global smooth boundary-defining functions at an interior point:
+    rho_bf = (1+t^2+|x|^2)^(-1/2) and the frequency_bdfs."""
+    rho_df, rho_nf, rho_pf = frequency_bdfs(p.zeta_nat, p.h)
+    return BdfValues(rho_df=rho_df, rho_bf=_rho_bf_of(p.t, p.x), rho_nf=rho_nf, rho_pf=rho_pf)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +224,44 @@ def _rho_bf_of(t, x) -> float:
     return 1.0 / math.sqrt(1.0 + t**2 + float(np.dot(x, x)))
 
 
+def split_coords(co):
+    """The slots (z, a, v, e) of chart coordinates co of shape (..., 2d+3),
+    as views of co: 1+d base coordinates z, one frequency a, d frequencies v
+    and a last coordinate e.  NAT_INTERIOR fills them with (t, x), tau_nat,
+    xi_nat and h; RADIAL_NAT with (s, w, rho_bf), tau_nat, xi_nat and h."""
+    co = np.asarray(co, dtype=float)
+    d = (co.shape[-1] - 3) // 2
+    return co[..., : 1 + d], co[..., 1 + d], co[..., 2 + d : 2 + 2 * d], co[..., -1]
+
+
+def chart_frame(p):
+    """(z, h, zeta_hat, lin, tau_nat) of a PhasePoint (read in NAT_INTERIOR)
+    or of ChartCoords in one of the four phase-space charts.
+
+    In every chart the chart-rescaled symbol rho_df^2 rho_nf^2 p is
+    -G(zeta_hat, zeta_hat) +/- 2 lin, with G the natural-units inverse metric
+    at (z, h); tau_nat, which is +/- inf on the df face, tells the sheets apart.
+    """
+    if isinstance(p, PhasePoint):
+        return p.z, p.h, p.zeta_nat, p.tau_nat, p.tau_nat
+    tag, sign = p.chart.tag, p.chart.sign
+    z, a, v, e = split_coords(p.coords)
+    if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
+        return z, e, np.concatenate(([a], v)), a, a
+    if tag is ChartTag.DF_PROJECTIVE:           # (a, v, e) = (rho_df, xi_hat, h)
+        return z, e, np.concatenate(([sign], v)), sign * a, sign / a if a else sign * math.inf
+    if tag is ChartTag.PF_STANDARD:             # (a, v, e) = (tau, xi, h)
+        return z, e, np.concatenate(([e * a], v)), a, e**2 * a
+    if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
+        return z, a * e, np.concatenate(([sign * e], v)), sign, sign * e**2
+    raise ChartUnavailable(f"no chart frame in chart {tag}")
+
+
 def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
     """Express an interior point in chart-local coordinates.
 
     Raises OutOfChart when the point is outside the chart's validity region.
     """
-    d = p.d
     rho_bf = _rho_bf_of(p.t, p.x)
     if c.tag is ChartTag.NAT_INTERIOR:
         coords = np.concatenate(([p.t], p.x, [p.tau_nat], p.xi_nat, [p.h]))
@@ -285,41 +317,26 @@ def from_chart(cc: ChartCoords) -> PhasePoint:
     Raises OnBoundary if a bdf coordinate vanishes (the point sits on a
     boundary face and has no interior preimage).
     """
-    tag = cc.chart.tag
-    co = cc.coords
-    if tag is ChartTag.NAT_INTERIOR:
-        d = (co.size - 3) // 2
-        t, x = co[0], co[1 : 1 + d]
-        tau_nat, xi_nat, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        return PhasePoint(t, x, tau_nat, xi_nat, h)
+    tag, sign = cc.chart.tag, cc.chart.sign
+    z, a, v, e = split_coords(cc.coords)
+    if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
+        return PhasePoint(z[0], z[1:], a, v, e)
 
-    if tag is ChartTag.DF_PROJECTIVE:
-        d = (co.size - 3) // 2
-        t, x = co[0], co[1 : 1 + d]
-        rho_df, xi_hat, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        if rho_df <= 0.0:
+    if tag is ChartTag.DF_PROJECTIVE:           # (a, v, e) = (rho_df, xi_hat, h)
+        if a <= 0.0:
             raise OnBoundary("rho_df = 0: point on frequency infinity")
-        tau_nat = cc.chart.sign / rho_df
-        return PhasePoint(t, x, tau_nat, xi_hat / rho_df, h)
+        return PhasePoint(z[0], z[1:], sign / a, v / a, e)
 
-    if tag is ChartTag.PF_STANDARD:
-        d = (co.size - 3) // 2
-        t, x = co[0], co[1 : 1 + d]
-        tau, xi, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        if h <= 0.0:
+    if tag is ChartTag.PF_STANDARD:             # (a, v, e) = (tau, xi, h)
+        if e <= 0.0:
             raise OnBoundary("h = 0: point on the parabolic face")
-        return PhasePoint(t, x, h**2 * tau, h * xi, h)
+        return PhasePoint(z[0], z[1:], e**2 * a, e * v, e)
 
-    if tag is ChartTag.PF_NAT_PARABOLIC:
-        d = (co.size - 3) // 2
-        t, x = co[0], co[1 : 1 + d]
-        rho_nf, xi_hat, rho_pf = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        if rho_nf <= 0.0 or rho_pf <= 0.0:
+    if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
+        if a <= 0.0 or e <= 0.0:
             raise OnBoundary("rho_nf = 0 or rho_pf = 0: boundary point")
-        h = rho_nf * rho_pf
-        tau = cc.chart.sign / rho_nf**2
-        xi = xi_hat / rho_nf
-        return PhasePoint(t, x, h**2 * tau, h * xi, h)
+        h = a * e
+        return PhasePoint(z[0], z[1:], h**2 * (sign / a**2), h * (v / a), h)
 
     raise ChartUnavailable(
         f"from_chart does not handle {tag}; use from_parabolic_chart for "

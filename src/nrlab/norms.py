@@ -302,6 +302,8 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     if grid is None:
         grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (4096, 64))
     cs = sorted(float(c) for c in c_list)
+    if not cs or not all(0.0 < c < math.inf for c in cs):
+        raise InvalidInput("the ratio needs at least one c, each finite and > 0")
     nyq = math.pi * grid.ns[0] / grid.sides[0]
     if max(cs) ** 2 * 1.1 > nyq:
         raise SpectrumOverflow(

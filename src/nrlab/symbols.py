@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChartUnavailable, DegenerateMetric, InvalidInput
-from .geometry import ChartCoords, ChartTag, PhasePoint
+from .errors import DegenerateMetric, InvalidInput
+from .geometry import ChartCoords, PhasePoint, chart_frame
 
 __all__ = [
     "ClassicalSymbolProfile",
@@ -37,10 +37,7 @@ __all__ = [
     "RadialPoint",
     "MetricValues",
     "eval_metric",
-    "metric_matrix",
-    "inverse_metric",
     "aleph",
-    "natural_quadform",
     "natural_symbol_value",
     "eval_p",
     "rescaled_symbol",
@@ -350,20 +347,6 @@ def ball_from_base(z) -> np.ndarray:
     return z / np.sqrt(1.0 + (z * z).sum(axis=-1))[..., None]
 
 
-def metric_matrix(M: MetricParams, z, c: float) -> np.ndarray:
-    """The (1+d) x (1+d) metric matrix at spacetime point z for light speed c."""
-    return eval_metric(M, ball_from_base(z), 1.0 / c).g
-
-
-def inverse_metric(M: MetricParams, z, c: float) -> np.ndarray:
-    """Inverse metric matrix at spacetime point z for light speed c.
-
-    Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
-    reference value c^2.
-    """
-    return eval_metric(M, ball_from_base(z), 1.0 / c).ginv
-
-
 def aleph(M: MetricParams, z):
     """Asymptotic-mass coefficient lim c^4 (g^00 + c^-2) at spacetime points
     of shape (..., 1+d): the c^-4 dt^2 coefficient of the metric correction
@@ -375,21 +358,10 @@ def aleph(M: MetricParams, z):
     return -M.alpha(z)
 
 
-def natural_quadform(M: MetricParams, z, h: float) -> np.ndarray:
-    """Inverse metric in natural frequency units: G = S g^-1 S, S = diag(c, 1..).
-
-    G contracts with zeta_nat = (tau_nat, xi_nat); at h = 0 it equals
-    diag(-1, I) exactly for every admissible metric (all corrections carry
-    positive powers of 1/c), which realizes p = p0 on the h = 0 faces.
-    """
-    return eval_metric(M, ball_from_base(z), h).G
-
-
 def natural_symbol_value(M: MetricParams, z, zeta_nat, h: float, b: SignBranch) -> float:
     """Natural-scale symbol h^2 p = -G(zeta_nat, zeta_nat) +/- 2 tau_nat."""
-    zeta_nat = np.atleast_1d(np.asarray(zeta_nat, dtype=float))
-    G = natural_quadform(M, z, h)
-    return float(-(zeta_nat @ G @ zeta_nat) + 2.0 * b.sign * zeta_nat[0])
+    z, zeta_nat = np.atleast_1d(z), np.atleast_1d(zeta_nat)
+    return rescaled_symbol(PhasePoint(z[0], z[1:], zeta_nat[0], zeta_nat[1:], h), M, b)
 
 
 def eval_p(p, M: MetricParams, b: SignBranch) -> float:
@@ -399,61 +371,24 @@ def eval_p(p, M: MetricParams, b: SignBranch) -> float:
     p = -g^{-1}(zeta, zeta) +/- 2 tau.  For ChartCoords (or h = 0 points):
     the chart-rescaled symbol; see rescaled_symbol.
     """
-    if isinstance(p, ChartCoords):
-        return rescaled_symbol(p, M, b)
-    if p.h > 0.0:
-        # divide twice: h^2 underflows to 0 for h below about 1e-162
-        return natural_symbol_value(M, p.z, p.zeta_nat, p.h, b) / p.h / p.h
-    # h = 0: only the rescaled symbol extends; use the natural-face chart form
-    return natural_symbol_value(M, p.z, p.zeta_nat, 0.0, b)
+    value = rescaled_symbol(p, M, b)
+    if isinstance(p, ChartCoords) or p.h == 0.0:
+        return value
+    # divide twice: h^2 underflows to 0 for h below about 1e-162
+    return value / p.h / p.h
 
 
 def rescaled_symbol(cc, M: MetricParams, b: SignBranch) -> float:
-    """Chart-rescaled symbol rho_df^2 rho_nf^2 p in the chart's local bdfs.
+    """Chart-rescaled symbol rho_df^2 rho_nf^2 p in the chart's local bdfs,
+    -G(zeta_hat, zeta_hat) +/- 2 lin in the chart frame (geometry.chart_frame).
 
     Accepts a PhasePoint (treated in the natural-face chart, where the
     rescaled symbol is -G(zeta_nat, zeta_nat) +/- 2 tau_nat) or ChartCoords
     in any of the four phase-space charts.
     """
-    if isinstance(cc, PhasePoint):
-        return natural_symbol_value(M, cc.z, cc.zeta_nat, cc.h, b)
-    tag = cc.chart.tag
-    co = cc.coords
-    d = (co.size - 3) // 2
-    z = co[: 1 + d]
-    if tag is ChartTag.NAT_INTERIOR:
-        tau_nat, xi_nat, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        return natural_symbol_value(M, z, np.concatenate(([tau_nat], xi_nat)), h, b)
-    if tag is ChartTag.DF_PROJECTIVE:
-        rho_df, xi_hat, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        sign = cc.chart.sign
-        zeta_hat = np.concatenate(([float(sign)], xi_hat))
-        G = natural_quadform(M, z, h)
-        return float(-(zeta_hat @ G @ zeta_hat) + 2.0 * b.sign * sign * rho_df)
-    if tag is ChartTag.PF_STANDARD:
-        tau, xi, h = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        if h > 0.0:
-            ginv = inverse_metric(M, z, 1.0 / h)
-            zeta = np.concatenate(([tau], xi))
-            return float(-(zeta @ ginv @ zeta) + 2.0 * b.sign * tau)
-        return float(-(xi @ xi) + 2.0 * b.sign * tau)
-    if tag is ChartTag.PF_NAT_PARABOLIC:
-        rho_nf, xi_hat, rho_pf = co[1 + d], co[2 + d : 2 + 2 * d], co[-1]
-        sign = cc.chart.sign
-        h = rho_nf * rho_pf
-        vec = np.concatenate(([sign * rho_pf], xi_hat))
-        G = natural_quadform(M, z, h)
-        return float(-(vec @ G @ vec) + 2.0 * b.sign * sign)
-    raise ChartUnavailable(f"rescaled symbol not defined in chart {tag}")
-
-
-def _membership_side(tau_nat_signed: float) -> CharClass:
-    """Sheet classification from the signed natural time frequency +/- tau_nat."""
-    if tau_nat_signed > -1.0:
-        return CharClass.SIGMA
-    if tau_nat_signed < -1.0:
-        return CharClass.SIGMA_BAD
-    return CharClass.OFF
+    z, h, zeta_hat, lin, _ = chart_frame(cc)
+    G = eval_metric(M, ball_from_base(z), h).G
+    return float(-(zeta_hat @ G @ zeta_hat) + 2.0 * b.sign * lin)
 
 
 def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9) -> CharClass:
@@ -461,34 +396,18 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9) -> C
 
     SIGMA: |rescaled symbol| <= tol and the point lies in the closure of
     {+/- tau_nat > -1}; SIGMA_BAD likewise with {+/- tau_nat < -1}; else OFF.
+    A PhasePoint's symbol is taken relative to 1 + |zeta_nat|^2.
     """
-    if isinstance(p, PhasePoint):
-        zn = p.zeta_nat
-        value = natural_symbol_value(M, p.z, zn, p.h, b) / (1.0 + float(zn @ zn))
-        if abs(value) > tol:
-            return CharClass.OFF
-        return _membership_side(b.sign * p.tau_nat)
     value = rescaled_symbol(p, M, b)
-    if abs(value) > tol:
-        return CharClass.OFF
-    tag = p.chart.tag
-    co = p.coords
-    d = (co.size - 3) // 2
-    if tag is ChartTag.NAT_INTERIOR:
-        return _membership_side(b.sign * co[1 + d])
-    if tag is ChartTag.DF_PROJECTIVE:
-        # tau_nat = sign / rho_df -> +/- infinity toward the df face
-        rho_df = co[1 + d]
-        if rho_df > 0.0:
-            return _membership_side(b.sign * p.chart.sign / rho_df)
-        return CharClass.SIGMA if b.sign * p.chart.sign > 0 else CharClass.SIGMA_BAD
-    if tag is ChartTag.PF_STANDARD:
-        tau, h = co[1 + d], co[-1]
-        return _membership_side(b.sign * h**2 * tau)
-    if tag is ChartTag.PF_NAT_PARABOLIC:
-        rho_pf = co[-1]
-        return _membership_side(b.sign * p.chart.sign * rho_pf**2)
-    raise ChartUnavailable(f"char_membership not defined in chart {tag}")
+    if isinstance(p, PhasePoint):
+        value /= 1.0 + float(p.zeta_nat @ p.zeta_nat)
+    side = b.sign * chart_frame(p)[-1]
+    if abs(value) <= tol:
+        if side > -1.0:
+            return CharClass.SIGMA
+        if side < -1.0:
+            return CharClass.SIGMA_BAD
+    return CharClass.OFF
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Batch front-end: config validation, artifacts, determinism, exit codes."""
 
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nrlab
 from nrlab import experiments
 from nrlab.cli import COMMANDS, load_config, main, metric_from_json, run
 from nrlab.errors import ConfigInvalid, InvalidInput, NrlabError
@@ -17,6 +20,14 @@ from nrlab.experiments import scatter
 def write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(nrlab.__path__)))
+def test_every_exported_name_resolves(module):
+    # perfbench's tracer looks up every __all__ name of a layer module, so
+    # a name left there after its function is gone breaks every traced run
+    mod = importlib.import_module(f"nrlab.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestConfigValidation:
@@ -153,6 +164,18 @@ class TestConfigValidation:
         ("qdf", {"metric": {"d": 1, "alpha": {"amplitude": 0.1, "waves": [{"kappa": []}]}}}),
         ("qdf", {"metric": {"d": 1, "hjk": [[{"amplitude": 0.1}, {"amplitude": 0.1}]]}}),
         ("qdf", {"metric": {"d": 1, "alpha": {"amplitude": math.nan}}}),
+        # a c-ladder needs two distinct finite c > 0 to form a spread
+        ("uniform-ratio", {"params": {"c_list": []}}),
+        ("uniform-ratio", {"params": {"c_list": [0.0, 4.0]}}),
+        ("uniform-ratio", {"params": {"c_list": [4.0]}}),
+        ("uniform-ratio", {"params": {"c_list": [4.0, 4.0]}}),
+        ("uniform-ratio", {"params": {"c_list": [-4.0, 4.0]}}),
+        # no sample to check: one per branch for charset
+        ("charset", {"params": {"n_samples": 0}}),
+        ("charset", {"params": {"n_samples": 1}}),
+        ("charset", {"params": {"n_samples": -5}}),
+        ("radial", {"params": {"n_samples": 0}}),
+        ("alpha", {"params": {"n_samples": 0}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

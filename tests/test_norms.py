@@ -320,6 +320,12 @@ class TestLadderGuards:
         with pytest.raises(SpectrumOverflow):
             uniform_ratio_experiment([64.0], orders, grid=grid, n_base=1)
 
+    @pytest.mark.parametrize("c_list", [[], [0.0, 4.0], [-4.0, 4.0], [4.0, math.inf],
+                                        [math.nan, 4.0]])
+    def test_c_must_be_finite_and_positive(self, c_list):
+        with pytest.raises(InvalidInput):
+            uniform_ratio_experiment(c_list, fwd_profile(m=1.0, ell=1.0), n_base=1)
+
 
 class TestInPlaceSafety:
     """The norms transform their own temporaries in place, never a caller's array."""

@@ -16,8 +16,8 @@ from nrlab.symbols import (
     MetricParams,
     OperatorCoefficient,
     SignBranch,
-    inverse_metric,
-    metric_matrix,
+    ball_from_base,
+    eval_metric,
 )
 from nrlab.pde import (
     ConjugatedOperator,
@@ -472,14 +472,13 @@ class TestConjugatedOperator:
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = eps
-                zp, zm = z[idx] + e, z[idx] - e
-                d_ginv.append((inverse_metric(wavy_metric, zp, c)
-                               - inverse_metric(wavy_metric, zm, c)) / (2.0 * eps))
-                d_log.append(0.25 * (np.log(abs(np.linalg.det(metric_matrix(wavy_metric, zp, c))))
-                                     - np.log(abs(np.linalg.det(metric_matrix(wavy_metric, zm, c)))))
-                             / eps)
-            expected = sum(d_ginv[i][i] for i in range(2)) + inverse_metric(
-                wavy_metric, z[idx], c) @ np.array(d_log)
+                mp, mm = (eval_metric(wavy_metric, ball_from_base(z[idx] + s * e), 1.0 / c)
+                          for s in (1.0, -1.0))
+                d_ginv.append((mp.ginv - mm.ginv) / (2.0 * eps))
+                d_log.append(0.25 * (np.log(abs(np.linalg.det(mp.g)))
+                                     - np.log(abs(np.linalg.det(mm.g)))) / eps)
+            ginv = eval_metric(wavy_metric, ball_from_base(z[idx]), 1.0 / c).ginv
+            expected = sum(d_ginv[i][i] for i in range(2)) + ginv @ np.array(d_log)
             assert np.max(np.abs(op.c1[idx] - expected)) <= 1e-9
 
     def test_free_multiplier_on_mode(self):
@@ -519,7 +518,7 @@ class TestConjugatedOperator:
         z = np.stack(mesh, axis=-1)
         v = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 8.0)
         op = ConjugatedOperator(wavy_metric, c, stgrid, None)
-        ginv = inverse_metric(wavy_metric, z, c)
+        ginv = eval_metric(wavy_metric, ball_from_base(z), 1.0 / c).ginv
         expect = -c * c * v
         for i in range(2):
             expect = expect - op.c1[..., i] * z[..., i] / 4.0 * v

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import perturbed_metrics
-from nrlab.errors import DegenerateMetric, InvalidInput
+from nrlab.errors import DegenerateMetric, InvalidInput, OutOfChart
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     CharClass,
@@ -17,12 +17,10 @@ from nrlab.symbols import (
     Side,
     SignBranch,
     aleph,
+    ball_from_base,
     char_membership,
     eval_metric,
     eval_p,
-    inverse_metric,
-    metric_matrix,
-    natural_quadform,
     radial_point,
     rescaled_symbol,
 )
@@ -103,12 +101,12 @@ class TestMetricInputs:
 
 class TestInverseMetric:
     def test_free_inverse(self, free_metric):
-        gi = inverse_metric(free_metric, [0.0, 0.0], 7.0)
+        gi = eval_metric(free_metric, ball_from_base([0.0, 0.0]), 1.0 / 7.0).ginv
         assert np.allclose(gi, np.diag([-1.0 / 49.0, 1.0]))
 
     def test_alpha_only_example(self):
         M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=1.0))
-        gi = inverse_metric(M, [0.0, 0.0], 10.0)
+        gi = eval_metric(M, ball_from_base([0.0, 0.0]), 1.0 / 10.0).ginv
         assert abs(gi[0, 0] - (-1.0 / 99.0)) < 1e-15
 
     def test_block_scalings_ratio(self, wavy_metric):
@@ -117,7 +115,7 @@ class TestInverseMetric:
         z = np.array([0.4, -0.8])
         devs = {}
         for c in (1.0e3, 2.0e3):
-            gi = inverse_metric(wavy_metric, z, c)
+            gi = eval_metric(wavy_metric, ball_from_base(z), 1.0 / c).ginv
             devs[c] = (gi[0, 0] + c**-2, gi[0, 1], gi[1, 1] - 1.0)
         for k, power in ((0, 4), (1, 3), (2, 2)):
             r = devs[1.0e3][k] / devs[2.0e3][k]
@@ -126,7 +124,7 @@ class TestInverseMetric:
     def test_degenerate(self):
         M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=1.0))
         with pytest.raises(DegenerateMetric):
-            inverse_metric(M, [0.0, 0.0], 1.0)  # -1 + 1 = 0 at the origin
+            eval_metric(M, ball_from_base([0.0, 0.0]), 1.0)  # -1 + 1 = 0 at the origin
 
 
 class TestAleph:
@@ -172,7 +170,7 @@ class TestClosedForms:
         vals = aleph(M, pts)
         assert vals.shape == pts.shape[:-1]
         for z, v in zip(pts, vals):
-            oracle = c**4 * (inverse_metric(M, z, c)[0, 0] + c**-2)
+            oracle = c**4 * (eval_metric(M, ball_from_base(z), 1.0 / c).ginv[0, 0] + c**-2)
             assert abs(v - oracle) <= 1e-5
             assert abs(aleph(M, z) - v) <= 1e-14
 
@@ -191,8 +189,8 @@ class TestClosedForms:
         for l in range(d + 1):
             e = np.zeros(d + 1)
             e[l] = eps
-            Gp = natural_quadform(M, z + e, h)
-            Gm = natural_quadform(M, z - e, h)
+            Gp = eval_metric(M, ball_from_base(z + e), h).G
+            Gm = eval_metric(M, ball_from_base(z - e), h).G
             fd = (Gp - Gm) / (2.0 * eps)
             exact = mv.dG[:, l] / bracket[:, None, None]
             assert np.max(np.abs(exact - fd)) <= 1e-8
@@ -294,6 +292,87 @@ class TestCharMembership:
                         assert m is CharClass.SIGMA
                     else:
                         assert m is CharClass.SIGMA_BAD
+
+
+PHASE_CHARTS = [ChartId(tag) for tag in (ChartTag.NAT_INTERIOR, ChartTag.DF_PROJECTIVE,
+                                          ChartTag.PF_STANDARD, ChartTag.PF_NAT_PARABOLIC)]
+
+
+def _points(data, d, zeta_max=4.0):
+    """Base points z (1+d), natural frequencies zeta_nat (1+d) and 0.05 <= h <= 0.5."""
+    def vec(bound):     # no entry within 1e-3 of 0 but 0 itself: 1/|tau_nat| stays finite
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, bound), st.floats(-bound, -1e-3))
+        return np.array(data.draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+    return vec(3.0), vec(zeta_max), data.draw(st.floats(0.05, 0.5))
+
+
+def _in_charts(p):
+    """The phase-space charts' coordinates of an interior point, where they exist."""
+    out = []
+    for chart in PHASE_CHARTS:
+        try:
+            out.append(to_chart(p, chart))
+        except OutOfChart:
+            pass
+    return out
+
+
+class TestChartRescaledSymbol:
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_is_local_bdf_scaled_p(self, data, d):
+        # oracle: in each chart the rescaled symbol is rho_df^2 rho_nf^2 p
+        # in that chart's local bdfs, for perturbed metrics at h > 0
+        M = data.draw(perturbed_metrics(d))
+        z, zeta, h = _points(data, d)
+        p = PhasePoint(z[0], z[1:], zeta[0], zeta[1:], h)
+        # the size of p's terms, -G(zeta, zeta) and 2 tau
+        size = (1.0 + zeta @ zeta + 2.0 * abs(zeta[0])) / h**2
+        for cc in _in_charts(p):
+            scale = cc.bdf.rho_df**2 * cc.bdf.rho_nf**2
+            for b in (PL, MI):
+                want = scale * eval_p(p, M, b)
+                assert abs(rescaled_symbol(cc, M, b) - want) <= 1e-10 * scale * size
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), b=st.sampled_from([PL, MI]))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_in_every_chart(self, data, d, b):
+        # both roots of the symbol's quadratic in tau_nat, and a point off
+        # them, classified alike in every chart that holds them
+        M = data.draw(perturbed_metrics(d))
+        z, zeta, h = _points(data, d, zeta_max=2.0)
+        xi = zeta[1:]
+        G = eval_metric(M, ball_from_base(z), h).G
+        A, B, C = G[0, 0], G[0, 1:] @ xi - b.sign, xi @ G[1:, 1:] @ xi
+        q = -(B + math.copysign(math.sqrt(B * B - A * C), B))
+        bad, good = sorted((C / q, q / A), key=lambda tau: b.sign * tau)
+        for tau, want in ((good, CharClass.SIGMA), (bad, CharClass.SIGMA_BAD),
+                          (good + 0.3, CharClass.OFF)):
+            p = PhasePoint(z[0], z[1:], tau, xi, h)
+            assert char_membership(p, M, b) is want
+            charts = _in_charts(p)
+            assert ChartTag.NAT_INTERIOR in {cc.chart.tag for cc in charts}
+            for cc in charts:
+                assert char_membership(cc, M, b) is want, cc.chart
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), b=st.sampled_from([PL, MI]),
+           sign=st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_on_the_df_face(self, data, d, b, sign):
+        # at rho_df = 0 the symbol is -G(zeta_hat, zeta_hat): on the cone the
+        # point is on Sigma when +/- tau_nat -> +infinity, else on the bad sheet
+        M = data.draw(perturbed_metrics(d))
+        z, zeta, h = _points(data, d)
+        assume(zeta[1:] @ zeta[1:] > 1e-6)
+        e = zeta[1:] / np.linalg.norm(zeta[1:])
+        G = eval_metric(M, ball_from_base(z), h).G
+        A, B, C = G[0, 0], sign * (G[0, 1:] @ e), e @ G[1:, 1:] @ e
+        r = (-B + math.sqrt(B * B - A * C)) / C       # G((sign, r e), (sign, r e)) = 0
+        side = CharClass.SIGMA if b.sign * sign > 0 else CharClass.SIGMA_BAD
+        for xi_hat, want in ((r * e, side), (1.1 * r * e, CharClass.OFF)):
+            cc = ChartCoords(ChartId(ChartTag.DF_PROJECTIVE, sign=sign),
+                             np.concatenate((z, [0.0], xi_hat, [h])), None)
+            assert char_membership(cc, M, b) is want
 
 
 class TestRadialPoints:
