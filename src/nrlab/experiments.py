@@ -99,8 +99,8 @@ def flow(rng, metric: MetricParams = MetricParams.free(1), *, n_per_case=25,
 
 def charset(rng, *, n_samples=2000) -> Result:
     """The rescaled free symbol vanishes on both characteristic sheets."""
-    if n_samples < 2:
-        raise InvalidInput("charset needs n_samples >= 2, one sample per branch")
+    if n_samples < 2 or n_samples % 2:
+        raise InvalidInput("charset needs an even n_samples >= 2, half per branch")
     M = MetricParams.free(1)
     worst = 0.0
     rows = []

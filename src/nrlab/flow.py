@@ -66,7 +66,6 @@ __all__ = [
     "radial_linearization",
 ]
 
-FD_STEP = 1.0e-5     # finite-difference step (of chart scale), 4th order
 ZETA_MAX = 50.0      # leave-domain bound on frequency magnitude
 FIXED_POINT_NORM = 1.0e-10
 SHEET_ROOT_TOL, SHEET_ROOT_PASSES = 1.0e-10, 8   # fixed-point rule of the sheet root
@@ -148,8 +147,8 @@ def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
     """Field velocity V of the frozen-frequency flows, shape (..., 1+d).
 
     (h (tau_nat + b), -xi_nat) in natural mode (G = eta), and
-    nu (b, -xi) on the parabolic face, with nu = (1+tau^2+|xi|^4)^(-1/4) the
-    local natural-face bdf there.  b V/|V| is the future fixed direction.
+    nu (b, -xi) on the parabolic face, with nu = (1+tau^2+sum_j xi_j^4)^(-1/4)
+    the local natural-face bdf there.  b V/|V| is the future fixed direction.
     """
     zeta = np.asarray(zeta, dtype=float)
     V = -zeta
@@ -840,14 +839,9 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 def _log_weight(orders, zeta_nat, h, rho_bf) -> float:
     """log of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q, with
     the frequency bdfs of geometry.frequency_bdfs."""
-    m, s, ell, q = orders
-    rho_df, rho_nf, rho_pf = frequency_bdfs(zeta_nat, h)
-    out = m * math.log(rho_df) + s * math.log(max(rho_bf, 1e-300))
-    if ell:
-        out += ell * math.log(max(rho_nf, 1e-300))
-    if q:
-        out += q * math.log(max(rho_pf, 1e-300))
-    return out
+    rho_df, rho_nf, rho_pf = frequency_bdfs(zeta_nat[0], zeta_nat[1:], h)
+    return sum(k * math.log(max(rho, 1e-300))
+               for k, rho in zip(orders, (rho_df, rho_bf, rho_nf, rho_pf)))
 
 
 def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
@@ -855,27 +849,15 @@ def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
     """Logarithmic rate of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q
     along the rescaled flow, evaluated at (or near) a radial-set point.
 
-    At the exact radial point the spacetime-weight rate is analytic
-    (-Y . V) and the frequency-factor rates vanish with the drift; with
-    ``probe_offset`` > 0 the rate is a 4th-order finite difference of
+    At the exact radial point (on |Y| = 1) the frequency drift vanishes with
+    the metric's ball forms, so only rho_bf moves: the rate is s (-Y . V).
+    With ``probe_offset`` > 0 the rate is a 4th-order finite difference of
     log a along the integrated flow from a point displaced inward.
     """
-    s_const = orders[1]
-    zeta = rp.zeta_nat
-    h = rp.h
-    omega = rp.direction
+    zeta, h, omega = rp.zeta_nat, rp.h, rp.direction
     if probe_offset == 0.0:
-        V, drift = _natural_field(M, omega, zeta, h, b.sign, 0.0)   # on |Y| = 1
-        rate_bf = -float(omega @ V)
-        if M.is_flat or h == 0.0:
-            return s_const * rate_bf
-        # frequency-only factors (rho_bf = 1 leaves out the spacetime one):
-        # d/dl log rho(zeta(l)); vanishes at bf since the drift does, but
-        # keep the general expression
-        eps = FD_STEP
-        base = _log_weight(orders, zeta, h, 1.0)
-        shift = _log_weight(orders, zeta + eps * drift, h, 1.0)
-        return s_const * rate_bf + (shift - base) / eps
+        V = _natural_field(M, omega, zeta, h, b.sign, 0.0)[0]
+        return orders[1] * -float(omega @ V)
     # displaced probe: 4th-order FD of log a along the flow
     Y0 = (1.0 - probe_offset) * omega
     y0 = np.concatenate((Y0, zeta))
@@ -913,9 +895,9 @@ def natural_degeneracy(p: PhasePoint, b: SignBranch | None = None) -> float:
 def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
                          mode: str | None = None, zeta=None) -> np.ndarray:
     """Eigenvalues of the base-direction linearization of the flow at a
-    radial-set point (FD Jacobian of the ball field in Y).  Free metric only:
-    the difference crosses the boundary sphere, where a perturbation's order
-    -1 profile has a square-root kink that makes the Jacobian step-dependent."""
+    radial-set point.  Free metric only, where V does not depend on Y: the
+    Jacobian of the ball field Ydot = V - Y (Y . V) at Y = omega is then
+    -(omega . V) I - omega V^T."""
     if not M.is_flat:
         raise InvalidInput("radial_linearization needs the free metric")
     if mode is None:
@@ -923,16 +905,7 @@ def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
     if zeta is None:
         zeta = rp.zeta_nat if mode == "natural" else np.zeros(rp.d + 1)
     zeta = np.asarray(zeta, float)
-    omega = rp.side.sign * _future_direction(zeta, rp.h, b.sign, mode == "parabolic")
-    n = omega.size
-    rhs = _state_rhs(mode, M, b, rp.h, 1.0)
-
-    def f(Y):
-        return rhs(0.0, np.concatenate((Y, zeta)))[:n]
-
-    J = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = FD_STEP
-        J[:, j] = (f(omega + e) - f(omega - e)) / (2.0 * FD_STEP)
-    return np.linalg.eigvals(J)
+    parabolic = mode == "parabolic"
+    omega = rp.side.sign * _future_direction(zeta, rp.h, b.sign, parabolic)
+    V = _free_velocity(zeta, rp.h, b.sign, parabolic)
+    return np.linalg.eigvals(-float(omega @ V) * np.eye(omega.size) - np.outer(omega, V))

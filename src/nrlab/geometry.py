@@ -31,6 +31,7 @@ __all__ = [
     "ChartTag",
     "ChartId",
     "ChartCoords",
+    "smooth_step",
     "chi_cutoff",
     "bdf_values",
     "frequency_bdfs",
@@ -160,47 +161,50 @@ class ChartCoords:
         object.__setattr__(self, "coords", _as_vector(self.coords))
 
 
-def _sigma(s):
-    """exp(-1/s) for s > 0, else 0; the standard smooth transition kernel."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out if out.ndim else float(out)
+def smooth_step(x):
+    """Smooth monotone 0 -> 1 transition on [0, 1] (exp(-1/x) type)."""
+    lo = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) + 0.0   # -0.0 -> 0.0
+    with np.errstate(divide="ignore"):   # exp(-1/0) = 0 at the ends
+        a, b = np.exp(-1.0 / lo), np.exp(-1.0 / (1.0 - lo))
+    return a / (a + b)
 
 
-def chi_cutoff(zeta_nat) -> float:
-    """Smooth cutoff in the natural frequencies: 1 on |zeta| <= 1, 0 on >= 2."""
-    r = float(np.linalg.norm(np.atleast_1d(zeta_nat)))
-    up = _sigma(np.array(2.0 - r))
-    down = _sigma(np.array(r - 1.0))
-    if up == 0.0:
-        return 0.0
-    return float(up / (up + down))
+def _cutoff(r):
+    """chi_cutoff as a function of r = |zeta_nat|."""
+    return 1.0 - smooth_step(r - 1.0)
 
 
-def frequency_bdfs(zeta_nat, h: float) -> tuple[float, float, float]:
-    """Global (rho_df, rho_nf, rho_pf) at natural frequencies zeta_nat and h.
+def chi_cutoff(zeta_nat):
+    """Smooth cutoff in natural frequencies zeta_nat of shape (..., 1+d):
+    1 on |zeta_nat| <= 1, 0 on |zeta_nat| >= 2."""
+    return _cutoff(np.linalg.norm(np.asarray(zeta_nat, dtype=float), axis=-1))
 
-    rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2), rho_nf = h + chi(zeta_nat)
-    (1+tau^2+|xi|^4)^(-1/4) written in the h-stable equivalent form
-    h (1 + chi * (h^4+tau_nat^2+|xi_nat|^4)^(-1/4)), and rho_pf = h / rho_nf.
-    rho_nf * rho_pf = h exactly.
+
+def frequency_bdfs(tau_nat, xi_nat, h: float):
+    """Global (rho_df, rho_nf, rho_pf) at natural frequencies tau_nat and
+    xi_nat = (xi_nat_1, ..., xi_nat_d), components broadcasting against
+    tau_nat and each other (they are never stacked), and h >= 0 (a scalar).
+
+    rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2) and rho_nf = h + chi(zeta_nat)
+    (1+tau^2+sum_j xi_j^4)^(-1/4), a weight equivalent to (1+tau^2+|xi|^4)^(-1/4)
+    and equal to it in d = 1, written in the h-stable form
+    h (1 + chi (h^4+tau_nat^2+sum_j xi_nat_j^4)^(-1/4)); rho_pf = h / rho_nf.
+    At h = 0, zeta_nat = 0 both rho_nf and rho_pf are 0.
     """
-    zn = np.asarray(zeta_nat, dtype=float)
-    rho_df = 1.0 / math.sqrt(1.0 + float(zn @ zn))
-    chi = chi_cutoff(zn)
-    quart = h**4 + zn[0] ** 2 + float(np.sum(zn[1:] ** 4))
-    a = quart**-0.25 if quart > 0.0 else math.inf
-    rho_nf = h * (1.0 + chi * a) if h > 0.0 else 0.0
-    rho_pf = (0.0 if chi > 0.0 else 1.0) if math.isinf(a) else 1.0 / (1.0 + chi * a)
-    return rho_df, rho_nf, rho_pf
+    xi2 = [np.square(x) for x in xi_nat]
+    tau2 = np.square(tau_nat)
+    z2 = tau2 + sum(xi2)
+    rho_df = 1.0 / np.sqrt(1.0 + z2)
+    with np.errstate(divide="ignore"):   # inf at h = 0, zeta_nat = 0, where chi = 1
+        nf_over_h = 1.0 + _cutoff(np.sqrt(z2)) * (h**4 + tau2 + sum(x * x for x in xi2)) ** -0.25
+    rho_nf = h * nf_over_h if h > 0.0 else np.zeros_like(nf_over_h)
+    return rho_df, rho_nf, 1.0 / nf_over_h
 
 
 def bdf_values(p: PhasePoint) -> BdfValues:
     """Global smooth boundary-defining functions at an interior point:
     rho_bf = (1+t^2+|x|^2)^(-1/2) and the frequency_bdfs."""
-    rho_df, rho_nf, rho_pf = frequency_bdfs(p.zeta_nat, p.h)
+    rho_df, rho_nf, rho_pf = map(float, frequency_bdfs(p.tau_nat, p.xi_nat, p.h))
     return BdfValues(rho_df=rho_df, rho_bf=_rho_bf_of(p.t, p.x), rho_nf=rho_nf, rho_pf=rho_pf)
 
 
@@ -235,26 +239,33 @@ def split_coords(co):
 
 
 def chart_frame(p):
-    """(z, h, zeta_hat, lin, tau_nat) of a PhasePoint (read in NAT_INTERIOR)
+    """(z, h, zeta_hat, lin, zeta_nat) of a PhasePoint (read in NAT_INTERIOR)
     or of ChartCoords in one of the four phase-space charts.
 
     In every chart the chart-rescaled symbol rho_df^2 rho_nf^2 p is
     -G(zeta_hat, zeta_hat) +/- 2 lin, with G the natural-units inverse metric
-    at (z, h); tau_nat, which is +/- inf on the df face, tells the sheets apart.
+    at (z, h); zeta_nat = (tau_nat, xi_nat) is the point's frequency, whose
+    tau_nat, +/- inf on the df face, tells the sheets apart.
     """
     if isinstance(p, PhasePoint):
-        return p.z, p.h, p.zeta_nat, p.tau_nat, p.tau_nat
+        return p.z, p.h, p.zeta_nat, p.tau_nat, p.zeta_nat
     tag, sign = p.chart.tag, p.chart.sign
     z, a, v, e = split_coords(p.coords)
     if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
-        return z, e, np.concatenate(([a], v)), a, a
+        zeta = np.concatenate(([a], v))
+        return z, e, zeta, a, zeta
     if tag is ChartTag.DF_PROJECTIVE:           # (a, v, e) = (rho_df, xi_hat, h)
-        return z, e, np.concatenate(([sign], v)), sign * a, sign / a if a else sign * math.inf
+        zeta_hat = np.concatenate(([sign], v))
+        with np.errstate(divide="ignore", invalid="ignore"):   # rho_df = 0 on the df face
+            return z, e, zeta_hat, sign * a, zeta_hat / a
     if tag is ChartTag.PF_STANDARD:             # (a, v, e) = (tau, xi, h)
-        return z, e, np.concatenate(([e * a], v)), a, e**2 * a
+        zeta_hat = np.concatenate(([e * a], v))
+        return z, e, zeta_hat, a, e * zeta_hat
     if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
-        return z, a * e, np.concatenate(([sign * e], v)), sign, sign * e**2
-    raise ChartUnavailable(f"no chart frame in chart {tag}")
+        zeta_hat = np.concatenate(([sign * e], v))
+        return z, a * e, zeta_hat, sign, e * zeta_hat
+    raise ChartUnavailable(f"no chart frame in chart {tag}; frequency-space charts "
+                           "invert with from_parabolic_chart")
 
 
 def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
@@ -272,8 +283,10 @@ def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
         zn_norm = float(np.linalg.norm(p.zeta_nat))
         if p.tau_nat == 0.0 or abs(p.tau_nat) < DF_CHART_MARGIN * zn_norm:
             raise OutOfChart("DfProjective requires |tau_nat| >= 0.1 |zeta_nat| > 0")
+        rho_df = 1.0 / abs(float(p.tau_nat))
+        if not math.isfinite(rho_df):
+            raise OutOfChart("DfProjective needs a finite 1/|tau_nat|")
         sign = 1 if p.tau_nat > 0 else -1
-        rho_df = 1.0 / abs(p.tau_nat)
         xi_hat = p.xi_nat / abs(p.tau_nat)
         coords = np.concatenate(([p.t], p.x, [rho_df], xi_hat, [p.h]))
         bdf = BdfValues(rho_df=rho_df, rho_bf=rho_bf, rho_nf=p.h, rho_pf=1.0)
@@ -317,31 +330,14 @@ def from_chart(cc: ChartCoords) -> PhasePoint:
     Raises OnBoundary if a bdf coordinate vanishes (the point sits on a
     boundary face and has no interior preimage).
     """
-    tag, sign = cc.chart.tag, cc.chart.sign
-    z, a, v, e = split_coords(cc.coords)
-    if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
-        return PhasePoint(z[0], z[1:], a, v, e)
-
-    if tag is ChartTag.DF_PROJECTIVE:           # (a, v, e) = (rho_df, xi_hat, h)
-        if a <= 0.0:
-            raise OnBoundary("rho_df = 0: point on frequency infinity")
-        return PhasePoint(z[0], z[1:], sign / a, v / a, e)
-
-    if tag is ChartTag.PF_STANDARD:             # (a, v, e) = (tau, xi, h)
-        if e <= 0.0:
-            raise OnBoundary("h = 0: point on the parabolic face")
-        return PhasePoint(z[0], z[1:], e**2 * a, e * v, e)
-
-    if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
-        if a <= 0.0 or e <= 0.0:
-            raise OnBoundary("rho_nf = 0 or rho_pf = 0: boundary point")
-        h = a * e
-        return PhasePoint(z[0], z[1:], h**2 * (sign / a**2), h * (v / a), h)
-
-    raise ChartUnavailable(
-        f"from_chart does not handle {tag}; use from_parabolic_chart for "
-        "frequency-space charts"
-    )
+    z, h, _, _, zeta = chart_frame(cc)
+    _, a, _, e = split_coords(cc.coords)
+    bdfs = {ChartTag.DF_PROJECTIVE: (a,), ChartTag.PF_STANDARD: (e,),
+            ChartTag.PF_NAT_PARABOLIC: (a, e)}.get(cc.chart.tag, ())
+    if min(bdfs, default=1.0) <= 0.0:
+        raise OnBoundary(f"a bdf coordinate of {cc.chart.tag} vanishes: boundary point")
+    # z and h are views of cc.coords: copy them, so the point does not change with it
+    return PhasePoint(float(z[0]), z[1:].copy(), float(zeta[0]), zeta[1:], float(h))
 
 
 def parabolic_chart(tau: float, xi, prefer: ChartId | None = None) -> ChartCoords:

@@ -7,14 +7,14 @@ the Fourier multiplier acts second.
 
 The two-sheet norm splits a field with the positive/negative energy
 partition Q_+ = chi(tau_nat / <xi_nat>), demodulates each piece by
-e^{-/+ i c^2 t}, and measures the envelopes with the natural-frequency
-multiplier (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} together with the natural-face
-weight rho_nf(h, zeta)^{-l}.  On spectrum away from the blown-up zero
-section rho_nf = h and the l-order is the plain h^{-l} of the natural-scale
-norm; on the parabolic region it is the anisotropic weight
-(1+tau^2+|xi|^4)^{l/4}.  That weight is not what keeps the ratio experiment
-stable in c: with l = 0 it passes the same gates.  The q_+/- orders are
-literal h^{-q} prefactors.
+e^{-/+ i c^2 t}, and measures the envelopes with the multiplier
+rho_df^{-m} rho_nf^{-l} of the global bdfs (geometry.frequency_bdfs):
+rho_df^{-m} = (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} is the natural-frequency
+multiplier.  On spectrum away from the blown-up zero section rho_nf = h and
+the l-order is the plain h^{-l} of the natural-scale norm; on the parabolic
+region it is the anisotropic weight (1+tau^2+sum_j xi_j^4)^{l/4}.  That
+weight is not what keeps the ratio experiment stable in c: with l = 0 it
+passes the same gates.  The q_+/- orders are literal h^{-q} prefactors.
 
 The ratio experiment applies the Klein-Gordon operator P through
 ``pde.ConjugatedOperator`` without a branch, built once per c.  A member's
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidInput, SpectrumOverflow
+from .geometry import frequency_bdfs, smooth_step
 from .pde import ConjugatedOperator
 from .quantize import BoxGrid, GridField
 from .symbols import MetricParams
@@ -45,14 +46,6 @@ __all__ = [
     "RatioTable",
     "gaussian_family",
 ]
-
-
-def smooth_step(x):
-    """Smooth monotone 0 -> 1 transition on [0, 1] (exp(-1/x) type)."""
-    lo = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) + 0.0   # -0.0 -> 0.0
-    with np.errstate(divide="ignore"):   # exp(-1/0) = 0 at the ends
-        a, b = np.exp(-1.0 / lo), np.exp(-1.0 / (1.0 - lo))
-    return a / (a + b)
 
 
 def default_chi(s):
@@ -129,20 +122,12 @@ def _weight_field(grid: BoxGrid, s_weight):
                                  dtype=float)
 
 
-def _natural_multiplier(grid: BoxGrid, h: float, m: float) -> np.ndarray:
-    """(1 + h^2|xi|^2 + h^4 tau^2)^{m/2} on the DFT frequencies."""
-    k = _open_mesh(grid, freqs=True)
-    return (1.0 + h**2 * sum(kj * kj for kj in k[1:]) + h**4 * k[0] ** 2) ** (m / 2.0)
-
-
-def _natural_face_bdf(grid: BoxGrid, h: float) -> np.ndarray:
-    """Global natural-face bdf on the DFT frequencies:
-    rho_nf = h + chi(zeta_nat) (1 + tau^2 + |xi|^4)^{-1/4}."""
+def _grid_bdfs(grid: BoxGrid, h: float):
+    """(rho_df, rho_nf, rho_pf) of geometry.frequency_bdfs on the DFT frequencies,
+    at tau_nat = h^2 tau and xi_nat = h xi; rho_df^{-m} is the multiplier
+    (1 + h^2|xi|^2 + h^4 tau^2)^{m/2}."""
     tau, *xs = _open_mesh(grid, freqs=True)
-    zn = np.sqrt(h**4 * tau**2 + h**2 * sum(kj * kj for kj in xs))
-    # radial cutoff: 1 for |zeta_nat| <= 1, 0 for >= 2
-    chi = 1.0 - smooth_step(zn - 1.0)
-    return h + chi * (1.0 + tau**2 + sum((kj * kj) ** 2 for kj in xs)) ** -0.25
+    return frequency_bdfs(h**2 * tau, [h * x for x in xs], h)
 
 
 def _fourier_norm(buf: np.ndarray, mult, dvol: float) -> float:
@@ -164,7 +149,7 @@ def natural_norm(u: GridField, m: float, s_weight, ell: float, h: float) -> floa
     """Natural-scale norm h^{-l} || (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} (<z>^s u) ||_2."""
     g = u.grid
     return h**-ell * _fourier_norm(_weight_field(g, s_weight) * u.values,
-                                   _natural_multiplier(g, h, m), g.dvol)
+                                   _grid_bdfs(g, h)[0] ** -m, g.dvol)
 
 
 def _split_multiplier(grid: BoxGrid, h: float, chi_profile=None) -> np.ndarray:
@@ -217,14 +202,14 @@ def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
 
 def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=None):
     """The two-sheet norm at scale h for each order tuple and its weight
-    <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier
-    and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
+    <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier,
+    rho_df and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
     in place: the split's inverse and a Parseval forward per envelope."""
     q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
-    rho_nf = _natural_face_bdf(grid, h)
+    rho_df, rho_nf, _ = _grid_bdfs(grid, h)
 
     def norm_for(orders, weight):
-        mult = _natural_multiplier(grid, h, orders.m) * rho_nf ** -orders.ell
+        mult = rho_df ** -orders.m * rho_nf ** -orders.ell
         return lambda values, spec: sum(
             h**-q * _fourier_norm(np.multiply(env, weight, out=env), mult, grid.dvol)
             for q, env in zip((orders.q_plus, orders.q_minus),
@@ -304,6 +289,8 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     cs = sorted(float(c) for c in c_list)
     if not cs or not all(0.0 < c < math.inf for c in cs):
         raise InvalidInput("the ratio needs at least one c, each finite and > 0")
+    if n_base < 1:
+        raise InvalidInput("the ratio needs n_base >= 1 family members")
     nyq = math.pi * grid.ns[0] / grid.sides[0]
     if max(cs) ** 2 * 1.1 > nyq:
         raise SpectrumOverflow(
@@ -313,8 +300,9 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     t = _open_mesh(grid)[0]
     both = (orders, orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0))   # numerator, denominator
     weights = [_weight_field(grid, o) for o in both]
-    rows = []
-    for c in cs:
+
+    def rows_at(c):
+        # a generator: the arrays of one c are freed before the next c's are built
         carrier = np.exp(1j * c * c * t)
         carriers = {"plain": 1.0, "plus": carrier, "minus": np.conj(carrier)}
         P = ConjugatedOperator(M, c, grid, None)
@@ -326,7 +314,9 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
             if den < 1.0e-12:
                 raise DegenerateFamily(f"member {mid} has |Pu| below floor")
             num = num_norm(vals, spec)
-            rows.append((c, mid, num, den, num / den))
+            yield c, mid, num, den, num / den
+
+    rows = [row for c in cs for row in rows_at(c)]
     per_c = {c: max(row[4] for row in rows if row[0] == c) for c in cs}
     first, last = ({row[1]: row[4] for row in rows if row[0] == c} for c in (cs[0], cs[-1]))
     drift = {mid: last[mid] / first[mid] for mid in first}

@@ -174,8 +174,7 @@ class SchrCoefficients:
         return cls(d)
 
     @classmethod
-    def from_metric(cls, M: MetricParams, include_aleph: bool = True,
-                    aleph_values=None) -> "SchrCoefficients":
+    def from_metric(cls, M: MetricParams, include_aleph: bool = True) -> "SchrCoefficients":
         """Coefficients at c = infinity: B_j = Re B_j, W, beta, and the
         asymptotic-mass potential (dropable for the differential test); a
         coefficient the metric leaves zero is absent."""
@@ -191,8 +190,8 @@ class SchrCoefficients:
                       for Bj in M.B)
         alephf = None
         if include_aleph and not M.is_flat:
-            alephf = aleph_values if aleph_values is not None else (
-                lambda t, *mesh: aleph(M, _spacetime(t, mesh)))
+            def alephf(t, *mesh):
+                return aleph(M, _spacetime(t, mesh))
         return cls(M.d, B=B, W=lift(M.W), beta=lift(M.beta), aleph=alephf)
 
     @property

@@ -401,7 +401,7 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9) -> C
     value = rescaled_symbol(p, M, b)
     if isinstance(p, PhasePoint):
         value /= 1.0 + float(p.zeta_nat @ p.zeta_nat)
-    side = b.sign * chart_frame(p)[-1]
+    side = b.sign * chart_frame(p)[-1][0]   # tau_nat
     if abs(value) <= tol:
         if side > -1.0:
             return CharClass.SIGMA

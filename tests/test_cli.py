@@ -176,6 +176,10 @@ class TestConfigValidation:
         ("charset", {"params": {"n_samples": -5}}),
         ("radial", {"params": {"n_samples": 0}}),
         ("alpha", {"params": {"n_samples": 0}}),
+        # an odd count would drop a charset sample; an empty family has no maximum
+        ("charset", {"params": {"n_samples": 3}}),
+        ("uniform-ratio", {"params": {"n_base": 0}}),
+        ("uniform-ratio", {"params": {"n_base": -1}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

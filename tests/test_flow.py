@@ -594,6 +594,23 @@ class TestWeightFlowRate:
                      for M in (wavy_metric, free_metric)]
             assert abs(rates[0] - rates[1]) <= 1e-15
 
+    @given(data=st.data(), d=st.integers(1, 3), h=st.sampled_from([0.0, 0.05, 0.3, 0.5]),
+           branch=st.sampled_from([PL, MI]), side=st.sampled_from([Side.PAST, Side.FUTURE]),
+           orders=st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_rate_is_the_spacetime_one(self, data, d, h, branch, side, orders):
+        # on |Y| = 1 the perturbation's ball forms vanish: the frequency drift is
+        # exactly 0, so only rho_bf moves, at s (-omega . V) with the free V
+        M = data.draw(perturbed_metrics(d))
+        xi = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+        rp = radial_point(xi, h, side, branch)
+        drift = flow._natural_field(M, rp.direction, rp.zeta_nat, h, branch.sign, 0.0)[1]
+        assert not drift.any()
+        V = np.concatenate(([h * (rp.tau_nat + branch.sign)], -rp.xi_nat))
+        want = orders[1] * -float(rp.direction @ V)
+        assert weight_flow_rate(rp, orders, M, branch) == pytest.approx(want, rel=1e-12,
+                                                                        abs=1e-15)
+
     def test_mixed_orders_free(self, free_metric):
         # frequency-only factors are flow-invariant for the free metric
         rp = radial_point([1.2], 0.4, Side.FUTURE, PL)
@@ -618,8 +635,27 @@ class TestDegeneracy:
         assert np.min(np.abs(np.real(ev))) >= 0.5
         assert np.all(np.real(ev) < 0)  # sink at the future set, plus branch
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["natural", "parabolic"])
+    def test_linearization_matches_central_differences(self, d, mode):
+        # the closed-form Jacobian against a central difference of the ball field
+        M, rng = MetricParams.free(d), np.random.default_rng(d)
+        for _ in range(20):
+            branch, side = rng.choice([PL, MI]), rng.choice([Side.PAST, Side.FUTURE])
+            h = 0.0 if mode == "parabolic" else rng.uniform(0.05, 0.5)
+            rp = radial_point(rng.uniform(-2.0, 2.0, d), h, side, branch)
+            zeta = rp.zeta_nat if mode == "natural" else rng.uniform(-1.0, 1.0, d + 1)
+            omega = side.sign * flow._future_direction(zeta, h, branch.sign, mode == "parabolic")
+            rhs, step = flow._state_rhs(mode, M, branch, h, 1.0), 1e-5
+            J = np.stack([(rhs(0.0, np.concatenate((omega + e, zeta)))
+                           - rhs(0.0, np.concatenate((omega - e, zeta))))[: d + 1] / (2 * step)
+                          for e in step * np.eye(d + 1)], axis=1)
+            got = np.sort_complex(radial_linearization(rp, M, branch, mode, zeta))
+            want = np.sort_complex(np.linalg.eigvals(J))
+            assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
     def test_linearization_needs_the_free_metric(self, free_metric):
-        # the central difference crosses the boundary sphere, where an order -1
+        # a central difference would cross the boundary sphere, where an order -1
         # profile has a square-root kink: at pert_metric(0.1) the second
         # eigenvalue read -1.2862, -1.2776, -1.1891 at steps 1e-3, 1e-5, 1e-7
         rp = radial_point([1.1], 0.45, Side.FUTURE, PL)

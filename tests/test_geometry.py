@@ -1,6 +1,7 @@
 """Charts, boundary-defining functions, and the parabolic compactification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nrlab.geometry import (
     b_order_fit,
     bdf_values,
     chi_cutoff,
+    frequency_bdfs,
     from_chart,
     from_parabolic_chart,
     parabolic_chart,
@@ -77,7 +79,83 @@ class TestBdfValues:
         assert 0.0 < chi_cutoff([1.5, 0.0]) < 1.0
 
 
+class TestBatchedBdfs:
+    """frequency_bdfs and chi_cutoff over arrays equal their row-by-row values,
+    with the h = 0 face, the zeta_nat = 0 corner and the chi = 0 region
+    |zeta_nat| >= 2 among the rows, and raise no floating-point warning."""
+
+    @staticmethod
+    def _rows(d):
+        rng = np.random.default_rng(d)
+        zeta = np.concatenate((rng.normal(size=(40, 1 + d)) * 1.5,
+                               rng.uniform(2.0, 30.0, size=(8, 1 + d)),   # |zeta| >= 2
+                               np.zeros((2, 1 + d))))                     # zeta_nat = 0
+        zeta[-1, 0] = 1e-100
+        return zeta
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0.0, 1e-3, 0.3, 1.0])
+    def test_rows(self, d, h):
+        zeta = self._rows(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = frequency_bdfs(zeta[:, 0], list(zeta[:, 1:].T), h)
+            chi = chi_cutoff(zeta)
+            for i, z in enumerate(zeta):
+                row = frequency_bdfs(z[0], z[1:], h)
+                for got, want in zip(batch, row):
+                    assert got.shape == (zeta.shape[0],)
+                    assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert chi[i] == pytest.approx(chi_cutoff(z), rel=1e-14, abs=0.0)
+        rho_df, rho_nf, rho_pf = batch
+        assert np.all(chi[-2:] == 1.0) and np.all(chi[40:48] == 0.0)
+        assert np.all(rho_nf * rho_pf == pytest.approx(h, rel=1e-14, abs=0.0))
+        if h == 0.0:
+            # the corner h = 0, zeta_nat = 0 lies on both nf and pf
+            assert rho_nf[-2] == rho_pf[-2] == 0.0
+            assert rho_pf[-1] > 0.0 and np.all(rho_nf == 0.0)
+
+    def test_open_mesh_broadcast(self):
+        # components of different shapes broadcast without being stacked
+        tau = np.linspace(-3.0, 3.0, 13)[:, None]
+        xi = np.linspace(-2.5, 2.5, 11)[None, :]
+        batch = frequency_bdfs(tau, [xi], 0.2)
+        for i, j in np.ndindex(13, 11):
+            row = frequency_bdfs(tau[i, 0], [xi[0, j]], 0.2)
+            for got, want in zip(batch, row):
+                assert got.shape == (13, 11)
+                assert got[i, j] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_chi_is_the_sigma_quotient(self):
+        # 1 - smooth_step(r - 1) is sigma(2-r) / (sigma(r-1) + sigma(2-r)) with
+        # sigma(s) = exp(-1/s) for s > 0, else 0
+        def sigma(s):
+            return math.exp(-1.0 / s) if s > 0.0 else 0.0
+
+        for r in np.linspace(0.0, 3.0, 301):
+            want = sigma(2.0 - r) / (sigma(r - 1.0) + sigma(2.0 - r)) if r < 2.0 else 0.0
+            assert chi_cutoff([r, 0.0]) == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
 class TestCharts:
+    def test_df_rejects_subnormal_tau(self):
+        # 1/|tau_nat| overflows: the chart has no finite rho_df coordinate
+        p = PhasePoint(0.0, [0.0], 2.225e-309, [0.0], 0.5)
+        with pytest.raises(OutOfChart):
+            to_chart(p, ChartId(ChartTag.DF_PROJECTIVE))
+        assert to_chart(PhasePoint(0.0, [0.0], 1e-300, [0.0], 0.5),
+                        ChartId(ChartTag.DF_PROJECTIVE)).bdf.rho_df == pytest.approx(1e300)
+
+    def test_from_chart_copies(self):
+        for tag in (ChartTag.NAT_INTERIOR, ChartTag.DF_PROJECTIVE, ChartTag.PF_STANDARD,
+                    ChartTag.PF_NAT_PARABOLIC):
+            cc = to_chart(PhasePoint(0.5, [0.2], 2.0, [0.1], 0.5), ChartId(tag))
+            p = from_chart(cc)
+            before = (p.t, p.x.copy(), p.tau_nat, p.xi_nat.copy(), p.h)
+            cc.coords[:] = 0.7
+            assert (p.t, p.tau_nat, p.h) == before[::2]
+            assert np.array_equal(p.x, before[1]) and np.array_equal(p.xi_nat, before[3])
+
     def test_df_projective_example(self):
         p = PhasePoint(0.0, [0.0], 2.0, [0.0], 0.5)
         cc = to_chart(p, ChartId(ChartTag.DF_PROJECTIVE))
