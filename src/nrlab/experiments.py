@@ -39,10 +39,10 @@ class Result:
     values: dict
 
 
-def bandlimited_gaussian(grid, K, width=4.0, k0=1.0):
-    """Spatially localized field with spectrum hard-truncated to |xi| <= K."""
+def bandlimited_gaussian(grid, K):
+    """The Gaussian e^{-(x/4)^2 + ix}, its spectrum hard-truncated to |xi| <= K."""
     x = grid.axis_points(0)
-    vals = np.exp(-((x / width) ** 2)) * np.exp(1j * k0 * x)
+    vals = np.exp(-((x / 4.0) ** 2)) * np.exp(1j * x)
     ch = np.fft.fftn(vals)
     ch[np.abs(grid.axis_freqs(0)) > K] = 0.0
     return np.fft.ifftn(ch)
@@ -146,9 +146,9 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
         n_samples=60) -> Result:
     """Quadratic-defining-function probes at seeded radial points; ``iota_ref``
     is the free metric's exact attraction rate 2 max|xi_nat|."""
-    if n_centers < 1 or n_samples < 3 or not 0.0 < radius < math.inf:
+    if n_centers < 1 or n_samples < 3 or not 0.0 < radius <= 1.0:
         raise InvalidInput("qdf needs n_centers >= 1, n_samples >= 3 (the fit has two "
-                           "coefficients) and a finite radius > 0")
+                           "coefficients) and 0 < radius <= 1 (the probe is local)")
     rows, iota_ref = [], []
     for i in range(n_centers):
         branch = rng.choice([PL, MI])
@@ -243,8 +243,11 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
                 n_grid=256) -> Result:
     """Klein-Gordon envelopes against Schrodinger over a c-ladder; ``ratios``
     are the successive error ratios (4 at second order for a doubling ladder)."""
-    if len(c_list) < 2:
-        raise InvalidInput("pde-compare needs at least two c values to form a ratio")
+    if len(c_list) < 2 or not all(0.0 < c < math.inf for c in c_list):
+        raise InvalidInput("pde-compare needs at least two finite c > 0 to form a ratio")
+    if not (math.isfinite(T) and T != 0.0 and band_limit > 0.0):
+        raise InvalidInput(f"pde-compare needs a finite T != 0 and band_limit > 0, "
+                           f"not {T} and {band_limit}")
     g = qz.BoxGrid.regular(box, n_grid, 1)
     psi = bandlimited_gaussian(g, band_limit)
     times = np.linspace(0.0, T, 9)
@@ -267,6 +270,9 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     psi = np.exp(-(x**2) / 8.0)
     coeffs = pde.SchrCoefficients(1, W=lambda t, xx: 1j * im_v / (1.0 + t * t + xx * xx))
     times = np.linspace(-20.0, 20.0, 161)
+    if not 0.0 < dt <= times[1] - times[0]:
+        raise InvalidInput(f"mass needs 0 < dt <= {times[1] - times[0]}, the output spacing, "
+                           f"not {dt}")
     run = pde.schrodinger_solve(pde.SchrState(g, psi, -20.0), MI, times, coeffs, dt=dt)
     tr = pde.mass_bound_check(run, C_claim)
     return Result({"mass.csv": (["t", "M", "dM", "bound_rhs"],

@@ -36,7 +36,6 @@ from .geometry import (
     ChartId,
     ChartTag,
     PhasePoint,
-    frequency_bdfs,
     split_coords,
 )
 from .symbols import (
@@ -70,6 +69,7 @@ ZETA_MAX = 50.0      # leave-domain bound on frequency magnitude
 FIXED_POINT_NORM = 1.0e-10
 SHEET_ROOT_TOL, SHEET_ROOT_PASSES = 1.0e-10, 8   # fixed-point rule of the sheet root
 CLOSED_FORM_SAMPLES = 100   # points saved along a closed-form flow line
+UPSILON = 1.0e3     # weight of rho_bf^2 in the QDF probe's varrho
 # scipy.integrate.RK45's absolute tolerance and step-size rules
 ATOL = 1.0e-12
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -278,7 +278,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     p_resid: np.ndarray
-    chart_switches: list
     termination: Termination
     rhs_evals: int = 0
     steps: int = 0
@@ -649,12 +648,9 @@ def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 
     resid = _p_residuals(M, ys[:, :n], ys[:, n:], h[owner], bsign[owner], parabolic[owner])
     out = []
     for i, ((lam, _), idx, lo) in enumerate(zip(paths, picks, np.cumsum([0] + counts))):
-        lam, y, res = lam[idx], ys[lo : lo + idx.size], resid[lo : lo + idx.size]
-        dom = np.argmax(np.abs(y[:, :n]), axis=1)
-        switches = [(float(lam[k]), f"dominant axis {dom[k - 1]} -> {dom[k]}")
-                    for k in np.flatnonzero(dom[1:] != dom[:-1]) + 1]
-        out.append(Trajectory(starts[i]["mode"], starts[i]["h"], cases[i][2], lam, y, res,
-                              switches, _TERMS[code[i]], *map(int, stats[i])))
+        out.append(Trajectory(starts[i]["mode"], starts[i]["h"], cases[i][2], lam[idx],
+                              ys[lo : lo + idx.size], resid[lo : lo + idx.size],
+                              _TERMS[code[i]], *map(int, stats[i])))
     return out
 
 
@@ -773,13 +769,12 @@ def _sheet_points(cc0: ChartCoords, offsets, M, b) -> np.ndarray:
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
-              M: MetricParams, b: SignBranch, upsilon: float = 1.0e3,
-              seed: int = 0) -> QdfReport:
+              M: MetricParams, b: SignBranch, seed: int = 0) -> QdfReport:
     """Probe the attraction structure of the flow at a radial-set point.
 
     Samples the characteristic set near the center in the (s, w, rho_bf)
     chart, evaluates the flow derivative of
-    varrho = s^2 + |w|^2 + upsilon rho_bf^2, and fits the decomposition
+    varrho = s^2 + |w|^2 + UPSILON rho_bf^2, and fits the decomposition
     into a linear-rate part (coefficient iota), a nonnegative remainder F
     of size O(varrho), and a cubically vanishing error E.
 
@@ -799,13 +794,13 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
         pts = rng.normal(size=(m, d + 1))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         pts *= scale * rng.uniform(0.2, 1.0, size=(m, 1))
-        pts[:, d] = np.abs(pts[:, d]) / max(1.0, math.sqrt(upsilon))  # keep rho_bf >= 0, O(1/sqrt(upsilon))
+        pts[:, d] = np.abs(pts[:, d]) / math.sqrt(UPSILON)  # keep rho_bf >= 0, O(UPSILON^-1/2)
         return pts
 
     n_inner = max(8, nsamples // 8)
     off = np.concatenate((draw(radius * 1.0e-3, n_inner), draw(radius, nsamples)))
     field = _radial_field(_sheet_points(cc0, off, M, b), cc0.chart, M, b)
-    weight = np.append(np.ones(d), upsilon)         # varrho = s^2 + |w|^2 + upsilon rho_bf^2
+    weight = np.append(np.ones(d), UPSILON)         # varrho = s^2 + |w|^2 + UPSILON rho_bf^2
     varrho = off**2 @ weight
     hrho = 2.0 * (off * field[:, : d + 1]) @ weight
     vi, hi = varrho[:n_inner], hrho[:n_inner]
@@ -836,51 +831,16 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 # ---------------------------------------------------------------------------
 
 
-def _log_weight(orders, zeta_nat, h, rho_bf) -> float:
-    """log of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q, with
-    the frequency bdfs of geometry.frequency_bdfs."""
-    rho_df, rho_nf, rho_pf = frequency_bdfs(zeta_nat[0], zeta_nat[1:], h)
-    return sum(k * math.log(max(rho, 1e-300))
-               for k, rho in zip(orders, (rho_df, rho_bf, rho_nf, rho_pf)))
-
-
-def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch,
-                     probe_offset: float = 0.0) -> float:
+def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch) -> float:
     """Logarithmic rate of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q
-    along the rescaled flow, evaluated at (or near) a radial-set point.
+    along the rescaled flow at a radial-set point.
 
-    At the exact radial point (on |Y| = 1) the frequency drift vanishes with
-    the metric's ball forms, so only rho_bf moves: the rate is s (-Y . V).
-    With ``probe_offset`` > 0 the rate is a 4th-order finite difference of
-    log a along the integrated flow from a point displaced inward.
+    At the radial point (on |Y| = 1) the frequency drift vanishes with the
+    metric's ball forms, so only rho_bf moves: the rate is s (-omega . V).
     """
-    zeta, h, omega = rp.zeta_nat, rp.h, rp.direction
-    if probe_offset == 0.0:
-        V = _natural_field(M, omega, zeta, h, b.sign, 0.0)[0]
-        return orders[1] * -float(omega @ V)
-    # displaced probe: 4th-order FD of log a along the flow
-    Y0 = (1.0 - probe_offset) * omega
-    y0 = np.concatenate((Y0, zeta))
-    n = Y0.size
-    rhs = _state_rhs("natural", M, b, h, +1.0)
-
-    eps = 1.0e-4
-
-    def rk4(y, dt):
-        k1 = rhs(0.0, y)
-        k2 = rhs(0.0, y + 0.5 * dt * k1)
-        k3 = rhs(0.0, y + 0.5 * dt * k2)
-        k4 = rhs(0.0, y + dt * k3)
-        return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    vals = {}
-    for steps in (-2, -1, 1, 2):
-        y = y0.copy()
-        for _ in range(abs(steps)):
-            y = rk4(y, eps * (1 if steps > 0 else -1))
-        rho_bf = math.sqrt(max(0.0, 1.0 - float(y[:n] @ y[:n])))
-        vals[steps] = _log_weight(orders, y[n:], h, rho_bf)
-    return (vals[-2] - 8.0 * vals[-1] + 8.0 * vals[1] - vals[2]) / (12.0 * eps)
+    omega = rp.direction
+    V = _natural_field(M, omega, rp.zeta_nat, rp.h, b.sign, 0.0)[0]
+    return orders[1] * -float(omega @ V)
 
 
 def natural_degeneracy(p: PhasePoint, b: SignBranch | None = None) -> float:

@@ -80,6 +80,9 @@ class OrderProfile:
     def __post_init__(self):
         # a constant profile crosses nothing, so it fails the check
         ends = (self.s_past, self.s_future)
+        orders = (self.m, self.ell, self.q_minus, self.q_plus, *ends)
+        if not np.isfinite(orders).all():
+            raise InvalidInput(f"orders {orders} must be finite")
         if self.check_threshold and not min(ends) < -0.5 < max(ends):
             raise InvalidInput(f"order profile {ends} must cross the -1/2 threshold")
 
@@ -236,11 +239,10 @@ def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
 # ---------------------------------------------------------------------------
 
 
-def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0,
-                    sigma_t: float = 0.35, sigma_x: float = 1.5,
-                    vmax: float = 2.0):
-    """Manufactured fields: Gaussians at varied centers/velocities, plain and
-    carried on both oscillation branches (3 * n_base members).
+def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0):
+    """Manufactured fields: Gaussians of widths 0.35 in t and 1.5 in x at
+    varied centers and velocities (|v| <= 2), plain and carried on both
+    oscillation branches (3 * n_base members).
 
     Carriers e^{+/- i c^2 t} are attached per-c by the experiment; this
     returns (member_id, envelope_kind, base_values) with kind in
@@ -252,13 +254,13 @@ def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0,
     for j in range(n_base):
         t0 = rng.uniform(-0.4, 0.4)
         x0 = [rng.uniform(-1.0, 1.0) for _ in xs]
-        v = [rng.uniform(-vmax, vmax) for _ in xs]
+        v = [rng.uniform(-2.0, 2.0) for _ in xs]
         mu = rng.uniform(-1.0, 1.0)
         phase = mu * t
-        r2 = ((t - t0) / sigma_t) ** 2
+        r2 = ((t - t0) / 0.35) ** 2
         for x, x0_i, v_i in zip(xs, x0, v):
             phase = phase + v_i * x
-            r2 = r2 + ((x - x0_i) / sigma_x) ** 2
+            r2 = r2 + ((x - x0_i) / 1.5) ** 2
         base = np.exp(-r2) * np.exp(1j * phase)
         members += [(f"g{j}_{kind}", kind, base) for kind in ("plain", "plus", "minus")]
     return members

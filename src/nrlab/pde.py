@@ -11,7 +11,7 @@ solves -2i dv/dt + Lap v = 0.  The dispersion gap
 is the source of the second-order non-relativistic convergence rate.
 
 The Schrodinger solver handles the full normal operator
--(+/-) 2i d_t + Lap + (+/- beta + i B . grad + W) - aleph by Strang
+-(+/-) 2i d_t + Lap + (-(+/-) beta + i B . grad + W) - aleph by Strang
 splitting with the state kept in Fourier space: between two pointwise
 C-steps the exact kinetic half steps fuse into one multiplier, so a step
 costs two FFTs, and a run with no coefficient is the exact free propagator,
@@ -161,17 +161,15 @@ class SchrCoefficients:
     ``B`` is a tuple of real drift coefficients, ``W``/``beta`` the zeroth
     order terms, ``aleph`` the asymptotic-mass potential; each maps
     (t, x-meshes...) to an array on the spatial grid, and one not given is
-    stored as None.  The branch-dependent potential is V = W +/- beta - aleph.
+    stored as None.  The branch-dependent potential is V = W -(+/-) beta -
+    aleph, the c -> infinity limit of ``ConjugatedOperator``'s zeroth-order
+    row (its -s beta, with s the branch sign).
     """
 
     def __init__(self, d: int, B=None, W=None, beta=None, aleph=None):
         self.d = d
         self.B = tuple(B) if B is not None else None
         self.W, self.beta, self.aleph = W, beta, aleph
-
-    @classmethod
-    def free(cls, d: int) -> "SchrCoefficients":
-        return cls(d)
 
     @classmethod
     def from_metric(cls, M: MetricParams, include_aleph: bool = True) -> "SchrCoefficients":
@@ -201,7 +199,7 @@ class SchrCoefficients:
     def potential(self, t, mesh, branch: SignBranch) -> np.ndarray | None:
         """V at time t, or None when none of W, beta, aleph is given."""
         V = None
-        for sign, f in ((1, self.W), (branch.sign, self.beta), (-1, self.aleph)):
+        for sign, f in ((1, self.W), (-branch.sign, self.beta), (-1, self.aleph)):
             if f is not None:
                 term = np.asarray(f(t, *mesh), dtype=complex)
                 V = (term if sign > 0 else -term) if V is None else V + sign * term
@@ -218,7 +216,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
                       dt: float | None = None) -> list:
     """Strang split-step solution of the normal operator equation.
 
-    -(+/-)2i d_t v + Lap v + (+/- beta + i B . grad + W - aleph) v = 0, i.e.
+    -(+/-)2i d_t v + Lap v + (-(+/-) beta + i B . grad + W - aleph) v = 0, i.e.
     d_t v = s (i/2)(Lap + i B . grad + V) v with s = -branch sign.  An output
     interval of span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and
     > 0, else InvalidInput).  The state stays in Fourier space: the exact
@@ -296,7 +294,6 @@ class CompareReport:
     times: np.ndarray
     errors: np.ndarray
     sup_error: float
-    ref_norm: float
 
 
 def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> CompareReport:
@@ -316,7 +313,7 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
         env = envelope(kg, branch) if isinstance(kg, KGState) else kg.v
         errs.append(SchrState(sc.grid, env - sc.v, kg.t).norm() / ref)
     errs = np.asarray(errs)
-    return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()), ref)
+    return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +346,15 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
     if not M.is_flat:
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
         mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
-        g, ginv = mv.g, mv.ginv
-        # dginv[..., l] = d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>;
-        # d log sqrt|g| = tr(g^-1 dg)/2 = -tr(g d(g^-1))/2
+        # light-speed fields from the natural-units ones, S = diag(c, 1, ...):
+        # g^-1 = S^-1 G S^-1, d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>, and
+        # d log sqrt|g| = -tr(g d(g^-1))/2 = -tr(g_nat D G)/(2 <z>), S cancelling
         unscale = np.ones(n)
         unscale[0] = 1.0 / c
-        dginv = mv.dG * np.outer(unscale, unscale) / bracket[..., None, None, None]
-        dlog = -0.5 * np.einsum("...ab,...lba->...l", g, dginv)
+        unscale = np.outer(unscale, unscale)         # S^-1 (.) S^-1, entrywise
+        ginv = mv.G * unscale
+        dginv = mv.dG * unscale / bracket[..., None, None, None]
+        dlog = -0.5 * np.einsum("...ab,...lba->...l", mv.g, mv.dG) / bracket[..., None]
         c1 = np.einsum("...iij->...j", dginv) + np.einsum("...ij,...i->...j", ginv, dlog)
         rem = ginv - np.diag([-1.0 / c**2] + [1.0] * (n - 1))  # less the free g^-1
         for i in range(n):
@@ -504,31 +503,27 @@ class SymmetryDefectReport:
     fitted_orders: dict         # name -> fitted spatial decay exponent
     max_abs: dict               # name -> max magnitude on the mask
     mask: np.ndarray
-    bracket: np.ndarray
 
 
 def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
-                    branch: SignBranch = SignBranch.MINUS,
-                    probe_sigma: float | None = None) -> SymmetryDefectReport:
+                    branch: SignBranch = SignBranch.MINUS) -> SymmetryDefectReport:
     """Extract the skew part (P - P*)/2i coefficient fields and their decay.
 
-    Probes are a Gaussian bump and its products with the linear coordinates;
-    the first-order operator's coefficients follow pointwise on the bump's
-    support, and each is given a log-log decay fit against <z>.
+    Probes are a Gaussian bump of width min(sides)/14 and its products with
+    the linear coordinates; the first-order operator's coefficients follow
+    pointwise on the bump's support, and each is given a log-log decay fit
+    against <z>.
     """
     op = ConjugatedOperator(M, c, grid, branch)
     mesh = grid.mesh()
     n = grid.ndim
-    if probe_sigma is None:
-        probe_sigma = min(grid.sides) / 14.0
     r2 = sum(m * m for m in mesh)
-    phi = np.exp(-r2 / (2.0 * probe_sigma**2))
+    phi = np.exp(-r2 / (2.0 * (min(grid.sides) / 14.0) ** 2))
     Qphi = op.symmetry_defect_apply(phi)
     # extraction divides by phi, amplifying round-off by 1/phi: report values
     # on a tight core mask, fit decay on a looser one
     mask_fit = phi > 1.0e-5
     mask = phi > 1.0e-2
-    bracket = np.sqrt(1.0 + r2)
 
     coeff = {}
     for i, name in enumerate(["r_t"] + [f"r_x{j}" for j in range(1, n)]):
@@ -543,7 +538,7 @@ def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
     r0[mask_fit] = acc[mask_fit] / phi[mask_fit]
 
     orders, maxabs = {}, {}
-    br = bracket[mask_fit]
+    br = np.sqrt(1.0 + r2[mask_fit])     # <z> on the fit mask
     for name, f in coeff.items():
         mag = np.abs(f[mask_fit])
         maxabs[name] = float(np.max(np.abs(f[mask]), initial=0.0))
@@ -562,7 +557,7 @@ def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
         keep = ys > 1.0e-14 * mag.max()
         orders[name] = (float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
                         if keep.sum() >= 3 else -np.inf)
-    return SymmetryDefectReport(coeff, orders, maxabs, mask, bracket)
+    return SymmetryDefectReport(coeff, orders, maxabs, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
 
 @dataclass
 class GridSymbol:
-    """Sampled symbol a(z, zeta) with declared orders (m, s, l, q).
+    """Sampled symbol a(z, zeta) on a base grid times a frequency grid.
 
     ``poly``, when present, is an exact monomial representation
     {(alpha_z, alpha_zeta): coeff} that evaluation and differentiation use
@@ -202,7 +202,6 @@ class GridSymbol:
     zgrid: BoxGrid
     zetagrid: BoxGrid
     values: np.ndarray
-    orders: tuple = (0.0, 0.0, 0.0, 0.0)
     poly: dict | None = None
 
     def __post_init__(self):
@@ -213,20 +212,19 @@ class GridSymbol:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_function(cls, zgrid, zetagrid, f, orders=(0.0, 0.0, 0.0, 0.0)):
+    def from_function(cls, zgrid, zetagrid, f):
         zm = zgrid.mesh()
         fm = [m_[(Ellipsis,) + (None,) * zetagrid.ndim] for m_ in zm]
         qm = zetagrid.mesh()
         qm = [m_[(None,) * zgrid.ndim + (Ellipsis,)] for m_ in qm]
         vals = np.broadcast_to(np.asarray(f(*fm, *qm), dtype=complex),
                                zgrid.shape + zetagrid.shape).copy()
-        return cls(zgrid, zetagrid, vals, orders)
+        return cls(zgrid, zetagrid, vals)
 
     @classmethod
-    def from_poly(cls, zgrid, zetagrid, poly: dict, orders=(0.0, 0.0, 0.0, 0.0)):
+    def from_poly(cls, zgrid, zetagrid, poly: dict):
         sym = cls(zgrid, zetagrid,
-                  np.zeros(zgrid.shape + zetagrid.shape, dtype=complex),
-                  orders, dict(poly))
+                  np.zeros(zgrid.shape + zetagrid.shape, dtype=complex), dict(poly))
         sym.values = sym._poly_sample()
         return sym
 
@@ -278,11 +276,11 @@ class GridSymbol:
     def _derivative(self, kind: str, axis: int) -> "GridSymbol":
         if self.poly is not None:
             return GridSymbol.from_poly(self.zgrid, self.zetagrid,
-                                        self._poly_derivative(kind, axis), self.orders)
+                                        self._poly_derivative(kind, axis))
         grid, ax = ((self.zgrid, axis) if kind == "z"
                     else (self.zetagrid, self.zgrid.ndim + axis))
         vals = _spectral_derivative(self.values, ax, grid.spacings[axis], f"{kind}-axis {axis}")
-        return GridSymbol(self.zgrid, self.zetagrid, vals, self.orders)
+        return GridSymbol(self.zgrid, self.zetagrid, vals)
 
     def d_z(self, axis: int) -> "GridSymbol":
         """Partial derivative in the base variable z_axis: exact for a poly
@@ -309,10 +307,8 @@ class GridSymbol:
                     for (az2, aq2), c2 in other.poly.items():
                         key = (tuple(np.add(az1, az2)), tuple(np.add(aq1, aq2)))
                         poly[key] = poly.get(key, 0.0) + c1 * c2
-            return GridSymbol(self.zgrid, self.zetagrid, self.values * other.values,
-                              tuple(np.add(self.orders, other.orders)), poly)
+            return GridSymbol(self.zgrid, self.zetagrid, self.values * other.values, poly)
         return GridSymbol(self.zgrid, self.zetagrid, self.values * other,
-                          self.orders,
                           None if self.poly is None else
                           {k: v * other for k, v in self.poly.items()})
 
@@ -325,8 +321,7 @@ class GridSymbol:
             poly = dict(self.poly)
             for k, v in other.poly.items():
                 poly[k] = poly.get(k, 0.0) + v
-        return GridSymbol(self.zgrid, self.zetagrid, self.values + other.values,
-                          tuple(np.maximum(self.orders, other.orders)), poly)
+        return GridSymbol(self.zgrid, self.zetagrid, self.values + other.values, poly)
 
     def __sub__(self, other: "GridSymbol") -> "GridSymbol":
         return self + (other * (-1.0))
@@ -510,21 +505,22 @@ def conjugate_translate(a: GridSymbol, shift: float, h: float) -> GridSymbol:
             raise SpectrumOverflow("translation pushes symbol support off-grid")
     if abs(steps - round(steps)) < 1.0e-9:
         vals = np.roll(a.values, int(round(steps)), axis=axis)
-        return GridSymbol(a.zgrid, a.zetagrid, vals, a.orders)
+        return GridSymbol(a.zgrid, a.zetagrid, vals)
     spec = np.fft.fft(a.values, axis=axis)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
     sh = [1] * a.values.ndim
     sh[axis] = n
     vals = np.fft.ifft(spec * np.exp(-1j * k.reshape(sh) * shift), axis=axis)
-    return GridSymbol(a.zgrid, a.zetagrid, vals, a.orders)
+    return GridSymbol(a.zgrid, a.zetagrid, vals)
 
 
-def normal_symbol(family, taper: int = 2, rtol: float = 1.0e-6) -> GridSymbol:
+def normal_symbol(family, rtol: float = 1.0e-6) -> GridSymbol:
     """Richardson h -> 0 limit of an h-indexed symbol family (the pf-restriction).
 
     ``family`` maps h to GridSymbol at h, h/2, h/4 on one fixed grid.  The
-    two top extrapolation orders are compared; disagreement beyond ``rtol``
-    (relative to the result's sup) raises ExtrapolationUnstable.
+    result is the order-2 extrapolant; the order-1 one checks it, and a
+    disagreement beyond ``rtol`` (relative to the result's sup) raises
+    ExtrapolationUnstable.
     """
     items = sorted(family.items(), key=lambda kv: -kv[0])
     if len(items) != 3:
@@ -543,5 +539,4 @@ def normal_symbol(family, taper: int = 2, rtol: float = 1.0e-6) -> GridSymbol:
         raise ExtrapolationUnstable(
             f"order-1/order-2 extrapolants deviate by {dev:.3e} (rtol {rtol:.1e})"
         )
-    vals = r2 if taper >= 2 else r1
-    return GridSymbol(a0.zgrid, a0.zetagrid, vals, a0.orders)
+    return GridSymbol(a0.zgrid, a0.zetagrid, r2)

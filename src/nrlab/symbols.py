@@ -162,19 +162,6 @@ class ClassicalSymbolProfile:
             return w * g, None
         return w * g, w[..., None] * (self.order * Y * g[..., None] + proj)
 
-    def eval_ball(self, Y) -> float:
-        """Value at the compactified base point Y (smooth up to |Y| = 1)."""
-        if self.amplitude == 0.0:
-            return np.zeros(np.shape(Y)[:-1]) if np.ndim(Y) > 1 else 0.0
-        val = self.ball_forms(Y)[0]
-        return val if np.ndim(val) else float(val)
-
-    def comp_grad_ball(self, Y) -> np.ndarray:
-        """Compensated gradient rho_bf^{-1} d f / d z_i expressed on the ball."""
-        if self.amplitude == 0.0:
-            return np.zeros_like(np.asarray(Y, dtype=float))
-        return self.ball_forms(Y, grad=True)[1]
-
 
 @dataclass(frozen=True)
 class OperatorCoefficient:
@@ -270,17 +257,16 @@ class MetricParams:
 
 
 class MetricValues(NamedTuple):
-    """The metric family evaluated at a batch of points.
+    """The metric family in natural units, evaluated at a batch of points.
 
-    ``g`` and ``ginv`` are in light-speed units (at h = 0 they hold their
-    c -> infinity limits diag(-inf, I) and diag(0, I)); ``G = S g^-1 S``
-    with S = diag(c, 1, ..., 1) is the natural-units inverse metric;
-    ``dG[..., l, :, :]`` is its compensated derivative rho_bf^-1 dG/dz_l
-    (``None`` unless asked for).
+    ``g = S^-1 g(c) S^-1 = eta + h^2 P`` with S = diag(c, 1, ..., 1) is the
+    natural-units metric (eta at h = 0), ``G`` its inverse, and
+    ``dG[..., l, :, :]`` the compensated derivative rho_bf^-1 dG/dz_l
+    (``None`` unless asked for).  Light-speed fields follow as
+    g(c)^-1 = S^-1 G S^-1.
     """
 
     g: np.ndarray
-    ginv: np.ndarray
     G: np.ndarray
     dG: np.ndarray | None
 
@@ -291,14 +277,14 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     Y has shape (..., 1+d) and may reach the boundary sphere |Y| = 1; the
     light speed is c = 1/h, with h a scalar or an array broadcast against
     Y.shape[:-1] (h is a phase-space coordinate, so each point may carry its
-    own).  In natural units the metric is S^-1 g S^-1 = eta + h^2 P with
-    P = [[alpha, w], [w, hjk]], so G = (eta + h^2 P)^-1 and
-    D G = -h^2 G (D P) G, with the profiles taken in their ball forms.
-    Spacetime callers pass Y = z/<z> and divide dG by <z> to get dG/dz.
+    own, h = 0 included).  In natural units the metric is g = eta + h^2 P
+    with P = [[alpha, w], [w, hjk]], so G = g^-1 and D G = -h^2 G (D P) G,
+    with the profiles taken in their ball forms.  Spacetime callers pass
+    Y = z/<z> and divide dG by <z> to get dG/dz.
     Within ~1e-8 of the sphere Y cannot resolve 1 - |Y|^2 = rho_bf^2; a
     caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]).
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
-    reference value c^2 at any point.
+    reference value at any point.
     """
     Y = np.asarray(Y, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -318,27 +304,16 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     h2 = (h * h)[..., None, None]
     eta = np.eye(n)
     eta[0, 0] = -1.0
-    gm = eta + h2 * P                               # S^-1 g S^-1
+    g = eta + h2 * P
     if M.is_flat:
-        G = gm
-        dG = DP
-    else:
-        det = np.linalg.det(gm)
-        if (np.abs(det) < 1.0e-12).any():
-            raise DegenerateMetric(
-                f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h <= {np.max(h)}")
-        G = np.linalg.inv(gm)
-        dG = -h2[..., None] * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
-    s = np.ones(h.shape + (n,))
-    s[..., 0] = h
-    scale = s[..., :, None] * s[..., None, :]       # S^-1 (.) S^-1, entrywise
-    # h^2 may underflow; at h = 0 the time row holds its c -> infinity limits
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = gm / scale
-    if h.ndim or h == 0.0:                          # 0/0 is g_0j's limit 0 at h = 0
-        at_zero = np.broadcast_to(h == 0.0, Y.shape[:-1])
-        g[at_zero, 0, 1:] = g[at_zero, 1:, 0] = 0.0
-    return MetricValues(g, G * scale, G, dG)
+        return MetricValues(g, g, DP)
+    det = np.linalg.det(g)
+    if (np.abs(det) < 1.0e-12).any():
+        raise DegenerateMetric(
+            f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h <= {np.max(h)}")
+    G = np.linalg.inv(g)
+    dG = -h2[..., None] * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
+    return MetricValues(g, G, dG)
 
 
 def ball_from_base(z) -> np.ndarray:

@@ -1,7 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nrlab.symbols import ClassicalSymbolProfile, MetricParams, OperatorCoefficient
+from nrlab.symbols import (
+    ClassicalSymbolProfile,
+    MetricParams,
+    OperatorCoefficient,
+    ball_from_base,
+    eval_metric,
+)
 
 
 @pytest.fixture
@@ -41,3 +48,12 @@ def perturbed_metrics(draw, d, amp=0.2):
     hjk = tuple(tuple(upper[min(j, k), max(j, k)] for k in range(d)) for j in range(d))
     return MetricParams(d=d, alpha=profile(), w=tuple(profile() for _ in range(d)),
                         hjk=hjk)
+
+
+def light_speed_inverse(M, z, c):
+    """The light-speed inverse metric g(c)^-1 = S^-1 G S^-1 at spacetime points
+    z of shape (..., 1+d), with S = diag(c, 1, ..., 1) and G the natural-units
+    inverse metric of eval_metric."""
+    s = np.ones(M.d + 1)
+    s[0] = 1.0 / c
+    return eval_metric(M, ball_from_base(z), 1.0 / c).G * np.outer(s, s)

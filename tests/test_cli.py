@@ -1,5 +1,6 @@
 """Batch front-end: config validation, artifacts, determinism, exit codes."""
 
+import ast
 import importlib
 import json
 import math
@@ -28,6 +29,29 @@ def test_every_exported_name_resolves(module):
     # a name left there after its function is gone breaks every traced run
     mod = importlib.import_module(f"nrlab.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(nrlab.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_module_level_import(path):
+    # a deletion takes its imports with it; "# noqa" on an import's own line
+    # keeps a name that is read only from outside, and __all__ counts as a use
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {name for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+             for name in ast.literal_eval(node.value)}
+    unused = [
+        f"{path.name}:{alias.lineno} {alias.asname or alias.name}"
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+        and "# noqa" not in lines[alias.lineno - 1]
+    ]
+    assert unused == []
 
 
 class TestConfigValidation:
@@ -180,6 +204,14 @@ class TestConfigValidation:
         ("charset", {"params": {"n_samples": 3}}),
         ("uniform-ratio", {"params": {"n_base": 0}}),
         ("uniform-ratio", {"params": {"n_base": -1}}),
+        # no span, no band, or a c that is not finite and > 0
+        ("pde-compare", {"params": {"T": 0.0}}),
+        ("pde-compare", {"params": {"band_limit": 0.0}}),
+        ("pde-compare", {"params": {"c_list": [8.0, -8.0]}}),
+        ("uniform-ratio", {"params": {"m": math.nan}}),
+        # the probe is local, and mass's steps must not skip its output times
+        ("qdf", {"params": {"radius": 1e300}}),
+        ("mass", {"params": {"dt": 100.0}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

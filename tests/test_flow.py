@@ -576,12 +576,26 @@ class TestWeightFlowRate:
         assert abs(a) <= 1e-8
 
     def test_fd_probe_consistent(self, free_metric):
-        # the finite-difference route at a small inward offset approaches the
-        # boundary value
+        # a fourth-order difference of log rho_bf = log(1 - |Y|^2)/2 along the
+        # flow (RK4 steps of 1e-4) from 1e-6 inside the radial point approaches
+        # the closed-form rate there
         rp = radial_point([1.0], 0.2, Side.FUTURE, PL)
         exact = weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), free_metric, PL)
-        fd = weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), free_metric, PL,
-                              probe_offset=1e-6)
+        rhs = flow._state_rhs("natural", free_metric, PL, rp.h, 1.0)
+        eps, n = 1.0e-4, rp.d + 1
+
+        def log_rho_bf(steps):
+            y = np.concatenate(((1.0 - 1e-6) * rp.direction, rp.zeta_nat))
+            dt = eps * np.sign(steps)
+            for _ in range(abs(steps)):
+                k1 = rhs(0.0, y)
+                k2 = rhs(0.0, y + 0.5 * dt * k1)
+                k3 = rhs(0.0, y + 0.5 * dt * k2)
+                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + rhs(0.0, y + dt * k3))
+            return 0.5 * math.log(1.0 - float(y[:n] @ y[:n]))
+
+        fd = (log_rho_bf(-2) - 8.0 * log_rho_bf(-1) + 8.0 * log_rho_bf(1)
+              - log_rho_bf(2)) / (12.0 * eps)
         assert abs(fd - exact) < 1e-4
 
     def test_perturbation_vanishes_on_the_boundary_sphere(self, wavy_metric, free_metric):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import light_speed_inverse
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -119,7 +120,7 @@ class TestSchrodinger:
         xi0 = k[np.argmin(np.abs(k - 1.3))]
         psi = np.exp(1j * xi0 * sgrid.axis_points(0))
         for branch in (PL, MI):
-            for coeffs in (None, SchrCoefficients.free(1)):
+            for coeffs in (None, SchrCoefficients(1)):
                 (out,) = schrodinger_solve(SchrState(sgrid, psi, 0.5), branch, [1.7345],
                                            coeffs, dt=0.1)
                 expect = psi * np.exp(branch.sign * 0.5j * xi0**2 * 1.2345)
@@ -159,7 +160,7 @@ def _strang_reference(data, branch, times, coeffs, dt):
 
     def c_step(v, t_mid, step):
         V = (np.asarray(W(t_mid, *mesh), dtype=complex)
-             + branch.sign * np.asarray(beta(t_mid, *mesh), dtype=complex)
+             - branch.sign * np.asarray(beta(t_mid, *mesh), dtype=complex)
              - np.asarray(aleph(t_mid, *mesh), dtype=complex))
         Bs = [np.asarray(Bj(t_mid, *mesh), dtype=float) for Bj in B]
         v = np.exp(0.5j * s * V * step / 2.0) * v
@@ -256,7 +257,7 @@ class TestConstantPotential:
         cases = [(SchrCoefficients(d, W=lambda t, *m: W0), W0),     # a 0-d field
                  (SchrCoefficients(d, beta=lambda t, *m: beta0 + 0.0 * m[0],
                                    aleph=lambda t, *m: aleph0 + 0.0 * m[0]),
-                  branch.sign * beta0 - aleph0)]
+                  -branch.sign * beta0 - aleph0)]
         t0, times, s = 0.4, [0.4, 1.13, -0.6, 2.0], -branch.sign
         free = schrodinger_solve(SchrState(grid, v0, t0), branch, times)
         for coeffs, V in cases:
@@ -415,6 +416,20 @@ class TestEnvelopeSolver:
                                      schr, MI, c).sup_error for c in (8.0, 16.0))
         assert e16 < e8
 
+    def test_beta_normal_operator_is_the_limit(self):
+        # the conjugated operator carries -s beta at every c, so the normal
+        # operator's V must hold -s beta too: then the error falls with c
+        grid = BoxGrid.regular(20 * math.pi, 64, 1)
+        psi = bandlimited_gaussian(grid, 2.0)
+        M = MetricParams(d=1, beta=OperatorCoefficient(real=ClassicalSymbolProfile(amplitude=0.5)))
+        times = np.linspace(0.0, 0.25, 5)
+        for branch in (PL, MI):
+            schr = schrodinger_solve(SchrState(grid, psi, 0.0), branch, times,
+                                     SchrCoefficients.from_metric(M), dt=0.01)
+            e8, e16 = (conjugate_compare(kg_envelope_solve(psi, branch, M, c, times, grid),
+                                         schr, branch, c).sup_error for c in (8.0, 16.0))
+            assert e16 <= e8 / 3.0
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
     def test_bad_dt_is_invalid_input(self, dt):
         grid = BoxGrid.regular(10.0, 16, 1)
@@ -474,10 +489,12 @@ class TestConjugatedOperator:
                 e[i] = eps
                 mp, mm = (eval_metric(wavy_metric, ball_from_base(z[idx] + s * e), 1.0 / c)
                           for s in (1.0, -1.0))
-                d_ginv.append((mp.ginv - mm.ginv) / (2.0 * eps))
+                d_ginv.append((light_speed_inverse(wavy_metric, z[idx] + e, c)
+                               - light_speed_inverse(wavy_metric, z[idx] - e, c)) / (2.0 * eps))
+                # natural-units g: its det differs from the light-speed one by c^2
                 d_log.append(0.25 * (np.log(abs(np.linalg.det(mp.g)))
                                      - np.log(abs(np.linalg.det(mm.g)))) / eps)
-            ginv = eval_metric(wavy_metric, ball_from_base(z[idx]), 1.0 / c).ginv
+            ginv = light_speed_inverse(wavy_metric, z[idx], c)
             expected = sum(d_ginv[i][i] for i in range(2)) + ginv @ np.array(d_log)
             assert np.max(np.abs(op.c1[idx] - expected)) <= 1e-9
 
@@ -518,7 +535,7 @@ class TestConjugatedOperator:
         z = np.stack(mesh, axis=-1)
         v = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 8.0)
         op = ConjugatedOperator(wavy_metric, c, stgrid, None)
-        ginv = eval_metric(wavy_metric, ball_from_base(z), 1.0 / c).ginv
+        ginv = light_speed_inverse(wavy_metric, z, c)
         expect = -c * c * v
         for i in range(2):
             expect = expect - op.c1[..., i] * z[..., i] / 4.0 * v
@@ -625,10 +642,10 @@ class TestPotential:
         beta = lambda t, x: 0.2 * np.cos(x) + 0.1j
         al = lambda t, x: 0.3 * np.exp(-x * x)
         co = SchrCoefficients(1, W=W, beta=beta, aleph=al)
-        want = W(0.0, *mesh) + branch.sign * beta(0.0, *mesh) - al(0.0, *mesh)
+        want = W(0.0, *mesh) - branch.sign * beta(0.0, *mesh) - al(0.0, *mesh)
         np.testing.assert_allclose(co.potential(0.0, mesh, branch), want, rtol=1e-15)
         only_beta = SchrCoefficients(1, beta=beta).potential(0.0, mesh, branch)
-        assert np.array_equal(only_beta, branch.sign * beta(0.0, *mesh))
+        assert np.array_equal(only_beta, -branch.sign * beta(0.0, *mesh))
         assert SchrCoefficients(1).potential(0.0, mesh, branch) is None
 
 

@@ -530,9 +530,7 @@ class TestNormalSymbol:
 class TestOrdersFit:
     def test_declared_growth(self, setup1d):
         zg, qg, _ = setup1d
-        sym = GridSymbol.from_function(zg, qg,
-                                       lambda z, q: (1.0 + q**2) + 0 * z,
-                                       orders=(2.0, 0.0, 0.0, 0.0))
+        sym = GridSymbol.from_function(zg, qg, lambda z, q: (1.0 + q**2) + 0 * z)
         assert abs(sym.fitted_zeta_order() - 2.0) <= 0.2
 
 

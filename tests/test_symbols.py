@@ -1,12 +1,13 @@
 """Metric family, asymptotic mass, principal symbols, and radial points."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import perturbed_metrics
+from conftest import light_speed_inverse, perturbed_metrics
 from nrlab.errors import DegenerateMetric, InvalidInput, OutOfChart
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
@@ -59,9 +60,9 @@ class TestProfiles:
                                       waves=(((0.3, 0.9), 0.2, 0.5),))
         z = np.array([2.0, -0.5])
         Y = z / math.sqrt(1.0 + float(z @ z))
-        assert abs(prof(z) - prof.eval_ball(Y)) < 1e-14
+        val, comp = prof.ball_forms(Y, grad=True)
+        assert abs(prof(z) - val) < 1e-14
         rho = (1.0 + float(z @ z)) ** -0.5
-        comp = prof.comp_grad_ball(Y)
         assert np.allclose(comp, prof.grad(z) / rho, atol=1e-12)
 
     def test_im_coefficient_order_enforced(self):
@@ -101,12 +102,12 @@ class TestMetricInputs:
 
 class TestInverseMetric:
     def test_free_inverse(self, free_metric):
-        gi = eval_metric(free_metric, ball_from_base([0.0, 0.0]), 1.0 / 7.0).ginv
+        gi = light_speed_inverse(free_metric, [0.0, 0.0], 7.0)
         assert np.allclose(gi, np.diag([-1.0 / 49.0, 1.0]))
 
     def test_alpha_only_example(self):
         M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=1.0))
-        gi = eval_metric(M, ball_from_base([0.0, 0.0]), 1.0 / 10.0).ginv
+        gi = light_speed_inverse(M, [0.0, 0.0], 10.0)
         assert abs(gi[0, 0] - (-1.0 / 99.0)) < 1e-15
 
     def test_block_scalings_ratio(self, wavy_metric):
@@ -115,7 +116,7 @@ class TestInverseMetric:
         z = np.array([0.4, -0.8])
         devs = {}
         for c in (1.0e3, 2.0e3):
-            gi = eval_metric(wavy_metric, ball_from_base(z), 1.0 / c).ginv
+            gi = light_speed_inverse(wavy_metric, z, c)
             devs[c] = (gi[0, 0] + c**-2, gi[0, 1], gi[1, 1] - 1.0)
         for k, power in ((0, 4), (1, 3), (2, 2)):
             r = devs[1.0e3][k] / devs[2.0e3][k]
@@ -170,7 +171,7 @@ class TestClosedForms:
         vals = aleph(M, pts)
         assert vals.shape == pts.shape[:-1]
         for z, v in zip(pts, vals):
-            oracle = c**4 * (eval_metric(M, ball_from_base(z), 1.0 / c).ginv[0, 0] + c**-2)
+            oracle = c**4 * (light_speed_inverse(M, z, c)[0, 0] + c**-2)
             assert abs(v - oracle) <= 1e-5
             assert abs(aleph(M, z) - v) <= 1e-14
 
@@ -184,7 +185,7 @@ class TestClosedForms:
             min_size=1, max_size=4)))
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
         mv = eval_metric(M, z / bracket[:, None], h, grad=True)
-        assert np.allclose(mv.g @ mv.ginv, np.eye(d + 1), atol=1e-12)
+        assert np.allclose(mv.g @ mv.G, np.eye(d + 1), atol=1e-12)
         eps = 1.0e-5
         for l in range(d + 1):
             e = np.zeros(d + 1)
@@ -212,6 +213,27 @@ class TestPointwiseH:
             one = eval_metric(M, Y[k], h[k], grad=True)
             for got, want in zip(batch, one):
                 np.testing.assert_allclose(got[k], want, rtol=1e-14, atol=1e-15)
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_h_zero_rows_are_minkowski(self, data, d):
+        # at h = 0 the natural-units metric is eta whatever the profiles, and
+        # no row of the batch divides by h
+        M = data.draw(perturbed_metrics(d))
+        Y = np.array(data.draw(st.lists(
+            st.lists(st.floats(-0.6, 0.6), min_size=d + 1, max_size=d + 1),
+            min_size=2, max_size=6)))
+        h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5]),
+                                        min_size=len(Y), max_size=len(Y))))
+        h[:2] = 0.0, 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mv = eval_metric(M, Y, h, grad=True)
+        eta = np.diag([-1.0] + [1.0] * d)
+        at_zero = h == 0.0
+        assert np.array_equal(mv.g[at_zero], np.broadcast_to(eta, mv.g[at_zero].shape))
+        assert np.array_equal(mv.G[at_zero], np.broadcast_to(eta, mv.G[at_zero].shape))
+        assert not np.any(mv.dG[at_zero])
 
 
 class TestPrincipalSymbol:
