@@ -39,6 +39,15 @@ class Result:
     values: dict
 
 
+def _resolved(grid, values):
+    """values, a command's data sampled on its grid, when the grid resolves
+    them (GridField.band_limited); InvalidInput otherwise."""
+    if not qz.GridField(grid, values).band_limited():
+        raise InvalidInput(f"n_grid {grid.ns[0]} does not resolve the data: it needs two points "
+                           "or more and under 1e-10 of the energy in its top third of frequencies")
+    return values
+
+
 def bandlimited_gaussian(grid, K):
     """The Gaussian e^{-(x/4)^2 + ix}, its spectrum hard-truncated to |xi| <= K."""
     x = grid.axis_points(0)
@@ -108,11 +117,11 @@ def charset(rng, *, n_samples=2000) -> Result:
         for _ in range(n_samples // 2):
             xi = rng.uniform(-3, 3, size=1)
             h = rng.uniform(0.0, 1.0)
-            tau = branch.sign * (math.sqrt(1.0 + float(xi @ xi)) - 1.0)
+            tau = float(fl._sheet_tau(xi, branch))
             p = PhasePoint(rng.uniform(-3, 3), rng.uniform(-3, 3, 1), tau, xi, h)
             v = sym.rescaled_symbol(p, M, branch)
             worst = max(worst, abs(v))
-            rows.append((branch.name, "nat_interior", float(tau), float(xi[0]), h, v))
+            rows.append((branch.name, "nat_interior", tau, float(xi[0]), h, v))
     return Result({"char_samples.csv": (["branch", "chart", "tau_nat", "xi_nat", "h",
                                          "symbol"], rows)},
                   {"max_symbol": worst})
@@ -193,8 +202,7 @@ def _star_setup(nz):
     zg = qz.BoxGrid.regular(16 * math.pi, nz, 1)
     qg = qz.frequency_grid(zg)
     x = zg.axis_points(0)
-    u = qz.GridField(zg, np.exp(-(x**2) / 2.0) * np.exp(1j * 3 * x))
-    return zg, qg, u
+    return zg, qg, qz.GridField(zg, _resolved(zg, np.exp(-(x**2) / 2.0) * np.exp(1j * 3 * x)))
 
 
 def star(*, n_grid=256) -> Result:
@@ -243,13 +251,13 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
                 n_grid=256) -> Result:
     """Klein-Gordon envelopes against Schrodinger over a c-ladder; ``ratios``
     are the successive error ratios (4 at second order for a doubling ladder)."""
-    if len(c_list) < 2 or not all(0.0 < c < math.inf for c in c_list):
-        raise InvalidInput("pde-compare needs at least two finite c > 0 to form a ratio")
+    if len(set(c_list)) < max(2, len(c_list)) or not all(0.0 < c < math.inf for c in c_list):
+        raise InvalidInput("pde-compare needs at least two distinct finite c > 0 to form a ratio")
     if not (math.isfinite(T) and T != 0.0 and band_limit > 0.0):
         raise InvalidInput(f"pde-compare needs a finite T != 0 and band_limit > 0, "
                            f"not {T} and {band_limit}")
     g = qz.BoxGrid.regular(box, n_grid, 1)
-    psi = bandlimited_gaussian(g, band_limit)
+    psi = _resolved(g, bandlimited_gaussian(g, band_limit))
     times = np.linspace(0.0, T, 9)
     errs, steps = {}, 0
     for c in c_list:
@@ -266,8 +274,7 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
 def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     """Mass of a Schrodinger run with an absorbing potential against its Gronwall bound."""
     g = qz.BoxGrid.regular(box, n_grid, 1)
-    x = g.axis_points(0)
-    psi = np.exp(-(x**2) / 8.0)
+    psi = _resolved(g, np.exp(-(g.axis_points(0) ** 2) / 8.0))
     coeffs = pde.SchrCoefficients(1, W=lambda t, xx: 1j * im_v / (1.0 + t * t + xx * xx))
     times = np.linspace(-20.0, 20.0, 161)
     if not 0.0 < dt <= times[1] - times[0]:

@@ -48,7 +48,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "TangentVector",
     "Termination",
     "Trajectory",
     "QdfReport",
@@ -67,7 +66,6 @@ __all__ = [
 
 ZETA_MAX = 50.0      # leave-domain bound on frequency magnitude
 FIXED_POINT_NORM = 1.0e-10
-SHEET_ROOT_TOL, SHEET_ROOT_PASSES = 1.0e-10, 8   # fixed-point rule of the sheet root
 CLOSED_FORM_SAMPLES = 100   # points saved along a closed-form flow line
 UPSILON = 1.0e3     # weight of rho_bf^2 in the QDF probe's varrho
 # scipy.integrate.RK45's absolute tolerance and step-size rules
@@ -103,19 +101,6 @@ class Termination(Enum):
     REACHED_PAST = "reached_past"
     TIME_BUDGET = "time_budget"
     LEFT_DOMAIN = "left_domain"
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    chart: ChartId
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, float))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +219,9 @@ def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndar
     return np.concatenate((sdot, wdot, -sigma * rho * Vj, zdot, np.zeros_like(rho)), axis=-1)
 
 
-def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
-    """Rescaled Hamiltonian field in chart-local coordinates.
+def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
+    """Rescaled Hamiltonian field in chart-local coordinates: its component
+    array, in the order of the chart's coordinates.
 
     Supported charts: NAT_INTERIOR ((t, x, tau_nat, xi_nat, h) components,
     rescale (1/2) <z> h H_p), RADIAL_NAT ((s, w, rho_bf, tau_nat, xi_nat, h),
@@ -244,19 +230,19 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> TangentVector:
     """
     tag = cc.chart.tag
     if tag is ChartTag.RADIAL_NAT:
-        return TangentVector(cc.chart, _radial_field(cc.coords, cc.chart, M, b))
+        return _radial_field(cc.coords, cc.chart, M, b)
     z, tau, xi, h = split_coords(cc.coords)
     bracket = math.sqrt(1.0 + float(z @ z))
     zeta = np.concatenate(([tau], xi))
     if tag is ChartTag.NAT_INTERIOR:
         V, drift = _natural_field(M, ball_from_base(z), zeta, h, b.sign)
-        return TangentVector(cc.chart, np.concatenate((bracket * V, drift, [0.0])))
+        return np.concatenate((bracket * V, drift, [0.0]))
 
     if tag is ChartTag.PF_STANDARD:
         if h != 0.0:
             raise ChartUnavailable("pf-chart field is the h = 0 limit")
         V = _free_velocity(zeta, 0.0, b.sign, parabolic=True)
-        return TangentVector(cc.chart, np.concatenate((bracket * V, np.zeros(z.size), [0.0])))
+        return np.concatenate((bracket * V, np.zeros(z.size), [0.0]))
 
     raise ChartUnavailable(f"ham_field not implemented for chart {tag}")
 
@@ -340,17 +326,13 @@ def parabolic_start(Y, tau, xi) -> dict:
 def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     """Natural-mode start on the characteristic sheet of the given metric.
 
-    For a perturbed metric at an interior base point the sheet time
-    frequency is the closed-form root of the symbol's quadratic in tau_nat,
-    so the start satisfies |p| <= 1e-6 as the integration contract expects.
+    The sheet time frequency is the closed-form root of the symbol's
+    quadratic in tau_nat, so the start satisfies |p| <= 1e-6 as the
+    integration contract expects.
     """
     Y = np.asarray(Y, dtype=float)
     xi_nat = np.atleast_1d(np.asarray(xi_nat, dtype=float))
-    if M.is_flat or h == 0.0 or float(Y @ Y) >= 1.0:
-        tau = _sheet_tau(xi_nat, b)
-    else:
-        tau = _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b)
-    return natural_start(Y, np.concatenate(([tau], xi_nat)), h)
+    return natural_start(Y, np.concatenate(([_sheet_tau_nat(M, Y, xi_nat, h, b)], xi_nat)), h)
 
 
 def _as_start(start, b: SignBranch) -> dict:
@@ -717,15 +699,15 @@ class QdfReport:
     cubic_bound: float
 
 
-def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b, rho2=None):
+def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
     """Sheet time frequencies over xi_nat at the ball points Y, one per row.
 
     Y has shape (..., 1+d), xi_nat (..., d), and h and rho2 = 1 - |Y|^2 (see
     eval_metric) are scalars or arrays over the leading axes.  The rescaled
     symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
     of its two roots (taken in the cancellation-free form) each row gets the
-    one nearest the free sheet.  A negative discriminant in any row raises
-    DegenerateMetric.
+    one nearest the free sheet, which a flat metric or h = 0 gives directly.
+    A negative discriminant in any row raises DegenerateMetric.
     """
     xi_nat = np.asarray(xi_nat, dtype=float)
     tau0 = _sheet_tau(xi_nat, b)
@@ -744,28 +726,24 @@ def _sheet_tau_nat_perturbed(M, Y, xi_nat, h, b, rho2=None):
 
 
 def _sheet_points(cc0: ChartCoords, offsets, M, b) -> np.ndarray:
-    """RADIAL_NAT coordinates (N, 2d+3) of the radial-set point cc0 moved to
-    the (s, w, rho_bf) rows of offsets (N, 1+d), xi_nat kept and tau_nat moved
-    onto the sheet over each new base point.
+    """RADIAL_NAT coordinates (N, 2d+3) on the sheet over the base points of
+    the radial-set point cc0 moved to the (s, w, rho_bf) rows of offsets
+    (N, 1+d), xi_nat kept.
 
-    The base point depends (weakly) on tau_nat through s, so all rows' roots
-    are iterated together until none moves by more than SHEET_ROOT_TOL: two
-    or three passes for a perturbed metric, one for a flat metric, h = 0 or
-    the boundary sphere rho_bf = 0, where the profiles vanish.  With
+    The base point depends on s and tau_nat only through
+    t/x_j0 = s - h (tau_nat + b)/xi_j0, so each row takes the sheet root once
+    over the base point drawn at cc0's tau_nat, and s moves by
+    h (root - tau_nat)/xi_j0 to keep that base point under the root.  With
     1 - |Y|^2 carried exactly the roots' rounding floor is about 1e-14.
-    DegenerateMetric if SHEET_ROOT_PASSES do not settle.
     """
     co = np.tile(cc0.coords, (len(offsets), 1))
-    off, tau, xi, h = split_coords(co)              # views: tau is moved in place
+    off, tau, xi, h = split_coords(co)              # views: s and tau move in place
     off[:] = offsets
-    for _ in range(SHEET_ROOT_PASSES):
-        Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
-        root = _sheet_tau_nat_perturbed(M, Y, xi, h, b, rho2)
-        moved = np.max(np.abs(root - tau))
-        tau[:] = root
-        if moved <= SHEET_ROOT_TOL:
-            return co
-    raise DegenerateMetric(f"sheet root still moves {moved:.1e} after {SHEET_ROOT_PASSES} passes")
+    Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
+    root = _sheet_tau_nat(M, Y, xi, h, b, rho2)
+    off[:, 0] += h * (root - tau) / xi[:, cc0.chart.k - 1]
+    tau[:] = root
+    return co
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
@@ -780,8 +758,9 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 
     The max(8, nsamples // 8) inner samples (radius 1e-3 times smaller)
     give iota; the nsamples main ones the fit.  Both sets form one batch of
-    rows: their sheet roots are solved together (_sheet_points) and the
-    field takes one metric evaluation (_radial_field).
+    rows, and varrho is read at the sheet points: one metric evaluation
+    gives every row's sheet root in closed form (_sheet_points, which moves
+    s) and one the field (_radial_field).
     """
     if radius == 0.0 or nsamples == 0:
         return QdfReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -798,8 +777,10 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
         return pts
 
     n_inner = max(8, nsamples // 8)
-    off = np.concatenate((draw(radius * 1.0e-3, n_inner), draw(radius, nsamples)))
-    field = _radial_field(_sheet_points(cc0, off, M, b), cc0.chart, M, b)
+    co = _sheet_points(cc0, np.concatenate((draw(radius * 1.0e-3, n_inner),
+                                            draw(radius, nsamples))), M, b)
+    field = _radial_field(co, cc0.chart, M, b)
+    off = co[:, : d + 1]                            # (s, w, rho_bf), s moved onto the sheet
     weight = np.append(np.ones(d), UPSILON)         # varrho = s^2 + |w|^2 + UPSILON rho_bf^2
     varrho = off**2 @ weight
     hrho = 2.0 * (off * field[:, : d + 1]) @ weight

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -189,14 +190,18 @@ def frequency_bdfs(tau_nat, xi_nat, h: float):
     (1+tau^2+sum_j xi_j^4)^(-1/4), a weight equivalent to (1+tau^2+|xi|^4)^(-1/4)
     and equal to it in d = 1, written in the h-stable form
     h (1 + chi (h^4+tau_nat^2+sum_j xi_nat_j^4)^(-1/4)); rho_pf = h / rho_nf.
-    At h = 0, zeta_nat = 0 both rho_nf and rho_pf are 0.
+    The quartic sum is that of the roots r = (h, |tau_nat|^(1/2), |xi_nat_j|),
+    each divided by their largest, k, before the power is taken: no term
+    under- or overflows.  At h = 0, zeta_nat = 0 both rho_nf and rho_pf are 0.
     """
-    xi2 = [np.square(x) for x in xi_nat]
-    tau2 = np.square(tau_nat)
-    z2 = tau2 + sum(xi2)
+    z2 = np.square(tau_nat) + sum(np.square(x) for x in xi_nat)
     rho_df = 1.0 / np.sqrt(1.0 + z2)
+    roots = [h, np.sqrt(np.abs(tau_nat))] + [np.abs(x) for x in xi_nat]
+    k = reduce(np.maximum, roots)
+    k = np.where(k > 0.0, k, 1.0)                   # h = 0, zeta_nat = 0: the sum is 0
+    quartic = sum(np.square(np.square(r / k)) for r in roots)
     with np.errstate(divide="ignore"):   # inf at h = 0, zeta_nat = 0, where chi = 1
-        nf_over_h = 1.0 + _cutoff(np.sqrt(z2)) * (h**4 + tau2 + sum(x * x for x in xi2)) ** -0.25
+        nf_over_h = 1.0 + _cutoff(np.sqrt(z2)) * quartic ** -0.25 / k
     rho_nf = h * nf_over_h if h > 0.0 else np.zeros_like(nf_over_h)
     return rho_df, rho_nf, 1.0 / nf_over_h
 

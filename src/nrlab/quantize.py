@@ -147,20 +147,22 @@ class GridField:
         """L^2 norm with the grid quadrature weight."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dvol))
 
-    def band_limited(self, frac: float = 1.0 / 3.0, tol: float = 1.0e-10) -> bool:
-        """True when the upper ``frac`` of the spectrum holds < tol energy."""
+    def band_limited(self) -> bool:
+        """True when the modes in the upper third of the frequencies along
+        any axis hold less than 1e-10 of the energy.  A one-point axis has no
+        spectrum to show, so a grid with one is never band-limited."""
+        if min(self.grid.ns) < 2:
+            return False
         c = np.abs(self.coefficients()) ** 2
         total = float(c.sum())
         if total == 0.0:
             return True
         mask = np.zeros(c.shape, dtype=bool)
         for i in range(c.ndim):
-            f = np.abs(np.fft.fftfreq(c.shape[i]))
-            sel = f > 0.5 * (1.0 - frac)
             sh = [1] * c.ndim
             sh[i] = -1
-            mask |= sel.reshape(sh)
-        return float(c[mask].sum()) < tol * total
+            mask |= (np.abs(np.fft.fftfreq(c.shape[i])) > 1.0 / 3.0).reshape(sh)
+        return float(c[mask].sum()) < 1.0e-10 * total
 
 
 def _monomial(xs, exps, start):

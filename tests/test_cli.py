@@ -212,6 +212,14 @@ class TestConfigValidation:
         # the probe is local, and mass's steps must not skip its output times
         ("qdf", {"params": {"radius": 1e300}}),
         ("mass", {"params": {"dt": 100.0}}),
+        # a repeated c forms the error ratio 1
+        ("pde-compare", {"params": {"c_list": [8.0, 8.0]}}),
+        # a grid too small to resolve the command's own data
+        ("star", {"params": {"n_grid": 1}}),
+        ("star", {"params": {"n_grid": 2}}),
+        ("quantize", {"params": {"n_grid": 2}}),
+        ("pde-compare", {"params": {"n_grid": 2}}),
+        ("mass", {"params": {"n_grid": 1}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

@@ -73,6 +73,14 @@ class TestBdfValues:
         assert abs(vals[0] - 1.0) < 1e-3
         assert abs(vals[1] - 1.0) < 1e-3
 
+    def test_tiny_h_and_frequencies_do_not_underflow(self):
+        # h^4 is subnormal at h = 1e-80 and tau_nat^2 is 0 at 1e-300; the
+        # values are h + chi(0) = 1 + h and 1 / (1 + |tau_nat|^(-1/2)) at h = 0
+        b = bdf_values(PhasePoint(0.0, [0.0], 0.0, [0.0], 1e-80))
+        assert b.rho_nf == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        b = bdf_values(PhasePoint(0.0, [0.0], 1e-300, [0.0], 0.0))
+        assert b.rho_pf == pytest.approx(1e-150, rel=1e-14, abs=0.0)
+
     def test_cutoff_plateaus(self):
         assert chi_cutoff([0.5, 0.0]) == 1.0
         assert chi_cutoff([2.5, 0.0]) == 0.0

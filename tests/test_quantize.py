@@ -424,7 +424,7 @@ class TestPoisson:
             tv = ham_field(to_chart(pt, ChartId(ChartTag.NAT_INTERIOR)), M,
                            SignBranch.PLUS)
             # f = x xi = x xi_nat / h: contract the chart field with grad f
-            field_f = (tv.components[1] * xi + tv.components[3] * x0 / h)
+            field_f = (tv[1] * xi + tv[3] * x0 / h)
             bracket = pb.poly_eval([t0, x0], [tau, xi])
             bracket *= 0.5 * math.sqrt(1 + t0**2 + x0**2) * h
             assert abs(field_f - bracket) < 1e-8
