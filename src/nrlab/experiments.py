@@ -52,9 +52,9 @@ def bandlimited_gaussian(grid, K):
     """The Gaussian e^{-(x/4)^2 + ix}, its spectrum hard-truncated to |xi| <= K."""
     x = grid.axis_points(0)
     vals = np.exp(-((x / 4.0) ** 2)) * np.exp(1j * x)
-    ch = np.fft.fftn(vals)
+    ch = qz.transform(vals)
     ch[np.abs(grid.axis_freqs(0)) > K] = 0.0
-    return np.fft.ifftn(ch)
+    return qz.transform(ch, inverse=True)
 
 
 def flow(rng, metric: MetricParams = MetricParams.free(1), *, n_per_case=25,
@@ -237,7 +237,7 @@ def quantize(*, n_grid=256) -> Result:
     e_id = float(np.max(np.abs(qz.op_apply(one, u).values - u.values)))
     xi_s = qz.GridSymbol.coordinate(zg, qg, "zeta", 0)
     k = zg.axis_freqs(0)
-    du = np.fft.ifftn(np.fft.fftn(u.values) * k)
+    du = qz.transform(qz.transform(u.values.copy()) * k, inverse=True)
     e_d = float(np.max(np.abs(qz.op_apply(xi_s, u).values - du)))
     xxi = qz.GridSymbol.from_poly(zg, qg, {((1,), (1,)): 1.0})
     x = zg.axis_points(0)

@@ -191,17 +191,17 @@ def frequency_bdfs(tau_nat, xi_nat, h: float):
     and equal to it in d = 1, written in the h-stable form
     h (1 + chi (h^4+tau_nat^2+sum_j xi_nat_j^4)^(-1/4)); rho_pf = h / rho_nf.
     The quartic sum is that of the roots r = (h, |tau_nat|^(1/2), |xi_nat_j|),
-    each divided by their largest, k, before the power is taken: no term
-    under- or overflows.  At h = 0, zeta_nat = 0 both rho_nf and rho_pf are 0.
+    each divided by their largest, k, first; |zeta_nat| and rho_df are hypots:
+    nothing under- or overflows.  At h = 0, zeta_nat = 0 rho_nf = rho_pf = 0.
     """
-    z2 = np.square(tau_nat) + sum(np.square(x) for x in xi_nat)
-    rho_df = 1.0 / np.sqrt(1.0 + z2)
+    zn = reduce(np.hypot, xi_nat, np.abs(tau_nat))       # |zeta_nat|
+    rho_df = 1.0 / np.hypot(1.0, zn)
     roots = [h, np.sqrt(np.abs(tau_nat))] + [np.abs(x) for x in xi_nat]
     k = reduce(np.maximum, roots)
     k = np.where(k > 0.0, k, 1.0)                   # h = 0, zeta_nat = 0: the sum is 0
     quartic = sum(np.square(np.square(r / k)) for r in roots)
     with np.errstate(divide="ignore"):   # inf at h = 0, zeta_nat = 0, where chi = 1
-        nf_over_h = 1.0 + _cutoff(np.sqrt(z2)) * quartic ** -0.25 / k
+        nf_over_h = 1.0 + _cutoff(zn) * quartic ** -0.25 / k
     rho_nf = h * nf_over_h if h > 0.0 else np.zeros_like(nf_over_h)
     return rho_df, rho_nf, 1.0 / nf_over_h
 
@@ -230,7 +230,7 @@ def bdf_values(p: PhasePoint) -> BdfValues:
 
 
 def _rho_bf_of(t, x) -> float:
-    return 1.0 / math.sqrt(1.0 + t**2 + float(np.dot(x, x)))
+    return 1.0 / math.hypot(1.0, t, *x)
 
 
 def split_coords(co):

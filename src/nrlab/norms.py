@@ -18,7 +18,8 @@ passes the same gates.  The q_+/- orders are literal h^{-q} prefactors.
 
 The ratio experiment applies the Klein-Gordon operator P through
 ``pde.ConjugatedOperator`` without a branch, built once per c.  A member's
-spectrum is taken once for P and both norms: eight FFTs on the free metric.
+spectrum is taken once for P and both norms: on the free metric, 5 forward
+and 3 inverse ``quantize.transform`` calls, each in place.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DegenerateFamily, InvalidInput, SpectrumOverflow
 from .geometry import frequency_bdfs, smooth_step
 from .pde import ConjugatedOperator
-from .quantize import BoxGrid, GridField
+from .quantize import BoxGrid, GridField, transform
 from .symbols import MetricParams
 
 __all__ = [
@@ -136,7 +137,7 @@ def _grid_bdfs(grid: BoxGrid, h: float):
 def _fourier_norm(buf: np.ndarray, mult, dvol: float) -> float:
     """|| F^-1[mult F[buf]] ||_2 on the grid, by Parseval
     sqrt(dvol / N) || mult F[buf] ||_2; the complex ``buf`` is transformed in place."""
-    spec = np.fft.fftn(buf, out=buf)
+    spec = transform(buf)
     spec *= mult
     parts = spec.view(float).ravel()   # real and imaginary parts, no copy
     return math.sqrt(dvol / spec.size * np.einsum("i,i->", parts, parts))
@@ -170,7 +171,7 @@ def _carrier(grid: BoxGrid, h: float) -> np.ndarray:
 def _split(values: np.ndarray, spec: np.ndarray, q_plus, carrier) -> tuple:
     """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field from its values
     and its spectrum F[u], which is overwritten: one inverse FFT, in place."""
-    plus = np.fft.ifftn(np.multiply(spec, q_plus, out=spec), out=spec)
+    plus = transform(np.multiply(spec, q_plus, out=spec), inverse=True)
     minus = values - plus
     return np.multiply(plus, np.conj(carrier), out=plus), np.multiply(minus, carrier, out=minus)
 
@@ -198,8 +199,8 @@ def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
     u_plus = e^{-ic^2 t} Q_+ u and u_minus = e^{+ic^2 t} Q_- u.
     """
     g = u.grid
-    plus, minus = _split(u.values, np.fft.fftn(u.values), _split_multiplier(g, h, chi_profile),
-                         _carrier(g, h))
+    plus, minus = _split(u.values, transform(u.values.copy()),
+                         _split_multiplier(g, h, chi_profile), _carrier(g, h))
     return SplitPair(u_minus=GridField(g, minus), u_plus=GridField(g, plus), h=h)
 
 
@@ -231,7 +232,7 @@ def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
     """
     g = u.grid
     norm, = _two_sheet_norms(g, h, [orders], [_weight_field(g, orders)], chi_profile)
-    return norm(u.values, np.fft.fftn(u.values))
+    return norm(u.values, transform(u.values.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
         num_norm, den_norm = _two_sheet_norms(grid, 1.0 / c, both, weights)
         for mid, kind, base in members:
             vals = carriers[kind] * base
-            spec = np.fft.fftn(vals)
+            spec = transform(vals.copy())
             den = den_norm(*P.apply_with_spectrum(vals, spec))
             if den < 1.0e-12:
                 raise DegenerateFamily(f"member {mid} has |Pu| below floor")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
-from .quantize import BoxGrid, GridField
+from .quantize import BoxGrid, GridField, transform
 from .symbols import MetricParams, SignBranch, aleph, eval_metric
 
 __all__ = [
@@ -89,8 +89,8 @@ def kg_free_solve(data: KGState, times) -> list:
     """
     grid, c = data.grid, data.c
     omega = c * np.sqrt(c * c + _xi2(grid))
-    u_hat = np.fft.fftn(data.u)
-    ut_hat = np.fft.fftn(data.ut)
+    u_hat = transform(data.u.copy())
+    ut_hat = transform(data.ut.copy())
     a = 0.5 * (u_hat + 1j * ut_hat / omega)   # e^{-i omega t} branch
     bb = 0.5 * (u_hat - 1j * ut_hat / omega)  # e^{+i omega t} branch
     out = []
@@ -99,7 +99,8 @@ def kg_free_solve(data: KGState, times) -> list:
         ea = np.exp(-1j * omega * dt)
         u_t = a * ea + bb / ea
         ut_t = -1j * omega * (a * ea - bb / ea)
-        out.append(KGState(grid, np.fft.ifftn(u_t), np.fft.ifftn(ut_t), float(t), c))
+        out.append(KGState(grid, transform(u_t, inverse=True), transform(ut_t, inverse=True),
+                           float(t), c))
     return out
 
 
@@ -111,9 +112,9 @@ def kg_branch_data(grid: BoxGrid, psi: np.ndarray, c: float,
     the e^{+i omega t} modes.
     """
     omega = c * np.sqrt(c * c + _xi2(grid))
-    psi_hat = np.fft.fftn(np.asarray(psi, dtype=complex))
+    psi_hat = transform(np.array(psi, dtype=complex))
     sgn = -1.0 if branch is SignBranch.MINUS else +1.0
-    ut = np.fft.ifftn(sgn * 1j * omega * psi_hat)
+    ut = transform(sgn * 1j * omega * psi_hat, inverse=True)
     return KGState(grid, np.asarray(psi, dtype=complex), ut, t, c)
 
 
@@ -121,8 +122,8 @@ def kg_energy(state: KGState) -> float:
     """Conserved free energy: int c^-2 |u_t|^2 + |grad u|^2 + c^2 |u|^2 dx."""
     grid, c = state.grid, state.c
     xi2 = _xi2(grid)
-    u_hat = np.fft.fftn(state.u)
-    ut_hat = np.fft.fftn(state.ut)
+    u_hat = transform(state.u.copy())
+    ut_hat = transform(state.ut.copy())
     w = grid.dvol / state.u.size
     return float(np.sum((np.abs(ut_hat) ** 2 / c**2
                          + (xi2 + c * c) * np.abs(u_hat) ** 2)) * w)
@@ -234,10 +235,10 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     s = -branch.sign
     xi2 = _xi2(grid)
-    vh = np.fft.fftn(data.v)
+    vh = transform(data.v.copy())
     if coeffs is None or coeffs.is_free:
-        return [SchrState(grid, np.fft.ifftn(vh * np.exp(-0.5j * s * xi2 * (t - data.t))),
-                          float(t)) for t in times]
+        return [SchrState(grid, transform(vh * np.exp(-0.5j * s * xi2 * (t - data.t)),
+                                          inverse=True), float(t)) for t in times]
     mesh = grid.mesh()
     kmesh = grid.freq_mesh()
     # drift CFL-type guard
@@ -255,13 +256,12 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
         phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
 
         def f(w):
-            wh = np.fft.fftn(w)
-            return -0.5 * s * sum(b * np.fft.ifftn(1j * k * wh) for b, k in zip(Bs, kmesh))
+            wh = transform(w.copy())
+            return -0.5 * s * sum(b * transform(1j * k * wh, inverse=True)
+                                  for b, k in zip(Bs, kmesh))
         v = phase * v
         return phase * (v + step * f(v + 0.5 * step * f(v)))
 
-    # on a 1-D grid fft is fftn bit for bit, without its per-axis bookkeeping
-    fwd, inv = (np.fft.fft, np.fft.ifft) if grid.ndim == 1 else (np.fft.fftn, np.fft.ifftn)
     out = []
     state_t, steps = data.t, 0
     for target in times:
@@ -275,12 +275,12 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
             for k in range(nsteps):
                 if k:
                     vh *= full
-                vh = fwd(c_step(inv(vh), state_t + step / 2.0, step))
+                vh = transform(c_step(transform(vh, inverse=True), state_t + step / 2.0, step))
                 state_t += step
             vh *= half
             steps += nsteps
         state_t = float(target)
-        out.append(SchrState(grid, np.fft.ifftn(vh), state_t, steps))
+        out.append(SchrState(grid, transform(vh.copy(), inverse=True), state_t, steps))
     return out
 
 
@@ -412,12 +412,10 @@ class ConjugatedOperator:
 
     def apply(self, u: np.ndarray, spec=None) -> np.ndarray:
         """P u; ``spec`` is F[u] when the caller has it, and is only read."""
-        spec = np.fft.fftn(u) if spec is None else spec
-        out = (self.mult_t + self.mult_x) * spec
-        np.fft.ifftn(out, out=out)
+        spec = transform(np.array(u, dtype=complex)) if spec is None else spec
+        out = transform((self.mult_t + self.mult_x) * spec, inverse=True)
         for key, coef in self.terms.items():
-            d = _symbol(self.k, key) * spec if key else None
-            out += coef * (np.fft.ifftn(d, out=d) if key else u)
+            out += coef * (transform(_symbol(self.k, key) * spec, inverse=True) if key else u)
         return out
 
     def apply_with_spectrum(self, u: np.ndarray, spec: np.ndarray) -> tuple:
@@ -425,21 +423,25 @@ class ConjugatedOperator:
         coefficient term P is its multiplier, so F[Pu] takes no transform."""
         if self.terms:
             out = self.apply(u, spec)
-            return out, np.fft.fftn(out)
+            return out, transform(out.copy())
         pspec = (self.mult_t + self.mult_x) * spec
-        return np.fft.ifftn(pspec), pspec
+        return transform(pspec.copy(), inverse=True), pspec
 
-    def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
+    def apply_adjoint(self, u: np.ndarray, spec=None) -> np.ndarray:
         """Euclidean L^2 adjoint: (a d^gamma)* = (-d)^gamma (conj(a) .), and a
-        multiplier's adjoint is its conjugate."""
-        out = np.fft.ifftn(np.conj(self.mult_t + self.mult_x) * np.fft.fftn(u))
+        multiplier's adjoint is its conjugate; ``spec`` is F[u] (as in ``apply``)."""
+        spec = transform(np.array(u, dtype=complex)) if spec is None else spec
+        out = transform(np.conj(self.mult_t + self.mult_x) * spec, inverse=True)
         for key, coef in self.terms.items():
             v = np.conj(coef) * u
-            out += np.fft.ifftn(np.conj(_symbol(self.k, key)) * np.fft.fftn(v)) if key else v
+            out += (transform(np.conj(_symbol(self.k, key)) * transform(v), inverse=True)
+                    if key else v)
         return out
 
     def symmetry_defect_apply(self, u: np.ndarray) -> np.ndarray:
-        return (self.apply(u) - self.apply_adjoint(u)) / 2j
+        """(P - P*) u / 2i, from one transform of u."""
+        spec = transform(np.array(u, dtype=complex))
+        return (self.apply(u, spec) - self.apply_adjoint(u, spec)) / 2j
 
 
 def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
@@ -472,15 +474,16 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
 
     def f(a, terms, y):
         """(v, v_t) -> (v_t, v_tt)."""
-        yh = np.fft.fftn(y, axes=range(1, n))
+        yh = transform(y.copy(), axes=range(1, n))
         acc = 0.0
         for key, coef in terms.items():
             i = int(key[:1] == (0,))
-            acc = acc + coef * (np.fft.ifftn(_symbol(k, key[i:]) * yh[i]) if key[i:] else y[i])
+            acc = acc + coef * (transform(_symbol(k, key[i:]) * yh[i], inverse=True)
+                                if key[i:] else y[i])
         return np.stack([y[1], -acc / a])
 
-    y = np.stack([v, np.fft.ifftn(1j * s * c * xi2 / (np.sqrt(c * c + xi2) + c) * np.fft.fftn(v))
-                  - aleph(M, _spacetime(t, mesh)) * v / (2j * s)])
+    vt_hat = 1j * s * c * xi2 / (np.sqrt(c * c + xi2) + c) * transform(v.copy())
+    y = np.stack([v, transform(vt_hat, inverse=True) - aleph(M, _spacetime(t, mesh)) * v / (2j * s)])
     co, out = terms_at(t), [SchrState(grid, v, t)]
     for target in times[1:]:
         nsteps = max(1, int(math.ceil(abs(target - t) / dt)))
@@ -530,7 +533,7 @@ def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
         Qp = op.symmetry_defect_apply(mesh[i] * phi)
         ri = coeff[name] = np.zeros_like(Qphi)
         ri[mask_fit] = (Qp[mask_fit] - mesh[i][mask_fit] * Qphi[mask_fit]) / phi[mask_fit]
-    dphi = [np.fft.ifftn(1j * grid.freq_mesh()[i] * np.fft.fftn(phi)) for i in range(n)]
+    dphi = [transform(1j * grid.freq_mesh()[i] * transform(phi), inverse=True) for i in range(n)]
     acc = Qphi.copy()
     for ri, d in zip(coeff.values(), dphi):
         acc -= ri * d
@@ -609,7 +612,7 @@ def _trig_interp(grid: BoxGrid, values: np.ndarray, points: np.ndarray) -> np.nd
     so an axis costs npts (n/B + B) exponentials instead of npts n.  The
     axes are contracted last to first.
     """
-    res = np.fft.fftshift(np.fft.fftn(values)) / values.size   # axis index m + n/2
+    res = np.fft.fftshift(transform(values.copy())) / values.size   # axis index m + n/2
     for i in reversed(range(grid.ndim)):
         L, n = grid.sides[i], grid.ns[i]
         B = 1 << (n.bit_length() // 2)

@@ -13,19 +13,22 @@ and differentiate exactly, which is what makes the polynomial star-product
 identities hold at round-off level.  Test objects are kept within a quarter
 of the box so periodization error is part of the measured residuals.
 
-Transforms: a spectral derivative is one fft (its power feeds the decay
-preflight, then it takes the ik factor in place) and one ifft.  The partial
-sums S_0..S_N of the star product take each d^alpha once, so sampled factors
-cost 4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1).  ``op_apply`` takes
-one fftn: with z_m = -L/2 + m L/n and zeta_k = 2 pi k / L the plane wave is
-the exact twiddle e^{i zeta_k (z_m + L/2)} = e^{2 pi i k m / n}.
+Transforms: every grid FFT of the package is a ``transform`` call, in place.
+A spectral derivative is one forward (its power feeds the decay preflight,
+then it takes the ik factor in place) and one inverse.  The partial sums
+S_0..S_N of the star product take each d^alpha once, so sampled factors cost
+4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1); polynomial factors are
+sampled only if read.  ``op_apply`` takes one: with z_m = -L/2 + m L/n and
+zeta_k = 2 pi k / L the plane wave is the exact twiddle e^{2 pi i k m / n}.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -48,6 +51,51 @@ __all__ = [
 SMOOTHNESS_TOP_THIRD = 1.0e-8   # spectral-decay preflight threshold
 MODE_ENERGY_FLOOR = 1.0e-30     # relative energy below which a mode is ignored
 MODE_BLOCK = 1 << 16            # grid points x modes in one op_apply block
+SLAB_POINTS = 1 << 15           # fewest points in one slab of a split transform pass
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def transform(a, axes=None, inverse=False) -> np.ndarray:
+    """The DFT (``inverse``: its inverse, 1/n per axis) of ``a`` over ``axes``
+    (default all), bit for bit numpy's fftn/ifftn, returned in ``a`` itself
+    when it is a complex array (anything else is first copied to one).
+
+    An array of two or more axes and at least 2 SLAB_POINTS points is
+    transformed one axis pass at a time, last axis first as numpy does, each
+    pass cut along its longest other axis into up to CORES slabs of at least
+    SLAB_POINTS points; the caller runs one and the pool the rest (numpy's
+    FFT releases the GIL, and every 1-D line is transformed on its own).  Any
+    other array takes one numpy call.
+    """
+    a = np.asarray(a, dtype=complex)
+    axes = list(range(a.ndim) if axes is None else axes)
+    k = min(CORES, a.size // SLAB_POINTS)
+    if a.ndim < 2 or k < 2:
+        if len(axes) == 1:
+            return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axes[0], out=a)
+        return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, out=a)
+    fn = np.fft.ifft if inverse else np.fft.fft
+    for axis in reversed(axes):
+        along = max((i for i in range(a.ndim) if i != axis), key=a.shape.__getitem__)
+        n, m = a.shape[along], min(k, a.shape[along])
+        slabs = [a[(slice(None),) * along + (slice(n * j // m, n * (j + 1) // m),)]
+                 for j in range(m)]
+        futures = [_pool(os.getpid()).submit(fn, s, axis=axis, out=s) for s in slabs[1:]]
+        try:
+            fn(slabs[0], axis=axis, out=slabs[0])
+        finally:   # every slab is done before the pass returns or raises
+            errors = [f.exception() for f in futures]
+        for err in filter(None, errors):
+            raise err
+    return a
+
+
+@cache
+def _pool(pid):
+    """CORES - 1 slab workers for process ``pid`` (a forked child makes its
+    own), with concurrent.futures imported only on the first split."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max(1, CORES - 1), thread_name_prefix="nrlab-fft")
 
 
 @dataclass(frozen=True)
@@ -141,7 +189,7 @@ class GridField:
 
     def coefficients(self) -> np.ndarray:
         """DFT coefficients c_k with u(z_j) = sum_k c_k e^{i zeta_k . z_j}."""
-        return np.fft.fftn(self.values) / self.values.size
+        return transform(self.values.copy()) / self.values.size
 
     def norm(self) -> float:
         """L^2 norm with the grid quadrature weight."""
@@ -172,10 +220,10 @@ def _monomial(xs, exps, start):
 
 def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
                          name: str) -> np.ndarray:
-    """d/dx along ``axis``: one fft, the spectral-decay preflight on its
-    power, ik multiplied in place, one ifft, also in place."""
+    """d/dx along ``axis``: one forward pass, the spectral-decay preflight on
+    its power, ik multiplied in place, one inverse pass, also in place."""
     n = values.shape[axis]
-    spec = np.fft.fft(values, axis=axis)
+    spec = transform(values.copy(), axes=(axis,))
     power = np.abs(spec) ** 2
     total = power.sum()
     top = [slice(None)] * values.ndim
@@ -188,28 +236,29 @@ def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
     shape = [1] * values.ndim
     shape[axis] = n
     spec *= 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=spacing)).reshape(shape)
-    return np.fft.ifft(spec, axis=axis, out=spec)
+    return transform(spec, axes=(axis,), inverse=True)
 
 
-@dataclass
 class GridSymbol:
     """Sampled symbol a(z, zeta) on a base grid times a frequency grid.
 
     ``poly``, when present, is an exact monomial representation
     {(alpha_z, alpha_zeta): coeff} that evaluation and differentiation use
-    instead of the samples.  Sampled (non-polynomial) symbols must pass a
+    instead of the samples; a poly symbol given no values is sampled on the
+    first read of ``values``.  Sampled (non-polynomial) symbols must pass a
     spectral-decay preflight before spectral differentiation.
     """
 
-    zgrid: BoxGrid
-    zetagrid: BoxGrid
-    values: np.ndarray
-    poly: dict | None = None
+    def __init__(self, zgrid: BoxGrid, zetagrid: BoxGrid, values=None, poly: dict | None = None):
+        self.zgrid, self.zetagrid, self.poly = zgrid, zetagrid, poly
+        if values is not None or poly is None:
+            self.values = np.asarray(values, dtype=complex)
+            if self.values.shape != zgrid.shape + zetagrid.shape:
+                raise GridMismatch("symbol values do not match zgrid x zetagrid")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.zgrid.shape + self.zetagrid.shape:
-            raise GridMismatch("symbol values do not match zgrid x zetagrid")
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._poly_sample()
 
     # -- constructors -------------------------------------------------------
 
@@ -225,10 +274,7 @@ class GridSymbol:
 
     @classmethod
     def from_poly(cls, zgrid, zetagrid, poly: dict):
-        sym = cls(zgrid, zetagrid,
-                  np.zeros(zgrid.shape + zetagrid.shape, dtype=complex), dict(poly))
-        sym.values = sym._poly_sample()
-        return sym
+        return cls(zgrid, zetagrid, poly=dict(poly))
 
     @classmethod
     def constant(cls, zgrid, zetagrid, value=1.0):
@@ -302,28 +348,29 @@ class GridSymbol:
     def __mul__(self, other):
         if isinstance(other, GridSymbol):
             self._check_mate(other)
-            poly = None
-            if self.poly is not None and other.poly is not None:
-                poly = {}
-                for (az1, aq1), c1 in self.poly.items():
-                    for (az2, aq2), c2 in other.poly.items():
-                        key = (tuple(np.add(az1, az2)), tuple(np.add(aq1, aq2)))
-                        poly[key] = poly.get(key, 0.0) + c1 * c2
-            return GridSymbol(self.zgrid, self.zetagrid, self.values * other.values, poly)
-        return GridSymbol(self.zgrid, self.zetagrid, self.values * other,
-                          None if self.poly is None else
-                          {k: v * other for k, v in self.poly.items()})
+            if self.poly is None or other.poly is None:
+                return GridSymbol(self.zgrid, self.zetagrid, self.values * other.values)
+            poly = {}
+            for (az1, aq1), c1 in self.poly.items():
+                for (az2, aq2), c2 in other.poly.items():
+                    key = (tuple(np.add(az1, az2)), tuple(np.add(aq1, aq2)))
+                    poly[key] = poly.get(key, 0.0) + c1 * c2
+            return GridSymbol(self.zgrid, self.zetagrid, poly=poly)
+        if self.poly is None:
+            return GridSymbol(self.zgrid, self.zetagrid, self.values * other)
+        return GridSymbol(self.zgrid, self.zetagrid,
+                          poly={k: v * other for k, v in self.poly.items()})
 
     __rmul__ = __mul__
 
     def __add__(self, other: "GridSymbol") -> "GridSymbol":
         self._check_mate(other)
-        poly = None
-        if self.poly is not None and other.poly is not None:
-            poly = dict(self.poly)
-            for k, v in other.poly.items():
-                poly[k] = poly.get(k, 0.0) + v
-        return GridSymbol(self.zgrid, self.zetagrid, self.values + other.values, poly)
+        if self.poly is None or other.poly is None:
+            return GridSymbol(self.zgrid, self.zetagrid, self.values + other.values)
+        poly = dict(self.poly)
+        for k, v in other.poly.items():
+            poly[k] = poly.get(k, 0.0) + v
+        return GridSymbol(self.zgrid, self.zetagrid, poly=poly)
 
     def __sub__(self, other: "GridSymbol") -> "GridSymbol":
         return self + (other * (-1.0))
@@ -508,11 +555,11 @@ def conjugate_translate(a: GridSymbol, shift: float, h: float) -> GridSymbol:
     if abs(steps - round(steps)) < 1.0e-9:
         vals = np.roll(a.values, int(round(steps)), axis=axis)
         return GridSymbol(a.zgrid, a.zetagrid, vals)
-    spec = np.fft.fft(a.values, axis=axis)
+    spec = transform(a.values.copy(), axes=(axis,))
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
     sh = [1] * a.values.ndim
     sh[axis] = n
-    vals = np.fft.ifft(spec * np.exp(-1j * k.reshape(sh) * shift), axis=axis)
+    vals = transform(spec * np.exp(-1j * k.reshape(sh) * shift), axes=(axis,), inverse=True)
     return GridSymbol(a.zgrid, a.zetagrid, vals)
 
 

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from nrlab import quantize
 from nrlab.symbols import (
     ClassicalSymbolProfile,
     MetricParams,
@@ -57,3 +60,18 @@ def light_speed_inverse(M, z, c):
     s = np.ones(M.d + 1)
     s[0] = 1.0 / c
     return eval_metric(M, ball_from_base(z), 1.0 / c).G * np.outer(s, s)
+
+
+def count_transforms(monkeypatch):
+    """Record (axes, inverse) of every call to the grid transform entry point,
+    quantize.transform, made from here on by any nrlab module."""
+    calls, real = [], quantize.transform
+
+    def counted(a, axes=None, inverse=False):
+        calls.append((axes, inverse))
+        return real(a, axes, inverse)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nrlab") and getattr(module, "transform", None) is real:
+            monkeypatch.setattr(module, "transform", counted)
+    return calls

@@ -81,6 +81,16 @@ class TestBdfValues:
         b = bdf_values(PhasePoint(0.0, [0.0], 1e-300, [0.0], 0.0))
         assert b.rho_pf == pytest.approx(1e-150, rel=1e-14, abs=0.0)
 
+    def test_huge_base_point_does_not_overflow(self):
+        # t^2 overflows at t = 1e200, where rho_bf is about 1/t
+        b = bdf_values(PhasePoint(1e200, [0.0], 0.0, [0.0], 0.5))
+        assert b.rho_bf == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+
+    def test_huge_frequency_does_not_overflow(self):
+        # tau_nat^2 overflows at 1e200, where rho_df is about 1/|tau_nat|
+        b = bdf_values(PhasePoint(0.0, [0.0], 1e200, [0.0], 0.5))
+        assert b.rho_df == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+
     def test_cutoff_plateaus(self):
         assert chi_cutoff([0.5, 0.0]) == 1.0
         assert chi_cutoff([2.5, 0.0]) == 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_transforms
 from nrlab.errors import DegenerateFamily, InvalidInput
 from nrlab.quantize import BoxGrid, GridField
 from nrlab.pde import ConjugatedOperator
@@ -345,27 +346,18 @@ class TestInPlaceSafety:
         assert u.values.tobytes() == keep.astype(complex).tobytes()
 
 
-def _counting_fft(monkeypatch):
-    counts = Counter()
-    for name in ("fft", "ifft", "fftn", "ifftn"):
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
-
-
 class TestRatioPipeline:
     grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (256, 32))
 
     def test_free_member_costs_eight_transforms(self, monkeypatch):
-        counts = _counting_fft(monkeypatch)
+        calls = count_transforms(monkeypatch)
         tab = uniform_ratio_experiment([4.0], fwd_profile(m=1.0, ell=1.0), grid=self.grid,
                                        n_base=1)
-        # one fftn of u; P's inverse; per norm the split's inverse and two
-        # Parseval forwards (F[Pu] is P's multiplier times F[u])
+        # one forward transform of u; P's inverse; per norm the split's inverse
+        # and two Parseval forwards (F[Pu] is P's multiplier times F[u])
         assert len(tab.rows) == 3
-        assert counts == Counter(fftn=5 * 3, ifftn=3 * 3)
+        assert Counter("inverse" if inv else "forward" for _, inv in calls) == Counter(
+            forward=5 * 3, inverse=3 * 3)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "wavy"])
     def test_rows_match_public_reference(self, perturbed, wavy_metric):

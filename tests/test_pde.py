@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import light_speed_inverse
+from conftest import count_transforms, light_speed_inverse
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -449,6 +449,19 @@ def stgrid():
 
 
 class TestSymmetryDefect:
+
+    def test_one_forward_transform_of_u(self, lapse_case, monkeypatch):
+        # apply and apply_adjoint share F[u]: one forward transform of u and one
+        # per derivative term of the adjoint, 4 for the lapse metric
+        stg = BoxGrid((2.0, 40 * math.pi), (16, 128))
+        t, x = stg.mesh()
+        P = ConjugatedOperator(lapse_case[2], 8.0, stg, MI)
+        u = np.exp(-t**2 - (x / 4.0) ** 2)
+        ref = (P.apply(u) - P.apply_adjoint(u)) / 2j
+        calls = count_transforms(monkeypatch)
+        Qu = P.symmetry_defect_apply(u)
+        assert sum(not inverse for _, inverse in calls) == 1 + sum(map(bool, P.terms)) == 4
+        assert Qu.tobytes() == ref.tobytes()
 
     def test_free_vanishes(self, stgrid):
         rep = symmetry_defect(MetricParams.free(1), 10.0, stgrid)

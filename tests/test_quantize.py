@@ -1,11 +1,16 @@
 """Left quantization, star products, Poisson brackets, normal symbols."""
 
+import ast
 import itertools
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import count_transforms
 from nrlab import experiments as ex
 from nrlab import quantize
 from nrlab.errors import ExtrapolationUnstable, GridMismatch, InvalidInput, SpectrumOverflow
@@ -20,6 +25,7 @@ from nrlab.quantize import (
     poisson,
     star_partial_sums,
     star_truncated,
+    transform,
 )
 
 
@@ -92,16 +98,6 @@ def op_apply_reference(a, u, scales):
         phase = sum(z * (m + L / 2) for z, m, L in zip(zeta, mesh, u.grid.sides))
         out += amp * coeffs[k] * np.exp(1j * phase)
     return out
-
-
-def count_transforms(monkeypatch):
-    """Record every numpy.fft transform call made from here on."""
-    calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *args, fn=fn, **kw: calls.append(fn) or fn(*args, **kw))
-    return calls
 
 
 class TestBoxGrid:
@@ -340,10 +336,10 @@ class TestStar:
 
     def test_star_experiment_takes_one_derivative_chain(self, monkeypatch):
         # all four partial sums from d^1..d^3 of each sampled factor, two
-        # transforms apiece; op_apply's fftn calls are not counted
+        # one-axis transforms apiece; op_apply's whole-grid ones are not counted
         calls = count_transforms(monkeypatch)
         ex.star(n_grid=256)
-        assert sum(fn.__name__ in ("fft", "ifft") for fn in calls) == 12
+        assert sum(axes is not None for axes, _ in calls) == 12
 
 
 class TestPoisson:
@@ -564,3 +560,123 @@ class TestDerivativeInputs:
         assert vals.tobytes() == keep.tobytes() and a.values.tobytes() == held.tobytes()
         assert not np.shares_memory(da.values, a.values)
         assert not np.shares_memory(dq.values, a.values)
+
+
+def _complex_array(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestTransform:
+    @pytest.mark.parametrize("shape,cores", [
+        *itertools.product([(1024,), (256, 32), (4096, 64), (512, 512), (16, 64, 64)], [1, 2]),
+        ((2, 1 << 16), 4),      # fewer rows than cores: two slabs on the last-axis pass
+    ], ids=str)
+    def test_bit_identical_to_numpy(self, shape, cores, monkeypatch):
+        monkeypatch.setattr(quantize, "CORES", cores)
+        a = _complex_array(shape)
+        subsets = [axes for r in range(1, a.ndim + 1)
+                   for axes in itertools.combinations(range(a.ndim), r)]
+        for axes in [None] + subsets:
+            for inverse, ref in ((False, np.fft.fftn), (True, np.fft.ifftn)):
+                buf = a.copy()
+                out = transform(buf, axes, inverse)
+                assert out is buf
+                assert out.tobytes() == ref(a, axes=axes).tobytes(), (axes, inverse)
+
+    @pytest.mark.parametrize("shape,cores,calls,off_main", [
+        ((512, 512), 1, 1, 0), ((512, 512), 2, 4, 2), ((64, 16), 2, 1, 0), ((1 << 16,), 2, 1, 0),
+    ], ids=str)
+    def test_numpy_calls_per_split(self, shape, cores, calls, off_main, monkeypatch):
+        # a pass over 2 SLAB_POINTS or more of a multi-axis array is one numpy
+        # call per core, one of them here; any other array is one call
+        monkeypatch.setattr(quantize, "CORES", cores)
+        threads = []
+        for name in ("fft", "fftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, **kw: threads.append(
+                threading.current_thread()) or fn(*args, **kw))
+        transform(_complex_array(shape))
+        assert len(threads) == calls
+        assert sum(t is not threading.main_thread() for t in threads) == off_main
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(quantize, "CORES", 2)
+        fft = np.fft.fft
+
+        def failing(a, *args, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("slab failed")
+            return fft(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", failing)
+        with pytest.raises(FloatingPointError, match="slab failed"):
+            transform(_complex_array((512, 512)))
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more calling threads than cores, each splitting its passes onto one pool
+        monkeypatch.setattr(quantize, "CORES", 2)
+        a = _complex_array((512, 256))
+        ref = np.fft.fftn(a).tobytes()
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(transform(a.copy()).tobytes()))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [ref] * 4
+
+    def test_a_real_array_is_copied(self):
+        a = np.random.default_rng(0).normal(size=(8, 4))
+        keep = a.copy()
+        assert transform(a).tobytes() == np.fft.fftn(keep).tobytes()
+        assert a.tobytes() == keep.tobytes()
+
+
+def test_only_the_entry_point_calls_numpy_transforms():
+    # fftfreq and fftshift stay free; the transforms themselves go through
+    # quantize.transform and nowhere else
+    banned = {"fft", "ifft", "fftn", "ifftn"}
+    offenders = []
+    for path in sorted(Path(quantize.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "quantize.py":
+            tree.body = [node for node in tree.body if getattr(node, "name", None) != "transform"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and ast.unparse(node.value) in ("np.fft", "numpy.fft")):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+                  and banned & {alias.name for alias in node.names}):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+class TestLazyPolySamples:
+    def test_experiments_sample_no_polynomial(self, monkeypatch):
+        # op_apply's monomial path never reads a polynomial symbol's samples
+        sampled = []
+        real = GridSymbol._poly_sample
+        monkeypatch.setattr(GridSymbol, "_poly_sample",
+                            lambda self: sampled.append(self.poly) or real(self))
+        ex.star(n_grid=256)
+        ex.quantize(n_grid=256)
+        assert sampled == []
+
+    def test_values_sampled_once_on_read(self, setup1d):
+        zg, qg, _ = setup1d
+        x = GridSymbol.coordinate(zg, qg, "z", 0)
+        assert "values" not in vars(x)
+        assert x.values is x.values
+        assert np.array_equal(x.values, np.broadcast_to(zg.axis_points(0)[:, None],
+                                                        zg.shape + qg.shape))
+        xxi = x * GridSymbol.coordinate(zg, qg, "zeta", 0)
+        assert "values" not in vars(xxi) and xxi.poly == {((1,), (1,)): 1.0 + 0.0j}
+        assert np.max(np.abs(xxi.values - x.values * qg.axis_points(0))) == 0.0
