@@ -174,22 +174,25 @@ def _check_charset(v, rep, *, symbol=1.0e-10):
 
 
 def _check_radial(v, rep, *, field=1.0e-10):
-    rep.check("radial_points_on_sigma_fixed",
-              np.all(v["on_sigma"] & (v["field_norm"] <= field)))
+    on, norm = v["on_sigma"], v["field_norm"]
+    rep.check("radial_points_on_sigma_fixed", np.all(on & (norm <= field)),
+              f"{np.count_nonzero(on)}/{on.size} on Sigma, max field norm {np.max(norm):.2e}")
 
 
 def _check_qdf(v, rep, *, iota_min=0.5, f_floor=1.0e-12, iota_exact=1.0e-10):
     good = (v["iota"] >= iota_min) & (v["F"] >= -f_floor)
     if v["flat"]:
         good &= np.abs(v["iota"] - v["iota_ref"]) <= iota_exact
-    rep.check("qdf_structure", np.all(good))
+    rep.check("qdf_structure", np.all(good),
+              f"min iota {np.min(v['iota']):.3f}, min F {np.min(v['F']):.2e}")
 
 
 def _check_alpha(v, rep, *, zero=1.0e-8, min_mag=1.0e-3):
     a, s = v["alpha"], np.array(experiments.ALPHA_S)
     good = np.where(s == 0.0, np.abs(a) <= zero,
                     (v["signed"] * s > 0) & (np.abs(a) >= min_mag))
-    rep.check("threshold_sign", np.all(good))
+    rep.check("threshold_sign", np.all(good),
+              f"min |alpha| at s != 0 {np.min(np.abs(a[:, s != 0.0])):.2e}")
 
 
 def _check_star(v, rep, *, poly=1.0e-10, gain=0.8):

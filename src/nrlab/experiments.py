@@ -7,7 +7,9 @@ ones come from the rest of the config: ``rng`` (seeded from ``seed``),
 ``seed`` and ``metric``.  A keyword-only parameter without a default (the
 ``delta`` of ``flow``) is filled from the config's tolerances.  The CLI
 checks the values against tolerances; the acceptance suite calls the same
-functions at its own seeds, sizes and tolerances.
+functions at its own seeds, sizes and tolerances.  Seeded samples are drawn
+in the order of a sample-by-sample loop; ``charset``, ``radial`` and
+``alpha`` then pass each branch's samples to the point layer as one batch.
 """
 
 from __future__ import annotations
@@ -111,20 +113,26 @@ def charset(rng, *, n_samples=2000) -> Result:
     if n_samples < 2 or n_samples % 2:
         raise InvalidInput("charset needs an even n_samples >= 2, half per branch")
     M = MetricParams.free(1)
-    worst = 0.0
     rows = []
     for branch in (PL, MI):
-        for _ in range(n_samples // 2):
-            xi = rng.uniform(-3, 3, size=1)
-            h = rng.uniform(0.0, 1.0)
-            tau = float(fl._sheet_tau(xi, branch))
-            p = PhasePoint(rng.uniform(-3, 3), rng.uniform(-3, 3, 1), tau, xi, h)
-            v = sym.rescaled_symbol(p, M, branch)
-            worst = max(worst, abs(v))
-            rows.append((branch.name, "nat_interior", tau, float(xi[0]), h, v))
+        # per sample xi_nat, h, t, x: one draw reproduces the sample-by-sample stream
+        xi, h, t, x = np.split(rng.uniform([-3, 0, -3, -3], [3, 1, 3, 3],
+                                           size=(n_samples // 2, 4)), 4, axis=1)
+        tau = sym._sheet_tau(xi, branch)
+        v = sym.rescaled_symbol(PhasePoint(t[:, 0], x, tau, xi, h[:, 0]), M, branch)
+        rows += [(branch.name, "nat_interior", *r)
+                 for r in zip(tau.tolist(), xi[:, 0].tolist(), h[:, 0].tolist(), v.tolist())]
     return Result({"char_samples.csv": (["branch", "chart", "tau_nat", "xi_nat", "h",
                                          "symbol"], rows)},
-                  {"max_symbol": worst})
+                  {"max_symbol": max(abs(r[-1]) for r in rows)})
+
+
+def _radial_draws(rng, n, rest):
+    """n seeded draws of (branch, side sign, *rest()) as arrays, one sample at a
+    time: the integer and float draws interleave, so no one call gives them."""
+    draws = [(rng.choice([PL, MI]), rng.choice([Side.PAST, Side.FUTURE]).sign, *rest())
+             for _ in range(n)]
+    return (np.array(column) for column in zip(*draws))
 
 
 def radial(rng, *, d=1, n_samples=200) -> Result:
@@ -132,23 +140,23 @@ def radial(rng, *, d=1, n_samples=200) -> Result:
     if n_samples < 1:
         raise InvalidInput("radial needs n_samples >= 1")
     M = MetricParams.free(d)
-    rows, on_sigma, field_norm = [], [], []
-    for _ in range(n_samples):
-        branch = rng.choice([PL, MI])
-        side = rng.choice([Side.PAST, Side.FUTURE])
-        xi = rng.uniform(-2, 2, size=d)
-        h = rng.uniform(0.0, 1.0)
-        rp = sym.radial_point(xi, h, side, branch)
-        pp = PhasePoint(0.0, np.zeros(d), rp.tau_nat, rp.xi_nat, h)
-        member = sym.char_membership(pp, M, branch)
-        V = fl._natural_field(M, rp.direction, rp.zeta_nat, h, branch.sign)[0]
-        on_sigma.append(member is sym.CharClass.SIGMA)
-        field_norm.append(float(np.linalg.norm(V - rp.direction * (rp.direction @ V))))
-        rows.append((branch.name, side.name, h, float(rp.tau_nat), member.value,
-                     field_norm[-1]))
+    branch, side, xi, h = _radial_draws(
+        rng, n_samples, lambda: (rng.uniform(-2, 2, size=d), rng.uniform(0.0, 1.0)))
+    tau, field_norm, member = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples, object)
+    for b in (PL, MI):
+        m = branch == b
+        rp = sym.radial_point(xi[m], h[m], side[m], b)
+        member[m] = sym.char_membership(PhasePoint(0.0, np.zeros(d), rp.tau_nat, rp.xi_nat, rp.h),
+                                        M, b)
+        om = rp.direction
+        V = fl._natural_field(M, om, rp.zeta_nat, rp.h, b.sign)[0]
+        field_norm[m] = np.linalg.norm(V - om * np.sum(om * V, axis=-1, keepdims=True), axis=-1)
+        tau[m] = rp.tau_nat
+    rows = [(b.name, Side(s).name, *r, m.value, f) for b, s, r, m, f
+            in zip(branch, side, zip(h.tolist(), tau.tolist()), member, field_norm.tolist())]
     return Result({"radial.csv": (["branch", "side", "h", "tau_nat", "membership",
                                    "field_norm"], rows)},
-                  {"on_sigma": np.array(on_sigma, bool), "field_norm": np.array(field_norm)})
+                  {"on_sigma": member == sym.CharClass.SIGMA, "field_norm": field_norm})
 
 
 def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radius=0.05,
@@ -158,22 +166,19 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
     if n_centers < 1 or n_samples < 3 or not 0.0 < radius <= 1.0:
         raise InvalidInput("qdf needs n_centers >= 1, n_samples >= 3 (the fit has two "
                            "coefficients) and 0 < radius <= 1 (the probe is local)")
-    rows, iota_ref = [], []
-    for i in range(n_centers):
-        branch = rng.choice([PL, MI])
-        side = rng.choice([Side.PAST, Side.FUTURE])
-        xi = rng.uniform(0.3, 2.0, size=metric.d) * rng.choice([-1, 1], size=metric.d)
-        h = rng.uniform(0.05, 0.5)
-        rp = sym.radial_point(xi, h, side, branch)
-        q = fl.qdf_probe(rp, radius, n_samples, metric, branch,
-                         seed=int(rng.integers(2**31)))
-        iota_ref.append(2.0 * float(np.max(np.abs(xi))))
-        rows.append((i, branch.name, side.name, h, q.iota_est, q.F_est, q.E_est,
+    d, rows = metric.d, []
+    branch, side, xi, h, seed = _radial_draws(rng, n_centers, lambda: (
+        rng.uniform(0.3, 2.0, size=d) * rng.choice([-1, 1], size=d), rng.uniform(0.05, 0.5),
+        rng.integers(2**31)))
+    for i, (b, s) in enumerate(zip(branch, map(Side, side))):
+        q = fl.qdf_probe(sym.radial_point(xi[i], h[i], s, b), radius, n_samples, metric, b,
+                         seed=int(seed[i]))
+        rows.append((i, b.name, s.name, h[i], q.iota_est, q.F_est, q.E_est,
                      q.decomposition_residual, q.cubic_bound))
     iota, F, resid = (np.array([r[k] for r in rows]) for k in (4, 5, 7))
     return Result({"qdf.csv": (["center", "branch", "side", "h", "iota", "F", "E",
                                 "residual", "cubic_bound"], rows)},
-                  {"flat": metric.is_flat, "iota": iota, "iota_ref": np.array(iota_ref),
+                  {"flat": metric.is_flat, "iota": iota, "iota_ref": 2.0 * np.abs(xi).max(axis=1),
                    "F": F, "residual": resid})
 
 
@@ -182,17 +187,19 @@ def alpha(rng, metric: MetricParams = MetricParams.free(1), *, n_samples=100) ->
     -(+/-) varsigma alpha are (n_samples, 3), one column per ``ALPHA_S``."""
     if n_samples < 1:
         raise InvalidInput("alpha needs n_samples >= 1")
-    rows = []
-    for i in range(n_samples):
-        branch = rng.choice([PL, MI])
-        side = rng.choice([Side.PAST, Side.FUTURE])
-        xi = rng.uniform(0.1, 2.0, size=metric.d) * rng.choice([-1, 1], size=metric.d)
-        h = rng.uniform(0.0, 0.5)
-        rp = sym.radial_point(xi, h, side, branch)
-        for s in ALPHA_S:
-            a = fl.weight_flow_rate(rp, (0.0, s, 0.0, 0.0), metric, branch)
-            rows.append((i, branch.name, side.name, h, s, a, -branch.sign * side.sign * a))
-    a, signed = (np.array([r[k] for r in rows]).reshape(-1, len(ALPHA_S)) for k in (5, 6))
+    d = metric.d
+    branch, side, xi, h = _radial_draws(rng, n_samples, lambda: (
+        rng.uniform(0.1, 2.0, size=d) * rng.choice([-1, 1], size=d), rng.uniform(0.0, 0.5)))
+    rate = np.empty(n_samples)           # at s = 1: the rate is linear in s
+    for b in (PL, MI):
+        m = branch == b
+        rp = sym.radial_point(xi[m], h[m], side[m], b)
+        rate[m] = fl.weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), metric, b)
+    a = np.multiply.outer(rate, ALPHA_S)
+    signed = (-np.array([b.sign for b in branch]) * side)[:, None] * a
+    rows = [(i, b.name, Side(s).name, h_i, *r)
+            for i, (b, s, h_i) in enumerate(zip(branch, side, h.tolist()))
+            for r in zip(ALPHA_S, a[i].tolist(), signed[i].tolist())]
     return Result({"alpha.csv": (["sample", "branch", "side", "h", "s", "alpha",
                                   "minus_sigma_alpha"], rows)},
                   {"alpha": a, "signed": signed})
@@ -354,11 +361,10 @@ def uniform_ratio(seed=0, metric: MetricParams | None = None, *, m=1.0, ell=1.0,
 def degeneracy() -> Result:
     """The unresolved natural field vanishes on the bad sheet; ``eigenvalues``
     holds the linearization at each blown-up radial set, by (branch, side)."""
-    rows, fields, eig_mins, eigs = [], [], [], {}
-    for branch in (PL, MI):
-        p = PhasePoint(0.0, [0.0], -branch.sign * 2.0, [0.0], 0.0)
-        fields.append(fl.natural_degeneracy(p))
-        rows.append((branch.name, "nat_field_norm", fields[-1]))
+    # on the bad sheets, at tau_nat = -(+/-) 2: PLUS, then MINUS
+    fields = fl.natural_degeneracy(PhasePoint(0.0, [0.0], [-2.0, 2.0], [0.0], 0.0)).tolist()
+    rows = [(b.name, "nat_field_norm", f) for b, f in zip((PL, MI), fields)]
+    eig_mins, eigs = [], {}
     for branch in (PL, MI):
         for side in (Side.PAST, Side.FUTURE):
             rp = sym.radial_point([0.0], 0.0, side, branch)

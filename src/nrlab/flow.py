@@ -36,12 +36,17 @@ from .geometry import (
     ChartId,
     ChartTag,
     PhasePoint,
+    _as_vector,
+    _cat,
     split_coords,
 )
 from .symbols import (
     MetricParams,
     RadialPoint,
     SignBranch,
+    _free_velocity,
+    _future_direction,
+    _sheet_tau,
     ball_from_base,
     eval_metric,
     natural_symbol_value,  # noqa: F401  kept by name: perfbench's tracer test rebinds it
@@ -128,32 +133,14 @@ def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
     return V, drift
 
 
-def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
-    """Field velocity V of the frozen-frequency flows, shape (..., 1+d).
-
-    (h (tau_nat + b), -xi_nat) in natural mode (G = eta), and
-    nu (b, -xi) on the parabolic face, with nu = (1+tau^2+sum_j xi_j^4)^(-1/4)
-    the local natural-face bdf there.  b V/|V| is the future fixed direction.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    V = -zeta
-    V[..., 0] = np.where(parabolic, bsign, h * (zeta[..., 0] + bsign))
-    nu = (1.0 + zeta[..., 0] ** 2 + np.sum(zeta[..., 1:] ** 4, axis=-1)) ** -0.25
-    return V * np.where(parabolic, nu, 1.0)[..., None]
-
-
-def _sheet_tau(xi_nat, b: SignBranch):
-    """Free characteristic-sheet natural time frequency over xi_nat, (..., d) -> (...)."""
-    return b.sign * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # chart-wise field (ham_field)
 # ---------------------------------------------------------------------------
 
 
 def to_radial_chart(rp, offsets=None) -> ChartCoords:
-    """Radial-set adapted chart (s, w, rho_bf) over the natural frequencies.
+    """Radial-set adapted chart (s, w, rho_bf) over the natural frequencies
+    of one radial point.
 
     The dominant spatial axis is the largest |xi_nat| component; the chart
     does not exist when xi_nat = 0.  ``offsets``, if given, displaces
@@ -161,7 +148,7 @@ def to_radial_chart(rp, offsets=None) -> ChartCoords:
     """
     if not isinstance(rp, RadialPoint):
         raise ChartUnavailable("to_radial_chart expects a RadialPoint")
-    if float(np.max(np.abs(rp.xi_nat)) if rp.d else 0.0) == 0.0:
+    if not _as_vector(rp.xi_nat, rp.h).any():
         raise ChartUnavailable("radial chart needs xi_nat != 0")
     j0 = int(np.argmax(np.abs(rp.xi_nat)))
     sigma = int(np.sign(rp.direction[1 + j0]))
@@ -169,7 +156,7 @@ def to_radial_chart(rp, offsets=None) -> ChartCoords:
         raise ChartUnavailable("degenerate dominant direction")
     off = np.zeros(rp.d + 1) if offsets is None else np.asarray(offsets, float)[: rp.d + 1]
     coords = np.concatenate((off, [rp.tau_nat], rp.xi_nat, [rp.h]))
-    bdf = BdfValues(rho_df=1.0, rho_bf=float(off[-1]), rho_nf=rp.h, rho_pf=1.0)
+    bdf = BdfValues(rho_df=1.0, rho_bf=off[-1], rho_nf=rp.h, rho_pf=1.0)
     return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=j0 + 1, sign=sigma), coords, bdf)
 
 
@@ -221,7 +208,7 @@ def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndar
 
 def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
     """Rescaled Hamiltonian field in chart-local coordinates: its component
-    array, in the order of the chart's coordinates.
+    array, in the order of the chart's coordinates, over the batch axes.
 
     Supported charts: NAT_INTERIOR ((t, x, tau_nat, xi_nat, h) components,
     rescale (1/2) <z> h H_p), RADIAL_NAT ((s, w, rho_bf, tau_nat, xi_nat, h),
@@ -232,19 +219,15 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
     if tag is ChartTag.RADIAL_NAT:
         return _radial_field(cc.coords, cc.chart, M, b)
     z, tau, xi, h = split_coords(cc.coords)
-    bracket = math.sqrt(1.0 + float(z @ z))
-    zeta = np.concatenate(([tau], xi))
+    bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1, keepdims=True))
+    zeta = _cat(tau, xi)
     if tag is ChartTag.NAT_INTERIOR:
         V, drift = _natural_field(M, ball_from_base(z), zeta, h, b.sign)
-        return np.concatenate((bracket * V, drift, [0.0]))
-
-    if tag is ChartTag.PF_STANDARD:
-        if h != 0.0:
-            raise ChartUnavailable("pf-chart field is the h = 0 limit")
-        V = _free_velocity(zeta, 0.0, b.sign, parabolic=True)
-        return np.concatenate((bracket * V, np.zeros(z.size), [0.0]))
-
-    raise ChartUnavailable(f"ham_field not implemented for chart {tag}")
+    elif tag is ChartTag.PF_STANDARD and not np.any(h):     # the pf field is the h = 0 limit
+        V, drift = _free_velocity(zeta, 0.0, b.sign, parabolic=True), np.zeros_like(z)
+    else:
+        raise ChartUnavailable(f"ham_field has no field in chart {tag} (PF_STANDARD: at h = 0)")
+    return np.concatenate((bracket * V, drift, np.zeros_like(bracket)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +296,14 @@ def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
 
 def natural_start(Y, zeta_nat, h) -> dict:
     """Flow start in natural mode (any h >= 0, frequencies (tau_nat, xi_nat))."""
-    return {"mode": "natural", "Y": np.asarray(Y, float),
-            "zeta": np.asarray(zeta_nat, float), "h": float(h)}
+    return {"mode": "natural", "Y": _as_vector(Y), "zeta": _as_vector(zeta_nat, h),
+            "h": float(h)}
 
 
 def parabolic_start(Y, tau, xi) -> dict:
     """Flow start on the parabolic face (h = 0, standard frequencies)."""
-    return {"mode": "parabolic", "Y": np.asarray(Y, float),
-            "zeta": np.concatenate(([float(tau)], np.atleast_1d(xi))), "h": 0.0}
+    return {"mode": "parabolic", "Y": _as_vector(Y),
+            "zeta": np.concatenate(([tau], _as_vector(xi, tau))), "h": 0.0}
 
 
 def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
@@ -330,8 +313,7 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     quadratic in tau_nat, so the start satisfies |p| <= 1e-6 as the
     integration contract expects.
     """
-    Y = np.asarray(Y, dtype=float)
-    xi_nat = np.atleast_1d(np.asarray(xi_nat, dtype=float))
+    Y, xi_nat = _as_vector(Y), _as_vector(xi_nat, h)
     return natural_start(Y, np.concatenate(([_sheet_tau_nat(M, Y, xi_nat, h, b)], xi_nat)), h)
 
 
@@ -348,18 +330,6 @@ def _as_start(start, b: SignBranch) -> dict:
     if start.chart.tag is ChartTag.PF_STANDARD:
         return parabolic_start(ball_from_base(z), tau, xi)
     raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
-
-
-def _future_direction(zeta, h, bsign, parabolic=False) -> np.ndarray:
-    """Fixed direction b V/|V| of the boundary flow on the future side, for
-    the free velocity V at the actual frequencies, or the pole where V = 0;
-    the past one is its negative.  On the sheet it is the radial direction,
-    and slightly off-sheet states still end where they converge."""
-    V = np.asarray(bsign)[..., None] * _free_velocity(zeta, h, bsign, parabolic)
-    norm = np.linalg.norm(V, axis=-1, keepdims=True)
-    pole = np.zeros_like(V)
-    pole[..., 0] = 1.0
-    return np.where(norm > 0.0, V / np.where(norm > 0.0, norm, 1.0), pole)
 
 
 def _event_values(y, h, bsign, parabolic, delta) -> np.ndarray:
@@ -574,14 +544,14 @@ def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 
     """
     for _, direction, _ in cases:
         if direction not in ("forward", "backward"):
-            raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
+            raise InvalidInput(f"direction must be 'forward' or 'backward', not {direction!r}")
     if not cases:
         return []
     starts = [_as_start(start, b) for start, _, b in cases]
     y0 = np.array([np.concatenate((st["Y"], st["zeta"])) for st in starts])
     n = y0.shape[1] // 2
     if np.any(np.sum(y0[:, :n] ** 2, axis=1) > 1.0 + 1e-12):
-        raise ValueError("flow starts must lie in the closed ball |Y| <= 1")
+        raise InvalidInput("flow starts must lie in the closed ball |Y| <= 1")
     h = np.array([st["h"] for st in starts])
     parabolic = np.array([st["mode"] == "parabolic" for st in starts])
     bsign = np.array([float(b.sign) for _, _, b in cases])
@@ -812,25 +782,25 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 # ---------------------------------------------------------------------------
 
 
-def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch) -> float:
+def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch):
     """Logarithmic rate of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q
-    along the rescaled flow at a radial-set point.
+    along the rescaled flow at (a batch of) radial-set points.
 
     At the radial point (on |Y| = 1) the frequency drift vanishes with the
     metric's ball forms, so only rho_bf moves: the rate is s (-omega . V).
     """
     omega = rp.direction
     V = _natural_field(M, omega, rp.zeta_nat, rp.h, b.sign, 0.0)[0]
-    return orders[1] * -float(omega @ V)
+    return orders[1] * -np.sum(omega * V, axis=-1)
 
 
-def natural_degeneracy(p: PhasePoint, b: SignBranch | None = None) -> float:
+def natural_degeneracy(p: PhasePoint):
     """Norm of the unresolved natural-scale rescaled field 2h tau_nat d_t - 2 xi_nat d_x.
 
     Vanishes identically at h = 0, xi_nat = 0 (over interior spacetime
     points); this is the degeneracy the parabolic blow-up removes.
     """
-    return 2.0 * math.sqrt((p.h * p.tau_nat) ** 2 + float(p.xi_nat @ p.xi_nat))
+    return 2.0 * np.sqrt((p.h * p.tau_nat) ** 2 + np.sum(p.xi_nat * p.xi_nat, axis=-1))
 
 
 def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
@@ -838,7 +808,8 @@ def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
     """Eigenvalues of the base-direction linearization of the flow at a
     radial-set point.  Free metric only, where V does not depend on Y: the
     Jacobian of the ball field Ydot = V - Y (Y . V) at Y = omega is then
-    -(omega . V) I - omega V^T."""
+    -(omega . V) I - omega V^T.  One radial point, not a batch."""
+    _as_vector(rp.xi_nat, rp.h)
     if not M.is_flat:
         raise InvalidInput("radial_linearization needs the free metric")
     if mode is None:

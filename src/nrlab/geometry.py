@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ChartUnavailable, FitFailure, OnBoundary, OutOfChart
+from .errors import ChartUnavailable, FitFailure, InvalidInput, OnBoundary, OutOfChart
 
 __all__ = [
     "PhasePoint",
@@ -55,16 +55,41 @@ PF_PARABOLIC_MIN_TAU = 1.0  # PfNatParabolic needs |tau| >= 1
 PF_STANDARD_MAX_FREQ = 300.0
 
 
-def _as_vector(x) -> np.ndarray:
+def _as_vector(x, *scalars) -> np.ndarray:
+    """x as one point's flat vector, and ``scalars`` its scalars: InvalidInput for a batch."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError("expected a flat coordinate vector")
+    if v.ndim != 1 or any(np.ndim(s) for s in scalars):
+        raise InvalidInput("expected one point (a flat coordinate vector), not a batch")
     return v
+
+
+def _batch(h, scalars, vectors):
+    """Float fields (h, *scalars, *vectors) broadcast to one batch shape (plus a vector's
+    last axis), one point's scalars as float64; InvalidInput unless finite with h >= 0."""
+    s = [np.asarray(a, dtype=float) for a in (h, *scalars)]
+    v = [np.array(a, dtype=float, ndmin=1, copy=None) for a in vectors]
+    try:
+        batch = np.broadcast(*s, *(np.empty(a.shape[:-1]) for a in v)).shape
+    except ValueError:
+        raise InvalidInput("the fields of a batch of points must broadcast") from None
+    if not np.isfinite(np.concatenate([a.ravel() for a in s + v])).all() or (s[0] < 0).any():
+        raise InvalidInput("phase-space points need finite coordinates and h >= 0")
+    s = [np.broadcast_to(a, batch) if a.shape != batch else a for a in s]
+    return ([a[()] for a in s] + [np.broadcast_to(a, batch + a.shape[-1:])
+                                  if a.shape[:-1] != batch else a for a in v])
+
+
+def _cat(a, v) -> np.ndarray:
+    """(a, v) along the last axis, for a (numpy) of the leading shape of v."""
+    return np.concatenate((a[..., None], v), axis=-1)
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Interior point: spacetime position, natural frequencies, and h = 1/c."""
+    """Interior points: spacetime position, natural frequencies, and h = 1/c.
+
+    t, tau_nat and h carry the leading batch axes, x and xi_nat those plus (d,),
+    all broadcasting; one point is the batch shape ().  Fields are finite, h >= 0."""
 
     t: float
     x: np.ndarray
@@ -73,44 +98,43 @@ class PhasePoint:
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "xi_nat", _as_vector(self.xi_nat))
-        if self.x.shape != self.xi_nat.shape:
-            raise ValueError("x and xi_nat must have the same dimension")
-        if self.h < 0:
-            raise ValueError("h must be nonnegative")
+        fields = _batch(self.h, (self.t, self.tau_nat), (self.x, self.xi_nat))
+        if fields[3].shape[-1] != fields[4].shape[-1]:
+            raise InvalidInput("x and xi_nat must have the same dimension")
+        for name, value in zip(("h", "t", "tau_nat", "x", "xi_nat"), fields):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
-        return self.x.size
+        return self.xi_nat.shape[-1]
 
     @property
     def z(self) -> np.ndarray:
-        """Spacetime coordinates (t, x)."""
-        return np.concatenate(([self.t], self.x))
+        """Spacetime coordinates (t, x), shape (..., 1+d)."""
+        return _cat(self.t, self.x)
 
     @property
     def zeta_nat(self) -> np.ndarray:
-        return np.concatenate(([self.tau_nat], self.xi_nat))
+        return _cat(self.tau_nat, self.xi_nat)
 
     @property
-    def tau(self) -> float:
+    def tau(self):
         """Standard time frequency tau = tau_nat / h^2 (h > 0 only)."""
-        if self.h <= 0:
+        if (self.h <= 0).any():
             raise OnBoundary("standard frequencies undefined at h = 0")
         return self.tau_nat / self.h**2
 
     @property
     def xi(self) -> np.ndarray:
         """Standard space frequencies xi = xi_nat / h (h > 0 only)."""
-        if self.h <= 0:
+        if (self.h <= 0).any():
             raise OnBoundary("standard frequencies undefined at h = 0")
-        return self.xi_nat / self.h
+        return self.xi_nat / self.h[..., None]
 
 
 @dataclass(frozen=True)
 class BdfValues:
-    """Values of the four global boundary-defining functions at a point."""
+    """Values of the four boundary-defining functions at a point (or batch)."""
 
     rho_df: float
     rho_bf: float
@@ -136,7 +160,7 @@ class ChartId:
 
     ``k`` selects the dominant frequency axis for PAR_FREQ_XI (1-based, as in
     xi_1 .. xi_d) and the dominant spatial axis for RADIAL_NAT.  ``sign`` is
-    the sign of the dominant quantity (tau, xi_k, or x_k).
+    the sign of the dominant quantity (tau, xi_k, or x_k), per point in a batch.
     """
 
     tag: ChartTag
@@ -145,21 +169,21 @@ class ChartId:
 
     def __post_init__(self):
         if self.tag in (ChartTag.PAR_FREQ_XI, ChartTag.RADIAL_NAT) and self.k is None:
-            raise ValueError(f"{self.tag} requires an axis index k")
-        if self.sign not in (-1, +1):
-            raise ValueError("sign must be -1 or +1")
+            raise InvalidInput(f"{self.tag} requires an axis index k")
+        if not (np.abs(self.sign) == 1).all():
+            raise InvalidInput("sign must be -1 or +1")
 
 
 @dataclass(frozen=True)
 class ChartCoords:
-    """Chart-local coordinates together with the local bdf values."""
+    """Chart-local coordinates (..., n) together with the local bdf values."""
 
     chart: ChartId
     coords: np.ndarray
     bdf: BdfValues
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
+        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
 
 def smooth_step(x):
@@ -181,10 +205,10 @@ def chi_cutoff(zeta_nat):
     return _cutoff(np.linalg.norm(np.asarray(zeta_nat, dtype=float), axis=-1))
 
 
-def frequency_bdfs(tau_nat, xi_nat, h: float):
+def frequency_bdfs(tau_nat, xi_nat, h):
     """Global (rho_df, rho_nf, rho_pf) at natural frequencies tau_nat and
     xi_nat = (xi_nat_1, ..., xi_nat_d), components broadcasting against
-    tau_nat and each other (they are never stacked), and h >= 0 (a scalar).
+    tau_nat, h >= 0 and each other (they are never stacked).
 
     rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2) and rho_nf = h + chi(zeta_nat)
     (1+tau^2+sum_j xi_j^4)^(-1/4), a weight equivalent to (1+tau^2+|xi|^4)^(-1/4)
@@ -202,15 +226,15 @@ def frequency_bdfs(tau_nat, xi_nat, h: float):
     quartic = sum(np.square(np.square(r / k)) for r in roots)
     with np.errstate(divide="ignore"):   # inf at h = 0, zeta_nat = 0, where chi = 1
         nf_over_h = 1.0 + _cutoff(zn) * quartic ** -0.25 / k
-    rho_nf = h * nf_over_h if h > 0.0 else np.zeros_like(nf_over_h)
+    rho_nf = h * np.where(h > 0.0, nf_over_h, 0.0)
     return rho_df, rho_nf, 1.0 / nf_over_h
 
 
 def bdf_values(p: PhasePoint) -> BdfValues:
-    """Global smooth boundary-defining functions at an interior point:
+    """Global smooth boundary-defining functions at interior points:
     rho_bf = (1+t^2+|x|^2)^(-1/2) and the frequency_bdfs."""
-    rho_df, rho_nf, rho_pf = map(float, frequency_bdfs(p.tau_nat, p.xi_nat, p.h))
-    return BdfValues(rho_df=rho_df, rho_bf=_rho_bf_of(p.t, p.x), rho_nf=rho_nf, rho_pf=rho_pf)
+    rho_df, rho_nf, rho_pf = frequency_bdfs(p.tau_nat, np.moveaxis(p.xi_nat, -1, 0), p.h)
+    return BdfValues(rho_df, 1.0 / np.hypot.reduce(p.z, axis=-1, initial=1.0), rho_nf, rho_pf)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +253,6 @@ def bdf_values(p: PhasePoint) -> BdfValues:
 # ---------------------------------------------------------------------------
 
 
-def _rho_bf_of(t, x) -> float:
-    return 1.0 / math.hypot(1.0, t, *x)
-
-
 def split_coords(co):
     """The slots (z, a, v, e) of chart coordinates co of shape (..., 2d+3),
     as views of co: 1+d base coordinates z, one frequency a, d frequencies v
@@ -244,7 +264,7 @@ def split_coords(co):
 
 
 def chart_frame(p):
-    """(z, h, zeta_hat, lin, zeta_nat) of a PhasePoint (read in NAT_INTERIOR)
+    """(z, h, zeta_hat, lin, zeta_nat) of PhasePoints (read in NAT_INTERIOR)
     or of ChartCoords in one of the four phase-space charts.
 
     In every chart the chart-rescaled symbol rho_df^2 rho_nf^2 p is
@@ -257,92 +277,87 @@ def chart_frame(p):
     tag, sign = p.chart.tag, p.chart.sign
     z, a, v, e = split_coords(p.coords)
     if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
-        zeta = np.concatenate(([a], v))
+        zeta = _cat(a, v)
         return z, e, zeta, a, zeta
     if tag is ChartTag.DF_PROJECTIVE:           # (a, v, e) = (rho_df, xi_hat, h)
-        zeta_hat = np.concatenate(([sign], v))
+        zeta_hat = _cat(np.broadcast_to(sign, a.shape), v)
         with np.errstate(divide="ignore", invalid="ignore"):   # rho_df = 0 on the df face
-            return z, e, zeta_hat, sign * a, zeta_hat / a
+            return z, e, zeta_hat, sign * a, zeta_hat / a[..., None]
     if tag is ChartTag.PF_STANDARD:             # (a, v, e) = (tau, xi, h)
-        zeta_hat = np.concatenate(([e * a], v))
-        return z, e, zeta_hat, a, e * zeta_hat
+        zeta_hat = _cat(e * a, v)
+        return z, e, zeta_hat, a, e[..., None] * zeta_hat
     if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
-        zeta_hat = np.concatenate(([sign * e], v))
-        return z, a * e, zeta_hat, sign, e * zeta_hat
+        zeta_hat = _cat(sign * e, v)
+        return z, a * e, zeta_hat, sign, e[..., None] * zeta_hat
     raise ChartUnavailable(f"no chart frame in chart {tag}; frequency-space charts "
                            "invert with from_parabolic_chart")
 
 
+def _require(ok, what: str):
+    """OutOfChart unless ok holds at every point, saying at how many it fails."""
+    if not ok.all():
+        raise OutOfChart(f"{what}: fails at {ok.size - np.count_nonzero(ok)} of {ok.size} points")
+
+
 def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
-    """Express an interior point in chart-local coordinates.
+    """Express interior points in chart-local coordinates (the chart's sign,
+    where it has one, per point).
 
-    Raises OutOfChart when the point is outside the chart's validity region.
+    Raises OutOfChart when any point is outside the chart's validity region.
     """
-    rho_bf = _rho_bf_of(p.t, p.x)
+    # each chart's slots (a, v, e) as in chart_frame, its sign and its local
+    # bdfs (rho_df, rho_nf, rho_pf)
     if c.tag is ChartTag.NAT_INTERIOR:
-        coords = np.concatenate(([p.t], p.x, [p.tau_nat], p.xi_nat, [p.h]))
-        bdf = BdfValues(rho_df=1.0, rho_bf=rho_bf, rho_nf=p.h, rho_pf=1.0)
-        return ChartCoords(ChartId(ChartTag.NAT_INTERIOR), coords, bdf)
-
-    if c.tag is ChartTag.DF_PROJECTIVE:
-        zn_norm = float(np.linalg.norm(p.zeta_nat))
-        if p.tau_nat == 0.0 or abs(p.tau_nat) < DF_CHART_MARGIN * zn_norm:
-            raise OutOfChart("DfProjective requires |tau_nat| >= 0.1 |zeta_nat| > 0")
-        rho_df = 1.0 / abs(float(p.tau_nat))
-        if not math.isfinite(rho_df):
-            raise OutOfChart("DfProjective needs a finite 1/|tau_nat|")
-        sign = 1 if p.tau_nat > 0 else -1
-        xi_hat = p.xi_nat / abs(p.tau_nat)
-        coords = np.concatenate(([p.t], p.x, [rho_df], xi_hat, [p.h]))
-        bdf = BdfValues(rho_df=rho_df, rho_bf=rho_bf, rho_nf=p.h, rho_pf=1.0)
-        return ChartCoords(ChartId(ChartTag.DF_PROJECTIVE, sign=sign), coords, bdf)
-
-    if c.tag is ChartTag.PF_STANDARD:
-        if p.h <= 0:
-            raise OutOfChart("PfStandard needs h > 0 to recover (tau, xi)")
-        tau, xi = p.tau, p.xi
-        if abs(tau) > PF_STANDARD_MAX_FREQ or np.max(np.abs(xi), initial=0.0) > PF_STANDARD_MAX_FREQ:
-            raise OutOfChart("PfStandard covers bounded standard frequencies only")
-        coords = np.concatenate(([p.t], p.x, [tau], xi, [p.h]))
-        bdf = BdfValues(rho_df=1.0, rho_bf=rho_bf, rho_nf=1.0, rho_pf=p.h)
-        return ChartCoords(ChartId(ChartTag.PF_STANDARD), coords, bdf)
-
-    if c.tag is ChartTag.PF_NAT_PARABOLIC:
-        if p.h <= 0:
-            raise OutOfChart("PfNatParabolic needs h > 0 to recover tau")
-        tau = p.tau
-        if abs(tau) < PF_PARABOLIC_MIN_TAU:
-            raise OutOfChart("PfNatParabolic requires |tau| >= 1")
-        sign = 1 if tau > 0 else -1
-        rho_nf = abs(tau) ** -0.5
-        xi_hat = p.xi * rho_nf
-        rho_pf = p.h / rho_nf
-        coords = np.concatenate(([p.t], p.x, [rho_nf], xi_hat, [rho_pf]))
-        bdf = BdfValues(rho_df=1.0, rho_bf=rho_bf, rho_nf=rho_nf, rho_pf=rho_pf)
-        return ChartCoords(ChartId(ChartTag.PF_NAT_PARABOLIC, sign=sign), coords, bdf)
-
-    if c.tag in (ChartTag.PAR_FREQ_TAU, ChartTag.PAR_FREQ_XI):
-        if p.h <= 0:
-            raise OutOfChart("frequency charts need standard frequencies (h > 0)")
-        return parabolic_chart(p.tau, p.xi, prefer=c)
-
-    raise ChartUnavailable(f"to_chart does not handle {c.tag}")
+        a, v, e, sign, local = p.tau_nat, p.xi_nat, p.h, 1, (1.0, p.h, 1.0)
+    elif c.tag is ChartTag.DF_PROJECTIVE:
+        mag = np.abs(p.tau_nat)       # 1/mag is finite above 1/(largest float)
+        _require((mag >= DF_CHART_MARGIN * np.hypot.reduce(p.zeta_nat, axis=-1))
+                 & (mag > 1.0 / np.finfo(float).max), "DfProjective requires |tau_nat| >= "
+                 "0.1 |zeta_nat| and a finite 1/|tau_nat|")
+        a, v, e, sign = 1.0 / mag, p.xi_nat / mag[..., None], p.h, p.tau_nat
+        local = (a, e, 1.0)
+    elif c.tag in (ChartTag.PF_STANDARD, ChartTag.PF_NAT_PARABOLIC, ChartTag.PAR_FREQ_TAU,
+                   ChartTag.PAR_FREQ_XI):
+        _require(p.h > 0, f"{c.tag} needs h > 0 to recover the standard frequencies")
+        a, v, e, sign = p.tau, p.xi, p.h, 1
+        if c.tag is ChartTag.PF_STANDARD:
+            _require((np.abs(a) <= PF_STANDARD_MAX_FREQ)
+                     & (np.max(np.abs(v), axis=-1, initial=0.0) <= PF_STANDARD_MAX_FREQ),
+                     "PfStandard covers bounded standard frequencies only")
+            local = (1.0, 1.0, e)
+        elif c.tag is ChartTag.PF_NAT_PARABOLIC:
+            _require(np.abs(a) >= PF_PARABOLIC_MIN_TAU, "PfNatParabolic requires |tau| >= 1")
+            sign, a = a, np.abs(a) ** -0.5
+            v, e = v * a[..., None], e / a
+            local = (1.0, a, e)
+        else:
+            return parabolic_chart(a, v, prefer=c)
+    else:
+        raise ChartUnavailable(f"to_chart does not handle {c.tag}")
+    z = p.z
+    bdf = BdfValues(local[0], 1.0 / np.hypot.reduce(z, axis=-1, initial=1.0), *local[1:])
+    sign = np.where(np.asarray(sign) >= 0, 1, -1)[()]     # of tau_nat or tau, where it counts
+    coords = np.concatenate((z, np.asarray(a)[..., None], v, np.asarray(e)[..., None]), axis=-1)
+    return ChartCoords(ChartId(c.tag, sign=sign), coords, bdf)
 
 
 def from_chart(cc: ChartCoords) -> PhasePoint:
-    """Invert a chart map back to an interior PhasePoint.
+    """Invert a chart map back to interior PhasePoints.
 
-    Raises OnBoundary if a bdf coordinate vanishes (the point sits on a
+    Raises OnBoundary if a bdf coordinate vanishes at any point (it sits on a
     boundary face and has no interior preimage).
     """
     z, h, _, _, zeta = chart_frame(cc)
     _, a, _, e = split_coords(cc.coords)
     bdfs = {ChartTag.DF_PROJECTIVE: (a,), ChartTag.PF_STANDARD: (e,),
             ChartTag.PF_NAT_PARABOLIC: (a, e)}.get(cc.chart.tag, ())
-    if min(bdfs, default=1.0) <= 0.0:
-        raise OnBoundary(f"a bdf coordinate of {cc.chart.tag} vanishes: boundary point")
-    # z and h are views of cc.coords: copy them, so the point does not change with it
-    return PhasePoint(float(z[0]), z[1:].copy(), float(zeta[0]), zeta[1:], float(h))
+    on = (np.asarray(bdfs) <= 0.0).any(axis=0)
+    if on.any():
+        raise OnBoundary(f"a bdf coordinate of {cc.chart.tag} vanishes at "
+                         f"{np.count_nonzero(on)} of {on.size} points: boundary points")
+    # z and h may be views of cc.coords: copy them, so the points do not change with it
+    z = z.copy()
+    return PhasePoint(z[..., 0], z[..., 1:], zeta[..., 0], zeta[..., 1:], np.array(h))
 
 
 def parabolic_chart(tau: float, xi, prefer: ChartId | None = None) -> ChartCoords:
@@ -353,7 +368,7 @@ def parabolic_chart(tau: float, xi, prefer: ChartId | None = None) -> ChartCoord
     dominates every |xi_k|, otherwise the chart of the largest |xi_k|; pass
     ``prefer`` to force a particular chart.
     """
-    xi = _as_vector(xi)
+    xi = _as_vector(xi, tau)
     d = xi.size
     if prefer is None:
         root = math.sqrt(abs(tau))
@@ -393,7 +408,7 @@ def parabolic_chart(tau: float, xi, prefer: ChartId | None = None) -> ChartCoord
 
 def from_parabolic_chart(cc: ChartCoords) -> tuple[float, np.ndarray]:
     """Invert a frequency-space chart back to (tau, xi)."""
-    co = cc.coords
+    co = _as_vector(cc.coords)
     if cc.chart.tag is ChartTag.PAR_FREQ_TAU:
         rho = co[0]
         if rho <= 0.0:
@@ -423,7 +438,7 @@ class ParabolicRay:
     s_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _as_vector(self.v))
+        object.__setattr__(self, "v", _as_vector(self.v, self.tau0))
         object.__setattr__(self, "s_values", _as_vector(self.s_values))
 
     def points(self) -> Iterable[tuple[float, np.ndarray]]:

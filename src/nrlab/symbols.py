@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidInput
-from .geometry import ChartCoords, PhasePoint, chart_frame
+from .geometry import ChartCoords, PhasePoint, _batch, _cat, chart_frame
 
 __all__ = [
     "ClassicalSymbolProfile",
@@ -339,35 +339,36 @@ def natural_symbol_value(M: MetricParams, z, zeta_nat, h: float, b: SignBranch) 
     return rescaled_symbol(PhasePoint(z[0], z[1:], zeta_nat[0], zeta_nat[1:], h), M, b)
 
 
-def eval_p(p, M: MetricParams, b: SignBranch) -> float:
-    """Principal symbol of the conjugated operator.
+def eval_p(p, M: MetricParams, b: SignBranch):
+    """Principal symbol of the conjugated operator, per point of a batch.
 
-    For an interior PhasePoint (h > 0): the unrescaled
+    For interior PhasePoints (h > 0): the unrescaled
     p = -g^{-1}(zeta, zeta) +/- 2 tau.  For ChartCoords (or h = 0 points):
     the chart-rescaled symbol; see rescaled_symbol.
     """
     value = rescaled_symbol(p, M, b)
-    if isinstance(p, ChartCoords) or p.h == 0.0:
-        return value
-    # divide twice: h^2 underflows to 0 for h below about 1e-162
-    return value / p.h / p.h
+    h = 1.0 if isinstance(p, ChartCoords) else np.where(p.h > 0.0, p.h, 1.0)
+    with np.errstate(over="ignore"):   # divide twice: h^2 underflows to 0 below h ~ 1e-162
+        return value / h / h
 
 
-def rescaled_symbol(cc, M: MetricParams, b: SignBranch) -> float:
+def rescaled_symbol(cc, M: MetricParams, b: SignBranch):
     """Chart-rescaled symbol rho_df^2 rho_nf^2 p in the chart's local bdfs,
-    -G(zeta_hat, zeta_hat) +/- 2 lin in the chart frame (geometry.chart_frame).
+    -G(zeta_hat, zeta_hat) +/- 2 lin in the chart frame (geometry.chart_frame);
+    one metric evaluation for a batch.
 
-    Accepts a PhasePoint (treated in the natural-face chart, where the
+    Accepts PhasePoints (treated in the natural-face chart, where the
     rescaled symbol is -G(zeta_nat, zeta_nat) +/- 2 tau_nat) or ChartCoords
     in any of the four phase-space charts.
     """
     z, h, zeta_hat, lin, _ = chart_frame(cc)
     G = eval_metric(M, ball_from_base(z), h).G
-    return float(-(zeta_hat @ G @ zeta_hat) + 2.0 * b.sign * lin)
+    return -(zeta_hat[..., None, :] @ G @ zeta_hat[..., None])[..., 0, 0] + 2.0 * b.sign * lin
 
 
-def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9) -> CharClass:
-    """Classify a point against the two sheets of the characteristic set.
+def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
+    """Classify points against the two sheets of the characteristic set (a
+    batch as an object array of CharClass).
 
     SIGMA: |rescaled symbol| <= tol and the point lies in the closure of
     {+/- tau_nat > -1}; SIGMA_BAD likewise with {+/- tau_nat < -1}; else OFF.
@@ -375,20 +376,50 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9) -> C
     """
     value = rescaled_symbol(p, M, b)
     if isinstance(p, PhasePoint):
-        value /= 1.0 + float(p.zeta_nat @ p.zeta_nat)
-    side = b.sign * chart_frame(p)[-1][0]   # tau_nat
-    if abs(value) <= tol:
-        if side > -1.0:
-            return CharClass.SIGMA
-        if side < -1.0:
-            return CharClass.SIGMA_BAD
-    return CharClass.OFF
+        value = value / (1.0 + np.sum(p.zeta_nat * p.zeta_nat, axis=-1))
+    side = b.sign * chart_frame(p)[-1][..., 0]   # tau_nat
+    # on the zero set, the sign of 1 +/- tau_nat: 0 OFF, +1 SIGMA, -1 SIGMA_BAD
+    code = np.where(np.abs(value) <= tol, np.sign(1.0 + side), 0.0).astype(int)
+    return np.array([CharClass.OFF, CharClass.SIGMA, CharClass.SIGMA_BAD])[code]
+
+
+def _sheet_tau(xi_nat, b: SignBranch):
+    """Free characteristic-sheet natural time frequency over xi_nat, (..., d) -> (...)."""
+    return b.sign * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
+
+
+def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
+    """Field velocity V of the frozen-frequency flows, shape (..., 1+d).
+
+    (h (tau_nat + b), -xi_nat) in natural mode (G = eta), and
+    nu (b, -xi) on the parabolic face, with nu = (1+tau^2+sum_j xi_j^4)^(-1/4)
+    the local natural-face bdf there.  b V/|V| is the future fixed direction.
+    """
+    zeta = np.asarray(zeta, dtype=float)
+    V = -zeta
+    V[..., 0] = np.where(parabolic, bsign, h * (zeta[..., 0] + bsign))
+    nu = (1.0 + zeta[..., 0] ** 2 + np.sum(zeta[..., 1:] ** 4, axis=-1)) ** -0.25
+    return V * np.where(parabolic, nu, 1.0)[..., None]
+
+
+def _future_direction(zeta, h, bsign, parabolic=False) -> np.ndarray:
+    """Fixed direction b V/|V| of the boundary flow on the future side, for
+    the free velocity V at the actual frequencies, or the pole where V = 0;
+    the past one is its negative.  On the sheet it is the radial direction,
+    and slightly off-sheet states still end where they converge."""
+    V = np.asarray(bsign)[..., None] * _free_velocity(zeta, h, bsign, parabolic)
+    norm = np.linalg.norm(V, axis=-1, keepdims=True)
+    pole = np.zeros_like(V)
+    pole[..., 0] = 1.0
+    return np.where(norm > 0.0, V / np.where(norm > 0.0, norm, 1.0), pole)
 
 
 @dataclass(frozen=True)
 class RadialPoint:
-    """A point of the radial set: frequencies on the characteristic sheet plus
-    the base direction (a unit vector in compactified spacetime)."""
+    """Radial-set points, batched as PhasePoint: frequencies on the good sheet
+    plus the base direction (a unit vector in compactified spacetime).  A
+    batch's ``side`` is the sides' signs, +1 future and -1 past.  radial_point
+    builds them, from checked inputs."""
 
     tau_nat: float
     xi_nat: np.ndarray
@@ -397,35 +428,20 @@ class RadialPoint:
     branch: SignBranch
     direction: np.ndarray  # unit (1+d)-vector omega
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi_nat", np.atleast_1d(np.asarray(self.xi_nat, float)))
-        object.__setattr__(self, "direction", np.asarray(self.direction, float))
-
-    @property
-    def d(self) -> int:
-        return self.xi_nat.size
-
-    @property
-    def zeta_nat(self) -> np.ndarray:
-        return np.concatenate(([self.tau_nat], self.xi_nat))
+    d = PhasePoint.d
+    zeta_nat = PhasePoint.zeta_nat
 
 
-def radial_point(xi_nat, h: float, side: Side, b: SignBranch) -> RadialPoint:
-    """The radial-set point over a given spatial natural frequency.
+def radial_point(xi_nat, h, side, b: SignBranch) -> RadialPoint:
+    """The radial-set points over spatial natural frequencies xi_nat (..., d).
 
     tau_nat = +/- (sqrt(1+|xi_nat|^2) - 1) puts the frequencies on the good
     sheet; the base direction is side * (h sqrt(1+|xi_nat|^2), -(+/-) xi_nat),
-    normalized.  At h = 0, xi_nat = 0 the direction degenerates to the
-    future/past pole (the blown-up parabolic-face limit).
+    normalized (_future_direction).  At h = 0, xi_nat = 0 the direction
+    degenerates to the future/past pole (the blown-up parabolic-face limit).
     """
-    xi_nat = np.atleast_1d(np.asarray(xi_nat, dtype=float))
-    root = math.sqrt(1.0 + float(xi_nat @ xi_nat))
-    tau_nat = b.sign * (root - 1.0)
-    vec = np.concatenate(([h * root], -b.sign * xi_nat))
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        direction = np.zeros(xi_nat.size + 1)
-        direction[0] = side.sign
-    else:
-        direction = side.sign * vec / norm
-    return RadialPoint(tau_nat, xi_nat, h, side, b, direction)
+    h, xi_nat = _batch(h, (), (xi_nat,))
+    zeta = _cat(_sheet_tau(xi_nat, b), xi_nat)
+    sign = np.asarray(side.sign if isinstance(side, Side) else side)
+    direction = sign[..., None] * _future_direction(zeta, h, b.sign)
+    return RadialPoint(zeta[..., 0], xi_nat, h, side, b, direction)

@@ -62,6 +62,13 @@ def light_speed_inverse(M, z, c):
     return eval_metric(M, ball_from_base(z), 1.0 / c).G * np.outer(s, s)
 
 
+def _rebind(monkeypatch, name, real, fake):
+    """Bind ``name`` to fake in every nrlab module that holds real under it."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("nrlab") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, fake)
+
+
 def count_transforms(monkeypatch):
     """Record (axes, inverse) of every call to the grid transform entry point,
     quantize.transform, made from here on by any nrlab module."""
@@ -71,7 +78,18 @@ def count_transforms(monkeypatch):
         calls.append((axes, inverse))
         return real(a, axes, inverse)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nrlab") and getattr(module, "transform", None) is real:
-            monkeypatch.setattr(module, "transform", counted)
+    _rebind(monkeypatch, "transform", real, counted)
+    return calls
+
+
+def count_metric_evaluations(monkeypatch):
+    """Record the batch shape of every call to symbols.eval_metric made from
+    here on by any nrlab module."""
+    calls, real = [], eval_metric
+
+    def counted(M, Y, *args, **kwargs):
+        calls.append(np.shape(Y)[:-1])
+        return real(M, Y, *args, **kwargs)
+
+    _rebind(monkeypatch, "eval_metric", real, counted)
     return calls

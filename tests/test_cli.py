@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nrlab
-from nrlab import experiments
+from nrlab import errors, experiments
 from nrlab.cli import COMMANDS, load_config, main, metric_from_json, run
 from nrlab.errors import ConfigInvalid, InvalidInput, NrlabError
 from nrlab.experiments import scatter
@@ -52,6 +53,23 @@ def test_no_unused_module_level_import(path):
         and "# noqa" not in lines[alias.lineno - 1]
     ]
     assert unused == []
+
+
+def test_every_raise_names_an_nrlab_error():
+    # every public entry point fails with a typed NrlabError; the one
+    # exception is quantize.transform re-raising a slab worker's error as is
+    typed = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, NrlabError)}
+    offenders = []
+    for path in sorted(Path(nrlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name not in typed and (path.name, name) != ("quantize.py", "err"):
+                offenders.append(f"{path.name}:{node.lineno} raise {name}")
+    assert offenders == []
 
 
 class TestConfigValidation:
@@ -298,6 +316,19 @@ class TestRunCommands:
         assert (tmp_path / "star_fail" / "star.csv").exists()
         summary = json.loads((tmp_path / "star_fail" / "summary.json").read_text())
         assert summary["pass"] is False
+
+    @pytest.mark.parametrize("command,params,tolerances,detail", [
+        ("radial", {"n_samples": 20}, {"field": -1.0}, r"20/20 on Sigma, max field norm \S+$"),
+        ("qdf", {"n_centers": 2, "n_samples": 20}, {"iota_min": 100.0},
+         r"min iota \S+, min F \S+$"),
+        ("alpha", {"n_samples": 10}, {"min_mag": 100.0}, r"min \|alpha\| at s != 0 \S+$"),
+    ])
+    def test_failing_check_says_why(self, tmp_path, command, params, tolerances, detail):
+        cfg = {"schema_version": 1, "command": command, "params": params,
+               "tolerances": tolerances}
+        assert run(cfg, out=str(tmp_path)) == 1
+        (check,) = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert not check["ok"] and re.fullmatch(detail, check["detail"]), check
 
     def test_deterministic_csv(self, tmp_path):
         cfg = {"schema_version": 1, "command": "charset", "seed": 11,

@@ -2,14 +2,39 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import light_speed_inverse, perturbed_metrics
-from nrlab.errors import DegenerateMetric, InvalidInput, OutOfChart
-from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
+from conftest import count_metric_evaluations, light_speed_inverse, perturbed_metrics
+from nrlab import experiments as ex
+from nrlab.errors import DegenerateMetric, InvalidInput, OnBoundary, OutOfChart
+from nrlab.flow import (
+    _sheet_tau_nat,
+    char_start,
+    integrate_flow,
+    natural_degeneracy,
+    natural_start,
+    parabolic_start,
+    qdf_probe,
+    radial_linearization,
+    to_radial_chart,
+    weight_flow_rate,
+)
+from nrlab.geometry import (
+    ChartCoords,
+    ChartId,
+    ChartTag,
+    ParabolicRay,
+    PhasePoint,
+    bdf_values,
+    from_chart,
+    from_parabolic_chart,
+    parabolic_chart,
+    to_chart,
+)
 from nrlab.symbols import (
     CharClass,
     ClassicalSymbolProfile,
@@ -422,3 +447,172 @@ class TestRadialPoints:
         rp = radial_point([xi], h, side, branch)
         p = PhasePoint(0.0, [0.0], rp.tau_nat, rp.xi_nat, h)
         assert char_membership(p, MetricParams.free(1), branch) is CharClass.SIGMA
+
+
+class TestNonFinitePoints:
+    """A point with a non-finite coordinate or a negative h is no point."""
+
+    def test_nan_frequency(self, free_metric):
+        with pytest.raises(InvalidInput):
+            char_membership(PhasePoint(0, [0], math.nan, [0], 0.5), free_metric, PL)
+
+    def test_infinite_base_point(self, free_metric):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                char_membership(PhasePoint(math.inf, [0], 0, [0], 0.5), free_metric, PL)
+
+    def test_nan_h(self):
+        with pytest.raises(InvalidInput):
+            bdf_values(PhasePoint(0, [0], 0, [0], math.nan))
+
+    def test_radial_point_negative_h(self):
+        with pytest.raises(InvalidInput):
+            radial_point([0.5], -0.5, Side.FUTURE, PL)
+
+    def test_radial_point_nan_frequency(self):
+        with pytest.raises(InvalidInput):
+            radial_point([math.nan], 0.5, Side.FUTURE, PL)
+
+
+def _rows(p):
+    """The points of a PhasePoint batch of shape (N,), one by one."""
+    return [PhasePoint(p.t[i], p.x[i], p.tau_nat[i], p.xi_nat[i], p.h[i])
+            for i in range(p.t.size)]
+
+
+def _take(p, idx):
+    return PhasePoint(p.t[idx], p.x[idx], p.tau_nat[idx], p.xi_nat[idx], p.h[idx])
+
+
+def _same(batch, rows):
+    """A batched result equals its row-by-row values (CharClass rows exactly)."""
+    batch = np.broadcast_to(batch, (len(rows),) + np.shape(rows[0]))
+    for got, want in zip(batch, rows):
+        if isinstance(want, CharClass):
+            assert got is want
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
+class TestBatchedPoints:
+    """The point layer evaluates a batch of points as it evaluates each row,
+    for perturbed metrics, with rows on and off the sheets, outside a chart
+    and on a boundary face, and raises no floating-point warning; a
+    one-point function given a batch raises InvalidInput."""
+
+    N = 12
+
+    @classmethod
+    def _points(cls, M, h, b):
+        """Rows on the sheet, 0.3 off it, and with a large |tau_nat| (in the
+        df chart, not in the pf charts at small h)."""
+        rng = np.random.default_rng(M.d)
+        z = rng.normal(size=(cls.N, 1 + M.d)) * 2.0
+        xi = rng.normal(size=(cls.N, M.d))
+        tau = _sheet_tau_nat(M, ball_from_base(z), xi, h, b)
+        tau[::3] += 0.3
+        tau[1::4] = rng.choice([-1.0, 1.0], size=tau[1::4].size) * 20.0
+        return PhasePoint(z[:, 0], z[:, 1:], tau, xi, h)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0.0, 1e-3, 0.3])
+    @given(data=st.data(), b=st.sampled_from([PL, MI]))
+    @settings(max_examples=3, deadline=None)
+    def test_rows(self, d, h, data, b):
+        M = data.draw(perturbed_metrics(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = self._points(M, h, b)
+            rows = _rows(p)
+            for f in (lambda q: rescaled_symbol(q, M, b), lambda q: eval_p(q, M, b),
+                      lambda q: char_membership(q, M, b), natural_degeneracy,
+                      lambda q: np.stack(astuple(bdf_values(q)), axis=-1)):
+                _same(f(p), [f(q) for q in rows])
+            assert {char_membership(q, M, b) for q in rows} >= {CharClass.SIGMA, CharClass.OFF}
+            for chart in PHASE_CHARTS:
+                self._check_chart(p, rows, chart, M, b)
+
+    def _check_chart(self, p, rows, chart, M, b):
+        ok, ccs = [], []
+        for i, q in enumerate(rows):
+            try:
+                ccs.append(to_chart(q, chart))
+                ok.append(i)
+            except OutOfChart:
+                pass
+        if len(ok) < self.N:
+            with pytest.raises(OutOfChart, match=f"at {self.N - len(ok)} of {self.N} points"):
+                to_chart(p, chart)
+        if not ok:
+            return
+        cc = to_chart(_take(p, ok), chart)
+        _same(cc.coords, [c.coords for c in ccs])
+        _same(cc.chart.sign, [c.chart.sign for c in ccs])
+        for name in ("rho_df", "rho_bf", "rho_nf", "rho_pf"):
+            _same(getattr(cc.bdf, name), [getattr(c.bdf, name) for c in ccs])
+        for f in (lambda q: rescaled_symbol(q, M, b), lambda q: char_membership(q, M, b),
+                  lambda q: from_chart(q).z, lambda q: from_chart(q).zeta_nat,
+                  lambda q: from_chart(q).h):
+            _same(f(cc), [f(c) for c in ccs])
+        bdf_slot = {ChartTag.DF_PROJECTIVE: 1 + M.d, ChartTag.PF_STANDARD: -1,
+                    ChartTag.PF_NAT_PARABOLIC: -1}.get(chart.tag)
+        if bdf_slot is not None:
+            co = cc.coords.copy()
+            co[0, bdf_slot] = 0.0          # one row on a boundary face
+            with pytest.raises(OnBoundary, match=f"at 1 of {len(ok)} points"):
+                from_chart(ChartCoords(cc.chart, co, None))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0.0, 1e-3, 0.3])
+    @given(data=st.data(), b=st.sampled_from([PL, MI]))
+    @settings(max_examples=3, deadline=None)
+    def test_radial_rows(self, d, h, data, b):
+        M = data.draw(perturbed_metrics(d))
+        rng = np.random.default_rng(d)
+        xi = rng.normal(size=(self.N, d))
+        xi[0] = 0.0                              # the pole at h = 0
+        signs = rng.choice([-1, 1], size=self.N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rp = radial_point(xi, h, signs, b)
+            rows = [radial_point(x, h, Side.FUTURE if s > 0 else Side.PAST, b)
+                    for x, s in zip(xi, signs)]
+            for name in ("tau_nat", "xi_nat", "h", "direction", "zeta_nat"):
+                _same(getattr(rp, name), [getattr(r, name) for r in rows])
+            orders = (0.5, 1.0, -1.0, 2.0)
+            _same(weight_flow_rate(rp, orders, M, b),
+                  [weight_flow_rate(r, orders, M, b) for r in rows])
+
+    def test_one_point_functions_reject_a_batch(self, free_metric):
+        p = PhasePoint([0.0, 0.1], [[0.2], [0.3]], [0.5, 0.6], [[1.0], [1.2]], 0.3)
+        rp = radial_point([[1.0], [1.2]], 0.3, [1, -1], PL)
+        cc = ChartCoords(ChartId(ChartTag.PAR_FREQ_TAU), np.ones((2, 2)), None)
+        one_point = [
+            lambda: to_radial_chart(rp),
+            lambda: qdf_probe(rp, 0.05, 20, free_metric, PL),
+            lambda: radial_linearization(rp, free_metric, PL),
+            lambda: integrate_flow(p, "forward", free_metric, PL),
+            lambda: natural_start(np.zeros((2, 2)), np.ones((2, 2)), 0.3),
+            lambda: parabolic_start(np.zeros(2), [1.0, 2.0], [[1.0], [1.0]]),
+            lambda: char_start(free_metric, PL, np.zeros((2, 2)), [[1.0], [1.0]], 0.3),
+            lambda: to_chart(p, ChartId(ChartTag.PAR_FREQ_TAU)),
+            lambda: parabolic_chart([1.0, 2.0], [1.0]),
+            lambda: from_parabolic_chart(cc),
+            lambda: ParabolicRay(1.0, [[0.0], [1.0]], [1.0, 2.0]),
+        ]
+        for call in one_point:
+            with pytest.raises(InvalidInput):
+                call()
+
+    def test_experiments_evaluate_the_metric_once_per_branch(self, monkeypatch):
+        # one evaluation per kernel and branch: charset's symbol, radial's
+        # membership and field, alpha's rate (all its s from one); qdf's
+        # probe is one point per centre
+        calls = count_metric_evaluations(monkeypatch)
+        counts = {}
+        for name in ("charset", "radial", "alpha", "qdf"):
+            calls.clear()
+            getattr(ex, name)(np.random.default_rng(7))
+            counts[name] = len(calls)
+        assert counts == {"charset": 2, "radial": 4, "alpha": 2, "qdf": 20}
