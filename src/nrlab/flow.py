@@ -295,8 +295,8 @@ def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
 
 
 def natural_start(Y, zeta_nat, h) -> dict:
-    """Flow start in natural mode (any h >= 0, frequencies (tau_nat, xi_nat))."""
-    return {"mode": "natural", "Y": _as_vector(Y), "zeta": _as_vector(zeta_nat, h),
+    """Flow start in natural mode (finite h >= 0 and frequencies (tau_nat, xi_nat))."""
+    return {"mode": "natural", "Y": _as_vector(Y), "zeta": _as_vector(zeta_nat, h=h),
             "h": float(h)}
 
 
@@ -313,7 +313,7 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     quadratic in tau_nat, so the start satisfies |p| <= 1e-6 as the
     integration contract expects.
     """
-    Y, xi_nat = _as_vector(Y), _as_vector(xi_nat, h)
+    Y, xi_nat = _as_vector(Y), _as_vector(xi_nat, h=h)
     return natural_start(Y, np.concatenate(([_sheet_tau_nat(M, Y, xi_nat, h, b)], xi_nat)), h)
 
 

@@ -55,11 +55,12 @@ PF_PARABOLIC_MIN_TAU = 1.0  # PfNatParabolic needs |tau| >= 1
 PF_STANDARD_MAX_FREQ = 300.0
 
 
-def _as_vector(x, *scalars) -> np.ndarray:
-    """x as one point's flat vector, and ``scalars`` its scalars: InvalidInput for a batch."""
+def _as_vector(x, *scalars, h=0.0) -> np.ndarray:
+    """x as one point's flat vector; InvalidInput for a batch or where _batch's checks fail."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or any(np.ndim(s) for s in scalars):
+    if v.ndim != 1 or any(np.ndim(s) for s in (h, *scalars)):
         raise InvalidInput("expected one point (a flat coordinate vector), not a batch")
+    _batch(h, scalars, (v,))
     return v
 
 
@@ -187,11 +188,19 @@ class ChartCoords:
 
 
 def smooth_step(x):
-    """Smooth monotone 0 -> 1 transition on [0, 1] (exp(-1/x) type)."""
-    lo = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) + 0.0   # -0.0 -> 0.0
-    with np.errstate(divide="ignore"):   # exp(-1/0) = 0 at the ends
-        a, b = np.exp(-1.0 / lo), np.exp(-1.0 / (1.0 - lo))
-    return a / (a + b)
+    """Smooth monotone 0 -> 1 transition on [0, 1] (exp(-1/x) type), no exp off (0, 1)."""
+    x = np.asarray(x, dtype=float)
+    out = np.clip(x, 0.0, 1.0, out=np.empty(x.shape))
+    out += 0.0                                  # -0.0 -> 0.0; NaN stays NaN
+    ramp = (x > 0.0) & (x < 1.0)
+    a = x[ramp]                                 # a copy, so in place from here
+    b = 1.0 - a
+    with np.errstate(over="ignore"):    # exp(-1/x) = 0 at subnormal x
+        for v in (a, b):
+            np.exp(np.divide(-1.0, v, out=v), out=v)
+    b += a
+    out[ramp] = np.divide(a, b, out=a)
+    return out[()]
 
 
 def _cutoff(r):

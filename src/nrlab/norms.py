@@ -17,15 +17,16 @@ weight is not what keeps the ratio experiment stable in c: with l = 0 it
 passes the same gates.  The q_+/- orders are literal h^{-q} prefactors.
 
 The ratio experiment applies the Klein-Gordon operator P through
-``pde.ConjugatedOperator`` without a branch, built once per c.  A member's
-spectrum is taken once for P and both norms: on the free metric, 5 forward
-and 3 inverse ``quantize.transform`` calls, each in place.
+``pde.ConjugatedOperator`` without a branch, built once per c.  A member's spectrum is
+taken once for P and both norms, and not at all by a norm at m = l = 0 (unit multiplier):
+3 forward and 3 inverse in-place ``quantize.transform`` calls at the default orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -135,12 +136,13 @@ def _grid_bdfs(grid: BoxGrid, h: float):
 
 
 def _fourier_norm(buf: np.ndarray, mult, dvol: float) -> float:
-    """|| F^-1[mult F[buf]] ||_2 on the grid, by Parseval
-    sqrt(dvol / N) || mult F[buf] ||_2; the complex ``buf`` is transformed in place."""
-    spec = transform(buf)
-    spec *= mult
-    parts = spec.view(float).ravel()   # real and imaginary parts, no copy
-    return math.sqrt(dvol / spec.size * np.einsum("i,i->", parts, parts))
+    """|| F^-1[mult F[buf]] ||_2 on the grid: by Parseval sqrt(dvol / N) || mult F[buf] ||_2,
+    the complex ``buf`` transformed in place; mult None (unit) gives sqrt(dvol) ||buf||_2."""
+    if mult is not None:
+        buf, dvol = transform(buf), dvol / buf.size
+        buf *= mult
+    parts = buf.view(float).ravel()   # real and imaginary parts, no copy
+    return math.sqrt(dvol * np.einsum("i,i->", parts, parts))
 
 
 def sc_norm(u: GridField, m: float, s_weight=None) -> float:
@@ -153,7 +155,7 @@ def natural_norm(u: GridField, m: float, s_weight, ell: float, h: float) -> floa
     """Natural-scale norm h^{-l} || (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} (<z>^s u) ||_2."""
     g = u.grid
     return h**-ell * _fourier_norm(_weight_field(g, s_weight) * u.values,
-                                   _grid_bdfs(g, h)[0] ** -m, g.dvol)
+                                   _grid_bdfs(g, h)[0] ** -m if m else None, g.dvol)
 
 
 def _split_multiplier(grid: BoxGrid, h: float, chi_profile=None) -> np.ndarray:
@@ -208,12 +210,12 @@ def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=
     """The two-sheet norm at scale h for each order tuple and its weight
     <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier,
     rho_df and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
-    in place: the split's inverse and a Parseval forward per envelope."""
+    in place: the split's inverse and a Parseval forward per envelope (none at m = l = 0)."""
     q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
     rho_df, rho_nf, _ = _grid_bdfs(grid, h)
 
     def norm_for(orders, weight):
-        mult = rho_df ** -orders.m * rho_nf ** -orders.ell
+        mult = None if orders.m == orders.ell == 0 else rho_df**-orders.m * rho_nf**-orders.ell
         return lambda values, spec: sum(
             h**-q * _fourier_norm(np.multiply(env, weight, out=env), mult, grid.dvol)
             for q, env in zip((orders.q_plus, orders.q_minus),
@@ -250,19 +252,17 @@ def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0):
     {"plain", "plus", "minus"}.
     """
     rng = np.random.default_rng(seed)
-    t, *xs = _open_mesh(grid)   # open: a member is the only full-grid array
+    mesh = _open_mesh(grid)
     members = []
     for j in range(n_base):
         t0 = rng.uniform(-0.4, 0.4)
-        x0 = [rng.uniform(-1.0, 1.0) for _ in xs]
-        v = [rng.uniform(-2.0, 2.0) for _ in xs]
+        x0 = [rng.uniform(-1.0, 1.0) for _ in mesh[1:]]
+        v = [rng.uniform(-2.0, 2.0) for _ in mesh[1:]]
         mu = rng.uniform(-1.0, 1.0)
-        phase = mu * t
-        r2 = ((t - t0) / 0.35) ** 2
-        for x, x0_i, v_i in zip(xs, x0, v):
-            phase = phase + v_i * x
-            r2 = r2 + ((x - x0_i) / 1.5) ** 2
-        base = np.exp(-r2) * np.exp(1j * phase)
+        # separable: one factor per axis on the open mesh, one full-grid product
+        factors = zip(mesh, [t0, *x0], [0.35] + [1.5] * len(v), [mu, *v])
+        base = reduce(np.multiply, [np.exp(-((z - c) / w) ** 2 + 1j * k * z)
+                                    for z, c, w, k in factors])
         members += [(f"g{j}_{kind}", kind, base) for kind in ("plain", "plus", "minus")]
     return members
 
@@ -302,7 +302,8 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     members = gaussian_family(grid, n_base=n_base, seed=seed)
     t = _open_mesh(grid)[0]
     both = (orders, orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0))   # numerator, denominator
-    weights = [_weight_field(grid, o) for o in both]
+    weight = _weight_field(grid, orders)
+    weights = (weight, weight * _weight_field(grid, 1.0))   # s_bar + 1: one more <z>
 
     def rows_at(c):
         # a generator: the arrays of one c are freed before the next c's are built

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import count_transforms
 from nrlab.errors import DegenerateFamily, InvalidInput
@@ -14,6 +15,7 @@ from nrlab.pde import ConjugatedOperator
 from nrlab.symbols import MetricParams
 from nrlab.norms import (
     OrderProfile,
+    _fourier_norm,
     calctwo_norm,
     default_chi,
     gaussian_family,
@@ -49,6 +51,40 @@ def test_smooth_step_piecewise():
     got = smooth_step(np.array(x))
     assert all(abs(g - step(v)) <= 1e-15 for g, v in zip(got, x))
     assert got[2] == got[3] == 0.0 and got[-2] == 1.0
+
+
+def _smooth_step_everywhere(x):
+    """smooth_step's closed form with both exps taken at every point."""
+    lo = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) + 0.0   # -0.0 -> 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        a, b = np.exp(-1.0 / lo), np.exp(-1.0 / (1.0 - lo))
+    return a / (a + b)
+
+
+_STEP_POINTS = st.one_of(st.floats(-0.5, 1.5), st.floats(),
+                         st.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-16, 1e-300, math.inf,
+                                          -math.inf, math.nan]))
+
+
+@given(x=st.one_of(_STEP_POINTS, hnp.arrays(float, hnp.array_shapes(min_dims=0, min_side=0,
+                                                                       max_side=6),
+                                             elements=_STEP_POINTS)))
+@settings(max_examples=300, deadline=None)
+def test_smooth_step_is_the_closed_form_bit_for_bit(x):
+    # the exps are skipped where the value is exactly 0 or 1, nowhere else
+    got, want = smooth_step(x), _smooth_step_everywhere(x)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(np.where(nan, 0.0, got).view(np.int64),
+                          np.where(nan, 0.0, want).view(np.int64))
+
+
+def test_unit_multiplier_takes_no_transform(stg, bump):
+    # sqrt(dvol) ||buf||_2 is the transform path's value with a ones multiplier
+    buf = bump * np.exp(1j * 3.0 * stg.mesh()[1])
+    want = _fourier_norm(buf.copy(), np.ones(buf.shape), stg.dvol)
+    assert _fourier_norm(buf, None, stg.dvol) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestScNorm:
@@ -349,15 +385,24 @@ class TestInPlaceSafety:
 class TestRatioPipeline:
     grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (256, 32))
 
-    def test_free_member_costs_eight_transforms(self, monkeypatch):
+    def _transforms_per_member(self, monkeypatch, order):
         calls = count_transforms(monkeypatch)
-        tab = uniform_ratio_experiment([4.0], fwd_profile(m=1.0, ell=1.0), grid=self.grid,
+        tab = uniform_ratio_experiment([4.0], fwd_profile(m=order, ell=order), grid=self.grid,
                                        n_base=1)
-        # one forward transform of u; P's inverse; per norm the split's inverse
-        # and two Parseval forwards (F[Pu] is P's multiplier times F[u])
         assert len(tab.rows) == 3
-        assert Counter("inverse" if inv else "forward" for _, inv in calls) == Counter(
-            forward=5 * 3, inverse=3 * 3)
+        count = Counter("inverse" if inv else "forward" for _, inv in calls)
+        return {kind: n / 3 for kind, n in count.items()}
+
+    def test_free_member_costs_six_transforms(self, monkeypatch):
+        # one forward transform of u; P's inverse; per norm the split's inverse;
+        # the numerator's two Parseval forwards (F[Pu] is P's multiplier times
+        # F[u]) and none for the denominator, whose m - 1 = l - 1 = 0 give the
+        # unit multiplier
+        assert self._transforms_per_member(monkeypatch, 1.0) == {"forward": 3, "inverse": 3}
+
+    def test_non_unit_denominator_costs_eight_transforms(self, monkeypatch):
+        # at m = l = 2 the denominator's multiplier is not 1: two more forwards
+        assert self._transforms_per_member(monkeypatch, 2.0) == {"forward": 5, "inverse": 3}
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "wavy"])
     def test_rows_match_public_reference(self, perturbed, wavy_metric):

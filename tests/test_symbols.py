@@ -474,6 +474,31 @@ class TestNonFinitePoints:
         with pytest.raises(InvalidInput):
             radial_point([math.nan], 0.5, Side.FUTURE, PL)
 
+    @pytest.mark.parametrize("call", [
+        lambda M: natural_start([0.1, 0.2], [math.nan, 1.0], 0.3),
+        lambda M: natural_start([0.1, 0.2], [0.5, 1.0], math.inf),
+        lambda M: natural_start([0.1, math.nan], [0.5, 1.0], 0.3),
+        lambda M: char_start(M, PL, [0.1, 0.2], [1.0], -0.3),
+        lambda M: char_start(M, PL, [0.1, 0.2], [math.inf], 0.3),
+        lambda M: parabolic_start([0.1, 0.2], math.nan, [1.0]),
+        lambda M: parabolic_chart(math.nan, [1.0]),
+        lambda M: parabolic_chart(math.inf, [1.0]),
+        lambda M: parabolic_chart(4.0, [-math.inf]),
+        lambda M: from_parabolic_chart(
+            ChartCoords(ChartId(ChartTag.PAR_FREQ_TAU), [math.nan, 1.0], None)),
+        lambda M: from_parabolic_chart(
+            ChartCoords(ChartId(ChartTag.PAR_FREQ_XI, k=1), [0.5, math.inf], None)),
+        lambda M: ParabolicRay(1.0, [0.0], [1.0, math.nan]),
+    ], ids=["start_nan_zeta", "start_inf_h", "start_nan_Y", "char_start_negative_h",
+            "char_start_inf_xi", "parabolic_start_nan_tau", "chart_nan_tau",
+            "chart_inf_tau", "chart_inf_xi", "from_chart_nan", "from_chart_inf", "ray_nan_s"])
+    def test_one_point_functions(self, free_metric, call):
+        # flow starts and the frequency charts check what PhasePoint checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                call(free_metric)
+
 
 def _rows(p):
     """The points of a PhasePoint batch of shape (N,), one by one."""
