@@ -79,25 +79,6 @@ def metric_from_json(mjson) -> sym.MetricParams:
         B=_each(_coeff_from_json, m["B"], "metric.B"), W=_coeff_from_json(m["W"], "metric.W"))
 
 
-def _profile_to_json(p: sym.ClassicalSymbolProfile) -> dict:
-    return {"amplitude": p.amplitude, "order": p.order, "constant": p.constant,
-            "waves": [{"kappa": list(k), "cos": c, "sin": s} for k, c, s in p.waves]}
-
-
-def _coeff_to_json(c: sym.OperatorCoefficient) -> dict:
-    return {"re": _profile_to_json(c.real), "im": _profile_to_json(c.imag),
-            "im_c_decay": c.imag_c_decay}
-
-
-def metric_to_json(M: sym.MetricParams) -> dict:
-    """Serialize MetricParams to the JSON form that metric_from_json reads."""
-    return {"d": M.d, "alpha": _profile_to_json(M.alpha),
-            "w": [_profile_to_json(p) for p in M.w],
-            "hjk": [[_profile_to_json(p) for p in row] for row in M.hjk],
-            "beta": _coeff_to_json(M.beta), "B": [_coeff_to_json(c) for c in M.B],
-            "W": _coeff_to_json(M.W)}
-
-
 def load_config(path) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())

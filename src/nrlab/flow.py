@@ -37,7 +37,6 @@ from .geometry import (
     ChartTag,
     PhasePoint,
     _as_vector,
-    _cat,
     split_coords,
 )
 from .symbols import (
@@ -56,7 +55,6 @@ __all__ = [
     "Termination",
     "Trajectory",
     "QdfReport",
-    "ham_field",
     "to_radial_chart",
     "integrate_flow",
     "integrate_flows",
@@ -134,7 +132,7 @@ def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
 
 
 # ---------------------------------------------------------------------------
-# chart-wise field (ham_field)
+# radial-set chart and its field
 # ---------------------------------------------------------------------------
 
 
@@ -206,30 +204,6 @@ def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndar
     return np.concatenate((sdot, wdot, -sigma * rho * Vj, zdot, np.zeros_like(rho)), axis=-1)
 
 
-def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
-    """Rescaled Hamiltonian field in chart-local coordinates: its component
-    array, in the order of the chart's coordinates, over the batch axes.
-
-    Supported charts: NAT_INTERIOR ((t, x, tau_nat, xi_nat, h) components,
-    rescale (1/2) <z> h H_p), RADIAL_NAT ((s, w, rho_bf, tau_nat, xi_nat, h),
-    rescale (1/2) |x_j0| h H_p), and PF_STANDARD at h = 0 ((t, x, tau, xi, h),
-    rescale with the parabolic natural-face bdf).
-    """
-    tag = cc.chart.tag
-    if tag is ChartTag.RADIAL_NAT:
-        return _radial_field(cc.coords, cc.chart, M, b)
-    z, tau, xi, h = split_coords(cc.coords)
-    bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1, keepdims=True))
-    zeta = _cat(tau, xi)
-    if tag is ChartTag.NAT_INTERIOR:
-        V, drift = _natural_field(M, ball_from_base(z), zeta, h, b.sign)
-    elif tag is ChartTag.PF_STANDARD and not np.any(h):     # the pf field is the h = 0 limit
-        V, drift = _free_velocity(zeta, 0.0, b.sign, parabolic=True), np.zeros_like(z)
-    else:
-        raise ChartUnavailable(f"ham_field has no field in chart {tag} (PF_STANDARD: at h = 0)")
-    return np.concatenate((bracket * V, drift, np.zeros_like(bracket)), axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -271,19 +245,6 @@ def _natural_flow(M, y, h, bsign, sign) -> np.ndarray:
     V, drift = _natural_field(M, Y, y[..., n:], h, bsign)
     Ydot = V - Y * np.sum(Y * V, axis=-1, keepdims=True)
     return np.asarray(sign)[..., None] * np.concatenate((Ydot, drift), axis=-1)
-
-
-def _state_rhs(mode, M, b, h, sign):
-    """The field of one flow as a scalar rhs(lam, y)."""
-
-    def rhs(lam, y):
-        if mode == "natural":
-            return _natural_flow(M, y, h, b.sign, sign)
-        n = y.size // 2
-        V = _free_velocity(y[n:], 0.0, b.sign, parabolic=True)
-        return sign * np.concatenate((V - y[:n] * float(y[:n] @ V), np.zeros(n)))
-
-    return rhs
 
 
 def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
@@ -621,37 +582,12 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported when called: scipy serves only the
-    test oracle below, so importing nrlab does not load it."""
+    """scipy.integrate.solve_ivp, imported when called.  No package code calls
+    it: the tests' scipy oracle lives in tests/, and perfbench's tracer wraps
+    this name, so it stays until the benchmark stops reading it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-def _reference_flow(start, direction, M: MetricParams, b: SignBranch,
-                    budget: float = 50.0, rtol: float = 1.0e-9, delta: float = 1.0e-3):
-    """One flow by scipy's solve_ivp over the scalar field and no closed
-    form: the tests' oracle for integrate_flows.  Returns (termination, end
-    time, rhs evaluations)."""
-    st = _as_start(start, b)
-    rhs = _state_rhs(st["mode"], M, b, st["h"], 1.0 if direction == "forward" else -1.0)
-    y0 = np.concatenate((st["Y"], st["zeta"]))
-
-    def values(y):
-        return _event_values(y, st["h"], b.sign, st["mode"] == "parabolic", delta)
-
-    events = [lambda lam, y, e=e: values(y)[e] for e in range(3)]
-    for e, event in enumerate(events):
-        event.terminal, event.direction = True, (-1.0 if e < 2 else 0.0)
-    g = values(y0)
-    if np.linalg.norm(rhs(0.0, y0)) <= FIXED_POINT_NORM:
-        return _TERMS[0 if g[0] <= g[1] else 1], 0.0, 1
-    sol = solve_ivp(rhs, (0.0, budget), y0, rtol=rtol, atol=ATOL, events=events)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    code = next(e for e in range(3) if len(sol.t_events[e])) if sol.status == 1 \
-        else int(_end_code(values(sol.y[:, -1])))
-    return _TERMS[code], float(sol.t[-1]), sol.nfev
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "ChartId",
     "ChartCoords",
     "smooth_step",
-    "chi_cutoff",
     "bdf_values",
     "frequency_bdfs",
     "split_coords",
@@ -41,7 +40,6 @@ __all__ = [
     "to_chart",
     "from_chart",
     "parabolic_chart",
-    "from_parabolic_chart",
     "ParabolicRay",
     "b_order_fit",
 ]
@@ -161,7 +159,9 @@ class ChartId:
 
     ``k`` selects the dominant frequency axis for PAR_FREQ_XI (1-based, as in
     xi_1 .. xi_d) and the dominant spatial axis for RADIAL_NAT.  ``sign`` is
-    the sign of the dominant quantity (tau, xi_k, or x_k), per point in a batch.
+    the sign of the dominant quantity (tau, xi_k, or x_k) at one point; a
+    batch's per-point signs are ChartCoords.sign, so a ChartId compares and
+    hashes as one chart.
     """
 
     tag: ChartTag
@@ -171,20 +171,25 @@ class ChartId:
     def __post_init__(self):
         if self.tag in (ChartTag.PAR_FREQ_XI, ChartTag.RADIAL_NAT) and self.k is None:
             raise InvalidInput(f"{self.tag} requires an axis index k")
-        if not (np.abs(self.sign) == 1).all():
-            raise InvalidInput("sign must be -1 or +1")
+        if np.ndim(self.sign) or self.sign not in (-1, 1):
+            raise InvalidInput("sign must be -1 or +1 (a batch's signs are ChartCoords.sign)")
 
 
 @dataclass(frozen=True)
 class ChartCoords:
-    """Chart-local coordinates (..., n) together with the local bdf values."""
+    """Chart-local coordinates (..., n) together with the local bdf values, and
+    the sign of the chart's dominant quantity over the batch axes (chart.sign
+    at every point when not given)."""
 
     chart: ChartId
     coords: np.ndarray
     bdf: BdfValues
+    sign: np.ndarray | int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
+        if self.sign is None:
+            object.__setattr__(self, "sign", self.chart.sign)
 
 
 def smooth_step(x):
@@ -204,14 +209,9 @@ def smooth_step(x):
 
 
 def _cutoff(r):
-    """chi_cutoff as a function of r = |zeta_nat|."""
+    """The smooth cutoff chi of frequency_bdfs at r = |zeta_nat|: 1 on r <= 1,
+    0 on r >= 2."""
     return 1.0 - smooth_step(r - 1.0)
-
-
-def chi_cutoff(zeta_nat):
-    """Smooth cutoff in natural frequencies zeta_nat of shape (..., 1+d):
-    1 on |zeta_nat| <= 1, 0 on |zeta_nat| >= 2."""
-    return _cutoff(np.linalg.norm(np.asarray(zeta_nat, dtype=float), axis=-1))
 
 
 def frequency_bdfs(tau_nat, xi_nat, h):
@@ -283,7 +283,7 @@ def chart_frame(p):
     """
     if isinstance(p, PhasePoint):
         return p.z, p.h, p.zeta_nat, p.tau_nat, p.zeta_nat
-    tag, sign = p.chart.tag, p.chart.sign
+    tag, sign = p.chart.tag, p.sign
     z, a, v, e = split_coords(p.coords)
     if tag is ChartTag.NAT_INTERIOR:            # (a, v, e) = (tau_nat, xi_nat, h)
         zeta = _cat(a, v)
@@ -298,8 +298,7 @@ def chart_frame(p):
     if tag is ChartTag.PF_NAT_PARABOLIC:        # (a, v, e) = (rho_nf, xi_hat, rho_pf)
         zeta_hat = _cat(sign * e, v)
         return z, a * e, zeta_hat, sign, e[..., None] * zeta_hat
-    raise ChartUnavailable(f"no chart frame in chart {tag}; frequency-space charts "
-                           "invert with from_parabolic_chart")
+    raise ChartUnavailable(f"no chart frame in chart {tag}")
 
 
 def _require(ok, what: str):
@@ -309,8 +308,8 @@ def _require(ok, what: str):
 
 
 def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
-    """Express interior points in chart-local coordinates (the chart's sign,
-    where it has one, per point).
+    """Express interior points in chart-local coordinates; where the chart has
+    a sign, ChartCoords.sign holds it per point.
 
     Raises OutOfChart when any point is outside the chart's validity region.
     """
@@ -347,7 +346,7 @@ def to_chart(p: PhasePoint, c: ChartId) -> ChartCoords:
     bdf = BdfValues(local[0], 1.0 / np.hypot.reduce(z, axis=-1, initial=1.0), *local[1:])
     sign = np.where(np.asarray(sign) >= 0, 1, -1)[()]     # of tau_nat or tau, where it counts
     coords = np.concatenate((z, np.asarray(a)[..., None], v, np.asarray(e)[..., None]), axis=-1)
-    return ChartCoords(ChartId(c.tag, sign=sign), coords, bdf)
+    return ChartCoords(ChartId(c.tag, sign=sign if np.ndim(sign) == 0 else 1), coords, bdf, sign)
 
 
 def from_chart(cc: ChartCoords) -> PhasePoint:
@@ -413,29 +412,6 @@ def parabolic_chart(tau: float, xi, prefer: ChartId | None = None) -> ChartCoord
         return ChartCoords(ChartId(ChartTag.PAR_FREQ_XI, k=k, sign=sign), coords, bdf)
 
     raise ChartUnavailable(f"parabolic_chart does not handle {prefer.tag}")
-
-
-def from_parabolic_chart(cc: ChartCoords) -> tuple[float, np.ndarray]:
-    """Invert a frequency-space chart back to (tau, xi)."""
-    co = _as_vector(cc.coords)
-    if cc.chart.tag is ChartTag.PAR_FREQ_TAU:
-        rho = co[0]
-        if rho <= 0.0:
-            raise OnBoundary("rho = 0: point at frequency infinity")
-        tau = cc.chart.sign / rho**2
-        return tau, co[1:] / rho
-    if cc.chart.tag is ChartTag.PAR_FREQ_XI:
-        rho, tau_hat, others = co[0], co[1], co[2:]
-        if rho <= 0.0:
-            raise OnBoundary("rho = 0: point at frequency infinity")
-        k = cc.chart.k
-        xik = cc.chart.sign / rho
-        xi = np.empty(others.size + 1)
-        xi[k - 1] = xik
-        idx = [j for j in range(xi.size) if j != k - 1]
-        xi[idx] = others * xik
-        return tau_hat * xik**2, xi
-    raise ChartUnavailable(f"from_parabolic_chart does not handle {cc.chart.tag}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateFamily, InvalidInput, SpectrumOverflow
 from .geometry import frequency_bdfs, smooth_step
-from .pde import ConjugatedOperator
+from .pde import ConjugatedOperator, _check_scale
 from .quantize import BoxGrid, GridField, transform
 from .symbols import MetricParams
 
@@ -53,11 +53,6 @@ __all__ = [
 def default_chi(s):
     """Energy-splitting profile: 0 for s <= -1/2, 1 for s >= 1/2, smooth."""
     return smooth_step((np.asarray(s, float) + 0.5))
-
-
-def steep_chi(s):
-    """Admissible alternative profile with transition on [-1/4, 1/4]."""
-    return smooth_step(2.0 * (np.asarray(s, float) + 0.25))
 
 
 @dataclass(frozen=True)
@@ -96,16 +91,6 @@ class OrderProfile:
         return OrderProfile(self.m + dm, self.ell + dl, self.q_minus,
                             self.q_plus, self.s_past + ds, self.s_future + ds,
                             check_threshold=False)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "ell": self.ell, "q_minus": self.q_minus,
-                "q_plus": self.q_plus, "s_knots": [self.s_past, self.s_future]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OrderProfile":
-        past, future = data["s_knots"]
-        return cls(m=data["m"], ell=data["ell"], q_minus=data["q_minus"],
-                   q_plus=data["q_plus"], s_past=past, s_future=future)
 
 
 def _open_mesh(grid: BoxGrid, freqs: bool = False) -> list:
@@ -153,6 +138,7 @@ def sc_norm(u: GridField, m: float, s_weight=None) -> float:
 
 def natural_norm(u: GridField, m: float, s_weight, ell: float, h: float) -> float:
     """Natural-scale norm h^{-l} || (1 + h^2|xi|^2 + h^4 tau^2)^{m/2} (<z>^s u) ||_2."""
+    _check_scale(h, "h")
     g = u.grid
     return h**-ell * _fourier_norm(_weight_field(g, s_weight) * u.values,
                                    _grid_bdfs(g, h)[0] ** -m if m else None, g.dvol)
@@ -200,6 +186,7 @@ def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
     xi_nat = h xi on the DFT frequencies; Q_- = 1 - Q_+.  The envelopes are
     u_plus = e^{-ic^2 t} Q_+ u and u_minus = e^{+ic^2 t} Q_- u.
     """
+    _check_scale(h, "h")
     g = u.grid
     plus, minus = _split(u.values, transform(u.values.copy()),
                          _split_multiplier(g, h, chi_profile), _carrier(g, h))
@@ -211,6 +198,7 @@ def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=
     <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier,
     rho_df and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
     in place: the split's inverse and a Parseval forward per envelope (none at m = l = 0)."""
+    _check_scale(h, "h")
     q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
     rho_df, rho_nf, _ = _grid_bdfs(grid, h)
 

@@ -37,7 +37,6 @@ __all__ = [
     "SchrCoefficients",
     "kg_free_solve",
     "kg_branch_data",
-    "kg_energy",
     "envelope",
     "schrodinger_solve",
     "kg_envelope_solve",
@@ -50,6 +49,13 @@ __all__ = [
     "scattering_profile",
     "scattering_mass_identity",
 ]
+
+
+def _check_scale(x, name: str = "c"):
+    """InvalidInput unless x, a light speed c or its inverse h = 1/c, and 1/x
+    are both finite and > 0."""
+    if not (0.0 < x < math.inf and 1.0 / x < math.inf):
+        raise InvalidInput(f"{name} = {x}: {name} and 1/{name} must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +74,7 @@ class KGState:
     c: float
 
     def __post_init__(self):
+        _check_scale(self.c)
         self.u = np.asarray(self.u, dtype=complex)
         self.ut = np.asarray(self.ut, dtype=complex)
 
@@ -111,22 +118,12 @@ def kg_branch_data(grid: BoxGrid, psi: np.ndarray, c: float,
     MINUS picks the e^{-i omega t} modes (u_t = -i omega u per mode), PLUS
     the e^{+i omega t} modes.
     """
+    _check_scale(c)
     omega = c * np.sqrt(c * c + _xi2(grid))
     psi_hat = transform(np.array(psi, dtype=complex))
     sgn = -1.0 if branch is SignBranch.MINUS else +1.0
     ut = transform(sgn * 1j * omega * psi_hat, inverse=True)
     return KGState(grid, np.asarray(psi, dtype=complex), ut, t, c)
-
-
-def kg_energy(state: KGState) -> float:
-    """Conserved free energy: int c^-2 |u_t|^2 + |grad u|^2 + c^2 |u|^2 dx."""
-    grid, c = state.grid, state.c
-    xi2 = _xi2(grid)
-    u_hat = transform(state.u.copy())
-    ut_hat = transform(state.ut.copy())
-    w = grid.dvol / state.u.size
-    return float(np.sum((np.abs(ut_hat) ** 2 / c**2
-                         + (xi2 + c * c) * np.abs(u_hat) ** 2)) * w)
 
 
 def envelope(state: KGState, branch: SignBranch) -> np.ndarray:
@@ -398,6 +395,7 @@ class ConjugatedOperator:
 
     def __init__(self, M: MetricParams, c: float, grid: BoxGrid,
                  branch: SignBranch | None):
+        _check_scale(c)
         if grid.ndim != M.d + 1:
             raise GridMismatch("operator grid must be a spacetime grid")
         n = grid.ndim
@@ -454,6 +452,7 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     are spectral; dt: default 0.5/c^2, finite and > 0, else InvalidInput.  v_t
     starts on the exact branch: v_t^ = is(omega - c^2) v^, less aleph v/(2is).
     """
+    _check_scale(c)
     dt = 0.5 / c**2 if dt is None else dt
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInput(f"time step dt={dt} must be finite and > 0")

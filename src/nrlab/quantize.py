@@ -302,11 +302,6 @@ class GridSymbol:
                     * _monomial(qm, aq, np.ones(self.zetagrid.shape))[(None,) * Dz + (Ellipsis,)])
         return out
 
-    def poly_eval(self, z, zeta) -> complex:
-        z, zeta = np.atleast_1d(z), np.atleast_1d(zeta)
-        return sum((_monomial(zeta, aq, _monomial(z, az, cf))
-                    for (az, aq), cf in self.poly.items()), 0.0 + 0.0j)
-
     # -- derivatives ---------------------------------------------------------
 
     def _poly_derivative(self, kind: str, axis: int) -> dict:
@@ -374,21 +369,6 @@ class GridSymbol:
 
     def __sub__(self, other: "GridSymbol") -> "GridSymbol":
         return self + (other * (-1.0))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def fitted_zeta_order(self) -> float:
-        """Fitted growth exponent of sup_z |a| against <zeta> (outer shells)."""
-        qm = self.zetagrid.mesh()
-        r = np.sqrt(sum(m * m for m in qm) + 1.0)
-        zax = tuple(range(self.zgrid.ndim))
-        sup = np.max(np.abs(self.values), axis=zax)
-        rf, sf = r.ravel(), sup.ravel()
-        keep = (rf > np.median(rf)) & (sf > 0)
-        if keep.sum() < 8:
-            return 0.0
-        return float(np.polyfit(np.log(rf[keep]), np.log(sf[keep]), 1)[0])
 
 
 # ---------------------------------------------------------------------------

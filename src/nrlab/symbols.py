@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidInput
-from .geometry import ChartCoords, PhasePoint, _batch, _cat, chart_frame
+from .geometry import PhasePoint, _batch, _cat, chart_frame
 
 __all__ = [
     "ClassicalSymbolProfile",
@@ -39,7 +39,6 @@ __all__ = [
     "eval_metric",
     "aleph",
     "natural_symbol_value",
-    "eval_p",
     "rescaled_symbol",
     "char_membership",
     "radial_point",
@@ -126,22 +125,6 @@ class ClassicalSymbolProfile:
         y = z / bracket[..., None]
         val = self.amplitude * bracket**self.order * self._angular(y)[0]
         return val if val.ndim else float(val)
-
-    def grad(self, z) -> np.ndarray:
-        """Analytic spacetime gradient, shape (..., 1+d)."""
-        z = np.asarray(z, dtype=float)
-        if self.amplitude == 0.0:
-            return np.zeros_like(z)
-        n2 = np.sum(z * z, axis=-1)
-        bracket = np.sqrt(1.0 + n2)
-        y = z / bracket[..., None]
-        # d y_j / d z_i = (delta_ij - y_i y_j) / <z>
-        g, proj = self._angular(y, grad=True)
-        radial = self.order * bracket ** (self.order - 2.0)
-        return self.amplitude * (
-            radial[..., None] * z * g[..., None]
-            + (bracket ** (self.order - 1.0))[..., None] * proj
-        )
 
     # -- compactified-base (ball) forms: Y = z/<z>, rho_bf = sqrt(1-|Y|^2) --
 
@@ -337,19 +320,6 @@ def natural_symbol_value(M: MetricParams, z, zeta_nat, h: float, b: SignBranch) 
     """Natural-scale symbol h^2 p = -G(zeta_nat, zeta_nat) +/- 2 tau_nat."""
     z, zeta_nat = np.atleast_1d(z), np.atleast_1d(zeta_nat)
     return rescaled_symbol(PhasePoint(z[0], z[1:], zeta_nat[0], zeta_nat[1:], h), M, b)
-
-
-def eval_p(p, M: MetricParams, b: SignBranch):
-    """Principal symbol of the conjugated operator, per point of a batch.
-
-    For interior PhasePoints (h > 0): the unrescaled
-    p = -g^{-1}(zeta, zeta) +/- 2 tau.  For ChartCoords (or h = 0 points):
-    the chart-rescaled symbol; see rescaled_symbol.
-    """
-    value = rescaled_symbol(p, M, b)
-    h = 1.0 if isinstance(p, ChartCoords) else np.where(p.h > 0.0, p.h, 1.0)
-    with np.errstate(over="ignore"):   # divide twice: h^2 underflows to 0 below h ~ 1e-162
-        return value / h / h
 
 
 def rescaled_symbol(cc, M: MetricParams, b: SignBranch):

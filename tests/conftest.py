@@ -5,10 +5,15 @@ import pytest
 from hypothesis import strategies as st
 
 from nrlab import quantize
+from nrlab.errors import ChartUnavailable, OnBoundary
+from nrlab.flow import _natural_field, _radial_field
+from nrlab.geometry import ChartCoords, ChartTag, _as_vector, _cat, split_coords
 from nrlab.symbols import (
     ClassicalSymbolProfile,
     MetricParams,
     OperatorCoefficient,
+    SignBranch,
+    _free_velocity,
     ball_from_base,
     eval_metric,
 )
@@ -93,3 +98,68 @@ def count_metric_evaluations(monkeypatch):
 
     _rebind(monkeypatch, "eval_metric", real, counted)
     return calls
+
+
+def profile_grad(prof: ClassicalSymbolProfile, z) -> np.ndarray:
+    """Analytic spacetime gradient of a classical profile, shape (..., 1+d),
+    derived by hand from f(z) = A <z>^r g(z/<z>)."""
+    z = np.asarray(z, dtype=float)
+    if prof.amplitude == 0.0:
+        return np.zeros_like(z)
+    n2 = np.sum(z * z, axis=-1)
+    bracket = np.sqrt(1.0 + n2)
+    y = z / bracket[..., None]
+    # d y_j / d z_i = (delta_ij - y_i y_j) / <z>
+    g, proj = prof._angular(y, grad=True)
+    radial = prof.order * bracket ** (prof.order - 2.0)
+    return prof.amplitude * (
+        radial[..., None] * z * g[..., None]
+        + (bracket ** (prof.order - 1.0))[..., None] * proj
+    )
+
+
+def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
+    """Rescaled Hamiltonian field in chart-local coordinates: its component
+    array, in the order of the chart's coordinates, over the batch axes.
+
+    Supported charts: NAT_INTERIOR ((t, x, tau_nat, xi_nat, h) components,
+    rescale (1/2) <z> h H_p), RADIAL_NAT ((s, w, rho_bf, tau_nat, xi_nat, h),
+    rescale (1/2) |x_j0| h H_p), and PF_STANDARD at h = 0 ((t, x, tau, xi, h),
+    rescale with the parabolic natural-face bdf).
+    """
+    tag = cc.chart.tag
+    if tag is ChartTag.RADIAL_NAT:
+        return _radial_field(cc.coords, cc.chart, M, b)
+    z, tau, xi, h = split_coords(cc.coords)
+    bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1, keepdims=True))
+    zeta = _cat(tau, xi)
+    if tag is ChartTag.NAT_INTERIOR:
+        V, drift = _natural_field(M, ball_from_base(z), zeta, h, b.sign)
+    elif tag is ChartTag.PF_STANDARD and not np.any(h):     # the pf field is the h = 0 limit
+        V, drift = _free_velocity(zeta, 0.0, b.sign, parabolic=True), np.zeros_like(z)
+    else:
+        raise ChartUnavailable(f"ham_field has no field in chart {tag} (PF_STANDARD: at h = 0)")
+    return np.concatenate((bracket * V, drift, np.zeros_like(bracket)), axis=-1)
+
+
+def from_parabolic_chart(cc: ChartCoords) -> tuple[float, np.ndarray]:
+    """Invert a frequency-space chart of geometry.parabolic_chart back to (tau, xi)."""
+    co = _as_vector(cc.coords)
+    if cc.chart.tag is ChartTag.PAR_FREQ_TAU:
+        rho = co[0]
+        if rho <= 0.0:
+            raise OnBoundary("rho = 0: point at frequency infinity")
+        tau = cc.chart.sign / rho**2
+        return tau, co[1:] / rho
+    if cc.chart.tag is ChartTag.PAR_FREQ_XI:
+        rho, tau_hat, others = co[0], co[1], co[2:]
+        if rho <= 0.0:
+            raise OnBoundary("rho = 0: point at frequency infinity")
+        k = cc.chart.k
+        xik = cc.chart.sign / rho
+        xi = np.empty(others.size + 1)
+        xi[k - 1] = xik
+        idx = [j for j in range(xi.size) if j != k - 1]
+        xi[idx] = others * xik
+        return tau_hat * xik**2, xi
+    raise ChartUnavailable(f"from_parabolic_chart does not handle {cc.chart.tag}")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed_metrics
+from conftest import ham_field, perturbed_metrics
 from nrlab import experiments as ex
 from nrlab import flow
-from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput
+from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -30,13 +30,11 @@ from nrlab.flow import (
     _first_events,
     _radial_chart_ball,
     _radial_field,
-    _reference_flow,
     _sheet_points,
     _sheet_tau,
     _sheet_tau_nat,
     Termination,
     char_start,
-    ham_field,
     integrate_flow,
     integrate_flows,
     natural_degeneracy,
@@ -50,6 +48,47 @@ from nrlab.flow import (
 from test_acceptance import pert_metric
 
 PL, MI = SignBranch.PLUS, SignBranch.MINUS
+
+
+def _state_rhs(mode, M, b, h, sign):
+    """The field of one flow as a scalar rhs(lam, y)."""
+
+    def rhs(lam, y):
+        if mode == "natural":
+            return flow._natural_flow(M, y, h, b.sign, sign)
+        n = y.size // 2
+        V = flow._free_velocity(y[n:], 0.0, b.sign, parabolic=True)
+        return sign * np.concatenate((V - y[:n] * float(y[:n] @ V), np.zeros(n)))
+
+    return rhs
+
+
+def _reference_flow(start, direction, M: MetricParams, b: SignBranch,
+                    budget: float = 50.0, rtol: float = 1.0e-9, delta: float = 1.0e-3):
+    """One flow by scipy's solve_ivp over the scalar field and no closed
+    form: the oracle for integrate_flows.  Returns (termination, end time,
+    rhs evaluations)."""
+    from scipy.integrate import solve_ivp
+
+    begin = flow._as_start(start, b)
+    rhs = _state_rhs(begin["mode"], M, b, begin["h"], 1.0 if direction == "forward" else -1.0)
+    y0 = np.concatenate((begin["Y"], begin["zeta"]))
+
+    def values(y):
+        return flow._event_values(y, begin["h"], b.sign, begin["mode"] == "parabolic", delta)
+
+    events = [lambda lam, y, e=e: values(y)[e] for e in range(3)]
+    for e, event in enumerate(events):
+        event.terminal, event.direction = True, (-1.0 if e < 2 else 0.0)
+    g = values(y0)
+    if np.linalg.norm(rhs(0.0, y0)) <= flow.FIXED_POINT_NORM:
+        return flow._TERMS[0 if g[0] <= g[1] else 1], 0.0, 1
+    sol = solve_ivp(rhs, (0.0, budget), y0, rtol=rtol, atol=flow.ATOL, events=events)
+    if sol.status == -1:
+        raise StepFailure(sol.message)
+    code = next(e for e in range(3) if len(sol.t_events[e])) if sol.status == 1 \
+        else int(flow._end_code(values(sol.y[:, -1])))
+    return flow._TERMS[code], float(sol.t[-1]), sol.nfev
 
 
 class TestHamField:
@@ -566,7 +605,7 @@ class TestWeightFlowRate:
         # the closed-form rate there
         rp = radial_point([1.0], 0.2, Side.FUTURE, PL)
         exact = weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), free_metric, PL)
-        rhs = flow._state_rhs("natural", free_metric, PL, rp.h, 1.0)
+        rhs = _state_rhs("natural", free_metric, PL, rp.h, 1.0)
         eps, n = 1.0e-4, rp.d + 1
 
         def log_rho_bf(steps):
@@ -645,7 +684,7 @@ class TestDegeneracy:
             rp = radial_point(rng.uniform(-2.0, 2.0, d), h, side, branch)
             zeta = rp.zeta_nat if mode == "natural" else rng.uniform(-1.0, 1.0, d + 1)
             omega = side.sign * flow._future_direction(zeta, h, branch.sign, mode == "parabolic")
-            rhs, step = flow._state_rhs(mode, M, branch, h, 1.0), 1e-5
+            rhs, step = _state_rhs(mode, M, branch, h, 1.0), 1e-5
             J = np.stack([(rhs(0.0, np.concatenate((omega + e, zeta)))
                            - rhs(0.0, np.concatenate((omega - e, zeta))))[: d + 1] / (2 * step)
                           for e in step * np.eye(d + 1)], axis=1)

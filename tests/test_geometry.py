@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrlab.errors import FitFailure, OnBoundary, OutOfChart
+from conftest import from_parabolic_chart
+from nrlab.errors import FitFailure, InvalidInput, OnBoundary, OutOfChart
 from nrlab.geometry import (
     BdfValues,
     ChartCoords,
@@ -15,12 +16,11 @@ from nrlab.geometry import (
     ChartTag,
     ParabolicRay,
     PhasePoint,
+    _cutoff,
     b_order_fit,
     bdf_values,
-    chi_cutoff,
     frequency_bdfs,
     from_chart,
-    from_parabolic_chart,
     parabolic_chart,
     to_chart,
 )
@@ -65,7 +65,7 @@ class TestBdfValues:
         vals = []
         for h in (1e-3, 5e-4):
             b = bdf_values(PhasePoint(0.0, [0.0], tau_nat, [xi_nat], h))
-            chi = chi_cutoff([tau_nat, xi_nat])
+            chi = _cutoff(math.hypot(tau_nat, xi_nat))
             lim = chi * (tau_nat**2 + xi_nat**4) ** -0.25 * h
             # rho_nf = h + chi*(1+tau^2+xi^4)^{-1/4}; subtracting h it tends to
             # the parabolic bracket, which scales like h here
@@ -92,13 +92,13 @@ class TestBdfValues:
         assert b.rho_df == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
     def test_cutoff_plateaus(self):
-        assert chi_cutoff([0.5, 0.0]) == 1.0
-        assert chi_cutoff([2.5, 0.0]) == 0.0
-        assert 0.0 < chi_cutoff([1.5, 0.0]) < 1.0
+        assert _cutoff(0.5) == 1.0
+        assert _cutoff(2.5) == 0.0
+        assert 0.0 < _cutoff(1.5) < 1.0
 
 
 class TestBatchedBdfs:
-    """frequency_bdfs and chi_cutoff over arrays equal their row-by-row values,
+    """frequency_bdfs and its cutoff over arrays equal their row-by-row values,
     with the h = 0 face, the zeta_nat = 0 corner and the chi = 0 region
     |zeta_nat| >= 2 among the rows, and raise no floating-point warning."""
 
@@ -118,13 +118,13 @@ class TestBatchedBdfs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = frequency_bdfs(zeta[:, 0], list(zeta[:, 1:].T), h)
-            chi = chi_cutoff(zeta)
+            chi = _cutoff(np.linalg.norm(zeta, axis=-1))
             for i, z in enumerate(zeta):
                 row = frequency_bdfs(z[0], z[1:], h)
                 for got, want in zip(batch, row):
                     assert got.shape == (zeta.shape[0],)
                     assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
-                assert chi[i] == pytest.approx(chi_cutoff(z), rel=1e-14, abs=0.0)
+                assert chi[i] == pytest.approx(_cutoff(np.linalg.norm(z)), rel=1e-14, abs=0.0)
         rho_df, rho_nf, rho_pf = batch
         assert np.all(chi[-2:] == 1.0) and np.all(chi[40:48] == 0.0)
         assert np.all(rho_nf * rho_pf == pytest.approx(h, rel=1e-14, abs=0.0))
@@ -152,7 +152,7 @@ class TestBatchedBdfs:
 
         for r in np.linspace(0.0, 3.0, 301):
             want = sigma(2.0 - r) / (sigma(r - 1.0) + sigma(2.0 - r)) if r < 2.0 else 0.0
-            assert chi_cutoff([r, 0.0]) == pytest.approx(want, rel=0.0, abs=1e-15)
+            assert _cutoff(r) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 class TestCharts:
@@ -189,6 +189,21 @@ class TestCharts:
         assert np.allclose([rho_nf, xi_hat, rho_pf], [0.5, 1.0, 0.2])
         q = from_chart(cc)
         assert abs(q.tau - 4.0) < 1e-12 and abs(q.xi[0] - 2.0) < 1e-12
+
+    def test_batch_chart_id_is_one_hashable_chart(self):
+        # a batch's per-point signs ride on its ChartCoords, where chart_frame
+        # reads them; its ChartId stays one chart that compares and hashes
+        p = PhasePoint(0.0, [[0.0], [0.0]], np.array([2.0, -2.0]), [[0.1], [0.1]], 0.5)
+        for tag in (ChartTag.DF_PROJECTIVE, ChartTag.PF_NAT_PARABOLIC):
+            cc = to_chart(p, ChartId(tag))
+            assert cc.chart == ChartId(tag) and hash(cc.chart) == hash(ChartId(tag))
+            assert cc.sign.tolist() == [1, -1]
+            rows = [to_chart(PhasePoint(0.0, [0.0], tau, [0.1], 0.5), ChartId(tag))
+                    for tau in (2.0, -2.0)]
+            assert [(c.chart.sign, c.sign) for c in rows] == [(1, 1), (-1, -1)]
+            assert from_chart(cc).tau_nat == pytest.approx([2.0, -2.0], rel=1e-15)
+        with pytest.raises(InvalidInput):
+            ChartId(ChartTag.DF_PROJECTIVE, sign=np.array([1, -1]))
 
     def test_df_out_of_chart(self):
         p = PhasePoint(0.0, [0.0], 0.0, [1.0], 0.5)

@@ -1,6 +1,7 @@
 """Weighted norms, energy splitting, and the uniform-ratio experiment."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import count_transforms
 from nrlab.errors import DegenerateFamily, InvalidInput
 from nrlab.quantize import BoxGrid, GridField
-from nrlab.pde import ConjugatedOperator
-from nrlab.symbols import MetricParams
+from nrlab.pde import ConjugatedOperator, KGState, kg_branch_data, kg_envelope_solve, kg_free_solve
+from nrlab.symbols import MetricParams, SignBranch
 from nrlab.norms import (
     OrderProfile,
     _fourier_norm,
@@ -23,9 +24,19 @@ from nrlab.norms import (
     sc_norm,
     smooth_step,
     split_energy,
-    steep_chi,
     uniform_ratio_experiment,
 )
+
+MI = SignBranch.MINUS
+
+
+def steep_chi(s):
+    """Admissible alternative splitting profile with transition on [-1/4, 1/4]."""
+    return smooth_step(2.0 * (np.asarray(s, float) + 0.25))
+
+
+_SPACE = BoxGrid.regular(8 * math.pi, 16, 1)    # a small spatial grid for the pde calls
+_PSI = np.exp(-_SPACE.mesh()[0] ** 2).astype(complex)
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +373,32 @@ class TestLadderGuards:
     def test_c_must_be_finite_and_positive(self, c_list):
         with pytest.raises(InvalidInput):
             uniform_ratio_experiment(c_list, fwd_profile(m=1.0, ell=1.0), n_base=1)
+
+    @pytest.mark.parametrize("call", [
+        lambda u: natural_norm(u, 1.0, None, 1.0, 0.0),
+        lambda u: natural_norm(u, 1.0, None, 1.0, -1.0),
+        lambda u: split_energy(u, 0.0),
+        lambda u: calctwo_norm(u, 0.0, fwd_profile(m=1.0, ell=1.0)),
+        lambda u: calctwo_norm(u, -0.25, fwd_profile(m=1.0, ell=1.0)),
+        lambda u: calctwo_norm(u, 1e-320, fwd_profile(m=1.0, ell=1.0)),
+        lambda u: ConjugatedOperator(MetricParams.free(1), 0.0, u.grid, None).apply(u.values),
+        lambda u: ConjugatedOperator(MetricParams.free(1), -8.0, u.grid, MI).apply(u.values),
+        lambda u: kg_envelope_solve(_PSI, MI, MetricParams.free(1), 0.0, [0.0, 0.1], _SPACE),
+        lambda u: kg_envelope_solve(_PSI, MI, MetricParams.free(1), -8.0, [0.0, 0.1], _SPACE),
+        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, 0.0, MI), [0.5]),
+        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, math.inf, MI), [0.5]),
+        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, -8.0, MI), [0.5]),
+        lambda u: KGState(_SPACE, _PSI, _PSI, 0.0, math.nan),
+    ], ids=["natural_h0", "natural_h_negative", "split_h0", "calctwo_h0",
+            "calctwo_h_negative", "calctwo_c_overflows", "operator_c0", "operator_c_negative",
+            "envelope_c0", "envelope_c_negative", "branch_c0", "branch_c_inf",
+            "branch_c_negative", "state_c_nan"])
+    def test_c_and_h_checked_where_they_enter(self, stg, bump, call):
+        # c and h = 1/c must both be finite and > 0 (1e-320 has 1/h = inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                call(GridField(stg, bump))
 
 
 class TestInPlaceSafety:
