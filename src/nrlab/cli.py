@@ -315,12 +315,10 @@ def run(config: dict, out: str | None = None, seed: int | None = None) -> int:
 def _parser() -> argparse.ArgumentParser:   # built on the first call and kept
     parser = argparse.ArgumentParser(
         prog="nrlab", description="compactified phase-space laboratory experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int)
     return parser
 
 

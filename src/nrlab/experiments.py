@@ -8,14 +8,14 @@ ones come from the rest of the config: ``rng`` (seeded from ``seed``),
 ``delta`` of ``flow``) is filled from the config's tolerances.  The CLI
 checks the values against tolerances; the acceptance suite calls the same
 functions at its own seeds, sizes and tolerances.  Seeded samples are drawn
-in the order of a sample-by-sample loop; ``charset``, ``radial`` and
-``alpha`` then pass each branch's samples to the point layer as one batch.
+in the order of a sample-by-sample loop; ``charset``, ``radial``, ``qdf``
+and ``alpha`` then pass each branch's samples to the point layer as one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -166,16 +166,18 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
     if n_centers < 1 or n_samples < 3 or not 0.0 < radius <= 1.0:
         raise InvalidInput("qdf needs n_centers >= 1, n_samples >= 3 (the fit has two "
                            "coefficients) and 0 < radius <= 1 (the probe is local)")
-    d, rows = metric.d, []
+    d = metric.d
     branch, side, xi, h, seed = _radial_draws(rng, n_centers, lambda: (
         rng.uniform(0.3, 2.0, size=d) * rng.choice([-1, 1], size=d), rng.uniform(0.05, 0.5),
         rng.integers(2**31)))
-    for i, (b, s) in enumerate(zip(branch, map(Side, side))):
-        q = fl.qdf_probe(sym.radial_point(xi[i], h[i], s, b), radius, n_samples, metric, b,
-                         seed=int(seed[i]))
-        rows.append((i, b.name, s.name, h[i], q.iota_est, q.F_est, q.E_est,
-                     q.decomposition_residual, q.cubic_bound))
-    iota, F, resid = (np.array([r[k] for r in rows]) for k in (4, 5, 7))
+    fit = np.empty((6, n_centers))       # the QdfReport fields, one column per centre
+    for b in (PL, MI):
+        m = branch == b
+        fit[:, m] = astuple(fl.qdf_probe(sym.radial_point(xi[m], h[m], side[m], b), radius,
+                                         n_samples, metric, b, seed=seed[m]))
+    _, iota, F, E, resid, cubic = fit
+    rows = [(i, b.name, Side(s).name, *r) for i, (b, s, r) in enumerate(zip(
+        branch, side, zip(*(a.tolist() for a in (h, iota, F, E, resid, cubic)))))]
     return Result({"qdf.csv": (["center", "branch", "side", "h", "iota", "F", "E",
                                 "residual", "cubic_bound"], rows)},
                   {"flat": metric.is_flat, "iota": iota, "iota_ref": 2.0 * np.abs(xi).max(axis=1),

@@ -24,7 +24,7 @@ natural-scale flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -42,6 +42,7 @@ from .geometry import (
 from .symbols import (
     MetricParams,
     RadialPoint,
+    Side,
     SignBranch,
     _free_velocity,
     _future_direction,
@@ -136,31 +137,45 @@ def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
 # ---------------------------------------------------------------------------
 
 
+def _dominant_axes(rp: RadialPoint):
+    """Per radial point, the dominant spatial axis j0 (the largest |xi_nat|
+    component) and the sign of the direction's x_j0, 0 where xi_nat = 0:
+    ChartUnavailable there, saying at how many points."""
+    j0 = np.argmax(np.abs(rp.xi_nat), axis=-1)
+    sigma = np.sign(np.take_along_axis(rp.direction[..., 1:], j0[..., None], -1)[..., 0])
+    if not sigma.all():
+        raise ChartUnavailable(f"radial chart needs xi_nat != 0: fails at "
+                               f"{sigma.size - np.count_nonzero(sigma)} of {sigma.size} points")
+    return j0, sigma.astype(int)
+
+
 def to_radial_chart(rp, offsets=None) -> ChartCoords:
     """Radial-set adapted chart (s, w, rho_bf) over the natural frequencies
-    of one radial point.
+    of radial points: one point, or a batch whose points share the dominant
+    spatial axis (the largest |xi_nat| component), with their signs in
+    ChartCoords.sign.
 
-    The dominant spatial axis is the largest |xi_nat| component; the chart
-    does not exist when xi_nat = 0.  ``offsets``, if given, displaces
-    (s, w, rho_bf) away from the radial set by the given amounts.
+    The chart does not exist where xi_nat = 0.  ``offsets`` (..., 1+d), if
+    given, displaces (s, w, rho_bf) away from the radial set by the given
+    amounts, broadcasting against the batch.
     """
     if not isinstance(rp, RadialPoint):
         raise ChartUnavailable("to_radial_chart expects a RadialPoint")
-    if not _as_vector(rp.xi_nat, rp.h).any():
-        raise ChartUnavailable("radial chart needs xi_nat != 0")
-    j0 = int(np.argmax(np.abs(rp.xi_nat)))
-    sigma = int(np.sign(rp.direction[1 + j0]))
-    if sigma == 0:
-        raise ChartUnavailable("degenerate dominant direction")
-    off = np.zeros(rp.d + 1) if offsets is None else np.asarray(offsets, float)[: rp.d + 1]
-    coords = np.concatenate((off, [rp.tau_nat], rp.xi_nat, [rp.h]))
-    bdf = BdfValues(rho_df=1.0, rho_bf=off[-1], rho_nf=rp.h, rho_pf=1.0)
-    return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=j0 + 1, sign=sigma), coords, bdf)
+    j0, sigma = _dominant_axes(rp)
+    if (j0 != j0.flat[0]).any():
+        raise ChartUnavailable("one radial chart per dominant axis: the batch's points differ")
+    off = np.zeros(rp.d + 1) if offsets is None else np.asarray(offsets, float)[..., : rp.d + 1]
+    parts = (off, rp.zeta_nat, rp.h[..., None])
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in parts))
+    coords = np.concatenate([np.broadcast_to(a, shape + a.shape[-1:]) for a in parts], axis=-1)
+    bdf = BdfValues(rho_df=1.0, rho_bf=coords[..., rp.d], rho_nf=rp.h, rho_pf=1.0)
+    return ChartCoords(ChartId(ChartTag.RADIAL_NAT, k=int(j0.flat[0]) + 1,
+                               sign=int(sigma) if sigma.ndim == 0 else 1), coords, bdf, sigma[()])
 
 
-def _radial_chart_ball(co, chart: ChartId, b: SignBranch):
-    """Ball points of RADIAL_NAT chart coordinates co of shape (..., 2d+3),
-    with their (t, x) / x_j0.
+def _radial_chart_ball(cc: ChartCoords, b: SignBranch):
+    """Ball points of RADIAL_NAT chart points cc, coordinates of shape
+    (..., 2d+3), with their (t, x) / x_j0.
 
     Returns (Y, that, xhat, 1 - |Y|^2): the base point is
     z = sigma (that, xhat) / rho_bf, so Y = z/<z> = v / sqrt(rho_bf^2 + |v|^2)
@@ -168,27 +183,27 @@ def _radial_chart_ball(co, chart: ChartId, b: SignBranch):
     limit v/|v| on the boundary sphere; 1 - |Y|^2 = rho_bf^2 / (rho_bf^2 + |v|^2)
     keeps its precision there, where 1 - |Y|^2 computed from Y does not.
     """
-    off, tau, xi, h = split_coords(co)             # off = (s, w, rho_bf)
-    j0 = chart.k - 1
+    off, tau, xi, h = split_coords(cc.coords)      # off = (s, w, rho_bf)
+    j0 = cc.chart.k - 1
     xhat = np.insert(off[..., 1:-1] + np.delete(xi, j0, -1) / xi[..., j0, None], j0, 1.0,
                      axis=-1)
     that = off[..., 0] - h * (tau + b.sign) / xi[..., j0]
-    v = chart.sign * np.concatenate((that[..., None], xhat), axis=-1)
+    v = np.asarray(cc.sign)[..., None] * np.concatenate((that[..., None], xhat), axis=-1)
     rho2, r2 = off[..., -1] ** 2, off[..., -1] ** 2 + np.sum(v * v, axis=-1)
     return v / np.sqrt(r2)[..., None], that, xhat, rho2 / r2
 
 
-def _radial_field(co, chart: ChartId, M: MetricParams, b: SignBranch) -> np.ndarray:
-    """Rescaled field, (1/2) |x_j0| h H_p, at RADIAL_NAT chart coordinates
-    co = (s, w, rho_bf, tau_nat, xi_nat, h) of shape (..., 2d+3), in the same
-    components and shape: one metric evaluation serves every row.  Raises
+def _radial_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
+    """Rescaled field, (1/2) |x_j0| h H_p, at RADIAL_NAT chart points cc,
+    coordinates (s, w, rho_bf, tau_nat, xi_nat, h) of shape (..., 2d+3), in the
+    same components and shape: one metric evaluation serves every row.  Raises
     ChartUnavailable where xi_nat[j0] = 0."""
-    off, tau, xi, h = split_coords(co)
-    j0, sigma = chart.k - 1, chart.sign
+    off, tau, xi, h = split_coords(cc.coords)
+    j0, sigma = cc.chart.k - 1, np.asarray(cc.sign)[..., None]
     xj = xi[..., j0, None]
     if np.any(xj == 0.0):
         raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
-    Y, that, xhat, rho2 = _radial_chart_ball(co, chart, b)
+    Y, that, xhat, rho2 = _radial_chart_ball(cc, b)
     V, drift = _natural_field(M, Y, np.concatenate((tau[..., None], xi), axis=-1), h, b.sign,
                               rho2)
     rho, tau, h = off[..., -1, None], tau[..., None], h[..., None]
@@ -286,7 +301,7 @@ def _as_start(start, b: SignBranch) -> dict:
         return start
     z, tau, xi, h = split_coords(start.coords)
     if start.chart.tag is ChartTag.RADIAL_NAT:
-        Y = _radial_chart_ball(start.coords, start.chart, b)[0]
+        Y = _radial_chart_ball(start, b)[0]
         return natural_start(Y, np.concatenate(([tau], xi)), h)
     if start.chart.tag is ChartTag.PF_STANDARD:
         return parabolic_start(ball_from_base(z), tau, xi)
@@ -631,86 +646,97 @@ def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
     return np.where(np.abs(roots[0] - tau0) <= np.abs(roots[1] - tau0), *roots)
 
 
-def _sheet_points(cc0: ChartCoords, offsets, M, b) -> np.ndarray:
-    """RADIAL_NAT coordinates (N, 2d+3) on the sheet over the base points of
-    the radial-set point cc0 moved to the (s, w, rho_bf) rows of offsets
-    (N, 1+d), xi_nat kept.
+def _sheet_points(cc: ChartCoords, M, b) -> ChartCoords:
+    """The RADIAL_NAT points cc moved onto the sheet over their base points,
+    xi_nat kept.
 
     The base point depends on s and tau_nat only through
     t/x_j0 = s - h (tau_nat + b)/xi_j0, so each row takes the sheet root once
-    over the base point drawn at cc0's tau_nat, and s moves by
+    over the base point at its drawn tau_nat, and s moves by
     h (root - tau_nat)/xi_j0 to keep that base point under the root.  With
     1 - |Y|^2 carried exactly the roots' rounding floor is about 1e-14.
     """
-    co = np.tile(cc0.coords, (len(offsets), 1))
+    co = cc.coords.copy()
     off, tau, xi, h = split_coords(co)              # views: s and tau move in place
-    off[:] = offsets
-    Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
+    Y, _, _, rho2 = _radial_chart_ball(cc, b)
     root = _sheet_tau_nat(M, Y, xi, h, b, rho2)
-    off[:, 0] += h * (root - tau) / xi[:, cc0.chart.k - 1]
-    tau[:] = root
-    return co
+    off[..., 0] += h * (root - tau) / xi[..., cc.chart.k - 1]
+    tau[...] = root
+    return replace(cc, coords=co)
+
+
+def _column(rp: RadialPoint, m) -> RadialPoint:
+    """The radial points of rp at the mask m over its batch axes, as a column (n, 1)."""
+    side = np.broadcast_to(rp.side.sign if isinstance(rp.side, Side) else rp.side, m.shape)
+    return RadialPoint(*(np.asarray(a)[m][:, None] for a in (rp.tau_nat, rp.xi_nat, rp.h, side)),
+                       rp.branch, rp.direction[m][:, None])
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
-              M: MetricParams, b: SignBranch, seed: int = 0) -> QdfReport:
-    """Probe the attraction structure of the flow at a radial-set point.
+              M: MetricParams, b: SignBranch, seed=0) -> QdfReport:
+    """Probe the attraction structure of the flow at radial-set points.
 
-    Samples the characteristic set near the center in the (s, w, rho_bf)
+    Samples the characteristic set near each center in the (s, w, rho_bf)
     chart, evaluates the flow derivative of
     varrho = s^2 + |w|^2 + UPSILON rho_bf^2, and fits the decomposition
     into a linear-rate part (coefficient iota), a nonnegative remainder F
     of size O(varrho), and a cubically vanishing error E.
 
     The max(8, nsamples // 8) inner samples (radius 1e-3 times smaller)
-    give iota; the nsamples main ones the fit.  Both sets form one batch of
-    rows, and varrho is read at the sheet points: one metric evaluation
-    gives every row's sheet root in closed form (_sheet_points, which moves
-    s) and one the field (_radial_field).
+    give iota; the nsamples main ones the fit.  One center with an integer
+    seed gives float fields; a batch of centers, with one seed each in the
+    batch's shape, gives fields of that shape, each center drawn from its
+    seed and fitted as alone.  The rows of every center of one dominant axis
+    (all in d = 1) form one batch, and varrho is read at the sheet points:
+    one metric evaluation gives every row's sheet root in closed form
+    (_sheet_points, which moves s) and one the field (_radial_field).
     """
+    shape = center.direction.shape[:-1]
+    if np.shape(seed) != shape:
+        raise InvalidInput(f"qdf_probe takes one seed per center, in their shape {shape}")
     if radius == 0.0 or nsamples == 0:
-        return QdfReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    cc0 = to_radial_chart(center)  # raises ChartUnavailable when xi_nat = 0
-    d = center.d
-    rng = np.random.default_rng(seed)
-    coef = -b.sign * center.side.sign  # the sign making H varrho = +coef^-1(iota varrho + ...)
+        return QdfReport(*(np.zeros((6,) + shape) if shape else [0.0] * 6))
+    d, n_inner = center.d, max(8, nsamples // 8)
+    axes = _dominant_axes(center)[0]  # raises ChartUnavailable where xi_nat = 0
 
-    def draw(scale, m):
+    def draw(rng, scale, m):
         pts = rng.normal(size=(m, d + 1))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         pts *= scale * rng.uniform(0.2, 1.0, size=(m, 1))
         pts[:, d] = np.abs(pts[:, d]) / math.sqrt(UPSILON)  # keep rho_bf >= 0, O(UPSILON^-1/2)
         return pts
 
-    n_inner = max(8, nsamples // 8)
-    co = _sheet_points(cc0, np.concatenate((draw(radius * 1.0e-3, n_inner),
-                                            draw(radius, nsamples))), M, b)
-    field = _radial_field(co, cc0.chart, M, b)
-    off = co[:, : d + 1]                            # (s, w, rho_bf), s moved onto the sheet
+    fits = np.empty(shape + (6,))
     weight = np.append(np.ones(d), UPSILON)         # varrho = s^2 + |w|^2 + UPSILON rho_bf^2
-    varrho = off**2 @ weight
-    hrho = 2.0 * (off * field[:, : d + 1]) @ weight
-    vi, hi = varrho[:n_inner], hrho[:n_inner]
-    iota_est = float(np.mean(coef * hi[vi > 0.0] / vi[vi > 0.0]))
-    keep = varrho[n_inner:] > 0.0
-    vr = varrho[n_inner:][keep]
-    rr = coef * hrho[n_inner:][keep] - iota_est * vr
-    # residual model R = c1 varrho + c2 varrho^{3/2}.  A negative linear part
-    # is absorbable into the rate (the decomposition's freedom): report
-    # iota = inner rate + min(c1, 0) and the nonnegative surplus as F.
-    A = np.stack([vr, vr**1.5], axis=1)
-    coefs, *_ = np.linalg.lstsq(A, rr, rcond=None)
-    c1, c2 = float(coefs[0]), float(coefs[1])
-    fit_resid = float(np.sqrt(np.mean((rr - A @ coefs) ** 2)))
-    cubic = float(np.max(np.abs(rr - c1 * vr) / vr**1.5))
-    return QdfReport(
-        varrho=float(np.max(vr)),
-        iota_est=iota_est + min(c1, 0.0),
-        F_est=max(c1, 0.0),
-        E_est=c2,
-        decomposition_residual=fit_resid,
-        cubic_bound=cubic,
-    )
+    for j0 in sorted(set(axes.flat)):   # not np.unique: it imports numpy.ma on first use
+        m = axes == j0
+        col = _column(center, m)
+        cc = _sheet_points(to_radial_chart(col, [
+            np.concatenate((draw(rng, radius * 1.0e-3, n_inner), draw(rng, radius, nsamples)))
+            for rng in map(np.random.default_rng, np.asarray(seed)[m].tolist())]), M, b)
+        field, fit = _radial_field(cc, M, b), []
+        # each center alone: its offsets (s, w, rho_bf), s moved onto the sheet, their
+        # rates, and coef, the sign making H varrho = +coef^-1(iota varrho + ...)
+        for off, rate, coef in zip(cc.coords[..., : d + 1], field[..., : d + 1],
+                                   -b.sign * col.side[:, 0]):
+            varrho = off**2 @ weight
+            hrho = 2.0 * (off * rate) @ weight
+            vi, hi = varrho[:n_inner], hrho[:n_inner]
+            iota_est = float(np.mean(coef * hi[vi > 0.0] / vi[vi > 0.0]))
+            keep = varrho[n_inner:] > 0.0
+            vr = varrho[n_inner:][keep]
+            rr = coef * hrho[n_inner:][keep] - iota_est * vr
+            # residual model R = c1 varrho + c2 varrho^{3/2}.  A negative linear part
+            # is absorbable into the rate (the decomposition's freedom): report
+            # iota = inner rate + min(c1, 0) and the nonnegative surplus as F.
+            A = np.stack([vr, vr**1.5], axis=1)
+            coefs, *_ = np.linalg.lstsq(A, rr, rcond=None)
+            c1, c2 = float(coefs[0]), float(coefs[1])
+            fit.append((float(np.max(vr)), iota_est + min(c1, 0.0), max(c1, 0.0), c2,
+                        float(np.sqrt(np.mean((rr - A @ coefs) ** 2))),
+                        float(np.max(np.abs(rr - c1 * vr) / vr**1.5))))
+        fits[m] = fit
+    return QdfReport(*(np.moveaxis(fits, -1, 0) if shape else map(float, fits)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +771,8 @@ def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
     radial-set point.  Free metric only, where V does not depend on Y: the
     Jacobian of the ball field Ydot = V - Y (Y . V) at Y = omega is then
     -(omega . V) I - omega V^T.  One radial point, not a batch."""
-    _as_vector(rp.xi_nat, rp.h)
+    if rp.direction.ndim != 1:
+        raise InvalidInput("radial_linearization takes one radial point, not a batch")
     if not M.is_flat:
         raise InvalidInput("radial_linearization needs the free metric")
     if mode is None:

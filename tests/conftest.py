@@ -129,7 +129,7 @@ def ham_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray:
     """
     tag = cc.chart.tag
     if tag is ChartTag.RADIAL_NAT:
-        return _radial_field(cc.coords, cc.chart, M, b)
+        return _radial_field(cc, M, b)
     z, tau, xi, h = split_coords(cc.coords)
     bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1, keepdims=True))
     zeta = _cat(tau, xi)

@@ -420,6 +420,23 @@ class TestRunCommands:
         assert here == [(p.returncode, p.stdout, p.stderr) for p in fresh]
         assert [code for code, _, _ in here] == [0, 2, 2, 0]
 
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command", "--config", "c.json"],
+        ["qdf"],
+        ["qdf", "--config", "c.json", "--seed", "1.5"],
+    ], ids=["unknown-command", "no-config", "seed-not-an-int"])
+    def test_bad_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
     def test_cold_flow_run_loads_no_scipy(self, tmp_path):
         # a perturbed metric at h > 0 sends every row through the Dormand-Prince
         # integrator, so each one ends on an event root of its dense output

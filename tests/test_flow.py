@@ -462,25 +462,24 @@ class TestQdfProbe:
         rp = radial_point([1.3], 0.3, Side.PAST, MI)
         for b in (PL, MI):
             cc = to_radial_chart(rp, offsets=[0.2, 0.0])
-            at_zero, _, _, rho2 = _radial_chart_ball(cc.coords, cc.chart, b)
+            at_zero, _, _, rho2 = _radial_chart_ball(cc, b)
             cc = to_radial_chart(rp, offsets=[0.2, 1e-9])
-            near = _radial_chart_ball(cc.coords, cc.chart, b)[0]
+            near = _radial_chart_ball(cc, b)[0]
             assert abs(np.linalg.norm(at_zero) - 1.0) <= 1e-15 and rho2 == 0.0
             assert np.max(np.abs(at_zero - near)) <= 1e-8
             # 1 - |Y|^2 is carried exactly; from Y it keeps only ~1e-16 absolute
             cc = to_radial_chart(rp, offsets=[0.2, 0.3])
-            Y, _, _, rho2 = _radial_chart_ball(cc.coords, cc.chart, b)
+            Y, _, _, rho2 = _radial_chart_ball(cc, b)
             assert abs(1.0 - Y @ Y - rho2) <= 1e-15
 
     def test_sheet_root_on_the_boundary_sphere(self, wavy_metric):
         # at rho_bf = 0 the sheet root is taken at the boundary-sphere point,
         # so it is the rho_bf -> 0+ limit of the roots over interior points
         rp = radial_point([0.9], 0.4, Side.FUTURE, PL)
-        cc0 = to_radial_chart(rp)
-        at_zero, near = _sheet_points(cc0, np.array([[0.05, 0.0], [0.05, 1e-9]]),
-                                      wavy_metric, PL)
+        cc = _sheet_points(to_radial_chart(rp, [[0.05, 0.0], [0.05, 1e-9]]), wavy_metric, PL)
+        at_zero, near = cc.coords
         assert abs(at_zero[2] - near[2]) <= 1e-8
-        Y = _radial_chart_ball(at_zero, cc0.chart, PL)[0]
+        Y = _radial_chart_ball(cc, PL)[0][0]
         zeta = at_zero[2:4]
         G = eval_metric(wavy_metric, Y, rp.h).G
         assert abs(-(zeta @ G @ zeta) + 2.0 * zeta[0]) <= 1e-12
@@ -492,13 +491,13 @@ class TestQdfProbe:
         M = data.draw(perturbed_metrics(d, amp=0.1))
         xi = np.array(data.draw(st.lists(st.floats(0.3, 2.0), min_size=d, max_size=d)))
         rp = radial_point(xi * np.where(np.arange(d) % 2, -1.0, 1.0), h, side, branch)
-        cc0 = to_radial_chart(rp)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         off = rng.uniform(-0.05, 0.05, (24, d + 1))
         off[:, d] = np.abs(off[:, d]) * 10.0 ** rng.uniform(-9, 0, 24)
-        co = _sheet_points(cc0, off, M, branch)
-        field = _radial_field(co, cc0.chart, M, branch)
-        Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, branch)
+        cc0 = _sheet_points(to_radial_chart(rp, off), M, branch)
+        co = cc0.coords
+        field = _radial_field(cc0, M, branch)
+        Y, _, _, rho2 = _radial_chart_ball(cc0, branch)
         G = eval_metric(M, Y, h, rho2=rho2).G
         zeta = co[:, d + 1 : 2 * d + 2]
         symbol = 2.0 * branch.sign * zeta[:, 0] - np.einsum("ka,kab,kb->k", zeta, G, zeta)
@@ -515,18 +514,17 @@ class TestQdfProbe:
         # and land on the sheet over it
         calls = []
 
-        def spy(cc0, offsets, M, b):
-            co = _sheet_points(cc0, offsets, M, b)
-            drawn = np.tile(cc0.coords, (len(offsets), 1))
-            drawn[:, : offsets.shape[1]] = offsets
-            Y0 = _radial_chart_ball(drawn, cc0.chart, b)[0]
-            Y, _, _, rho2 = _radial_chart_ball(co, cc0.chart, b)
-            d = offsets.shape[1] - 1
-            zeta = co[:, d + 1 : 2 * d + 2]
-            G = eval_metric(M, Y, co[:, -1], rho2=rho2).G
-            symbol = 2.0 * b.sign * zeta[:, 0] - np.einsum("ka,kab,kb->k", zeta, G, zeta)
+        def spy(drawn, M, b):
+            moved = _sheet_points(drawn, M, b)
+            Y0 = _radial_chart_ball(drawn, b)[0]
+            Y, _, _, rho2 = _radial_chart_ball(moved, b)
+            co = moved.coords
+            d = (co.shape[-1] - 3) // 2
+            zeta = co[..., d + 1 : 2 * d + 2]
+            G = eval_metric(M, Y, co[..., -1], rho2=rho2).G
+            symbol = 2.0 * b.sign * zeta[..., 0] - np.einsum("...a,...ab,...b->...", zeta, G, zeta)
             calls.append((np.max(np.abs(Y - Y0)), np.max(np.abs(symbol))))
-            return co
+            return moved
 
         probes = _acceptance_03_probes()
         monkeypatch.setattr(flow, "_sheet_points", spy)
@@ -551,6 +549,71 @@ class TestQdfProbe:
             calls[0] = 0
             qdf_probe(rp, 0.05, nsamples, pert_metric(0.1), branch, seed=seed)
             assert calls[0] == 2
+
+    @staticmethod
+    def _assert_batch_is_per_centre(rps, seeds, M, b, shape):
+        # one probe over the centres, reshaped to the batch shape, equals the
+        # one-point probes field by field, bit for bit
+        xi = np.array([rp.xi_nat for rp in rps]).reshape(*shape, -1)
+        h = np.array([rp.h for rp in rps]).reshape(shape)
+        side = np.array([rp.side.sign for rp in rps]).reshape(shape)
+        q = qdf_probe(radial_point(xi, h, side, b), 0.05, 60, M, b,
+                      seed=np.array(seeds).reshape(shape))
+        ones = [qdf_probe(rp, 0.05, 60, M, b, seed=s) for rp, s in zip(rps, seeds)]
+        for name, got in vars(q).items():
+            assert got.shape == shape
+            assert (got.ravel() == [getattr(one, name) for one in ones]).all(), name
+
+    def test_batch_equals_one_point_probes(self):
+        # ACCEPTANCE 03's perturbed probes, one batch per branch, both sides in each
+        probes = _acceptance_03_probes()
+        for b in (PL, MI):
+            rps, _, seeds = zip(*[p for p in probes if p[1] is b])
+            assert {rp.side for rp in rps} == {Side.PAST, Side.FUTURE}
+            self._assert_batch_is_per_centre(rps, seeds, pert_metric(0.1), b, (len(rps),))
+
+    def test_d2_batch_across_dominant_axes_equals_one_point_probes(self, monkeypatch):
+        M = MetricParams(d=2, alpha=ClassicalSymbolProfile(
+            amplitude=0.1, waves=(((0.7, 1.3, -0.4), 0.4, 0.2),)))
+        rng = np.random.default_rng(5)
+        xi = rng.uniform(0.3, 2.0, (6, 2)) * rng.choice([-1, 1], (6, 2))
+        rps = [radial_point(x, h, s, PL) for x, h, s in
+               zip(xi, rng.uniform(0.05, 0.5, 6), [Side.PAST, Side.FUTURE] * 3)]
+        assert len({int(np.argmax(np.abs(x))) for x in xi}) == 2
+        self._assert_batch_is_per_centre(rps, rng.integers(2**31, size=6).tolist(), M, PL,
+                                         (2, 3))
+        passes = []
+
+        def counted(cc, *args):
+            passes.append(cc.chart.k)
+            return _radial_field(cc, *args)
+
+        monkeypatch.setattr(flow, "_radial_field", counted)
+        qdf_probe(radial_point(xi, 0.3, 1, PL), 0.05, 60, M, PL, seed=np.arange(6))
+        assert sorted(passes) == [1, 2]         # one pass per dominant axis
+
+    def test_batch_errors_are_typed(self, free_metric):
+        rp = radial_point([[1.0], [1.2]], 0.3, [1, -1], PL)
+        for seed in (0, [1, 2, 3], [[1, 2]]):      # one seed per centre, in the batch's shape
+            with pytest.raises(InvalidInput, match="seed"):
+                qdf_probe(rp, 0.05, 20, free_metric, PL, seed=seed)
+        zero = radial_point([[1.0], [0.0], [0.0]], 0.3, 1, PL)
+        with pytest.raises(ChartUnavailable, match="2 of 3"):
+            qdf_probe(zero, 0.05, 20, free_metric, PL, seed=[1, 2, 3])
+        with pytest.raises(ChartUnavailable, match="2 of 3"):
+            to_radial_chart(zero)
+        mixed = radial_point([[1.0, 0.5], [0.5, 1.0]], 0.3, 1, PL)
+        with pytest.raises(ChartUnavailable, match="dominant axis"):
+            to_radial_chart(mixed)
+
+    def test_radial_chart_of_a_batch_is_its_points_charts(self):
+        rp = radial_point([[1.3], [-0.7], [0.4]], [0.3, 0.1, 0.2], [1, -1, -1], MI)
+        cc = to_radial_chart(rp, offsets=[0.1, 0.2])
+        assert cc.chart == ChartId(ChartTag.RADIAL_NAT, k=1)
+        for i in range(3):
+            one = to_radial_chart(radial_point(rp.xi_nat[i], rp.h[i], int(rp.side[i]), MI),
+                                  offsets=[0.1, 0.2])
+            assert (cc.coords[i] == one.coords).all() and cc.sign[i] == one.chart.sign
 
     def test_free_exact(self, free_metric):
         rp = radial_point([1.0], 0.2, Side.PAST, PL)

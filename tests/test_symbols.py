@@ -23,9 +23,7 @@ from nrlab.flow import (
     natural_degeneracy,
     natural_start,
     parabolic_start,
-    qdf_probe,
     radial_linearization,
-    to_radial_chart,
     weight_flow_rate,
 )
 from nrlab.geometry import (
@@ -53,6 +51,7 @@ from nrlab.symbols import (
     radial_point,
     rescaled_symbol,
 )
+from test_acceptance import pert_metric
 
 PL, MI = SignBranch.PLUS, SignBranch.MINUS
 
@@ -605,8 +604,6 @@ class TestBatchedPoints:
         p = PhasePoint([0.0, 0.1], [[0.2], [0.3]], [0.5, 0.6], [[1.0], [1.2]], 0.3)
         rp = radial_point([[1.0], [1.2]], 0.3, [1, -1], PL)
         one_point = [
-            lambda: to_radial_chart(rp),
-            lambda: qdf_probe(rp, 0.05, 20, free_metric, PL),
             lambda: radial_linearization(rp, free_metric, PL),
             lambda: integrate_flow(p, "forward", free_metric, PL),
             lambda: natural_start(np.zeros((2, 2)), np.ones((2, 2)), 0.3),
@@ -622,12 +619,20 @@ class TestBatchedPoints:
 
     def test_experiments_evaluate_the_metric_once_per_branch(self, monkeypatch):
         # one evaluation per kernel and branch: charset's symbol, radial's
-        # membership and field, alpha's rate (all its s from one); qdf's
-        # probe is one point per centre
+        # membership and field, alpha's rate (all its s from one), qdf's
+        # field (the free sheet root takes none)
         calls = count_metric_evaluations(monkeypatch)
         counts = {}
         for name in ("charset", "radial", "alpha", "qdf"):
             calls.clear()
             getattr(ex, name)(np.random.default_rng(7))
             counts[name] = len(calls)
-        assert counts == {"charset": 2, "radial": 4, "alpha": 2, "qdf": 20}
+        assert counts == {"charset": 2, "radial": 4, "alpha": 2, "qdf": 2}
+
+    def test_qdf_command_probes_each_branch_in_one_pass(self, monkeypatch):
+        # a perturbed metric takes the sheet roots and the field in one
+        # evaluation each per branch drawn, over every centre's rows
+        calls = count_metric_evaluations(monkeypatch)
+        ex.qdf(np.random.default_rng(7), pert_metric(0.1), n_centers=10)
+        assert len(calls) <= 4 and len(calls) % 2 == 0
+        assert sum(math.prod(shape) for shape in calls) == 2 * 10 * (60 + 8)
