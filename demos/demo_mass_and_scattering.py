@@ -27,9 +27,9 @@ free = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, dt=0.05)
 _, Ms = mass_trace(free)
 print(f"  free evolution: relative mass drift {(Ms.max()-Ms.min())/Ms[0]:.1e}")
 
-W = lambda t, xx: 1j * 0.05 / (1.0 + t * t + xx * xx)
-pert = schrodinger_solve(SchrState(g, psi, -20.0), MI, times,
-                         SchrCoefficients(1, W=W), dt=0.02)
+# V = i 0.05 <z>^-2, keyed () as the potential in the normal operator's terms
+W = SchrCoefficients(lambda t, mesh, s: {(): 1j * 0.05 / (1.0 + t * t + mesh[0] * mesh[0])})
+pert = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, W, dt=0.02)
 rep = mass_bound_check(pert, 0.2)
 _, Mp = mass_trace(pert)
 print(f"  Im V = 0.05 <z>^-2: mass moves in [{Mp.min():.4f}, {Mp.max():.4f}],")

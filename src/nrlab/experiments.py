@@ -284,7 +284,7 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     """Mass of a Schrodinger run with an absorbing potential against its Gronwall bound."""
     g = qz.BoxGrid.regular(box, n_grid, 1)
     psi = _resolved(g, np.exp(-(g.axis_points(0) ** 2) / 8.0))
-    coeffs = pde.SchrCoefficients(1, W=lambda t, xx: 1j * im_v / (1.0 + t * t + xx * xx))
+    coeffs = pde.SchrCoefficients(lambda t, m, s: {(): 1j * im_v / (1.0 + t * t + m[0] * m[0])})
     times = np.linspace(-20.0, 20.0, 161)
     if not 0.0 < dt <= times[1] - times[0]:
         raise InvalidInput(f"mass needs 0 < dt <= {times[1] - times[0]}, the output spacing, "

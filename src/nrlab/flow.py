@@ -294,18 +294,15 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
 
 
 def _as_start(start, b: SignBranch) -> dict:
-    """The start dict of a start dict, PhasePoint or RADIAL_NAT/PF_STANDARD chart point."""
+    """The start dict of a start dict, PhasePoint or RADIAL_NAT chart point."""
     if isinstance(start, PhasePoint):
         return natural_start(ball_from_base(start.z), start.zeta_nat, start.h)
     if not isinstance(start, ChartCoords):
         return start
-    z, tau, xi, h = split_coords(start.coords)
-    if start.chart.tag is ChartTag.RADIAL_NAT:
-        Y = _radial_chart_ball(start, b)[0]
-        return natural_start(Y, np.concatenate(([tau], xi)), h)
-    if start.chart.tag is ChartTag.PF_STANDARD:
-        return parabolic_start(ball_from_base(z), tau, xi)
-    raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
+    if start.chart.tag is not ChartTag.RADIAL_NAT:
+        raise ChartUnavailable(f"cannot start a flow from chart {start.chart.tag}")
+    _, tau, xi, h = split_coords(start.coords)
+    return natural_start(_radial_chart_ball(start, b)[0], np.concatenate(([tau], xi)), h)
 
 
 def _event_values(y, h, bsign, parabolic, delta) -> np.ndarray:
@@ -588,8 +585,8 @@ def integrate_flow(start, direction, M: MetricParams, b: SignBranch,
     """Integrate the rescaled flow until a radial set (or the budget) is hit.
 
     ``start`` is a dict from natural_start/parabolic_start, a PhasePoint, or
-    RADIAL_NAT/PF_STANDARD ChartCoords.  ``direction`` is "forward" or
-    "backward".  Termination: REACHED_FUTURE / REACHED_PAST on entering the
+    RADIAL_NAT ChartCoords (else ChartUnavailable).  ``direction`` is "forward"
+    or "backward".  Termination: REACHED_FUTURE / REACHED_PAST on entering the
     delta-ball of the future/past radial set, TIME_BUDGET, or LEFT_DOMAIN.
     Raises StepFailure on integrator failure.  One case of integrate_flows.
     """

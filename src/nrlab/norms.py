@@ -100,16 +100,13 @@ def _open_mesh(grid: BoxGrid, freqs: bool = False) -> list:
 
 
 def _weight_field(grid: BoxGrid, s_weight):
-    """<z>^{s(z)} with s given as None, scalar, array, callable (of the open
-    meshes), or an order profile (s_bar of t/<z>)."""
+    """<z>^{s(z)} with s given as None, a number, or an order profile (s_bar of t/<z>)."""
     if s_weight is None:
         return 1.0
     mesh = _open_mesh(grid)
     bracket = np.sqrt(1.0 + sum(m_ * m_ for m_ in mesh))
-    if isinstance(s_weight, OrderProfile):
-        return bracket ** s_weight.s_bar(mesh[0] / bracket)
-    return bracket ** np.asarray(s_weight(*mesh) if callable(s_weight) else s_weight,
-                                 dtype=float)
+    s = s_weight.s_bar(mesh[0] / bracket) if isinstance(s_weight, OrderProfile) else float(s_weight)
+    return bracket ** s
 
 
 def _grid_bdfs(grid: BoxGrid, h: float):
@@ -158,9 +155,12 @@ def _carrier(grid: BoxGrid, h: float) -> np.ndarray:
 
 def _split(values: np.ndarray, spec: np.ndarray, q_plus, carrier) -> tuple:
     """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field from its values
-    and its spectrum F[u], which is overwritten: one inverse FFT, in place."""
+    and its spectrum F[u], which is overwritten: one inverse FFT, in place.  With
+    carrier None: (Q_+ u, Q_- u), for a caller that reads only moduli."""
     plus = transform(np.multiply(spec, q_plus, out=spec), inverse=True)
     minus = values - plus
+    if carrier is None:
+        return plus, minus
     return np.multiply(plus, np.conj(carrier), out=plus), np.multiply(minus, carrier, out=minus)
 
 
@@ -197,7 +197,8 @@ def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=
     """The two-sheet norm at scale h for each order tuple and its weight
     <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier,
     rho_df and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
-    in place: the split's inverse and a Parseval forward per envelope (none at m = l = 0)."""
+    in place: the split's inverse and a Parseval forward per envelope.  At m = l = 0
+    the norm reads only |envelope|: it takes neither those forwards nor the carrier."""
     _check_scale(h, "h")
     q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
     rho_df, rho_nf, _ = _grid_bdfs(grid, h)
@@ -207,7 +208,7 @@ def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=
         return lambda values, spec: sum(
             h**-q * _fourier_norm(np.multiply(env, weight, out=env), mult, grid.dvol)
             for q, env in zip((orders.q_plus, orders.q_minus),
-                              _split(values, spec, q_plus, carrier)))
+                              _split(values, spec, q_plus, None if mult is None else carrier)))
 
     return [norm_for(o, w) for o, w in zip(orders_list, weights)]
 

@@ -15,21 +15,22 @@ The Schrodinger solver handles the full normal operator
 splitting with the state kept in Fourier space: between two pointwise
 C-steps the exact kinetic half steps fuse into one multiplier, so a step
 costs two FFTs, and a run with no coefficient is the exact free propagator,
-one multiplier per output time.  ``kg_envelope_solve`` steps the exact
-conjugated Klein-Gordon equation with ``ConjugatedOperator``'s coefficients,
-for any metric; the Schrodinger side is compared with and without aleph.
+one multiplier per output time.  ``_operator_terms`` is the one table of
+lower-order terms: at c for ``ConjugatedOperator`` and ``kg_envelope_solve``'s
+exact conjugated equation, at c = infinity for the normal operator (with or without aleph).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from .quantize import BoxGrid, GridField, transform
-from .symbols import MetricParams, SignBranch, aleph, eval_metric
+from .symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph, eval_metric
 
 __all__ = [
     "KGState",
@@ -153,60 +154,24 @@ class SchrState:
         return float(np.sqrt(np.sum(np.abs(self.v) ** 2) * self.grid.dvol))
 
 
+@dataclass(frozen=True)
 class SchrCoefficients:
-    """Coefficient fields of the normal operator, as functions of (t, x).
+    """The normal operator's coefficient fields ``terms(t, mesh, s)``, at time t on the
+    spatial mesh for branch sign s, keyed as ``ConjugatedOperator``'s terms: () is the
+    potential V and (j,), j >= 1 a spatial axis, is i B_j; a key left out is zero."""
 
-    ``B`` is a tuple of real drift coefficients, ``W``/``beta`` the zeroth
-    order terms, ``aleph`` the asymptotic-mass potential; each maps
-    (t, x-meshes...) to an array on the spatial grid, and one not given is
-    stored as None.  The branch-dependent potential is V = W -(+/-) beta -
-    aleph, the c -> infinity limit of ``ConjugatedOperator``'s zeroth-order
-    row (its -s beta, with s the branch sign).
-    """
-
-    def __init__(self, d: int, B=None, W=None, beta=None, aleph=None):
-        self.d = d
-        self.B = tuple(B) if B is not None else None
-        self.W, self.beta, self.aleph = W, beta, aleph
+    terms: Callable
 
     @classmethod
-    def from_metric(cls, M: MetricParams, include_aleph: bool = True) -> "SchrCoefficients":
-        """Coefficients at c = infinity: B_j = Re B_j, W, beta, and the
-        asymptotic-mass potential (dropable for the differential test); a
-        coefficient the metric leaves zero is absent."""
-
-        def lift(coef):
-            if coef.is_zero:
-                return None
-            return lambda t, *mesh: coef(_spacetime(t, mesh), math.inf)
-
-        B = None
-        if not all(Bj.is_zero for Bj in M.B):
-            B = tuple(lambda t, *mesh, Bj=Bj: np.real(Bj(_spacetime(t, mesh), math.inf))
-                      for Bj in M.B)
-        alephf = None
-        if include_aleph and not M.is_flat:
-            def alephf(t, *mesh):
-                return aleph(M, _spacetime(t, mesh))
-        return cls(M.d, B=B, W=lift(M.W), beta=lift(M.beta), aleph=alephf)
-
-    @property
-    def is_free(self) -> bool:
-        return all(f is None for f in (self.B, self.W, self.beta, self.aleph))
-
-    def potential(self, t, mesh, branch: SignBranch) -> np.ndarray | None:
-        """V at time t, or None when none of W, beta, aleph is given."""
-        V = None
-        for sign, f in ((1, self.W), (-branch.sign, self.beta), (-1, self.aleph)):
-            if f is not None:
-                term = np.asarray(f(t, *mesh), dtype=complex)
-                V = (term if sign > 0 else -term) if V is None else V + sign * term
-        return V
-
-    def drift(self, t, mesh) -> list | None:
-        """B_j at time t, or None when B is not given."""
-        if self.B is not None:
-            return [np.asarray(Bj(t, *mesh), dtype=float) for Bj in self.B]
+    def from_metric(cls, M: MetricParams, include_aleph: bool = True):
+        """The c = infinity rows of ``_operator_terms`` (V = W - s beta - aleph, i Re B_j),
+        or None, the exact free path, when alpha, beta, B and W all vanish; without
+        aleph, alpha goes, the one metric profile that the limit keeps."""
+        if not include_aleph:
+            M = replace(M, alpha=ClassicalSymbolProfile.zero())
+        if all(p.is_zero for p in (M.alpha, M.beta, M.W, *M.B)):
+            return None
+        return cls(lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s)[0])
 
 
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
@@ -214,48 +179,52 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
                       dt: float | None = None) -> list:
     """Strang split-step solution of the normal operator equation.
 
-    -(+/-)2i d_t v + Lap v + (-(+/-) beta + i B . grad + W - aleph) v = 0, i.e.
-    d_t v = s (i/2)(Lap + i B . grad + V) v with s = -branch sign.  An output
-    interval of span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and
-    > 0, else InvalidInput).  The state stays in Fourier space: the exact
-    kinetic half factor e^{-is|xi|^2 step/4} is applied at the interval's
-    ends and its square between steps, around each C-step (an inverse FFT,
-    the pointwise step, an FFT).  The C-step applies e^{isV step/4} before and
-    after a midpoint drift step with spectral gradients (second order), or
-    with no drift e^{isV step/2} once; StepFailure if dt > min(dx)/max|B|.
-    With no coefficient the answer is exact, v^ e^{-is|xi|^2 T/2}, in 0 steps.
+    d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j
+    the ``coeffs.terms`` (any other key: InvalidInput).  An output interval of
+    span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and > 0, else
+    InvalidInput).  The state stays in Fourier space: the exact kinetic half
+    factor e^{-is|xi|^2 step/4} is applied at the interval's ends and its
+    square between steps, around each C-step (an inverse FFT, the pointwise
+    step, an FFT).  The C-step applies e^{isV step/4} before and after a
+    midpoint drift step with spectral gradients (second order), with no drift
+    e^{isV step/2} once, and with no term none; StepFailure if dt > min(dx)/max|B|.
+    With ``coeffs`` None the answer is exact, v^ e^{-is|xi|^2 T/2}, in 0 steps.
     """
     dt = 0.01 if dt is None else dt
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidInput(f"time step dt={dt} must be finite and > 0")
+    _check_scale(dt, "dt")
     grid = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     s = -branch.sign
     xi2 = _xi2(grid)
     vh = transform(data.v.copy())
-    if coeffs is None or coeffs.is_free:
+    if coeffs is None:
         return [SchrState(grid, transform(vh * np.exp(-0.5j * s * xi2 * (t - data.t)),
                                           inverse=True), float(t)) for t in times]
-    mesh = grid.mesh()
-    kmesh = grid.freq_mesh()
-    # drift CFL-type guard
-    bmax = max((float(np.max(np.abs(b))) for b in coeffs.drift(data.t, mesh) or ()),
-               default=0.0)
+    mesh, kmesh = grid.mesh(), grid.freq_mesh()
+
+    def fields(t):
+        """V (None when absent) and the (i B_j, k_j) pairs given at time t."""
+        terms = coeffs.terms(t, mesh, branch.sign)
+        drift = [(terms[(j,)], k) for j, k in enumerate(kmesh, 1) if (j,) in terms]
+        if len(terms) != len(drift) + (() in terms):
+            raise InvalidInput(f"the normal operator's terms are () and (j,), 1 <= j <= "
+                               f"{grid.ndim}, not {sorted(terms)}")
+        return terms.get(()), drift
+
+    bmax = max((float(np.max(np.abs(b))) for b, _ in fields(data.t)[1]), default=0.0)
     if bmax > 0.0 and dt > min(grid.spacings) / bmax:
         raise StepFailure(f"drift step dt={dt} exceeds the stability bound "
                           f"{min(grid.spacings) / bmax:.3e}")
 
     def c_step(v, t_mid, step):
-        V = coeffs.potential(t_mid, mesh, branch)
-        Bs = coeffs.drift(t_mid, mesh)
-        if Bs is None:      # the two half factors meet: one multiply, in place
-            return np.multiply(v, np.exp(V * (0.5j * s * step)), out=v)
+        V, drift = fields(t_mid)
+        if not drift:       # the two half factors meet: one multiply, in place
+            return v if V is None else np.multiply(v, np.exp(V * (0.5j * s * step)), out=v)
         phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
 
         def f(w):
             wh = transform(w.copy())
-            return -0.5 * s * sum(b * transform(1j * k * wh, inverse=True)
-                                  for b, k in zip(Bs, kmesh))
+            return 0.5j * s * sum(b * transform(1j * k * wh, inverse=True) for b, k in drift)
         v = phase * v
         return phase * (v + step * f(v + 0.5 * step * f(v)))
 
@@ -302,6 +271,8 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
     """
     if len(kg_run) != len(schr_run):
         raise GridMismatch("runs must share output times")
+    if not schr_run:
+        raise InvalidInput("the comparison needs at least one output time")
     ref = schr_run[0].norm()
     errs = []
     for kg, sc in zip(kg_run, schr_run):
@@ -330,7 +301,9 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
     """(terms, c1): P's coefficient fields beyond its free multiplier, keyed by
     sorted derivative indices (one vanishing identically is left out), and the
     d'Alembertian's first-order c1, at spacetime coordinates zs = (t, x...),
-    arrays that broadcast; s is the conjugating branch sign (0: P itself)."""
+    arrays that broadcast; s is the conjugating branch sign (0: P itself).  At c = inf,
+    the h = 0 face, the metric leaves only -c^4 (g^00 + c^-2) = -aleph: for s != 0 the
+    terms are the normal operator's, () = W - s beta - aleph and (j,) = i Re B_j."""
     n = len(zs)
     terms, c1 = {}, np.zeros(n)
 
@@ -340,7 +313,10 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
     if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
         return terms, c1
     z = _spacetime(zs[0], zs[1:])
-    if not M.is_flat:
+    if math.isinf(c):
+        if s and not M.is_flat:
+            add((), -aleph(M, z))
+    elif not M.is_flat:
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
         mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
         # light-speed fields from the natural-units ones, S = diag(c, 1, ...):
@@ -454,15 +430,16 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     """
     _check_scale(c)
     dt = 0.5 / c**2 if dt is None else dt
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidInput(f"time step dt={dt} must be finite and > 0")
+    _check_scale(dt, "dt")
     v = np.array(psi0, dtype=complex)
     if v.shape != tuple(grid.shape):
         raise GridMismatch(f"psi0 of shape {v.shape} is not on the grid {tuple(grid.shape)}")
     s, n = branch.sign, grid.ndim + 1
     mesh, xi2, k = grid.mesh(), _xi2(grid), (None, *grid.freq_mesh())  # k by spacetime axis
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    t = float(times[0]) if len(times) else 0.0
+    if not len(times):
+        return []
+    t = float(times[0])
     free = [((0, 0), -1.0 / c**2), ((0,), -2j * s)] + [((j, j), 1.0) for j in range(1, n)]
 
     def terms_at(t):

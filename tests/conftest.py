@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,26 +37,33 @@ def wavy_metric():
 
 
 @st.composite
-def perturbed_metrics(draw, d, amp=0.2):
+def perturbed_metrics(draw, d, amp=0.2, lower=False):
     """Metrics of dimension d with every second-order coefficient perturbed.
 
     With amp <= 0.2 and |cos|, |sin| <= 0.5 each entry of the perturbation
     block is at most 0.4 in size, so for h <= 0.5 the natural-units metric
-    stays within 0.4 of Minkowski.
+    stays within 0.4 of Minkowski.  With ``lower`` the lower-order terms beta,
+    B and W are drawn too, each with an imaginary part (Im B decaying in c).
     """
 
-    def profile():
+    def profile(orders=(-1, -2)):
         kappa = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(d + 1))
         return ClassicalSymbolProfile(
             amplitude=draw(st.floats(-amp, amp)),
-            order=draw(st.sampled_from([-1, -2])),
+            order=draw(st.sampled_from(orders)),
             waves=((kappa, draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),),
         )
 
     upper = {(j, k): profile() for j in range(d) for k in range(j, d)}
     hjk = tuple(tuple(upper[min(j, k), max(j, k)] for k in range(d)) for j in range(d))
-    return MetricParams(d=d, alpha=profile(), w=tuple(profile() for _ in range(d)),
-                        hjk=hjk)
+    M = MetricParams(d=d, alpha=profile(), w=tuple(profile() for _ in range(d)), hjk=hjk)
+    if not lower:
+        return M
+
+    def coefficient(imag_c_decay=False):
+        return OperatorCoefficient(profile(), profile((-2,)), imag_c_decay)
+    return replace(M, beta=coefficient(), B=tuple(coefficient(True) for _ in range(d)),
+                   W=coefficient())
 
 
 def light_speed_inverse(M, z, c):

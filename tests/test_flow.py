@@ -130,6 +130,12 @@ class TestHamField:
 
 
 class TestIntegrateFlow:
+    def test_start_from_another_chart_is_unavailable(self, free_metric):
+        # a flow starts from a start dict, a PhasePoint or a RADIAL_NAT point
+        cc = to_chart(PhasePoint(0.5, [0.2], 2.0, [0.1], 0.5), ChartId(ChartTag.PF_STANDARD))
+        with pytest.raises(ChartUnavailable, match="PF_STANDARD"):
+            integrate_flow(cc, "forward", free_metric, PL)
+
     def test_source_to_sink_example(self, free_metric):
         rp = radial_point([1.0], 0.2, Side.PAST, PL)
         cc = to_radial_chart(rp, offsets=[1e-4, 0.0])

@@ -16,7 +16,11 @@ from nrlab.pde import ConjugatedOperator, KGState, kg_branch_data, kg_envelope_s
 from nrlab.symbols import MetricParams, SignBranch
 from nrlab.norms import (
     OrderProfile,
+    _carrier,
     _fourier_norm,
+    _split,
+    _split_multiplier,
+    _weight_field,
     calctwo_norm,
     default_chi,
     gaussian_family,
@@ -89,6 +93,24 @@ def test_smooth_step_is_the_closed_form_bit_for_bit(x):
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(np.where(nan, 0.0, got).view(np.int64),
                           np.where(nan, 0.0, want).view(np.int64))
+
+
+def test_unit_multiplier_norm_is_not_demodulated(stg, bump):
+    # |e^{-/+ic^2 t} Q_+/- u| = |Q_+/- u|: a carrier of None returns the pieces
+    # as they are, and the m = l = 0 norm agrees with the demodulated envelopes'
+    h = 0.25
+    u = bump * np.exp(1j * stg.mesh()[0] / h**2 + 0.7j * stg.mesh()[1])
+    q_plus, carrier = _split_multiplier(stg, h), _carrier(stg, h)
+    plus, minus = _split(u, np.fft.fftn(u), q_plus, None)
+    env_plus, env_minus = _split(u, np.fft.fftn(u), q_plus, carrier)
+    assert np.array_equal(env_plus, plus * np.conj(carrier))
+    assert np.array_equal(env_minus, minus * carrier)
+    orders = OrderProfile(0.0, 0.0, 0.5, -0.5, 0.0, -1.0)
+    weight = _weight_field(stg, orders)
+    want = sum(h**-q * math.sqrt(stg.dvol) * np.linalg.norm(weight * env)
+               for q, env in ((orders.q_plus, env_plus), (orders.q_minus, env_minus)))
+    got = calctwo_norm(GridField(stg, u), h, orders)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_unit_multiplier_takes_no_transform(stg, bump):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_transforms, light_speed_inverse, profile_grad
+from conftest import count_transforms, light_speed_inverse, perturbed_metrics, profile_grad
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -120,18 +120,20 @@ class TestSchrodinger:
         assert np.max(np.abs(out[0].v - expect)) < 1e-10
 
     def test_drift_cfl_guard(self, sgrid):
-        coeffs = SchrCoefficients(1, B=(lambda t, x: 5.0 + 0.0 * x,))
+        coeffs = SchrCoefficients(lambda t, mesh, s: {(1,): 5.0j + 0.0 * mesh[0]})
         psi = bandlimited_gaussian(sgrid, 2.0)
         with pytest.raises(StepFailure):
             schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [1.0], coeffs, dt=1.0)
 
     def test_free_path_exact_off_the_step_grid(self, sgrid):
-        # 1.2345 is no multiple of dt; the free path takes no steps
+        # 1.2345 is no multiple of dt; the free path takes no steps, also for a
+        # metric whose c = infinity limit has no term (a shift alone)
         k = sgrid.axis_freqs(0)
         xi0 = k[np.argmin(np.abs(k - 1.3))]
         psi = np.exp(1j * xi0 * sgrid.axis_points(0))
+        shift = MetricParams(d=1, w=(ClassicalSymbolProfile(amplitude=0.2),))
         for branch in (PL, MI):
-            for coeffs in (None, SchrCoefficients(1)):
+            for coeffs in (None, SchrCoefficients.from_metric(shift)):
                 (out,) = schrodinger_solve(SchrState(sgrid, psi, 0.5), branch, [1.7345],
                                            coeffs, dt=0.1)
                 expect = psi * np.exp(branch.sign * 0.5j * xi0**2 * 1.2345)
@@ -141,13 +143,13 @@ class TestSchrodinger:
     @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
     def test_dt_must_be_finite_and_positive(self, sgrid, dt):
         psi = bandlimited_gaussian(sgrid, 2.0)
-        for coeffs in (None, SchrCoefficients(1, W=lambda t, x: 0.1 + 0.0 * x)):
+        for coeffs in (None, SchrCoefficients(lambda t, mesh, s: {(): 0.1 + 0.0 * mesh[0]})):
             with pytest.raises(InvalidInput):
                 schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [1.0], coeffs, dt=dt)
 
     def test_step_count(self, sgrid):
         # ceil(0.25 / 0.02) = 13 steps per interval, none for a repeated time
-        coeffs = SchrCoefficients(1, W=lambda t, x: 0.1 / (1.0 + x * x))
+        coeffs = SchrCoefficients(lambda t, mesh, s: {(): 0.1 / (1.0 + mesh[0] ** 2)})
         psi = bandlimited_gaussian(sgrid, 2.0)
         run = schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.0, 0.25, 0.25, 0.0],
                                 coeffs, dt=0.02)
@@ -157,31 +159,28 @@ class TestSchrodinger:
 def _strang_reference(data, branch, times, coeffs, dt):
     """The four-FFT Strang loop: each step is a kinetic half step (an
     fftn/ifftn pair), the C-step at the step's midpoint, and another kinetic
-    half step; an absent coefficient is a zero field."""
+    half step; an absent term is a zero field."""
     grid = data.grid
     s = -branch.sign
     xi2 = sum(k * k for k in grid.freq_mesh())
     mesh, kmesh = grid.mesh(), grid.freq_mesh()
-    zero = lambda t, *m: np.zeros(grid.shape)
-    W, beta, aleph = (f or zero for f in (coeffs.W, coeffs.beta, coeffs.aleph))
-    B = coeffs.B or (zero,) * grid.ndim
+    zero = np.zeros(grid.shape)
 
     def kinetic_half(v, step):
         return np.fft.ifftn(np.fft.fftn(v) * np.exp(-1j * s * xi2 * step / 4.0))
 
     def c_step(v, t_mid, step):
-        V = (np.asarray(W(t_mid, *mesh), dtype=complex)
-             - branch.sign * np.asarray(beta(t_mid, *mesh), dtype=complex)
-             - np.asarray(aleph(t_mid, *mesh), dtype=complex))
-        Bs = [np.asarray(Bj(t_mid, *mesh), dtype=float) for Bj in B]
+        terms = coeffs.terms(t_mid, mesh, branch.sign)
+        V = np.asarray(terms.get((), zero), dtype=complex)
+        iB = [np.asarray(terms.get((1 + j,), zero), dtype=complex) for j in range(grid.ndim)]
         v = np.exp(0.5j * s * V * step / 2.0) * v
 
-        def f(w):
+        def f(w):     # s (i/2) i B . grad w
             out = np.zeros_like(w)
             wh = np.fft.fftn(w)
             for j in range(grid.ndim):
-                out += Bs[j] * np.fft.ifftn(1j * kmesh[j] * wh)
-            return -0.5 * s * out
+                out += iB[j] * np.fft.ifftn(1j * kmesh[j] * wh)
+            return 0.5j * s * out
 
         w1 = v + 0.5 * step * f(v)
         v = v + step * f(w1)
@@ -235,11 +234,20 @@ def strang_cases(draw):
     for name in sorted(present - {"B"}):
         kw[name] = field(draw(amps), draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)),
                          draw(st.floats(-0.3, 0.3)) if name == "W" else None)
+    B = ()
     if "B" in present:
         bmax = 0.2 * min(grid.spacings) / dt   # |B| <= 1.5 bmax
-        kw["B"] = tuple(field(draw(st.floats(-bmax, bmax)), draw(st.floats(0.5, 3.0)),
-                              draw(st.floats(-1.0, 1.0))) for _ in range(d))
-    return grid, v0, t0, times, dt, SchrCoefficients(d, **kw)
+        B = tuple(field(draw(st.floats(-bmax, bmax)), draw(st.floats(0.5, 3.0)),
+                        draw(st.floats(-1.0, 1.0))) for _ in range(d))
+
+    def terms(t, mesh, s):
+        # V = W - s beta - aleph and i B_j, the normal operator's terms
+        sign = {"W": 1.0, "beta": -s, "aleph": -1.0}
+        out = {(1 + j,): 1j * Bj(t, *mesh) for j, Bj in enumerate(B)}
+        if kw:
+            out[()] = sum(sign[name] * f(t, *mesh) for name, f in kw.items())
+        return out
+    return grid, v0, t0, times, dt, SchrCoefficients(terms)
 
 
 class TestStrangOracle:
@@ -265,9 +273,8 @@ class TestConstantPotential:
         mesh = grid.mesh()
         v0 = np.exp(-sum(m * m for m in mesh) / 6.0) * np.exp(0.7j * mesh[0])
         W0, beta0, aleph0 = 0.3 - 0.05j, 0.4, -0.2
-        cases = [(SchrCoefficients(d, W=lambda t, *m: W0), W0),     # a 0-d field
-                 (SchrCoefficients(d, beta=lambda t, *m: beta0 + 0.0 * m[0],
-                                   aleph=lambda t, *m: aleph0 + 0.0 * m[0]),
+        cases = [(SchrCoefficients(lambda t, mesh, s: {(): W0}), W0),     # a 0-d field
+                 (SchrCoefficients(lambda t, mesh, s: {(): -s * beta0 - aleph0 + 0.0 * mesh[0]}),
                   -branch.sign * beta0 - aleph0)]
         t0, times, s = 0.4, [0.4, 1.13, -0.6, 2.0], -branch.sign
         free = schrodinger_solve(SchrState(grid, v0, t0), branch, times)
@@ -299,6 +306,17 @@ class TestNonRelativisticComparison:
         wrong = schrodinger_solve(SchrState(sgrid, psi, 0.0), PL, times, dt=0.02)
         rep = conjugate_compare(kgs, wrong, PL, c)
         assert rep.sup_error > 0.5
+
+    def test_empty_runs(self, sgrid):
+        # no output time: both solvers give no state, and the comparison of two
+        # empty runs is an InvalidInput, not an IndexError
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
+        assert kg_envelope_solve(psi, MI, M, 4.0, [], sgrid) == []
+        assert schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [],
+                                 SchrCoefficients.from_metric(M)) == []
+        with pytest.raises(InvalidInput):
+            conjugate_compare([], [], MI, 4.0)
 
     def test_zero_data(self, sgrid):
         times = [0.0, 1.0]
@@ -648,29 +666,96 @@ class TestZeroCoefficientTerms:
         assert max(np.max(np.abs(e.v - r.v)) for e, r in zip(kg_env, ref)) <= 1e-14 * scale
 
 
-class TestPotential:
-    def test_lone_W_returned_exactly(self):
-        grid = BoxGrid.regular(10.0, 16, 1)
-        mesh = grid.mesh()
-        W = lambda t, x: 0.5 / (1.0 + t * t + x * x)   # real: V must still be complex
-        V = SchrCoefficients(1, W=W).potential(0.3, mesh, MI)
-        assert V.dtype == complex and np.array_equal(V, W(0.3, *mesh))
-        Wc = lambda t, x: 1j * W(t, x)
-        assert np.array_equal(SchrCoefficients(1, W=Wc).potential(0.3, mesh, PL), Wc(0.3, *mesh))
+def _full_metric(d):
+    """alpha, a shift (which the c = infinity limit drops), and beta, B and W
+    with imaginary parts (Im B decaying in c)."""
+    prof = lambda a, order=-1, k=0.7: ClassicalSymbolProfile(
+        amplitude=a, order=order, waves=(((k,) * (d + 1), 0.3, -0.2),))
+    return MetricParams(
+        d=d, alpha=prof(0.3), w=tuple(prof(0.2, k=1.1) for _ in range(d)),
+        beta=OperatorCoefficient(prof(0.5, k=0.4), prof(0.1, -2)),
+        B=tuple(OperatorCoefficient(prof(0.4 - 0.1 * j, k=0.9), prof(0.2, -2), True)
+                for j in range(d)),
+        W=OperatorCoefficient(prof(0.25, k=1.3), prof(0.15, -2)))
 
-    @pytest.mark.parametrize("branch", [PL, MI])
-    def test_sum_of_terms(self, branch):
-        grid = BoxGrid.regular(10.0, 16, 1)
-        mesh = grid.mesh()
-        W = lambda t, x: 0.5 / (1.0 + x * x)
-        beta = lambda t, x: 0.2 * np.cos(x) + 0.1j
-        al = lambda t, x: 0.3 * np.exp(-x * x)
-        co = SchrCoefficients(1, W=W, beta=beta, aleph=al)
-        want = W(0.0, *mesh) - branch.sign * beta(0.0, *mesh) - al(0.0, *mesh)
-        np.testing.assert_allclose(co.potential(0.0, mesh, branch), want, rtol=1e-15)
-        only_beta = SchrCoefficients(1, beta=beta).potential(0.0, mesh, branch)
-        assert np.array_equal(only_beta, -branch.sign * beta(0.0, *mesh))
-        assert SchrCoefficients(1).potential(0.0, mesh, branch) is None
+
+class TestNormalOperatorTerms:
+    """SchrCoefficients.from_metric is _operator_terms at c = infinity."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_closed_form_oracle(self, d, s):
+        M = _full_metric(d)
+        mesh = BoxGrid.regular(12.0, 8, d).mesh()
+        t = 0.3
+        z = np.stack(np.broadcast_arrays(t, *mesh), axis=-1)
+        got = SchrCoefficients.from_metric(M).terms(t, mesh, s)
+        want = {(): M.W(z, math.inf) - s * M.beta(z, math.inf) + M.alpha(z),
+                **{(1 + j,): 1j * np.real(Bj(z, math.inf)) for j, Bj in enumerate(M.B)}}
+        assert set(got) == set(want)
+        for key, field in want.items():
+            np.testing.assert_allclose(got[key], field, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_without_aleph_only_alpha_goes(self, s):
+        M = _full_metric(2)
+        mesh = BoxGrid.regular(12.0, 8, 2).mesh()
+        z = np.stack(np.broadcast_arrays(0.3, *mesh), axis=-1)
+        full = SchrCoefficients.from_metric(M).terms(0.3, mesh, s)
+        without = SchrCoefficients.from_metric(M, include_aleph=False).terms(0.3, mesh, s)
+        assert set(without) == set(full)
+        np.testing.assert_allclose(without[()], full[()] - M.alpha(z), rtol=1e-14, atol=1e-16)
+        assert all(np.array_equal(without[key], full[key]) for key in ((1,), (2,)))
+
+    def test_metric_without_limit_terms_is_the_free_path(self):
+        shift = MetricParams(d=2, w=(ClassicalSymbolProfile(amplitude=0.2),
+                                     ClassicalSymbolProfile(amplitude=-0.1)))
+        zero = ClassicalSymbolProfile.zero()
+        spatial = MetricParams(d=2, hjk=((ClassicalSymbolProfile(amplitude=0.1), zero),
+                                         (zero, zero)))
+        lapse = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
+        assert SchrCoefficients.from_metric(shift) is None
+        assert SchrCoefficients.from_metric(spatial) is None
+        assert SchrCoefficients.from_metric(MetricParams.free(3)) is None
+        assert SchrCoefficients.from_metric(lapse, include_aleph=False) is None
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), s=st.sampled_from([1, -1]))
+    @settings(max_examples=25, deadline=None)
+    def test_finite_c_rows_approach_the_limit_like_one_over_c(self, data, d, s):
+        # every finite-c row differs from its c = infinity value (0 for a row
+        # the limit lacks) by O(1/c), so c |row(c) - row(inf)| may not grow
+        # beyond its c = 64 value; 1.25 allows for the O(1/c^2) remainder, and
+        # the floor is the round-off of c^4 (g^00 + c^-2), eps c^2, times c
+        M = data.draw(perturbed_metrics(d, lower=True))
+        zs = list(np.random.default_rng(d).uniform(-4.0, 4.0, (d + 1, 12)))
+        limit = pde._operator_terms(M, math.inf, zs, s)[0]
+        scaled = {}
+        for c in (64.0, 256.0, 1024.0):
+            terms = pde._operator_terms(M, c, zs, s)[0]
+            for key in set(terms) | set(limit):
+                err = np.max(np.abs(terms.get(key, 0.0) - limit.get(key, 0.0)))
+                scaled.setdefault(key, []).append(c * err)
+        eps = np.finfo(float).eps
+        for key, (e64, *rest) in scaled.items():
+            for c, e in zip((256.0, 1024.0), rest):
+                assert e <= 1.25 * e64 + 16.0 * eps * c**3, (key, c, scaled[key])
+
+    def test_finite_c_table_is_not_stepped(self, sgrid):
+        # a finite-c table holds time and second-order rows: InvalidInput
+        M = MetricParams(d=1, w=(ClassicalSymbolProfile(amplitude=0.2),))
+        coeffs = SchrCoefficients(lambda t, mesh, s: pde._operator_terms(M, 8.0, [t, *mesh], s)[0])
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        with pytest.raises(InvalidInput):
+            schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.5], coeffs, dt=0.05)
+
+    def test_no_term_at_a_step_is_the_identity(self, sgrid):
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        free = schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.5, 1.0])
+        run = schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.5, 1.0],
+                                SchrCoefficients(lambda t, mesh, s: {}), dt=0.05)
+        assert [state.steps for state in run] == [10, 20]
+        for got, want in zip(run, free):
+            assert np.max(np.abs(got.v - want.v)) <= 1e-12 * np.max(np.abs(want.v))
 
 
 @pytest.fixture(scope="module")
@@ -679,9 +764,8 @@ def runs():
     x = g.axis_points(0)
     psi = np.exp(-(x**2) / 8.0)
     times = np.linspace(-20.0, 20.0, 161)
-    W = lambda t, xx: 1j * 0.05 / (1.0 + t * t + xx * xx)
-    pert = schrodinger_solve(SchrState(g, psi, -20.0), MI, times,
-                             SchrCoefficients(1, W=W), dt=0.02)
+    W = SchrCoefficients(lambda t, mesh, s: {(): 1j * 0.05 / (1.0 + t * t + mesh[0] * mesh[0])})
+    pert = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, W, dt=0.02)
     free = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, dt=0.05)
     return free, pert
 
