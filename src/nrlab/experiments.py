@@ -270,7 +270,7 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
     times = np.linspace(0.0, T, 9)
     errs, steps = {}, 0
     for c in c_list:
-        kgs = pde.kg_free_solve(pde.kg_branch_data(g, psi, c, MI), times)
+        kgs = pde.kg_free_solve(psi, MI, c, times, g)
         ss = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.02)
         errs[c] = pde.conjugate_compare(kgs, ss, MI, c).sup_error
         steps += ss[-1].steps

@@ -513,16 +513,24 @@ def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 
     ``direction`` as for integrate_flow; one Trajectory per case comes back,
     in order, and none depends on the other cases.  Flows with conserved
     frequencies (the parabolic face, the free metric, h = 0) are solved in
-    closed form; the others advance together by one vectorised RK45.
+    closed form; the others advance together by one vectorised RK45.  InvalidInput
+    unless budget, rtol and delta are finite and > 0, max_samples is an int >= 1
+    and each start's Y and zeta have 1 + M.d entries.
     """
+    if not (all(0.0 < x < math.inf for x in (budget, rtol, delta))
+            and isinstance(max_samples, (int, np.integer)) and max_samples >= 1):
+        raise InvalidInput(f"budget {budget}, rtol {rtol} and delta {delta} must be finite and "
+                           f"> 0, max_samples {max_samples} an int >= 1")
     for _, direction, _ in cases:
         if direction not in ("forward", "backward"):
             raise InvalidInput(f"direction must be 'forward' or 'backward', not {direction!r}")
     if not cases:
         return []
     starts = [_as_start(start, b) for start, _, b in cases]
+    n = 1 + M.d
+    if any(np.size(st["Y"]) != n or np.size(st["zeta"]) != n for st in starts):
+        raise InvalidInput(f"a flow of a d = {M.d} metric starts from Y and zeta of {n} entries")
     y0 = np.array([np.concatenate((st["Y"], st["zeta"])) for st in starts])
-    n = y0.shape[1] // 2
     if np.any(np.sum(y0[:, :n] ** 2, axis=1) > 1.0 + 1e-12):
         raise InvalidInput("flow starts must lie in the closed ball |Y| <= 1")
     h = np.array([st["h"] for st in starts])

@@ -1,10 +1,10 @@
 """Model PDE solvers: free Klein-Gordon and its Schrodinger normal operator.
 
-Mode convention (fixed once): Klein-Gordon modes are e^{i(-omega t + xi.x)}
-with omega = +c (c^2 + |xi|^2)^(1/2).  Such a mode pairs with the MINUS
-branch envelope v = e^{+ic^2 t} u, which to leading order solves
-2i dv/dt + Lap v = 0; the PLUS branch envelope is v = e^{-ic^2 t} u and
-solves -2i dv/dt + Lap v = 0.  The dispersion gap
+Mode convention (fixed once): on the branch of sign s a Klein-Gordon mode is
+u = e^{i(s omega t + xi.x)}, omega = c (c^2 + |xi|^2)^(1/2); its envelope v = e^{-isc^2 t} u
+turns by the rest gap, v^(t) = v^(0) e^{is(omega - c^2)t}, with omega - c^2 written once
+(``_rest_gap``).  At c = infinity the gap is |xi|^2/2: v solves -2is dv/dt + Lap v = 0,
+the free Schrodinger equation of the branch.  The difference
 
     omega - c^2 - |xi|^2/2 = -|xi|^4/(8c^2) + O(c^-4)
 
@@ -33,12 +33,9 @@ from .quantize import BoxGrid, GridField, transform
 from .symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph, eval_metric
 
 __all__ = [
-    "KGState",
     "SchrState",
     "SchrCoefficients",
     "kg_free_solve",
-    "kg_branch_data",
-    "envelope",
     "schrodinger_solve",
     "kg_envelope_solve",
     "conjugate_compare",
@@ -59,29 +56,22 @@ def _check_scale(x, name: str = "c"):
         raise InvalidInput(f"{name} = {x}: {name} and 1/{name} must be finite and > 0")
 
 
-# ---------------------------------------------------------------------------
-# free Klein-Gordon
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class KGState:
-    """(u, du/dt) on a spatial grid at time t, with light speed c."""
-
-    grid: BoxGrid
-    u: np.ndarray
-    ut: np.ndarray
-    t: float
-    c: float
-
-    def __post_init__(self):
-        _check_scale(self.c)
-        self.u = np.asarray(self.u, dtype=complex)
-        self.ut = np.asarray(self.ut, dtype=complex)
+def _check_times(times) -> np.ndarray:
+    """The output times as a float array; InvalidInput unless each is finite."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise InvalidInput(f"output times must be finite, not {times}")
+    return times
 
 
 def _xi2(grid: BoxGrid) -> np.ndarray:
     return sum(m * m for m in grid.freq_mesh())
+
+
+def _rest_gap(c: float, xi2):
+    """omega - c^2 = |xi|^2/(1 + (1 + |xi|^2/c^2)^(1/2)), no c^2 cancelling; |xi|^2/2
+    at c = inf."""
+    return xi2 / (1.0 + np.sqrt(1.0 + xi2 / (c * c)))
 
 
 def _spacetime(t: float, mesh) -> np.ndarray:
@@ -89,51 +79,8 @@ def _spacetime(t: float, mesh) -> np.ndarray:
     return np.stack(np.broadcast_arrays(t, *mesh), axis=-1)
 
 
-def kg_free_solve(data: KGState, times) -> list:
-    """Exact Fourier-mode evolution of (-c^-2 d_t^2 + Lap - c^2) u = 0.
-
-    Each mode splits into e^{-i omega t} and e^{+i omega t} branches with
-    omega(xi) = c sqrt(c^2 + |xi|^2); energy is conserved exactly.
-    """
-    grid, c = data.grid, data.c
-    omega = c * np.sqrt(c * c + _xi2(grid))
-    u_hat = transform(data.u.copy())
-    ut_hat = transform(data.ut.copy())
-    a = 0.5 * (u_hat + 1j * ut_hat / omega)   # e^{-i omega t} branch
-    bb = 0.5 * (u_hat - 1j * ut_hat / omega)  # e^{+i omega t} branch
-    out = []
-    for t in np.atleast_1d(times):
-        dt = t - data.t
-        ea = np.exp(-1j * omega * dt)
-        u_t = a * ea + bb / ea
-        ut_t = -1j * omega * (a * ea - bb / ea)
-        out.append(KGState(grid, transform(u_t, inverse=True), transform(ut_t, inverse=True),
-                           float(t), c))
-    return out
-
-
-def kg_branch_data(grid: BoxGrid, psi: np.ndarray, c: float,
-                   branch: SignBranch, t: float = 0.0) -> KGState:
-    """Initial data carried entirely on one frequency branch.
-
-    MINUS picks the e^{-i omega t} modes (u_t = -i omega u per mode), PLUS
-    the e^{+i omega t} modes.
-    """
-    _check_scale(c)
-    omega = c * np.sqrt(c * c + _xi2(grid))
-    psi_hat = transform(np.array(psi, dtype=complex))
-    sgn = -1.0 if branch is SignBranch.MINUS else +1.0
-    ut = transform(sgn * 1j * omega * psi_hat, inverse=True)
-    return KGState(grid, np.asarray(psi, dtype=complex), ut, t, c)
-
-
-def envelope(state: KGState, branch: SignBranch) -> np.ndarray:
-    """Slow envelope e^{-(+/-) i c^2 t} u of a Klein-Gordon state."""
-    return np.exp(-1j * branch.sign * state.c**2 * state.t) * state.u
-
-
 # ---------------------------------------------------------------------------
-# Schrodinger normal operator
+# free propagator, Schrodinger normal operator, envelope comparison
 # ---------------------------------------------------------------------------
 
 
@@ -149,6 +96,8 @@ class SchrState:
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=complex)
+        if self.v.shape != tuple(self.grid.shape):
+            raise GridMismatch(f"v of shape {self.v.shape} is not on its grid {self.grid.shape}")
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.v) ** 2) * self.grid.dvol))
@@ -174,32 +123,50 @@ class SchrCoefficients:
         return cls(lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s)[0])
 
 
+def _free_run(data: SchrState, s: int, c: float, times) -> list:
+    """The free envelopes at ``times`` of ``data`` on the branch of sign s,
+    v^(t) = v^ e^{is(omega - c^2)(t - data.t)}: one multiplier and one inverse
+    transform per time.  At c = inf this is the free Schrodinger propagator."""
+    vh = transform(data.v.copy())
+    phase = 1j * s * _rest_gap(c, _xi2(data.grid))
+    return [SchrState(data.grid, transform(vh * np.exp(phase * (t - data.t)), inverse=True),
+                      float(t)) for t in times]
+
+
+def kg_free_solve(psi0, branch: SignBranch, c: float, times, grid: BoxGrid) -> list:
+    """Exact free Klein-Gordon, (-c^-2 d_t^2 + Lap - c^2) u = 0, on one branch: ``_free_run``
+    at c from v = psi0 at times[0], as SchrState envelopes v = e^{-isc^2 t} u, s the branch
+    sign (c and the times finite, c > 0, else InvalidInput; psi0 off the grid: GridMismatch)."""
+    _check_scale(c)
+    times = _check_times(times)
+    t0 = float(times[0]) if len(times) else 0.0
+    return _free_run(SchrState(grid, psi0, t0), branch.sign, c, times)
+
+
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
                       coeffs: SchrCoefficients | None = None,
                       dt: float | None = None) -> list:
     """Strang split-step solution of the normal operator equation.
 
-    d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j
-    the ``coeffs.terms`` (any other key: InvalidInput).  An output interval of
-    span T takes ceil(|T|/dt) steps (dt: default 0.01; finite and > 0, else
-    InvalidInput).  The state stays in Fourier space: the exact kinetic half
-    factor e^{-is|xi|^2 step/4} is applied at the interval's ends and its
-    square between steps, around each C-step (an inverse FFT, the pointwise
-    step, an FFT).  The C-step applies e^{isV step/4} before and after a
-    midpoint drift step with spectral gradients (second order), with no drift
-    e^{isV step/2} once, and with no term none; StepFailure if dt > min(dx)/max|B|.
-    With ``coeffs`` None the answer is exact, v^ e^{-is|xi|^2 T/2}, in 0 steps.
+    d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j the
+    ``coeffs.terms`` (any other key: InvalidInput).  An output interval of span T takes
+    ceil(|T|/dt) steps (dt: default 0.01; dt finite and > 0, times finite, else InvalidInput).
+    The state stays in Fourier space: the exact kinetic half factor e^{-is|xi|^2 step/4},
+    from the rest gap at c = inf, is applied at the interval's ends and its square between
+    steps, around each C-step (an inverse FFT, the pointwise step, an FFT).  The C-step
+    applies e^{isV step/4} before and after a midpoint drift step with spectral gradients
+    (second order), with no drift e^{isV step/2} once, and with no term none; StepFailure
+    if dt > min(dx)/max|B|.  With ``coeffs`` None the answer is exact, ``_free_run`` at
+    c = inf, in 0 steps.
     """
     dt = 0.01 if dt is None else dt
     _check_scale(dt, "dt")
-    grid = data.grid
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    s = -branch.sign
-    xi2 = _xi2(grid)
-    vh = transform(data.v.copy())
+    times = _check_times(times)
     if coeffs is None:
-        return [SchrState(grid, transform(vh * np.exp(-0.5j * s * xi2 * (t - data.t)),
-                                          inverse=True), float(t)) for t in times]
+        return _free_run(data, branch.sign, math.inf, times)
+    grid, s = data.grid, -branch.sign
+    gap = _rest_gap(math.inf, _xi2(grid))
+    vh = transform(data.v.copy())
     mesh, kmesh = grid.mesh(), grid.freq_mesh()
 
     def fields(t):
@@ -235,7 +202,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
         if abs(span) >= 1e-15:
             nsteps = max(1, int(math.ceil(abs(span) / dt)))
             step = span / nsteps
-            half = np.exp(-1j * s * xi2 * step / 4.0)
+            half = np.exp(1j * branch.sign * gap * step / 2.0)
             full = half * half
             vh *= half
             for k in range(nsteps):
@@ -250,11 +217,6 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     return out
 
 
-# ---------------------------------------------------------------------------
-# comparison
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class CompareReport:
     times: np.ndarray
@@ -263,23 +225,24 @@ class CompareReport:
 
 
 def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> CompareReport:
-    """sup_t || e^{-(+/-)ic^2 t} u_KG(t) - v_Schr(t) ||_2 / || v(0) ||_2.
+    """sup_t || v_KG(t) - v_Schr(t) ||_2 / || v_Schr(t0) ||_2 for two lists of
+    SchrState envelopes on the same grid and output times.
 
-    ``kg_run`` is a list of KGState (envelopes are extracted here) or of
-    SchrState already holding envelopes; ``schr_run`` is a list of SchrState
-    on the same grid and times.
+    ``branch`` and ``c`` are not read, since an envelope already carries its
+    branch's carrier; they stay only because the acceptance tests pass them.
     """
     if len(kg_run) != len(schr_run):
         raise GridMismatch("runs must share output times")
     if not schr_run:
         raise InvalidInput("the comparison needs at least one output time")
     ref = schr_run[0].norm()
+    if not ref > 0.0:
+        raise InvalidInput("the comparison's reference state has zero norm")
     errs = []
     for kg, sc in zip(kg_run, schr_run):
         if abs(kg.t - sc.t) > 1e-12 * (1 + abs(kg.t)):
             raise GridMismatch("mismatched output times")
-        env = envelope(kg, branch) if isinstance(kg, KGState) else kg.v
-        errs.append(SchrState(sc.grid, env - sc.v, kg.t).norm() / ref)
+        errs.append(SchrState(sc.grid, kg.v - sc.v, kg.t).norm() / ref)
     errs = np.asarray(errs)
     return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()))
 
@@ -300,11 +263,14 @@ def _symbol(k, key):
 def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
     """(terms, c1): P's coefficient fields beyond its free multiplier, keyed by
     sorted derivative indices (one vanishing identically is left out), and the
-    d'Alembertian's first-order c1, at spacetime coordinates zs = (t, x...),
-    arrays that broadcast; s is the conjugating branch sign (0: P itself).  At c = inf,
-    the h = 0 face, the metric leaves only -c^4 (g^00 + c^-2) = -aleph: for s != 0 the
-    terms are the normal operator's, () = W - s beta - aleph and (j,) = i Re B_j."""
+    d'Alembertian's first-order c1, at spacetime coordinates zs = (t, x...), 1 + M.d
+    arrays that broadcast (else GridMismatch); s is the conjugating branch sign (0: P
+    itself).  At c = inf, the h = 0 face, the metric leaves only -c^4 (g^00 + c^-2) =
+    -aleph: for s != 0 the terms are the normal operator's, () = W - s beta - aleph and
+    (j,) = i Re B_j."""
     n = len(zs)
+    if n != 1 + M.d:
+        raise GridMismatch(f"a metric of d = {M.d} needs {1 + M.d} spacetime coordinates, not {n}")
     terms, c1 = {}, np.zeros(n)
 
     def add(key, coef):
@@ -340,7 +306,8 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
             add((), 1j * s * c * c * c1[..., 0] - c**4 * rem[..., 0, 0])
     if not M.beta.is_zero:
         beta = M.beta(z, c)
-        add((0,), 1j * beta / c**2)
+        if c < math.inf:        # the d_t row vanishes at c = inf: not built
+            add((0,), 1j * beta / c**2)
         if s:
             add((), -s * beta)
     for j, Bj in enumerate(M.B):
@@ -372,8 +339,6 @@ class ConjugatedOperator:
     def __init__(self, M: MetricParams, c: float, grid: BoxGrid,
                  branch: SignBranch | None):
         _check_scale(c)
-        if grid.ndim != M.d + 1:
-            raise GridMismatch("operator grid must be a spacetime grid")
         n = grid.ndim
         s = 0 if branch is None else branch.sign
         k = self.k = np.ix_(*[grid.axis_freqs(i) for i in range(n)])
@@ -425,21 +390,19 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     P is ``ConjugatedOperator``'s: its free part -c^-2 d_t^2 - 2is d_t + Lap and
     its coefficient fields, built once per RK4 stage time.  The (0, 0) term is
     solved for v_tt; a term led by a time index acts on v_t.  Derivatives in x
-    are spectral; dt: default 0.5/c^2, finite and > 0, else InvalidInput.  v_t
-    starts on the exact branch: v_t^ = is(omega - c^2) v^, less aleph v/(2is).
+    are spectral; dt (default 0.5/c^2) and the times must be finite, dt > 0, else
+    InvalidInput.  v_t starts on the exact branch, v_t^ = is(omega - c^2) v^ less aleph v/(2is).
     """
     _check_scale(c)
     dt = 0.5 / c**2 if dt is None else dt
     _check_scale(dt, "dt")
-    v = np.array(psi0, dtype=complex)
-    if v.shape != tuple(grid.shape):
-        raise GridMismatch(f"psi0 of shape {v.shape} is not on the grid {tuple(grid.shape)}")
-    s, n = branch.sign, grid.ndim + 1
-    mesh, xi2, k = grid.mesh(), _xi2(grid), (None, *grid.freq_mesh())  # k by spacetime axis
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _check_times(times)
     if not len(times):
         return []
     t = float(times[0])
+    v = SchrState(grid, np.array(psi0, dtype=complex), t).v     # GridMismatch off the grid
+    s, n = branch.sign, grid.ndim + 1
+    mesh, k = grid.mesh(), (None, *grid.freq_mesh())  # k by spacetime axis
     free = [((0, 0), -1.0 / c**2), ((0,), -2j * s)] + [((j, j), 1.0) for j in range(1, n)]
 
     def terms_at(t):
@@ -458,9 +421,9 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
                                 if key[i:] else y[i])
         return np.stack([y[1], -acc / a])
 
-    vt_hat = 1j * s * c * xi2 / (np.sqrt(c * c + xi2) + c) * transform(v.copy())
+    co, out = terms_at(t), [SchrState(grid, v, t)]     # terms_at checks M's dimension
+    vt_hat = 1j * s * _rest_gap(c, _xi2(grid)) * transform(v.copy())
     y = np.stack([v, transform(vt_hat, inverse=True) - aleph(M, _spacetime(t, mesh)) * v / (2j * s)])
-    co, out = terms_at(t), [SchrState(grid, v, t)]
     for target in times[1:]:
         nsteps = max(1, int(math.ceil(abs(target - t) / dt)))
         step = (target - t) / nsteps
@@ -564,9 +527,11 @@ def mass_trace(states) -> tuple[np.ndarray, np.ndarray]:
 def mass_bound_check(states, C_claim: float, rtol: float = 1.0e-8) -> MassTrace:
     """Check |dM/dt| <= C <t>^-2 M pointwise and the Gronwall envelope.
 
-    dM/dt is a centered difference of the saved trace; the Gronwall factor
-    uses int <t>^-2 dt = pi, i.e. M(T1) <= exp(C pi) M(T0) for T0 <= T1.
+    dM/dt is a centered difference of the trace of two or more states (else InvalidInput);
+    the Gronwall factor uses int <t>^-2 dt = pi: M(T1) <= exp(C pi) M(T0) for T0 <= T1.
     """
+    if len(states) < 2:
+        raise InvalidInput(f"the mass bound needs at least two states, not {len(states)}")
     ts, Ms = mass_trace(states)
     dM = np.gradient(Ms, ts)
     bound = C_claim * Ms / (1.0 + ts**2)
@@ -604,13 +569,15 @@ def _trig_interp(grid: BoxGrid, values: np.ndarray, points: np.ndarray) -> np.nd
 def scattering_profile(state: SchrState, Xgrid: BoxGrid) -> GridField:
     """Rescaled profile (2 pi i t)^{d/2} e^{-i t |X|^2/2} v(t, tX) on an X-grid.
 
-    Requires |t| >= 1 and t * X inside the spatial box (ResampleOverflow
-    otherwise); uses exact trigonometric interpolation of the field.
+    Requires |t| >= 1 and t * X inside the spatial box (else ResampleOverflow) and an
+    X-grid of the state's dimension (else GridMismatch); exact trigonometric interpolation.
     """
     t = state.t
     if abs(t) < 1.0:
         raise ResampleOverflow("profile needs |t| >= 1")
     d = state.grid.ndim
+    if Xgrid.ndim != d:
+        raise GridMismatch(f"a {Xgrid.ndim}-d X-grid for a {d}-d state")
     Xmesh = Xgrid.mesh()
     pts = np.stack([m.ravel() for m in Xmesh], axis=-1) * t
     for i in range(d):

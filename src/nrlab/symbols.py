@@ -267,12 +267,14 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     Within ~1e-8 of the sphere Y cannot resolve 1 - |Y|^2 = rho_bf^2; a
     caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]).
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
-    reference value at any point.
+    reference value at any point, InvalidInput unless Y's last axis is 1 + d.
     """
     Y = np.asarray(Y, dtype=float)
     h = np.asarray(h, dtype=float)
     d = M.d
     n = d + 1
+    if Y.shape[-1:] != (n,):
+        raise InvalidInput(f"a metric of d = {d} takes points of {n} coordinates, not {Y.shape}")
     P = np.zeros(Y.shape[:-1] + (n, n))
     DP = np.zeros(Y.shape[:-1] + (n, n, n)) if grad else None    # (..., l, a, b)
     profiles = [(0, 0, M.alpha)]

@@ -257,6 +257,11 @@ class TestConfigValidation:
         ("quantize", {"params": {"n_grid": 2}}),
         ("pde-compare", {"params": {"n_grid": 2}}),
         ("mass", {"params": {"n_grid": 1}}),
+        # a flow needs a budget and a radial-ball radius that are finite and > 0
+        ("flow", {"params": {"budget": 0.0}}),
+        ("flow", {"params": {"budget": math.nan}}),
+        ("flow", {"params": {"budget": -1.0}}),
+        ("flow", {"tolerances": {"delta": 0.0}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

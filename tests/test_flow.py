@@ -1,6 +1,7 @@
 """Hamiltonian flow: fields, trajectories, attraction probes, thresholds."""
 
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -196,6 +197,46 @@ class TestIntegrateFlow:
         rows = list(tr.csv_rows())
         assert len(rows) == tr.times.size
         assert rows[0][1] == "nat_ball"
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise _Hang("integrate_flows did not return within 20 s")
+
+
+class TestFlowInputs:
+    """Bad numbers raise InvalidInput before any step; an alarm turns a
+    stepper that never returns (budget 0 or NaN) into a failure."""
+
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"budget": 0.0}, {"budget": math.nan}, {"budget": -1.0}, {"budget": math.inf},
+        {"delta": 0.0}, {"delta": math.nan}, {"delta": -1e-3}, {"delta": math.inf},
+        {"rtol": 0.0}, {"rtol": math.nan}, {"rtol": -1e-9},
+        {"max_samples": 0}, {"max_samples": -3}, {"max_samples": 2.5},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    @pytest.mark.parametrize("metric", ["free_metric", "wavy_metric"])
+    def test_bad_numbers_are_invalid_input(self, request, metric, kwargs):
+        M = request.getfixturevalue(metric)
+        st = char_start(M, PL, [0.2, 0.2], [1.0], 0.1)
+        with pytest.raises(InvalidInput):
+            integrate_flows([(st, "forward", PL)], M, **kwargs)
+
+    def test_start_of_another_dimension(self, wavy_metric):
+        # a d = 2 start has 6 coordinates, a d = 1 flow takes 4
+        st = char_start(_d2_metric(), PL, [0.2, 0.2, 0.1], [1.0, 0.5], 0.1)
+        with pytest.raises(InvalidInput):
+            integrate_flows([(st, "forward", PL)], wavy_metric)
 
 
 def _d2_metric():

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import count_transforms
 from nrlab.errors import DegenerateFamily, InvalidInput
 from nrlab.quantize import BoxGrid, GridField
-from nrlab.pde import ConjugatedOperator, KGState, kg_branch_data, kg_envelope_solve, kg_free_solve
+from nrlab.pde import ConjugatedOperator, kg_envelope_solve, kg_free_solve
 from nrlab.symbols import MetricParams, SignBranch
 from nrlab.norms import (
     OrderProfile,
@@ -407,14 +407,14 @@ class TestLadderGuards:
         lambda u: ConjugatedOperator(MetricParams.free(1), -8.0, u.grid, MI).apply(u.values),
         lambda u: kg_envelope_solve(_PSI, MI, MetricParams.free(1), 0.0, [0.0, 0.1], _SPACE),
         lambda u: kg_envelope_solve(_PSI, MI, MetricParams.free(1), -8.0, [0.0, 0.1], _SPACE),
-        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, 0.0, MI), [0.5]),
-        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, math.inf, MI), [0.5]),
-        lambda u: kg_free_solve(kg_branch_data(_SPACE, _PSI, -8.0, MI), [0.5]),
-        lambda u: KGState(_SPACE, _PSI, _PSI, 0.0, math.nan),
+        lambda u: kg_free_solve(_PSI, MI, 0.0, [0.0, 0.5], _SPACE),
+        lambda u: kg_free_solve(_PSI, MI, math.inf, [0.0, 0.5], _SPACE),
+        lambda u: kg_free_solve(_PSI, MI, -8.0, [0.0, 0.5], _SPACE),
+        lambda u: kg_free_solve(_PSI, MI, math.nan, [0.0, 0.5], _SPACE),
     ], ids=["natural_h0", "natural_h_negative", "split_h0", "calctwo_h0",
             "calctwo_h_negative", "calctwo_c_overflows", "operator_c0", "operator_c_negative",
             "envelope_c0", "envelope_c_negative", "branch_c0", "branch_c_inf",
-            "branch_c_negative", "state_c_nan"])
+            "branch_c_negative", "branch_c_nan"])
     def test_c_and_h_checked_where_they_enter(self, stg, bump, call):
         # c and h = 1/c must both be finite and > 0 (1e-320 has 1/h = inf)
         with warnings.catch_warnings():

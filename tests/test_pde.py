@@ -2,6 +2,7 @@
 non-relativistic comparison, symmetry defect, mass bound, scattering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,14 +23,11 @@ from nrlab.symbols import (
 )
 from nrlab.pde import (
     ConjugatedOperator,
-    KGState,
     SchrCoefficients,
     SchrState,
     _trig_interp,
     conjugate_compare,
-    envelope,
     _xi2,
-    kg_branch_data,
     kg_envelope_solve,
     kg_free_solve,
     mass_bound_check,
@@ -43,15 +41,29 @@ from nrlab.pde import (
 PL, MI = SignBranch.PLUS, SignBranch.MINUS
 
 
-def kg_energy(state: KGState) -> float:
+def _two_branch_route(psi, branch, c, times, grid):
+    """The reference for kg_free_solve, (envelope, u, u_t) at each time from 0:
+    u_t = s i omega u per mode puts psi on the branch of sign s; each mode
+    splits into its e^{-i omega t} and e^{+i omega t} parts, both evolve
+    exactly, and the envelope is u demodulated by e^{-isc^2 t}."""
+    omega = c * np.sqrt(c * c + _xi2(grid))
+    u_hat = np.fft.fftn(psi)
+    ut_hat = branch.sign * 1j * omega * u_hat
+    a, b = 0.5 * (u_hat + 1j * ut_hat / omega), 0.5 * (u_hat - 1j * ut_hat / omega)
+    out = []
+    for t in times:
+        ea = np.exp(-1j * omega * t)
+        u = np.fft.ifftn(a * ea + b / ea)
+        out.append((np.exp(-1j * branch.sign * c * c * t) * u, u,
+                    np.fft.ifftn(-1j * omega * (a * ea - b / ea))))
+    return out
+
+
+def kg_energy(grid, c, u, ut) -> float:
     """Conserved free energy: int c^-2 |u_t|^2 + |grad u|^2 + c^2 |u|^2 dx."""
-    grid, c = state.grid, state.c
-    xi2 = _xi2(grid)
-    u_hat = transform(state.u.copy())
-    ut_hat = transform(state.ut.copy())
-    w = grid.dvol / state.u.size
-    return float(np.sum((np.abs(ut_hat) ** 2 / c**2
-                         + (xi2 + c * c) * np.abs(u_hat) ** 2)) * w)
+    w = grid.dvol / u.size
+    return float(np.sum(np.abs(np.fft.fftn(ut)) ** 2 / c**2
+                        + (_xi2(grid) + c * c) * np.abs(np.fft.fftn(u)) ** 2) * w)
 
 
 @pytest.fixture(scope="module")
@@ -66,27 +78,57 @@ class TestFreeKG:
         gap = om - c * c - 0.5
         assert abs((om - c * c) - 0.4987562) < 1e-6
         assert abs(gap - (-1.0 / (8.0 * c * c))) < 1e-5
+        assert abs(pde._rest_gap(c, 1.0) - (om - c * c)) <= 1e-13
 
     def test_rest_oscillation(self, sgrid):
-        # zero spatial frequency: u(t) = A e^{-ic^2 t} + B e^{+ic^2 t}
-        c = 3.0
-        u0 = np.ones(sgrid.shape, dtype=complex)
-        ut0 = np.zeros(sgrid.shape, dtype=complex)  # A = B = 1/2
-        states = kg_free_solve(KGState(sgrid, u0, ut0, 0.0, c), [0.7])
-        expect = math.cos(c * c * 0.7)
-        assert np.allclose(states[0].u, expect, atol=1e-12)
+        # the rest mode u = e^{isc^2 t} of either branch has the constant envelope 1
+        for branch in (PL, MI):
+            for state in kg_free_solve(np.ones(sgrid.shape), branch, 3.0, [0.0, 0.7, 5.0],
+                                       sgrid):
+                assert np.max(np.abs(state.v - 1.0)) <= 1e-14
 
     def test_zero_data(self, sgrid):
-        st = KGState(sgrid, np.zeros(sgrid.shape), np.zeros(sgrid.shape), 0.0, 5.0)
-        out = kg_free_solve(st, [1.0])
-        assert np.all(out[0].u == 0.0)
+        out = kg_free_solve(np.zeros(sgrid.shape), MI, 5.0, [0.0, 1.0], sgrid)
+        assert np.all(out[-1].v == 0.0)
 
     def test_energy_conserved(self, sgrid):
+        # on one branch the energy is conserved iff each |v^| is: so is the envelope norm
         psi = bandlimited_gaussian(sgrid, 3.0)
-        st = kg_branch_data(sgrid, psi, 8.0, MI)
-        e0 = kg_energy(st)
-        for s in kg_free_solve(st, np.linspace(0, 10, 11)):
-            assert abs(kg_energy(s) - e0) <= 1e-10 * e0
+        n0 = SchrState(sgrid, psi, 0.0).norm()
+        for state in kg_free_solve(psi, MI, 8.0, np.linspace(0, 10, 11), sgrid):
+            assert abs(state.norm() - n0) <= 1e-14 * n0
+
+    @pytest.mark.parametrize("branch", [PL, MI])
+    @pytest.mark.parametrize("c", [8.0, 16.0, 32.0])
+    def test_matches_two_branch_route(self, sgrid, c, branch):
+        # pde-compare's data; the reference conserves the free energy
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        times = np.linspace(0.0, 1.0, 9)
+        ref = _two_branch_route(psi, branch, c, times, sgrid)
+        e0 = kg_energy(sgrid, c, *ref[0][1:])
+        run = kg_free_solve(psi, branch, c, times, sgrid)
+        assert [state.t for state in run] == list(times)
+        for state, (env, u, ut) in zip(run, ref):
+            assert np.max(np.abs(state.v - env)) <= 1e-10 * np.max(np.abs(env))
+            assert abs(kg_energy(sgrid, c, u, ut) - e0) <= 1e-10 * e0
+
+    @pytest.mark.parametrize("branch", [PL, MI])
+    def test_infinite_c_is_the_free_schrodinger_step(self, sgrid, branch):
+        # the rest gap at c = infinity is |xi|^2/2 exactly, and the free
+        # Schrodinger output is the propagator there, bit for bit, also
+        # against the multiplier e^{-is|xi|^2 (t - t0)/2}, s = -branch sign
+        xi2 = _xi2(sgrid)
+        assert pde._rest_gap(math.inf, xi2).tobytes() == (xi2 / 2.0).tobytes()
+        psi = bandlimited_gaussian(sgrid, 2.0) * np.exp(0.5j * sgrid.mesh()[0])
+        t0, times, s = 0.3, [0.3, 1.1, -2.0, 7.5], -branch.sign
+        data = SchrState(sgrid, psi, t0)
+        free = schrodinger_solve(data, branch, times)
+        limit = pde._free_run(data, branch.sign, math.inf, times)
+        for got, lim, t in zip(free, limit, times):
+            want = transform(transform(psi.copy()) * np.exp(-0.5j * s * xi2 * (t - t0)),
+                             inverse=True)
+            assert got.t == lim.t == t and got.steps == 0
+            assert got.v.tobytes() == lim.v.tobytes() == want.tobytes()
 
 
 class TestSchrodinger:
@@ -291,7 +333,7 @@ class TestNonRelativisticComparison:
         times = np.linspace(0.0, 1.0, 9)
         errs = {}
         for c in (8.0, 16.0, 32.0):
-            kgs = kg_free_solve(kg_branch_data(sgrid, psi, c, MI), times)
+            kgs = kg_free_solve(psi, MI, c, times, sgrid)
             ss = schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, times, dt=0.02)
             errs[c] = conjugate_compare(kgs, ss, MI, c).sup_error
         assert 3.2 <= errs[8.0] / errs[16.0] <= 4.8
@@ -302,7 +344,7 @@ class TestNonRelativisticComparison:
         psi = bandlimited_gaussian(sgrid, 2.0)
         times = np.linspace(0.0, 1.0, 9)
         c = 8.0
-        kgs = kg_free_solve(kg_branch_data(sgrid, psi, c, MI), times)
+        kgs = kg_free_solve(psi, MI, c, times, sgrid)
         wrong = schrodinger_solve(SchrState(sgrid, psi, 0.0), PL, times, dt=0.02)
         rep = conjugate_compare(kgs, wrong, PL, c)
         assert rep.sup_error > 0.5
@@ -321,10 +363,10 @@ class TestNonRelativisticComparison:
     def test_zero_data(self, sgrid):
         times = [0.0, 1.0]
         z = np.zeros(sgrid.shape, dtype=complex)
-        kgs = kg_free_solve(KGState(sgrid, z, z, 0.0, 8.0), times)
+        kgs = kg_free_solve(z, MI, 8.0, times, sgrid)
         one = bandlimited_gaussian(sgrid, 2.0)
         ss = schrodinger_solve(SchrState(sgrid, one, 0.0), MI, times, dt=0.1)
-        errs = [np.sqrt(np.sum(np.abs(envelope(k, MI)) ** 2)) for k in kgs]
+        errs = [np.sqrt(np.sum(np.abs(k.v) ** 2)) for k in kgs]
         assert max(errs) == 0.0
 
 
@@ -387,8 +429,8 @@ def _free_branch_error(c, f, branch, n, side):
     psi = np.exp(-x * x / 4.0 + 1j * f * c * x)
     times = np.linspace(0.0, 0.25, 3)
     env = kg_envelope_solve(psi, branch, MetricParams.free(1), c, times, grid)
-    kgs = kg_free_solve(kg_branch_data(grid, psi, c, branch), times)
-    return max(np.max(np.abs(envelope(k, branch) - e.v)) for k, e in zip(kgs, env))
+    kgs = kg_free_solve(psi, branch, c, times, grid)
+    return max(np.max(np.abs(k.v - e.v)) for k, e in zip(kgs, env))
 
 
 class TestAlephCoupling:
@@ -409,9 +451,8 @@ class TestAlephCoupling:
         times = np.linspace(0.0, 1.0, 5)
         c = 8.0
         env = kg_envelope_solve(psi, MI, MetricParams.free(1), c, times, grid)
-        kgs = kg_free_solve(kg_branch_data(grid, psi, c, MI), times)
-        worst = max(np.max(np.abs(envelope(s, MI) - e.v))
-                    for s, e in zip(kgs, env))
+        kgs = kg_free_solve(psi, MI, c, times, grid)
+        worst = max(np.max(np.abs(s.v - e.v)) for s, e in zip(kgs, env))
         assert worst < 1e-8
 
 
@@ -470,6 +511,69 @@ class TestEnvelopeSolver:
         grid = BoxGrid.regular(10.0, 16, 1)
         with pytest.raises(GridMismatch):
             kg_envelope_solve(np.ones(15), MI, MetricParams.free(1), 4.0, [0.0, 0.5], grid)
+
+
+_LAPSE = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
+
+
+class TestSolverInputs:
+    """A time, state, grid or metric that a solver cannot use raises a typed
+    error, with no warning, raw numpy error or silent result first."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda g, psi, times: schrodinger_solve(SchrState(g, psi, 0.0), MI, times),
+        lambda g, psi, times: schrodinger_solve(SchrState(g, psi, 0.0), MI, times,
+                                                SchrCoefficients.from_metric(_LAPSE), dt=0.1),
+        lambda g, psi, times: kg_envelope_solve(psi, MI, _LAPSE, 4.0, times, g),
+        lambda g, psi, times: kg_free_solve(psi, MI, 4.0, times, g),
+    ], ids=["schrodinger_free", "schrodinger_table", "envelope", "free_kg"])
+    @pytest.mark.parametrize("times", [[math.nan], [0.0, math.inf], [0.0, -math.inf, 1.0],
+                                       [0.0, math.nan]])
+    def test_times_must_be_finite(self, sgrid, solve, times):
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                solve(sgrid, psi, times)
+
+    def test_state_off_its_grid(self, sgrid):
+        with pytest.raises(GridMismatch):
+            SchrState(sgrid, np.ones(sgrid.ns[0] - 1), 0.0)
+        with pytest.raises(GridMismatch):
+            kg_free_solve(np.ones(sgrid.ns[0] - 1), MI, 8.0, [0.0, 1.0], sgrid)
+
+    @pytest.mark.parametrize("M", [
+        MetricParams(d=2, W=OperatorCoefficient(real=ClassicalSymbolProfile(amplitude=0.1))),
+        MetricParams(d=2, alpha=ClassicalSymbolProfile(
+            amplitude=0.3, waves=(((0.5, 0.3, 0.2), 0.4, 0.1),))),
+    ], ids=["W", "alpha"])
+    def test_metric_of_another_dimension(self, sgrid, M):
+        # a d = 2 metric on a 1-d grid: before, W alone ran as the d = 1 metric
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        with pytest.raises(GridMismatch):
+            kg_envelope_solve(psi, MI, M, 4.0, [0.0, 0.01], sgrid)
+        with pytest.raises(GridMismatch):
+            schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.1],
+                              SchrCoefficients.from_metric(M), dt=0.05)
+        with pytest.raises(GridMismatch):
+            ConjugatedOperator(M, 4.0, BoxGrid((2.0, 20.0), (8, 16)), MI)
+
+    def test_profile_grid_of_another_dimension(self):
+        g = BoxGrid.regular(280.0, 256, 1)
+        state = SchrState(g, np.exp(-g.axis_points(0) ** 2 / 8.0), -4.0)
+        with pytest.raises(GridMismatch):
+            scattering_profile(state, BoxGrid.regular(8.0, 8, 2))
+
+    def test_zero_reference_is_invalid_input(self, sgrid):
+        zero = SchrState(sgrid, np.zeros(sgrid.shape), 0.0)
+        with pytest.raises(InvalidInput):
+            conjugate_compare([zero], [zero], MI, 8.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_mass_bound_needs_two_states(self, sgrid, n):
+        states = [SchrState(sgrid, np.ones(sgrid.shape), 0.0)][:n]
+        with pytest.raises(InvalidInput):
+            mass_bound_check(states, 0.2)
 
 
 @pytest.fixture(scope="module")

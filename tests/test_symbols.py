@@ -126,6 +126,16 @@ class TestMetricInputs:
         assert MetricParams(d=1, alpha=_wave(), w=(_wave(),), hjk=((_wave(),),),
                             W=OperatorCoefficient(imag=_wave(order=-2))).d == 1
 
+    @pytest.mark.parametrize("M", [MetricParams.free(1), MetricParams(d=1, alpha=_wave())],
+                             ids=["free", "lapse"])
+    def test_points_of_another_dimension(self, M):
+        # a metric of dimension d takes points of 1 + d coordinates only
+        for Y in ([0.1, 0.2, 0.3], np.zeros((4, 3)), [0.1], 0.1):
+            with pytest.raises(InvalidInput):
+                eval_metric(M, Y, 0.5)
+        with pytest.raises(InvalidInput):
+            rescaled_symbol(PhasePoint(0.1, [0.2, 0.3], 1.0, [0.5, 0.4], 0.5), M, PL)
+
 
 class TestInverseMetric:
     def test_free_inverse(self, free_metric):
