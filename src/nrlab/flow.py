@@ -434,9 +434,10 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     initial-step rule, RMS error norm against ATOL + rtol max(|y|, |y_new|),
     safety 0.9, step factors in [0.2, 10] and no growth right after a
     rejected step.  The rows whose events (g: their current values) change
-    sign in an accepted step are root-solved on their dense output and leave.
-    Returns (times and states of the start and every accepted step, code,
-    (rhs evaluations, steps, rejected steps)) per row.
+    sign in an accepted step leave, root-solved on their dense output by one
+    _first_events call after the loop.  Returns (times and states of the
+    start and every accepted step, code, (rhs evaluations, steps, rejected
+    steps)) per row.
     """
     def fun(rows, y):
         return _natural_flow(M, y, h[rows], bsign[rows], sign[rows])
@@ -457,7 +458,7 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     h_abs[live] = np.minimum(np.minimum(100.0 * h0, budget), np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
         (0.01 / np.maximum(d1, d2)) ** 0.2))
-    retry = np.zeros(N, dtype=bool)
+    retry, fires = np.zeros(N, dtype=bool), []    # fires: (rows, K, tl, t_new, yl, fired)
     while live.size:
         tl, yl, again = t[live], y[live], retry[live]
         min_step = 10.0 * np.abs(np.nextafter(tl, np.inf) - tl)
@@ -491,9 +492,8 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
         hit, out = fired.any(axis=1), t[rows] >= budget
         code[rows[out]] = _end_code(g_new[out])
         if hit.any():
-            i, r = acc[hit], rows[hit]
-            t[r], y[r], code[r] = _first_events(K[:, i], tl[i], t_new[i], yl[i], fired[hit],
-                                                h[r], bsign[r], delta)
+            i = acc[hit]
+            fires.append((rows[hit], K[:, i], tl[i], t_new[i], yl[i], fired[hit]))
         history.append((rows, t[rows], y[rows]))
         active[rows[hit | out]] = False
         live = np.flatnonzero(active)
@@ -502,6 +502,10 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     lams = np.concatenate([t for _, t, _ in history])[order]
     ys = np.concatenate([y for _, _, y in history])[order]
     ends = np.searchsorted(which[order], np.arange(N + 1))
+    if fires:                                   # K, entry 1, holds its rows on axis 1
+        r, K, *steps = (np.concatenate(v, axis=int(j == 1)) for j, v in enumerate(zip(*fires)))
+        last = ends[r + 1] - 1                  # a row's last sample is its firing step
+        lams[last], ys[last], code[r] = _first_events(K, *steps, h[r], bsign[r], delta)
     return [(lams[a:b], ys[a:b]) for a, b in zip(ends[:-1], ends[1:])], code, stats
 
 

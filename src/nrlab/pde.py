@@ -48,6 +48,8 @@ __all__ = [
     "scattering_mass_identity",
 ]
 
+MAX_STEPS = 10**7      # the most time steps one solver call may take
+
 
 def _check_scale(x, name: str = "c"):
     """InvalidInput unless x, a light speed c or its inverse h = 1/c, and 1/x
@@ -56,11 +58,16 @@ def _check_scale(x, name: str = "c"):
         raise InvalidInput(f"{name} = {x}: {name} and 1/{name} must be finite and > 0")
 
 
-def _check_times(times) -> np.ndarray:
-    """The output times as a float array; InvalidInput unless each is finite."""
+def _check_times(times, dt=None, t0=None) -> np.ndarray:
+    """The output times as a float array; InvalidInput unless each is finite and, given
+    a step dt, the intervals from t0 (default: the first time) take <= MAX_STEPS in all."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.isfinite(times).all():
         raise InvalidInput(f"output times must be finite, not {times}")
+    with np.errstate(over="ignore"):                # 10^400 steps count as inf
+        spans = np.abs(np.diff(times, prepend=times[:1] if t0 is None else t0))
+        if dt is not None and np.sum(np.ceil(spans / dt)) > MAX_STEPS:
+            raise InvalidInput(f"the times take over MAX_STEPS = {MAX_STEPS} steps of dt = {dt}")
     return times
 
 
@@ -98,6 +105,8 @@ class SchrState:
         self.v = np.asarray(self.v, dtype=complex)
         if self.v.shape != tuple(self.grid.shape):
             raise GridMismatch(f"v of shape {self.v.shape} is not on its grid {self.grid.shape}")
+        if not math.isfinite(self.t):
+            raise InvalidInput(f"a state's time must be finite, not {self.t}")
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.v) ** 2) * self.grid.dvol))
@@ -150,7 +159,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
 
     d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j the
     ``coeffs.terms`` (any other key: InvalidInput).  An output interval of span T takes
-    ceil(|T|/dt) steps (dt: default 0.01; dt finite and > 0, times finite, else InvalidInput).
+    ceil(|T|/dt) steps, MAX_STEPS in all (dt: default 0.01, finite and > 0; times finite).
     The state stays in Fourier space: the exact kinetic half factor e^{-is|xi|^2 step/4},
     from the rest gap at c = inf, is applied at the interval's ends and its square between
     steps, around each C-step (an inverse FFT, the pointwise step, an FFT).  The C-step
@@ -161,7 +170,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     """
     dt = 0.01 if dt is None else dt
     _check_scale(dt, "dt")
-    times = _check_times(times)
+    times = _check_times(times, None if coeffs is None else dt, data.t)
     if coeffs is None:
         return _free_run(data, branch.sign, math.inf, times)
     grid, s = data.grid, -branch.sign
@@ -240,8 +249,8 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
         raise InvalidInput("the comparison's reference state has zero norm")
     errs = []
     for kg, sc in zip(kg_run, schr_run):
-        if abs(kg.t - sc.t) > 1e-12 * (1 + abs(kg.t)):
-            raise GridMismatch("mismatched output times")
+        if abs(kg.t - sc.t) > 1e-12 * (1 + abs(kg.t)) or kg.grid != sc.grid:
+            raise GridMismatch("the runs' output times or grids differ")
         errs.append(SchrState(sc.grid, kg.v - sc.v, kg.t).norm() / ref)
     errs = np.asarray(errs)
     return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()))
@@ -390,13 +399,14 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     P is ``ConjugatedOperator``'s: its free part -c^-2 d_t^2 - 2is d_t + Lap and
     its coefficient fields, built once per RK4 stage time.  The (0, 0) term is
     solved for v_tt; a term led by a time index acts on v_t.  Derivatives in x
-    are spectral; dt (default 0.5/c^2) and the times must be finite, dt > 0, else
-    InvalidInput.  v_t starts on the exact branch, v_t^ = is(omega - c^2) v^ less aleph v/(2is).
+    are spectral; dt (default 0.5/c^2) and the times must be finite, dt > 0, the
+    steps <= MAX_STEPS, else InvalidInput.  v_t starts on the exact branch,
+    v_t^ = is(omega - c^2) v^ less aleph v/(2is).
     """
     _check_scale(c)
     dt = 0.5 / c**2 if dt is None else dt
     _check_scale(dt, "dt")
-    times = _check_times(times)
+    times = _check_times(times, dt)
     if not len(times):
         return []
     t = float(times[0])

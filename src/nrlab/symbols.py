@@ -265,7 +265,7 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     with the profiles taken in their ball forms.  Spacetime callers pass
     Y = z/<z> and divide dG by <z> to get dG/dz.
     Within ~1e-8 of the sphere Y cannot resolve 1 - |Y|^2 = rho_bf^2; a
-    caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]).
+    caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]); else it is formed once.
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
     reference value at any point, InvalidInput unless Y's last axis is 1 + d.
     """
@@ -275,6 +275,7 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     n = d + 1
     if Y.shape[-1:] != (n,):
         raise InvalidInput(f"a metric of d = {d} takes points of {n} coordinates, not {Y.shape}")
+    rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None and not M.is_flat else rho2
     P = np.zeros(Y.shape[:-1] + (n, n))
     DP = np.zeros(Y.shape[:-1] + (n, n, n)) if grad else None    # (..., l, a, b)
     profiles = [(0, 0, M.alpha)]

@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -82,30 +84,45 @@ def _rebind(monkeypatch, name, real, fake):
             monkeypatch.setattr(module, name, fake)
 
 
+def count_calls(monkeypatch, real, record=lambda *args, **kwargs: args):
+    """Record record(*args, **kwargs) of every call to the function real made
+    from here on by any nrlab module that holds it under its own name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    _rebind(monkeypatch, real.__name__, real, counted)
+    return calls
+
+
 def count_transforms(monkeypatch):
     """Record (axes, inverse) of every call to the grid transform entry point,
-    quantize.transform, made from here on by any nrlab module."""
-    calls, real = [], quantize.transform
-
-    def counted(a, axes=None, inverse=False):
-        calls.append((axes, inverse))
-        return real(a, axes, inverse)
-
-    _rebind(monkeypatch, "transform", real, counted)
-    return calls
+    quantize.transform."""
+    return count_calls(monkeypatch, quantize.transform,
+                       lambda a, axes=None, inverse=False: (axes, inverse))
 
 
 def count_metric_evaluations(monkeypatch):
-    """Record the batch shape of every call to symbols.eval_metric made from
-    here on by any nrlab module."""
-    calls, real = [], eval_metric
+    """Record the batch shape of every call to symbols.eval_metric."""
+    return count_calls(monkeypatch, eval_metric, lambda M, Y, *args, **kwargs: np.shape(Y)[:-1])
 
-    def counted(M, Y, *args, **kwargs):
-        calls.append(np.shape(Y)[:-1])
-        return real(M, Y, *args, **kwargs)
 
-    _rebind(monkeypatch, "eval_metric", real, counted)
-    return calls
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so that a
+    call that never returns fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def profile_grad(prof: ClassicalSymbolProfile, z) -> np.ndarray:

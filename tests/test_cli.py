@@ -262,6 +262,8 @@ class TestConfigValidation:
         ("flow", {"params": {"budget": math.nan}}),
         ("flow", {"params": {"budget": -1.0}}),
         ("flow", {"tolerances": {"delta": 0.0}}),
+        # 4 x 10^301 steps, over pde.MAX_STEPS: rejected before the first
+        ("mass", {"params": {"dt": 1e-300}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

@@ -1,14 +1,13 @@
 """Hamiltonian flow: fields, trajectories, attraction probes, thresholds."""
 
 import math
-import signal
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ham_field, perturbed_metrics
+from conftest import count_calls, deadline, ham_field, perturbed_metrics
 from nrlab import experiments as ex
 from nrlab import flow
 from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
@@ -199,25 +198,14 @@ class TestIntegrateFlow:
         assert rows[0][1] == "nat_ball"
 
 
-class _Hang(Exception):
-    pass
-
-
-def _hang(signum, frame):
-    raise _Hang("integrate_flows did not return within 20 s")
-
-
 class TestFlowInputs:
     """Bad numbers raise InvalidInput before any step; an alarm turns a
     stepper that never returns (budget 0 or NaN) into a failure."""
 
     @pytest.fixture(autouse=True)
     def _deadline(self):
-        previous = signal.signal(signal.SIGALRM, _hang)
-        signal.alarm(20)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        with deadline(20):
+            yield
 
     @pytest.mark.parametrize("kwargs", [
         {"budget": 0.0}, {"budget": math.nan}, {"budget": -1.0}, {"budget": math.inf},
@@ -274,6 +262,13 @@ def _mixed_cases(M, rng, n):
     return cases
 
 
+def _same_trajectory(a, b):
+    assert (a.termination, a.rhs_evals, a.steps, a.rejected) == \
+        (b.termination, b.rhs_evals, b.steps, b.rejected)
+    for x, y in ((a.times, b.times), (a.states, b.states), (a.p_resid, b.p_resid)):
+        assert x.shape == y.shape and np.max(np.abs(x - y)) <= 1e-12
+
+
 class TestBatchedFlows:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_scalar_oracle(self, d, wavy_metric):
@@ -298,15 +293,8 @@ class TestBatchedFlows:
         batch = integrate_flows(cases, wavy_metric)
         mates = integrate_flows(cases[::-1] + cases[:3], wavy_metric)[::-1][3:]
         for case, tr, other in zip(cases, batch, mates):
-            alone = integrate_flow(*case[:2], wavy_metric, case[2])
-            for tt in (alone, other):
-                assert tt.termination is tr.termination
-                assert (tt.rhs_evals, tt.steps, tt.rejected) == \
-                    (tr.rhs_evals, tr.steps, tr.rejected)
-                for a, b in ((tt.times, tr.times), (tt.states, tr.states),
-                             (tt.p_resid, tr.p_resid)):
-                    assert a.shape == b.shape
-                    assert np.max(np.abs(a - b)) <= 1e-12
+            _same_trajectory(integrate_flow(*case[:2], wavy_metric, case[2]), tr)
+            _same_trajectory(other, tr)
 
     def test_solver_statistics(self, free_metric, wavy_metric):
         st = char_start(wavy_metric, PL, [0.2, 0.3], [0.8], 0.3)
@@ -337,6 +325,50 @@ class TestBatchedFlows:
         assert tr.rhs_evals == 0
         assert tr.termination is term
         assert abs(tr.times[-1] - t_end) <= 1e-8 * t_end
+
+
+class TestDeferredEvents:
+    """Every event crossing of one integrate_flows call is root-solved by one
+    _bracket_roots call after the integration, whichever steps the rows fired
+    in; a row's result is the one it has when integrated alone."""
+
+    def test_one_root_solve_per_run(self, monkeypatch, wavy_metric):
+        cases = _mixed_cases(wavy_metric, np.random.default_rng(5), 12)
+        calls = count_calls(monkeypatch, flow._bracket_roots)
+        trajs = integrate_flows(cases, wavy_metric)
+        fired = [tr.steps for tr in trajs
+                 if tr.steps and tr.termination is not Termination.TIME_BUDGET]
+        assert len(set(fired)) > 2                  # rows fire at different steps
+        assert len(calls) == 1
+        # a budget that runs out before any crossing makes no call
+        calls.clear()
+        trajs = integrate_flows(cases, wavy_metric, budget=1e-3)
+        assert sum(tr.steps for tr in trajs) > 0 and calls == []
+
+    def test_edge_rows_match_their_runs_alone(self, monkeypatch, wavy_metric):
+        # |zeta| = 50.14 falls through ZETA_MAX: LEFT_DOMAIN, an end code no
+        # budget-end state gives (TIME_BUDGET there)
+        st = char_start(wavy_metric, PL, [0.2, 0.3], [36.0], 0.3)
+        full = integrate_flow(st, "forward", wavy_metric, PL, max_samples=10**6)
+        assert full.termination is Termination.LEFT_DOMAIN and full.steps > 10
+        # a start one accepted step short of the crossing fires in its first step
+        near = natural_start(full.states[-2][:2], full.states[-2][2:], 0.3)
+        # a budget just past the crossing ends the firing step at the budget
+        budget = full.times[-1] + 1e-6
+        ends = count_calls(monkeypatch, flow._first_events, lambda K, lo, hi, *rest: hi)
+        first = integrate_flow(near, "forward", wavy_metric, PL)
+        clipped = integrate_flow(st, "forward", wavy_metric, PL, budget=budget)
+        assert first.steps == 1 and first.termination is Termination.LEFT_DOMAIN
+        assert clipped.termination is Termination.LEFT_DOMAIN
+        assert ends[-1].tolist() == [budget] and clipped.times[-1] < budget
+        for start, tr, kw in ((near, first, {}), (st, clipped, {"budget": budget})):
+            term, t_end, nfev = _reference_flow(start, "forward", wavy_metric, PL, **kw)
+            assert (tr.termination, tr.rhs_evals) == (term, nfev)
+            assert abs(tr.times[-1] - t_end) <= 1e-6 * t_end
+            # in a batch whose other rows fire at other steps, or not at all
+            others = _mixed_cases(wavy_metric, np.random.default_rng(5), 8)
+            _same_trajectory(integrate_flows(others + [(start, "forward", PL)] + others,
+                                             wavy_metric, **kw)[len(others)], tr)
 
 
 class TestDormandPrince:

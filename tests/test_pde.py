@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_transforms, light_speed_inverse, perturbed_metrics, profile_grad
+from conftest import (count_transforms, deadline, light_speed_inverse, perturbed_metrics,
+                      profile_grad)
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -536,6 +537,29 @@ class TestSolverInputs:
             with pytest.raises(InvalidInput):
                 solve(sgrid, psi, times)
 
+    @pytest.mark.parametrize("solve", [
+        lambda g, psi, dt: schrodinger_solve(SchrState(g, psi, 0.0), MI, [0.01, 0.02],
+                                             SchrCoefficients.from_metric(_LAPSE), dt=dt),
+        lambda g, psi, dt: kg_envelope_solve(psi, MI, _LAPSE, 4.0, [0.0, 0.01, 0.02], g, dt=dt),
+    ], ids=["schrodinger_table", "envelope"])
+    def test_step_count_is_bounded(self, sgrid, monkeypatch, solve):
+        # dt = 1e-300 asks for 10^298 steps: InvalidInput before the first one
+        # (the alarm turns a solver that starts them into a failure, not a hang)
+        psi = bandlimited_gaussian(sgrid, 2.0)
+        with deadline(20), pytest.raises(InvalidInput, match="steps"):
+            solve(sgrid, psi, 1e-300)
+        # the bound holds for the call's steps in all: 2 + 2 pass, 3 + 3 do not
+        monkeypatch.setattr(pde, "MAX_STEPS", 4)
+        assert [s.t for s in solve(sgrid, psi, 0.005)][-2:] == [0.01, 0.02]
+        with pytest.raises(InvalidInput, match="steps"):
+            solve(sgrid, psi, 0.0049)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_state_time_must_be_finite(self, sgrid, t):
+        # a NaN start once ran the free path to an all-NaN state labelled t = 1
+        with pytest.raises(InvalidInput):
+            schrodinger_solve(SchrState(sgrid, np.ones(sgrid.shape), t), MI, [1.0])
+
     def test_state_off_its_grid(self, sgrid):
         with pytest.raises(GridMismatch):
             SchrState(sgrid, np.ones(sgrid.ns[0] - 1), 0.0)
@@ -568,6 +592,16 @@ class TestSolverInputs:
         zero = SchrState(sgrid, np.zeros(sgrid.shape), 0.0)
         with pytest.raises(InvalidInput):
             conjugate_compare([zero], [zero], MI, 8.0)
+
+    def test_compare_runs_on_other_grids(self):
+        # runs on 16 and 32 points died in a raw numpy broadcast ValueError
+        a, b = (SchrState(BoxGrid.regular(20.0, n, 1), np.ones(n), 0.0) for n in (16, 32))
+        with pytest.raises(GridMismatch):
+            conjugate_compare([a], [b], MI, 8.0)
+        # the same shape on another box is another grid too
+        c = SchrState(BoxGrid.regular(40.0, 16, 1), np.ones(16), 0.0)
+        with pytest.raises(GridMismatch):
+            conjugate_compare([c], [a], MI, 8.0)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_mass_bound_needs_two_states(self, sgrid, n):
