@@ -18,6 +18,7 @@ costs two FFTs, and a run with no coefficient is the exact free propagator,
 one multiplier per output time.  ``_operator_terms`` is the one table of
 lower-order terms: at c for ``ConjugatedOperator`` and ``kg_envelope_solve``'s
 exact conjugated equation, at c = infinity for the normal operator (with or without aleph).
+``_apply_terms`` is the one applier of such a table.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
+from .geometry import smooth_step
 from .quantize import BoxGrid, GridField, transform
 from .symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph, eval_metric
 
@@ -165,8 +167,8 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     steps, around each C-step (an inverse FFT, the pointwise step, an FFT).  The C-step
     applies e^{isV step/4} before and after a midpoint drift step with spectral gradients
     (second order), with no drift e^{isV step/2} once, and with no term none; StepFailure
-    if dt > min(dx)/max|B|.  With ``coeffs`` None the answer is exact, ``_free_run`` at
-    c = inf, in 0 steps.
+    if a step exceeds min(dx)/max|B| at its midpoint.  With ``coeffs`` None the answer is
+    exact, ``_free_run`` at c = inf, in 0 steps.
     """
     dt = 0.01 if dt is None else dt
     _check_scale(dt, "dt")
@@ -176,31 +178,30 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     grid, s = data.grid, -branch.sign
     gap = _rest_gap(math.inf, _xi2(grid))
     vh = transform(data.v.copy())
-    mesh, kmesh = grid.mesh(), grid.freq_mesh()
+    mesh, k = grid.mesh(), (None, *grid.freq_mesh())     # k by spacetime axis
+    axes, dx = {(j,) for j in range(1, grid.ndim + 1)}, min(grid.spacings)
 
-    def fields(t):
-        """V (None when absent) and the (i B_j, k_j) pairs given at time t."""
+    def fields(t, step):
+        """V (or None) and the drift table {(j,): i B_j} at t; StepFailure over the bound."""
         terms = coeffs.terms(t, mesh, branch.sign)
-        drift = [(terms[(j,)], k) for j, k in enumerate(kmesh, 1) if (j,) in terms]
-        if len(terms) != len(drift) + (() in terms):
+        drift = {key: b for key, b in terms.items() if key}
+        if not drift.keys() <= axes:
             raise InvalidInput(f"the normal operator's terms are () and (j,), 1 <= j <= "
                                f"{grid.ndim}, not {sorted(terms)}")
+        if drift:
+            bmax = max(float(np.max(np.abs(b))) for b in drift.values())
+            if abs(step) * bmax > dx:
+                raise StepFailure(f"step {abs(step)} at t = {t} > dx/max|B| = {dx / bmax:.3e}")
         return terms.get(()), drift
 
-    bmax = max((float(np.max(np.abs(b))) for b, _ in fields(data.t)[1]), default=0.0)
-    if bmax > 0.0 and dt > min(grid.spacings) / bmax:
-        raise StepFailure(f"drift step dt={dt} exceeds the stability bound "
-                          f"{min(grid.spacings) / bmax:.3e}")
-
     def c_step(v, t_mid, step):
-        V, drift = fields(t_mid)
+        V, drift = fields(t_mid, step)
         if not drift:       # the two half factors meet: one multiply, in place
             return v if V is None else np.multiply(v, np.exp(V * (0.5j * s * step)), out=v)
         phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
 
         def f(w):
-            wh = transform(w.copy())
-            return 0.5j * s * sum(b * transform(1j * k * wh, inverse=True) for b, k in drift)
+            return 0.5j * s * _apply_terms(drift, k, transform(w.copy()), w, np.zeros_like(w))
         v = phase * v
         return phase * (v + step * f(v + 0.5 * step * f(v)))
 
@@ -214,8 +215,8 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
             half = np.exp(1j * branch.sign * gap * step / 2.0)
             full = half * half
             vh *= half
-            for k in range(nsteps):
-                if k:
+            for i in range(nsteps):
+                if i:
                     vh *= full
                 vh = transform(c_step(transform(vh, inverse=True), state_t + step / 2.0, step))
                 state_t += step
@@ -263,10 +264,15 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
 
 def _symbol(k, key):
     """Spectral symbol prod_a (i k_a) of the derivative d_key."""
-    sym = 1.0
-    for a in key:
-        sym = sym * (1j * k[a])
-    return sym
+    return math.prod((1j * k[a] for a in key), start=1.0)
+
+
+def _apply_terms(terms, k, spec, u, out):
+    """Add sum over the table of coef d^key u to out, and return out: d^key is spectral,
+    from u's spectrum ``spec`` (k: wavenumbers by key index), and the key () is u itself."""
+    for key, coef in terms.items():
+        out += coef * (transform(_symbol(k, key) * spec, inverse=True) if key else u)
+    return out
 
 
 def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
@@ -328,7 +334,7 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
 
 
 class ConjugatedOperator:
-    """Grid action of the Klein-Gordon operator and its Euclidean adjoint.
+    """Grid action of the Klein-Gordon operator.
 
     P = box_g - c^2 + i beta c^-2 d_t + i B . grad + W, with
     box_g u = g^{ij} d_i d_j u + c1_j d_j u and c1 the first-order divergence
@@ -337,12 +343,11 @@ class ConjugatedOperator:
     d_t + isc^2: that adds 2isc^2 g^{0j} d_j, isc^2 c1_0, -s beta and
     -c^4 g^{00} - c^2 = -aleph_c (the finite-c asymptotic-mass coefficient).
 
-    The free-metric part, with symbol (tau + sc^2)^2/c^2 - |xi|^2 - c^2
-    (s = 0 unconjugated), is one exact Fourier multiplier; the metric's
-    remainder and the lower-order coefficients act pointwise on spectral
-    derivatives, and a term whose coefficient vanishes identically is not
-    built.  Derivatives are spectral on the periodic spacetime grid; probes
-    must be interior-supported.
+    The free-metric part, with symbol (tau + sc^2)^2/c^2 - |xi|^2 - c^2 (s = 0
+    unconjugated), is one exact Fourier multiplier; the terms table (the metric's
+    remainder and the lower-order coefficients, a vanishing one left out) acts through
+    ``_apply_terms``.  Derivatives are spectral on the periodic spacetime grid, so
+    inputs must be interior-supported.
     """
 
     def __init__(self, M: MetricParams, c: float, grid: BoxGrid,
@@ -362,9 +367,7 @@ class ConjugatedOperator:
         """P u; ``spec`` is F[u] when the caller has it, and is only read."""
         spec = transform(np.array(u, dtype=complex)) if spec is None else spec
         out = transform((self.mult_t + self.mult_x) * spec, inverse=True)
-        for key, coef in self.terms.items():
-            out += coef * (transform(_symbol(self.k, key) * spec, inverse=True) if key else u)
-        return out
+        return _apply_terms(self.terms, self.k, spec, u, out)
 
     def apply_with_spectrum(self, u: np.ndarray, spec: np.ndarray) -> tuple:
         """(P u, F[P u]) from u and its spectrum, which is only read; with no
@@ -375,22 +378,6 @@ class ConjugatedOperator:
         pspec = (self.mult_t + self.mult_x) * spec
         return transform(pspec.copy(), inverse=True), pspec
 
-    def apply_adjoint(self, u: np.ndarray, spec=None) -> np.ndarray:
-        """Euclidean L^2 adjoint: (a d^gamma)* = (-d)^gamma (conj(a) .), and a
-        multiplier's adjoint is its conjugate; ``spec`` is F[u] (as in ``apply``)."""
-        spec = transform(np.array(u, dtype=complex)) if spec is None else spec
-        out = transform(np.conj(self.mult_t + self.mult_x) * spec, inverse=True)
-        for key, coef in self.terms.items():
-            v = np.conj(coef) * u
-            out += (transform(np.conj(_symbol(self.k, key)) * transform(v), inverse=True)
-                    if key else v)
-        return out
-
-    def symmetry_defect_apply(self, u: np.ndarray) -> np.ndarray:
-        """(P - P*) u / 2i, from one transform of u."""
-        spec = transform(np.array(u, dtype=complex))
-        return (self.apply(u, spec) - self.apply_adjoint(u, spec)) / 2j
-
 
 def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
                       times, grid: BoxGrid, dt: float | None = None) -> list:
@@ -398,10 +385,10 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
 
     P is ``ConjugatedOperator``'s: its free part -c^-2 d_t^2 - 2is d_t + Lap and
     its coefficient fields, built once per RK4 stage time.  The (0, 0) term is
-    solved for v_tt; a term led by a time index acts on v_t.  Derivatives in x
-    are spectral; dt (default 0.5/c^2) and the times must be finite, dt > 0, the
-    steps <= MAX_STEPS, else InvalidInput.  v_t starts on the exact branch,
-    v_t^ = is(omega - c^2) v^ less aleph v/(2is).
+    solved for v_tt; the rest splits into a table on v and one, its keys' leading
+    time index dropped, on v_t.  Derivatives in x are spectral; dt (default 0.5/c^2)
+    and the times must be finite, dt > 0, the steps <= MAX_STEPS, else InvalidInput.
+    v_t starts on the exact branch, v_t^ = is(omega - c^2) v^ less aleph v/(2is).
     """
     _check_scale(c)
     dt = 0.5 / c**2 if dt is None else dt
@@ -416,20 +403,19 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     free = [((0, 0), -1.0 / c**2), ((0,), -2j * s)] + [((j, j), 1.0) for j in range(1, n)]
 
     def terms_at(t):
+        """The (0, 0) coefficient and the tables on v and on v_t at time t."""
         terms = _operator_terms(M, c, [t, *mesh], s)[0]
         for key, coef in free:
             terms[key] = terms.get(key, 0.0) + coef
-        return terms.pop((0, 0)), terms
+        tables = ({key: a for key, a in terms.items() if key[:1] != (0,)},
+                  {key[1:]: a for key, a in terms.items() if key[:1] == (0,)})
+        return tables[1].pop((0,)), tables
 
-    def f(a, terms, y):
+    def f(a, tables, y):
         """(v, v_t) -> (v_t, v_tt)."""
         yh = transform(y.copy(), axes=range(1, n))
-        acc = 0.0
-        for key, coef in terms.items():
-            i = int(key[:1] == (0,))
-            acc = acc + coef * (transform(_symbol(k, key[i:]) * yh[i], inverse=True)
-                                if key[i:] else y[i])
-        return np.stack([y[1], -acc / a])
+        acc = _apply_terms(tables[0], k, yh[0], y[0], np.zeros_like(y[0]))
+        return np.stack([y[1], -_apply_terms(tables[1], k, yh[1], y[1], acc) / a])
 
     co, out = terms_at(t), [SchrState(grid, v, t)]     # terms_at checks M's dimension
     vt_hat = 1j * s * _rest_gap(c, _xi2(grid)) * transform(v.copy())
@@ -451,64 +437,63 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
 
 @dataclass
 class SymmetryDefectReport:
-    coefficients: dict          # name -> complex field (masked region only)
+    coefficients: dict          # name -> complex field, filled on the fit mask, 0 off it
     fitted_orders: dict         # name -> fitted spatial decay exponent
     max_abs: dict               # name -> max magnitude on the mask
     mask: np.ndarray
 
 
 def symmetry_defect(M: MetricParams, c: float, grid: BoxGrid,
-                    branch: SignBranch = SignBranch.MINUS) -> SymmetryDefectReport:
-    """Extract the skew part (P - P*)/2i coefficient fields and their decay.
-
-    Probes are a Gaussian bump of width min(sides)/14 and its products with
-    the linear coordinates; the first-order operator's coefficients follow
-    pointwise on the bump's support, and each is given a log-log decay fit
-    against <z>.
+                    branch: SignBranch | None = SignBranch.MINUS) -> SymmetryDefectReport:
+    """The skew part (P - P*)/2i = sum_i r_i d_i + r_0 of ``ConjugatedOperator``'s P (P* its
+    Euclidean adjoint) read off the terms table by Leibniz, the free multiplier being real:
+    a row a adds Im a to r_0; a d_i adds -i Re a to r_i and d_i(conj a)/2i to r_0; a d_i d_j
+    (a real) adds -d_j(conj a)/2i to r_i, -d_i(conj a)/2i to r_j, -d_i d_j(conj a)/2i to r_0.
+    Derivatives are spectral, of conj(a) times a cutoff, 1 on the fit mask (a Gaussian of width
+    min(sides)/14 above 1e-5; maxima: above 1e-2) and 0 from radius min(sides)/2 out, so the
+    periodic seam adds no ringing.  Decay orders are log-log fits of maxima on shells of <z> >= 2
+    (-inf for a field below 1e-13; InvalidInput if the fit mask spans fewer than 3 shells).
     """
     op = ConjugatedOperator(M, c, grid, branch)
-    mesh = grid.mesh()
-    n = grid.ndim
-    r2 = sum(m * m for m in mesh)
+    r2, n = sum(m * m for m in grid.mesh()), grid.ndim
     phi = np.exp(-r2 / (2.0 * (min(grid.sides) / 14.0) ** 2))
-    Qphi = op.symmetry_defect_apply(phi)
-    # extraction divides by phi, amplifying round-off by 1/phi: report values
-    # on a tight core mask, fit decay on a looser one
-    mask_fit = phi > 1.0e-5
-    mask = phi > 1.0e-2
-
-    coeff = {}
-    for i, name in enumerate(["r_t"] + [f"r_x{j}" for j in range(1, n)]):
-        Qp = op.symmetry_defect_apply(mesh[i] * phi)
-        ri = coeff[name] = np.zeros_like(Qphi)
-        ri[mask_fit] = (Qp[mask_fit] - mesh[i][mask_fit] * Qphi[mask_fit]) / phi[mask_fit]
-    dphi = [transform(1j * grid.freq_mesh()[i] * transform(phi), inverse=True) for i in range(n)]
-    acc = Qphi.copy()
-    for ri, d in zip(coeff.values(), dphi):
-        acc -= ri * d
-    r0 = coeff["r_0"] = np.zeros_like(Qphi)
-    r0[mask_fit] = acc[mask_fit] / phi[mask_fit]
+    mask_fit, mask = phi > 1.0e-5, phi > 1.0e-2
+    r_fit = math.sqrt(r2[mask_fit].max())         # the fit mask's radius
+    cutoff = 1.0 - smooth_step((np.sqrt(r2) - r_fit) / (min(grid.sides) / 2.0 - r_fit))
+    r = np.zeros((n + 1,) + tuple(grid.shape), dtype=complex)      # r_t, r_x1, ..., r_0
+    for key, a in op.terms.items():
+        if not key:
+            r[n] += np.imag(a)
+            continue
+        ah = transform(cutoff * np.conj(a))
+        d = {sub: transform(_symbol(op.k, sub) * ah, inverse=True) / 2j     # d^sub(conj a)/2i
+             for sub in {key, key[:1], key[1:]} - {()}}
+        if len(key) == 1:
+            r[key] -= 1j * np.real(a)
+            r[n] += d[key]
+        else:
+            r[n] -= d[key]
+            r[key[0]] -= d[key[1:]]
+            r[key[1]] -= d[key[:1]]
+    coeff = {name: np.where(mask_fit, f, 0.0)
+             for name, f in zip(["r_t"] + [f"r_x{j}" for j in range(1, n)] + ["r_0"], r)}
 
     orders, maxabs = {}, {}
     br = np.sqrt(1.0 + r2[mask_fit])     # <z> on the fit mask
+    edges = np.geomspace(2.0, br.max() * 0.9, 12)
+    shells = [(br >= lo) & (br < hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    xs = np.log(np.sqrt(edges[:-1] * edges[1:]))        # the shells' log mid-radii
     for name, f in coeff.items():
         mag = np.abs(f[mask_fit])
         maxabs[name] = float(np.max(np.abs(f[mask]), initial=0.0))
+        ys = np.array([mag[sel].max(initial=0.0) for sel in shells])
+        keep = ys > 1.0e-14 * mag.max(initial=0.0)
         if mag.max(initial=0.0) < 1.0e-13:
             orders[name] = -np.inf
-            continue
-        # shell-wise decay fit
-        edges = np.geomspace(2.0, br.max() * 0.9, 12)
-        xs, ys = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sel = (br >= lo) & (br < hi)
-            if sel.any():
-                xs.append(math.sqrt(lo * hi))
-                ys.append(float(mag[sel].max()))
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        keep = ys > 1.0e-14 * mag.max()
-        orders[name] = (float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
-                        if keep.sum() >= 3 else -np.inf)
+        elif keep.sum() < 3:
+            raise InvalidInput(f"{name}'s decay fit spans {keep.sum()} shells of <z> >= 2, not 3")
+        else:
+            orders[name] = float(np.polyfit(xs[keep], np.log(ys[keep]), 1)[0])
     return SymmetryDefectReport(coeff, orders, maxabs, mask)
 
 

@@ -1,15 +1,16 @@
 """Model PDE solvers: free Klein-Gordon, Schrodinger normal operator,
 non-relativistic comparison, symmetry defect, mass bound, scattering."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (count_transforms, deadline, light_speed_inverse, perturbed_metrics,
-                      profile_grad)
+from conftest import deadline, light_speed_inverse, perturbed_metrics, profile_grad
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -167,6 +168,19 @@ class TestSchrodinger:
         psi = bandlimited_gaussian(sgrid, 2.0)
         with pytest.raises(StepFailure):
             schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [1.0], coeffs, dt=1.0)
+
+    def test_drift_bound_holds_at_every_step(self):
+        # |B| = 0.01 + 100 t meets dt <= dx/max|B| in the first step only; checked
+        # at the start time alone, the run returned a state of norm 9e28
+        grid = BoxGrid.regular(40.0, 256, 1)
+        coeffs = SchrCoefficients(
+            lambda t, mesh, s: {(1,): 1j * (0.01 + 100.0 * t) * np.ones_like(mesh[0])})
+        start = SchrState(grid, bandlimited_gaussian(grid, 2.0), 0.0)
+        with deadline(20):
+            (first,) = schrodinger_solve(start, MI, [0.05], coeffs, dt=0.05)
+            assert abs(first.norm() - start.norm()) <= 1e-3 * start.norm()
+            with pytest.raises(StepFailure):
+                schrodinger_solve(start, MI, [1.0], coeffs, dt=0.05)
 
     def test_free_path_exact_off_the_step_grid(self, sgrid):
         # 1.2345 is no multiple of dt; the free path takes no steps, also for a
@@ -615,20 +629,59 @@ def stgrid():
     return BoxGrid.regular(40.0, 512, 2)
 
 
-class TestSymmetryDefect:
+def _adjoint_reference(P, u):
+    """P* u, P's Euclidean adjoint by transforms: (a d^key)* = (-d)^key (conj(a) .),
+    and the free multiplier is real."""
+    out = transform((P.mult_t + P.mult_x) * transform(u.astype(complex)), inverse=True)
+    for key, a in P.terms.items():
+        v = np.conj(a) * u
+        sym = math.prod((-1j * P.k[i] for i in key), start=1.0)
+        out += transform(sym * transform(v), inverse=True) if key else v
+    return out
 
-    def test_one_forward_transform_of_u(self, lapse_case, monkeypatch):
-        # apply and apply_adjoint share F[u]: one forward transform of u and one
-        # per derivative term of the adjoint, 4 for the lapse metric
-        stg = BoxGrid((2.0, 40 * math.pi), (16, 128))
-        t, x = stg.mesh()
-        P = ConjugatedOperator(lapse_case[2], 8.0, stg, MI)
-        u = np.exp(-t**2 - (x / 4.0) ** 2)
-        ref = (P.apply(u) - P.apply_adjoint(u)) / 2j
-        calls = count_transforms(monkeypatch)
-        Qu = P.symmetry_defect_apply(u)
-        assert sum(not inverse for _, inverse in calls) == 1 + sum(map(bool, P.terms)) == 4
-        assert Qu.tobytes() == ref.tobytes()
+
+def _skew_check(M, branch, grid, c=10.0):
+    """(error, skew, table): the max of |sum_i r_i d_i u + r_0 u - (P u - P* u)/2i|, with
+    symmetry_defect's fields r and the reference adjoint, on a Gaussian u well inside
+    the fit mask; the max of the reference (P u - P* u)/2i; and the max of the terms
+    table's part of P u, the size of what P u - P* u cancels (its multiplier cancels
+    exactly)."""
+    kept = []
+
+    class Kept(ConjugatedOperator):     # symmetry_defect's own P, so it is built once
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "ConjugatedOperator", Kept)
+        rep = symmetry_defect(M, c, grid, branch)
+    (P,) = kept
+    u = np.exp(-sum(m * m for m in grid.mesh()) / (2.0 * (min(grid.sides) / 28.0) ** 2))
+    spec = transform(u.astype(complex))
+    Pu = P.apply(u)
+    ref = (Pu - _adjoint_reference(P, u)) / 2j
+    *r, r0 = rep.coefficients.values()
+    got = r0 * u + sum(ri * transform(1j * k * spec, inverse=True)
+                       for ri, k in zip(r, grid.freq_mesh()))
+    table = Pu - transform((P.mult_t + P.mult_x) * spec, inverse=True)
+    return tuple(float(np.max(np.abs(f))) for f in (got - ref, ref, table))
+
+
+class TestSymmetryDefect:
+    @pytest.mark.parametrize("branch", [PL, MI, None], ids=["plus", "minus", "none"])
+    @pytest.mark.parametrize("full", [False, True], ids=["wavy", "full"])
+    def test_closed_form_is_the_skew_operator(self, stgrid, wavy_metric, full, branch):
+        M = _full_metric(1) if full else wavy_metric
+        err, skew, table = _skew_check(M, branch, stgrid)
+        assert skew >= 1e-4
+        assert err <= 1e-9 * table
+
+    @given(M=perturbed_metrics(1, lower=True), branch=st.sampled_from([PL, MI, None]))
+    @settings(max_examples=3, deadline=None)
+    def test_closed_form_over_perturbed_metrics(self, stgrid, M, branch):
+        err, _, table = _skew_check(M, branch, stgrid)
+        assert err <= 1e-9 * table
 
     def test_free_vanishes(self, stgrid):
         rep = symmetry_defect(MetricParams.free(1), 10.0, stgrid)
@@ -651,6 +704,35 @@ class TestSymmetryDefect:
         # the first-order part cancels; only div B / 2 at order -2 remains
         assert rep.max_abs["r_x1"] <= 1e-6
         assert rep.fitted_orders["r_0"] <= -1.9
+        target = -0.5 * profile_grad(M.B[0].real, np.stack(stgrid.mesh(), axis=-1))[..., 1]
+        assert np.max(np.abs(rep.coefficients["r_0"][rep.mask] - target[rep.mask])) <= 1e-9
+
+    def test_decay_fit_needs_three_shells(self):
+        # on a side-4 box the fit mask spans no shell of <z> >= 2: the order of
+        # a field that does not vanish cannot be fitted (it read -inf), while one
+        # below 1e-13 keeps -inf
+        grid = BoxGrid.regular(4.0, 64, 2)
+        M = MetricParams(d=1, W=OperatorCoefficient(
+            imag=ClassicalSymbolProfile(amplitude=0.1, order=-2)))
+        with pytest.raises(InvalidInput):
+            symmetry_defect(M, 10.0, grid)
+        rep = symmetry_defect(MetricParams.free(1), 10.0, grid)
+        assert set(rep.fitted_orders.values()) == {-np.inf}
+
+
+def test_one_applier_of_a_terms_table():
+    # the spectral symbol of d^key is read by the applier and by the skew-part
+    # builder alone, so that no third loop over a terms table comes back
+    callers = set()
+    for path in sorted(Path(pde.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for unit in (node for top in tree.body
+                     for node in (top.body if isinstance(top, ast.ClassDef) else [top])):
+            for node in ast.walk(unit):
+                if (isinstance(node, ast.Call) and
+                        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_symbol"):
+                    callers.add((path.name, getattr(unit, "name", node.lineno)))
+    assert callers == {("pde.py", "_apply_terms"), ("pde.py", "symmetry_defect")}
 
 
 class TestConjugatedOperator:
@@ -742,7 +824,7 @@ class TestConjugatedOperator:
 
 
 class TestOperatorInputs:
-    """apply/apply_adjoint transform their own temporaries, never the caller's."""
+    """apply transforms its own temporaries, never the caller's."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "wavy"])
@@ -756,7 +838,6 @@ class TestOperatorInputs:
                                stgrid, None)
         out = P.apply(u)
         np.testing.assert_array_equal(P.apply(u, spec), out)
-        P.apply_adjoint(u)
         Pu, Pspec = P.apply_with_spectrum(u, spec)
         assert u.tobytes() == keep.tobytes() and spec.tobytes() == keep_spec.tobytes()
         np.testing.assert_allclose(Pu, out, rtol=0.0, atol=1e-12 * np.max(np.abs(out)))
@@ -790,9 +871,8 @@ class TestZeroCoefficientTerms:
         for branch, P in zip((None, MI), ops):
             ref = ConjugatedOperator(M, 8.0, stg, branch)
             assert (0, 1) in ref.terms
-            for f in ("apply", "apply_adjoint"):
-                a, b = getattr(P, f)(u), getattr(ref, f)(u)
-                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+            a, b = P.apply(u), ref.apply(u)
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
     def test_lapse_envelope(self, lapse_case, monkeypatch):
         grid, psi, M, times, kg_env = lapse_case
