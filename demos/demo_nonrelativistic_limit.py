@@ -52,8 +52,9 @@ print()
 print("=" * 70)
 print("Gravity as a potential: a lapse perturbation alpha feeds the")
 print("asymptotic-mass coefficient into the Schrodinger normal operator.")
-print("Klein-Gordon side: e^{ic^2 t} P e^{-ic^2 t} v = 0, stepped with the")
-print("coefficients of ConjugatedOperator, from exact minus-branch data")
+print("Klein-Gordon side: e^{ic^2 t} P e^{-ic^2 t} v = 0 with the coefficients of")
+print("ConjugatedOperator, from exact minus-branch data, by the Schrodinger solver's")
+print("Strang step on both twisted branches, at a cost that does not grow with c")
 print("=" * 70)
 g2 = BoxGrid.regular(40 * math.pi, 128, 1)
 psi2 = bandlimited_gaussian(g2, 2.0)

@@ -8,16 +8,15 @@ the free Schrodinger equation of the branch.  The difference
 
     omega - c^2 - |xi|^2/2 = -|xi|^4/(8c^2) + O(c^-4)
 
-is the source of the second-order non-relativistic convergence rate.
+is the source of the second-order non-relativistic convergence rate; for a shift
+(g^{0j} != 0) the c = infinity limit is first order in c^-1.
 
-The Schrodinger solver handles the full normal operator
--(+/-) 2i d_t + Lap + (-(+/-) beta + i B . grad + W) - aleph by Strang
-splitting with the state kept in Fourier space: between two pointwise
-C-steps the exact kinetic half steps fuse into one multiplier, so a step
-costs two FFTs, and a run with no coefficient is the exact free propagator,
-one multiplier per output time.  ``_operator_terms`` is the one table of
-lower-order terms: at c for ``ConjugatedOperator`` and ``kg_envelope_solve``'s
-exact conjugated equation, at c = infinity for the normal operator (with or without aleph).
+Both envelope equations take one Strang stepper, ``_strang``: exact free half steps of the
+twisted branch envelopes (two at finite c, one at c = infinity) around a midpoint kick,
+kept in Fourier space so that the half steps between kicks fuse, at a cost per unit time
+that does not grow with c; at c = infinity it is the Schrodinger split step.
+``_operator_terms`` is the one table of lower-order terms: at c for ``ConjugatedOperator``
+and ``kg_envelope_solve``, at c = infinity for the normal operator (with or without aleph).
 ``_apply_terms`` is the one applier of such a table.
 """
 
@@ -154,77 +153,108 @@ def kg_free_solve(psi0, branch: SignBranch, c: float, times, grid: BoxGrid) -> l
     return _free_run(SchrState(grid, psi0, t0), branch.sign, c, times)
 
 
+def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, terms,
+            dt: float) -> list:
+    """Strang steps of the twisted branch envelopes w_r = e^{-irc^2 t}(u + r u_t/(i omega))/2
+    from their ``spectra`` at t: r = sign and -sign at finite c, sign alone at c = inf.
+
+    A step of span h <= dt is an exact free half step e^{ir gap h/2} (fused between steps),
+    the kick at t + h/2 and another half step.  Branch r's kick has the rate
+    -(ir/2)(c^2/omega)[kappa T_r w_r], T_r = ``terms(t + h/2, mesh, r)`` with d_t acting as
+    ir gap, kappa = 1/(1 - c^2 T_r(0, 0)); its pointwise part V = kappa T_r() is the factor
+    e^{-irVh/4} on both sides of a midpoint step of the rest, which at finite c holds the
+    other branch's rate times the exact mean of e^{-2irc^2 tau} over the stage.  At c = inf
+    T_r holds () and (j,) alone (else InvalidInput), a step over min(dx)/max|B| raises
+    StepFailure, and with no drift the factors meet in one multiply.  Returns (state,
+    spectra) at each time, the state's v = sum_r e^{i(r - sign)c^2 t} w_r.
+    """
+    finite = c < math.inf
+    sigmas = (sign, -sign) if finite else (sign,)
+    rs, space = np.reshape(sigmas, (-1,) + (1,) * grid.ndim), range(1, grid.ndim + 1)
+    gap, mesh = _rest_gap(c, _xi2(grid)), grid.mesh()
+    ks = [(r * gap, *grid.freq_mesh()) for r in sigmas]     # k by spacetime axis
+    axes, dx = {(j,) for j in space}, min(grid.spacings)
+
+    def table(r, t_mid, h):
+        """V (or None) and the rows of the midpoint step: kappa T_r, or at c = inf the drift."""
+        T = terms(t_mid, mesh, r)
+        if finite:
+            kappa = 1.0 / (1.0 - c * c * T.get((0, 0), 0.0))
+            return kappa * T.get((), 0.0), {key: kappa * a for key, a in T.items()}
+        drift = {key: b for key, b in T.items() if key}
+        if not drift.keys() <= axes:
+            raise InvalidInput(f"the normal operator's terms are () and (j,), 1 <= j <= "
+                               f"{grid.ndim}, not {sorted(T)}")
+        if drift:
+            bmax = max(float(np.max(np.abs(b))) for b in drift.values())
+            if abs(h) * bmax > dx:
+                raise StepFailure(f"step {abs(h)} at t = {t_mid} > dx/max|B| = {dx / bmax:.3e}")
+        return T.get(()), drift
+
+    def rates(tabs, W, t0, span):
+        """The midpoint step's rates of W, the other branch's over [t0, t0 + span]."""
+        ys = [_apply_terms(rows, k, transform(w.copy()), w, np.zeros_like(w))
+              for (_, rows), k, w in zip(tabs, ks, W)]
+        if not finite:
+            return 0.5j * (-sign) * ys[0]
+        ys = transform(transform(np.stack(ys), space) / (1.0 + gap / (c * c)),  # c^2/omega
+                       space, inverse=True)
+        mean = np.exp(-2j * sign * c * c * (t0 + span / 2.0)) * np.sinc(c * c * span / np.pi)
+        return 0.5j * (-rs) * (ys + np.reshape([mean, np.conj(mean)], rs.shape) * ys[::-1]
+                               - np.stack([V * w for (V, _), w in zip(tabs, W)]))
+
+    def kick(W, t0, h):     # of the branches' envelopes W; in place where no row is given
+        tabs = [table(r, t0 + h / 2.0, h) for r in sigmas]
+        if not any(rows for _, rows in tabs):   # the two half factors meet
+            for r, (V, _), w in zip(sigmas, tabs, W):
+                if V is not None:
+                    np.multiply(w, np.exp(V * (0.5j * (-r) * h)), out=w)
+            return W
+        phases = [1.0 if V is None else np.exp(0.5j * (-r) * V * h / 2.0)
+                  for r, (V, _) in zip(sigmas, tabs)]
+        W = np.stack([p * w for p, w in zip(phases, W)])
+        mid = W + 0.5 * h * rates(tabs, W, t0, h / 2.0)
+        return np.stack([p * w for p, w in zip(phases, W + h * rates(tabs, mid, t0, h))])
+
+    W, out, steps = np.stack(spectra), [], 0
+    for target in times:
+        span = target - t
+        if abs(span) >= 1e-15:
+            nsteps = max(1, int(math.ceil(abs(span) / dt)))
+            h = span / nsteps
+            half = np.exp(1j * rs * gap * h / 2.0)
+            full = half * half
+            for i in range(nsteps):
+                W *= full if i else half
+                W = transform(kick(transform(W, space, inverse=True), t, h), space)
+                t += h
+            W *= half
+            steps += nsteps
+        t = float(target)
+        vh = W[0] + np.exp(-2j * sign * c * c * t) * W[1] if finite else W[0].copy()
+        out.append((SchrState(grid, transform(vh, inverse=True), t, steps), W.copy()))
+    return out
+
+
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
-                      coeffs: SchrCoefficients | None = None,
-                      dt: float | None = None) -> list:
-    """Strang split-step solution of the normal operator equation.
+                      coeffs: SchrCoefficients | None = None, dt: float = 0.01) -> list:
+    """Strang split-step solution of the normal operator equation: ``_strang`` at c = inf.
 
     d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j the
     ``coeffs.terms`` (any other key: InvalidInput).  An output interval of span T takes
-    ceil(|T|/dt) steps, MAX_STEPS in all (dt: default 0.01, finite and > 0; times finite).
-    The state stays in Fourier space: the exact kinetic half factor e^{-is|xi|^2 step/4},
-    from the rest gap at c = inf, is applied at the interval's ends and its square between
-    steps, around each C-step (an inverse FFT, the pointwise step, an FFT).  The C-step
-    applies e^{isV step/4} before and after a midpoint drift step with spectral gradients
-    (second order), with no drift e^{isV step/2} once, and with no term none; StepFailure
-    if a step exceeds min(dx)/max|B| at its midpoint.  With ``coeffs`` None the answer is
-    exact, ``_free_run`` at c = inf, in 0 steps.
+    ceil(|T|/dt) steps, MAX_STEPS in all (dt finite and > 0; times finite).  A step costs two
+    FFTs: the kinetic factor e^{-is|xi|^2 h/4} meets its neighbour between steps, and the
+    kick is e^{isV h/4} before and after a midpoint drift step with spectral gradients, with
+    no drift e^{isV h/2}, with no term nothing (StepFailure if a step exceeds min(dx)/max|B|
+    at its midpoint).  With ``coeffs`` None the answer is exact, ``_free_run`` at c = inf.
     """
-    dt = 0.01 if dt is None else dt
     _check_scale(dt, "dt")
     times = _check_times(times, None if coeffs is None else dt, data.t)
     if coeffs is None:
         return _free_run(data, branch.sign, math.inf, times)
-    grid, s = data.grid, -branch.sign
-    gap = _rest_gap(math.inf, _xi2(grid))
-    vh = transform(data.v.copy())
-    mesh, k = grid.mesh(), (None, *grid.freq_mesh())     # k by spacetime axis
-    axes, dx = {(j,) for j in range(1, grid.ndim + 1)}, min(grid.spacings)
-
-    def fields(t, step):
-        """V (or None) and the drift table {(j,): i B_j} at t; StepFailure over the bound."""
-        terms = coeffs.terms(t, mesh, branch.sign)
-        drift = {key: b for key, b in terms.items() if key}
-        if not drift.keys() <= axes:
-            raise InvalidInput(f"the normal operator's terms are () and (j,), 1 <= j <= "
-                               f"{grid.ndim}, not {sorted(terms)}")
-        if drift:
-            bmax = max(float(np.max(np.abs(b))) for b in drift.values())
-            if abs(step) * bmax > dx:
-                raise StepFailure(f"step {abs(step)} at t = {t} > dx/max|B| = {dx / bmax:.3e}")
-        return terms.get(()), drift
-
-    def c_step(v, t_mid, step):
-        V, drift = fields(t_mid, step)
-        if not drift:       # the two half factors meet: one multiply, in place
-            return v if V is None else np.multiply(v, np.exp(V * (0.5j * s * step)), out=v)
-        phase = 1.0 if V is None else np.exp(0.5j * s * V * step / 2.0)
-
-        def f(w):
-            return 0.5j * s * _apply_terms(drift, k, transform(w.copy()), w, np.zeros_like(w))
-        v = phase * v
-        return phase * (v + step * f(v + 0.5 * step * f(v)))
-
-    out = []
-    state_t, steps = data.t, 0
-    for target in times:
-        span = target - state_t
-        if abs(span) >= 1e-15:
-            nsteps = max(1, int(math.ceil(abs(span) / dt)))
-            step = span / nsteps
-            half = np.exp(1j * branch.sign * gap * step / 2.0)
-            full = half * half
-            vh *= half
-            for i in range(nsteps):
-                if i:
-                    vh *= full
-                vh = transform(c_step(transform(vh, inverse=True), state_t + step / 2.0, step))
-                state_t += step
-            vh *= half
-            steps += nsteps
-        state_t = float(target)
-        out.append(SchrState(grid, transform(vh.copy(), inverse=True), state_t, steps))
-    return out
+    run = _strang(data.grid, math.inf, branch.sign, [transform(data.v.copy())], data.t,
+                  times, coeffs.terms, dt)
+    return [state for state, _ in run]
 
 
 @dataclass
@@ -380,59 +410,28 @@ class ConjugatedOperator:
 
 
 def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
-                      times, grid: BoxGrid, dt: float | None = None) -> list:
-    """Evolve e^{-isc^2 t} P e^{isc^2 t} v = 0, s the branch sign, for any metric.
-
-    P is ``ConjugatedOperator``'s: its free part -c^-2 d_t^2 - 2is d_t + Lap and
-    its coefficient fields, built once per RK4 stage time.  The (0, 0) term is
-    solved for v_tt; the rest splits into a table on v and one, its keys' leading
-    time index dropped, on v_t.  Derivatives in x are spectral; dt (default 0.5/c^2)
-    and the times must be finite, dt > 0, the steps <= MAX_STEPS, else InvalidInput.
-    v_t starts on the exact branch, v_t^ = is(omega - c^2) v^ less aleph v/(2is).
+                      times, grid: BoxGrid, dt: float = 0.01) -> list:
+    """Evolve e^{-isc^2 t} P e^{isc^2 t} v = 0, s the branch sign, for any metric: ``_strang``
+    at c of both twisted branches with ``ConjugatedOperator``'s terms, at a cost per unit time
+    that does not grow with c.  v = w_s + e^{-2isc^2 t} w_-s starts on the exact branch with
+    v_t^ = is(omega - c^2) v^ less aleph v/(2is): w_s^ = v^ + x^, w_-s^ = -e^{2isc^2 t} x^ and
+    x^ = F[aleph v]/(4 omega).  c, dt and the times must be finite, c, dt > 0 and the steps
+    <= MAX_STEPS, else InvalidInput; a metric of another dimension is a GridMismatch.
     """
     _check_scale(c)
-    dt = 0.5 / c**2 if dt is None else dt
     _check_scale(dt, "dt")
     times = _check_times(times, dt)
     if not len(times):
         return []
-    t = float(times[0])
+    if M.d != grid.ndim:
+        raise GridMismatch(f"a metric of d = {M.d} on a grid of dimension {grid.ndim}")
+    t, s = float(times[0]), branch.sign
     v = SchrState(grid, np.array(psi0, dtype=complex), t).v     # GridMismatch off the grid
-    s, n = branch.sign, grid.ndim + 1
-    mesh, k = grid.mesh(), (None, *grid.freq_mesh())  # k by spacetime axis
-    free = [((0, 0), -1.0 / c**2), ((0,), -2j * s)] + [((j, j), 1.0) for j in range(1, n)]
-
-    def terms_at(t):
-        """The (0, 0) coefficient and the tables on v and on v_t at time t."""
-        terms = _operator_terms(M, c, [t, *mesh], s)[0]
-        for key, coef in free:
-            terms[key] = terms.get(key, 0.0) + coef
-        tables = ({key: a for key, a in terms.items() if key[:1] != (0,)},
-                  {key[1:]: a for key, a in terms.items() if key[:1] == (0,)})
-        return tables[1].pop((0,)), tables
-
-    def f(a, tables, y):
-        """(v, v_t) -> (v_t, v_tt)."""
-        yh = transform(y.copy(), axes=range(1, n))
-        acc = _apply_terms(tables[0], k, yh[0], y[0], np.zeros_like(y[0]))
-        return np.stack([y[1], -_apply_terms(tables[1], k, yh[1], y[1], acc) / a])
-
-    co, out = terms_at(t), [SchrState(grid, v, t)]     # terms_at checks M's dimension
-    vt_hat = 1j * s * _rest_gap(c, _xi2(grid)) * transform(v.copy())
-    y = np.stack([v, transform(vt_hat, inverse=True) - aleph(M, _spacetime(t, mesh)) * v / (2j * s)])
-    for target in times[1:]:
-        nsteps = max(1, int(math.ceil(abs(target - t) / dt)))
-        step = (target - t) / nsteps
-        for _ in range(nsteps):
-            mid, end = terms_at(t + 0.5 * step), terms_at(t + step)
-            k1 = f(*co, y)
-            k2 = f(*mid, y + 0.5 * step * k1)
-            k3 = f(*mid, y + 0.5 * step * k2)
-            y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + f(*end, y + step * k3))
-            co, t = end, t + step
-        t = float(target)
-        out.append(SchrState(grid, y[0].copy(), t))
-    return out
+    omega = c * c + _rest_gap(c, _xi2(grid))
+    x = transform(aleph(M, _spacetime(t, grid.mesh())) * v) / (4.0 * omega)
+    run = _strang(grid, c, s, [transform(v.copy()) + x, -np.exp(2j * s * c * c * t) * x], t,
+                  times, lambda t, mesh, r: _operator_terms(M, c, [t, *mesh], r)[0], dt)
+    return [state for state, _ in run]
 
 
 @dataclass

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deadline, light_speed_inverse, perturbed_metrics, profile_grad
+from conftest import (count_calls, deadline, light_speed_inverse, perturbed_metrics,
+                      profile_grad)
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
 from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
@@ -395,9 +396,9 @@ def lapse_case():
     return grid, psi, M, times, kg_envelope_solve(psi, MI, M, 8.0, times, grid)
 
 
-def _lapse_reference(psi, branch, M, c, times, grid):
-    """RK4 (dt = 0.5/c^2) of the lapse metric's conjugated equation, derived
-    by hand for g = -(c^2 - alpha) dt^2 + dx^2:
+def _lapse_reference(psi, branch, M, c, times, grid, per_unit):
+    """RK4, ``per_unit`` steps per unit time, of the lapse metric's conjugated
+    equation, derived by hand for g = -(c^2 - alpha) dt^2 + dx^2:
 
         v_tt = -2isc^2 v_t + c^2 alpha v
                + (c^2 - alpha) [b_t (v_t + isc^2 v) + v_xx + b_x v_x],
@@ -421,7 +422,7 @@ def _lapse_reference(psi, branch, M, c, times, grid):
           + M.alpha(z0) * v / (2j * s))
     t, out = times[0], [v]
     for target in times[1:]:
-        n = max(1, math.ceil(abs(target - t) * 2 * c * c))
+        n = max(1, math.ceil(abs(target - t) * per_unit))
         h = (target - t) / n
         for _ in range(n):
             k1v, k1a = vt, rhs(t, v, vt)
@@ -471,11 +472,45 @@ class TestAlephCoupling:
         assert worst < 1e-8
 
 
+@pytest.fixture(scope="module")
+def lapse_converged(lapse_case):
+    """The hand-derived lapse equation solved to convergence: RK4 at dt = 1/(8c^2)."""
+    grid, psi, M, times, _ = lapse_case
+    return _lapse_reference(psi, MI, M, 8.0, times, grid, 8 * 8.0**2)
+
+
+def _sup_error(run, ref) -> float:
+    return max(float(np.max(np.abs(state.v - r))) for state, r in zip(run, ref))
+
+
 class TestEnvelopeSolver:
-    def test_lapse_matches_hand_derived_equation(self, lapse_case):
-        grid, psi, M, times, kg_env = lapse_case
-        ref = _lapse_reference(psi, MI, M, 8.0, times, grid)
-        assert max(np.max(np.abs(e.v - r)) for e, r in zip(kg_env, ref)) <= 1e-12
+    def test_lapse_matches_hand_derived_equation(self, lapse_case, lapse_converged):
+        # second order in dt against the converged hand-derived equation
+        grid, psi, M, times, _ = lapse_case
+        e10, e5 = (_sup_error(kg_envelope_solve(psi, MI, M, 8.0, times, grid, dt=dt),
+                              lapse_converged) for dt in (0.01, 0.005))
+        assert e5 <= 5e-6
+        assert 3.0 <= e10 / e5 <= 5.0
+
+    @pytest.mark.parametrize("dt", [0.05, 0.25])
+    def test_large_step_stays_accurate(self, lapse_case, lapse_converged, dt):
+        # an explicit step at dt = 0.05 returned states 1.4e30 too large, with no warning
+        grid, psi, M, times, _ = lapse_case
+        scale = max(np.max(np.abs(r)) for r in lapse_converged)
+        run = kg_envelope_solve(psi, MI, M, 8.0, times, grid, dt=dt)
+        assert _sup_error(run, lapse_converged) <= 5e-4 * scale
+
+    def test_cost_does_not_grow_with_c(self, lapse_case, monkeypatch):
+        # the same steps, and two tables per step, at c = 8 and at c = 128
+        grid, psi, M, times, _ = lapse_case
+        calls = count_calls(monkeypatch, pde._operator_terms)
+        counts = []
+        for c in (8.0, 128.0):
+            before = len(calls)
+            run = kg_envelope_solve(psi, MI, M, c, times, grid, dt=0.02)
+            assert [state.steps for state in run] == [7 * i for i in range(9)]
+            counts.append(len(calls) - before)
+        assert counts == [2 * 56, 2 * 56]
 
     @pytest.mark.parametrize("c", [4.0, 8.0, 16.0])
     def test_free_branch_data_at_half_c(self, c):
@@ -529,6 +564,54 @@ class TestEnvelopeSolver:
 
 
 _LAPSE = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.3))
+
+
+def _twisted_run(*args, **kwargs) -> list:
+    """kg_envelope_solve(*args, **kwargs) as the (state, branch spectra) pairs of its stepper."""
+    real, runs = pde._strang, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_strang", lambda *a: runs.append(real(*a)) or runs[-1])
+        kg_envelope_solve(*args, **kwargs)
+    return runs[0]
+
+
+def _charge(M, c, grid, sign, t, spectra) -> float:
+    """Q = int sqrt|g| g^{0 nu} Im(conj(u) d_nu u) dx at t, u = sum_r e^{irc^2 t} w_r and
+    u_t = sum_r i r omega e^{irc^2 t} w_r for the twisted envelopes (w_sign, w_-sign), from
+    one eval_metric call: sqrt|g| = c sqrt|det g_nat|, g^00 = G_00/c^2, g^0j = G_0j/c."""
+    omega = c * c + pde._rest_gap(c, _xi2(grid))
+    parts = [np.exp(1j * r * c * c * t) * w for r, w in zip((sign, -sign), spectra)]
+    uh, uth = sum(parts), sum(1j * r * omega * p for r, p in zip((sign, -sign), parts))
+    u, ut = (transform(f.copy(), inverse=True) for f in (uh, uth))
+    z = np.stack(np.broadcast_arrays(t, *grid.mesh()), axis=-1)
+    mv = eval_metric(M, ball_from_base(z), 1.0 / c)
+    j0 = mv.G[..., 0, 0] / c**2 * np.imag(np.conj(u) * ut)
+    for j, k in enumerate(grid.freq_mesh()):
+        j0 += mv.G[..., 0, 1 + j] / c * np.imag(np.conj(u) * transform(1j * k * uh, inverse=True))
+    return float(np.sum(c * np.sqrt(np.abs(np.linalg.det(mv.g))) * j0) * grid.dvol)
+
+
+class TestCharge:
+    """The Klein-Gordon charge of box_g - c^2 is conserved for any metric: the oracle of
+    the envelope solver at every c, read off its two twisted branches."""
+
+    @pytest.mark.parametrize("name", ["alpha", "w", "hjk", "wavy"])
+    def test_conserved_and_tends_to_the_mass(self, name, wavy_metric):
+        # Q holds to 1e-7 on a grid that resolves the metric's products (512 points), and
+        # Q/c -> -s ||v||^2 like c^-2: a factor 16 per 4x in c
+        P = ClassicalSymbolProfile
+        M = {"alpha": _LAPSE, "w": MetricParams(d=1, w=(P(amplitude=0.2),)),
+             "hjk": MetricParams(d=1, hjk=((P(amplitude=0.1),),)), "wavy": wavy_metric}[name]
+        grid = BoxGrid.regular(40 * math.pi, 512, 1)
+        psi = bandlimited_gaussian(grid, 2.0)
+        gaps = []
+        for c in (8.0, 32.0, 128.0):
+            run = _twisted_run(psi, MI, M, c, np.linspace(0.0, 1.0, 9), grid, dt=0.02)
+            Q = np.array([_charge(M, c, grid, MI.sign, st.t, spectra) for st, spectra in run])
+            assert np.max(np.abs(Q - Q[0])) <= 1e-7 * abs(Q[0])
+            mass = run[-1][0].norm() ** 2
+            gaps.append(abs(Q[-1] / c + MI.sign * mass) / mass)
+        assert all(12.0 <= a / b <= 20.0 for a, b in zip(gaps, gaps[1:])), gaps
 
 
 class TestSolverInputs:
