@@ -15,9 +15,10 @@ Both envelope equations take one Strang stepper, ``_strang``: exact free half st
 twisted branch envelopes (two at finite c, one at c = infinity) around a midpoint kick,
 kept in Fourier space so that the half steps between kicks fuse, at a cost per unit time
 that does not grow with c; at c = infinity it is the Schrodinger split step.
-``_operator_terms`` is the one table of lower-order terms: at c for ``ConjugatedOperator``
-and ``kg_envelope_solve``, at c = infinity for the normal operator (with or without aleph).
-``_apply_terms`` is the one applier of such a table.
+``_operator_terms`` is the one table of lower-order terms and the one ``eval_metric`` caller:
+at c for ``ConjugatedOperator`` and ``kg_envelope_solve`` (one table per step for both
+branches, the sign an array axis), at c = infinity for the normal operator (with or without
+aleph).  ``_apply_terms`` is the one applier of such a table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
+from .errors import DegenerateMetric, GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from .geometry import smooth_step
 from .quantize import BoxGrid, GridField, transform
 from .symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph, eval_metric
@@ -130,7 +131,7 @@ class SchrCoefficients:
             M = replace(M, alpha=ClassicalSymbolProfile.zero())
         if all(p.is_zero for p in (M.alpha, M.beta, M.W, *M.B)):
             return None
-        return cls(lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s)[0])
+        return cls(lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s))
 
 
 def _free_run(data: SchrState, s: int, c: float, times) -> list:
@@ -160,26 +161,30 @@ def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, 
 
     A step of span h <= dt is an exact free half step e^{ir gap h/2} (fused between steps),
     the kick at t + h/2 and another half step.  Branch r's kick has the rate
-    -(ir/2)(c^2/omega)[kappa T_r w_r], T_r = ``terms(t + h/2, mesh, r)`` with d_t acting as
-    ir gap, kappa = 1/(1 - c^2 T_r(0, 0)); its pointwise part V = kappa T_r() is the factor
-    e^{-irVh/4} on both sides of a midpoint step of the rest, which at finite c holds the
-    other branch's rate times the exact mean of e^{-2irc^2 tau} over the stage.  At c = inf
-    T_r holds () and (j,) alone (else InvalidInput), a step over min(dx)/max|B| raises
-    StepFailure, and with no drift the factors meet in one multiply.  Returns (state,
-    spectra) at each time, the state's v = sum_r e^{i(r - sign)c^2 t} w_r.
+    -(ir/2)(c^2/omega)[kappa T w_r], one table T = ``terms(t + h/2, mesh, r)`` for every r (r
+    an array of signs on the branch axis; the scalar sign at c = inf) with d_t acting as
+    ir gap, kappa = 1/(1 - c^2 T(0, 0)) (DegenerateMetric unless > 0); its pointwise part
+    V = kappa T() is the factor e^{-irVh/4} on both sides of a midpoint step of the rest,
+    which at finite c holds the other branch's rate times the exact mean of e^{-2irc^2 tau}
+    over the stage.  At c = inf T holds () and (j,) alone (else InvalidInput), a step over
+    min(dx)/max|B| raises StepFailure, and with no drift the factors meet in one multiply.
+    Returns (state, spectra) at each time, the state's v = sum_r e^{i(r - sign)c^2 t} w_r.
     """
     finite = c < math.inf
-    sigmas = (sign, -sign) if finite else (sign,)
-    rs, space = np.reshape(sigmas, (-1,) + (1,) * grid.ndim), range(1, grid.ndim + 1)
+    rs = np.reshape((sign, -sign) if finite else (sign,), (-1,) + (1,) * grid.ndim)
+    space, rate = range(1, grid.ndim + 1), 0.5j * (-rs)     # rate: -ir/2 by branch
     gap, mesh = _rest_gap(c, _xi2(grid)), grid.mesh()
-    ks = [(r * gap, *grid.freq_mesh()) for r in sigmas]     # k by spacetime axis
+    k = (rs * gap, *grid.freq_mesh())     # by spacetime axis
     axes, dx = {(j,) for j in space}, min(grid.spacings)
 
-    def table(r, t_mid, h):
-        """V (or None) and the rows of the midpoint step: kappa T_r, or at c = inf the drift."""
-        T = terms(t_mid, mesh, r)
+    def table(t_mid, h):
+        """V (or None) and the rows of the midpoint step: kappa T, or at c = inf the drift."""
+        T = terms(t_mid, mesh, rs if finite else sign)
         if finite:
-            kappa = 1.0 / (1.0 - c * c * T.get((0, 0), 0.0))
+            den = 1.0 - c * c * T.get((0, 0), 0.0)
+            if not np.all(den > 0.0):
+                raise DegenerateMetric(f"t is no time function: -c^2 g^00 <= 0 at t = {t_mid}")
+            kappa = 1.0 / den
             return kappa * T.get((), 0.0), {key: kappa * a for key, a in T.items()}
         drift = {key: b for key, b in T.items() if key}
         if not drift.keys() <= axes:
@@ -191,30 +196,26 @@ def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, 
                 raise StepFailure(f"step {abs(h)} at t = {t_mid} > dx/max|B| = {dx / bmax:.3e}")
         return T.get(()), drift
 
-    def rates(tabs, W, t0, span):
+    def rates(V, rows, W, t0, span):
         """The midpoint step's rates of W, the other branch's over [t0, t0 + span]."""
-        ys = [_apply_terms(rows, k, transform(w.copy()), w, np.zeros_like(w))
-              for (_, rows), k, w in zip(tabs, ks, W)]
+        y = _apply_terms(rows, k, transform(W.copy(), space), W, np.zeros_like(W), space)
         if not finite:
-            return 0.5j * (-sign) * ys[0]
-        ys = transform(transform(np.stack(ys), space) / (1.0 + gap / (c * c)),  # c^2/omega
-                       space, inverse=True)
+            return rate * y
+        y = transform(transform(y, space) / (1.0 + gap / (c * c)),    # c^2/omega
+                      space, inverse=True)
         mean = np.exp(-2j * sign * c * c * (t0 + span / 2.0)) * np.sinc(c * c * span / np.pi)
-        return 0.5j * (-rs) * (ys + np.reshape([mean, np.conj(mean)], rs.shape) * ys[::-1]
-                               - np.stack([V * w for (V, _), w in zip(tabs, W)]))
+        return rate * (y + np.reshape([mean, np.conj(mean)], rs.shape) * y[::-1] - V * W)
 
     def kick(W, t0, h):     # of the branches' envelopes W; in place where no row is given
-        tabs = [table(r, t0 + h / 2.0, h) for r in sigmas]
-        if not any(rows for _, rows in tabs):   # the two half factors meet
-            for r, (V, _), w in zip(sigmas, tabs, W):
-                if V is not None:
-                    np.multiply(w, np.exp(V * (0.5j * (-r) * h)), out=w)
+        V, rows = table(t0 + h / 2.0, h)
+        if not rows:        # the two half factors meet
+            if V is not None:
+                np.multiply(W, np.exp(V * (rate * h)), out=W)
             return W
-        phases = [1.0 if V is None else np.exp(0.5j * (-r) * V * h / 2.0)
-                  for r, (V, _) in zip(sigmas, tabs)]
-        W = np.stack([p * w for p, w in zip(phases, W)])
-        mid = W + 0.5 * h * rates(tabs, W, t0, h / 2.0)
-        return np.stack([p * w for p, w in zip(phases, W + h * rates(tabs, mid, t0, h))])
+        phase = 1.0 if V is None else np.exp(rate * V * h / 2.0)
+        W = phase * W
+        mid = W + 0.5 * h * rates(V, rows, W, t0, h / 2.0)
+        return phase * (W + h * rates(V, rows, mid, t0, h))
 
     W, out, steps = np.stack(spectra), [], 0
     for target in times:
@@ -297,35 +298,35 @@ def _symbol(k, key):
     return math.prod((1j * k[a] for a in key), start=1.0)
 
 
-def _apply_terms(terms, k, spec, u, out):
-    """Add sum over the table of coef d^key u to out, and return out: d^key is spectral,
-    from u's spectrum ``spec`` (k: wavenumbers by key index), and the key () is u itself."""
+def _apply_terms(terms, k, spec, u, out, axes=None):
+    """Add sum over the table of coef d^key u to out, and return out: d^key is spectral, from
+    u's spectrum ``spec`` over ``axes`` (None: all; k: wavenumbers by key index), () is u."""
     for key, coef in terms.items():
-        out += coef * (transform(_symbol(k, key) * spec, inverse=True) if key else u)
+        out += coef * (transform(_symbol(k, key) * spec, axes, inverse=True) if key else u)
     return out
 
 
-def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
-    """(terms, c1): P's coefficient fields beyond its free multiplier, keyed by
-    sorted derivative indices (one vanishing identically is left out), and the
-    d'Alembertian's first-order c1, at spacetime coordinates zs = (t, x...), 1 + M.d
-    arrays that broadcast (else GridMismatch); s is the conjugating branch sign (0: P
-    itself).  At c = inf, the h = 0 face, the metric leaves only -c^4 (g^00 + c^-2) =
-    -aleph: for s != 0 the terms are the normal operator's, () = W - s beta - aleph and
-    (j,) = i Re B_j."""
+def _operator_terms(M: MetricParams, c: float, zs, s) -> dict:
+    """P's coefficient fields beyond its free multiplier, keyed by sorted derivative indices
+    (one vanishing identically is left out), at spacetime coordinates zs = (t, x...), 1 + M.d
+    arrays that broadcast (else GridMismatch).  s is the conjugating branch sign (0: P
+    itself), or an array of signs that broadcasts against zs, the branches on its leading
+    axis: a row linear in s then holds every branch, and the metric is evaluated once.  At
+    c = inf, the h = 0 face, the metric leaves only -c^4 (g^00 + c^-2) = -aleph: for s != 0
+    the terms are the normal operator's, () = W - s beta - aleph and (j,) = i Re B_j."""
     n = len(zs)
     if n != 1 + M.d:
         raise GridMismatch(f"a metric of d = {M.d} needs {1 + M.d} spacetime coordinates, not {n}")
-    terms, c1 = {}, np.zeros(n)
+    terms, conj = {}, np.any(s)        # conj: a sign is given
 
     def add(key, coef):
         terms[key] = terms.get(key, 0.0) + coef
 
     if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
-        return terms, c1
+        return terms
     z = _spacetime(zs[0], zs[1:])
     if math.isinf(c):
-        if s and not M.is_flat:
+        if conj and not M.is_flat:
             add((), -aleph(M, z))
     elif not M.is_flat:
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
@@ -345,22 +346,22 @@ def _operator_terms(M: MetricParams, c: float, zs, s: int) -> tuple:
             add((i,), c1[..., i])
             for j in range(i, n):
                 add((i, j), (1.0 if i == j else 2.0) * rem[..., i, j])
-            if s:
+            if conj:
                 add((i,), 2j * s * c * c * rem[..., 0, i])
-        if s:
+        if conj:
             add((), 1j * s * c * c * c1[..., 0] - c**4 * rem[..., 0, 0])
     if not M.beta.is_zero:
         beta = M.beta(z, c)
         if c < math.inf:        # the d_t row vanishes at c = inf: not built
             add((0,), 1j * beta / c**2)
-        if s:
+        if conj:
             add((), -s * beta)
     for j, Bj in enumerate(M.B):
         if not Bj.is_zero:
             add((1 + j,), 1j * Bj(z, c))
     if not M.W.is_zero:
         add((), M.W(z, c))
-    return {key: coef for key, coef in terms.items() if np.any(coef)}, c1
+    return {key: coef for key, coef in terms.items() if np.any(coef)}
 
 
 class ConjugatedOperator:
@@ -390,7 +391,7 @@ class ConjugatedOperator:
         # exactly; kept as time and space parts, summed on the grid per apply
         self.mult_t = k[0] ** 2 / c**2 + 2 * s * k[0] + (s * s - 1) * c * c
         self.mult_x = -sum(kj * kj for kj in k[1:])
-        self.terms, self.c1 = _operator_terms(     # open mesh: broadcast when used
+        self.terms = _operator_terms(     # open mesh: broadcast when used
             M, c, np.ix_(*[grid.axis_points(i) for i in range(n)]), s)
 
     def apply(self, u: np.ndarray, spec=None) -> np.ndarray:
@@ -416,8 +417,8 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     that does not grow with c.  v = w_s + e^{-2isc^2 t} w_-s starts on the exact branch with
     v_t^ = is(omega - c^2) v^ less aleph v/(2is): w_s^ = v^ + x^, w_-s^ = -e^{2isc^2 t} x^ and
     x^ = F[aleph v]/(4 omega).  c, dt and the times must be finite, c, dt > 0 and the steps
-    <= MAX_STEPS, else InvalidInput; a metric of another dimension is a GridMismatch.
-    """
+    <= MAX_STEPS, else InvalidInput; a metric of another dimension is a GridMismatch, one
+    with g^00 >= 0 at a step's midpoint (t no time function) a DegenerateMetric."""
     _check_scale(c)
     _check_scale(dt, "dt")
     times = _check_times(times, dt)
@@ -430,7 +431,7 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     omega = c * c + _rest_gap(c, _xi2(grid))
     x = transform(aleph(M, _spacetime(t, grid.mesh())) * v) / (4.0 * omega)
     run = _strang(grid, c, s, [transform(v.copy()) + x, -np.exp(2j * s * c * c * t) * x], t,
-                  times, lambda t, mesh, r: _operator_terms(M, c, [t, *mesh], r)[0], dt)
+                  times, lambda t, mesh, r: _operator_terms(M, c, [t, *mesh], r), dt)
     return [state for state, _ in run]
 
 

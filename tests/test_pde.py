@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (count_calls, deadline, light_speed_inverse, perturbed_metrics,
-                      profile_grad)
+from conftest import (count_calls, count_metric_evaluations, deadline, light_speed_inverse,
+                      perturbed_metrics, profile_grad)
 from nrlab import pde
 from nrlab.experiments import bandlimited_gaussian
-from nrlab.errors import GridMismatch, InvalidInput, ResampleOverflow, StepFailure
+from nrlab.errors import (DegenerateMetric, GridMismatch, InvalidInput, ResampleOverflow,
+                          StepFailure)
 from nrlab.quantize import BoxGrid, transform
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -501,16 +502,29 @@ class TestEnvelopeSolver:
         assert _sup_error(run, lapse_converged) <= 5e-4 * scale
 
     def test_cost_does_not_grow_with_c(self, lapse_case, monkeypatch):
-        # the same steps, and two tables per step, at c = 8 and at c = 128
+        # the same steps at c = 8 and at c = 128, and per step one table with one
+        # metric evaluation for both branches
         grid, psi, M, times, _ = lapse_case
-        calls = count_calls(monkeypatch, pde._operator_terms)
+        tables = count_calls(monkeypatch, pde._operator_terms)
+        metrics = count_metric_evaluations(monkeypatch)
         counts = []
         for c in (8.0, 128.0):
-            before = len(calls)
+            before = len(tables), len(metrics)
             run = kg_envelope_solve(psi, MI, M, c, times, grid, dt=0.02)
             assert [state.steps for state in run] == [7 * i for i in range(9)]
-            counts.append(len(calls) - before)
-        assert counts == [2 * 56, 2 * 56]
+            counts.append((len(tables) - before[0], len(metrics) - before[1]))
+        assert counts == [(56, 56), (56, 56)]
+
+    def test_no_time_function_is_degenerate(self):
+        # where g^00 >= 0, t is no time function and kappa = 1/(-c^2 g^00) has no meaning:
+        # the solver once returned a state of norm 9.8e4 from data of norm 2.2, no warning
+        grid = BoxGrid.regular(40 * math.pi, 128, 1)
+        P = ClassicalSymbolProfile
+        M = MetricParams(d=1, w=(P(amplitude=0.5),), hjk=((P(amplitude=-1.5),),))
+        z = np.stack(np.broadcast_arrays(0.0, *grid.mesh()), axis=-1)
+        assert np.max(eval_metric(M, ball_from_base(z), 1.0).G[..., 0, 0]) > 1.0
+        with pytest.raises(DegenerateMetric, match="time function"):
+            kg_envelope_solve(bandlimited_gaussian(grid, 2.0), MI, M, 1.0, [0.0, 0.5], grid)
 
     @pytest.mark.parametrize("c", [4.0, 8.0, 16.0])
     def test_free_branch_data_at_half_c(self, c):
@@ -612,6 +626,23 @@ class TestCharge:
             mass = run[-1][0].norm() ** 2
             gaps.append(abs(Q[-1] / c + MI.sign * mass) / mass)
         assert all(12.0 <= a / b <= 20.0 for a, b in zip(gaps, gaps[1:])), gaps
+
+    @pytest.mark.parametrize("c", [8.0, 32.0])
+    def test_conserved_in_two_dimensions(self, c):
+        # the branch axis ahead of two space axes, and a shift and spatial metric
+        # that couple them
+        P = ClassicalSymbolProfile
+        wave = lambda a, k: P(amplitude=a, waves=((k, 0.4, -0.2),))
+        off = P(amplitude=0.04)
+        M = MetricParams(d=2, alpha=wave(0.3, (0.5, 0.3, 0.2)),
+                         w=(P(amplitude=0.2), wave(0.1, (0.2, -0.6, 0.4))),
+                         hjk=((wave(0.1, (0.3, 0.9, -0.5)), off), (off, P(amplitude=-0.08))))
+        grid = BoxGrid.regular(8 * math.pi, 64, 2)
+        x1, x2 = grid.mesh()
+        psi = np.exp(-(x1**2 + x2**2) / 16.0) * np.exp(1j * x1)
+        run = _twisted_run(psi, MI, M, c, np.linspace(0.0, 0.5, 6), grid, dt=0.02)
+        Q = np.array([_charge(M, c, grid, MI.sign, st.t, spectra) for st, spectra in run])
+        assert np.max(np.abs(Q - Q[0])) <= 1e-7 * abs(Q[0])
 
 
 class TestSolverInputs:
@@ -803,9 +834,9 @@ class TestSymmetryDefect:
         assert set(rep.fitted_orders.values()) == {-np.inf}
 
 
-def test_one_applier_of_a_terms_table():
-    # the spectral symbol of d^key is read by the applier and by the skew-part
-    # builder alone, so that no third loop over a terms table comes back
+def _callers(name: str) -> set:
+    """(file, function) of every call to ``name`` in the package, a method counting
+    by its own name and module-level code by its line."""
     callers = set()
     for path in sorted(Path(pde.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -813,9 +844,22 @@ def test_one_applier_of_a_terms_table():
                      for node in (top.body if isinstance(top, ast.ClassDef) else [top])):
             for node in ast.walk(unit):
                 if (isinstance(node, ast.Call) and
-                        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_symbol"):
+                        getattr(node.func, "id", getattr(node.func, "attr", None)) == name):
                     callers.add((path.name, getattr(unit, "name", node.lineno)))
-    assert callers == {("pde.py", "_apply_terms"), ("pde.py", "symmetry_defect")}
+    return callers
+
+
+def test_one_applier_of_a_terms_table():
+    # the spectral symbol of d^key is read by the applier and by the skew-part
+    # builder alone, so that no third loop over a terms table comes back
+    assert _callers("_symbol") == {("pde.py", "_apply_terms"), ("pde.py", "symmetry_defect")}
+
+
+def test_one_metric_evaluation_in_pde():
+    # every pde coefficient field comes from the terms table, so that a second
+    # eval_metric per step (one per branch, say) does not come back
+    assert {unit for path, unit in _callers("eval_metric") if path == "pde.py"} == {
+        "_operator_terms"}
 
 
 class TestConjugatedOperator:
@@ -824,7 +868,8 @@ class TestConjugatedOperator:
         # c1_j = d_i g^{ij} + g^{ij} d_i log sqrt|det g|
         grid = BoxGrid.regular(20.0, 16, 2)
         c = 3.0
-        op = ConjugatedOperator(wavy_metric, c, grid, MI)
+        # with no B or beta, P's (i,) row is c1_i
+        op = ConjugatedOperator(wavy_metric, c, grid, None)
         z = np.stack(grid.mesh(), axis=-1)
         eps = 1.0e-5
         for idx in [(3, 5), (8, 8), (12, 2)]:
@@ -841,7 +886,8 @@ class TestConjugatedOperator:
                                      - np.log(abs(np.linalg.det(mm.g)))) / eps)
             ginv = light_speed_inverse(wavy_metric, z[idx], c)
             expected = sum(d_ginv[i][i] for i in range(2)) + ginv @ np.array(d_log)
-            assert np.max(np.abs(op.c1[idx] - expected)) <= 1e-9
+            c1 = np.array([op.terms[(i,)][idx] for i in range(2)])
+            assert np.max(np.abs(c1 - expected)) <= 1e-9
 
     def test_free_multiplier_on_mode(self):
         stg = BoxGrid((8 * math.pi, 8 * math.pi), (256, 64))
@@ -883,7 +929,7 @@ class TestConjugatedOperator:
         ginv = light_speed_inverse(wavy_metric, z, c)
         expect = -c * c * v
         for i in range(2):
-            expect = expect - op.c1[..., i] * z[..., i] / 4.0 * v
+            expect = expect - op.terms[(i,)] * z[..., i] / 4.0 * v
             for j in range(2):
                 d2 = (z[..., i] * z[..., j] / 16.0 - (i == j) / 4.0) * v
                 expect = expect + ginv[..., i, j] * d2
@@ -938,9 +984,9 @@ class TestZeroCoefficientTerms:
         build = pde._operator_terms
 
         def padded(M, c, zs, s):
-            terms, c1 = build(M, c, zs, s)
+            terms = build(M, c, zs, s)
             return {**terms, **{key: np.zeros(()) for key in ((0, 1), (1, 1))
-                                if key not in terms}}, c1
+                                if key not in terms}}
         monkeypatch.setattr(pde, "_operator_terms", padded)
 
     def test_lapse_operator(self, lapse_case, monkeypatch):
@@ -959,7 +1005,7 @@ class TestZeroCoefficientTerms:
 
     def test_lapse_envelope(self, lapse_case, monkeypatch):
         grid, psi, M, times, kg_env = lapse_case
-        t_terms = pde._operator_terms(M, 8.0, [0.3, grid.axis_points(0)], MI.sign)[0]
+        t_terms = pde._operator_terms(M, 8.0, [0.3, grid.axis_points(0)], MI.sign)
         assert (0, 1) not in t_terms and (1, 1) not in t_terms
         self._with_zero_terms(monkeypatch)
         ref = kg_envelope_solve(psi, MI, M, 8.0, times, grid)
@@ -1029,10 +1075,10 @@ class TestNormalOperatorTerms:
         # the floor is the round-off of c^4 (g^00 + c^-2), eps c^2, times c
         M = data.draw(perturbed_metrics(d, lower=True))
         zs = list(np.random.default_rng(d).uniform(-4.0, 4.0, (d + 1, 12)))
-        limit = pde._operator_terms(M, math.inf, zs, s)[0]
+        limit = pde._operator_terms(M, math.inf, zs, s)
         scaled = {}
         for c in (64.0, 256.0, 1024.0):
-            terms = pde._operator_terms(M, c, zs, s)[0]
+            terms = pde._operator_terms(M, c, zs, s)
             for key in set(terms) | set(limit):
                 err = np.max(np.abs(terms.get(key, 0.0) - limit.get(key, 0.0)))
                 scaled.setdefault(key, []).append(c * err)
@@ -1041,10 +1087,23 @@ class TestNormalOperatorTerms:
             for c, e in zip((256.0, 1024.0), rest):
                 assert e <= 1.25 * e64 + 16.0 * eps * c**3, (key, c, scaled[key])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("c", [8.0, math.inf])
+    def test_signs_on_an_axis_stack_the_branch_tables(self, d, c):
+        # the stepper's one table for both branches is each branch's table, bit for bit
+        M = _full_metric(d)
+        zs = [0.3, *BoxGrid.regular(12.0, 8, d).mesh()]
+        both = pde._operator_terms(M, c, zs, np.reshape([1, -1], (-1,) + (1,) * d))
+        for b, s in enumerate((1, -1)):
+            one = pde._operator_terms(M, c, zs, s)
+            assert set(both) == set(one)
+            for key, a in one.items():
+                np.testing.assert_array_equal(np.broadcast_to(both[key], (2, *a.shape))[b], a)
+
     def test_finite_c_table_is_not_stepped(self, sgrid):
         # a finite-c table holds time and second-order rows: InvalidInput
         M = MetricParams(d=1, w=(ClassicalSymbolProfile(amplitude=0.2),))
-        coeffs = SchrCoefficients(lambda t, mesh, s: pde._operator_terms(M, 8.0, [t, *mesh], s)[0])
+        coeffs = SchrCoefficients(lambda t, mesh, s: pde._operator_terms(M, 8.0, [t, *mesh], s))
         psi = bandlimited_gaussian(sgrid, 2.0)
         with pytest.raises(InvalidInput):
             schrodinger_solve(SchrState(sgrid, psi, 0.0), MI, [0.5], coeffs, dt=0.05)
