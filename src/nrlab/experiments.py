@@ -9,7 +9,7 @@ ones come from the rest of the config: ``rng`` (seeded from ``seed``),
 checks the values against tolerances; the acceptance suite calls the same
 functions at its own seeds, sizes and tolerances.  Seeded samples are drawn
 in the order of a sample-by-sample loop; ``charset``, ``radial``, ``qdf``
-and ``alpha`` then pass each branch's samples to the point layer as one batch.
+and ``alpha`` then pass both branches' samples to the point layer as one batch.
 """
 
 from __future__ import annotations
@@ -112,26 +112,24 @@ def charset(rng, *, n_samples=2000) -> Result:
     """The rescaled free symbol vanishes on both characteristic sheets."""
     if n_samples < 2 or n_samples % 2:
         raise InvalidInput("charset needs an even n_samples >= 2, half per branch")
-    M = MetricParams.free(1)
-    rows = []
-    for branch in (PL, MI):
-        # per sample xi_nat, h, t, x: one draw reproduces the sample-by-sample stream
-        xi, h, t, x = np.split(rng.uniform([-3, 0, -3, -3], [3, 1, 3, 3],
-                                           size=(n_samples // 2, 4)), 4, axis=1)
-        tau = sym._sheet_tau(xi, branch)
-        v = sym.rescaled_symbol(PhasePoint(t[:, 0], x, tau, xi, h[:, 0]), M, branch)
-        rows += [(branch.name, "nat_interior", *r)
-                 for r in zip(tau.tolist(), xi[:, 0].tolist(), h[:, 0].tolist(), v.tolist())]
+    # per sample xi_nat, h, t, x, PLUS then MINUS: one draw reproduces the sample-by-sample stream
+    xi, h, t, x = np.split(rng.uniform([-3, 0, -3, -3], [3, 1, 3, 3], size=(n_samples, 4)), 4, 1)
+    branch = np.repeat([PL.sign, MI.sign], n_samples // 2)
+    tau = sym._sheet_tau(xi, branch)
+    v = sym.rescaled_symbol(PhasePoint(t[:, 0], x, tau, xi, h[:, 0]), MetricParams.free(1),
+                            branch)
+    rows = [(SignBranch(b).name, "nat_interior", *r) for b, *r in zip(
+        branch.tolist(), tau.tolist(), xi[:, 0].tolist(), h[:, 0].tolist(), v.tolist())]
     return Result({"char_samples.csv": (["branch", "chart", "tau_nat", "xi_nat", "h",
                                          "symbol"], rows)},
                   {"max_symbol": max(abs(r[-1]) for r in rows)})
 
 
 def _radial_draws(rng, n, rest):
-    """n seeded draws of (branch, side sign, *rest()) as arrays, one sample at a
-    time: the integer and float draws interleave, so no one call gives them."""
-    draws = [(rng.choice([PL, MI]), rng.choice([Side.PAST, Side.FUTURE]).sign, *rest())
-             for _ in range(n)]
+    """n seeded draws of (branch sign, side sign, *rest()) as arrays, one sample
+    at a time: the integer and float draws interleave, so no one call gives them."""
+    draws = [(rng.choice([PL.sign, MI.sign]), rng.choice([Side.PAST.sign, Side.FUTURE.sign]),
+              *rest()) for _ in range(n)]
     return (np.array(column) for column in zip(*draws))
 
 
@@ -142,18 +140,13 @@ def radial(rng, *, d=1, n_samples=200) -> Result:
     M = MetricParams.free(d)
     branch, side, xi, h = _radial_draws(
         rng, n_samples, lambda: (rng.uniform(-2, 2, size=d), rng.uniform(0.0, 1.0)))
-    tau, field_norm, member = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples, object)
-    for b in (PL, MI):
-        m = branch == b
-        rp = sym.radial_point(xi[m], h[m], side[m], b)
-        member[m] = sym.char_membership(PhasePoint(0.0, np.zeros(d), rp.tau_nat, rp.xi_nat, rp.h),
-                                        M, b)
-        om = rp.direction
-        V = fl._natural_field(M, om, rp.zeta_nat, rp.h, b.sign)[0]
-        field_norm[m] = np.linalg.norm(V - om * np.sum(om * V, axis=-1, keepdims=True), axis=-1)
-        tau[m] = rp.tau_nat
-    rows = [(b.name, Side(s).name, *r, m.value, f) for b, s, r, m, f
-            in zip(branch, side, zip(h.tolist(), tau.tolist()), member, field_norm.tolist())]
+    rp = sym.radial_point(xi, h, side, branch)
+    member = sym.char_membership(PhasePoint(0.0, np.zeros(d), rp.tau_nat, xi, h), M, branch)
+    om = rp.direction
+    V = fl._natural_field(M, om, rp.zeta_nat, h, branch)[0]
+    field_norm = np.linalg.norm(V - om * np.sum(om * V, axis=-1, keepdims=True), axis=-1)
+    rows = [(SignBranch(b).name, Side(s).name, *r, m.value, f) for b, s, r, m, f in zip(
+        branch, side, zip(h.tolist(), rp.tau_nat.tolist()), member, field_norm.tolist())]
     return Result({"radial.csv": (["branch", "side", "h", "tau_nat", "membership",
                                    "field_norm"], rows)},
                   {"on_sigma": member == sym.CharClass.SIGMA, "field_norm": field_norm})
@@ -170,13 +163,9 @@ def qdf(rng, metric: MetricParams = MetricParams.free(1), *, n_centers=20, radiu
     branch, side, xi, h, seed = _radial_draws(rng, n_centers, lambda: (
         rng.uniform(0.3, 2.0, size=d) * rng.choice([-1, 1], size=d), rng.uniform(0.05, 0.5),
         rng.integers(2**31)))
-    fit = np.empty((6, n_centers))       # the QdfReport fields, one column per centre
-    for b in (PL, MI):
-        m = branch == b
-        fit[:, m] = astuple(fl.qdf_probe(sym.radial_point(xi[m], h[m], side[m], b), radius,
-                                         n_samples, metric, b, seed=seed[m]))
-    _, iota, F, E, resid, cubic = fit
-    rows = [(i, b.name, Side(s).name, *r) for i, (b, s, r) in enumerate(zip(
+    _, iota, F, E, resid, cubic = astuple(fl.qdf_probe(
+        sym.radial_point(xi, h, side, branch), radius, n_samples, metric, branch, seed=seed))
+    rows = [(i, SignBranch(b).name, Side(s).name, *r) for i, (b, s, r) in enumerate(zip(
         branch, side, zip(*(a.tolist() for a in (h, iota, F, E, resid, cubic)))))]
     return Result({"qdf.csv": (["center", "branch", "side", "h", "iota", "F", "E",
                                 "residual", "cubic_bound"], rows)},
@@ -192,14 +181,11 @@ def alpha(rng, metric: MetricParams = MetricParams.free(1), *, n_samples=100) ->
     d = metric.d
     branch, side, xi, h = _radial_draws(rng, n_samples, lambda: (
         rng.uniform(0.1, 2.0, size=d) * rng.choice([-1, 1], size=d), rng.uniform(0.0, 0.5)))
-    rate = np.empty(n_samples)           # at s = 1: the rate is linear in s
-    for b in (PL, MI):
-        m = branch == b
-        rp = sym.radial_point(xi[m], h[m], side[m], b)
-        rate[m] = fl.weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), metric, b)
+    rp = sym.radial_point(xi, h, side, branch)
+    rate = fl.weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), metric, branch)  # linear in s
     a = np.multiply.outer(rate, ALPHA_S)
-    signed = (-np.array([b.sign for b in branch]) * side)[:, None] * a
-    rows = [(i, b.name, Side(s).name, h_i, *r)
+    signed = (-branch * side)[:, None] * a
+    rows = [(i, SignBranch(b).name, Side(s).name, h_i, *r)
             for i, (b, s, h_i) in enumerate(zip(branch, side, h.tolist()))
             for r in zip(ALPHA_S, a[i].tolist(), signed[i].tolist())]
     return Result({"alpha.csv": (["sample", "branch", "side", "h", "s", "alpha",

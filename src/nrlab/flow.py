@@ -42,11 +42,11 @@ from .geometry import (
 from .symbols import (
     MetricParams,
     RadialPoint,
-    Side,
     SignBranch,
     _free_velocity,
     _future_direction,
     _sheet_tau,
+    _sign,
     ball_from_base,
     eval_metric,
     natural_symbol_value,  # noqa: F401  kept by name: perfbench's tracer test rebinds it
@@ -187,7 +187,7 @@ def _radial_chart_ball(cc: ChartCoords, b: SignBranch):
     j0 = cc.chart.k - 1
     xhat = np.insert(off[..., 1:-1] + np.delete(xi, j0, -1) / xi[..., j0, None], j0, 1.0,
                      axis=-1)
-    that = off[..., 0] - h * (tau + b.sign) / xi[..., j0]
+    that = off[..., 0] - h * (tau + _sign(b)) / xi[..., j0]
     v = np.asarray(cc.sign)[..., None] * np.concatenate((that[..., None], xhat), axis=-1)
     rho2, r2 = off[..., -1] ** 2, off[..., -1] ** 2 + np.sum(v * v, axis=-1)
     return v / np.sqrt(r2)[..., None], that, xhat, rho2 / r2
@@ -199,14 +199,14 @@ def _radial_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray
     same components and shape: one metric evaluation serves every row.  Raises
     ChartUnavailable where xi_nat[j0] = 0."""
     off, tau, xi, h = split_coords(cc.coords)
-    j0, sigma = cc.chart.k - 1, np.asarray(cc.sign)[..., None]
+    j0, sigma, bsign = cc.chart.k - 1, np.asarray(cc.sign)[..., None], _sign(b)
     xj = xi[..., j0, None]
     if np.any(xj == 0.0):
         raise ChartUnavailable("radial chart needs xi_nat[j0] != 0")
     Y, that, xhat, rho2 = _radial_chart_ball(cc, b)
-    V, drift = _natural_field(M, Y, np.concatenate((tau[..., None], xi), axis=-1), h, b.sign,
+    V, drift = _natural_field(M, Y, np.concatenate((tau[..., None], xi), axis=-1), h, bsign,
                               rho2)
-    rho, tau, h = off[..., -1, None], tau[..., None], h[..., None]
+    rho, tau_b, h = off[..., -1, None], (tau + bsign)[..., None], h[..., None]
     Vj = V[..., 1 + j0, None]
     # chart rescale is |x_j0| = |Y_j0| / rho_bf_global; relative to the
     # ball field this multiplies everything shown below by |Y_j0|
@@ -214,7 +214,7 @@ def _radial_field(cc: ChartCoords, M: MetricParams, b: SignBranch) -> np.ndarray
     xidot_j = zdot[..., 1 + j0, None]
     tdot_hat = sigma * (V[..., :1] - that[..., None] * Vj)      # d/dl (t/x_j0)
     xdot_hat = sigma * (V[..., 1:] - xhat * Vj)                 # d/dl (x/x_j0)
-    sdot = tdot_hat + h * (zdot[..., :1] / xj - (tau + b.sign) * xidot_j / xj**2)
+    sdot = tdot_hat + h * (zdot[..., :1] / xj - tau_b * xidot_j / xj**2)
     wdot = np.delete(xdot_hat - zdot[..., 1:] / xj + xi * xidot_j / xj**2, j0, -1)
     return np.concatenate((sdot, wdot, -sigma * rho * Vj, zdot, np.zeros_like(rho)), axis=-1)
 
@@ -539,7 +539,7 @@ def integrate_flows(cases, M: MetricParams, budget: float = 50.0, rtol: float = 
         raise InvalidInput("flow starts must lie in the closed ball |Y| <= 1")
     h = np.array([st["h"] for st in starts])
     parabolic = np.array([st["mode"] == "parabolic" for st in starts])
-    bsign = np.array([float(b.sign) for _, _, b in cases])
+    bsign = np.array([_sign(b) for _, _, b in cases], dtype=float)
     sign = np.array([1.0 if direction == "forward" else -1.0 for _, direction, _ in cases])
     g0 = _event_values(y0, h, bsign, parabolic, delta)
     # a start at a fixed point stays put: classify it by the nearer set
@@ -632,9 +632,9 @@ class QdfReport:
 def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
     """Sheet time frequencies over xi_nat at the ball points Y, one per row.
 
-    Y has shape (..., 1+d), xi_nat (..., d), and h and rho2 = 1 - |Y|^2 (see
-    eval_metric) are scalars or arrays over the leading axes.  The rescaled
-    symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
+    Y has shape (..., 1+d), xi_nat (..., d), and h, rho2 = 1 - |Y|^2 (see
+    eval_metric) and b's signs are scalars or arrays over the leading axes.
+    The symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
     of its two roots (taken in the cancellation-free form) each row gets the
     one nearest the free sheet, which a flat metric or h = 0 gives directly.
     A negative discriminant in any row raises DegenerateMetric.
@@ -645,7 +645,7 @@ def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
         return tau0
     G = eval_metric(M, Y, h, rho2=rho2).G
     A = G[..., 0, 0]
-    B = np.sum(G[..., 0, 1:] * xi_nat, axis=-1) - b.sign
+    B = np.sum(G[..., 0, 1:] * xi_nat, axis=-1) - _sign(b)
     C = np.einsum("...j,...jk,...k->...", xi_nat, G[..., 1:, 1:], xi_nat)
     disc = B * B - A * C
     if np.any(disc < 0.0):
@@ -676,9 +676,8 @@ def _sheet_points(cc: ChartCoords, M, b) -> ChartCoords:
 
 def _column(rp: RadialPoint, m) -> RadialPoint:
     """The radial points of rp at the mask m over its batch axes, as a column (n, 1)."""
-    side = np.broadcast_to(rp.side.sign if isinstance(rp.side, Side) else rp.side, m.shape)
-    return RadialPoint(*(np.asarray(a)[m][:, None] for a in (rp.tau_nat, rp.xi_nat, rp.h, side)),
-                       rp.branch, rp.direction[m][:, None])
+    return RadialPoint(*(np.broadcast_to(a, m.shape + np.shape(a)[m.ndim:])[m][:, None] for a in (
+        rp.tau_nat, rp.xi_nat, rp.h, _sign(rp.side), _sign(rp.branch), rp.direction)))
 
 
 def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
@@ -695,14 +694,17 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
     give iota; the nsamples main ones the fit.  One center with an integer
     seed gives float fields; a batch of centers, with one seed each in the
     batch's shape, gives fields of that shape, each center drawn from its
-    seed and fitted as alone.  The rows of every center of one dominant axis
-    (all in d = 1) form one batch, and varrho is read at the sheet points:
-    one metric evaluation gives every row's sheet root in closed form
-    (_sheet_points, which moves s) and one the field (_radial_field).
+    seed and fitted as alone; b is a branch or, like the seed, one sign per
+    center.  The rows of every center of one dominant axis (all in d = 1)
+    form one batch, and varrho is read at the sheet points: one metric
+    evaluation gives every row's sheet root in closed form (_sheet_points,
+    which moves s) and one the field (_radial_field).  The radius is finite.
     """
-    shape = center.direction.shape[:-1]
-    if np.shape(seed) != shape:
-        raise InvalidInput(f"qdf_probe takes one seed per center, in their shape {shape}")
+    shape, bsign = center.direction.shape[:-1], _sign(b)
+    if np.shape(seed) != shape or np.ndim(bsign) and np.shape(bsign) != shape:
+        raise InvalidInput(f"qdf_probe takes a seed (and sign) per center, in their shape {shape}")
+    if not math.isfinite(radius):
+        raise InvalidInput(f"qdf_probe needs a finite radius, not {radius}")
     if radius == 0.0 or nsamples == 0:
         return QdfReport(*(np.zeros((6,) + shape) if shape else [0.0] * 6))
     d, n_inner = center.d, max(8, nsamples // 8)
@@ -719,15 +721,15 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
     weight = np.append(np.ones(d), UPSILON)         # varrho = s^2 + |w|^2 + UPSILON rho_bf^2
     for j0 in sorted(set(axes.flat)):   # not np.unique: it imports numpy.ma on first use
         m = axes == j0
-        col = _column(center, m)
+        col = _column(replace(center, branch=bsign), m)
         cc = _sheet_points(to_radial_chart(col, [
             np.concatenate((draw(rng, radius * 1.0e-3, n_inner), draw(rng, radius, nsamples)))
-            for rng in map(np.random.default_rng, np.asarray(seed)[m].tolist())]), M, b)
-        field, fit = _radial_field(cc, M, b), []
+            for rng in map(np.random.default_rng, np.asarray(seed)[m].tolist())]), M, col.branch)
+        field, fit = _radial_field(cc, M, col.branch), []
         # each center alone: its offsets (s, w, rho_bf), s moved onto the sheet, their
         # rates, and coef, the sign making H varrho = +coef^-1(iota varrho + ...)
         for off, rate, coef in zip(cc.coords[..., : d + 1], field[..., : d + 1],
-                                   -b.sign * col.side[:, 0]):
+                                   -col.branch[:, 0] * col.side[:, 0]):
             varrho = off**2 @ weight
             hrho = 2.0 * (off * rate) @ weight
             vi, hi = varrho[:n_inner], hrho[:n_inner]
@@ -755,13 +757,16 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
 
 def weight_flow_rate(rp: RadialPoint, orders, M: MetricParams, b: SignBranch):
     """Logarithmic rate of the order weight a = rho_df^m rho_bf^s rho_nf^l rho_pf^q
-    along the rescaled flow at (a batch of) radial-set points.
+    along the rescaled flow at (a batch of) radial-set points, each on its
+    branch; ``orders`` are four finite numbers (m, s, l, q).
 
     At the radial point (on |Y| = 1) the frequency drift vanishes with the
     metric's ball forms, so only rho_bf moves: the rate is s (-omega . V).
     """
+    if np.shape(orders) != (4,) or not np.isfinite(orders).all():
+        raise InvalidInput(f"orders are four finite numbers (m, s, l, q), not {orders!r}")
     omega = rp.direction
-    V = _natural_field(M, omega, rp.zeta_nat, rp.h, b.sign, 0.0)[0]
+    V = _natural_field(M, omega, rp.zeta_nat, rp.h, _sign(b), 0.0)[0]
     return orders[1] * -np.sum(omega * V, axis=-1)
 
 
@@ -790,6 +795,6 @@ def radial_linearization(rp: RadialPoint, M: MetricParams, b: SignBranch,
         zeta = rp.zeta_nat if mode == "natural" else np.zeros(rp.d + 1)
     zeta = np.asarray(zeta, float)
     parabolic = mode == "parabolic"
-    omega = rp.side.sign * _future_direction(zeta, rp.h, b.sign, parabolic)
-    V = _free_velocity(zeta, rp.h, b.sign, parabolic)
+    omega = _sign(rp.side) * _future_direction(zeta, rp.h, _sign(b), parabolic)
+    V = _free_velocity(zeta, rp.h, _sign(b), parabolic)
     return np.linalg.eigvals(-float(omega @ V) * np.eye(omega.size) - np.outer(omega, V))

@@ -45,26 +45,34 @@ __all__ = [
 ]
 
 
-class SignBranch(Enum):
+class _Signed(Enum):
+    @property
+    def sign(self) -> int:
+        return self.value
+
+
+class SignBranch(_Signed):
     """The +/- in the conjugated operators; PLUS conjugates by exp(-ic^2 t)."""
 
     PLUS = +1
     MINUS = -1
 
-    @property
-    def sign(self) -> int:
-        return self.value
 
-
-class Side(Enum):
+class Side(_Signed):
     """Past/future hemisphere of spacetime infinity."""
 
     PAST = -1
     FUTURE = +1
 
-    @property
-    def sign(self) -> int:
-        return self.value
+
+def _sign(s):
+    """+/-1 of a Side or SignBranch, or per-point signs: InvalidInput unless all are +/-1."""
+    if isinstance(s, _Signed):
+        return s.value
+    a = np.asarray(s)
+    if not ((a == 1) | (a == -1)).all():   # False for NaN, strings and objects
+        raise InvalidInput(f"a side or branch is a Side, a SignBranch or signs +/-1, not {s!r}")
+    return a
 
 
 class CharClass(Enum):
@@ -332,16 +340,16 @@ def rescaled_symbol(cc, M: MetricParams, b: SignBranch):
 
     Accepts PhasePoints (treated in the natural-face chart, where the
     rescaled symbol is -G(zeta_nat, zeta_nat) +/- 2 tau_nat) or ChartCoords
-    in any of the four phase-space charts.
+    in any of the four phase-space charts, on a branch or per-point signs.
     """
     z, h, zeta_hat, lin, _ = chart_frame(cc)
     G = eval_metric(M, ball_from_base(z), h).G
-    return -(zeta_hat[..., None, :] @ G @ zeta_hat[..., None])[..., 0, 0] + 2.0 * b.sign * lin
+    return -(zeta_hat[..., None, :] @ G @ zeta_hat[..., None])[..., 0, 0] + 2.0 * _sign(b) * lin
 
 
 def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
     """Classify points against the two sheets of the characteristic set (a
-    batch as an object array of CharClass).
+    batch as an object array of CharClass), on a branch or per-point signs.
 
     SIGMA: |rescaled symbol| <= tol and the point lies in the closure of
     {+/- tau_nat > -1}; SIGMA_BAD likewise with {+/- tau_nat < -1}; else OFF.
@@ -350,7 +358,7 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
     value = rescaled_symbol(p, M, b)
     if isinstance(p, PhasePoint):
         value = value / (1.0 + np.sum(p.zeta_nat * p.zeta_nat, axis=-1))
-    side = b.sign * chart_frame(p)[-1][..., 0]   # tau_nat
+    side = _sign(b) * chart_frame(p)[-1][..., 0]   # tau_nat
     # on the zero set, the sign of 1 +/- tau_nat: 0 OFF, +1 SIGMA, -1 SIGMA_BAD
     code = np.where(np.abs(value) <= tol, np.sign(1.0 + side), 0.0).astype(int)
     return np.array([CharClass.OFF, CharClass.SIGMA, CharClass.SIGMA_BAD])[code]
@@ -358,7 +366,7 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
 
 def _sheet_tau(xi_nat, b: SignBranch):
     """Free characteristic-sheet natural time frequency over xi_nat, (..., d) -> (...)."""
-    return b.sign * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
+    return _sign(b) * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
 
 
 def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
@@ -391,8 +399,8 @@ def _future_direction(zeta, h, bsign, parabolic=False) -> np.ndarray:
 class RadialPoint:
     """Radial-set points, batched as PhasePoint: frequencies on the good sheet
     plus the base direction (a unit vector in compactified spacetime).  A
-    batch's ``side`` is the sides' signs, +1 future and -1 past.  radial_point
-    builds them, from checked inputs."""
+    batch's ``side`` and ``branch`` may be per-point signs: +1 future and -1
+    past, +1 PLUS and -1 MINUS.  radial_point builds them, from checked inputs."""
 
     tau_nat: float
     xi_nat: np.ndarray
@@ -412,9 +420,9 @@ def radial_point(xi_nat, h, side, b: SignBranch) -> RadialPoint:
     sheet; the base direction is side * (h sqrt(1+|xi_nat|^2), -(+/-) xi_nat),
     normalized (_future_direction).  At h = 0, xi_nat = 0 the direction
     degenerates to the future/past pole (the blown-up parabolic-face limit).
+    Either of side and b may be per-point signs +/-1 in the batch's shape.
     """
     h, xi_nat = _batch(h, (), (xi_nat,))
     zeta = _cat(_sheet_tau(xi_nat, b), xi_nat)
-    sign = np.asarray(side.sign if isinstance(side, Side) else side)
-    direction = sign[..., None] * _future_direction(zeta, h, b.sign)
+    direction = np.asarray(_sign(side))[..., None] * _future_direction(zeta, h, _sign(b))
     return RadialPoint(zeta[..., 0], xi_nat, h, side, b, direction)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, deadline, ham_field, perturbed_metrics
+from conftest import (count_calls, count_metric_evaluations, deadline, ham_field,
+                      perturbed_metrics)
 from nrlab import experiments as ex
 from nrlab import flow
 from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
@@ -17,6 +18,7 @@ from nrlab.symbols import (
     MetricParams,
     Side,
     SignBranch,
+    _sign,
     eval_metric,
     radial_point,
 )
@@ -601,7 +603,8 @@ class TestQdfProbe:
             d = (co.shape[-1] - 3) // 2
             zeta = co[..., d + 1 : 2 * d + 2]
             G = eval_metric(M, Y, co[..., -1], rho2=rho2).G
-            symbol = 2.0 * b.sign * zeta[..., 0] - np.einsum("...a,...ab,...b->...", zeta, G, zeta)
+            symbol = (2.0 * _sign(b) * zeta[..., 0]
+                      - np.einsum("...a,...ab,...b->...", zeta, G, zeta))
             calls.append((np.max(np.abs(Y - Y0)), np.max(np.abs(symbol))))
             return moved
 
@@ -632,13 +635,16 @@ class TestQdfProbe:
     @staticmethod
     def _assert_batch_is_per_centre(rps, seeds, M, b, shape):
         # one probe over the centres, reshaped to the batch shape, equals the
-        # one-point probes field by field, bit for bit
+        # one-point probes field by field, bit for bit; b is one branch, or
+        # one per centre, passed to the batch as signs
+        bs = [b] * len(rps) if isinstance(b, SignBranch) else b
+        signs = b if isinstance(b, SignBranch) else np.array([x.sign for x in b]).reshape(shape)
         xi = np.array([rp.xi_nat for rp in rps]).reshape(*shape, -1)
         h = np.array([rp.h for rp in rps]).reshape(shape)
         side = np.array([rp.side.sign for rp in rps]).reshape(shape)
-        q = qdf_probe(radial_point(xi, h, side, b), 0.05, 60, M, b,
+        q = qdf_probe(radial_point(xi, h, side, signs), 0.05, 60, M, signs,
                       seed=np.array(seeds).reshape(shape))
-        ones = [qdf_probe(rp, 0.05, 60, M, b, seed=s) for rp, s in zip(rps, seeds)]
+        ones = [qdf_probe(rp, 0.05, 60, M, br, seed=s) for rp, br, s in zip(rps, bs, seeds)]
         for name, got in vars(q).items():
             assert got.shape == shape
             assert (got.ravel() == [getattr(one, name) for one in ones]).all(), name
@@ -650,6 +656,18 @@ class TestQdfProbe:
             rps, _, seeds = zip(*[p for p in probes if p[1] is b])
             assert {rp.side for rp in rps} == {Side.PAST, Side.FUTURE}
             self._assert_batch_is_per_centre(rps, seeds, pert_metric(0.1), b, (len(rps),))
+
+    def test_mixed_branch_batch_equals_one_point_probes(self, monkeypatch):
+        # the same probes in one batch, one branch sign and one seed per centre:
+        # one sheet-root and one field evaluation serve both branches
+        rps, branches, seeds = zip(*_acceptance_03_probes()[:40])
+        assert set(branches) == {PL, MI}
+        self._assert_batch_is_per_centre(rps, seeds, pert_metric(0.1), branches, (4, 10))
+        calls = count_metric_evaluations(monkeypatch)
+        xi = np.array([rp.xi_nat for rp in rps])
+        qdf_probe(radial_point(xi, 0.3, 1, [b.sign for b in branches]), 0.05, 60,
+                  pert_metric(0.1), [b.sign for b in branches], seed=np.arange(40))
+        assert calls == [(40, 68)] * 2
 
     def test_d2_batch_across_dominant_axes_equals_one_point_probes(self, monkeypatch):
         M = MetricParams(d=2, alpha=ClassicalSymbolProfile(
@@ -676,6 +694,9 @@ class TestQdfProbe:
         for seed in (0, [1, 2, 3], [[1, 2]]):      # one seed per centre, in the batch's shape
             with pytest.raises(InvalidInput, match="seed"):
                 qdf_probe(rp, 0.05, 20, free_metric, PL, seed=seed)
+        for b in ([1, -1, 1], [[1, -1]], [1, 0]):     # one branch sign per center, +/-1
+            with pytest.raises(InvalidInput, match="sign"):
+                qdf_probe(rp, 0.05, 20, free_metric, b, seed=[1, 2])
         zero = radial_point([[1.0], [0.0], [0.0]], 0.3, 1, PL)
         with pytest.raises(ChartUnavailable, match="2 of 3"):
             qdf_probe(zero, 0.05, 20, free_metric, PL, seed=[1, 2, 3])
@@ -711,6 +732,15 @@ class TestQdfProbe:
         rp = radial_point([1.0], 0.2, Side.PAST, PL)
         q = qdf_probe(rp, 0.0, 0, free_metric, PL)
         assert q.varrho == 0.0 and q.decomposition_residual == 0.0
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius(self, free_metric, radius):
+        # a NaN radius warned twice, then died in a zero-size reduction
+        rp = radial_point([1.0], 0.3, Side.FUTURE, PL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="radius"):
+                qdf_probe(rp, radius, 20, free_metric, PL)
 
     def test_perturbed_structure(self):
         M = MetricParams(d=1, alpha=ClassicalSymbolProfile(amplitude=0.1))
@@ -790,6 +820,14 @@ class TestWeightFlowRate:
         want = orders[1] * -float(rp.direction @ V)
         assert weight_flow_rate(rp, orders, M, branch) == pytest.approx(want, rel=1e-12,
                                                                         abs=1e-15)
+
+    @pytest.mark.parametrize("orders", [(1.0,), (0.0, math.nan, 0.0, 0.0),
+                                        (0.0, 1.0, 0.0, math.inf), (0.0, 1.0, 0.0, 0.0, 0.0)])
+    def test_orders_are_four_finite_numbers(self, free_metric, orders):
+        # (1.0,) raised IndexError and a NaN order gave a NaN rate
+        rp = radial_point([1.0], 0.2, Side.FUTURE, PL)
+        with pytest.raises(InvalidInput, match="orders"):
+            weight_flow_rate(rp, orders, free_metric, PL)
 
     def test_mixed_orders_free(self, free_metric):
         # frequency-only factors are flow-invariant for the free metric

@@ -1,6 +1,8 @@
 """Metric family, asymptotic mass, principal symbols, and radial points."""
 
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple
 
@@ -501,6 +503,75 @@ class TestNonFinitePoints:
                 call(free_metric)
 
 
+class TestSigns:
+    """A side or branch is a Side or SignBranch, or per-point signs +/-1 that
+    broadcast against the batch; any other sign is InvalidInput.  A batch
+    that mixes the branches equals the per-branch calls bit for bit."""
+
+    @pytest.mark.parametrize("side", [[0, 2], [1, 0.5], [1, math.nan], "FUTURE"])
+    def test_radial_point_rejects_other_side_signs(self, side):
+        # at 0 the direction was [0, -0], at 2 of norm 2, with a doubled rate
+        with pytest.raises(InvalidInput, match="sign"):
+            radial_point([[1.0], [0.5]], 0.3, side, PL)
+
+    @pytest.mark.parametrize("b", [2, 0, [1, -2], "PLUS", None, Side.FUTURE.name])
+    def test_other_branch_signs_are_rejected(self, free_metric, b):
+        p = PhasePoint(0.0, [0.1], [0.5, 0.6], [1.0], 0.3)
+        rp = radial_point([[1.0], [0.5]], 0.3, 1, PL)
+        for call in (lambda: rescaled_symbol(p, free_metric, b),
+                     lambda: char_membership(p, free_metric, b),
+                     lambda: radial_point([[1.0], [0.5]], 0.3, 1, b),
+                     lambda: weight_flow_rate(rp, (0.0, 1.0, 0.0, 0.0), free_metric, b)):
+            with pytest.raises(InvalidInput, match="sign"):
+                call()
+
+    def test_mixed_branch_batch_equals_per_branch_calls(self, wavy_metric):
+        rng = np.random.default_rng(17)
+        n = 16
+        signs = rng.permutation(np.resize([1, -1], n))
+        side = rng.choice([-1, 1], n)
+        xi, h = rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(0.0, 0.5, n)
+        t, x = rng.normal(size=n), rng.normal(size=(n, 1))
+        rp = radial_point(xi, h, side, signs)
+        orders = (0.5, 1.0, -1.0, 2.0)
+        rate = weight_flow_rate(rp, orders, wavy_metric, signs)
+        # rows on their branch's sheet and 0.3 off it
+        tau = _sheet_tau_nat(wavy_metric, ball_from_base(np.concatenate((t[:, None], x), axis=1)),
+                             xi, h, signs) + rng.choice([0.0, 0.3], n)
+        p = PhasePoint(t, x, tau, xi, h)
+        symbol, member = (f(p, wavy_metric, signs) for f in (rescaled_symbol, char_membership))
+        assert set(member) == {CharClass.SIGMA, CharClass.OFF}
+        for b in (PL, MI):
+            m = signs == b.sign
+            one = radial_point(xi[m], h[m], side[m], b)
+            for name in ("tau_nat", "xi_nat", "direction"):
+                assert (getattr(rp, name)[m] == getattr(one, name)).all(), name
+            assert (rate[m] == weight_flow_rate(one, orders, wavy_metric, b)).all()
+            pm = PhasePoint(t[m], x[m], tau[m], xi[m], h[m])
+            assert (symbol[m] == rescaled_symbol(pm, wavy_metric, b)).all()
+            assert (member[m] == char_membership(pm, wavy_metric, b)).all()
+
+    def test_sign_check_loads_no_module(self):
+        # the per-point check runs on every batch; it must not pull in a
+        # module (np.unique would load numpy.ma) on its first use
+        script = ("import sys\n"
+                  "from nrlab.symbols import MetricParams, radial_point, rescaled_symbol\n"
+                  "from nrlab.geometry import PhasePoint\n"
+                  "before = set(sys.modules)\n"
+                  "rp = radial_point([[1.0], [0.5]], 0.3, [1, -1], [-1, 1])\n"
+                  "rescaled_symbol(PhasePoint(0.0, [0.0], rp.tau_nat, rp.xi_nat, 0.3),\n"
+                  "                MetricParams.free(1), [-1, 1])\n"
+                  "try:\n"
+                  "    radial_point([1.0], 0.3, 2, 1)\n"
+                  "except Exception as e:\n"
+                  "    print(type(e).__name__)\n"
+                  "print(sorted(set(sys.modules) - before))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["InvalidInput", "[]"]
+
+
 def _rows(p):
     """The points of a PhasePoint batch of shape (N,), one by one."""
     return [PhasePoint(p.t[i], p.x[i], p.tau_nat[i], p.xi_nat[i], p.h[i])
@@ -528,6 +599,14 @@ class TestBatchedPoints:
     one-point function given a batch raises InvalidInput."""
 
     N = 12
+    MIXED = np.resize([1, -1, -1], N)       # per-point branch signs, both sheets in one batch
+
+    @classmethod
+    def _branches(cls, b):
+        """The branch argument of a batch, PL, MI or (for None) MIXED, and each row's."""
+        if b is None:
+            return cls.MIXED, [SignBranch(s) for s in cls.MIXED.tolist()]
+        return b, [b] * cls.N
 
     @classmethod
     def _points(cls, M, h, b):
@@ -543,23 +622,26 @@ class TestBatchedPoints:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("h", [0.0, 1e-3, 0.3])
-    @given(data=st.data(), b=st.sampled_from([PL, MI]))
+    @given(data=st.data(), b=st.sampled_from([PL, MI, None]))
     @settings(max_examples=3, deadline=None)
     def test_rows(self, d, h, data, b):
         M = data.draw(perturbed_metrics(d))
+        b, bs = self._branches(b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = self._points(M, h, b)
             rows = _rows(p)
-            for f in (lambda q: rescaled_symbol(q, M, b),
-                      lambda q: char_membership(q, M, b), natural_degeneracy,
-                      lambda q: np.stack(astuple(bdf_values(q)), axis=-1)):
+            for f, g in ((lambda q: rescaled_symbol(q, M, b), rescaled_symbol),
+                         (lambda q: char_membership(q, M, b), char_membership)):
+                _same(f(p), [g(q, M, bq) for q, bq in zip(rows, bs)])
+            for f in (natural_degeneracy, lambda q: np.stack(astuple(bdf_values(q)), axis=-1)):
                 _same(f(p), [f(q) for q in rows])
-            assert {char_membership(q, M, b) for q in rows} >= {CharClass.SIGMA, CharClass.OFF}
+            assert ({char_membership(q, M, bq) for q, bq in zip(rows, bs)}
+                    >= {CharClass.SIGMA, CharClass.OFF})
             for chart in PHASE_CHARTS:
-                self._check_chart(p, rows, chart, M, b)
+                self._check_chart(p, rows, chart, M, b, bs)
 
-    def _check_chart(self, p, rows, chart, M, b):
+    def _check_chart(self, p, rows, chart, M, b, bs):
         ok, ccs = [], []
         for i, q in enumerate(rows):
             try:
@@ -577,8 +659,10 @@ class TestBatchedPoints:
         _same(cc.sign, [c.sign for c in ccs])
         for name in ("rho_df", "rho_bf", "rho_nf", "rho_pf"):
             _same(getattr(cc.bdf, name), [getattr(c.bdf, name) for c in ccs])
-        for f in (lambda q: rescaled_symbol(q, M, b), lambda q: char_membership(q, M, b),
-                  lambda q: from_chart(q).z, lambda q: from_chart(q).zeta_nat,
+        b_ok, bs_ok = (b if isinstance(b, SignBranch) else b[ok]), [bs[i] for i in ok]
+        for f in (rescaled_symbol, char_membership):
+            _same(f(cc, M, b_ok), [f(c, M, bc) for c, bc in zip(ccs, bs_ok)])
+        for f in (lambda q: from_chart(q).z, lambda q: from_chart(q).zeta_nat,
                   lambda q: from_chart(q).h):
             _same(f(cc), [f(c) for c in ccs])
         bdf_slot = {ChartTag.DF_PROJECTIVE: 1 + M.d, ChartTag.PF_STANDARD: -1,
@@ -591,10 +675,11 @@ class TestBatchedPoints:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("h", [0.0, 1e-3, 0.3])
-    @given(data=st.data(), b=st.sampled_from([PL, MI]))
+    @given(data=st.data(), b=st.sampled_from([PL, MI, None]))
     @settings(max_examples=3, deadline=None)
     def test_radial_rows(self, d, h, data, b):
         M = data.draw(perturbed_metrics(d))
+        b, bs = self._branches(b)
         rng = np.random.default_rng(d)
         xi = rng.normal(size=(self.N, d))
         xi[0] = 0.0                              # the pole at h = 0
@@ -602,13 +687,13 @@ class TestBatchedPoints:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rp = radial_point(xi, h, signs, b)
-            rows = [radial_point(x, h, Side.FUTURE if s > 0 else Side.PAST, b)
-                    for x, s in zip(xi, signs)]
+            rows = [radial_point(x, h, Side.FUTURE if s > 0 else Side.PAST, br)
+                    for x, s, br in zip(xi, signs, bs)]
             for name in ("tau_nat", "xi_nat", "h", "direction", "zeta_nat"):
                 _same(getattr(rp, name), [getattr(r, name) for r in rows])
             orders = (0.5, 1.0, -1.0, 2.0)
             _same(weight_flow_rate(rp, orders, M, b),
-                  [weight_flow_rate(r, orders, M, b) for r in rows])
+                  [weight_flow_rate(r, orders, M, br) for r, br in zip(rows, bs)])
 
     def test_one_point_functions_reject_a_batch(self, free_metric):
         p = PhasePoint([0.0, 0.1], [[0.2], [0.3]], [0.5, 0.6], [[1.0], [1.2]], 0.3)
@@ -627,22 +712,21 @@ class TestBatchedPoints:
             with pytest.raises(InvalidInput):
                 call()
 
-    def test_experiments_evaluate_the_metric_once_per_branch(self, monkeypatch):
-        # one evaluation per kernel and branch: charset's symbol, radial's
-        # membership and field, alpha's rate (all its s from one), qdf's
-        # field (the free sheet root takes none)
+    def test_experiments_evaluate_the_metric_once_per_kernel(self, monkeypatch):
+        # one evaluation per kernel over both branches' samples: charset's
+        # symbol, radial's membership and field, alpha's rate (all its s from
+        # one), qdf's field (the free sheet root takes none)
         calls = count_metric_evaluations(monkeypatch)
         counts = {}
         for name in ("charset", "radial", "alpha", "qdf"):
             calls.clear()
             getattr(ex, name)(np.random.default_rng(7))
             counts[name] = len(calls)
-        assert counts == {"charset": 2, "radial": 4, "alpha": 2, "qdf": 2}
+        assert counts == {"charset": 1, "radial": 2, "alpha": 1, "qdf": 1}
 
     def test_qdf_command_probes_each_branch_in_one_pass(self, monkeypatch):
         # a perturbed metric takes the sheet roots and the field in one
-        # evaluation each per branch drawn, over every centre's rows
+        # evaluation each, over every centre's rows of both branches
         calls = count_metric_evaluations(monkeypatch)
         ex.qdf(np.random.default_rng(7), pert_metric(0.1), n_centers=10)
-        assert len(calls) <= 4 and len(calls) % 2 == 0
-        assert sum(math.prod(shape) for shape in calls) == 2 * 10 * (60 + 8)
+        assert calls == [(10, 60 + 8)] * 2
