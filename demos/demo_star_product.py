@@ -1,5 +1,5 @@
-"""Desk-scale quantization: operators from symbols, the truncated star
-product, Poisson brackets, frequency translation, and normal symbols.
+"""Desk-scale quantization: operators from symbols on a periodic grid, and
+the truncated star product as the symbol of their composition.
 
 Run:  python3 demos/demo_star_product.py
 """
@@ -8,10 +8,7 @@ import math
 
 import numpy as np
 
-from nrlab.quantize import (
-    BoxGrid, GridField, GridSymbol, conjugate_translate, frequency_grid,
-    normal_symbol, op_apply, poisson, star_truncated,
-)
+from nrlab.quantize import BoxGrid, GridField, GridSymbol, frequency_grid, op_apply, star_truncated
 
 zg = BoxGrid.regular(16 * math.pi, 256, 1)
 qg = frequency_grid(zg)
@@ -51,47 +48,3 @@ for N in range(4):
     r = op_apply(star_truncated(a, b, N), u)
     print(f"    N = {N}:  {np.max(np.abs(ab.values - r.values))/u.norm():.3e}")
 
-print()
-print("=" * 70)
-print("Commutators and the Poisson bracket")
-print("=" * 70)
-anti = star_truncated(a, b, 1) - star_truncated(b, a, 1)
-pb = poisson(a, b)
-print(f"  N=1 antisymmetrization vs -i {{a,b}}: "
-      f"{np.max(np.abs(anti.values - (-1j)*pb.values)):.1e}")
-tau_s = GridSymbol.coordinate(zg, qg, "zeta", 0)
-t_s = GridSymbol.coordinate(zg, qg, "z", 0)
-print(f"  canonical pair {{tau, t}} = {poisson(tau_s, t_s).values.flat[0]:.1f}")
-
-print()
-print("=" * 70)
-print("Natural-frequency translation = conjugation by the rest oscillation")
-print("=" * 70)
-h = 0.3
-zg2 = BoxGrid.regular(18 * math.pi, 512, 1)
-qg2 = frequency_grid(zg2, scales=(h * h,))
-t = zg2.axis_points(0)
-u2 = GridField(zg2, np.exp(-(t**2) / 4.0))
-a2 = GridSymbol.from_function(zg2, qg2,
-                              lambda z, q: np.exp(-8*q**2)*np.exp(-(z/9.0)**2))
-a2t = conjugate_translate(a2, 1.0, h)
-carrier = np.exp(1j * t / h**2)
-lhs2 = op_apply(a2t, u2, h=h, natural=True)
-rhs2 = carrier * op_apply(a2, GridField(zg2, np.conj(carrier)*u2.values),
-                          h=h, natural=True).values
-print(f"  operator identity residual: {np.max(np.abs(lhs2.values - rhs2)):.1e}")
-
-print()
-print("=" * 70)
-print("Normal symbol at the parabolic face (h -> 0 extrapolation)")
-print("=" * 70)
-fam = {}
-for hh in (0.02, 0.01, 0.005):
-    fam[hh] = GridSymbol.from_function(
-        zg, qg, lambda z, q, hv=hh: hv*hv*q**2 + 2.0*q + 0*z)
-ns = normal_symbol(fam, rtol=1e-3)
-ref = GridSymbol.from_function(zg, qg, lambda z, q: 2.0*q + 0*z)
-print(f"  family h^2 tau^2 + 2 tau -> 2 tau: residual "
-      f"{np.max(np.abs(ns.values - ref.values)):.1e}")
-print("  (the quadratic rest-energy term drops at the face; what remains is")
-print("   the dispersive part the Schrodinger operator quantizes)")

@@ -33,7 +33,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ExtrapolationUnstable, GridMismatch, InvalidInput, SpectrumOverflow
+from .errors import GridMismatch, InvalidInput, SpectrumOverflow
 
 __all__ = [
     "BoxGrid",
@@ -43,9 +43,6 @@ __all__ = [
     "op_apply",
     "star_partial_sums",
     "star_truncated",
-    "poisson",
-    "conjugate_translate",
-    "normal_symbol",
 ]
 
 SMOOTHNESS_TOP_THIRD = 1.0e-8   # spectral-decay preflight threshold
@@ -151,21 +148,10 @@ class BoxGrid:
                            indexing="ij")
 
 
-def frequency_grid(zgrid: BoxGrid, scales=None, n=None) -> BoxGrid:
-    """Frequency box matching the DFT frequencies of a base grid.
-
-    The spacing on axis i is (2 pi / L_i) * scale_i, so the scaled DFT
-    frequencies of the base grid land exactly on grid points.  ``scales``
-    defaults to 1 on each axis; pass (h^2, h, ..., h) for the natural-scale
-    quantization.
-    """
-    if scales is None:
-        scales = (1.0,) * zgrid.ndim
-    ns = zgrid.ns if n is None else ((n,) * zgrid.ndim if np.isscalar(n) else tuple(n))
-    sides = tuple(
-        2.0 * np.pi / L * s * m for L, s, m in zip(zgrid.sides, scales, ns)
-    )
-    return BoxGrid(sides, ns)
+def frequency_grid(zgrid: BoxGrid) -> BoxGrid:
+    """Frequency box matching the DFT frequencies of a base grid: spacing
+    2 pi / L_i on axis i, so every DFT frequency lands on a grid point."""
+    return BoxGrid(tuple(2.0 * np.pi / L * n for L, n in zip(zgrid.sides, zgrid.ns)), zgrid.ns)
 
 
 @dataclass
@@ -376,12 +362,12 @@ class GridSymbol:
 # ---------------------------------------------------------------------------
 
 
-def _mode_indices_on(zetagrid: BoxGrid, zeta: list, eta: list) -> tuple:
-    """Indices on the symbol's zeta-grid of the modes zeta, scaled to eta (one
-    array per axis); SpectrumOverflow names the first mode, in the order
-    given, that falls off the grid."""
+def _mode_indices_on(zetagrid: BoxGrid, zeta: list) -> tuple:
+    """Indices on the symbol's zeta-grid of the modes zeta (one array per
+    axis); SpectrumOverflow names the first mode, in the order given, that
+    falls off the grid."""
     idx, on = [], True
-    for i, v in enumerate(eta):
+    for i, v in enumerate(zeta):
         pts0, d = -zetagrid.sides[i] / 2.0, zetagrid.spacings[i]
         j = np.rint((v - pts0) / d)
         on = on & (0 <= j) & (j < zetagrid.ns[i]) & (
@@ -389,19 +375,17 @@ def _mode_indices_on(zetagrid: BoxGrid, zeta: list, eta: list) -> tuple:
         idx.append(j.astype(np.intp))
     if not np.all(on):
         bad = int(np.argmin(on))
-        raise SpectrumOverflow(f"mode {np.array([v[bad] for v in zeta])} (scaled "
-                               f"{np.array([v[bad] for v in eta])}) outside the symbol frequency box")
+        raise SpectrumOverflow(f"mode {np.array([v[bad] for v in zeta])} "
+                               "outside the symbol frequency box")
     return tuple(idx)
 
 
-def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
-             natural: bool = False) -> GridField:
+def op_apply(a: GridSymbol, u: GridField) -> GridField:
     """Discrete left quantization applied to a field.
 
-    With ``natural=True`` the symbol is understood to be sampled in the
-    natural frequencies and is evaluated at (h^2 tau, h xi_1, ...) for the
-    DFT frequencies (tau, xi) of the base grid.  Raises SpectrumOverflow if
-    an energetic mode of u falls outside the symbol's frequency box.
+    The symbol is read at the DFT frequencies of the base grid.  Raises
+    SpectrumOverflow if an energetic mode of u falls outside the symbol's
+    frequency box.
 
     One fftn of u; each axis's plane wave e^{i zeta_k (z_m + L/2)} is the
     exact twiddle e^{2 pi i k m / n}, read from a length-n table.  Energetic
@@ -410,12 +394,6 @@ def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
     if u.grid != a.zgrid:
         raise GridMismatch("field and symbol base grids differ")
     D, ns = u.grid.ndim, u.grid.ns
-    scales = np.ones(D)
-    if natural:
-        if h is None or not h > 0:
-            raise InvalidInput("natural quantization requires h > 0")
-        scales[0] = h * h
-        scales[1:] = h
     coeffs = u.coefficients()
     power = np.abs(coeffs) ** 2
     total = float(np.sum(power))
@@ -424,9 +402,8 @@ def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
         return GridField(u.grid, out)
     modes = np.nonzero(~(power <= MODE_ENERGY_FLOOR * total))   # C order
     zeta = [u.grid.axis_freqs(i)[k] for i, k in enumerate(modes)]
-    eta = [s * z for s, z in zip(scales, zeta)]
     if a.poly is None:
-        idx = _mode_indices_on(a.zetagrid, zeta, eta)
+        idx = _mode_indices_on(a.zetagrid, zeta)
     else:
         mesh = u.grid.mesh()
         zparts = [(_monomial(mesh, az, np.full(u.grid.shape, cf, dtype=complex))[..., None], aq)
@@ -440,7 +417,7 @@ def op_apply(a: GridSymbol, u: GridField, h: float | None = None,
         else:
             amp = np.zeros(u.grid.shape + (len(modes[0][blk]),), dtype=complex)
             for zp, aq in zparts:
-                amp += _monomial([v[blk] for v in eta], aq, zp)
+                amp += _monomial([v[blk] for v in zeta], aq, zp)
         for i, n in enumerate(ns):
             shape = [1] * D + [-1]
             shape[i] = n
@@ -494,78 +471,3 @@ def star_truncated(a: GridSymbol, b: GridSymbol, N: int) -> GridSymbol:
     """The truncated composition symbol S_N: the last of ``star_partial_sums``."""
     return deque(star_partial_sums(a, b, N), maxlen=1).pop()
 
-
-def poisson(a: GridSymbol, b: GridSymbol) -> GridSymbol:
-    """Poisson bracket {a,b} = sum_i (d_zeta_i a d_z_i b - d_z_i a d_zeta_i b).
-
-    Axis 0 of the base is the time variable, so the i = 0 term is the
-    (d_tau a)(d_t b) - (d_t a)(d_tau b) part of the fixed sign convention.
-    """
-    a._check_mate(b)
-    out = None
-    for i in range(a.zgrid.ndim):
-        term = a.d_zeta(i) * b.d_z(i) - a.d_z(i) * b.d_zeta(i)
-        out = term if out is None else out + term
-    return out
-
-
-def conjugate_translate(a: GridSymbol, shift: float, h: float) -> GridSymbol:
-    """Translate the symbol by ``shift`` in the natural time frequency.
-
-    Equals conjugation of the quantized operator by exp(i shift t / h^2).
-    On-grid shifts are exact circular shifts; off-grid shifts use spectral
-    interpolation.  Raises SpectrumOverflow when the translation would wrap
-    symbol mass around the frequency box.
-    """
-    axis = a.zgrid.ndim  # the tau_nat axis of the values array
-    d = a.zetagrid.spacings[0]
-    n = a.zetagrid.ns[0]
-    steps = shift / d
-    # wrap check: mass in the strip that would cross the boundary
-    nsteps = int(math.ceil(abs(steps)))
-    if nsteps >= n:
-        raise SpectrumOverflow("shift exceeds the frequency box")
-    if nsteps > 0:
-        sl = [slice(None)] * a.values.ndim
-        sl[axis] = slice(-nsteps, None) if shift > 0 else slice(0, nsteps)
-        strip = float(np.sum(np.abs(a.values[tuple(sl)]) ** 2))
-        total = float(np.sum(np.abs(a.values) ** 2))
-        if total > 0 and strip > 1.0e-10 * total:
-            raise SpectrumOverflow("translation pushes symbol support off-grid")
-    if abs(steps - round(steps)) < 1.0e-9:
-        vals = np.roll(a.values, int(round(steps)), axis=axis)
-        return GridSymbol(a.zgrid, a.zetagrid, vals)
-    spec = transform(a.values.copy(), axes=(axis,))
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
-    sh = [1] * a.values.ndim
-    sh[axis] = n
-    vals = transform(spec * np.exp(-1j * k.reshape(sh) * shift), axes=(axis,), inverse=True)
-    return GridSymbol(a.zgrid, a.zetagrid, vals)
-
-
-def normal_symbol(family, rtol: float = 1.0e-6) -> GridSymbol:
-    """Richardson h -> 0 limit of an h-indexed symbol family (the pf-restriction).
-
-    ``family`` maps h to GridSymbol at h, h/2, h/4 on one fixed grid.  The
-    result is the order-2 extrapolant; the order-1 one checks it, and a
-    disagreement beyond ``rtol`` (relative to the result's sup) raises
-    ExtrapolationUnstable.
-    """
-    items = sorted(family.items(), key=lambda kv: -kv[0])
-    if len(items) != 3:
-        raise InvalidInput("family must hold exactly three h values")
-    hs = [kv[0] for kv in items]
-    if not (np.isclose(hs[0] / hs[1], 2.0) and np.isclose(hs[1] / hs[2], 2.0)):
-        raise InvalidInput("family h values must be h0, h0/2, h0/4")
-    a0, a1, a2 = (kv[1] for kv in items)
-    a0._check_mate(a1)
-    a0._check_mate(a2)
-    r1 = 2.0 * a2.values - a1.values                     # kills the h term
-    r2 = (a0.values - 6.0 * a1.values + 8.0 * a2.values) / 3.0   # kills h, h^2
-    scale = 1.0 + float(np.max(np.abs(r2)))
-    dev = float(np.max(np.abs(r1 - r2))) / scale
-    if dev > rtol:
-        raise ExtrapolationUnstable(
-            f"order-1/order-2 extrapolants deviate by {dev:.3e} (rtol {rtol:.1e})"
-        )
-    return GridSymbol(a0.zgrid, a0.zetagrid, r2)

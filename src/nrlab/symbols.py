@@ -420,9 +420,18 @@ def radial_point(xi_nat, h, side, b: SignBranch) -> RadialPoint:
     sheet; the base direction is side * (h sqrt(1+|xi_nat|^2), -(+/-) xi_nat),
     normalized (_future_direction).  At h = 0, xi_nat = 0 the direction
     degenerates to the future/past pole (the blown-up parabolic-face limit).
-    Either of side and b may be per-point signs +/-1 in the batch's shape.
+    Either of side and b may be per-point signs +/-1 that broadcast to the
+    batch's shape (else InvalidInput).
     """
     h, xi_nat = _batch(h, (), (xi_nat,))
+    sides, signs = _sign(side), _sign(b)
+    for s in (sides, signs):   # per-point signs (an array) must broadcast to the batch
+        try:
+            fits = not isinstance(s, np.ndarray) or np.broadcast(s, h).shape == np.shape(h)
+        except ValueError:
+            fits = False
+        if not fits:
+            raise InvalidInput(f"signs of shape {s.shape} do not fit a batch of shape {np.shape(h)}")
     zeta = _cat(_sheet_tau(xi_nat, b), xi_nat)
-    direction = np.asarray(_sign(side))[..., None] * _future_direction(zeta, h, _sign(b))
+    direction = np.asarray(sides)[..., None] * _future_direction(zeta, h, signs)
     return RadialPoint(zeta[..., 0], xi_nat, h, side, b, direction)

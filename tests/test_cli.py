@@ -91,6 +91,18 @@ def test_every_raise_names_an_nrlab_error():
     assert offenders == []
 
 
+def test_every_error_type_is_raised():
+    # an error type that no raise in the package names can be caught but
+    # never happens: it outlived the code that raised it
+    raised = {ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for path in Path(nrlab.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    types = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, NrlabError) and obj is not NrlabError}
+    assert sorted(types - raised) == []
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "c.json",

@@ -1087,6 +1087,23 @@ class TestNormalOperatorTerms:
             for c, e in zip((256.0, 1024.0), rest):
                 assert e <= 1.25 * e64 + 16.0 * eps * c**3, (key, c, scaled[key])
 
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), s=st.sampled_from([1, -1]))
+    @settings(max_examples=25, deadline=None)
+    def test_limit_is_the_richardson_limit_of_finite_c_rows(self, data, d, s):
+        # with h = 1/c, R(c0) = (T(c0) - 6 T(2 c0) + 8 T(4 c0)) / 3 cancels the h
+        # and h^2 parts of every row (0 for a row a table lacks), so
+        # |R(c0) - T(inf)| is O(c0^-3) and falls 64x from c0 = 8 to 32; the gate
+        # asks a quarter of that, above the round-off floor 16 eps c^3 at c = 4 c0
+        M = data.draw(perturbed_metrics(d, lower=True))
+        zs = list(np.random.default_rng(d).uniform(-4.0, 4.0, (d + 1, 12)))
+        T = {c: pde._operator_terms(M, c, zs, s) for c in (8.0, 16.0, 32.0, 64.0, 128.0, math.inf)}
+        floor = 16.0 * np.finfo(float).eps * 128.0**3
+        for key in set().union(*T.values()):
+            row = {c: table.get(key, 0.0) for c, table in T.items()}
+            e8, e32 = (np.max(np.abs((row[c0] - 6.0 * row[2 * c0] + 8.0 * row[4 * c0]) / 3.0
+                                     - row[math.inf])) for c0 in (8.0, 32.0))
+            assert e32 <= e8 / 16.0 + floor, (key, e8, e32)
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("c", [8.0, math.inf])
     def test_signs_on_an_axis_stack_the_branch_tables(self, d, c):

@@ -1,4 +1,4 @@
-"""Left quantization, star products, Poisson brackets, normal symbols."""
+"""Left quantization, star products, and commutators against the Poisson bracket."""
 
 import ast
 import itertools
@@ -13,17 +13,14 @@ import pytest
 from conftest import count_transforms, ham_field
 from nrlab import experiments as ex
 from nrlab import quantize
-from nrlab.errors import ExtrapolationUnstable, GridMismatch, InvalidInput, SpectrumOverflow
+from nrlab.errors import GridMismatch, InvalidInput, SpectrumOverflow
 from nrlab.quantize import (
     BoxGrid,
     GridField,
     GridSymbol,
     _monomial,
-    conjugate_translate,
     frequency_grid,
-    normal_symbol,
     op_apply,
-    poisson,
     star_partial_sums,
     star_truncated,
     transform,
@@ -35,6 +32,12 @@ def poly_eval(a: GridSymbol, z, zeta) -> complex:
     z, zeta = np.atleast_1d(z), np.atleast_1d(zeta)
     return sum((_monomial(zeta, aq, _monomial(z, az, cf))
                 for (az, aq), cf in a.poly.items()), 0.0 + 0.0j)
+
+
+def bracket(a: GridSymbol, b: GridSymbol) -> GridSymbol:
+    """The Poisson bracket {a, b} = sum_i (d_zeta_i a d_z_i b - d_z_i a d_zeta_i b)."""
+    terms = [a.d_zeta(i) * b.d_z(i) - a.d_z(i) * b.d_zeta(i) for i in range(a.zgrid.ndim)]
+    return sum(terms[1:], terms[0])
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +87,9 @@ def star_reference(a, b, N):
     return out
 
 
-def op_apply_reference(a, u, scales):
+def op_apply_reference(a, u):
     """Left quantization as a sum over the energetic modes of u, one plane wave
-    e^{i zeta (z + L/2)} each, the symbol read at the scaled frequency."""
+    e^{i zeta (z + L/2)} each, the symbol read at its frequency."""
     coeffs = u.coefficients()
     total = np.sum(np.abs(coeffs) ** 2)
     mesh = u.grid.mesh()
@@ -96,12 +99,11 @@ def op_apply_reference(a, u, scales):
         if abs(coeffs[k]) ** 2 <= 1e-30 * total:
             continue
         zeta = np.array([f[j] for f, j in zip(freqs, k)])
-        eta = np.asarray(scales) * zeta
         if a.poly is None:
             amp = a.values[(Ellipsis, *(int(round((e + s / 2) / d)) for e, s, d in
-                                        zip(eta, a.zetagrid.sides, a.zetagrid.spacings)))]
+                                        zip(zeta, a.zetagrid.sides, a.zetagrid.spacings)))]
         else:
-            amp = sum(cf * math.prod(m ** e for m, e in zip(mesh, az)) * math.prod(eta ** aq)
+            amp = sum(cf * math.prod(m ** e for m, e in zip(mesh, az)) * math.prod(zeta ** aq)
                       for (az, aq), cf in a.poly.items())
         phase = sum(z * (m + L / 2) for z, m, L in zip(zeta, mesh, u.grid.sides))
         out += amp * coeffs[k] * np.exp(1j * phase)
@@ -168,15 +170,12 @@ class TestOpApply:
         # off the box: zeta_0 = 1 (no grid point) and zeta_1 = 0.5 (past the top
         # point 0.25); C order meets mode (0, 1) before mode (1, 0)
         zeta = np.array([0.0, 0.5])
-        assert str(err.value) == f"mode {zeta} (scaled {zeta}) outside the symbol frequency box"
+        assert str(err.value) == f"mode {zeta} outside the symbol frequency box"
 
-    @pytest.mark.parametrize("natural", [False, True])
     @pytest.mark.parametrize("kind", ["sampled", "poly"])
-    def test_two_axes_match_the_sum_over_modes(self, natural, kind):
-        h = 0.7
-        scales = (h * h, h) if natural else (1.0, 1.0)
+    def test_two_axes_match_the_sum_over_modes(self, kind):
         zg = BoxGrid((2 * math.pi, 4 * math.pi), (16, 8))
-        qg = frequency_grid(zg, scales=scales)
+        qg = frequency_grid(zg)
         rng = np.random.default_rng(11)
         if kind == "sampled":
             a = GridSymbol(zg, qg, rng.normal(size=zg.shape + qg.shape)
@@ -188,8 +187,8 @@ class TestOpApply:
         smooth = np.exp(-(t**2) - (x / 2) ** 2 + 2j * x)
         for values in (rng.normal(size=zg.shape) + 1j * rng.normal(size=zg.shape), smooth):
             u = GridField(zg, values)
-            r = op_apply(a, u, h=h if natural else None, natural=natural)
-            ref = op_apply_reference(a, u, scales)
+            r = op_apply(a, u)
+            ref = op_apply_reference(a, u)
             assert np.max(np.abs(r.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("block", [1, 768, 1 << 16])
@@ -201,14 +200,8 @@ class TestOpApply:
         rng = np.random.default_rng(5)
         u = GridField(zg, rng.normal(size=zg.shape) + 1j * rng.normal(size=zg.shape))
         a, _ = smooth_symbols(zg, qg)
-        ref = op_apply_reference(a, u, (1.0,))
+        ref = op_apply_reference(a, u)
         assert np.max(np.abs(op_apply(a, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("h", [None, 0.0, -0.5])
-    def test_natural_needs_positive_h(self, setup1d, h):
-        zg, qg, u = setup1d
-        with pytest.raises(InvalidInput):
-            op_apply(GridSymbol.constant(zg, qg), u, h=h, natural=True)
 
     def test_support_locality(self, setup1d):
         # Op(a)u vanishes where a = 0 on a z-neighborhood, for z-localized a
@@ -304,7 +297,7 @@ class TestStar:
         zg, qg, _ = setup1d
         a, _ = smooth_symbols(zg, qg)
         with pytest.raises(GridMismatch):
-            star_partial_sums(a, GridSymbol.constant(zg, frequency_grid(zg, n=128)), 1)
+            star_partial_sums(a, GridSymbol.constant(zg, BoxGrid(qg.sides, (128,))), 1)
 
     def test_partial_sums_one_axis(self, setup1d):
         zg, qg, _ = setup1d
@@ -350,25 +343,14 @@ class TestStar:
         assert sum(axes is not None for axes, _ in calls) == 12
 
 
-class TestPoisson:
-    def test_canonical_pair(self, setup1d):
-        zg, qg, _ = setup1d
-        tau = GridSymbol.coordinate(zg, qg, "zeta", 0)
-        t = GridSymbol.coordinate(zg, qg, "z", 0)
-        pb = poisson(tau, t)
-        assert np.max(np.abs(pb.values - 1.0)) < 1e-12
-
-    def test_self_bracket_zero(self, setup1d):
-        zg, qg, _ = setup1d
-        a, _ = smooth_symbols(zg, qg)
-        pb = poisson(a, a)
-        assert np.max(np.abs(pb.values)) < 1e-12
+class TestCommutatorBracket:
+    """Commutators of quantizations against the Poisson bracket {a, b}."""
 
     def test_antisymmetrization_is_minus_i_bracket(self, setup1d):
         zg, qg, _ = setup1d
         a, b = smooth_symbols(zg, qg)
         anti = star_truncated(a, b, 1) - star_truncated(b, a, 1)
-        pb = poisson(a, b)
+        pb = bracket(a, b)
         assert np.max(np.abs(anti.values - (-1j) * pb.values)) < 1e-12
 
     def test_commutator_gap_explained_by_next_term(self, setup1d):
@@ -396,7 +378,7 @@ class TestPoisson:
         a = GridSymbol.from_poly(zg, qg, {((1,), (1,)): 0.3, ((0,), (1,)): 1.0})
         b = GridSymbol.from_poly(zg, qg, {((1,), (0,)): 1.0, ((1,), (1,)): -0.2})
         comm = op_apply(a, op_apply(b, u)).values - op_apply(b, op_apply(a, u)).values
-        ref = op_apply(poisson(a, b) * (-1j), u).values
+        ref = op_apply(bracket(a, b) * (-1j), u).values
         assert np.max(np.abs(comm - ref)) / u.norm() < 1e-10
 
     def test_hamilton_field_consistency(self):
@@ -417,7 +399,7 @@ class TestPoisson:
             zg, qg,
             {((0, 0), (2, 0)): h * h, ((0, 0), (0, 2)): -1.0, ((0, 0), (1, 0)): 2.0})
         f = GridSymbol.from_poly(zg, qg, {((0, 1), (0, 1)): 1.0})  # x xi
-        pb = poisson(p0, f)
+        pb = bracket(p0, f)
         M = MetricParams.free(1)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -428,106 +410,9 @@ class TestPoisson:
                            SignBranch.PLUS)
             # f = x xi = x xi_nat / h: contract the chart field with grad f
             field_f = (tv[1] * xi + tv[3] * x0 / h)
-            bracket = poly_eval(pb, [t0, x0], [tau, xi])
-            bracket *= 0.5 * math.sqrt(1 + t0**2 + x0**2) * h
-            assert abs(field_f - bracket) < 1e-8
-
-
-class TestConjugateTranslate:
-    def test_zero_shift_identity(self, setup1d):
-        zg, qg, _ = setup1d
-        a, _ = smooth_symbols(zg, qg)
-        at = conjugate_translate(a, 0.0, 0.5)
-        assert np.max(np.abs(at.values - a.values)) == 0.0
-
-    def test_bump_translation(self, setup1d):
-        zg, qg, _ = setup1d
-        a = GridSymbol.from_function(zg, qg, lambda z, q: np.exp(-8 * q**2) + 0 * z)
-        at = conjugate_translate(a, 1.0, 0.3)
-        pts = qg.axis_points(0)
-        i0 = np.argmin(np.abs(pts))
-        i1 = np.argmin(np.abs(pts - 1.0))
-        assert abs(at.values[0, i1] - a.values[0, i0]) < 1e-12
-
-    def test_operator_identity(self):
-        # conjugation by exp(i shift t / h^2) at a grid-compatible carrier
-        h = 0.3
-        zg = BoxGrid.regular(18 * math.pi, 512, 1)
-        qg = frequency_grid(zg, scales=(h * h,))
-        t = zg.axis_points(0)
-        u = GridField(zg, np.exp(-(t**2) / 4.0))
-        a = GridSymbol.from_function(
-            zg, qg, lambda z, q: np.exp(-8 * q**2) * np.exp(-((z / 9.0) ** 2)))
-        at = conjugate_translate(a, 1.0, h)
-        lhs = op_apply(at, u, h=h, natural=True)
-        carrier = np.exp(1j * t / h**2)
-        inner = GridField(zg, np.conj(carrier) * u.values)
-        rhs = carrier * op_apply(a, inner, h=h, natural=True).values
-        assert np.max(np.abs(lhs.values - rhs)) < 1e-8
-
-    def test_off_grid_shift_spectral(self, setup1d):
-        zg, qg, _ = setup1d
-        a = GridSymbol.from_function(zg, qg, lambda z, q: np.exp(-8 * q**2) + 0 * z)
-        dq = qg.spacings[0]
-        at = conjugate_translate(a, 0.5 * dq, 0.3)
-        pts = qg.axis_points(0)
-        ref = np.exp(-8 * (pts - 0.5 * dq) ** 2)
-        assert np.max(np.abs(at.values[0] - ref)) < 1e-8
-
-    def test_wraparound_rejected(self, setup1d):
-        zg, qg, _ = setup1d
-        a = GridSymbol.from_function(zg, qg, lambda z, q: np.exp(-8 * q**2) + 0 * z)
-        with pytest.raises(SpectrumOverflow):
-            conjugate_translate(a, 0.9 * qg.sides[0], 0.3)
-
-
-class TestNormalSymbol:
-    def test_quadratic_family(self, setup1d):
-        # free conjugated symbol family h^2 tau^2 - xi^2 + 2 tau (one total
-        # frequency axis standing for tau ... xi enters through a second run)
-        zg = BoxGrid.regular(16 * math.pi, 64, 1)
-        qg = frequency_grid(zg, n=64)
-        fam = {}
-        for h in (0.02, 0.01, 0.005):
-            fam[h] = GridSymbol.from_function(
-                zg, qg, lambda z, q, hh=h: hh * hh * q**2 + 2.0 * q + 0 * z)
-        ns = normal_symbol(fam, rtol=1e-3)
-        ref = GridSymbol.from_function(zg, qg, lambda z, q: 2.0 * q + 0 * z)
-        assert np.max(np.abs(ns.values - ref.values)) < 1e-10
-
-    def test_h_independent_family(self, setup1d):
-        zg, qg, _ = setup1d
-        a, _ = smooth_symbols(zg, qg)
-        fam = {0.2: a, 0.1: a, 0.05: a}
-        ns = normal_symbol(fam)
-        assert np.max(np.abs(ns.values - a.values)) < 1e-14
-
-    def test_linear_correction_removed(self, setup1d):
-        zg, qg, _ = setup1d
-        base, _ = smooth_symbols(zg, qg)
-        fam = {}
-        for h in (0.2, 0.1, 0.05):
-            corr = GridSymbol.from_function(
-                zg, qg, lambda z, q, hh=h: hh / np.sqrt(1.0 + z**2) + 0 * q)
-            fam[h] = base + corr
-        ns = normal_symbol(fam)
-        assert np.max(np.abs(ns.values - base.values)) < 1e-6
-
-    def test_unstable_family(self, setup1d):
-        zg, qg, _ = setup1d
-        rng = np.random.default_rng(0)
-        fam = {h: GridSymbol(zg, qg, rng.normal(size=(256, 256)))
-               for h in (0.2, 0.1, 0.05)}
-        with pytest.raises(ExtrapolationUnstable):
-            normal_symbol(fam)
-
-
-    @pytest.mark.parametrize("hs", [(0.2, 0.1), (0.2, 0.1, 0.04)])
-    def test_rejects_a_malformed_family(self, setup1d, hs):
-        zg, qg, _ = setup1d
-        a, _ = smooth_symbols(zg, qg)
-        with pytest.raises(InvalidInput):
-            normal_symbol({h: a for h in hs})
+            pb_value = poly_eval(pb, [t0, x0], [tau, xi])
+            pb_value *= 0.5 * math.sqrt(1 + t0**2 + x0**2) * h
+            assert abs(field_f - pb_value) < 1e-8
 
 
 class TestGridFieldInvariants:

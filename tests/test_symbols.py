@@ -525,6 +525,21 @@ class TestSigns:
             with pytest.raises(InvalidInput, match="sign"):
                 call()
 
+    @pytest.mark.parametrize("xi,side,b", [
+        ([[1.0], [2.0]], [1, -1, 1], PL),      # three sides for two points
+        ([1.0], 1, [1, -1]),                   # two branches for one point
+        ([[1.0], [2.0]], [[1], [-1]], PL),     # broadcasts, but past the batch
+        ([[1.0], [2.0]], 1, [[-1, 1]]),
+    ])
+    def test_radial_point_rejects_signs_that_do_not_fit_the_batch(self, xi, side, b):
+        with pytest.raises(InvalidInput, match="sign"):
+            radial_point(xi, 0.3, side, b)
+
+    def test_radial_point_broadcasts_signs_to_the_batch(self):
+        rp = radial_point([[1.0], [2.0]], 0.3, [-1], np.array(1))
+        want = radial_point([[1.0], [2.0]], 0.3, Side.PAST, PL)
+        assert (rp.direction == want.direction).all() and rp.direction.shape == (2, 2)
+
     def test_mixed_branch_batch_equals_per_branch_calls(self, wavy_metric):
         rng = np.random.default_rng(17)
         n = 16
