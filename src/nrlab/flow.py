@@ -120,15 +120,17 @@ def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
     V = (1/2)(h dp/dtau_nat, dp/dxi_nat), for the free metric
     (h(tau_nat +/- 1), -xi_nat), where the drift is zero;
     tau_nat' = -(h/2) D_t p,  xi_nat' = -(1/2) D_x p, with D the
-    rho_bf-compensated spacetime derivative of G taken from the metric
-    kernel, which stays smooth up to the boundary sphere where it vanishes
-    with the profiles.
+    rho_bf-compensated spacetime derivative.  With U = G zeta_nat and G
+    symmetric, -(1/2) D_l p = (1/2) zeta^T (D_l G) zeta = -(h^2/2) U^T (D_l P) U,
+    so the drift takes the metric kernel's DP, which stays smooth up to the
+    boundary sphere where it vanishes with the profiles, and never forms D G.
     """
     mv = eval_metric(M, Y, h, grad=True, rho2=rho2)
-    V = -(mv.G @ zeta_nat[..., None])[..., 0]
-    V[..., 0] = h * (bsign + V[..., 0])
-    drift = 0.5 * np.einsum("...lab,...a,...b->...l", mv.dG, zeta_nat, zeta_nat)
+    U = (mv.G @ zeta_nat[..., None])[..., 0]
+    drift = np.einsum("...lab,...a,...b->...l", mv.DP, U, U) * (-0.5 * np.square(h))[..., None]
     drift[..., 0] *= h                               # = -(1/2) D_l p, h-scaled in time
+    V = -U
+    V[..., 0] = h * (bsign + V[..., 0])
     return V, drift
 
 

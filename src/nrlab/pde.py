@@ -15,10 +15,11 @@ Both envelope equations take one Strang stepper, ``_strang``: exact free half st
 twisted branch envelopes (two at finite c, one at c = infinity) around a midpoint kick,
 kept in Fourier space so that the half steps between kicks fuse, at a cost per unit time
 that does not grow with c; at c = infinity it is the Schrodinger split step.
-``_operator_terms`` is the one table of lower-order terms and the one ``eval_metric`` caller:
-at c for ``ConjugatedOperator`` and ``kg_envelope_solve`` (one table per step for both
-branches, the sign an array axis), at c = infinity for the normal operator (with or without
-aleph).  ``_apply_terms`` is the one applier of such a table.
+``_operator_terms`` is the one table of lower-order terms and the one ``eval_metric`` caller
+(it forms the metric's derivative D G = -h^2 G (DP) G from the kernel's DP itself): at c
+for ``ConjugatedOperator`` and ``kg_envelope_solve`` (one table per step for both branches,
+the sign an array axis), at c = infinity for the normal operator (with or without aleph).
+``_apply_terms`` is the one applier of such a table.
 """
 
 from __future__ import annotations
@@ -163,11 +164,12 @@ def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, 
     the kick at t + h/2 and another half step.  Branch r's kick has the rate
     -(ir/2)(c^2/omega)[kappa T w_r], one table T = ``terms(t + h/2, mesh, r)`` for every r (r
     an array of signs on the branch axis; the scalar sign at c = inf) with d_t acting as
-    ir gap, kappa = 1/(1 - c^2 T(0, 0)) (DegenerateMetric unless > 0); its pointwise part
-    V = kappa T() is the factor e^{-irVh/4} on both sides of a midpoint step of the rest,
-    which at finite c holds the other branch's rate times the exact mean of e^{-2irc^2 tau}
-    over the stage.  At c = inf T holds () and (j,) alone (else InvalidInput), a step over
-    min(dx)/max|B| raises StepFailure, and with no drift the factors meet in one multiply.
+    ir gap, kappa = 1/(1 - c^2 T(0, 0)) (DegenerateMetric unless > 0 at every midpoint and
+    output time, the start included); its pointwise part V = kappa T() is the factor
+    e^{-irVh/4} on both sides of a midpoint step of the rest, which at finite c holds the
+    other branch's rate times the exact mean of e^{-2irc^2 tau} over the stage.  At c = inf
+    T holds () and (j,) alone (else InvalidInput), a step over min(dx)/max|B| raises
+    StepFailure, and with no drift the factors meet in one multiply.
     Returns (state, spectra) at each time, the state's v = sum_r e^{i(r - sign)c^2 t} w_r.
     """
     finite = c < math.inf
@@ -232,6 +234,8 @@ def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, 
             W *= half
             steps += nsteps
         t = float(target)
+        if finite:      # kappa at each output time too, the start included: no midpoint is
+            table(t, 0.0)
         vh = W[0] + np.exp(-2j * sign * c * c * t) * W[1] if finite else W[0].copy()
         out.append((SchrState(grid, transform(vh, inverse=True), t, steps), W.copy()))
     return out
@@ -332,14 +336,15 @@ def _operator_terms(M: MetricParams, c: float, zs, s) -> dict:
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
         mv = eval_metric(M, z / bracket[..., None], 1.0 / c, grad=True)
         # light-speed fields from the natural-units ones, S = diag(c, 1, ...):
-        # g^-1 = S^-1 G S^-1, d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z>, and
-        # d log sqrt|g| = -tr(g d(g^-1))/2 = -tr(g_nat D G)/(2 <z>), S cancelling
+        # g^-1 = S^-1 G S^-1, d(g^-1)/dz_l = S^-1 (D G) S^-1 / <z> with D G = -h^2 G (DP) G,
+        # and d log sqrt|g| = -tr(g d(g^-1))/2 = -tr(g_nat D G)/(2 <z>), S cancelling
         unscale = np.ones(n)
         unscale[0] = 1.0 / c
         unscale = np.outer(unscale, unscale)         # S^-1 (.) S^-1, entrywise
         ginv = mv.G * unscale
-        dginv = mv.dG * unscale / bracket[..., None, None, None]
-        dlog = -0.5 * np.einsum("...ab,...lba->...l", mv.g, mv.dG) / bracket[..., None]
+        dG = -(1.0 / c) ** 2 * (mv.G[..., None, :, :] @ mv.DP @ mv.G[..., None, :, :])
+        dginv = dG * unscale / bracket[..., None, None, None]
+        dlog = -0.5 * np.einsum("...ab,...lba->...l", mv.g, dG) / bracket[..., None]
         c1 = np.einsum("...iij->...j", dginv) + np.einsum("...ij,...i->...j", ginv, dlog)
         rem = ginv - np.diag([-1.0 / c**2] + [1.0] * (n - 1))  # less the free g^-1
         for i in range(n):
@@ -418,7 +423,8 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     v_t^ = is(omega - c^2) v^ less aleph v/(2is): w_s^ = v^ + x^, w_-s^ = -e^{2isc^2 t} x^ and
     x^ = F[aleph v]/(4 omega).  c, dt and the times must be finite, c, dt > 0 and the steps
     <= MAX_STEPS, else InvalidInput; a metric of another dimension is a GridMismatch, one
-    with g^00 >= 0 at a step's midpoint (t no time function) a DegenerateMetric."""
+    with g^00 >= 0 at a step's midpoint or an output time (t no time function) a
+    DegenerateMetric."""
     _check_scale(c)
     _check_scale(dt, "dt")
     times = _check_times(times, dt)

@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -334,7 +335,7 @@ class GridSymbol:
             poly = {}
             for (az1, aq1), c1 in self.poly.items():
                 for (az2, aq2), c2 in other.poly.items():
-                    key = (tuple(np.add(az1, az2)), tuple(np.add(aq1, aq2)))
+                    key = (tuple(map(add, az1, az2)), tuple(map(add, aq1, aq2)))
                     poly[key] = poly.get(key, 0.0) + c1 * c2
             return GridSymbol(self.zgrid, self.zetagrid, poly=poly)
         if self.poly is None:

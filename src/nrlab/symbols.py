@@ -107,20 +107,13 @@ class ClassicalSymbolProfile:
     def is_zero(self) -> bool:
         return self.amplitude == 0.0
 
-    def _angular(self, y: np.ndarray, grad: bool = False):
-        """g(y) and, with ``grad``, its tangential gradient (I - y y^T) grad g."""
+    def _angular(self, y: np.ndarray) -> np.ndarray:
+        """g(y), the trigonometric polynomial in the compactified direction."""
         g = np.full(y.shape[:-1], self.constant, dtype=float)
-        gy = np.zeros_like(y) if grad else None
         for kappa, c, s in self.waves:
-            kappa = np.asarray(kappa, dtype=float)
-            phase = (y * kappa).sum(axis=-1)   # per point, unlike a BLAS gemv
-            cos, sin = np.cos(phase), np.sin(phase)
-            g = g + c * cos + s * sin
-            if grad:
-                gy = gy + (-c * sin + s * cos)[..., None] * kappa
-        if not grad:
-            return g, None
-        return g, gy - (gy * y).sum(axis=-1)[..., None] * y
+            phase = (y * np.asarray(kappa, dtype=float)).sum(axis=-1)   # per point, not a gemv
+            g = g + c * np.cos(phase) + s * np.sin(phase)
+        return g
 
     def __call__(self, z) -> np.ndarray | float:
         """Evaluate at spacetime points z of shape (..., 1+d)."""
@@ -131,27 +124,8 @@ class ClassicalSymbolProfile:
         n2 = np.sum(z * z, axis=-1)
         bracket = np.sqrt(1.0 + n2)
         y = z / bracket[..., None]
-        val = self.amplitude * bracket**self.order * self._angular(y)[0]
+        val = self.amplitude * bracket**self.order * self._angular(y)
         return val if val.ndim else float(val)
-
-    # -- compactified-base (ball) forms: Y = z/<z>, rho_bf = sqrt(1-|Y|^2) --
-
-    def ball_forms(self, Y, grad: bool = False, rho2=None):
-        """(value, compensated gradient) at compactified base points Y, with
-        rho_bf^2 = 1 - |Y|^2 taken from ``rho2`` when given.
-
-        The value A rho_bf^{|r|} g(Y) and the compensated gradient
-        rho_bf^{-1} d f / d z_i = A rho_bf^{|r|} [ r Y_i g(Y) + (tangential
-        grad g)_i ] are smooth up to the boundary sphere |Y| = 1, where both
-        vanish like rho_bf^{|r|}.  The gradient is None unless asked for.
-        """
-        Y = np.asarray(Y, dtype=float)
-        rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None else rho2
-        w = self.amplitude * np.maximum(rho2, 0.0) ** (-self.order / 2.0)
-        g, proj = self._angular(Y, grad)
-        if not grad:
-            return w * g, None
-        return w * g, w[..., None] * (self.order * Y * g[..., None] + proj)
 
 
 @dataclass(frozen=True)
@@ -232,6 +206,21 @@ class MetricParams:
         for Bj in self.B:
             if not Bj.imag.is_zero and not Bj.imag_c_decay:
                 raise InvalidInput("Im B must vanish in the c -> infinity limit")
+        # eval_metric's table of P's nonzero entries: their slots (a, b), (amplitude, order,
+        # constant), and waves (kappa, cos, sin) by wave slot, padded with zeros
+        entries = [(0, 0, self.alpha), *((0, j + 1, p) for j, p in enumerate(self.w)),
+                   *((j + 1, k + 1, row[k]) for j, row in enumerate(self.hjk)
+                     for k in range(j, self.d))]
+        entries = [(a, b, p) for a, b, p in entries if not p.is_zero]
+        waves = np.zeros((max([len(p.waves) for *_, p in entries], default=0), len(entries),
+                          self.d + 3))
+        for k, (*_, p) in enumerate(entries):
+            for slot, (kappa, c, s) in enumerate(p.waves):
+                waves[slot, k] = *kappa, c, s
+        object.__setattr__(self, "_table", (
+            np.reshape([(a, b) for a, b, _ in entries], (-1, 2)).T.astype(int),
+            np.reshape([(p.amplitude, p.order, p.constant) for *_, p in entries], (-1, 3)).T,
+            waves))
 
     @classmethod
     def free(cls, d: int = 1) -> "MetricParams":
@@ -240,11 +229,7 @@ class MetricParams:
     @property
     def is_flat(self) -> bool:
         """True when the second-order (metric) part is exactly Minkowski."""
-        return (
-            self.alpha.is_zero
-            and all(p.is_zero for p in self.w)
-            and all(p.is_zero for row in self.hjk for p in row)
-        )
+        return self._table[1].size == 0
 
 
 class MetricValues(NamedTuple):
@@ -252,14 +237,18 @@ class MetricValues(NamedTuple):
 
     ``g = S^-1 g(c) S^-1 = eta + h^2 P`` with S = diag(c, 1, ..., 1) is the
     natural-units metric (eta at h = 0), ``G`` its inverse, and
-    ``dG[..., l, :, :]`` the compensated derivative rho_bf^-1 dG/dz_l
-    (``None`` unless asked for).  Light-speed fields follow as
+    ``DP[..., l, :, :]`` the compensated derivative rho_bf^-1 dP/dz_l of the
+    perturbation block, which does not depend on h (``None`` unless asked
+    for); D G = -h^2 G (DP) G.  Light-speed fields follow as
     g(c)^-1 = S^-1 G S^-1.
     """
 
     g: np.ndarray
     G: np.ndarray
-    dG: np.ndarray | None
+    DP: np.ndarray | None
+
+
+_ADJ2 = np.array([[1.0, -1.0], [-1.0, 1.0]])    # adj(g) = g[::-1, ::-1] * _ADJ2 when n = 2
 
 
 def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricValues:
@@ -269,9 +258,12 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     light speed is c = 1/h, with h a scalar or an array broadcast against
     Y.shape[:-1] (h is a phase-space coordinate, so each point may carry its
     own, h = 0 included).  In natural units the metric is g = eta + h^2 P
-    with P = [[alpha, w], [w, hjk]], so G = g^-1 and D G = -h^2 G (D P) G,
-    with the profiles taken in their ball forms.  Spacetime callers pass
-    Y = z/<z> and divide dG by <z> to get dG/dz.
+    with P = [[alpha, w], [w, hjk]] and G = g^-1 (in closed form when
+    1 + d = 2).  Each entry of P is a profile's ball form A rho_bf^|r| g(Y),
+    all of them taken in one pass over the wave slots of the metric's table;
+    DP is their compensated gradient A rho_bf^|r| (r Y g(Y) + tangential
+    grad g), which vanishes on the sphere like the profiles.  Spacetime
+    callers pass Y = z/<z> and divide DP by <z> to get dP/dz.
     Within ~1e-8 of the sphere Y cannot resolve 1 - |Y|^2 = rho_bf^2; a
     caller that knows it passes it as ``rho2`` (shape Y.shape[:-1]); else it is formed once.
     Raises DegenerateMetric when |det g| falls below 1e-12 of the Minkowski
@@ -279,35 +271,40 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     """
     Y = np.asarray(Y, dtype=float)
     h = np.asarray(h, dtype=float)
-    d = M.d
-    n = d + 1
+    n = M.d + 1
     if Y.shape[-1:] != (n,):
-        raise InvalidInput(f"a metric of d = {d} takes points of {n} coordinates, not {Y.shape}")
-    rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None and not M.is_flat else rho2
+        raise InvalidInput(f"a metric of d = {M.d} takes points of {n} coordinates, not {Y.shape}")
+    (a, b), (amp, order, const), waves = M._table
     P = np.zeros(Y.shape[:-1] + (n, n))
     DP = np.zeros(Y.shape[:-1] + (n, n, n)) if grad else None    # (..., l, a, b)
-    profiles = [(0, 0, M.alpha)]
-    profiles += [(0, j + 1, M.w[j]) for j in range(d)]
-    profiles += [(j + 1, k + 1, M.hjk[j][k]) for j in range(d) for k in range(j, d)]
-    for a, b, prof in profiles:
-        if not prof.is_zero:
-            val, dval = prof.ball_forms(Y, grad, rho2)
-            P[..., a, b] = P[..., b, a] = val
+    if not M.is_flat:
+        rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None else rho2
+        Yk, kappa, c, s = Y[..., None, :], waves[..., :n], waves[..., n], waves[..., n + 1]
+        phase = (Yk[..., None, :, :] * kappa).sum(axis=-1)    # (..., slot, k), per point
+        cos, sin = np.cos(phase), np.sin(phase)
+        ang, gy = const, np.zeros(Y.shape[:-1] + kappa.shape[1:])
+        for w in range(len(waves)):     # slot by slot: each profile sums its waves in order
+            ang = ang + c[w] * cos[..., w, :] + s[w] * sin[..., w, :]
             if grad:
-                DP[..., :, a, b] = DP[..., :, b, a] = dval
+                gy = gy + (-c[w] * sin[..., w, :] + s[w] * cos[..., w, :])[..., None] * kappa[w]
+        wgt = amp * np.maximum(rho2, 0.0)[..., None] ** (-order / 2.0)
+        P[..., a, b] = P[..., b, a] = wgt * ang
+        if grad:
+            proj = gy - (gy * Yk).sum(axis=-1)[..., None] * Yk
+            DP[..., :, a, b] = DP[..., :, b, a] = np.swapaxes(
+                wgt[..., None] * (order[:, None] * Yk * ang[..., None] + proj), -1, -2)
     h2 = (h * h)[..., None, None]
     eta = np.eye(n)
     eta[0, 0] = -1.0
     g = eta + h2 * P
     if M.is_flat:
         return MetricValues(g, g, DP)
-    det = np.linalg.det(g)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2 if n == 2 else np.linalg.det(g)
     if (np.abs(det) < 1.0e-12).any():
         raise DegenerateMetric(
             f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h <= {np.max(h)}")
-    G = np.linalg.inv(g)
-    dG = -h2[..., None] * (G[..., None, :, :] @ DP @ G[..., None, :, :]) if grad else None
-    return MetricValues(g, G, dG)
+    G = g[..., ::-1, ::-1] * _ADJ2 / det[..., None, None] if n == 2 else np.linalg.inv(g)
+    return MetricValues(g, G, DP)
 
 
 def ball_from_base(z) -> np.ndarray:

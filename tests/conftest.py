@@ -134,8 +134,12 @@ def profile_grad(prof: ClassicalSymbolProfile, z) -> np.ndarray:
     n2 = np.sum(z * z, axis=-1)
     bracket = np.sqrt(1.0 + n2)
     y = z / bracket[..., None]
-    # d y_j / d z_i = (delta_ij - y_i y_j) / <z>
-    g, proj = prof._angular(y, grad=True)
+    # d y_j / d z_i = (delta_ij - y_i y_j) / <z>; grad g projected tangent to the sphere
+    g, gy = prof._angular(y), np.zeros_like(y)
+    for kappa, c, s in prof.waves:
+        phase = y @ np.asarray(kappa, dtype=float)
+        gy = gy + (s * np.cos(phase) - c * np.sin(phase))[..., None] * np.asarray(kappa)
+    proj = gy - np.sum(gy * y, axis=-1)[..., None] * y
     radial = prof.order * bracket ** (prof.order - 2.0)
     return prof.amplitude * (
         radial[..., None] * z * g[..., None]

@@ -503,7 +503,8 @@ class TestEnvelopeSolver:
 
     def test_cost_does_not_grow_with_c(self, lapse_case, monkeypatch):
         # the same steps at c = 8 and at c = 128, and per step one table with one
-        # metric evaluation for both branches
+        # metric evaluation for both branches, plus one of each per output time (9
+        # here, the start among them), where kappa is checked as at the midpoints
         grid, psi, M, times, _ = lapse_case
         tables = count_calls(monkeypatch, pde._operator_terms)
         metrics = count_metric_evaluations(monkeypatch)
@@ -513,7 +514,7 @@ class TestEnvelopeSolver:
             run = kg_envelope_solve(psi, MI, M, c, times, grid, dt=0.02)
             assert [state.steps for state in run] == [7 * i for i in range(9)]
             counts.append((len(tables) - before[0], len(metrics) - before[1]))
-        assert counts == [(56, 56), (56, 56)]
+        assert counts == [(56 + 9, 56 + 9), (56 + 9, 56 + 9)]
 
     def test_no_time_function_is_degenerate(self):
         # where g^00 >= 0, t is no time function and kappa = 1/(-c^2 g^00) has no meaning:
@@ -525,6 +526,18 @@ class TestEnvelopeSolver:
         assert np.max(eval_metric(M, ball_from_base(z), 1.0).G[..., 0, 0]) > 1.0
         with pytest.raises(DegenerateMetric, match="time function"):
             kg_envelope_solve(bandlimited_gaussian(grid, 2.0), MI, M, 1.0, [0.0, 0.5], grid)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_degenerate_start_is_degenerate(self, dt):
+        # -c^2 g^00 is exactly 0 at t = 0, x = 0, and no midpoint lies at t = 0: the
+        # solver once returned a state whose norm had grown by 1.8e12 at dt = 1e-2
+        grid = BoxGrid.regular(40 * math.pi, 128, 1)
+        P = ClassicalSymbolProfile
+        M = MetricParams(d=1, w=(P(amplitude=0.5),), hjk=((P(amplitude=-1.0),),))
+        x = grid.axis_points(0)
+        psi = np.exp(-(x / 4.0) ** 2 + 1j * x)
+        with deadline(20), pytest.raises(DegenerateMetric, match="time function"):
+            kg_envelope_solve(psi, MI, M, 1.0, [0.0, 0.1], grid, dt=dt)
 
     @pytest.mark.parametrize("c", [4.0, 8.0, 16.0])
     def test_free_branch_data_at_half_c(self, c):

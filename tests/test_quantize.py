@@ -227,6 +227,15 @@ class TestStar:
         rhs = op_apply(st, u)
         assert np.max(np.abs(lhs.values - rhs.values)) / u.norm() < 1e-10
 
+    def test_poly_keys_are_ints(self, setup1d):
+        # a product's exponents are plain ints, so a printed poly symbol reads {((1,), (1,)): ...}
+        zg, qg, _ = setup1d
+        xi = GridSymbol.coordinate(zg, qg, "zeta", 0)
+        x = GridSymbol.coordinate(zg, qg, "z", 0)
+        for sym in (xi * x, x * x * xi, star_truncated(xi * xi, x * x, 2)):
+            assert sym.poly and all(type(e) is int
+                                    for key in sym.poly for part in key for e in part)
+
     def test_z_independent_product(self, setup1d):
         zg, qg, _ = setup1d
         a = GridSymbol.from_function(zg, qg, lambda z, q: np.exp(-q**2) + 0 * z)

@@ -1,10 +1,12 @@
 """Metric family, asymptotic mass, principal symbols, and radial points."""
 
+import ast
 import math
 import subprocess
 import sys
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from conftest import (
     perturbed_metrics,
     profile_grad,
 )
-from nrlab import experiments as ex
+from nrlab import experiments as ex, symbols
 from nrlab.errors import DegenerateMetric, InvalidInput, OnBoundary, OutOfChart
 from nrlab.flow import (
     _sheet_tau_nat,
@@ -85,11 +87,13 @@ class TestProfiles:
             assert abs(g[i] - fd) < 1e-8
 
     def test_ball_forms_consistent(self):
+        # through the metric kernel: a lapse of this one profile puts it in P_00 (h = 1)
         prof = ClassicalSymbolProfile(amplitude=0.7, order=-1,
                                       waves=(((0.3, 0.9), 0.2, 0.5),))
         z = np.array([2.0, -0.5])
         Y = z / math.sqrt(1.0 + float(z @ z))
-        val, comp = prof.ball_forms(Y, grad=True)
+        mv = eval_metric(MetricParams(d=1, alpha=prof), Y, 1.0, grad=True)
+        val, comp = mv.g[0, 0] + 1.0, mv.DP[:, 0, 0]
         assert abs(prof(z) - val) < 1e-14
         rho = (1.0 + float(z @ z)) ** -0.5
         assert np.allclose(comp, profile_grad(prof, z) / rho, atol=1e-12)
@@ -225,6 +229,7 @@ class TestClosedForms:
         bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
         mv = eval_metric(M, z / bracket[:, None], h, grad=True)
         assert np.allclose(mv.g @ mv.G, np.eye(d + 1), atol=1e-12)
+        dG = -h * h * (mv.G[:, None] @ mv.DP @ mv.G[:, None])     # D G = -h^2 G (DP) G
         eps = 1.0e-5
         for l in range(d + 1):
             e = np.zeros(d + 1)
@@ -232,8 +237,83 @@ class TestClosedForms:
             Gp = eval_metric(M, ball_from_base(z + e), h).G
             Gm = eval_metric(M, ball_from_base(z - e), h).G
             fd = (Gp - Gm) / (2.0 * eps)
-            exact = mv.dG[:, l] / bracket[:, None, None]
+            exact = dG[:, l] / bracket[:, None, None]
             assert np.max(np.abs(exact - fd)) <= 1e-8
+
+
+@st.composite
+def ragged_metrics(draw, d):
+    """Metrics of dimension d whose profiles carry 0, 1 or 3 waves, some of them zero.
+
+    With |amplitude| <= 0.1, |constant| <= 1 and |cos|, |sin| <= 0.5 each entry of P is
+    at most 0.4 in size, so for h <= 1 the natural-units metric is far from degenerate.
+    """
+    def profile():
+        waves = tuple((tuple(draw(st.floats(-2.0, 2.0)) for _ in range(d + 1)),
+                       draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+                      for _ in range(draw(st.sampled_from([0, 1, 3]))))
+        return ClassicalSymbolProfile(
+            amplitude=draw(st.sampled_from([0.0]) | st.floats(-0.1, 0.1)),
+            order=draw(st.sampled_from([-1, -2, -3])), constant=draw(st.floats(-1.0, 1.0)),
+            waves=waves)
+
+    upper = {(j, k): profile() for j in range(d) for k in range(j, d)}
+    hjk = tuple(tuple(upper[min(j, k), max(j, k)] for k in range(d)) for j in range(d))
+    return MetricParams(d=d, alpha=profile(), w=tuple(profile() for _ in range(d)), hjk=hjk)
+
+
+def _base_points(data, d):
+    """One to four spacetime points z in [-3, 3]^(1+d)."""
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=d + 1, max_size=d + 1)
+    return np.array(data.draw(st.lists(coords, min_size=1, max_size=4)))
+
+
+class TestMetricKernel:
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_each_profile(self, data, d):
+        # oracles: P_ab is the profile's own value at z (its __call__), and DP_ab is
+        # <z> times its analytic spacetime gradient (conftest.profile_grad)
+        M = data.draw(ragged_metrics(d))
+        z = _base_points(data, d)
+        bracket = np.sqrt(1.0 + np.sum(z * z, axis=-1))
+        mv = eval_metric(M, z / bracket[:, None], 0.5, grad=True)
+        P = (mv.g - np.diag([-1.0] + [1.0] * d)) / 0.25
+        for a in range(d + 1):
+            for b in range(d + 1):
+                prof = (M.alpha if a == b == 0 else M.w[a + b - 1] if a * b == 0
+                        else M.hjk[a - 1][b - 1])
+                np.testing.assert_allclose(P[:, a, b], prof(z), rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(mv.DP[:, :, a, b], profile_grad(prof, z)
+                                           * bracket[:, None], rtol=0.0, atol=1e-12)
+
+    @given(data=st.data(), h=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_two_by_two_closed_form(self, data, h):
+        # 1 + d = 2: G = adj(g)/det in closed form, exactly symmetric, and within 1e-14
+        # of LAPACK's inverse; det(g) det(G) = 1 puts the closed det against LAPACK's
+        M = data.draw(ragged_metrics(1))
+        mv = eval_metric(M, ball_from_base(_base_points(data, 1)), h)
+        scale = np.max(np.abs(mv.G), axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(mv.G - np.linalg.inv(mv.g)) <= 1e-14 * scale)
+        assert np.array_equal(mv.G, np.swapaxes(mv.G, -1, -2))
+        assert np.all(np.abs(np.linalg.det(mv.g) * np.linalg.det(mv.G) - 1.0) <= 1e-14)
+
+
+def test_the_metric_inverse_has_one_home():
+    # np.linalg's inv and det run in symbols.eval_metric alone, so that no second
+    # hand-made inverse of the metric comes back
+    homes = set()
+    for path in sorted(Path(symbols.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for unit in (node for top in tree.body
+                     for node in (top.body if isinstance(top, ast.ClassDef) else [top])):
+            for node in ast.walk(unit):
+                if ((isinstance(node, ast.Attribute) and node.attr in ("inv", "det")
+                     and ast.unparse(node.value).endswith("linalg"))
+                        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg")):
+                    homes.add((path.name, getattr(unit, "name", node.lineno)))
+    assert homes == {("symbols.py", "eval_metric")}
 
 
 class TestPointwiseH:
@@ -257,7 +337,8 @@ class TestPointwiseH:
     @settings(max_examples=30, deadline=None)
     def test_h_zero_rows_are_minkowski(self, data, d):
         # at h = 0 the natural-units metric is eta whatever the profiles, and
-        # no row of the batch divides by h
+        # no row of the batch divides by h; DP, the profiles' own gradient, does
+        # not depend on h, so the metric's D G = -h^2 G (DP) G vanishes there
         M = data.draw(perturbed_metrics(d))
         Y = np.array(data.draw(st.lists(
             st.lists(st.floats(-0.6, 0.6), min_size=d + 1, max_size=d + 1),
@@ -272,7 +353,10 @@ class TestPointwiseH:
         at_zero = h == 0.0
         assert np.array_equal(mv.g[at_zero], np.broadcast_to(eta, mv.g[at_zero].shape))
         assert np.array_equal(mv.G[at_zero], np.broadcast_to(eta, mv.G[at_zero].shape))
-        assert not np.any(mv.dG[at_zero])
+        at_h = eval_metric(M, Y, 0.3, grad=True).DP
+        assert np.array_equal(mv.DP, at_h) and np.isfinite(mv.DP).all()
+        dG = -(h * h)[:, None, None, None] * (mv.G[:, None] @ mv.DP @ mv.G[:, None])
+        assert not np.any(dG[at_zero])
 
 
 class TestPrincipalSymbol:
