@@ -21,7 +21,7 @@ class DegenerateMetric(NrlabError):
     """The metric fails one of three nondegeneracy checks: its determinant
     fell below the floor (symbols.eval_metric); -c^2 g^00 <= 0 at a step's
     midpoint, so t is no time function (pde._strang); or a sheet frequency
-    has a negative discriminant (flow._sheet_tau_nat)."""
+    has a negative discriminant (symbols._sheet_tau_nat)."""
 
 
 class SpectrumOverflow(NrlabError):

@@ -143,7 +143,7 @@ def radial(rng, *, d=1, n_samples=200) -> Result:
     rp = sym.radial_point(xi, h, side, branch)
     member = sym.char_membership(PhasePoint(0.0, np.zeros(d), rp.tau_nat, xi, h), M, branch)
     om = rp.direction
-    V = fl._natural_field(M, om, rp.zeta_nat, h, branch)[0]
+    V = sym._natural_field(M, om, rp.zeta_nat, h, branch)[0]
     field_norm = np.linalg.norm(V - om * np.sum(om * V, axis=-1, keepdims=True), axis=-1)
     rows = [(SignBranch(b).name, Side(s).name, *r, m.value, f) for b, s, r, m, f in zip(
         branch, side, zip(h.tolist(), rp.tau_nat.tolist()), member, field_norm.tolist())]
@@ -260,6 +260,8 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
         ss = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.02)
         errs[c] = pde.conjugate_compare(kgs, ss, MI, c).sup_error
         steps += ss[-1].steps
+    if not all(e > 0.0 for e in errs.values()):     # band_limit or T too small to tell apart
+        raise InvalidInput(f"pde-compare has nothing to compare: errors {list(errs.values())}")
     ratios = [errs[c_list[i]] / errs[c_list[i + 1]] for i in range(len(c_list) - 1)]
     return Result({"compare.csv": (["c", "sup_error"], [(c, errs[c]) for c in c_list])},
                   {"errors": errs, "ratios": ratios,
@@ -272,9 +274,9 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     psi = _resolved(g, np.exp(-(g.axis_points(0) ** 2) / 8.0))
     coeffs = pde.SchrCoefficients(lambda t, m, s: {(): 1j * im_v / (1.0 + t * t + m[0] * m[0])})
     times = np.linspace(-20.0, 20.0, 161)
-    if not 0.0 < dt <= times[1] - times[0]:
+    if not (0.0 < dt <= times[1] - times[0] and math.isfinite(im_v)):
         raise InvalidInput(f"mass needs 0 < dt <= {times[1] - times[0]}, the output spacing, "
-                           f"not {dt}")
+                           f"and a finite im_v, not {dt} and {im_v}")
     run = pde.schrodinger_solve(pde.SchrState(g, psi, -20.0), MI, times, coeffs, dt=dt)
     tr = pde.mass_bound_check(run, C_claim)
     return Result({"mass.csv": (["t", "M", "dM", "bound_rhs"],
@@ -294,7 +296,7 @@ def scatter(*, box=280.0, n_grid=2048, T_list=(4.0, 8.0, 16.0)) -> Result:
                            "(the profile's range) to fit a decay exponent in T")
     g = qz.BoxGrid.regular(box, n_grid, 1)
     x = g.axis_points(0)
-    psi = np.exp(-(x**2) / 8.0)
+    psi = _resolved(g, np.exp(-(x**2) / 8.0))
     times = sorted({-t for t in T_list} | {-2.0 * t for t in T_list}, reverse=True)
     run = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.05)
     profs, rows, id_err = {}, [], 0.0

@@ -7,8 +7,9 @@ coordinates for the base,
     Y = z / <z>,          rho_bf = sqrt(1 - |Y|^2),
 
 in which the rescaled field is polynomial-in-Y:  Ydot = (I - Y Y^T) V(zeta)
-plus a frequency drift that vanishes for the free metric.  Two frequency
-modes cover all cases:
+plus a frequency drift that vanishes for the free metric.  The field, the sheet
+root and the symbol's value come from ``symbols``; no metric is evaluated here.
+Two frequency modes cover all cases:
 
 * ``natural``  -- frequencies (tau_nat, xi_nat), any h >= 0 (the natural
   face and every finite-h slice);
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
+from .errors import ChartUnavailable, InvalidInput, StepFailure
 from .geometry import (
     BdfValues,
     ChartCoords,
@@ -39,18 +40,10 @@ from .geometry import (
     _as_vector,
     split_coords,
 )
-from .symbols import (
-    MetricParams,
-    RadialPoint,
-    SignBranch,
-    _free_velocity,
-    _future_direction,
-    _sheet_tau,
-    _sign,
-    ball_from_base,
-    eval_metric,
-    natural_symbol_value,  # noqa: F401  kept by name: perfbench's tracer test rebinds it
-)
+from .symbols import (MetricParams, RadialPoint, SignBranch, _free_velocity, _future_direction,
+                      _natural_field, _sheet_tau_nat, _sign, _symbol_value, ball_from_base)
+# kept by name: perfbench's tracer test rebinds it
+from .symbols import natural_symbol_value  # noqa: F401
 
 __all__ = [
     "Termination",
@@ -105,33 +98,6 @@ class Termination(Enum):
     REACHED_PAST = "reached_past"
     TIME_BUDGET = "time_budget"
     LEFT_DOMAIN = "left_domain"
-
-
-# ---------------------------------------------------------------------------
-# ball-coordinate field
-# ---------------------------------------------------------------------------
-
-
-def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
-    """(V, frequency drift) of the rescaled field at Y and zeta_nat of shape
-    (..., 1+d); h, the branch sign bsign and rho2 = 1 - |Y|^2 (see
-    eval_metric) are scalars or arrays over the leading axes.
-
-    V = (1/2)(h dp/dtau_nat, dp/dxi_nat), for the free metric
-    (h(tau_nat +/- 1), -xi_nat), where the drift is zero;
-    tau_nat' = -(h/2) D_t p,  xi_nat' = -(1/2) D_x p, with D the
-    rho_bf-compensated spacetime derivative.  With U = G zeta_nat and G
-    symmetric, -(1/2) D_l p = (1/2) zeta^T (D_l G) zeta = -(h^2/2) U^T (D_l P) U,
-    so the drift takes the metric kernel's DP, which stays smooth up to the
-    boundary sphere where it vanishes with the profiles, and never forms D G.
-    """
-    mv = eval_metric(M, Y, h, grad=True, rho2=rho2)
-    U = (mv.G @ zeta_nat[..., None])[..., 0]
-    drift = np.einsum("...lab,...a,...b->...l", mv.DP, U, U) * (-0.5 * np.square(h))[..., None]
-    drift[..., 0] *= h                               # = -(1/2) D_l p, h-scaled in time
-    V = -U
-    V[..., 0] = h * (bsign + V[..., 0])
-    return V, drift
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +233,8 @@ def _natural_flow(M, y, h, bsign, sign) -> np.ndarray:
 def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
     """Symbol residuals p / (1 + |zeta|^2) at the rows of Y and zeta, (k, 1+d),
     each row with its own h, branch sign and mode."""
-    quad = np.where(parabolic, np.sum(zeta[:, 1:] ** 2, axis=1),
-                    np.einsum("ka,kab,kb->k", zeta, eval_metric(M, Y, h).G, zeta))
-    return (2.0 * bsign * zeta[:, 0] - quad) / (1.0 + np.sum(zeta * zeta, axis=1))
+    return (_symbol_value(M, Y, zeta, h, bsign, parabolic=parabolic)
+            / (1.0 + np.sum(zeta * zeta, axis=1)))
 
 
 def natural_start(Y, zeta_nat, h) -> dict:
@@ -631,32 +596,6 @@ class QdfReport:
     cubic_bound: float
 
 
-def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
-    """Sheet time frequencies over xi_nat at the ball points Y, one per row.
-
-    Y has shape (..., 1+d), xi_nat (..., d), and h, rho2 = 1 - |Y|^2 (see
-    eval_metric) and b's signs are scalars or arrays over the leading axes.
-    The symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
-    of its two roots (taken in the cancellation-free form) each row gets the
-    one nearest the free sheet, which a flat metric or h = 0 gives directly.
-    A negative discriminant in any row raises DegenerateMetric.
-    """
-    xi_nat = np.asarray(xi_nat, dtype=float)
-    tau0 = _sheet_tau(xi_nat, b)
-    if M.is_flat or not np.any(h):
-        return tau0
-    G = eval_metric(M, Y, h, rho2=rho2).G
-    A = G[..., 0, 0]
-    B = np.sum(G[..., 0, 1:] * xi_nat, axis=-1) - _sign(b)
-    C = np.einsum("...j,...jk,...k->...", xi_nat, G[..., 1:, 1:], xi_nat)
-    disc = B * B - A * C
-    if np.any(disc < 0.0):
-        raise DegenerateMetric(f"no real sheet frequency: discriminant {np.min(disc):.3e}")
-    q = -(B + np.copysign(np.sqrt(disc), B))
-    roots = C / q, q / A
-    return np.where(np.abs(roots[0] - tau0) <= np.abs(roots[1] - tau0), *roots)
-
-
 def _sheet_points(cc: ChartCoords, M, b) -> ChartCoords:
     """The RADIAL_NAT points cc moved onto the sheet over their base points,
     xi_nat kept.
@@ -700,7 +639,9 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
     center.  The rows of every center of one dominant axis (all in d = 1)
     form one batch, and varrho is read at the sheet points: one metric
     evaluation gives every row's sheet root in closed form (_sheet_points,
-    which moves s) and one the field (_radial_field).  The radius is finite.
+    which moves s) and one the field (_radial_field).  The radius is finite,
+    and large enough that each sample's varrho^(3/2) is a normal float (else
+    InvalidInput: the fit divides by it).
     """
     shape, bsign = center.direction.shape[:-1], _sign(b)
     if np.shape(seed) != shape or np.ndim(bsign) and np.shape(bsign) != shape:
@@ -733,12 +674,12 @@ def qdf_probe(center: RadialPoint, radius: float, nsamples: int,
         for off, rate, coef in zip(cc.coords[..., : d + 1], field[..., : d + 1],
                                    -col.branch[:, 0] * col.side[:, 0]):
             varrho = off**2 @ weight
+            if not np.min(varrho) ** 1.5 >= np.finfo(float).tiny:    # the fit divides by it
+                raise InvalidInput(f"qdf_probe's radius {radius} is too small: varrho^1.5 = 0")
             hrho = 2.0 * (off * rate) @ weight
-            vi, hi = varrho[:n_inner], hrho[:n_inner]
-            iota_est = float(np.mean(coef * hi[vi > 0.0] / vi[vi > 0.0]))
-            keep = varrho[n_inner:] > 0.0
-            vr = varrho[n_inner:][keep]
-            rr = coef * hrho[n_inner:][keep] - iota_est * vr
+            iota_est = float(np.mean(coef * hrho[:n_inner] / varrho[:n_inner]))
+            vr = varrho[n_inner:]
+            rr = coef * hrho[n_inner:] - iota_est * vr
             # residual model R = c1 varrho + c2 varrho^{3/2}.  A negative linear part
             # is absorbable into the rate (the decomposition's freedom): report
             # iota = inner rate + min(c1, 0) and the nonnegative surplus as F.

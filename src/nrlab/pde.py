@@ -55,10 +55,16 @@ MAX_STEPS = 10**7      # the most time steps one solver call may take
 
 
 def _check_scale(x, name: str = "c"):
-    """InvalidInput unless x, a light speed c or its inverse h = 1/c, and 1/x
-    are both finite and > 0."""
-    if not (0.0 < x < math.inf and 1.0 / x < math.inf):
-        raise InvalidInput(f"{name} = {x}: {name} and 1/{name} must be finite and > 0")
+    """InvalidInput unless x, a light speed c or its inverse h = 1/c, is > 0 with
+    x^2 and 1/x^2 (so x and 1/x too) finite and > 0: the solvers form c^2 and c^-2."""
+    if not (x > 0.0 and 0.0 < x * x < math.inf and 1.0 / (x * x) < math.inf):
+        raise InvalidInput(f"{name} = {x}: {name}^2 and 1/{name}^2 must be finite and > 0")
+
+
+def _check_step(dt):
+    """InvalidInput unless the time step dt and 1/dt are finite and > 0."""
+    if not (0.0 < dt < math.inf and 1.0 / dt < math.inf):
+        raise InvalidInput(f"dt = {dt}: dt and 1/dt must be finite and > 0")
 
 
 def _check_times(times, dt=None, t0=None) -> np.ndarray:
@@ -253,7 +259,7 @@ def schrodinger_solve(data: SchrState, branch: SignBranch, times,
     no drift e^{isV h/2}, with no term nothing (StepFailure if a step exceeds min(dx)/max|B|
     at its midpoint).  With ``coeffs`` None the answer is exact, ``_free_run`` at c = inf.
     """
-    _check_scale(dt, "dt")
+    _check_step(dt)
     times = _check_times(times, None if coeffs is None else dt, data.t)
     if coeffs is None:
         return _free_run(data, branch.sign, math.inf, times)
@@ -426,7 +432,7 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     with g^00 >= 0 at a step's midpoint or an output time (t no time function) a
     DegenerateMetric."""
     _check_scale(c)
-    _check_scale(dt, "dt")
+    _check_step(dt)
     times = _check_times(times, dt)
     if not len(times):
         return []
@@ -528,20 +534,24 @@ def mass_trace(states) -> tuple[np.ndarray, np.ndarray]:
 def mass_bound_check(states, C_claim: float, rtol: float = 1.0e-8) -> MassTrace:
     """Check |dM/dt| <= C <t>^-2 M pointwise and the Gronwall envelope.
 
-    dM/dt is a centered difference of the trace of two or more states (else InvalidInput);
-    the Gronwall factor uses int <t>^-2 dt = pi: M(T1) <= exp(C pi) M(T0) for T0 <= T1.
+    dM/dt is a centered difference of two or more states, C a finite claim >= 0 (else
+    InvalidInput), and a mass that is not finite fails; the Gronwall factor uses
+    int <t>^-2 dt = pi: M(T1) <= exp(C pi) M(T0) for T0 <= T1.
     """
     if len(states) < 2:
         raise InvalidInput(f"the mass bound needs at least two states, not {len(states)}")
+    if not 0.0 <= C_claim < math.inf:
+        raise InvalidInput(f"the mass bound needs a finite C_claim >= 0, not {C_claim}")
     ts, Ms = mass_trace(states)
-    dM = np.gradient(Ms, ts)
-    bound = C_claim * Ms / (1.0 + ts**2)
-    slack = rtol * np.max(Ms)
-    # centered differences only in the interior
-    bad = np.flatnonzero(np.abs(dM[1:-1]) > bound[1:-1] + slack)
+    with np.errstate(divide="ignore", invalid="ignore"):    # NaN where M is not finite or 0
+        dM = np.gradient(Ms, ts)
+        bound = C_claim * Ms / (1.0 + ts**2)
+        slack = rtol * np.max(Ms)
+        # centered differences only in the interior, where a mass that is not finite violates
+        bad = np.flatnonzero(~((np.abs(dM) <= bound + slack) & np.isfinite(Ms))[1:-1])
+        logM = np.log(Ms)
+        gron = bool(np.max(logM - np.minimum.accumulate(logM)) <= C_claim * math.pi + rtol)
     first = float(ts[1 + bad[0]]) if bad.size else None
-    logM = np.log(Ms)
-    gron = not np.max(logM - np.minimum.accumulate(logM)) > C_claim * math.pi + rtol
     return MassTrace(ts, Ms, dM, bound, first is None and gron, first, gron)
 
 

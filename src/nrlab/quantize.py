@@ -167,13 +167,6 @@ class GridField:
         if self.values.shape != self.grid.shape:
             raise GridMismatch("field values do not match the grid shape")
 
-    @classmethod
-    def from_function(cls, grid: BoxGrid, f) -> "GridField":
-        return cls(grid, f(*grid.mesh()))
-
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
     def coefficients(self) -> np.ndarray:
         """DFT coefficients c_k with u(z_j) = sum_k c_k e^{i zeta_k . z_j}."""
         return transform(self.values.copy()) / self.values.size

@@ -330,18 +330,27 @@ def natural_symbol_value(M: MetricParams, z, zeta_nat, h: float, b: SignBranch) 
     return rescaled_symbol(PhasePoint(z[0], z[1:], zeta_nat[0], zeta_nat[1:], h), M, b)
 
 
+def _symbol_value(M: MetricParams, Y, zeta, h, bsign, lin=None, parabolic=False):
+    """The natural symbol h^2 p = -G(zeta, zeta) + 2 b lin at ball points Y and frequencies
+    zeta (..., 1+d), lin = tau_nat unless a chart frame supplies its own: one metric
+    evaluation for a batch.  Where ``parabolic``, zeta holds the parabolic face's standard
+    frequencies, whose value 2 b tau - |xi|^2 takes G = diag(0, 1, ..., 1)."""
+    face = np.diag(np.append(0.0, np.ones(M.d)))
+    G = np.where(np.asarray(parabolic)[..., None, None], face, eval_metric(M, Y, h).G)
+    lin = zeta[..., 0] if lin is None else lin
+    return -(zeta[..., None, :] @ G @ zeta[..., None])[..., 0, 0] + 2.0 * bsign * lin
+
+
 def rescaled_symbol(cc, M: MetricParams, b: SignBranch):
     """Chart-rescaled symbol rho_df^2 rho_nf^2 p in the chart's local bdfs,
-    -G(zeta_hat, zeta_hat) +/- 2 lin in the chart frame (geometry.chart_frame);
-    one metric evaluation for a batch.
+    -G(zeta_hat, zeta_hat) +/- 2 lin in the chart frame (geometry.chart_frame).
 
     Accepts PhasePoints (treated in the natural-face chart, where the
     rescaled symbol is -G(zeta_nat, zeta_nat) +/- 2 tau_nat) or ChartCoords
     in any of the four phase-space charts, on a branch or per-point signs.
     """
     z, h, zeta_hat, lin, _ = chart_frame(cc)
-    G = eval_metric(M, ball_from_base(z), h).G
-    return -(zeta_hat[..., None, :] @ G @ zeta_hat[..., None])[..., 0, 0] + 2.0 * _sign(b) * lin
+    return _symbol_value(M, ball_from_base(z), zeta_hat, h, _sign(b), lin)
 
 
 def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
@@ -364,6 +373,49 @@ def char_membership(p, M: MetricParams, b: SignBranch, tol: float = 1.0e-9):
 def _sheet_tau(xi_nat, b: SignBranch):
     """Free characteristic-sheet natural time frequency over xi_nat, (..., d) -> (...)."""
     return _sign(b) * (np.sqrt(1.0 + np.sum(xi_nat * xi_nat, axis=-1)) - 1.0)
+
+
+def _sheet_tau_nat(M, Y, xi_nat, h, b, rho2=None):
+    """Sheet time frequencies over xi_nat at the ball points Y, one per row.
+
+    Y has shape (..., 1+d), xi_nat (..., d), and h, rho2 = 1 - |Y|^2 (see
+    eval_metric) and b's signs are scalars or arrays over the leading axes.
+    The symbol vanishes where G00 tau^2 + 2 (G0 . xi - b) tau + xi . Gxx . xi = 0;
+    of its two roots (taken in the cancellation-free form) each row gets the
+    one nearest the free sheet, which a flat metric or h = 0 gives directly.
+    A negative discriminant in any row raises DegenerateMetric.
+    """
+    xi_nat = np.asarray(xi_nat, dtype=float)
+    tau0 = _sheet_tau(xi_nat, b)
+    if M.is_flat or not np.any(h):
+        return tau0
+    G = eval_metric(M, Y, h, rho2=rho2).G
+    A = G[..., 0, 0]
+    B = np.sum(G[..., 0, 1:] * xi_nat, axis=-1) - _sign(b)
+    C = np.einsum("...j,...jk,...k->...", xi_nat, G[..., 1:, 1:], xi_nat)
+    disc = B * B - A * C
+    if np.any(disc < 0.0):
+        raise DegenerateMetric(f"no real sheet frequency: discriminant {np.min(disc):.3e}")
+    q = -(B + np.copysign(np.sqrt(disc), B))
+    roots = C / q, q / A
+    return np.where(np.abs(roots[0] - tau0) <= np.abs(roots[1] - tau0), *roots)
+
+
+def _natural_field(M, Y, zeta_nat, h, bsign, rho2=None):
+    """(V, frequency drift), the rescaled Hamilton field of the natural symbol p at Y
+    and zeta_nat (..., 1+d); h, bsign and rho2 = 1 - |Y|^2 (see eval_metric) are
+    scalars or arrays over the leading axes.  V = (1/2)(h dp/dtau_nat, dp/dxi_nat),
+    (h(tau_nat +/- 1), -xi_nat) for the free metric, where the drift is zero;
+    tau_nat' = -(h/2) D_t p and xi_nat' = -(1/2) D_x p, D = <z> d/dz.  With U = G zeta_nat,
+    -(1/2) D_l p = -(h^2/2) U^T (D_l P) U takes the kernel's DP, smooth up to the
+    boundary sphere where it vanishes, and never forms D G."""
+    mv = eval_metric(M, Y, h, grad=True, rho2=rho2)
+    U = (mv.G @ zeta_nat[..., None])[..., 0]
+    drift = np.einsum("...lab,...a,...b->...l", mv.DP, U, U) * (-0.5 * np.square(h))[..., None]
+    drift[..., 0] *= h                               # = -(1/2) D_l p, h-scaled in time
+    V = -U
+    V[..., 0] = h * (bsign + V[..., 0])
+    return V, drift
 
 
 def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nrlab import quantize
 from nrlab.errors import ChartUnavailable, OnBoundary
-from nrlab.flow import _natural_field, _radial_field
+from nrlab.flow import _radial_field
 from nrlab.geometry import ChartCoords, ChartTag, _as_vector, _cat, split_coords
 from nrlab.symbols import (
     ClassicalSymbolProfile,
@@ -17,6 +17,7 @@ from nrlab.symbols import (
     OperatorCoefficient,
     SignBranch,
     _free_velocity,
+    _natural_field,
     ball_from_base,
     eval_metric,
 )

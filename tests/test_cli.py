@@ -276,6 +276,23 @@ class TestConfigValidation:
         ("flow", {"tolerances": {"delta": 0.0}}),
         # 4 x 10^301 steps, over pde.MAX_STEPS: rejected before the first
         ("mass", {"params": {"dt": 1e-300}}),
+        # a mass bound with no finite claim >= 0, or a potential that is not finite
+        ("mass", {"params": {"im_v": math.nan}}),
+        ("mass", {"params": {"C_claim": math.nan}}),
+        ("mass", {"params": {"C_claim": math.inf}}),
+        ("mass", {"params": {"C_claim": -0.2}}),
+        # a light speed whose square or inverse square leaves the float range
+        ("pde-compare", {"params": {"c_list": [1e300, 1e301]}}),
+        ("pde-compare", {"params": {"c_list": [1e-300, 1e-200]}}),
+        ("uniform-ratio", {"params": {"c_list": [1e-300, 2e-300]}}),
+        # nothing to compare: every error exactly 0, a varrho that underflows in the
+        # probe's fit, or a grid that does not resolve the profiles' data
+        ("pde-compare", {"params": {"band_limit": 1e-9}}),
+        ("pde-compare", {"params": {"T": 1e-300}}),
+        ("qdf", {"params": {"radius": 1e-300}}),
+        ("qdf", {"params": {"radius": 1e-150}}),
+        ("scatter", {"params": {"n_grid": 8}}),
+        ("scatter", {"params": {"n_grid": 256}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

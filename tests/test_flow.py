@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (count_calls, count_metric_evaluations, deadline, ham_field,
                       perturbed_metrics)
 from nrlab import experiments as ex
-from nrlab import flow
+from nrlab import flow, symbols
 from nrlab.errors import ChartUnavailable, DegenerateMetric, InvalidInput, StepFailure
 from nrlab.geometry import ChartCoords, ChartId, ChartTag, PhasePoint, to_chart
 from nrlab.symbols import (
@@ -18,6 +18,9 @@ from nrlab.symbols import (
     MetricParams,
     Side,
     SignBranch,
+    _natural_field,
+    _sheet_tau,
+    _sheet_tau_nat,
     _sign,
     eval_metric,
     radial_point,
@@ -33,8 +36,6 @@ from nrlab.flow import (
     _radial_chart_ball,
     _radial_field,
     _sheet_points,
-    _sheet_tau,
-    _sheet_tau_nat,
     Termination,
     char_start,
     integrate_flow,
@@ -59,7 +60,7 @@ def _state_rhs(mode, M, b, h, sign):
         if mode == "natural":
             return flow._natural_flow(M, y, h, b.sign, sign)
         n = y.size // 2
-        V = flow._free_velocity(y[n:], 0.0, b.sign, parabolic=True)
+        V = symbols._free_velocity(y[n:], 0.0, b.sign, parabolic=True)
         return sign * np.concatenate((V - y[:n] * float(y[:n] @ V), np.zeros(n)))
 
     return rhs
@@ -512,8 +513,8 @@ def _radial_field_reference(co, chart, M, b):
     that = s - h * (tau + b.sign) / xi[j0]
     v = sigma * np.concatenate(([that], xhat))
     r2 = rho * rho + float(v @ v)
-    V, drift = flow._natural_field(M, v / math.sqrt(r2), np.concatenate(([tau], xi)), h,
-                                   b.sign, rho * rho / r2)
+    V, drift = _natural_field(M, v / math.sqrt(r2), np.concatenate(([tau], xi)), h,
+                              b.sign, rho * rho / r2)
     absYj0 = abs(v[1 + j0]) / math.sqrt(r2)
     taudot, xidot = absYj0 * drift[0], absYj0 * drift[1:]
     sdot = sigma * (V[0] - that * V[1 + j0]) + h * (
@@ -626,11 +627,19 @@ class TestQdfProbe:
             return eval_metric(*args, **kwargs)
 
         probes = _acceptance_03_probes()
-        monkeypatch.setattr(flow, "eval_metric", counting)
+        monkeypatch.setattr(symbols, "eval_metric", counting)
         for rp, branch, seed in probes:
             calls[0] = 0
             qdf_probe(rp, 0.05, nsamples, pert_metric(0.1), branch, seed=seed)
             assert calls[0] == 2
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e-150])
+    def test_radius_whose_varrho_underflows_is_rejected(self, radius):
+        # the fit divides by varrho^(3/2): 1e-300 raised a ValueError in the fit,
+        # 1e-150 divided by zero
+        rp = radial_point([1.3], 0.3, Side.FUTURE, PL)
+        with pytest.raises(InvalidInput, match="radius"):
+            qdf_probe(rp, radius, 60, MetricParams.free(1), PL)
 
     @staticmethod
     def _assert_batch_is_per_centre(rps, seeds, M, b, shape):
@@ -814,7 +823,7 @@ class TestWeightFlowRate:
         M = data.draw(perturbed_metrics(d))
         xi = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
         rp = radial_point(xi, h, side, branch)
-        drift = flow._natural_field(M, rp.direction, rp.zeta_nat, h, branch.sign, 0.0)[1]
+        drift = _natural_field(M, rp.direction, rp.zeta_nat, h, branch.sign, 0.0)[1]
         assert not drift.any()
         V = np.concatenate(([h * (rp.tau_nat + branch.sign)], -rp.xi_nat))
         want = orders[1] * -float(rp.direction @ V)
@@ -863,7 +872,7 @@ class TestDegeneracy:
             h = 0.0 if mode == "parabolic" else rng.uniform(0.05, 0.5)
             rp = radial_point(rng.uniform(-2.0, 2.0, d), h, side, branch)
             zeta = rp.zeta_nat if mode == "natural" else rng.uniform(-1.0, 1.0, d + 1)
-            omega = side.sign * flow._future_direction(zeta, h, branch.sign, mode == "parabolic")
+            omega = side.sign * symbols._future_direction(zeta, h, branch.sign, mode == "parabolic")
             rhs, step = _state_rhs(mode, M, branch, h, 1.0), 1e-5
             J = np.stack([(rhs(0.0, np.concatenate((omega + e, zeta)))
                            - rhs(0.0, np.concatenate((omega - e, zeta))))[: d + 1] / (2 * step)

@@ -411,12 +411,17 @@ class TestLadderGuards:
         lambda u: kg_free_solve(_PSI, MI, math.inf, [0.0, 0.5], _SPACE),
         lambda u: kg_free_solve(_PSI, MI, -8.0, [0.0, 0.5], _SPACE),
         lambda u: kg_free_solve(_PSI, MI, math.nan, [0.0, 0.5], _SPACE),
+        lambda u: kg_free_solve(_PSI, MI, 1e200, [0.0, 0.5], _SPACE),
+        lambda u: kg_free_solve(_PSI, MI, 1e-200, [0.0, 0.5], _SPACE),
+        lambda u: split_energy(u, 1e-160),
     ], ids=["natural_h0", "natural_h_negative", "split_h0", "calctwo_h0",
             "calctwo_h_negative", "calctwo_c_overflows", "operator_c0", "operator_c_negative",
             "envelope_c0", "envelope_c_negative", "branch_c0", "branch_c_inf",
-            "branch_c_negative", "branch_c_nan"])
+            "branch_c_negative", "branch_c_nan", "branch_c2_overflows", "branch_c2_underflows",
+            "split_h2_underflows"])
     def test_c_and_h_checked_where_they_enter(self, stg, bump, call):
-        # c and h = 1/c must both be finite and > 0 (1e-320 has 1/h = inf)
+        # c, h = 1/c and their squares must be finite and > 0 (1e-320 has 1/h = inf,
+        # 1e200 has c^2 = inf and 1e-200 has c^2 = 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput):

@@ -1180,6 +1180,22 @@ class TestMassBound:
         assert not rep.ok
         assert rep.first_violation is not None
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -0.2])
+    def test_claim_is_finite_and_nonnegative(self, runs, C):
+        # a NaN claim passed every state, an infinite one any trace
+        with pytest.raises(InvalidInput, match="C_claim"):
+            mass_bound_check(runs[1], C)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mass_that_is_not_finite_fails(self, runs, bad):
+        # a NaN mass compared False with its bound, so the check passed
+        free = runs[0][:5]
+        spoilt = SchrState(free[2].grid, np.full(free[2].grid.shape, bad), free[2].t)
+        rep = mass_bound_check(free[:2] + [spoilt] + free[3:], 0.2)
+        assert not rep.ok and not rep.gronwall_ok and free[1].t <= rep.first_violation <= free[2].t
+        # with two states there is no interior point: the Gronwall envelope fails alone
+        assert not mass_bound_check([free[0], spoilt], 0.2).ok
+
 
 @pytest.fixture(scope="module")
 def run():

@@ -18,10 +18,9 @@ from conftest import (
     perturbed_metrics,
     profile_grad,
 )
-from nrlab import experiments as ex, symbols
+from nrlab import experiments as ex, flow, symbols
 from nrlab.errors import DegenerateMetric, InvalidInput, OnBoundary, OutOfChart
 from nrlab.flow import (
-    _sheet_tau_nat,
     char_start,
     integrate_flow,
     natural_degeneracy,
@@ -48,6 +47,7 @@ from nrlab.symbols import (
     OperatorCoefficient,
     Side,
     SignBranch,
+    _sheet_tau_nat,
     aleph,
     ball_from_base,
     char_membership,
@@ -56,6 +56,7 @@ from nrlab.symbols import (
     rescaled_symbol,
 )
 from test_acceptance import pert_metric
+from test_pde import _callers
 
 PL, MI = SignBranch.PLUS, SignBranch.MINUS
 
@@ -394,6 +395,48 @@ class TestPrincipalSymbol:
         # (tau_nat +/- 1)^2 - xi_nat^2 = 1  <=>  rescaled symbol = 0
         p = PhasePoint(0.0, [0.0], 1.0, [math.sqrt(3.0)], 0.3)
         assert abs(rescaled_symbol(p, free_metric, PL)) < 1e-14
+
+
+class TestHamiltonField:
+    """The natural symbol's value, its Hamilton field and its sheet root have one
+    home, symbols; the field is tied to the value by central differences."""
+
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), h=st.floats(0.0, 0.5),
+           b=st.sampled_from([PL, MI]))
+    @settings(max_examples=60, deadline=None)
+    def test_field_is_the_hamilton_field_of_the_value(self, data, d, h, b):
+        # V = (h/2 dp/dtau_nat, 1/2 dp/dxi_nat) and drift = -(1/2) <z> (h d_t p, d_x p),
+        # p = h^2 p the value function, at base points with |z| <= 3
+        M = data.draw(perturbed_metrics(d))
+        n = d + 1
+        z, zeta = (np.array(data.draw(st.lists(st.floats(-lim, lim), min_size=n, max_size=n)))
+                   for lim in (3.0, 2.0))
+        z *= min(1.0, 3.0 / max(np.linalg.norm(z), 1.0))
+        step = 1.0e-6
+        pm = np.concatenate((np.eye(n), -np.eye(n))) * step
+
+        def central(values):
+            plus, minus = np.split(values, 2)
+            return (plus - minus) / (2.0 * step)
+
+        dzeta = central(symbols._symbol_value(M, ball_from_base(z), zeta + pm, h, b.sign))
+        dz = central(symbols._symbol_value(M, ball_from_base(z + pm), zeta, h, b.sign))
+        V, drift = symbols._natural_field(M, ball_from_base(z), zeta, h, b.sign)
+        time = np.append(h, np.ones(d))         # the time rows carry h
+        assert np.max(np.abs(V - 0.5 * time * dzeta)) <= 1e-7
+        assert np.max(np.abs(drift + 0.5 * math.sqrt(1.0 + z @ z) * time * dz)) <= 1e-7
+
+
+def test_the_natural_symbol_has_one_home():
+    # the metric is evaluated by the natural symbol's functions in symbols and by
+    # pde's terms table alone: flow integrates their fields and evaluates none,
+    # and the symbol's value is written once, for the charts and the flow residual
+    assert _callers("eval_metric") == {
+        ("symbols.py", "_symbol_value"), ("symbols.py", "_natural_field"),
+        ("symbols.py", "_sheet_tau_nat"), ("pde.py", "_operator_terms")}
+    assert "eval_metric" not in vars(flow)
+    assert _callers("_symbol_value") == {("symbols.py", "rescaled_symbol"),
+                                         ("flow.py", "_p_residuals")}
 
 
 class TestCharMembership:
