@@ -9,8 +9,8 @@ import numpy as np
 from nrlab.quantize import BoxGrid
 from nrlab.symbols import SignBranch
 from nrlab.pde import (
-    SchrCoefficients, SchrState, mass_bound_check, mass_trace,
-    scattering_mass_identity, scattering_profile, schrodinger_solve,
+    SchrState, mass_bound_check, mass_trace, scattering_mass_identity, scattering_profile,
+    schrodinger_solve,
 )
 
 MI = SignBranch.MINUS
@@ -27,8 +27,11 @@ free = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, dt=0.05)
 _, Ms = mass_trace(free)
 print(f"  free evolution: relative mass drift {(Ms.max()-Ms.min())/Ms[0]:.1e}")
 
-# V = i 0.05 <z>^-2, keyed () as the potential in the normal operator's terms
-W = SchrCoefficients(lambda t, mesh, s: {(): 1j * 0.05 / (1.0 + t * t + mesh[0] * mesh[0])})
+# V = i 0.05 <z>^-2, keyed () as the potential in the normal operator's table
+def W(t, mesh, s):
+    return {(): 1j * 0.05 / (1.0 + t * t + mesh[0] * mesh[0])}
+
+
 pert = schrodinger_solve(SchrState(g, psi, -20.0), MI, times, W, dt=0.02)
 rep = mass_bound_check(pert, 0.2)
 _, Mp = mass_trace(pert)

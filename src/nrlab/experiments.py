@@ -256,9 +256,9 @@ def pde_compare(*, c_list=(8.0, 16.0, 32.0), T=1.0, band_limit=2.0, box=40 * mat
     times = np.linspace(0.0, T, 9)
     errs, steps = {}, 0
     for c in c_list:
-        kgs = pde.kg_free_solve(psi, MI, c, times, g)
+        kgs = pde.kg_envelope_solve(psi, MI, MetricParams.free(1), c, times, g)
         ss = pde.schrodinger_solve(pde.SchrState(g, psi, 0.0), MI, times, dt=0.02)
-        errs[c] = pde.conjugate_compare(kgs, ss, MI, c).sup_error
+        errs[c] = pde.conjugate_compare(kgs, ss)
         steps += ss[-1].steps
     if not all(e > 0.0 for e in errs.values()):     # band_limit or T too small to tell apart
         raise InvalidInput(f"pde-compare has nothing to compare: errors {list(errs.values())}")
@@ -272,12 +272,12 @@ def mass(*, C_claim=0.2, im_v=0.05, box=160.0, n_grid=512, dt=0.02) -> Result:
     """Mass of a Schrodinger run with an absorbing potential against its Gronwall bound."""
     g = qz.BoxGrid.regular(box, n_grid, 1)
     psi = _resolved(g, np.exp(-(g.axis_points(0) ** 2) / 8.0))
-    coeffs = pde.SchrCoefficients(lambda t, m, s: {(): 1j * im_v / (1.0 + t * t + m[0] * m[0])})
     times = np.linspace(-20.0, 20.0, 161)
     if not (0.0 < dt <= times[1] - times[0] and math.isfinite(im_v)):
         raise InvalidInput(f"mass needs 0 < dt <= {times[1] - times[0]}, the output spacing, "
                            f"and a finite im_v, not {dt} and {im_v}")
-    run = pde.schrodinger_solve(pde.SchrState(g, psi, -20.0), MI, times, coeffs, dt=dt)
+    run = pde.schrodinger_solve(pde.SchrState(g, psi, -20.0), MI, times, lambda t, m, s: {
+        (): 1j * im_v / (1.0 + t * t + m[0] * m[0])}, dt=dt)      # V = i im_v <z>^-2
     tr = pde.mass_bound_check(run, C_claim)
     return Result({"mass.csv": (["t", "M", "dM", "bound_rhs"],
                                 list(zip(tr.times, tr.M, tr.dM_numeric, tr.bound_rhs)))},

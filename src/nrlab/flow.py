@@ -238,9 +238,12 @@ def _p_residuals(M, Y, zeta, h, bsign, parabolic) -> np.ndarray:
 
 
 def natural_start(Y, zeta_nat, h) -> dict:
-    """Flow start in natural mode (finite h >= 0 and frequencies (tau_nat, xi_nat))."""
-    return {"mode": "natural", "Y": _as_vector(Y), "zeta": _as_vector(zeta_nat, h=h),
-            "h": float(h)}
+    """Flow start in natural mode (h >= 0 with h^2, which the metric reads, finite, and
+    frequencies (tau_nat, xi_nat)); InvalidInput otherwise."""
+    zeta_nat = _as_vector(zeta_nat, h=h)
+    if not h * h < math.inf:
+        raise InvalidInput(f"h = {h}: a flow start needs h^2 finite")
+    return {"mode": "natural", "Y": _as_vector(Y), "zeta": zeta_nat, "h": float(h)}
 
 
 def parabolic_start(Y, tau, xi) -> dict:
@@ -256,8 +259,9 @@ def char_start(M: MetricParams, b: SignBranch, Y, xi_nat, h: float) -> dict:
     quadratic in tau_nat, so the start satisfies |p| <= 1e-6 as the
     integration contract expects.
     """
-    Y, xi_nat = _as_vector(Y), _as_vector(xi_nat, h=h)
-    return natural_start(Y, np.concatenate(([_sheet_tau_nat(M, Y, xi_nat, h, b)], xi_nat)), h)
+    start = natural_start(Y, np.concatenate(([0.0], _as_vector(xi_nat))), h)   # checked first
+    start["zeta"][0] = _sheet_tau_nat(M, start["Y"], start["zeta"][1:], h, b)
+    return start
 
 
 def _as_start(start, b: SignBranch) -> dict:

@@ -30,7 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DegenerateFamily, InvalidInput, SpectrumOverflow
+from .errors import DegenerateFamily, InvalidInput
 from .geometry import frequency_bdfs, smooth_step
 from .pde import ConjugatedOperator, _check_scale
 from .quantize import BoxGrid, GridField, transform
@@ -274,25 +274,26 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
     without a branch, for ``metric`` or the free metric) on the grid and
     reports calctwo(u; m, s, l) / calctwo(Pu; m-1, s+1, l-1), the per-c
     family maximum, the max/min spread of those maxima across the c-ladder,
-    and each member's largest-c/smallest-c ratio drift.
+    and each member's largest-c/smallest-c ratio drift.  InvalidInput for a c that
+    ``_check_scale`` rejects or near the time Nyquist frequency, or orders that overflow.
     """
     if grid is None:
         grid = BoxGrid((2.0 * math.pi, 8.0 * math.pi), (4096, 64))
     cs = sorted(float(c) for c in c_list)
-    if not cs or not all(0.0 < c < math.inf for c in cs):
-        raise InvalidInput("the ratio needs at least one c, each finite and > 0")
+    if not cs:
+        raise InvalidInput("the ratio needs at least one c")
+    for c in cs:
+        _check_scale(c)
     if n_base < 1:
         raise InvalidInput("the ratio needs n_base >= 1 family members")
     nyq = math.pi * grid.ns[0] / grid.sides[0]
-    if max(cs) ** 2 * 1.1 > nyq:
-        raise SpectrumOverflow(
-            f"c^2 = {max(cs) ** 2} too close to the time Nyquist frequency {nyq:.0f}")
+    if cs[-1] ** 2 * 1.1 > nyq:
+        raise InvalidInput(
+            f"c^2 = {cs[-1] ** 2} too close to the time Nyquist frequency {nyq:.0f}")
     M = metric if metric is not None else MetricParams.free(grid.ndim - 1)
     members = gaussian_family(grid, n_base=n_base, seed=seed)
     t = _open_mesh(grid)[0]
     both = (orders, orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0))   # numerator, denominator
-    weight = _weight_field(grid, orders)
-    weights = (weight, weight * _weight_field(grid, 1.0))   # s_bar + 1: one more <z>
 
     def rows_at(c):
         # a generator: the arrays of one c are freed before the next c's are built
@@ -304,12 +305,19 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
             vals = carriers[kind] * base
             spec = transform(vals.copy())
             den = den_norm(*P.apply_with_spectrum(vals, spec))
+            num = num_norm(vals, spec)
+            if not (math.isfinite(num) and math.isfinite(den)):
+                raise InvalidInput(f"member {mid}'s norms overflow at c = {c}: {num}, {den}")
             if den < 1.0e-12:
                 raise DegenerateFamily(f"member {mid} has |Pu| below floor")
-            num = num_norm(vals, spec)
             yield c, mid, num, den, num / den
 
-    rows = [row for c in cs for row in rows_at(c)]
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow raises InvalidInput
+        weight = _weight_field(grid, orders)
+        weights = (weight, weight * _weight_field(grid, 1.0))   # s_bar + 1: one more <z>
+        if not all(np.isfinite(w).all() for w in weights):
+            raise InvalidInput("the weights <z>^s_bar of s_past and s_future overflow")
+        rows = [row for c in cs for row in rows_at(c)]
     per_c = {c: max(row[4] for row in rows if row[0] == c) for c in cs}
     first, last = ({row[1]: row[4] for row in rows if row[0] == c} for c in (cs[0], cs[-1]))
     drift = {mid: last[mid] / first[mid] for mid in first}

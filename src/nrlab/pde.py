@@ -1,4 +1,4 @@
-"""Model PDE solvers: free Klein-Gordon and its Schrodinger normal operator.
+"""Model PDE solvers: Klein-Gordon at finite c, its Schrodinger normal operator at c = inf.
 
 Mode convention (fixed once): on the branch of sign s a Klein-Gordon mode is
 u = e^{i(s omega t + xi.x)}, omega = c (c^2 + |xi|^2)^(1/2); its envelope v = e^{-isc^2 t} u
@@ -14,18 +14,20 @@ is the source of the second-order non-relativistic convergence rate; for a shift
 Both envelope equations take one Strang stepper, ``_strang``: exact free half steps of the
 twisted branch envelopes (two at finite c, one at c = infinity) around a midpoint kick,
 kept in Fourier space so that the half steps between kicks fuse, at a cost per unit time
-that does not grow with c; at c = infinity it is the Schrodinger split step.
+that does not grow with c; at c = infinity it is the Schrodinger split step.  Each regime has
+one entry point, ``kg_envelope_solve`` and ``schrodinger_solve``, which takes the one free
+propagator ``_free_run`` instead, exactly, where the equation has no term (``_has_terms``).
 ``_operator_terms`` is the one table of lower-order terms and the one ``eval_metric`` caller
 (it forms the metric's derivative D G = -h^2 G (DP) G from the kernel's DP itself): at c
 for ``ConjugatedOperator`` and ``kg_envelope_solve`` (one table per step for both branches,
-the sign an array axis), at c = infinity for the normal operator (with or without aleph).
+the sign an array axis), at c = infinity for the normal operator (``normal_terms``).
 ``_apply_terms`` is the one applier of such a table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,16 +35,14 @@ import numpy as np
 from .errors import DegenerateMetric, GridMismatch, InvalidInput, ResampleOverflow, StepFailure
 from .geometry import smooth_step
 from .quantize import BoxGrid, GridField, transform
-from .symbols import ClassicalSymbolProfile, MetricParams, SignBranch, aleph, eval_metric
+from .symbols import MetricParams, SignBranch, aleph, eval_metric
 
 __all__ = [
     "SchrState",
-    "SchrCoefficients",
-    "kg_free_solve",
+    "normal_terms",
     "schrodinger_solve",
     "kg_envelope_solve",
     "conjugate_compare",
-    "CompareReport",
     "symmetry_defect",
     "MassTrace",
     "mass_trace",
@@ -121,24 +121,14 @@ class SchrState:
         return float(np.sqrt(np.sum(np.abs(self.v) ** 2) * self.grid.dvol))
 
 
-@dataclass(frozen=True)
-class SchrCoefficients:
-    """The normal operator's coefficient fields ``terms(t, mesh, s)``, at time t on the
-    spatial mesh for branch sign s, keyed as ``ConjugatedOperator``'s terms: () is the
-    potential V and (j,), j >= 1 a spatial axis, is i B_j; a key left out is zero."""
-
-    terms: Callable
-
-    @classmethod
-    def from_metric(cls, M: MetricParams, include_aleph: bool = True):
-        """The c = infinity rows of ``_operator_terms`` (V = W - s beta - aleph, i Re B_j),
-        or None, the exact free path, when alpha, beta, B and W all vanish; without
-        aleph, alpha goes, the one metric profile that the limit keeps."""
-        if not include_aleph:
-            M = replace(M, alpha=ClassicalSymbolProfile.zero())
-        if all(p.is_zero for p in (M.alpha, M.beta, M.W, *M.B)):
-            return None
-        return cls(lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s))
+def normal_terms(M: MetricParams) -> Callable | None:
+    """The c = infinity rows of ``_operator_terms`` (V = W - s beta - aleph, i Re B_j) as the
+    table (t, mesh, s) of ``schrodinger_solve``, or None, its exact path, where they are empty
+    (alpha, beta, B and W zero).  alpha is the one metric profile that the limit keeps: without
+    aleph, the table is normal_terms(replace(M, alpha=ClassicalSymbolProfile.zero()))."""
+    if not _has_terms(M, math.inf):
+        return None
+    return lambda t, mesh, s: _operator_terms(M, math.inf, [t, *mesh], s)
 
 
 def _free_run(data: SchrState, s: int, c: float, times) -> list:
@@ -149,16 +139,6 @@ def _free_run(data: SchrState, s: int, c: float, times) -> list:
     phase = 1j * s * _rest_gap(c, _xi2(data.grid))
     return [SchrState(data.grid, transform(vh * np.exp(phase * (t - data.t)), inverse=True),
                       float(t)) for t in times]
-
-
-def kg_free_solve(psi0, branch: SignBranch, c: float, times, grid: BoxGrid) -> list:
-    """Exact free Klein-Gordon, (-c^-2 d_t^2 + Lap - c^2) u = 0, on one branch: ``_free_run``
-    at c from v = psi0 at times[0], as SchrState envelopes v = e^{-isc^2 t} u, s the branch
-    sign (c and the times finite, c > 0, else InvalidInput; psi0 off the grid: GridMismatch)."""
-    _check_scale(c)
-    times = _check_times(times)
-    t0 = float(times[0]) if len(times) else 0.0
-    return _free_run(SchrState(grid, psi0, t0), branch.sign, c, times)
 
 
 def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, terms,
@@ -248,40 +228,31 @@ def _strang(grid: BoxGrid, c: float, sign: int, spectra: list, t: float, times, 
 
 
 def schrodinger_solve(data: SchrState, branch: SignBranch, times,
-                      coeffs: SchrCoefficients | None = None, dt: float = 0.01) -> list:
+                      terms: Callable | None = None, dt: float = 0.01) -> list:
     """Strang split-step solution of the normal operator equation: ``_strang`` at c = inf.
 
-    d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j the
-    ``coeffs.terms`` (any other key: InvalidInput).  An output interval of span T takes
+    d_t v = s (i/2)(Lap + i B . grad + V) v, s = -branch sign, with V and i B_j the fields
+    of the table ``terms(t, mesh, s)`` at time t on the spatial mesh, keyed as
+    ``ConjugatedOperator``'s terms: () is V and (j,), j >= 1 a spatial axis, is i B_j; a key
+    left out is zero, any other key an InvalidInput.  An output interval of span T takes
     ceil(|T|/dt) steps, MAX_STEPS in all (dt finite and > 0; times finite).  A step costs two
     FFTs: the kinetic factor e^{-is|xi|^2 h/4} meets its neighbour between steps, and the
     kick is e^{isV h/4} before and after a midpoint drift step with spectral gradients, with
     no drift e^{isV h/2}, with no term nothing (StepFailure if a step exceeds min(dx)/max|B|
-    at its midpoint).  With ``coeffs`` None the answer is exact, ``_free_run`` at c = inf.
+    at its midpoint).  With ``terms`` None the answer is exact, ``_free_run`` at c = inf.
     """
     _check_step(dt)
-    times = _check_times(times, None if coeffs is None else dt, data.t)
-    if coeffs is None:
+    times = _check_times(times, None if terms is None else dt, data.t)
+    if terms is None:
         return _free_run(data, branch.sign, math.inf, times)
     run = _strang(data.grid, math.inf, branch.sign, [transform(data.v.copy())], data.t,
-                  times, coeffs.terms, dt)
+                  times, terms, dt)
     return [state for state, _ in run]
 
 
-@dataclass
-class CompareReport:
-    times: np.ndarray
-    errors: np.ndarray
-    sup_error: float
-
-
-def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> CompareReport:
-    """sup_t || v_KG(t) - v_Schr(t) ||_2 / || v_Schr(t0) ||_2 for two lists of
-    SchrState envelopes on the same grid and output times.
-
-    ``branch`` and ``c`` are not read, since an envelope already carries its
-    branch's carrier; they stay only because the acceptance tests pass them.
-    """
+def conjugate_compare(kg_run, schr_run) -> float:
+    """sup_t || v_KG(t) - v_Schr(t) ||_2 / || v_Schr(t0) ||_2 for two lists of SchrState
+    envelopes on the same grid and output times (an envelope carries its branch)."""
     if len(kg_run) != len(schr_run):
         raise GridMismatch("runs must share output times")
     if not schr_run:
@@ -294,8 +265,7 @@ def conjugate_compare(kg_run, schr_run, branch: SignBranch, c: float) -> Compare
         if abs(kg.t - sc.t) > 1e-12 * (1 + abs(kg.t)) or kg.grid != sc.grid:
             raise GridMismatch("the runs' output times or grids differ")
         errs.append(SchrState(sc.grid, kg.v - sc.v, kg.t).norm() / ref)
-    errs = np.asarray(errs)
-    return CompareReport(np.array([kg.t for kg in kg_run]), errs, float(errs.max()))
+    return float(np.max(errs))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +286,13 @@ def _apply_terms(terms, k, spec, u, out, axes=None):
     return out
 
 
+def _has_terms(M: MetricParams, c: float) -> bool:
+    """Whether ``_operator_terms`` at c can hold a row: false just when beta, B and W are zero
+    and the metric is flat (at c = inf, where aleph = -alpha is all it leaves: alpha zero)."""
+    return not (all(p.is_zero for p in (M.beta, M.W, *M.B))
+                and (M.alpha.is_zero if math.isinf(c) else M.is_flat))
+
+
 def _operator_terms(M: MetricParams, c: float, zs, s) -> dict:
     """P's coefficient fields beyond its free multiplier, keyed by sorted derivative indices
     (one vanishing identically is left out), at spacetime coordinates zs = (t, x...), 1 + M.d
@@ -332,7 +309,7 @@ def _operator_terms(M: MetricParams, c: float, zs, s) -> dict:
     def add(key, coef):
         terms[key] = terms.get(key, 0.0) + coef
 
-    if M.is_flat and all(a.is_zero for a in (M.beta, M.W) + M.B):
+    if not _has_terms(M, c):
         return terms
     z = _spacetime(zs[0], zs[1:])
     if math.isinf(c):
@@ -427,19 +404,24 @@ def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,
     at c of both twisted branches with ``ConjugatedOperator``'s terms, at a cost per unit time
     that does not grow with c.  v = w_s + e^{-2isc^2 t} w_-s starts on the exact branch with
     v_t^ = is(omega - c^2) v^ less aleph v/(2is): w_s^ = v^ + x^, w_-s^ = -e^{2isc^2 t} x^ and
-    x^ = F[aleph v]/(4 omega).  c, dt and the times must be finite, c, dt > 0 and the steps
-    <= MAX_STEPS, else InvalidInput; a metric of another dimension is a GridMismatch, one
-    with g^00 >= 0 at a step's midpoint or an output time (t no time function) a
-    DegenerateMetric."""
+    x^ = F[aleph v]/(4 omega); with no term (the free metric) it is exact, ``_free_run`` at c
+    from v = psi0 at times[0], and steps none.  c, dt and the times must be finite, c, dt > 0
+    and the steps <= MAX_STEPS, else InvalidInput; psi0 off the grid or a metric of another
+    dimension is a GridMismatch, one with g^00 >= 0 at a step's midpoint or an output time
+    (t no time function) a DegenerateMetric."""
     _check_scale(c)
     _check_step(dt)
-    times = _check_times(times, dt)
+    free = not _has_terms(M, c)
+    times = _check_times(times, None if free else dt)
     if not len(times):
         return []
     if M.d != grid.ndim:
         raise GridMismatch(f"a metric of d = {M.d} on a grid of dimension {grid.ndim}")
     t, s = float(times[0]), branch.sign
-    v = SchrState(grid, np.array(psi0, dtype=complex), t).v     # GridMismatch off the grid
+    data = SchrState(grid, psi0, t)     # GridMismatch off the grid
+    if free:
+        return _free_run(data, s, c, times)
+    v = data.v
     omega = c * c + _rest_gap(c, _xi2(grid))
     x = transform(aleph(M, _spacetime(t, grid.mesh())) * v) / (4.0 * omega)
     run = _strang(grid, c, s, [transform(v.copy()) + x, -np.exp(2j * s * c * c * t) * x], t,

@@ -110,6 +110,10 @@ class BoxGrid:
             raise InvalidInput(f"grid sizes must be powers of two >= 1, got {self.ns}")
         if not all(math.isfinite(L) and L > 0.0 for L in self.sides):
             raise InvalidInput(f"box sides must be finite and > 0, got {self.sides}")
+        top = [2.0 * math.pi * (n // 2) / L for L, n in zip(self.sides, self.ns)]  # max |xi_j|
+        if not sum(k * k for k in top) < math.inf:
+            raise InvalidInput(f"box sides {self.sides} too small for {self.ns} points: "
+                               "|xi|^2 overflows")
 
     @classmethod
     def regular(cls, side: float, n: int, ndim: int = 1) -> "BoxGrid":

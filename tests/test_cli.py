@@ -293,6 +293,17 @@ class TestConfigValidation:
         ("qdf", {"params": {"radius": 1e-150}}),
         ("scatter", {"params": {"n_grid": 8}}),
         ("scatter", {"params": {"n_grid": 256}}),
+        # a c whose square overflows or nears the time Nyquist frequency, or orders
+        # whose norms leave the float range
+        ("uniform-ratio", {"params": {"c_list": [1e300, 2e300]}}),
+        ("uniform-ratio", {"params": {"c_list": [1e150, 2e150]}}),
+        ("uniform-ratio", {"params": {"m": 1e300}}),
+        ("uniform-ratio", {"params": {"ell": 1e300}}),
+        ("uniform-ratio", {"params": {"s_past": 1e300}}),
+        # an h whose square overflows where the metric reads it
+        ("flow", {"params": {"h_list": [1e300]}}),
+        # a box whose squared frequencies overflow
+        ("mass", {"params": {"box": 1e-300}}),
     ])
     def test_values_the_library_rejects_exit_2(self, tmp_path, command, block):
         cfg = write(tmp_path / "c.json", {"schema_version": 1, "command": command, **block})

@@ -619,9 +619,12 @@ class TestNonFinitePoints:
         lambda M: parabolic_chart(math.inf, [1.0]),
         lambda M: parabolic_chart(4.0, [-math.inf]),
         lambda M: ParabolicRay(1.0, [0.0], [1.0, math.nan]),
+        lambda M: natural_start([0.1, 0.2], [0.5, 1.0], 1e300),
+        lambda M: char_start(M, PL, [0.1, 0.2], [1.0], 1e300),
     ], ids=["start_nan_zeta", "start_inf_h", "start_nan_Y", "char_start_negative_h",
             "char_start_inf_xi", "parabolic_start_nan_tau", "chart_nan_tau",
-            "chart_inf_tau", "chart_inf_xi", "ray_nan_s"])
+            "chart_inf_tau", "chart_inf_xi", "ray_nan_s", "start_h2_overflows",
+            "char_start_h2_overflows"])
     def test_one_point_functions(self, free_metric, call):
         # flow starts and the frequency charts check what PhasePoint checks
         with warnings.catch_warnings():
