@@ -215,16 +215,16 @@ def _cutoff(r):
 
 
 def frequency_bdfs(tau_nat, xi_nat, h):
-    """Global (rho_df, rho_nf, rho_pf) at natural frequencies tau_nat and
-    xi_nat = (xi_nat_1, ..., xi_nat_d), components broadcasting against
-    tau_nat, h >= 0 and each other (they are never stacked).
+    """Global (rho_df, rho_nf, rho_pf) at natural frequencies tau_nat and xi_nat =
+    (xi_nat_1, ..., xi_nat_d), components broadcasting against tau_nat, h >= 0 and each
+    other (never stacked).  They read only |tau_nat| and |xi_nat_j| (hypot is even), so
+    each is even in each frequency, bit for bit: ``norms`` folds its DFT tables on that.
 
-    rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2) and rho_nf = h + chi(zeta_nat)
-    (1+tau^2+sum_j xi_j^4)^(-1/4), a weight equivalent to (1+tau^2+|xi|^4)^(-1/4)
-    and equal to it in d = 1, written in the h-stable form
-    h (1 + chi (h^4+tau_nat^2+sum_j xi_nat_j^4)^(-1/4)); rho_pf = h / rho_nf.
-    The quartic sum is that of the roots r = (h, |tau_nat|^(1/2), |xi_nat_j|),
-    each divided by their largest, k, first; |zeta_nat| and rho_df are hypots:
+    rho_df = (1+tau_nat^2+|xi_nat|^2)^(-1/2) and rho_nf = h + chi(zeta_nat) (1+tau^2+
+    sum_j xi_j^4)^(-1/4), a weight equivalent to (1+tau^2+|xi|^4)^(-1/4) and equal to it in
+    d = 1, written in the h-stable form h (1 + chi (h^4+tau_nat^2+sum_j xi_nat_j^4)^(-1/4));
+    rho_pf = h / rho_nf.  The quartic sum is that of the roots r = (h, |tau_nat|^(1/2),
+    |xi_nat_j|), each divided by their largest, k, first; |zeta_nat| and rho_df are hypots:
     nothing under- or overflows.  At h = 0, zeta_nat = 0 rho_nf = rho_pf = 0.
     """
     zn = reduce(np.hypot, xi_nat, np.abs(tau_nat))       # |zeta_nat|

@@ -19,14 +19,16 @@ passes the same gates.  The q_+/- orders are literal h^{-q} prefactors.
 The ratio experiment applies the Klein-Gordon operator P through
 ``pde.ConjugatedOperator`` without a branch, built once per c.  A member's spectrum is
 taken once for P and both norms, and not at all by a norm at m = l = 0 (unit multiplier):
-3 forward and 3 inverse in-place ``quantize.transform`` calls at the default orders.
+3 forward and 3 inverse in-place ``quantize.transform`` calls at the default orders, on
+three live full-grid arrays (``_split``); Q_+ and the bdfs are tabled once per c on the
+folded DFT bins (``_folded_mesh``), bit for bit the full grid's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -93,28 +95,32 @@ class OrderProfile:
                             check_threshold=False)
 
 
-def _open_mesh(grid: BoxGrid, freqs: bool = False) -> list:
-    """Open (broadcasting) meshes of the grid points or of the DFT frequencies."""
-    axis = grid.axis_freqs if freqs else grid.axis_points
-    return np.meshgrid(*map(axis, range(grid.ndim)), indexing="ij", sparse=True)
+def _folded_mesh(grid: BoxGrid, even_axes) -> tuple:
+    """Open mesh of the DFT frequencies (tau, xi_1, ...), each axis of ``even_axes`` cut to
+    bins 0..n//2, and the one gather back to the full grid of a table even in those axes'
+    frequencies: bin n - j carries -k_j, so it reads bin min(j, n - j)."""
+    fold = [(i in even_axes, grid.axis_freqs(i), np.arange(n)) for i, n in enumerate(grid.ns)]
+    return (np.ix_(*(k[:len(k) // 2 + 1] if f else k for f, k, _ in fold)),
+            np.ix_(*(np.minimum(j, len(j) - j) if f else j for f, _, j in fold)))
 
 
 def _weight_field(grid: BoxGrid, s_weight):
     """<z>^{s(z)} with s given as None, a number, or an order profile (s_bar of t/<z>)."""
     if s_weight is None:
         return 1.0
-    mesh = _open_mesh(grid)
+    mesh = grid.mesh(sparse=True)
     bracket = np.sqrt(1.0 + sum(m_ * m_ for m_ in mesh))
     s = s_weight.s_bar(mesh[0] / bracket) if isinstance(s_weight, OrderProfile) else float(s_weight)
     return bracket ** s
 
 
-def _grid_bdfs(grid: BoxGrid, h: float):
-    """(rho_df, rho_nf, rho_pf) of geometry.frequency_bdfs on the DFT frequencies,
-    at tau_nat = h^2 tau and xi_nat = h xi; rho_df^{-m} is the multiplier
-    (1 + h^2|xi|^2 + h^4 tau^2)^{m/2}."""
-    tau, *xs = _open_mesh(grid, freqs=True)
-    return frequency_bdfs(h**2 * tau, [h * x for x in xs], h)
+def _bdf_multipliers(grid: BoxGrid, h: float, orders) -> list:
+    """rho_df^{-m} rho_nf^{-l} of geometry.frequency_bdfs at tau_nat = h^2 tau, xi_nat = h xi
+    on the DFT frequencies per (m, l) of ``orders``, None (unit) at m = l = 0; rho_df^{-m} is
+    (1 + h^2|xi|^2 + h^4 tau^2)^{m/2}.  One evaluation, on the bins folded in every axis."""
+    (tau, *xs), full = _folded_mesh(grid, range(grid.ndim))
+    rho_df, rho_nf, _ = frequency_bdfs(h**2 * tau, [h * x for x in xs], h)
+    return [None if m == ell == 0 else (rho_df**-m * rho_nf**-ell)[full] for m, ell in orders]
 
 
 def _fourier_norm(buf: np.ndarray, mult, dvol: float) -> float:
@@ -138,27 +144,31 @@ def natural_norm(u: GridField, m: float, s_weight, ell: float, h: float) -> floa
     _check_scale(h, "h")
     g = u.grid
     return h**-ell * _fourier_norm(_weight_field(g, s_weight) * u.values,
-                                   _grid_bdfs(g, h)[0] ** -m if m else None, g.dvol)
+                                   *_bdf_multipliers(g, h, [(m, 0.0)]), g.dvol)
 
 
 def _split_multiplier(grid: BoxGrid, h: float, chi_profile=None) -> np.ndarray:
-    """Q_+ = chi(tau_nat/<xi_nat>) on the DFT frequencies."""
-    k = _open_mesh(grid, freqs=True)
-    xi_nat2 = h**2 * sum(kj * kj for kj in k[1:])
-    return (chi_profile or default_chi)(h**2 * k[0] / np.sqrt(1.0 + xi_nat2))
+    """Q_+ = chi(tau_nat/<xi_nat>) on the DFT frequencies, even in each xi: evaluated on
+    the folded spatial bins."""
+    (tau, *xs), full = _folded_mesh(grid, range(1, grid.ndim))
+    xi_nat2 = h**2 * sum(x * x for x in xs)
+    return (chi_profile or default_chi)(h**2 * tau / np.sqrt(1.0 + xi_nat2))[full]
 
 
 def _carrier(grid: BoxGrid, h: float) -> np.ndarray:
     """e^{i t/h^2} = e^{i c^2 t} as a time column of shape (n_t, 1, ...)."""
-    return np.exp(1j * _open_mesh(grid)[0] / h**2)
+    return np.exp(1j * grid.mesh(sparse=True)[0] / h**2)
 
 
-def _split(values: np.ndarray, spec: np.ndarray, q_plus, carrier) -> tuple:
-    """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field from its values
-    and its spectrum F[u], which is overwritten: one inverse FFT, in place.  With
-    carrier None: (Q_+ u, Q_- u), for a caller that reads only moduli."""
-    plus = transform(np.multiply(spec, q_plus, out=spec), inverse=True)
-    minus = values - plus
+def _split(spec: np.ndarray, q_plus, carrier, values=None) -> tuple:
+    """Envelopes (e^{-ic^2 t} Q_+ u, e^{+ic^2 t} Q_- u) of a field from its spectrum F[u]
+    and its complex values, which become them: one inverse FFT, in place.  Without values
+    (the ratio's denominator: F[Pu] alone) Q_+ F[u] is a new array and F[u] is inverted in
+    place for u, a second inverse.  With carrier None: (Q_+ u, Q_- u), for a caller that
+    reads only moduli."""
+    plus = np.multiply(spec, q_plus, out=None if values is None else spec)
+    minus = transform(spec, inverse=True) if values is None else values
+    minus -= transform(plus, inverse=True)
     if carrier is None:
         return plus, minus
     return np.multiply(plus, np.conj(carrier), out=plus), np.multiply(minus, carrier, out=minus)
@@ -173,10 +183,9 @@ class SplitPair:
     h: float
 
     def reconstruct(self) -> GridField:
-        g = self.u_plus.grid
+        g, plus, minus = self.u_plus.grid, self.u_plus.values, self.u_minus.values
         carrier = _carrier(g, self.h)
-        vals = carrier * self.u_plus.values + np.conj(carrier) * self.u_minus.values
-        return GridField(g, vals)
+        return GridField(g, carrier * plus + np.conj(carrier) * minus)
 
 
 def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
@@ -188,29 +197,28 @@ def split_energy(u: GridField, h: float, chi_profile=None) -> SplitPair:
     """
     _check_scale(h, "h")
     g = u.grid
-    plus, minus = _split(u.values, transform(u.values.copy()),
-                         _split_multiplier(g, h, chi_profile), _carrier(g, h))
+    plus, minus = _split(transform(u.values.astype(complex)), _split_multiplier(g, h, chi_profile),
+                         _carrier(g, h), u.values.astype(complex))
     return SplitPair(u_minus=GridField(g, minus), u_plus=GridField(g, plus), h=h)
 
 
 def _two_sheet_norms(grid: BoxGrid, h: float, orders_list, weights, chi_profile=None):
-    """The two-sheet norm at scale h for each order tuple and its weight
-    <z>^{s_bar}, as functions of a field's values and spectrum; Q_+, the carrier,
-    rho_df and rho_nf are shared.  A call overwrites the spectrum and takes three FFTs,
-    in place: the split's inverse and a Parseval forward per envelope.  At m = l = 0
-    the norm reads only |envelope|: it takes neither those forwards nor the carrier."""
+    """The two-sheet norm at scale h for each order tuple and its weight <z>^{s_bar}, as
+    functions of ``_split``'s arrays, which they overwrite; Q_+, the carrier and the bdfs
+    are shared.  A call takes three FFTs, in place: the split's inverse (two without
+    values) and a Parseval forward per envelope.  At m = l = 0 the norm reads only
+    |envelope|: it takes neither those forwards nor the carrier."""
     _check_scale(h, "h")
     q_plus, carrier = _split_multiplier(grid, h, chi_profile), _carrier(grid, h)
-    rho_df, rho_nf, _ = _grid_bdfs(grid, h)
+    mults = _bdf_multipliers(grid, h, [(o.m, o.ell) for o in orders_list])
 
-    def norm_for(orders, weight):
-        mult = None if orders.m == orders.ell == 0 else rho_df**-orders.m * rho_nf**-orders.ell
-        return lambda values, spec: sum(
+    def norm_for(orders, weight, mult):
+        return lambda spec, values=None: sum(
             h**-q * _fourier_norm(np.multiply(env, weight, out=env), mult, grid.dvol)
             for q, env in zip((orders.q_plus, orders.q_minus),
-                              _split(values, spec, q_plus, None if mult is None else carrier)))
+                              _split(spec, q_plus, None if mult is None else carrier, values)))
 
-    return [norm_for(o, w) for o, w in zip(orders_list, weights)]
+    return list(map(norm_for, orders_list, weights, mults))
 
 
 def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
@@ -223,7 +231,7 @@ def calctwo_norm(u: GridField, h: float, orders: OrderProfile,
     """
     g = u.grid
     norm, = _two_sheet_norms(g, h, [orders], [_weight_field(g, orders)], chi_profile)
-    return norm(u.values, transform(u.values.copy()))
+    return norm(transform(u.values.astype(complex)), u.values.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +244,12 @@ def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0):
     varied centers and velocities (|v| <= 2), plain and carried on both
     oscillation branches (3 * n_base members).
 
-    Carriers e^{+/- i c^2 t} are attached per-c by the experiment; this
-    returns (member_id, envelope_kind, base_values) with kind in
-    {"plain", "plus", "minus"}.
+    Carriers e^{+/- i c^2 t} are attached per-c by the experiment; this yields
+    (member_id, envelope_kind, base_values), kind in {"plain", "plus", "minus"},
+    each base drawn when it is reached: one is alive at a time.
     """
     rng = np.random.default_rng(seed)
-    mesh = _open_mesh(grid)
-    members = []
+    mesh = grid.mesh(sparse=True)
     for j in range(n_base):
         t0 = rng.uniform(-0.4, 0.4)
         x0 = [rng.uniform(-1.0, 1.0) for _ in mesh[1:]]
@@ -252,8 +259,7 @@ def gaussian_family(grid: BoxGrid, n_base: int = 4, seed: int = 0):
         factors = zip(mesh, [t0, *x0], [0.35] + [1.5] * len(v), [mu, *v])
         base = reduce(np.multiply, [np.exp(-((z - c) / w) ** 2 + 1j * k * z)
                                     for z, c, w, k in factors])
-        members += [(f"g{j}_{kind}", kind, base) for kind in ("plain", "plus", "minus")]
-    return members
+        yield from ((f"g{j}_{kind}", kind, base) for kind in ("plain", "plus", "minus"))
 
 
 @dataclass
@@ -291,8 +297,7 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
         raise InvalidInput(
             f"c^2 = {cs[-1] ** 2} too close to the time Nyquist frequency {nyq:.0f}")
     M = metric if metric is not None else MetricParams.free(grid.ndim - 1)
-    members = gaussian_family(grid, n_base=n_base, seed=seed)
-    t = _open_mesh(grid)[0]
+    t = grid.mesh(sparse=True)[0]
     both = (orders, orders.shifted(dm=-1.0, ds=+1.0, dl=-1.0))   # numerator, denominator
 
     def rows_at(c):
@@ -301,11 +306,11 @@ def uniform_ratio_experiment(c_list, orders: OrderProfile,
         carriers = {"plain": 1.0, "plus": carrier, "minus": np.conj(carrier)}
         P = ConjugatedOperator(M, c, grid, None)
         num_norm, den_norm = _two_sheet_norms(grid, 1.0 / c, both, weights)
-        for mid, kind, base in members:
-            vals = carriers[kind] * base
-            spec = transform(vals.copy())
-            den = den_norm(*P.apply_with_spectrum(vals, spec))
-            num = num_norm(vals, spec)
+        for mid, kind, base in gaussian_family(grid, n_base=n_base, seed=seed):
+            form_u = partial(np.multiply, carriers[kind], base)   # u, formed again, not kept
+            spec = transform(form_u())
+            den = den_norm(P.apply_to_spectrum(spec, form_u))
+            num = num_norm(spec, form_u())
             if not (math.isfinite(num) and math.isfinite(den)):
                 raise InvalidInput(f"member {mid}'s norms overflow at c = {c}: {num}, {den}")
             if den < 1.0e-12:

@@ -363,39 +363,32 @@ class ConjugatedOperator:
     -c^4 g^{00} - c^2 = -aleph_c (the finite-c asymptotic-mass coefficient).
 
     The free-metric part, with symbol (tau + sc^2)^2/c^2 - |xi|^2 - c^2 (s = 0
-    unconjugated), is one exact Fourier multiplier; the terms table (the metric's
-    remainder and the lower-order coefficients, a vanishing one left out) acts through
-    ``_apply_terms``.  Derivatives are spectral on the periodic spacetime grid, so
-    inputs must be interior-supported.
+    unconjugated), is one exact Fourier multiplier ``mult``, summed on the grid once at
+    construction; the terms table (the metric's remainder and the lower-order
+    coefficients, a vanishing one left out) acts through ``_apply_terms``.  Derivatives
+    are spectral on the periodic spacetime grid, so inputs must be interior-supported.
     """
 
     def __init__(self, M: MetricParams, c: float, grid: BoxGrid,
                  branch: SignBranch | None):
         _check_scale(c)
-        n = grid.ndim
         s = 0 if branch is None else branch.sign
-        k = self.k = np.ix_(*[grid.axis_freqs(i) for i in range(n)])
-        # (tau + sc^2)^2/c^2 - c^2 expanded, so a branch's c^2 terms cancel
-        # exactly; kept as time and space parts, summed on the grid per apply
-        self.mult_t = k[0] ** 2 / c**2 + 2 * s * k[0] + (s * s - 1) * c * c
-        self.mult_x = -sum(kj * kj for kj in k[1:])
-        self.terms = _operator_terms(     # open mesh: broadcast when used
-            M, c, np.ix_(*[grid.axis_points(i) for i in range(n)]), s)
+        k = self.k = grid.freq_mesh(sparse=True)
+        # (tau + sc^2)^2/c^2 - c^2 expanded, so a branch's c^2 terms cancel exactly
+        self.mult = (k[0] ** 2 / c**2 + 2 * s * k[0] + (s * s - 1) * c * c
+                     - sum(kj * kj for kj in k[1:]))
+        self.terms = _operator_terms(M, c, grid.mesh(sparse=True), s)   # broadcast when used
 
     def apply(self, u: np.ndarray, spec=None) -> np.ndarray:
         """P u; ``spec`` is F[u] when the caller has it, and is only read."""
         spec = transform(np.array(u, dtype=complex)) if spec is None else spec
-        out = transform((self.mult_t + self.mult_x) * spec, inverse=True)
-        return _apply_terms(self.terms, self.k, spec, u, out)
+        return _apply_terms(self.terms, self.k, spec, u, transform(self.mult * spec, inverse=True))
 
-    def apply_with_spectrum(self, u: np.ndarray, spec: np.ndarray) -> tuple:
-        """(P u, F[P u]) from u and its spectrum, which is only read; with no
-        coefficient term P is its multiplier, so F[Pu] takes no transform."""
-        if self.terms:
-            out = self.apply(u, spec)
-            return out, transform(out.copy())
-        pspec = (self.mult_t + self.mult_x) * spec
-        return transform(pspec.copy(), inverse=True), pspec
+    def apply_to_spectrum(self, spec: np.ndarray, form_u) -> np.ndarray:
+        """F[P u], a new array, from F[u], which is only read, and ``form_u()``, which
+        returns u and is called only where P has a coefficient term; with none P is its
+        multiplier p, and F[Pu] = p F[u] takes no transform."""
+        return transform(self.apply(form_u(), spec)) if self.terms else self.mult * spec
 
 
 def kg_envelope_solve(psi0, branch: SignBranch, M: MetricParams, c: float,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -62,8 +63,10 @@ def transform(a, axes=None, inverse=False) -> np.ndarray:
     transformed one axis pass at a time, last axis first as numpy does, each
     pass cut along its longest other axis into up to CORES slabs of at least
     SLAB_POINTS points; the caller runs one and the pool the rest (numpy's
-    FFT releases the GIL, and every 1-D line is transformed on its own).  Any
-    other array takes one numpy call.
+    FFT releases the GIL, and every 1-D line is transformed on its own), each
+    slab in a copy of the caller's context: numpy's error state (``np.errstate``)
+    is per thread, and the caller's holds in the pool too.  Any other array
+    takes one numpy call.
     """
     a = np.asarray(a, dtype=complex)
     axes = list(range(a.ndim) if axes is None else axes)
@@ -78,7 +81,8 @@ def transform(a, axes=None, inverse=False) -> np.ndarray:
         n, m = a.shape[along], min(k, a.shape[along])
         slabs = [a[(slice(None),) * along + (slice(n * j // m, n * (j + 1) // m),)]
                  for j in range(m)]
-        futures = [_pool(os.getpid()).submit(fn, s, axis=axis, out=s) for s in slabs[1:]]
+        futures = [_pool(os.getpid()).submit(copy_context().run, fn, s, axis=axis, out=s)
+                   for s in slabs[1:]]
         try:
             fn(slabs[0], axis=axis, out=slabs[0])
         finally:   # every slab is done before the pass returns or raises
@@ -144,13 +148,11 @@ class BoxGrid:
         L, n = self.sides[i], self.ns[i]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
 
-    def mesh(self) -> list:
-        return np.meshgrid(*[self.axis_points(i) for i in range(self.ndim)],
-                           indexing="ij")
+    def mesh(self, sparse=False) -> list:
+        return np.meshgrid(*map(self.axis_points, range(self.ndim)), indexing="ij", sparse=sparse)
 
-    def freq_mesh(self) -> list:
-        return np.meshgrid(*[self.axis_freqs(i) for i in range(self.ndim)],
-                           indexing="ij")
+    def freq_mesh(self, sparse=False) -> list:
+        return np.meshgrid(*map(self.axis_freqs, range(self.ndim)), indexing="ij", sparse=sparse)
 
 
 def frequency_grid(zgrid: BoxGrid) -> BoxGrid:

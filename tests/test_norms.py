@@ -1,6 +1,7 @@
 """Weighted norms, energy splitting, and the uniform-ratio experiment."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -10,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import count_transforms
+from test_pde import _callers
+from nrlab.geometry import frequency_bdfs
 from nrlab.errors import DegenerateFamily, InvalidInput
 from nrlab.quantize import BoxGrid, GridField
 from nrlab.pde import ConjugatedOperator, kg_envelope_solve
 from nrlab.symbols import MetricParams, SignBranch
 from nrlab.norms import (
     OrderProfile,
+    _bdf_multipliers,
     _carrier,
     _fourier_norm,
     _split,
@@ -101,8 +105,8 @@ def test_unit_multiplier_norm_is_not_demodulated(stg, bump):
     h = 0.25
     u = bump * np.exp(1j * stg.mesh()[0] / h**2 + 0.7j * stg.mesh()[1])
     q_plus, carrier = _split_multiplier(stg, h), _carrier(stg, h)
-    plus, minus = _split(u, np.fft.fftn(u), q_plus, None)
-    env_plus, env_minus = _split(u, np.fft.fftn(u), q_plus, carrier)
+    plus, minus = _split(np.fft.fftn(u), q_plus, None, u.copy())   # both arrays become
+    env_plus, env_minus = _split(np.fft.fftn(u), q_plus, carrier, u.copy())   # the pieces
     assert np.array_equal(env_plus, plus * np.conj(carrier))
     assert np.array_equal(env_minus, minus * carrier)
     orders = OrderProfile(0.0, 0.0, 0.5, -0.5, 0.0, -1.0)
@@ -486,3 +490,55 @@ class TestRatioPipeline:
         assert [row[:2] for row in tab.rows] == [row[:2] for row in want]
         np.testing.assert_allclose([row[2:] for row in tab.rows],
                                    [row[2:] for row in want], rtol=1e-13, atol=0.0)
+
+    def _peak(self, n_base):
+        """tracemalloc peak of a warm experiment at c = 4 and 8, in complex grid arrays."""
+        run = lambda: uniform_ratio_experiment([4.0, 8.0], fwd_profile(m=1.0, ell=1.0),
+                                               grid=self.grid, n_base=n_base)
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (self.grid.ns[0] * self.grid.ns[1] * 16)
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_peak(self):
+        # measured 7.77: the base, the two weights, P's multiplier, Q_+ and the numerator's
+        # multiplier (3.5), a member's three live buffers and, on this small grid, one
+        # ufunc cast buffer (8192 points) for a real weight times a complex envelope; the
+        # five buffers held per member before read 9.25 here
+        assert self._peak(1) <= 7.9
+
+    def test_one_member_base_alive_at_a_time(self):
+        # each base is drawn when reached, so n_base does not move the peak (by a base, 1.0)
+        assert abs(self._peak(3) - self._peak(1)) <= 0.1
+
+
+def test_one_home_for_the_frequency_tables():
+    # the bdfs on the DFT grid are the folded tables' alone, so that no full-grid
+    # evaluation comes back beside them
+    assert _callers("frequency_bdfs") == {("geometry.py", "bdf_values"),
+                                          ("norms.py", "_bdf_multipliers")}
+
+
+@given(data=st.data(), d=st.integers(1, 3), h=st.floats(1e-3, 1.0, exclude_max=True),
+       m=st.sampled_from([0.0, 1.0, -1.0, 2.5]), ell=st.sampled_from([0.0, 1.0, -2.0, 0.5]),
+       chi=st.sampled_from([None, steep_chi]))
+@settings(max_examples=80, deadline=None)
+def test_folded_tables_are_the_full_grid_evaluation(data, d, h, m, ell, chi):
+    # bit for bit: the bdf multiplier and Q_+ evaluated on the folded bins and gathered
+    # against frequency_bdfs and chi evaluated on the whole grid
+    ns = data.draw(st.lists(st.sampled_from([1, 2, 8, 64]), min_size=d + 1, max_size=d + 1)
+                   .filter(lambda ns: math.prod(ns) <= 1 << 15))
+    sides = data.draw(st.lists(st.floats(0.5, 40.0), min_size=d + 1, max_size=d + 1))
+    grid = BoxGrid(tuple(sides), tuple(ns))
+    tau, *xs = np.meshgrid(*map(grid.axis_freqs, range(grid.ndim)), indexing="ij", sparse=True)
+    rho_df, rho_nf, _ = frequency_bdfs(h**2 * tau, [h * x for x in xs], h)
+    mult, = _bdf_multipliers(grid, h, [(m, ell)])
+    if m == ell == 0:
+        assert mult is None
+    else:
+        assert np.array_equal(mult, np.broadcast_to(rho_df**-m * rho_nf**-ell, grid.ns))
+    q_plus = (chi or default_chi)(h**2 * tau / np.sqrt(1.0 + h**2 * sum(x * x for x in xs)))
+    assert np.array_equal(_split_multiplier(grid, h, chi), np.broadcast_to(q_plus, grid.ns))

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,22 @@ class TestTransform:
         monkeypatch.setattr(np.fft, "fft", failing)
         with pytest.raises(FloatingPointError, match="slab failed"):
             transform(_complex_array((512, 512)))
+
+    @pytest.mark.parametrize("shape", [(512, 512), (64, 64)], ids=["pooled", "unpooled"])
+    def test_caller_error_state_holds_in_every_slab(self, shape, monkeypatch):
+        # numpy's error state is per thread; an inf in row -3, which a pooled pass over
+        # the last axis hands to a worker, neither warns under "ignore" nor gets past
+        # "raise", as in the caller's own thread
+        monkeypatch.setattr(quantize, "CORES", 2)
+        a = _complex_array(shape)
+        a[-3, 3] = np.inf
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            transform(a.copy(), axes=[1])
+            transform(a.copy())
+        for axes in ([1], None):
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                transform(a.copy(), axes=axes)
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         # more calling threads than cores, each splitting its passes onto one pool
