@@ -41,7 +41,8 @@ from .geometry import (
     split_coords,
 )
 from .symbols import (MetricParams, RadialPoint, SignBranch, _free_velocity, _future_direction,
-                      _natural_field, _sheet_tau_nat, _sign, _symbol_value, ball_from_base)
+                      _natural_field, _rowdot, _sheet_tau_nat, _sign, _symbol_value,
+                      ball_from_base)
 # kept by name: perfbench's tracer test rebinds it
 from .symbols import natural_symbol_value  # noqa: F401
 
@@ -226,7 +227,7 @@ def _natural_flow(M, y, h, bsign, sign) -> np.ndarray:
     n = y.shape[-1] // 2
     Y = y[..., :n]
     V, drift = _natural_field(M, Y, y[..., n:], h, bsign)
-    Ydot = V - Y * np.sum(Y * V, axis=-1, keepdims=True)
+    Ydot = V - Y * _rowdot(Y, V)[..., None]
     return np.asarray(sign)[..., None] * np.concatenate((Ydot, drift), axis=-1)
 
 
@@ -283,9 +284,8 @@ def _event_values(y, h, bsign, parabolic, delta) -> np.ndarray:
     n = y.shape[-1] // 2
     Y, zeta = y[..., :n], y[..., n:]
     om = _future_direction(zeta, h, bsign, parabolic)
-    return np.stack((np.linalg.norm(Y - om, axis=-1) - delta,
-                     np.linalg.norm(Y + om, axis=-1) - delta,
-                     ZETA_MAX - np.linalg.norm(zeta, axis=-1)), axis=-1)
+    fut, past, size = (np.sqrt(_rowdot(u, u)) for u in (Y - om, Y + om, zeta))   # linalg.norm
+    return np.stack((fut - delta, past - delta, ZETA_MAX - size), axis=-1)
 
 
 # termination by code: an event's index, or 3 when the budget ran out
@@ -410,11 +410,8 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     start and every accepted step, code, (rhs evaluations, steps, rejected
     steps)) per row.
     """
-    def fun(rows, y):
-        return _natural_flow(M, y, h[rows], bsign[rows], sign[rows])
-
     N = y0.shape[0]
-    t, y, f = np.zeros(N), y0.copy(), fun(slice(None), y0)
+    t, y, f = np.zeros(N), y0.copy(), _natural_flow(M, y0, h, bsign, sign)
     stats = np.zeros((N, 3), dtype=int) + [1, 0, 0]
     code = np.where(g[:, 0] <= g[:, 1], 0, 1)
     history = [(np.arange(N), t.copy(), y0)]
@@ -423,7 +420,8 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
     scale = ATOL + np.abs(y0[live]) * rtol
     d0, d1 = _rms(y0[live] / scale), _rms(f[live] / scale)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), budget)
-    d2 = _rms((fun(live, y0[live] + h0[:, None] * f[live]) - f[live]) / scale) / h0
+    d2 = _rms((_natural_flow(M, y0[live] + h0[:, None] * f[live], h[live], bsign[live],
+                             sign[live]) - f[live]) / scale) / h0
     stats[live, 0] += 1
     h_abs = np.zeros(N)
     h_abs[live] = np.minimum(np.minimum(100.0 * h0, budget), np.where(
@@ -437,14 +435,14 @@ def _dopri_flows(M, y0, h, bsign, sign, g, budget, rtol, delta):
             raise StepFailure("required step size is less than spacing between numbers")
         t_new = np.minimum(tl + np.where(again, h_abs[live], np.maximum(h_abs[live], min_step)),
                            budget)
-        step = (t_new - tl)[:, None]
-        K = np.empty((7,) + yl.shape)
-        K[0] = f[live]
+        step, fields = (t_new - tl)[:, None], (h[live], bsign[live], sign[live])
+        K = np.empty((7,) + yl.shape)      # stage sums: tensordot's BLAS product, bit for bit
+        K[0], Kf = f[live], K.reshape(7, -1)
         for s in range(1, 6):
-            K[s] = fun(live, yl + step * np.tensordot(DP_A[s, :s], K[:s], 1))
-        y_new = yl + step * np.tensordot(DP_B, K[:6], 1)
-        K[6] = fun(live, y_new)
-        err = _rms(np.tensordot(DP_E, K, 1) * step
+            K[s] = _natural_flow(M, yl + step * (DP_A[s, :s] @ Kf[:s]).reshape(yl.shape), *fields)
+        y_new = yl + step * (DP_B @ Kf[:6]).reshape(yl.shape)
+        K[6] = _natural_flow(M, y_new, *fields)
+        err = _rms((DP_E @ Kf).reshape(yl.shape) * step
                    / (ATOL + np.maximum(np.abs(yl), np.abs(y_new)) * rtol))
         with np.errstate(divide="ignore"):
             factor = SAFETY * err ** -0.2

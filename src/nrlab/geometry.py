@@ -67,6 +67,10 @@ def _batch(h, scalars, vectors):
     last axis), one point's scalars as float64; InvalidInput unless finite with h >= 0."""
     s = [np.asarray(a, dtype=float) for a in (h, *scalars)]
     v = [np.array(a, dtype=float, ndmin=1, copy=None) for a in vectors]
+    if all(a.ndim == 0 for a in s) and all(a.ndim == 1 for a in v):    # one point, in Python
+        vals = [*map(float, s), *(x for a in v for x in a.tolist())]
+        if all(map(math.isfinite, vals)) and vals[0] >= 0.0:
+            return [a[()] for a in s] + v
     try:
         batch = np.broadcast(*s, *(np.empty(a.shape[:-1]) for a in v)).shape
     except ValueError:

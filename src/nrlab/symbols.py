@@ -206,8 +206,8 @@ class MetricParams:
         for Bj in self.B:
             if not Bj.imag.is_zero and not Bj.imag_c_decay:
                 raise InvalidInput("Im B must vanish in the c -> infinity limit")
-        # eval_metric's table of P's nonzero entries: their slots (a, b), (amplitude, order,
-        # constant), and waves (kappa, cos, sin) by wave slot, padded with zeros
+        # eval_metric's table of P's nonzero entries: flat slots (a, b), (b, a) in P and DP,
+        # (amplitude, order, constant, -order/2), and waves (kappa, cos, sin) by slot, 0-padded
         entries = [(0, 0, self.alpha), *((0, j + 1, p) for j, p in enumerate(self.w)),
                    *((j + 1, k + 1, row[k]) for j, row in enumerate(self.hjk)
                      for k in range(j, self.d))]
@@ -217,10 +217,11 @@ class MetricParams:
         for k, (*_, p) in enumerate(entries):
             for slot, (kappa, c, s) in enumerate(p.waves):
                 waves[slot, k] = *kappa, c, s
-        object.__setattr__(self, "_table", (
-            np.reshape([(a, b) for a, b, _ in entries], (-1, 2)).T.astype(int),
-            np.reshape([(p.amplitude, p.order, p.constant) for *_, p in entries], (-1, 3)).T,
-            waves))
+        n = self.d + 1
+        ab = np.reshape([(a * n + b, b * n + a) for a, b, _ in entries], (-1, 2)).T.astype(int)
+        pf = np.reshape([(p.amplitude, p.order, p.constant) for *_, p in entries], (-1, 3)).T
+        object.__setattr__(self, "_table", ((ab, (ab[..., None] + n * n * np.arange(n)).reshape(
+            2, -1)), (*pf, -pf[1] / 2.0), waves))
 
     @classmethod
     def free(cls, d: int = 1) -> "MetricParams":
@@ -229,7 +230,7 @@ class MetricParams:
     @property
     def is_flat(self) -> bool:
         """True when the second-order (metric) part is exactly Minkowski."""
-        return self._table[1].size == 0
+        return self._table[1][0].size == 0
 
 
 class MetricValues(NamedTuple):
@@ -249,6 +250,13 @@ class MetricValues(NamedTuple):
 
 
 _ADJ2 = np.array([[1.0, -1.0], [-1.0, 1.0]])    # adj(g) = g[::-1, ::-1] * _ADJ2 when n = 2
+_ETA = [np.diag(np.append(-1.0, np.ones(d))) for d in range(4)]    # Minkowski eta, by d
+
+
+def _rowdot(u, v):
+    """(u * v).sum(axis=-1) over a last axis as short as 1 + d, in fewer numpy calls: added left
+    to right, as numpy adds so short an axis, bit for bit but for the sign of a zero sum."""
+    return sum((u[..., i] * v[..., i] for i in range(1, u.shape[-1])), u[..., 0] * v[..., 0])
 
 
 def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricValues:
@@ -274,29 +282,27 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
     n = M.d + 1
     if Y.shape[-1:] != (n,):
         raise InvalidInput(f"a metric of d = {M.d} takes points of {n} coordinates, not {Y.shape}")
-    (a, b), (amp, order, const), waves = M._table
-    P = np.zeros(Y.shape[:-1] + (n, n))
-    DP = np.zeros(Y.shape[:-1] + (n, n, n)) if grad else None    # (..., l, a, b)
+    (slots, dslots), (amp, order, const, expo), waves = M._table
+    batch = Y.shape[:-1]
+    P = np.zeros(batch + (n, n))
+    DP = np.zeros(batch + (n, n, n)) if grad else None    # (..., l, a, b)
     if not M.is_flat:
-        rho2 = 1.0 - (Y * Y).sum(axis=-1) if rho2 is None else rho2
+        rho2 = 1.0 - _rowdot(Y, Y) if rho2 is None else rho2
         Yk, kappa, c, s = Y[..., None, :], waves[..., :n], waves[..., n], waves[..., n + 1]
-        phase = (Yk[..., None, :, :] * kappa).sum(axis=-1)    # (..., slot, k), per point
+        phase = _rowdot(Yk[..., None, :, :], kappa)    # (..., slot, k), per point
         cos, sin = np.cos(phase), np.sin(phase)
-        ang, gy = const, np.zeros(Y.shape[:-1] + kappa.shape[1:])
+        ang, gy = const, np.zeros(batch + kappa.shape[1:])
         for w in range(len(waves)):     # slot by slot: each profile sums its waves in order
             ang = ang + c[w] * cos[..., w, :] + s[w] * sin[..., w, :]
             if grad:
                 gy = gy + (-c[w] * sin[..., w, :] + s[w] * cos[..., w, :])[..., None] * kappa[w]
-        wgt = amp * np.maximum(rho2, 0.0)[..., None] ** (-order / 2.0)
-        P[..., a, b] = P[..., b, a] = wgt * ang
+        wgt = amp * np.maximum(rho2, 0.0)[..., None] ** expo
+        P.reshape(batch + (n * n,))[..., slots] = (wgt * ang)[..., None, :]    # flat views
         if grad:
-            proj = gy - (gy * Yk).sum(axis=-1)[..., None] * Yk
-            DP[..., :, a, b] = DP[..., :, b, a] = np.swapaxes(
-                wgt[..., None] * (order[:, None] * Yk * ang[..., None] + proj), -1, -2)
-    h2 = (h * h)[..., None, None]
-    eta = np.eye(n)
-    eta[0, 0] = -1.0
-    g = eta + h2 * P
+            proj = gy - _rowdot(gy, Yk)[..., None] * Yk
+            DP.reshape(batch + (n ** 3,))[..., dslots] = np.reshape(wgt[..., None] * (
+                order[:, None] * Yk * ang[..., None] + proj), batch + dslots[:1].shape)
+    g = _ETA[M.d] + (h * h)[..., None, None] * P
     if M.is_flat:
         return MetricValues(g, g, DP)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2 if n == 2 else np.linalg.det(g)
@@ -438,7 +444,7 @@ def _future_direction(zeta, h, bsign, parabolic=False) -> np.ndarray:
     the past one is its negative.  On the sheet it is the radial direction,
     and slightly off-sheet states still end where they converge."""
     V = np.asarray(bsign)[..., None] * _free_velocity(zeta, h, bsign, parabolic)
-    norm = np.linalg.norm(V, axis=-1, keepdims=True)
+    norm = np.sqrt(_rowdot(V, V))[..., None]     # np.linalg.norm, bit for bit
     pole = np.zeros_like(V)
     pole[..., 0] = 1.0
     return np.where(norm > 0.0, V / np.where(norm > 0.0, norm, 1.0), pole)

@@ -382,6 +382,34 @@ class TestDormandPrince:
             assert ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes()          # bit for bit
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 64, 257])
+    def test_stage_sums_are_tensordot_bit_for_bit(self, rows):
+        # _dopri_flows sums its stages as coeffs @ K.reshape(7, -1)[:s], tensordot's BLAS
+        # product without its wrapper; its trajectories equal the tensordot integrator's
+        # bit for bit only because these products do, at every stage count
+        rng = np.random.default_rng(rows)
+        for width in (4, 6, 8):                             # 2(1 + d), d = 1..3
+            K = rng.standard_normal((7, rows, width)) * 10.0 ** rng.integers(-8, 9, (7, rows, width))
+            for coeffs in [DP_A[s, :s] for s in range(1, 6)] + [DP_B, DP_E]:
+                s = len(coeffs)
+                assert np.array_equal((coeffs @ K.reshape(7, -1)[:s]).reshape(K.shape[1:]),
+                                      np.tensordot(coeffs, K[:s], 1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_metric_evaluation_per_rhs_evaluation(self, d, monkeypatch):
+        # every right-hand-side evaluation of a row is one row of one eval_metric call; the
+        # only other call is the residuals' over all kept points
+        M = MetricParams(d=d, alpha=ClassicalSymbolProfile(
+            amplitude=0.2, waves=((tuple(np.linspace(0.7, -0.4, d + 1)), 0.4, 0.2),)),
+            w=tuple(ClassicalSymbolProfile(amplitude=0.1) for _ in range(d)))
+        cases = [(flow._as_start(start, b), direction, b)
+                 for start, direction, b in _mixed_cases(M, np.random.default_rng(d), 8)]
+        calls = count_metric_evaluations(monkeypatch)
+        trs = integrate_flows(cases, M)
+        assert sum(tr.rhs_evals for tr in trs) > 0
+        assert sum(math.prod(shape) for shape in calls[:-1]) == sum(tr.rhs_evals for tr in trs)
+        assert calls[-1] == (sum(tr.times.size for tr in trs),)
+
     @given(data=st.data(), n=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_bracket_roots_match_brentq(self, data, n):
