@@ -13,13 +13,15 @@ and differentiate exactly, which is what makes the polynomial star-product
 identities hold at round-off level.  Test objects are kept within a quarter
 of the box so periodization error is part of the measured residuals.
 
-Transforms: every grid FFT of the package is a ``transform`` call, in place.
-A spectral derivative is one forward (its power feeds the decay preflight,
-then it takes the ik factor in place) and one inverse.  The partial sums
+Transforms: every grid FFT of the package is a ``transform`` call (complex,
+in place) or a ``half_transform`` call (one axis of real data, bins 0..n/2).
+A spectral derivative is one forward half-spectrum pass (its power feeds the
+decay preflight, then it takes the ik factor in place) and one inverse; a
+complex symbol goes as its real and imaginary parts.  The partial sums
 S_0..S_N of the star product take each d^alpha once, so sampled factors cost
-4 (C(N + D, D) - 1) transforms (12 for N = 3, D = 1); polynomial factors are
-sampled only if read.  ``op_apply`` takes one: with z_m = -L/2 + m L/n and
-zeta_k = 2 pi k / L the plane wave is the exact twiddle e^{2 pi i k m / n}.
+4 (C(N + D, D) - 1) half-spectrum transforms (12 for N = 3, D = 1); polynomial
+factors are sampled only if read.  ``op_apply`` takes one: with z_m = -L/2 +
+m L/n and zeta_k = 2 pi k / L the plane wave is the exact twiddle e^{2 pi i k m / n}.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 from collections import deque
 from contextvars import copy_context
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from operator import add
 
@@ -59,37 +61,52 @@ def transform(a, axes=None, inverse=False) -> np.ndarray:
     (default all), bit for bit numpy's fftn/ifftn, returned in ``a`` itself
     when it is a complex array (anything else is first copied to one).
 
-    An array of two or more axes and at least 2 SLAB_POINTS points is
-    transformed one axis pass at a time, last axis first as numpy does, each
-    pass cut along its longest other axis into up to CORES slabs of at least
-    SLAB_POINTS points; the caller runs one and the pool the rest (numpy's
-    FFT releases the GIL, and every 1-D line is transformed on its own), each
-    slab in a copy of the caller's context: numpy's error state (``np.errstate``)
-    is per thread, and the caller's holds in the pool too.  Any other array
-    takes one numpy call.
+    An array of two or more axes and at least 2 SLAB_POINTS points goes one
+    axis pass at a time, last axis first as numpy goes, each pass cut along its
+    longest other axis into up to CORES slabs of at least SLAB_POINTS points;
+    the caller runs one and the pool the rest (numpy's FFT releases the GIL and
+    transforms each 1-D line on its own), each in a copy of the caller's
+    context, so that the caller's ``np.errstate`` (per thread) holds in the
+    pool too.
     """
     a = np.asarray(a, dtype=complex)
     axes = list(range(a.ndim) if axes is None else axes)
-    k = min(CORES, a.size // SLAB_POINTS)
-    if a.ndim < 2 or k < 2:
+    if a.ndim < 2 or min(CORES, a.size // SLAB_POINTS) < 2:   # one numpy call
         if len(axes) == 1:
             return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axes[0], out=a)
         return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, out=a)
-    fn = np.fft.ifft if inverse else np.fft.fft
     for axis in reversed(axes):
-        along = max((i for i in range(a.ndim) if i != axis), key=a.shape.__getitem__)
-        n, m = a.shape[along], min(k, a.shape[along])
-        slabs = [a[(slice(None),) * along + (slice(n * j // m, n * (j + 1) // m),)]
-                 for j in range(m)]
-        futures = [_pool(os.getpid()).submit(copy_context().run, fn, s, axis=axis, out=s)
-                   for s in slabs[1:]]
-        try:
-            fn(slabs[0], axis=axis, out=slabs[0])
-        finally:   # every slab is done before the pass returns or raises
-            errors = [f.exception() for f in futures]
-        for err in filter(None, errors):
-            raise err
+        _pass(np.fft.ifft if inverse else np.fft.fft, a, a, axis)
     return a
+
+
+def half_transform(a, axis: int, n: int, inverse=False) -> np.ndarray:
+    """numpy's rfft along ``axis`` of the real ``a`` (n points): bins 0..n/2 in a new
+    array (``inverse``: their irfft), split as ``transform`` splits, by the real points."""
+    a = np.asarray(a, dtype=complex if inverse else float)
+    shape = a.shape[:axis] + (n if inverse else n // 2 + 1,) + a.shape[axis + 1:]
+    out = np.empty(shape, dtype=float if inverse else complex)
+    return _pass(partial(np.fft.irfft, n=n) if inverse else np.fft.rfft, a, out, axis)
+
+
+def _pass(fn, a, out, axis) -> np.ndarray:
+    """out = fn(a, axis=axis, out=out): one numpy call, or slabs as ``transform`` splits."""
+    k = min(CORES, max(a.size, out.size) // SLAB_POINTS)
+    if a.ndim < 2 or k < 2:
+        return fn(a, axis=axis, out=out)
+    along = max((i for i in range(a.ndim) if i != axis), key=a.shape.__getitem__)
+    n, m = a.shape[along], min(k, a.shape[along])
+    slabs = [[x[(slice(None),) * along + (slice(n * j // m, n * (j + 1) // m),)] for x in (a, out)]
+             for j in range(m)]
+    futures = [_pool(os.getpid()).submit(copy_context().run, fn, s, axis=axis, out=o)
+               for s, o in slabs[1:]]
+    try:
+        fn(slabs[0][0], axis=axis, out=slabs[0][1])
+    finally:   # every slab is done before the pass returns or raises
+        errors = [f.exception() for f in futures]
+    for err in filter(None, errors):
+        raise err
+    return out
 
 
 @cache
@@ -206,23 +223,22 @@ def _monomial(xs, exps, start):
 
 def _spectral_derivative(values: np.ndarray, axis: int, spacing: float,
                          name: str) -> np.ndarray:
-    """d/dx along ``axis``: one forward pass, the spectral-decay preflight on
-    its power, ik multiplied in place, one inverse pass, also in place."""
-    n = values.shape[axis]
-    spec = transform(values.copy(), axes=(axis,))
-    power = np.abs(spec) ** 2
+    """d/dx along ``axis`` of real samples: a forward half-spectrum pass, the
+    spectral-decay preflight on its power (bins 1..n/2-1 twice: the two-sided
+    sum), ik in place with the Nyquist wavenumber 0, an inverse pass.  Complex
+    samples go as their real and imaginary parts, stacked on a new axis."""
+    if np.iscomplexobj(values):
+        d = _spectral_derivative(np.stack((values.real, values.imag)), axis + 1, spacing, name)
+        return d[0] + 1j * d[1]
+    n, others = values.shape[axis], tuple(i for i in range(values.ndim) if i != axis)
+    spec = half_transform(values, axis, n)
+    k = np.arange(n // 2 + 1)
+    power = np.sum(np.abs(spec) ** 2, axis=others) * np.where((k > 0) & (2 * k < n), 2.0, 1.0)
     total = power.sum()
-    top = [slice(None)] * values.ndim
-    top[axis] = np.abs(np.fft.fftfreq(n)) > 1.0 / 3.0
-    smooth = total == 0.0 or power[tuple(top)].sum() < SMOOTHNESS_TOP_THIRD * total
-    del power
-    if not smooth:
-        raise SpectrumOverflow(
-            f"symbol not smooth enough along {name} for a spectral derivative")
-    shape = [1] * values.ndim
-    shape[axis] = n
-    spec *= 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=spacing)).reshape(shape)
-    return transform(spec, axes=(axis,), inverse=True)
+    if not (total == 0.0 or power[3 * k > n].sum() < SMOOTHNESS_TOP_THIRD * total):
+        raise SpectrumOverflow(f"symbol not smooth enough along {name} for a spectral derivative")
+    spec *= np.expand_dims(2j * np.pi * np.fft.rfftfreq(n, d=spacing) * (2 * k < n), others)
+    return half_transform(spec, axis, n, inverse=True)
 
 
 class GridSymbol:
@@ -231,14 +247,16 @@ class GridSymbol:
     ``poly``, when present, is an exact monomial representation
     {(alpha_z, alpha_zeta): coeff} that evaluation and differentiation use
     instead of the samples; a poly symbol given no values is sampled on the
-    first read of ``values``.  Sampled (non-polynomial) symbols must pass a
-    spectral-decay preflight before spectral differentiation.
+    first read of ``values``.  Real samples stay float64 (as do their sums,
+    products and real multiples), any others are complex.  Sampled
+    (non-polynomial) symbols must pass a spectral-decay preflight before
+    spectral differentiation.
     """
 
     def __init__(self, zgrid: BoxGrid, zetagrid: BoxGrid, values=None, poly: dict | None = None):
         self.zgrid, self.zetagrid, self.poly = zgrid, zetagrid, poly
         if values is not None or poly is None:
-            self.values = np.asarray(values, dtype=complex)
+            self.values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
             if self.values.shape != zgrid.shape + zetagrid.shape:
                 raise GridMismatch("symbol values do not match zgrid x zetagrid")
 
@@ -254,8 +272,7 @@ class GridSymbol:
         fm = [m_[(Ellipsis,) + (None,) * zetagrid.ndim] for m_ in zm]
         qm = zetagrid.mesh()
         qm = [m_[(None,) * zgrid.ndim + (Ellipsis,)] for m_ in qm]
-        vals = np.broadcast_to(np.asarray(f(*fm, *qm), dtype=complex),
-                               zgrid.shape + zetagrid.shape).copy()
+        vals = np.broadcast_to(f(*fm, *qm), zgrid.shape + zetagrid.shape).copy()
         return cls(zgrid, zetagrid, vals)
 
     @classmethod
@@ -265,8 +282,7 @@ class GridSymbol:
     @classmethod
     def constant(cls, zgrid, zetagrid, value=1.0):
         D = zgrid.ndim
-        return cls.from_poly(zgrid, zetagrid,
-                             {((0,) * D, (0,) * D): complex(value)})
+        return cls.from_poly(zgrid, zetagrid, {((0,) * D, (0,) * D): complex(value)})
 
     @classmethod
     def coordinate(cls, zgrid, zetagrid, kind: str, axis: int):
@@ -413,7 +429,7 @@ def op_apply(a: GridSymbol, u: GridField) -> GridField:
     for first in range(0, len(modes[0]), block):
         blk = slice(first, first + block)
         if a.poly is None:
-            amp = a.values[(Ellipsis, *(j[blk] for j in idx))]
+            amp = a.values[(Ellipsis, *(j[blk] for j in idx))].astype(complex, copy=False)
         else:
             amp = np.zeros(u.grid.shape + (len(modes[0][blk]),), dtype=complex)
             for zp, aq in zparts:
@@ -439,9 +455,10 @@ def star_partial_sums(a: GridSymbol, b: GridSymbol, N: int):
     S_0 is the pointwise product; each further term gains one order at the
     frequency, base, and natural faces.  Poly factors give exact poly sums.
     Each d^alpha is one derivative of d^(alpha - e_i) (i its last axis),
-    kept for one degree: sampled factors cost 4 (C(N + D, D) - 1)
-    transforms for all N + 1 sums, poly factors none.  A generator: a
-    caller that drops each sum holds one at a time.
+    kept for one degree: sampled factors cost 4 (C(N + D, D) - 1) one-axis
+    half-spectrum transforms for all N + 1 sums (real factors keep S_0 and
+    every derivative real), poly factors none.  A generator: a caller that
+    drops each sum holds one at a time.
     """
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise InvalidInput(f"star product order must be an integer >= 0, got {N!r}")

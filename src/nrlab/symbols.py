@@ -434,6 +434,8 @@ def _free_velocity(zeta, h, bsign, parabolic=False) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     V = -zeta
     V[..., 0] = np.where(parabolic, bsign, h * (zeta[..., 0] + bsign))
+    if not np.any(parabolic):   # V * 1.0 is V, bit for bit
+        return V
     nu = (1.0 + zeta[..., 0] ** 2 + np.sum(zeta[..., 1:] ** 4, axis=-1)) ** -0.25
     return V * np.where(parabolic, nu, 1.0)[..., None]
 

@@ -85,10 +85,11 @@ def _rebind(monkeypatch, name, real, fake):
             monkeypatch.setattr(module, name, fake)
 
 
-def count_calls(monkeypatch, real, record=lambda *args, **kwargs: args):
+def count_calls(monkeypatch, real, record=lambda *args, **kwargs: args, calls=None):
     """Record record(*args, **kwargs) of every call to the function real made
-    from here on by any nrlab module that holds it under its own name."""
-    calls = []
+    from here on by any nrlab module that holds it under its own name, in
+    ``calls`` when given (so that two functions share one record)."""
+    calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         calls.append(record(*args, **kwargs))
@@ -99,10 +100,13 @@ def count_calls(monkeypatch, real, record=lambda *args, **kwargs: args):
 
 
 def count_transforms(monkeypatch):
-    """Record (axes, inverse) of every call to the grid transform entry point,
-    quantize.transform."""
-    return count_calls(monkeypatch, quantize.transform,
-                       lambda a, axes=None, inverse=False: (axes, inverse))
+    """Record (entry, axes, inverse) of every call to a grid transform entry
+    point: ("full", axes, inverse) for quantize.transform and ("half", axis,
+    inverse) for quantize.half_transform."""
+    calls = count_calls(monkeypatch, quantize.transform,
+                        lambda a, axes=None, inverse=False: ("full", axes, inverse))
+    return count_calls(monkeypatch, quantize.half_transform,
+                       lambda a, axis, n, inverse=False: ("half", axis, inverse), calls)
 
 
 def count_metric_evaluations(monkeypatch):

@@ -457,7 +457,7 @@ class TestRatioPipeline:
         tab = uniform_ratio_experiment([4.0], fwd_profile(m=order, ell=order), grid=self.grid,
                                        n_base=1)
         assert len(tab.rows) == 3
-        count = Counter("inverse" if inv else "forward" for _, inv in calls)
+        count = Counter("inverse" if inv else "forward" for *_, inv in calls)
         return {kind: n / 3 for kind, n in count.items()}
 
     def test_free_member_costs_six_transforms(self, monkeypatch):

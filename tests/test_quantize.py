@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_transforms, ham_field
 from nrlab import experiments as ex
@@ -21,6 +22,7 @@ from nrlab.quantize import (
     GridSymbol,
     _monomial,
     frequency_grid,
+    half_transform,
     op_apply,
     star_partial_sums,
     star_truncated,
@@ -338,19 +340,23 @@ class TestStar:
             assert np.array_equal(sums[N].values, st.values) and sums[N].poly == st.poly
 
     def test_each_derivative_once(self, setup1d, monkeypatch):
-        # order 3 needs d^1..d^3 of each factor, two transforms apiece
+        # order 3 needs d^1..d^3 of each factor, two half-spectrum transforms
+        # apiece: per degree d_zeta a (axis 1), then d_z b (axis 0)
         zg, qg, _ = setup1d
         a, b = smooth_symbols(zg, qg)
         calls = count_transforms(monkeypatch)
         star_truncated(a, b, 3)
-        assert len(calls) <= 12
+        assert calls == [("half", axis, inverse) for _ in range(3) for axis in (1, 0)
+                         for inverse in (False, True)]
 
     def test_star_experiment_takes_one_derivative_chain(self, monkeypatch):
-        # all four partial sums from d^1..d^3 of each sampled factor, two
-        # one-axis transforms apiece; op_apply's whole-grid ones are not counted
+        # all four partial sums from d^1..d^3 of each real factor, two
+        # half-spectrum one-axis transforms apiece and no full one; op_apply's
+        # whole-grid transforms of u are the only full ones
         calls = count_transforms(monkeypatch)
         ex.star(n_grid=256)
-        assert sum(axes is not None for axes, _ in calls) == 12
+        assert sum(entry == "half" for entry, *_ in calls) == 12
+        assert all(axes is None for entry, axes, _ in calls if entry == "full")
 
 
 class TestCommutatorBracket:
@@ -457,6 +463,105 @@ class TestDerivativeInputs:
         assert not np.shares_memory(dq.values, a.values)
 
 
+@st.composite
+def real_trig_symbols(draw, count=1):
+    """Real sampled symbols on a drawn d = 1 or 2 grid (8 to 32 points per axis,
+    d = 2 at most 16), each a constant plus three cosines of harmonics 1 or 2 in
+    size on every axis: exactly band-limited, and no derivative is round-off
+    alone (a zero harmonic would make one so, rough for the next preflight)."""
+    d = draw(st.sampled_from([1, 2]))
+    ns = tuple(draw(st.sampled_from([8, 16, 32] if d == 1 else [8, 16])) for _ in range(d))
+    zg = BoxGrid(tuple(draw(st.floats(2.0, 20.0)) for _ in range(d)), ns)
+    qg = frequency_grid(zg)
+    coef = st.floats(-1.0, 1.0)
+
+    def symbol():
+        waves = [(draw(st.floats(0.25, 1.0)), [draw(st.sampled_from([-2, -1, 1, 2]))
+                                                for _ in range(2 * d)], draw(coef))
+                 for _ in range(3)]
+        sides = zg.sides + qg.sides
+        return GridSymbol.from_function(zg, qg, lambda *v: draw(coef) + sum(
+            amp * np.cos(sum(2 * np.pi * k * x / L for k, x, L in zip(ks, v, sides)) + phase)
+            for amp, ks, phase in waves))
+    return zg, qg, [symbol() for _ in range(count)]
+
+
+def _complex_copy(a):
+    return GridSymbol(a.zgrid, a.zetagrid, a.values.astype(complex))
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+class TestRealSymbols:
+    """Real samples stay real: float64 derivatives on half spectra, against the
+    complex-stored copy and against full complex transforms."""
+
+    @given(real_trig_symbols())
+    @settings(max_examples=30, deadline=None)
+    def test_derivatives_stay_real_and_match_the_complex_copy(self, drawn):
+        zg, qg, (a,) = drawn
+        assert a.values.dtype == np.float64
+        c = _complex_copy(a)
+        for i in range(zg.ndim):
+            for kind, axis, grid in (("z", i, zg), ("zeta", zg.ndim + i, qg)):
+                got = a._derivative(kind, i).values
+                assert got.dtype == np.float64
+                assert _relative(got, c._derivative(kind, i).values) <= 1e-12
+                # full complex transforms with the Nyquist wavenumber 0
+                n = grid.ns[i]
+                k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacings[i])
+                k[n // 2] = 0.0
+                shape = [1] * a.values.ndim
+                shape[axis] = n
+                want = np.fft.ifft(np.fft.fft(a.values, axis=axis) * 1j * k.reshape(shape),
+                                   axis=axis)
+                assert _relative(got, want) <= 1e-12
+
+    @given(real_trig_symbols(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_op_apply_matches_the_complex_copy(self, drawn, seed):
+        zg, _, (a,) = drawn
+        rng = np.random.default_rng(seed)
+        u = GridField(zg, rng.normal(size=zg.shape) + 1j * rng.normal(size=zg.shape))
+        want = op_apply(_complex_copy(a), u).values
+        assert _relative(op_apply(a, u).values, want) <= 1e-14
+
+    @given(real_trig_symbols(count=2))
+    @settings(max_examples=20, deadline=None)
+    def test_star_partial_sums_match_the_complex_copies(self, drawn):
+        zg, qg, (a, b) = drawn
+        dtypes = []
+        real = GridSymbol._derivative
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GridSymbol, "_derivative", lambda self, kind, axis: (
+                lambda out: dtypes.append(out.values.dtype) or out)(real(self, kind, axis)))
+            sums = list(star_partial_sums(a, b, 3))
+        assert sums[0].values.dtype == np.float64
+        assert set(dtypes) == {np.dtype(np.float64)}
+        for got, want in zip(sums, star_partial_sums(_complex_copy(a), _complex_copy(b), 3)):
+            assert _relative(got.values, want.values) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["z", "zeta"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_rough_symbol_overflows(self, setup1d, kind, dtype):
+        zg, qg, _ = setup1d
+        rng = np.random.default_rng(5)
+        rough = rng.normal(size=zg.shape + qg.shape).astype(dtype)
+        with pytest.raises(SpectrumOverflow):
+            GridSymbol(zg, qg, rough)._derivative(kind, 0)
+
+    def test_the_nyquist_mode_has_zero_derivative(self, setup1d):
+        # a trace of the Nyquist mode cos(pi m) passes the preflight and adds
+        # nothing to the derivative: the wavenumber n/2 of real data is 0
+        zg, qg, _ = setup1d
+        a, _ = smooth_symbols(zg, qg)
+        nyquist = 1e-6 * np.cos(np.pi * np.arange(zg.ns[0]))[:, None]
+        got, want = GridSymbol(zg, qg, a.values + nyquist).d_z(0).values, a.d_z(0).values
+        assert _relative(got, want) <= 1e-12
+
+
 def _complex_array(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -551,15 +656,48 @@ class TestTransform:
         assert a.tobytes() == keep.tobytes()
 
 
+class TestHalfTransform:
+    @pytest.mark.parametrize("shape,cores", [
+        *itertools.product([(1024,), (8, 1), (512, 512), (16, 64, 64)], [1, 2]),
+        ((2, 1 << 16), 4),
+    ], ids=str)
+    def test_bit_identical_to_numpy(self, shape, cores, monkeypatch):
+        monkeypatch.setattr(quantize, "CORES", cores)
+        a = np.random.default_rng(0).normal(size=shape)
+        keep = a.copy()
+        for axis, n in enumerate(shape):
+            spec = half_transform(a, axis, n)
+            assert spec.tobytes() == np.fft.rfft(keep, axis=axis).tobytes(), axis
+            back = half_transform(spec, axis, n, inverse=True)
+            assert back.tobytes() == np.fft.irfft(spec, n=n, axis=axis).tobytes(), axis
+        assert a.tobytes() == keep.tobytes()
+
+    @pytest.mark.parametrize("shape,cores,calls,off_main", [
+        ((512, 512), 1, 1, 0), ((512, 512), 2, 2, 1), ((64, 16), 2, 1, 0),
+    ], ids=str)
+    def test_numpy_calls_per_split(self, shape, cores, calls, off_main, monkeypatch):
+        # a pass splits as transform's one-axis pass does, by the real side's points
+        monkeypatch.setattr(quantize, "CORES", cores)
+        threads = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: threads.append(
+            threading.current_thread()) or rfft(*args, **kw))
+        half_transform(np.ones(shape), 0, shape[0])
+        assert len(threads) == calls
+        assert sum(t is not threading.main_thread() for t in threads) == off_main
+
+
 def test_only_the_entry_point_calls_numpy_transforms():
-    # fftfreq and fftshift stay free; the transforms themselves go through
-    # quantize.transform and nowhere else
-    banned = {"fft", "ifft", "fftn", "ifftn"}
+    # fftfreq, rfftfreq and fftshift stay free; the transforms themselves go
+    # through quantize.transform and quantize.half_transform and nowhere else
+    banned = {"fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"}
+    entry_points = {"transform", "half_transform"}
     offenders = []
     for path in sorted(Path(quantize.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name == "quantize.py":
-            tree.body = [node for node in tree.body if getattr(node, "name", None) != "transform"]
+            tree.body = [node for node in tree.body
+                         if getattr(node, "name", None) not in entry_points]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr in banned
                     and ast.unparse(node.value) in ("np.fft", "numpy.fft")):

@@ -427,6 +427,27 @@ class TestHamiltonField:
         assert np.max(np.abs(drift + 0.5 * math.sqrt(1.0 + z @ z) * time * dz)) <= 1e-7
 
 
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]), rows=st.integers(1, 6),
+       h=st.floats(0.0, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_free_velocity_is_the_full_formula_bit_for_bit(data, d, rows, h):
+    # the parabolic face's bdf nu is skipped when no row is parabolic, since
+    # V * 1.0 is V; with or without parabolic rows the result is the full
+    # formula's, byte for byte
+    zeta = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows * (d + 1),
+                                       max_size=rows * (d + 1)))).reshape(rows, d + 1)
+    bsign = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows,
+                                        max_size=rows)))
+    for parabolic in (False, np.zeros(rows, bool),
+                      np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))):
+        V = -zeta
+        V[..., 0] = np.where(parabolic, bsign, h * (zeta[..., 0] + bsign))
+        nu = (1.0 + zeta[..., 0] ** 2 + np.sum(zeta[..., 1:] ** 4, axis=-1)) ** -0.25
+        want = V * np.where(parabolic, nu, 1.0)[..., None]
+        got = symbols._free_velocity(zeta, h, bsign, parabolic)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_the_natural_symbol_has_one_home():
     # the metric is evaluated by the natural symbol's functions in symbols and by
     # pde's terms table alone: flow integrates their fields and evaluates none,
