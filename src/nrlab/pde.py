@@ -18,7 +18,7 @@ that does not grow with c; at c = infinity it is the Schrodinger split step.  Ea
 one entry point, ``kg_envelope_solve`` and ``schrodinger_solve``, which takes the one free
 propagator ``_free_run`` instead, exactly, where the equation has no term (``_has_terms``).
 ``_operator_terms`` is the one table of lower-order terms and the one ``eval_metric`` caller
-(it forms the metric's derivative D G = -h^2 G (DP) G from the kernel's DP itself): at c
+(it forms D G = -h^2 G (DP) G and G - eta = -h^2 G P eta from the kernel's DP and P): at c
 for ``ConjugatedOperator`` and ``kg_envelope_solve`` (one table per step for both branches,
 the sign an array axis), at c = infinity for the normal operator (``normal_terms``).
 ``_apply_terms`` is the one applier of such a table.
@@ -329,7 +329,8 @@ def _operator_terms(M: MetricParams, c: float, zs, s) -> dict:
         dginv = dG * unscale / bracket[..., None, None, None]
         dlog = -0.5 * np.einsum("...ab,...lba->...l", mv.g, dG) / bracket[..., None]
         c1 = np.einsum("...iij->...j", dginv) + np.einsum("...ij,...i->...j", ginv, dlog)
-        rem = ginv - np.diag([-1.0 / c**2] + [1.0] * (n - 1))  # less the free g^-1
+        # g^-1 less the free one, S^-1 (G - eta) S^-1 with G - eta = -h^2 G P eta exactly
+        rem = (mv.G @ mv.P) * (-(1.0 / c) ** 2 * unscale * np.append(-1.0, np.ones(n - 1)))
         for i in range(n):
             add((i,), c1[..., i])
             for j in range(i, n):

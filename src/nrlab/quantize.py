@@ -14,7 +14,8 @@ identities hold at round-off level.  Test objects are kept within a quarter
 of the box so periodization error is part of the measured residuals.
 
 Transforms: every grid FFT of the package is a ``transform`` call (complex,
-in place) or a ``half_transform`` call (one axis of real data, bins 0..n/2).
+in place) or a ``half_transform`` call (one axis of real data, bins 0..n/2),
+each one numpy call on the calling thread.
 A spectral derivative is one forward half-spectrum pass (its power feeds the
 decay preflight, then it takes the ik factor in place) and one inverse; a
 complex symbol goes as its real and imaginary parts.  The partial sums
@@ -27,11 +28,9 @@ m L/n and zeta_k = 2 pi k / L the plane wave is the exact twiddle e^{2 pi i k m 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from contextvars import copy_context
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import product
 from operator import add
 
@@ -52,69 +51,26 @@ __all__ = [
 SMOOTHNESS_TOP_THIRD = 1.0e-8   # spectral-decay preflight threshold
 MODE_ENERGY_FLOOR = 1.0e-30     # relative energy below which a mode is ignored
 MODE_BLOCK = 1 << 16            # grid points x modes in one op_apply block
-SLAB_POINTS = 1 << 15           # fewest points in one slab of a split transform pass
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def transform(a, axes=None, inverse=False) -> np.ndarray:
     """The DFT (``inverse``: its inverse, 1/n per axis) of ``a`` over ``axes``
-    (default all), bit for bit numpy's fftn/ifftn, returned in ``a`` itself
-    when it is a complex array (anything else is first copied to one).
-
-    An array of two or more axes and at least 2 SLAB_POINTS points goes one
-    axis pass at a time, last axis first as numpy goes, each pass cut along its
-    longest other axis into up to CORES slabs of at least SLAB_POINTS points;
-    the caller runs one and the pool the rest (numpy's FFT releases the GIL and
-    transforms each 1-D line on its own), each in a copy of the caller's
-    context, so that the caller's ``np.errstate`` (per thread) holds in the
-    pool too.
-    """
+    (default all) in one numpy call, numpy's fft/ifft on one axis and
+    fftn/ifftn otherwise, returned in ``a`` itself when it is a complex array
+    (anything else is first copied to one)."""
     a = np.asarray(a, dtype=complex)
     axes = list(range(a.ndim) if axes is None else axes)
-    if a.ndim < 2 or min(CORES, a.size // SLAB_POINTS) < 2:   # one numpy call
-        if len(axes) == 1:
-            return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axes[0], out=a)
-        return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, out=a)
-    for axis in reversed(axes):
-        _pass(np.fft.ifft if inverse else np.fft.fft, a, a, axis)
-    return a
+    if len(axes) == 1:
+        return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axes[0], out=a)
+    return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, out=a)
 
 
 def half_transform(a, axis: int, n: int, inverse=False) -> np.ndarray:
-    """numpy's rfft along ``axis`` of the real ``a`` (n points): bins 0..n/2 in a new
-    array (``inverse``: their irfft), split as ``transform`` splits, by the real points."""
-    a = np.asarray(a, dtype=complex if inverse else float)
-    shape = a.shape[:axis] + (n if inverse else n // 2 + 1,) + a.shape[axis + 1:]
-    out = np.empty(shape, dtype=float if inverse else complex)
-    return _pass(partial(np.fft.irfft, n=n) if inverse else np.fft.rfft, a, out, axis)
-
-
-def _pass(fn, a, out, axis) -> np.ndarray:
-    """out = fn(a, axis=axis, out=out): one numpy call, or slabs as ``transform`` splits."""
-    k = min(CORES, max(a.size, out.size) // SLAB_POINTS)
-    if a.ndim < 2 or k < 2:
-        return fn(a, axis=axis, out=out)
-    along = max((i for i in range(a.ndim) if i != axis), key=a.shape.__getitem__)
-    n, m = a.shape[along], min(k, a.shape[along])
-    slabs = [[x[(slice(None),) * along + (slice(n * j // m, n * (j + 1) // m),)] for x in (a, out)]
-             for j in range(m)]
-    futures = [_pool(os.getpid()).submit(copy_context().run, fn, s, axis=axis, out=o)
-               for s, o in slabs[1:]]
-    try:
-        fn(slabs[0][0], axis=axis, out=slabs[0][1])
-    finally:   # every slab is done before the pass returns or raises
-        errors = [f.exception() for f in futures]
-    for err in filter(None, errors):
-        raise err
-    return out
-
-
-@cache
-def _pool(pid):
-    """CORES - 1 slab workers for process ``pid`` (a forked child makes its
-    own), with concurrent.futures imported only on the first split."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max(1, CORES - 1), thread_name_prefix="nrlab-fft")
+    """numpy's rfft along ``axis`` of the real ``a`` (n points), bins 0..n/2 in a
+    new array (``inverse``: their irfft to n points), in one numpy call."""
+    if inverse:
+        return np.fft.irfft(np.asarray(a, dtype=complex), n=n, axis=axis)
+    return np.fft.rfft(np.asarray(a, dtype=float), axis=axis)
 
 
 @dataclass(frozen=True)

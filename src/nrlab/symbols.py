@@ -237,15 +237,16 @@ class MetricValues(NamedTuple):
     """The metric family in natural units, evaluated at a batch of points.
 
     ``g = S^-1 g(c) S^-1 = eta + h^2 P`` with S = diag(c, 1, ..., 1) is the
-    natural-units metric (eta at h = 0), ``G`` its inverse, and
-    ``DP[..., l, :, :]`` the compensated derivative rho_bf^-1 dP/dz_l of the
-    perturbation block, which does not depend on h (``None`` unless asked
-    for); D G = -h^2 G (DP) G.  Light-speed fields follow as
-    g(c)^-1 = S^-1 G S^-1.
+    natural-units metric (eta at h = 0), ``G`` its inverse, ``P`` the
+    perturbation block (zeros for a flat metric), and ``DP[..., l, :, :]`` the
+    compensated derivative rho_bf^-1 dP/dz_l of P, which does not depend on h
+    (``None`` unless asked for); D G = -h^2 G (DP) G, and G - eta = -h^2 G P eta
+    without cancellation.  Light-speed fields follow as g(c)^-1 = S^-1 G S^-1.
     """
 
     g: np.ndarray
     G: np.ndarray
+    P: np.ndarray
     DP: np.ndarray | None
 
 
@@ -304,13 +305,13 @@ def eval_metric(M: MetricParams, Y, h, grad: bool = False, rho2=None) -> MetricV
                 order[:, None] * Yk * ang[..., None] + proj), batch + dslots[:1].shape)
     g = _ETA[M.d] + (h * h)[..., None, None] * P
     if M.is_flat:
-        return MetricValues(g, g, DP)
+        return MetricValues(g, g, P, DP)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2 if n == 2 else np.linalg.det(g)
     if (np.abs(det) < 1.0e-12).any():
         raise DegenerateMetric(
             f"|det g| / c^2 = {np.min(np.abs(det)):.3e} below floor at h <= {np.max(h)}")
     G = g[..., ::-1, ::-1] * _ADJ2 / det[..., None, None] if n == 2 else np.linalg.inv(g)
-    return MetricValues(g, G, DP)
+    return MetricValues(g, G, P, DP)
 
 
 def ball_from_base(z) -> np.ndarray:

@@ -75,8 +75,7 @@ def test_every_exported_name_is_used_by_the_package_or_a_demo():
 
 
 def test_every_raise_names_an_nrlab_error():
-    # every public entry point fails with a typed NrlabError; the one
-    # exception is quantize.transform re-raising a slab worker's error as is
+    # every public entry point fails with a typed NrlabError
     typed = {name for name, obj in vars(errors).items()
              if isinstance(obj, type) and issubclass(obj, NrlabError)}
     offenders = []
@@ -86,7 +85,7 @@ def test_every_raise_names_an_nrlab_error():
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = ast.unparse(exc)
-            if name not in typed and (path.name, name) != ("quantize.py", "err"):
+            if name not in typed:
                 offenders.append(f"{path.name}:{node.lineno} raise {name}")
     assert offenders == []
 

@@ -1159,6 +1159,28 @@ class TestNormalOperatorTerms:
             left = np.max(np.abs(sum(w * x for w, x in zip(weights, r))))
             assert left <= 0.25 * max(steps[:2]) + floor, (key, steps, left)
 
+    @given(M=st.sampled_from([1, 2, 3]).flatmap(lambda d: perturbed_metrics(d, lower=True)),
+           s=st.sampled_from([1, -1]))
+    @example(M=_row_limit_draw(1, alpha=ClassicalSymbolProfile(
+        amplitude=0.3, waves=(((0.7, 0.7), 0.3, -0.2),)), h={(0, 0): ClassicalSymbolProfile(
+            amplitude=0.1, waves=(((1.1, -0.4), -0.2, 0.3),))}), s=1)
+    @settings(max_examples=25, deadline=None)
+    def test_the_mass_row_keeps_falling_up_to_c_two_to_the_twenty(self, M, s):
+        # without a shift the () row is a series in c^-2 about its limit, so its
+        # distance e(c) = max|row(c) - row(inf)| falls at least 4x per doubling and
+        # stays within 2 e(2^10) (2^10/c)^2 up to c = 2^20, above a floor for the
+        # round-off of the row's O(1) fields.  A shift adds a c^-1 part, so the draw
+        # drops it.  A row formed as c^2 (G^00 + 1) loses eps c^2 and fails here from
+        # c = 2^12 on.
+        M = replace(M, w=tuple(ClassicalSymbolProfile.zero() for _ in M.w))
+        zs = list(np.random.default_rng(M.d).uniform(-4.0, 4.0, (M.d + 1, 12)))
+        limit = pde._operator_terms(M, math.inf, zs, s).get((), 0.0)
+        e = {c: np.max(np.abs(pde._operator_terms(M, c, zs, s).get((), 0.0) - limit))
+             for c in 2.0 ** np.arange(10, 21, 2)}
+        floor = 64.0 * np.finfo(float).eps
+        for c, ec in e.items():
+            assert ec <= 2.0 * e[1024.0] * (1024.0 / c) ** 2 + floor, (c, e)
+
     @given(data=st.data(), d=st.sampled_from([1, 2, 3]), s=st.sampled_from([1, -1]))
     @settings(max_examples=25, deadline=None)
     def test_limit_is_the_richardson_limit_of_finite_c_rows(self, data, d, s):

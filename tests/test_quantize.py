@@ -567,58 +567,50 @@ def _complex_array(shape, seed=0):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _at_once(threads, call):
+    """The results of call() run by ``threads`` threads at once, switching often
+    (for 1 the calling thread runs it alone), in no set order."""
+    if threads == 1:
+        return [call()]
+    results = []
+    workers = [threading.Thread(target=lambda: results.append(call())) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
 class TestTransform:
-    @pytest.mark.parametrize("shape,cores", [
+    @pytest.mark.parametrize("shape,threads", [
         *itertools.product([(1024,), (256, 32), (4096, 64), (512, 512), (16, 64, 64)], [1, 2]),
-        ((2, 1 << 16), 4),      # fewer rows than cores: two slabs on the last-axis pass
+        ((2, 1 << 16), 4),
     ], ids=str)
-    def test_bit_identical_to_numpy(self, shape, cores, monkeypatch):
-        monkeypatch.setattr(quantize, "CORES", cores)
+    def test_bit_identical_to_numpy(self, shape, threads):
+        # numpy's bytes in the caller's own array, also for callers in several threads at once
         a = _complex_array(shape)
         subsets = [axes for r in range(1, a.ndim + 1)
                    for axes in itertools.combinations(range(a.ndim), r)]
         for axes in [None] + subsets:
             for inverse, ref in ((False, np.fft.fftn), (True, np.fft.ifftn)):
-                buf = a.copy()
-                out = transform(buf, axes, inverse)
-                assert out is buf
-                assert out.tobytes() == ref(a, axes=axes).tobytes(), (axes, inverse)
+                want = ref(a, axes=axes).tobytes()
 
-    @pytest.mark.parametrize("shape,cores,calls,off_main", [
-        ((512, 512), 1, 1, 0), ((512, 512), 2, 4, 2), ((64, 16), 2, 1, 0), ((1 << 16,), 2, 1, 0),
-    ], ids=str)
-    def test_numpy_calls_per_split(self, shape, cores, calls, off_main, monkeypatch):
-        # a pass over 2 SLAB_POINTS or more of a multi-axis array is one numpy
-        # call per core, one of them here; any other array is one call
-        monkeypatch.setattr(quantize, "CORES", cores)
-        threads = []
-        for name in ("fft", "fftn"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, **kw: threads.append(
-                threading.current_thread()) or fn(*args, **kw))
-        transform(_complex_array(shape))
-        assert len(threads) == calls
-        assert sum(t is not threading.main_thread() for t in threads) == off_main
+                def call():
+                    buf = a.copy()
+                    out = transform(buf, axes, inverse)
+                    return out is buf and out.tobytes() == want
 
-    def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(quantize, "CORES", 2)
-        fft = np.fft.fft
+                assert _at_once(threads, call) == [True] * threads, (axes, inverse)
 
-        def failing(a, *args, **kw):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("slab failed")
-            return fft(a, *args, **kw)
-
-        monkeypatch.setattr(np.fft, "fft", failing)
-        with pytest.raises(FloatingPointError, match="slab failed"):
-            transform(_complex_array((512, 512)))
-
-    @pytest.mark.parametrize("shape", [(512, 512), (64, 64)], ids=["pooled", "unpooled"])
-    def test_caller_error_state_holds_in_every_slab(self, shape, monkeypatch):
-        # numpy's error state is per thread; an inf in row -3, which a pooled pass over
-        # the last axis hands to a worker, neither warns under "ignore" nor gets past
-        # "raise", as in the caller's own thread
-        monkeypatch.setattr(quantize, "CORES", 2)
+    @pytest.mark.parametrize("shape", [(512, 512), (64, 64)], ids=str)
+    def test_caller_error_state_holds(self, shape):
+        # an inf neither warns under the caller's np.errstate "ignore" nor gets past "raise"
         a = _complex_array(shape)
         a[-3, 3] = np.inf
         with warnings.catch_warnings(), np.errstate(all="ignore"):
@@ -629,26 +621,6 @@ class TestTransform:
             with np.errstate(all="raise"), pytest.raises(FloatingPointError):
                 transform(a.copy(), axes=axes)
 
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        # more calling threads than cores, each splitting its passes onto one pool
-        monkeypatch.setattr(quantize, "CORES", 2)
-        a = _complex_array((512, 256))
-        ref = np.fft.fftn(a).tobytes()
-        results = []
-        threads = [threading.Thread(target=lambda: results.append(transform(a.copy()).tobytes()))
-                   for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [ref] * 4
-
     def test_a_real_array_is_copied(self):
         a = np.random.default_rng(0).normal(size=(8, 4))
         keep = a.copy()
@@ -657,34 +629,47 @@ class TestTransform:
 
 
 class TestHalfTransform:
-    @pytest.mark.parametrize("shape,cores", [
+    @pytest.mark.parametrize("shape,threads", [
         *itertools.product([(1024,), (8, 1), (512, 512), (16, 64, 64)], [1, 2]),
         ((2, 1 << 16), 4),
     ], ids=str)
-    def test_bit_identical_to_numpy(self, shape, cores, monkeypatch):
-        monkeypatch.setattr(quantize, "CORES", cores)
+    def test_bit_identical_to_numpy(self, shape, threads):
+        # numpy's bytes, the input left as it was, also for callers in several threads at once
         a = np.random.default_rng(0).normal(size=shape)
         keep = a.copy()
         for axis, n in enumerate(shape):
-            spec = half_transform(a, axis, n)
-            assert spec.tobytes() == np.fft.rfft(keep, axis=axis).tobytes(), axis
-            back = half_transform(spec, axis, n, inverse=True)
-            assert back.tobytes() == np.fft.irfft(spec, n=n, axis=axis).tobytes(), axis
+            want = np.fft.rfft(keep, axis=axis)
+            back = np.fft.irfft(want, n=n, axis=axis).tobytes()
+
+            def call():
+                spec = half_transform(a, axis, n)
+                return (spec.tobytes() == want.tobytes()
+                        and half_transform(spec, axis, n, inverse=True).tobytes() == back)
+
+            assert _at_once(threads, call) == [True] * threads, axis
         assert a.tobytes() == keep.tobytes()
 
-    @pytest.mark.parametrize("shape,cores,calls,off_main", [
-        ((512, 512), 1, 1, 0), ((512, 512), 2, 2, 1), ((64, 16), 2, 1, 0),
-    ], ids=str)
-    def test_numpy_calls_per_split(self, shape, cores, calls, off_main, monkeypatch):
-        # a pass splits as transform's one-axis pass does, by the real side's points
-        monkeypatch.setattr(quantize, "CORES", cores)
-        threads = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: threads.append(
-            threading.current_thread()) or rfft(*args, **kw))
-        half_transform(np.ones(shape), 0, shape[0])
-        assert len(threads) == calls
-        assert sum(t is not threading.main_thread() for t in threads) == off_main
+
+@pytest.mark.parametrize("shape", [(512, 512), (4096, 64), (2, 1 << 16)], ids=str)
+def test_each_entry_point_call_is_one_numpy_call(shape, monkeypatch):
+    # whatever the core count: one numpy call on the calling thread, and no worker
+    # thread is left behind, so numpy-call counts are entry-point counts
+    threads = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, **kw: threads.append(
+            threading.current_thread()) or fn(*args, **kw))
+    a = _complex_array(shape)
+    calls = [lambda axes=axes, inverse=inverse: transform(a.copy(), axes, inverse)
+             for axes in (None, [0], [1]) for inverse in (False, True)]
+    calls += [lambda axis=axis, n=n, inverse=inverse: half_transform(
+        a if inverse else a.real, axis, n, inverse)
+        for axis, n in enumerate(shape) for inverse in (False, True)]
+    for call in calls:
+        threads.clear()
+        call()
+        assert threads == [threading.current_thread()]
+    assert not any(t.name.startswith("nrlab-fft") for t in threading.enumerate())
 
 
 def test_only_the_entry_point_calls_numpy_transforms():
