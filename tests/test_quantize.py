@@ -587,6 +587,34 @@ def _at_once(threads, call):
     return results
 
 
+def _slabs_on_threads(calls):
+    """The results of ``calls``, in order, the first run on the calling thread
+    and each other on a thread of its own, all at once."""
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = calls[i]()
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(calls))]
+    for t in workers:
+        t.start()
+    run(0)
+    for t in workers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
+def _record_threads(monkeypatch, names):
+    """The list to which each call of numpy's ``names`` transforms adds its thread."""
+    threads = []
+    for name in names:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, **kw: threads.append(
+            threading.current_thread()) or fn(*args, **kw))
+    return threads
+
+
 class TestTransform:
     @pytest.mark.parametrize("shape,threads", [
         *itertools.product([(1024,), (256, 32), (4096, 64), (512, 512), (16, 64, 64)], [1, 2]),
@@ -621,6 +649,35 @@ class TestTransform:
             with np.errstate(all="raise"), pytest.raises(FloatingPointError):
                 transform(a.copy(), axes=axes)
 
+    @pytest.mark.parametrize("shape,parts,calls,off_main", [
+        ((512, 512), 1, 1, 0), ((512, 512), 2, 4, 2),
+    ], ids=str)
+    def test_numpy_calls_per_split(self, shape, parts, calls, off_main, monkeypatch):
+        # a caller may split a 2-D transform itself: each axis's pass cut into
+        # ``parts`` slabs across it, one thread a slab, the first its own; numpy's
+        # bytes, one numpy call per slab, made on the slab's thread (unsplit: one call)
+        a = _complex_array(shape)
+        want = np.fft.fftn(a).tobytes()
+        threads = _record_threads(monkeypatch, ("fft", "fftn"))
+        if parts == 1:
+            transform(a)
+        else:
+            for axis in (1, 0):
+                slabs = np.array_split(a, parts, axis=1 - axis)
+                assert _slabs_on_threads([lambda s=s: transform(s, [axis]) is s
+                                          for s in slabs]) == [True] * parts
+        assert a.tobytes() == want
+        assert len(threads) == calls
+        assert sum(t is not threading.main_thread() for t in threads) == off_main
+
+    def test_concurrent_callers_share_the_pool(self):
+        # four callers at once on one array shape, the module and numpy's FFT
+        # state shared among them (the entry points keep no pool or state of
+        # their own): each gets numpy's bytes
+        a = _complex_array((512, 256))
+        ref = np.fft.fftn(a).tobytes()
+        assert _at_once(4, lambda: transform(a.copy()).tobytes()) == [ref] * 4
+
     def test_a_real_array_is_copied(self):
         a = np.random.default_rng(0).normal(size=(8, 4))
         keep = a.copy()
@@ -649,16 +706,29 @@ class TestHalfTransform:
             assert _at_once(threads, call) == [True] * threads, axis
         assert a.tobytes() == keep.tobytes()
 
+    @pytest.mark.parametrize("shape,parts,calls,off_main", [
+        ((512, 512), 1, 1, 0), ((512, 512), 2, 2, 1),
+    ], ids=str)
+    def test_numpy_calls_per_split(self, shape, parts, calls, off_main, monkeypatch):
+        # a pass along axis 0 split by the caller into ``parts`` slabs across it,
+        # as transform's test_numpy_calls_per_split does: numpy's bytes, one rfft
+        # call per slab on the slab's thread
+        a = np.random.default_rng(0).normal(size=shape)
+        want = np.fft.rfft(a, axis=0).tobytes()
+        threads = _record_threads(monkeypatch, ("rfft",))
+        slabs = np.array_split(a, parts, axis=1)
+        spec = np.concatenate(_slabs_on_threads(
+            [lambda s=s: half_transform(s, 0, shape[0]) for s in slabs]), axis=1)
+        assert spec.tobytes() == want
+        assert len(threads) == calls
+        assert sum(t is not threading.main_thread() for t in threads) == off_main
+
 
 @pytest.mark.parametrize("shape", [(512, 512), (4096, 64), (2, 1 << 16)], ids=str)
 def test_each_entry_point_call_is_one_numpy_call(shape, monkeypatch):
     # whatever the core count: one numpy call on the calling thread, and no worker
     # thread is left behind, so numpy-call counts are entry-point counts
-    threads = []
-    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, **kw: threads.append(
-            threading.current_thread()) or fn(*args, **kw))
+    threads = _record_threads(monkeypatch, ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"))
     a = _complex_array(shape)
     calls = [lambda axes=axes, inverse=inverse: transform(a.copy(), axes, inverse)
              for axes in (None, [0], [1]) for inverse in (False, True)]
